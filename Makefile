@@ -48,11 +48,12 @@ torture:
 net-torture:
 	$(GO) run -race ./cmd/pmvtorture -net -seeds 10 -v
 
-# Cluster-plane smoke: the router loopback tests plus one seeded chaos
-# cycle (3 shards + router, kills/blackholes/reset bursts) under the
-# race detector (see internal/torture/clusterchaos.go).
+# Cluster-plane smoke: the router loopback tests and the session-kernel
+# tests both daemons' front doors rest on, plus one seeded chaos cycle
+# (3 shards + router, kills/blackholes/reset bursts) under the race
+# detector (see internal/torture/clusterchaos.go).
 cluster-smoke:
-	$(GO) test -race -count=1 ./internal/cluster/
+	$(GO) test -race -count=1 ./internal/cluster/ ./internal/session/
 	$(GO) run -race ./cmd/pmvtorture -cluster -seeds 1 -clients 6 -queries 30 -v
 
 # Cluster-plane chaos sweep: the wide seeded run.
@@ -139,7 +140,7 @@ obs-smoke:
 # behind a tracing pmvrouter, checked through pmvcli (fleet, trace
 # recent) and the router's /metrics trace and cost families.
 trace-smoke:
-	$(GO) test -race -count=1 -run 'Trace|Slow|Fleet|Degraded' ./internal/wire/ ./internal/server/ ./internal/cluster/
+	$(GO) test -race -count=1 -run 'Trace|Slow|Fleet|Degraded' ./internal/wire/ ./internal/session/ ./internal/server/ ./internal/cluster/
 	@set -e; dir=$$(mktemp -d); \
 	trap 'kill $$spid1 $$spid2 $$rpid 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/pmvd" ./cmd/pmvd; \

@@ -15,7 +15,6 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"math"
@@ -23,6 +22,19 @@ import (
 	"time"
 
 	"pmv/internal/wire"
+)
+
+// Breaker trip thresholds beyond the consecutive-failure count.
+const (
+	// breakerPhi trips a breaker when the phi-accrual suspicion level
+	// reaches it — the silence is ~10⁸× longer than normal.
+	breakerPhi = 8.0
+	// breakerLatencyFactor trips a breaker whose shard's latency EWMA
+	// exceeds this multiple of the fleet's median EWMA, but only above
+	// breakerLatencyFloor — the gray-shard trip that decouples routed
+	// p99 from a slow-but-alive shard.
+	breakerLatencyFactor = 6.0
+	breakerLatencyFloor  = 5 * time.Millisecond
 )
 
 // outcomeKind says which protocol step produced an observation.
@@ -137,25 +149,25 @@ func newTailTolerance(cfg *Config, nShards int) *tailTolerance {
 		tt.breakers[i] = newBreaker(cfg.BreakerCooldown, cfg.BreakerMaxCooldown, int64(i+1))
 	}
 	if cfg.Hedge {
-		tt.hedge = newHedgeBudget(cfg.HedgeRate, cfg.HedgeBurst)
+		tt.hedge = newHedgeBudget(cfg.HedgeRate, hedgeBurst)
 	}
 	return tt
 }
 
 // latencySick reports whether shard's latency digest exceeds the trip
-// threshold: above an absolute floor AND above BreakerLatencyFactor ×
+// threshold: above an absolute floor AND above breakerLatencyFactor ×
 // the fleet's median EWMA. The relative test is what distinguishes a
 // gray shard from a uniformly slow (but healthy) cluster.
 func (tt *tailTolerance) latencySick(shard int) bool {
 	own := tt.health[shard].ewmaNs.Load()
-	if own < int64(tt.cfg.BreakerLatencyFloor) {
+	if own < int64(breakerLatencyFloor) {
 		return false
 	}
 	med := tt.fleetMedianEwma()
 	if med <= 0 {
 		return false
 	}
-	return float64(own) > tt.cfg.BreakerLatencyFactor*float64(med)
+	return float64(own) > breakerLatencyFactor*float64(med)
 }
 
 // fleetMedianEwma is the median of the per-shard latency digests,
@@ -188,7 +200,7 @@ func (tt *tailTolerance) sick(shard int, now time.Time) bool {
 	if h.consecFails.Load() >= int64(tt.cfg.BreakerFailThreshold) {
 		return true
 	}
-	if h.phi(now) >= tt.cfg.BreakerPhi {
+	if h.phi(now) >= breakerPhi {
 		return true
 	}
 	return tt.latencySick(shard)
@@ -333,36 +345,25 @@ func (r *Router) healthWire(shard int) *wire.ShardHealth {
 	}
 }
 
-// handlePing answers MsgPing with the router's authoritative shard-map
-// epoch, so routers can be health-checked the same way shards are.
-func (r *Router) handlePing(bw *bufio.Writer, payload []byte) error {
-	nonce, err := wire.DecodePing(payload)
-	if err != nil {
-		return r.writeErr(bw, err)
-	}
-	var buf [16]byte
-	return wire.WriteFrame(bw, wire.MsgPong, wire.EncodePong(buf[:0], nonce, r.shardMap().Epoch()))
-}
-
 // heartbeatLoop pings every shard each HeartbeatInterval so the
 // failure detector has a signal on an idle cluster and sick shards are
 // re-scored (and recovered shards re-admitted) without waiting for
 // query traffic. One goroutine per tick per shard: a blackholed shard
 // must not stall the others' beats.
 func (r *Router) heartbeatLoop() {
-	defer r.wg.Done()
+	defer r.bgWG.Done()
 	t := time.NewTicker(r.cfg.HeartbeatInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-r.closing:
+		case <-r.Closing():
 			return
 		case <-t.C:
 		}
 		for shard := range r.pools {
-			r.wg.Add(1)
+			r.bgWG.Add(1)
 			go func(shard int) {
-				defer r.wg.Done()
+				defer r.bgWG.Done()
 				r.heartbeat(shard)
 			}(shard)
 		}

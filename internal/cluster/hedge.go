@@ -34,6 +34,14 @@ import (
 	"pmv/internal/wire"
 )
 
+const (
+	// hedgeMinDelay floors the adaptive hedge delay: hedging a shard
+	// faster than this buys nothing a retry would not.
+	hedgeMinDelay = time.Millisecond
+	// hedgeBurst caps the hedge token bucket.
+	hedgeBurst = 4.0
+)
+
 // hedgeBudget is the token bucket capping hedge amplification.
 type hedgeBudget struct {
 	mu     sync.Mutex
@@ -76,8 +84,8 @@ func (tt *tailTolerance) hedgeDelay(shard int) time.Duration {
 		return tt.cfg.HedgeMaxDelay
 	}
 	d := time.Duration(h.ewmaNs.Load() + 3*h.devNs.Load())
-	if d < tt.cfg.HedgeMinDelay {
-		d = tt.cfg.HedgeMinDelay
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
 	if d > tt.cfg.HedgeMaxDelay {
 		d = tt.cfg.HedgeMaxDelay
@@ -93,6 +101,7 @@ func (tt *tailTolerance) hedgeDelay(shard int) time.Duration {
 type hedgeArbiter struct {
 	mu     sync.Mutex
 	counts map[string]*hedgeCount
+	closed bool // the race is decided: the loser's late rows are dropped
 }
 
 type hedgeCount struct {
@@ -104,12 +113,10 @@ func newHedgeArbiter() *hedgeArbiter {
 	return &hedgeArbiter{counts: make(map[string]*hedgeCount)}
 }
 
-// admit records one row arrival from source and reports whether it is
-// a first arrival (forward it) or a duplicate of the other stream's
-// copy (drop it).
-func (a *hedgeArbiter) admit(source int, key string) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
+// admitLocked records one row arrival from source and reports whether
+// it is a first arrival (forward it) or a duplicate of the other
+// stream's copy (drop it). Caller holds a.mu.
+func (a *hedgeArbiter) admitLocked(source int, key string) bool {
 	c := a.counts[key]
 	if c == nil {
 		c = &hedgeCount{}
@@ -123,16 +130,31 @@ func (a *hedgeArbiter) admit(source int, key string) bool {
 	return false
 }
 
-// source wraps emit for one stream of the race.
+// source wraps emit for one stream of the race. The lock is held
+// across emit so that close is a fence: once it returns, no row of the
+// canceled loser is in flight or can start — the loser may have probed
+// a cache that a refill changed since the winner did, and a row it
+// forwarded after the query moved on to O3 would reach the client
+// outside DS and the partial count.
 func (a *hedgeArbiter) source(i int, emit func(value.Tuple) error) func(value.Tuple) error {
 	var keyBuf []byte // per-source goroutine; never shared
 	return func(t value.Tuple) error {
 		keyBuf = value.EncodeTuple(keyBuf[:0], t)
-		if !a.admit(i, string(keyBuf)) {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		if a.closed || !a.admitLocked(i, string(keyBuf)) {
 			return nil
 		}
 		return emit(t)
 	}
+}
+
+// close ends the race: rows arriving from either source afterwards are
+// dropped.
+func (a *hedgeArbiter) close() {
+	a.mu.Lock()
+	a.closed = true
+	a.mu.Unlock()
 }
 
 // probeResult is one arm's outcome in the race.
@@ -156,6 +178,7 @@ func (r *Router) hedgedProbeShard(ctx context.Context, shard int, view string, m
 	}
 	tt.hedge.earn()
 	arb := newHedgeArbiter()
+	defer arb.close()
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
 	results := make(chan probeResult, 2)

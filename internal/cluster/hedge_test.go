@@ -56,7 +56,7 @@ func TestHedgeDelayAdaptsAndClamps(t *testing.T) {
 		tt.health[0].observe(outcomeProbe, 5*time.Millisecond, true, now)
 	}
 	// Steady 5ms latency, near-zero deviation: delay ~= ewma + 3*dev.
-	if d := tt.hedgeDelay(0); d < cfg.HedgeMinDelay || d > 10*time.Millisecond {
+	if d := tt.hedgeDelay(0); d < hedgeMinDelay || d > 10*time.Millisecond {
 		t.Fatalf("adaptive hedge delay = %v, want ~5ms", d)
 	}
 	// A very fast shard clamps up to the minimum.
@@ -64,8 +64,8 @@ func TestHedgeDelayAdaptsAndClamps(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		tt2.health[0].observe(outcomeProbe, 10*time.Microsecond, true, now)
 	}
-	if d := tt2.hedgeDelay(0); d != cfg.HedgeMinDelay {
-		t.Fatalf("fast-shard hedge delay = %v, want min %v", d, cfg.HedgeMinDelay)
+	if d := tt2.hedgeDelay(0); d != hedgeMinDelay {
+		t.Fatalf("fast-shard hedge delay = %v, want min %v", d, hedgeMinDelay)
 	}
 }
 
@@ -118,6 +118,22 @@ func TestHedgeArbiterMultisetMax(t *testing.T) {
 		s1(row(7))
 		if n != 3 {
 			t.Fatalf("multiset max lost a row: %d, want 3", n)
+		}
+	})
+
+	t.Run("closed-race-drops-late-rows", func(t *testing.T) {
+		a := newHedgeArbiter()
+		n := 0
+		emit := func(value.Tuple) error { n++; return nil }
+		s0, s1 := a.source(0, emit), a.source(1, emit)
+		s0(row(1))
+		a.close()
+		// The canceled loser probed a cache a refill has since grown:
+		// its extra row must not reach a query already past O2.
+		s1(row(1))
+		s1(row(2))
+		if n != 1 {
+			t.Fatalf("rows forwarded after the race closed: %d emitted, want 1", n)
 		}
 	})
 

@@ -184,7 +184,7 @@ func (h *hotPlane) probeLocal(view string, owner int, key string, emit func(valu
 		h.replicaHits.Add(1)
 		for _, t := range tuples {
 			if emit(t) != nil {
-				break // the caller sees emitFail; stop feeding it
+				break // the session latched the write failure; stop feeding it
 			}
 		}
 		return hotServed
@@ -394,12 +394,12 @@ func (h *hotPlane) sendHotInval(ctx context.Context, shard int, req wire.HotInva
 // shard; hotFilterLoop periodically refetches each shard's presence
 // filters. Both stop with the router.
 func (r *Router) hotPushLoop() {
-	defer r.wg.Done()
+	defer r.bgWG.Done()
 	t := time.NewTicker(r.cfg.HotPushInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-r.closing:
+		case <-r.Closing():
 			return
 		case <-t.C:
 		}
@@ -408,12 +408,12 @@ func (r *Router) hotPushLoop() {
 }
 
 func (r *Router) hotFilterLoop() {
-	defer r.wg.Done()
+	defer r.bgWG.Done()
 	t := time.NewTicker(r.cfg.FilterRefreshInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-r.closing:
+		case <-r.Closing():
 			return
 		case <-t.C:
 		}

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"pmv/internal/server"
+	"pmv/internal/session"
 	"pmv/internal/wire"
 )
 
@@ -12,8 +13,10 @@ import (
 // ShardMetrics block per shard so an operator can see exactly which
 // shard is failing probes, refusing refills, or answering slowly.
 type Metrics struct {
-	SessionsTotal   atomic.Int64
-	SessionsActive  atomic.Int64
+	// Session plane and per-request cost bill, owned by the session
+	// kernel.
+	session.Counters
+
 	Queries         atomic.Int64
 	Rows            atomic.Int64
 	PartialRows     atomic.Int64
@@ -21,25 +24,14 @@ type Metrics struct {
 	DeadlineExpired atomic.Int64
 	Degraded        atomic.Int64
 	PartialOnly     atomic.Int64
-	Errors          atomic.Int64
-	ConnRejected    atomic.Int64
-	IdleReaped      atomic.Int64
-	CorruptFrames   atomic.Int64
-	SessionResets   atomic.Int64
 
 	// DSLeftover counts queries failed because partial tuples were never
 	// matched by Operation O3 — the cluster-level consistency oracle.
 	DSLeftover atomic.Int64
 
-	// Observability plane: per-query cost accounting (rows streamed to
-	// clients, bytes on the wire, heap bytes attributed to traced
-	// queries) and the trace/slow-ring recording counters. Degraded
+	// Observability plane: the slow-ring recording counters. Degraded
 	// records count queries the slow ring captured because they shrank
 	// to a flagged subset, independent of latency.
-	CostRows         atomic.Int64
-	CostBytes        atomic.Int64
-	CostAllocs       atomic.Int64
-	TracesSampled    atomic.Int64
 	SlowRecorded     atomic.Int64
 	DegradedRecorded atomic.Int64
 
@@ -113,9 +105,7 @@ func newMetrics(shards []string) *Metrics {
 // single-node shape, so `pmvcli stats` against a router shows the same
 // dashboard it shows against a shard.
 func (m *Metrics) ServerStats() wire.ServerStats {
-	return wire.ServerStats{
-		SessionsTotal:   m.SessionsTotal.Load(),
-		SessionsActive:  m.SessionsActive.Load(),
+	st := wire.ServerStats{
 		Queries:         m.Queries.Load(),
 		Rows:            m.Rows.Load(),
 		PartialRows:     m.PartialRows.Load(),
@@ -123,20 +113,13 @@ func (m *Metrics) ServerStats() wire.ServerStats {
 		DeadlineExpired: m.DeadlineExpired.Load(),
 		Degraded:        m.Degraded.Load(),
 		PartialOnly:     m.PartialOnly.Load(),
-		Errors:          m.Errors.Load(),
 		Updates:         m.Updates.Load(),
 		UpdateOps:       m.UpdateOps.Load(),
 		UpdateRows:      m.UpdateRows.Load(),
-		ConnRejected:    m.ConnRejected.Load(),
-		IdleReaped:      m.IdleReaped.Load(),
-		CorruptFrames:   m.CorruptFrames.Load(),
-		SessionResets:   m.SessionResets.Load(),
-		CostRows:        m.CostRows.Load(),
-		CostBytes:       m.CostBytes.Load(),
-		CostAllocs:      m.CostAllocs.Load(),
-		TracesSampled:   m.TracesSampled.Load(),
 		PartialPhase:    m.Scatter.Snapshot(),
 		ExecPhase:       m.Exec.Snapshot(),
 		Total:           m.Total.Snapshot(),
 	}
+	m.Counters.Fill(&st)
+	return st
 }

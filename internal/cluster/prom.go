@@ -36,10 +36,8 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	p.Counter("pmvrouter_fanout_degrades_total", "Invalidations degraded to whole-view bumps.", float64(m.FanoutDegrades.Load()))
 	p.Counter("pmvrouter_fanout_failures_total", "Invalidations lost after the full degradation ladder.", float64(m.FanoutFailures.Load()))
 	p.Counter("pmvrouter_fanout_lag_seconds_total", "Cumulative ack-to-delivered invalidation lag.", float64(m.FanoutLagNs.Load())/1e9)
-	p.Counter("pmvrouter_conn_rejected_total", "Connections refused by the MaxConns cap.", float64(m.ConnRejected.Load()))
-	p.Counter("pmvrouter_idle_reaped_total", "Sessions closed for idling past IdleTimeout.", float64(m.IdleReaped.Load()))
 	p.Counter("pmvrouter_corrupt_frames_total", "Sessions dropped on framing violations.", float64(m.CorruptFrames.Load()))
-	p.Counter("pmvrouter_session_resets_total", "Sessions torn down by abrupt transport errors.", float64(m.SessionResets.Load()))
+	m.Counters.WritePrometheus(p, "pmvrouter")
 
 	p.Counter("pmvrouter_query_cost_rows_total", "Result rows billed by per-query cost accounting.", float64(m.CostRows.Load()))
 	p.Counter("pmvrouter_query_cost_wire_bytes_total", "Row-stream bytes (payload plus framing) written to clients.", float64(m.CostBytes.Load()))

@@ -29,15 +29,11 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"maps"
-	"net"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,6 +43,7 @@ import (
 	"pmv/internal/core"
 	"pmv/internal/expr"
 	"pmv/internal/obs"
+	"pmv/internal/session"
 	"pmv/internal/value"
 	"pmv/internal/wire"
 )
@@ -111,29 +108,18 @@ type Config struct {
 	// BreakerFailThreshold trips a breaker after this many consecutive
 	// failures (default 3).
 	BreakerFailThreshold int
-	// BreakerPhi trips a breaker when the phi-accrual suspicion level
-	// reaches it (default 8 — the silence is ~10⁸× longer than normal).
-	BreakerPhi float64
-	// BreakerLatencyFactor trips a breaker whose shard's latency EWMA
-	// exceeds this multiple of the fleet's median EWMA (default 6),
-	// but only above BreakerLatencyFloor (default 5ms) — the gray-shard
-	// trip that decouples routed p99 from a slow-but-alive shard.
-	BreakerLatencyFactor float64
-	BreakerLatencyFloor  time.Duration
 	// BreakerCooldown is the first open period before a half-open trial
 	// (default 500ms, jittered, doubling per re-trip up to
 	// BreakerMaxCooldown, default 8s).
 	BreakerCooldown    time.Duration
 	BreakerMaxCooldown time.Duration
-	// HedgeMinDelay / HedgeMaxDelay clamp the adaptive hedge delay
-	// (defaults 1ms / 50ms).
-	HedgeMinDelay time.Duration
+	// HedgeMaxDelay caps the adaptive hedge delay (default 50ms; the
+	// floor is hedgeMinDelay).
 	HedgeMaxDelay time.Duration
 	// HedgeRate is the hedge-token income per primary probe (default
 	// 0.05 — steady-state hedge amplification is capped at 5% extra
-	// probes); HedgeBurst is the bucket cap (default 4).
-	HedgeRate  float64
-	HedgeBurst float64
+	// probes, in bursts of at most hedgeBurst).
+	HedgeRate float64
 
 	// Hot enables the router half of the frequency plane: a per-view
 	// top-k tracker over probed bcp keys, a router-side replica cache
@@ -177,15 +163,6 @@ func (c *Config) fill() error {
 	if c.InvalTimeout <= 0 {
 		c.InvalTimeout = 2 * time.Second
 	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	if c.FrameTimeout == 0 {
-		c.FrameTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
 	if c.Hedge {
 		c.TailTolerance = true
 	}
@@ -196,32 +173,17 @@ func (c *Config) fill() error {
 		if c.BreakerFailThreshold <= 0 {
 			c.BreakerFailThreshold = 3
 		}
-		if c.BreakerPhi <= 0 {
-			c.BreakerPhi = 8
-		}
-		if c.BreakerLatencyFactor <= 0 {
-			c.BreakerLatencyFactor = 6
-		}
-		if c.BreakerLatencyFloor <= 0 {
-			c.BreakerLatencyFloor = 5 * time.Millisecond
-		}
 		if c.BreakerCooldown <= 0 {
 			c.BreakerCooldown = 500 * time.Millisecond
 		}
 		if c.BreakerMaxCooldown <= 0 {
 			c.BreakerMaxCooldown = 8 * time.Second
 		}
-		if c.HedgeMinDelay <= 0 {
-			c.HedgeMinDelay = time.Millisecond
-		}
 		if c.HedgeMaxDelay <= 0 {
 			c.HedgeMaxDelay = 50 * time.Millisecond
 		}
 		if c.HedgeRate <= 0 {
 			c.HedgeRate = 0.05
-		}
-		if c.HedgeBurst <= 0 {
-			c.HedgeBurst = 4
 		}
 	}
 	if c.Hot {
@@ -239,8 +201,11 @@ func (c *Config) fill() error {
 }
 
 // Router serves the pmvd wire protocol by scattering the PMV protocol
-// over a set of shards.
+// over a set of shards. The embedded session kernel (internal/session)
+// owns the client sessions; Start and Shutdown wrap it with the
+// router's background loops and fan-out drains.
 type Router struct {
+	*session.Kernel
 	cfg     Config
 	metrics *Metrics
 	sem     chan struct{} // admission slots for routed O3s
@@ -254,20 +219,11 @@ type Router struct {
 	vmu   sync.Mutex
 	views map[string]*viewMeta
 
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[*rsession]struct{}
-	closing  chan struct{}
-	wg       sync.WaitGroup
-
+	bgWG     sync.WaitGroup // map install, heartbeat and hot-plane loops
 	refillWG sync.WaitGroup
 	invalWG  sync.WaitGroup
 
-	traceOn atomic.Bool   // sample every routed query
-	slowNs  atomic.Int64  // slow threshold in ns; -1 = off
-	queryID atomic.Uint64 // local trace/slow-record id source
-	traces  *traceStore
-	slow    *slowRing
+	traces *traceStore
 
 	// tt is the tail-tolerance plane (health scoring, breakers, hedge
 	// budget); nil unless Config.TailTolerance — every touchpoint is a
@@ -300,23 +256,23 @@ func NewRouter(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		cfg:      cfg,
-		metrics:  newMetrics(cfg.Shards),
-		sem:      make(chan struct{}, cfg.PoolSize),
-		smap:     smap,
-		pools:    make([]*pool, len(cfg.Shards)),
-		views:    make(map[string]*viewMeta),
-		sessions: make(map[*rsession]struct{}),
-		closing:  make(chan struct{}),
-		traces:   newTraceStore(),
-		slow:     &slowRing{},
+		cfg:     cfg,
+		metrics: newMetrics(cfg.Shards),
+		sem:     make(chan struct{}, cfg.PoolSize),
+		smap:    smap,
+		pools:   make([]*pool, len(cfg.Shards)),
+		views:   make(map[string]*viewMeta),
+		traces:  newTraceStore(),
 	}
-	r.traceOn.Store(cfg.Trace)
-	if cfg.SlowThreshold > 0 {
-		r.slowNs.Store(int64(cfg.SlowThreshold))
-	} else {
-		r.slowNs.Store(-1)
-	}
+	r.Kernel = session.New("router", session.Config{
+		MaxConns:      cfg.MaxConns,
+		IdleTimeout:   cfg.IdleTimeout,
+		FrameTimeout:  cfg.FrameTimeout,
+		WriteTimeout:  cfg.WriteTimeout,
+		DrainTimeout:  cfg.DrainTimeout,
+		Trace:         cfg.Trace,
+		SlowThreshold: cfg.SlowThreshold,
+	}, &r.metrics.Counters, r.dispatch, wire.MsgQuery, wire.MsgUpdate)
 	if cfg.TailTolerance {
 		r.tt = newTailTolerance(&r.cfg, len(cfg.Shards))
 	}
@@ -343,46 +299,24 @@ func (r *Router) shardMap() *ShardMap {
 // pushes the shard map to every shard in the background, best-effort —
 // a shard that is down bootstraps later through the MsgErrEpoch path.
 func (r *Router) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	if err := r.Kernel.Start(addr); err != nil {
 		return err
 	}
-	r.Serve(ln)
-	return nil
-}
-
-// Serve accepts sessions on ln until Shutdown (ownership of ln
-// transfers to the router).
-func (r *Router) Serve(ln net.Listener) {
-	r.mu.Lock()
-	r.ln = ln
-	r.mu.Unlock()
-	r.wg.Add(1)
+	r.bgWG.Add(1)
 	go func() {
-		defer r.wg.Done()
+		defer r.bgWG.Done()
 		r.installEverywhere(r.shardMap())
 	}()
 	if r.tt != nil {
-		r.wg.Add(1)
+		r.bgWG.Add(1)
 		go r.heartbeatLoop()
 	}
 	if r.hot != nil {
-		r.wg.Add(2)
+		r.bgWG.Add(2)
 		go r.hotPushLoop()
 		go r.hotFilterLoop()
 	}
-	r.wg.Add(1)
-	go r.acceptLoop(ln)
-}
-
-// Addr returns the bound listen address (nil before Start).
-func (r *Router) Addr() net.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return nil
-	}
-	return r.ln.Addr()
+	return nil
 }
 
 // installEverywhere pushes m to every shard, best-effort.
@@ -408,39 +342,11 @@ func (r *Router) installOn(shard int, m *ShardMap) bool {
 }
 
 // Shutdown stops accepting, drains sessions (bounded by DrainTimeout),
-// waits for in-flight refill fan-outs, and closes the shard pools.
+// waits for the background loops and in-flight refill and invalidation
+// fan-outs, and closes the shard pools.
 func (r *Router) Shutdown() error {
-	r.mu.Lock()
-	select {
-	case <-r.closing:
-		r.mu.Unlock()
-		return nil
-	default:
-	}
-	close(r.closing)
-	ln := r.ln
-	for sess := range r.sessions {
-		sess.conn.SetReadDeadline(time.Now())
-		sess.conn.SetWriteDeadline(time.Now().Add(r.cfg.DrainTimeout))
-	}
-	r.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() { r.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(r.cfg.DrainTimeout):
-		r.mu.Lock()
-		for sess := range r.sessions {
-			sess.conn.Close()
-		}
-		r.mu.Unlock()
-		<-done
-	}
+	err := r.Kernel.Shutdown()
+	r.bgWG.Wait()     // bounded: every loop selects on Closing
 	r.refillWG.Wait() // bounded: each refill runs under RefillTimeout
 	r.invalWG.Wait()  // bounded: each invalidation runs under InvalTimeout
 	for _, p := range r.pools {
@@ -449,165 +355,18 @@ func (r *Router) Shutdown() error {
 	return err
 }
 
-// rsession is one accepted client connection.
-type rsession struct {
-	r    *Router
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	// inFrame distinguishes an idle close from a mid-frame stall.
-	inFrame bool
-	// traceCtx is the wire trace context of the MsgTraced envelope
-	// currently being served, nil outside one.
-	traceCtx *wire.TraceContext
-}
-
-func (sess *rsession) armWrite() {
-	if wt := sess.r.cfg.WriteTimeout; wt > 0 {
-		sess.conn.SetWriteDeadline(time.Now().Add(wt))
-	}
-}
-
-func (sess *rsession) readRequest() (byte, []byte, error) {
-	sess.inFrame = false
-	if idle := sess.r.cfg.IdleTimeout; idle > 0 {
-		sess.conn.SetReadDeadline(time.Now().Add(idle))
-	} else {
-		sess.conn.SetReadDeadline(time.Time{})
-	}
-	select {
-	case <-sess.r.closing:
-		sess.conn.SetReadDeadline(time.Now())
-	default:
-	}
-	if _, err := sess.br.Peek(1); err != nil {
-		return 0, nil, err
-	}
-	sess.inFrame = true
-	if ft := sess.r.cfg.FrameTimeout; ft > 0 {
-		sess.conn.SetReadDeadline(time.Now().Add(ft))
-	}
-	return wire.ReadFrame(sess.br)
-}
-
-func (r *Router) acceptLoop(ln net.Listener) {
-	defer r.wg.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		r.mu.Lock()
-		select {
-		case <-r.closing:
-			r.mu.Unlock()
-			c.Close()
-			return
-		default:
-		}
-		if r.cfg.MaxConns > 0 && len(r.sessions) >= r.cfg.MaxConns {
-			r.mu.Unlock()
-			r.metrics.ConnRejected.Add(1)
-			go func(c net.Conn) {
-				c.SetWriteDeadline(time.Now().Add(time.Second))
-				wire.WriteFrame(c, wire.MsgError, []byte("router: connection limit reached"))
-				c.Close()
-			}(c)
-			continue
-		}
-		sess := &rsession{
-			r:    r,
-			conn: c,
-			br:   bufio.NewReaderSize(c, 64<<10),
-			bw:   bufio.NewWriterSize(c, 64<<10),
-		}
-		r.sessions[sess] = struct{}{}
-		r.mu.Unlock()
-		r.wg.Add(1)
-		go r.handleSession(sess)
-	}
-}
-
-// errVersionMismatch terminates a session after the typed MsgErrVersion
-// frame has been written.
-var errVersionMismatch = errors.New("router: protocol version mismatch")
-
-// errUnknownRequest terminates a session whose stream may be desynced.
-var errUnknownRequest = errors.New("router: unknown request type")
-
-func (r *Router) handleSession(sess *rsession) {
-	r.metrics.SessionsTotal.Add(1)
-	r.metrics.SessionsActive.Add(1)
-	defer func() {
-		r.metrics.SessionsActive.Add(-1)
-		r.mu.Lock()
-		delete(r.sessions, sess)
-		r.mu.Unlock()
-		sess.conn.Close()
-		r.wg.Done()
-	}()
-
-	for {
-		typ, payload, err := sess.readRequest()
-		if err != nil {
-			switch {
-			case errors.Is(err, wire.ErrCorruptFrame) || errors.Is(err, wire.ErrFrameTooLarge):
-				r.metrics.CorruptFrames.Add(1)
-			case errors.Is(err, os.ErrDeadlineExceeded):
-				select {
-				case <-r.closing:
-				default:
-					r.metrics.IdleReaped.Add(1)
-				}
-			case errors.Is(err, io.EOF):
-			default:
-				r.metrics.SessionResets.Add(1)
-			}
-			return
-		}
-		sess.armWrite()
-		err = r.dispatch(sess, typ, payload)
-		if err == nil {
-			sess.armWrite()
-			err = sess.bw.Flush()
-		}
-		if err != nil {
-			switch {
-			case errors.Is(err, errVersionMismatch):
-			case errors.Is(err, errUnknownRequest):
-				r.metrics.CorruptFrames.Add(1)
-			default:
-				select {
-				case <-r.closing:
-				default:
-					r.metrics.SessionResets.Add(1)
-				}
-			}
-			return
-		}
-		select {
-		case <-r.closing:
-			return
-		default:
-		}
-	}
-}
-
 // dispatch answers one request; mirror of the single-node dispatch with
 // admin traffic proxied to shards where that is meaningful.
-func (r *Router) dispatch(sess *rsession, typ byte, payload []byte) error {
-	bw := sess.bw
+func (r *Router) dispatch(sess *session.Session, typ byte, payload []byte) error {
 	switch typ {
-	case wire.MsgHello:
-		return r.handleHello(sess, payload)
 	case wire.MsgQuery:
 		return r.handleQuery(sess, payload)
 	case wire.MsgStats:
-		return r.reply(bw, wire.StatsReply{Server: r.metrics.ServerStats(), Maint: r.metrics.maintStats(), Hot: r.hotStats()})
+		return sess.Reply(wire.StatsReply{Server: r.metrics.ServerStats(), Maint: r.metrics.maintStats(), Hot: r.hotStats()})
 	case wire.MsgUpdate:
 		return r.handleUpdate(sess, payload)
 	case wire.MsgInvalidate:
-		return r.writeErr(bw, errors.New("router: invalidate is a shard request; this is a router"))
+		return sess.WriteErr(errors.New("router: invalidate is a shard request; this is a router"))
 	case wire.MsgViews, wire.MsgTables, wire.MsgSchema, wire.MsgCount, wire.MsgPeek, wire.MsgViewStats:
 		// Reads against base data or view metadata: any healthy shard's
 		// answer is as good as another's.
@@ -615,56 +374,21 @@ func (r *Router) dispatch(sess *rsession, typ byte, payload []byte) error {
 	case wire.MsgAnalyze, wire.MsgCheckpoint:
 		return r.forwardAll(sess, typ, payload)
 	case wire.MsgShardMap:
-		return r.handleShardMap(bw, payload)
+		return r.handleShardMap(sess, payload)
 	case wire.MsgShards:
-		return r.handleShards(bw)
-	case wire.MsgTrace:
-		return r.handleTrace(bw, payload)
-	case wire.MsgSlowlog:
-		return r.handleSlowlog(bw, payload)
-	case wire.MsgTraced:
-		return r.handleTraced(sess, payload)
+		return r.handleShards(sess)
 	case wire.MsgTraceGet:
-		return r.handleTraceGet(bw, payload)
+		return r.handleTraceGet(sess, payload)
 	case wire.MsgFleet:
-		return r.handleFleet(bw)
+		return r.handleFleet(sess)
 	case wire.MsgPing:
-		return r.handlePing(bw, payload)
+		// Routers are health-checked the same way shards are.
+		return sess.Pong(payload, r.shardMap().Epoch())
 	case wire.MsgProbeParts, wire.MsgExec, wire.MsgRefill:
-		return r.writeErr(bw, errors.New("router: shard-internal request; this is a router"))
+		return sess.WriteErr(errors.New("router: shard-internal request; this is a router"))
 	default:
-		return fmt.Errorf("%w 0x%02x", errUnknownRequest, typ)
+		return session.ErrUnknownRequest
 	}
-}
-
-func (r *Router) handleHello(sess *rsession, payload []byte) error {
-	v, err := wire.DecodeHello(payload)
-	if err != nil {
-		return r.writeErr(sess.bw, err)
-	}
-	if v != wire.ProtocolVersion {
-		if werr := wire.WriteFrame(sess.bw, wire.MsgErrVersion, wire.EncodeVersionErr(wire.ProtocolVersion)); werr != nil {
-			return werr
-		}
-		if werr := sess.bw.Flush(); werr != nil {
-			return werr
-		}
-		return fmt.Errorf("%w: peer speaks %d, router speaks %d", errVersionMismatch, v, wire.ProtocolVersion)
-	}
-	return r.reply(sess.bw, wire.HelloReply{Version: int(wire.ProtocolVersion)})
-}
-
-func (r *Router) writeErr(bw *bufio.Writer, err error) error {
-	r.metrics.Errors.Add(1)
-	return wire.WriteFrame(bw, wire.MsgError, []byte(err.Error()))
-}
-
-func (r *Router) reply(bw *bufio.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return r.writeErr(bw, err)
-	}
-	return wire.WriteFrame(bw, wire.MsgReply, data)
 }
 
 // adminCtx bounds a proxied admin round trip.
@@ -673,7 +397,7 @@ func (r *Router) adminCtx() (context.Context, context.CancelFunc) {
 }
 
 // forwardFirst relays an admin request to the first shard that answers.
-func (r *Router) forwardFirst(sess *rsession, typ byte, payload []byte) error {
+func (r *Router) forwardFirst(sess *session.Session, typ byte, payload []byte) error {
 	ctx, cancel := r.adminCtx()
 	defer cancel()
 	var lastErr error
@@ -682,22 +406,21 @@ func (r *Router) forwardFirst(sess *rsession, typ byte, payload []byte) error {
 		raw, err := c.Forward(ctx, typ, payload)
 		r.pools[shard].put(c, err == nil || errors.Is(err, client.ErrRemote))
 		if err == nil {
-			sess.armWrite()
-			return wire.WriteFrame(sess.bw, wire.MsgReply, raw)
+			return sess.WriteFrame(wire.MsgReply, raw)
 		}
 		if errors.Is(err, client.ErrRemote) {
 			// The shard answered; its refusal is the answer.
-			return r.writeErr(sess.bw, err)
+			return sess.WriteErr(err)
 		}
 		lastErr = err
 	}
-	return r.writeErr(sess.bw, fmt.Errorf("router: no shard reachable: %w", lastErr))
+	return sess.WriteErr(fmt.Errorf("router: no shard reachable: %w", lastErr))
 }
 
 // forwardAll relays maintenance to every shard; the first failure is
 // reported (shards already reached stay done — both commands are
 // idempotent).
-func (r *Router) forwardAll(sess *rsession, typ byte, payload []byte) error {
+func (r *Router) forwardAll(sess *session.Session, typ byte, payload []byte) error {
 	ctx, cancel := r.adminCtx()
 	defer cancel()
 	for shard := range r.pools {
@@ -705,35 +428,35 @@ func (r *Router) forwardAll(sess *rsession, typ byte, payload []byte) error {
 		_, err := c.Forward(ctx, typ, payload)
 		r.pools[shard].put(c, err == nil || errors.Is(err, client.ErrRemote))
 		if err != nil {
-			return r.writeErr(sess.bw, fmt.Errorf("router: shard %s: %w", r.cfg.Shards[shard], err))
+			return sess.WriteErr(fmt.Errorf("router: shard %s: %w", r.cfg.Shards[shard], err))
 		}
 	}
-	return r.reply(sess.bw, wire.OKReply{OK: true})
+	return sess.Reply(wire.OKReply{OK: true})
 }
 
 // handleShardMap reads (empty payload) or replaces (JSON payload) the
 // authoritative map. A replacement must advance the epoch; it is pushed
 // to every shard before the reply so a successful install means the
 // cluster is routed by the new map.
-func (r *Router) handleShardMap(bw *bufio.Writer, payload []byte) error {
+func (r *Router) handleShardMap(sess *session.Session, payload []byte) error {
 	if len(payload) > 0 {
 		var mr wire.ShardMapReply
 		if err := json.Unmarshal(payload, &mr); err != nil {
-			return r.writeErr(bw, fmt.Errorf("router: bad shard map: %w", err))
+			return sess.WriteErr(fmt.Errorf("router: bad shard map: %w", err))
 		}
 		m, err := FromWire(mr)
 		if err != nil {
-			return r.writeErr(bw, err)
+			return sess.WriteErr(err)
 		}
 		r.smu.Lock()
 		if m.Epoch() <= r.smap.Epoch() {
 			cur := r.smap.Epoch()
 			r.smu.Unlock()
-			return r.writeErr(bw, fmt.Errorf("router: new epoch %d does not advance current %d", m.Epoch(), cur))
+			return sess.WriteErr(fmt.Errorf("router: new epoch %d does not advance current %d", m.Epoch(), cur))
 		}
 		if len(m.Shards()) != len(r.smap.Shards()) {
 			r.smu.Unlock()
-			return r.writeErr(bw, errors.New("router: changing the shard set requires a restart (static pools)"))
+			return sess.WriteErr(errors.New("router: changing the shard set requires a restart (static pools)"))
 		}
 		r.smap = m
 		r.smu.Unlock()
@@ -745,12 +468,12 @@ func (r *Router) handleShardMap(bw *bufio.Writer, payload []byte) error {
 		}
 		r.installEverywhere(m)
 	}
-	return r.reply(bw, r.shardMap().Wire())
+	return sess.Reply(r.shardMap().Wire())
 }
 
 // handleShards reports cluster status: per-shard reachability, the
 // epoch each shard has installed, and its view occupancy.
-func (r *Router) handleShards(bw *bufio.Writer) error {
+func (r *Router) handleShards(sess *session.Session) error {
 	m := r.shardMap()
 	out := wire.ShardsReply{
 		Epoch:  m.Epoch(),
@@ -784,7 +507,7 @@ func (r *Router) handleShards(bw *bufio.Writer) error {
 		}(shard)
 	}
 	wg.Wait()
-	return r.reply(bw, out)
+	return sess.Reply(out)
 }
 
 // viewMeta returns the cached routing metadata for a view, fetching it
@@ -841,18 +564,17 @@ func (r *Router) viewMeta(ctx context.Context, name string) (*viewMeta, error) {
 }
 
 // handleQuery runs the scattered PMV protocol for one client query.
-func (r *Router) handleQuery(sess *rsession, payload []byte) error {
-	bw := sess.bw
+func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeQuery(payload)
 	if err != nil {
-		return r.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 
 	// Trace setup before any shard call: the trace rides the context
 	// into every probe/exec/refill, so shard span reports fan back into
 	// it automatically through the client layer.
-	tr, external := r.sessionTrace(sess, req.View, r.slowNs.Load())
-	o := &queryObs{tr: tr, external: external, view: req.View, allocMark: tr.AllocMark()}
+	tr := sess.Trace(req.View, r.SlowNs())
+	o := &queryObs{tr: tr, view: req.View, allocMark: tr.AllocMark()}
 
 	ctx := context.Background()
 	deadline := req.Deadline
@@ -868,11 +590,11 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 
 	meta, err := r.viewMeta(ctx, req.View)
 	if err != nil {
-		return r.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	q := &expr.Query{Template: meta.tpl, Conds: req.Conds}
 	if err := q.Validate(); err != nil {
-		return r.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 
 	// Operation O1, locally.
@@ -884,7 +606,7 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 	parts, o1err := meta.coder.BreakConditions(q)
 	if o1err != nil {
 		if !errors.Is(o1err, core.ErrTooManyParts) {
-			return r.writeErr(bw, o1err)
+			return sess.WriteErr(o1err)
 		}
 		skipped, parts = true, nil
 	}
@@ -916,22 +638,12 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 		emitMu          sync.Mutex
 		ds              = make(map[string]int)
 		partialsEmitted int
-		rowBuf          []byte
-		emitFail        error
 	)
 	emitLocked := func(t value.Tuple, partial bool) error {
-		sess.armWrite()
-		rowBuf = wire.EncodeRow(rowBuf[:0], t[:meta.nUserCols], partial)
-		o.wireBytes += int64(len(rowBuf)) + frameOverhead
-		if werr := wire.WriteFrame(bw, wire.MsgRow, rowBuf); werr != nil {
-			emitFail = werr
+		if werr := sess.WriteRow(t[:meta.nUserCols], partial); werr != nil {
 			return werr
 		}
 		if partial {
-			if werr := bw.Flush(); werr != nil {
-				emitFail = werr
-				return werr
-			}
 			partialsEmitted++
 		}
 		return nil
@@ -958,8 +670,8 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 		return emitLocked(t, true)
 	})
 	partialLatency := time.Since(start)
-	if emitFail != nil {
-		return emitFail
+	if werr := sess.Err(); werr != nil {
+		return werr
 	}
 	r.metrics.Scatter.Observe(partialLatency)
 	r.metrics.PartialRows.Add(int64(partialsEmitted))
@@ -1045,8 +757,8 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 			// neither side.
 			r.noteOutcome(shard, outcomeExec, 0, execErr, false)
 		}
-		if emitFail != nil {
-			return emitFail
+		if werr := sess.Err(); werr != nil {
+			return werr
 		}
 		if execErr == nil {
 			execOK = true
@@ -1078,7 +790,7 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 			o.degrade(fmt.Sprintf("o3 failed on every shard: %v", execErr))
 			return r.finishQuery(sess, baseRep, start, o)
 		}
-		return r.writeErr(bw, fmt.Errorf("router: query execution failed: %w", execErr))
+		return sess.WriteErr(fmt.Errorf("router: query execution failed: %w", execErr))
 	}
 	if tr.Enabled() {
 		tr.Span(obs.KindO3, o3Start, int64(execRows), int64(attempts), 0)
@@ -1100,7 +812,7 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 				r.hot.repair(meta, parts)
 			}
 			r.metrics.DSLeftover.Add(1)
-			return r.writeErr(bw, fmt.Errorf("router: consistency violation: %d partial tuples never produced by execution", leftover))
+			return sess.WriteErr(fmt.Errorf("router: consistency violation: %d partial tuples never produced by execution", leftover))
 		}
 	}
 
@@ -1117,7 +829,7 @@ func (r *Router) handleQuery(sess *rsession, payload []byte) error {
 
 // finishQuery records the closing metrics and observability (trace
 // store, slow ring, span fan-back), then writes the MsgDone frame.
-func (r *Router) finishQuery(sess *rsession, rep wire.Report, start time.Time, o *queryObs) error {
+func (r *Router) finishQuery(sess *session.Session, rep wire.Report, start time.Time, o *queryObs) error {
 	r.metrics.Queries.Add(1)
 	r.metrics.Rows.Add(int64(rep.TotalTuples))
 	if rep.Shed {
@@ -1134,8 +846,10 @@ func (r *Router) finishQuery(sess *rsession, rep wire.Report, start time.Time, o
 	}
 	r.metrics.Total.Observe(time.Since(start))
 	r.recordQuery(sess, rep, start, o)
-	sess.armWrite()
-	return wire.WriteFrame(sess.bw, wire.MsgDone, wire.EncodeReport(nil, rep))
+	if err := sess.EmitSpans(o.tr); err != nil {
+		return err
+	}
+	return sess.WriteFrame(wire.MsgDone, wire.EncodeReport(nil, rep))
 }
 
 // scatterProbes groups parts by owner and probes the owning shards
@@ -1278,7 +992,7 @@ func (r *Router) probeShard(ctx context.Context, shard int, view string, m *Shar
 // trace rather than a snapshot.
 func (r *Router) spawnRefill(tr *obs.Trace, meta *viewMeta, tuples []value.Tuple, hotGen uint64) {
 	select {
-	case <-r.closing:
+	case <-r.Closing():
 		return
 	default:
 	}

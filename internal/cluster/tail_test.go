@@ -90,7 +90,6 @@ func TestHedgeRescuesStuckConnection(t *testing.T) {
 	inj := netfault.NewInjector(1)
 	r, _, want := tailCluster(t, inj, func(cfg *cluster.Config) {
 		cfg.Hedge = true
-		cfg.HedgeMinDelay = time.Millisecond
 		cfg.HedgeMaxDelay = 20 * time.Millisecond
 		cfg.DefaultDeadline = 5 * time.Second
 	})

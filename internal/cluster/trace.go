@@ -1,11 +1,10 @@
 // trace.go is the router's half of the cluster observability plane:
-// unwrap MsgTraced envelopes from traced clients, assemble routed
-// queries' cross-shard timelines out of the span reports shards fan
-// back, retain recent traces in a bounded store for `pmvcli trace
-// <id>`, keep a slow/degraded query ring (degraded queries are
-// recorded regardless of latency — the router is the only place that
-// can see a query silently shrink to a PMV-only subset), and federate
-// shard stats into one fleet view for MsgFleet.
+// assemble routed queries' cross-shard timelines out of the span
+// reports shards fan back, retain recent traces in a bounded store for
+// `pmvcli trace <id>`, feed the kernel's slow ring (degraded queries
+// are recorded regardless of latency — the router is the only place
+// that can see a query silently shrink to a PMV-only subset), and
+// federate shard stats into one fleet view for MsgFleet.
 //
 // Span offsets: the router's own spans are offsets from the routed
 // query's start; shard-reported spans are offsets from the shard
@@ -15,29 +14,20 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
 	"pmv/internal/obs"
-	"pmv/internal/server"
+	"pmv/internal/session"
 	"pmv/internal/wire"
 )
-
-// frameOverhead is the framing cost of one wire frame (u32 length +
-// u32 CRC-32C + u8 type), billed per row/reply frame so wire-byte
-// accounting reflects what actually crossed the network.
-const frameOverhead = 9
 
 // traceStoreCap bounds the assembled-trace store; the oldest trace is
 // evicted first. Sized to hold a chaos run's worth of interesting
 // queries without growing a long-lived router.
 const traceStoreCap = 256
-
-// slowRingCap bounds the router's slow/degraded query ring.
-const slowRingCap = 128
 
 // storedTrace is one retained routed query. It keeps the live
 // *obs.Trace rather than a flattened copy so spans that arrive after
@@ -64,7 +54,7 @@ func (st *storedTrace) assemble() *wire.AssembledTrace {
 		DurNs:      st.durNs,
 		Reason:     st.reason,
 		Report:     st.rep,
-		Spans:      server.WireSpans(st.tr),
+		Spans:      session.WireSpans(st.tr),
 		CostRows:   c.Rows,
 		CostBytes:  c.Bytes,
 		CostAllocs: c.Allocs,
@@ -124,161 +114,27 @@ func (s *traceStore) depth() int {
 	return len(s.order)
 }
 
-// slowRing is the router's fixed-capacity ring of recorded queries:
-// threshold hits plus every degraded query.
-type slowRing struct {
-	mu   sync.Mutex
-	buf  [slowRingCap]wire.SlowQuery
-	next int
-	n    int
-}
-
-func (l *slowRing) add(q wire.SlowQuery) {
-	l.mu.Lock()
-	l.buf[l.next] = q
-	l.next = (l.next + 1) % slowRingCap
-	if l.n < slowRingCap {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-func (l *slowRing) snapshot(limit int) []wire.SlowQuery {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.n
-	if limit > 0 && limit < n {
-		n = limit
-	}
-	out := make([]wire.SlowQuery, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, l.buf[(l.next-i+slowRingCap)%slowRingCap])
-	}
-	return out
-}
-
-// handleTraced unwraps one trace-context-carrying request. Only the
-// request types the router serves end to end may be wrapped.
-func (r *Router) handleTraced(sess *rsession, payload []byte) error {
-	tc, inner, innerPayload, err := wire.DecodeTraced(payload)
-	if err != nil {
-		return r.writeErr(sess.bw, err)
-	}
-	switch inner {
-	case wire.MsgQuery, wire.MsgUpdate:
-	default:
-		return r.writeErr(sess.bw, fmt.Errorf("router: request type 0x%02x cannot carry a trace context", inner))
-	}
-	sess.traceCtx = &tc
-	defer func() { sess.traceCtx = nil }()
-	return r.dispatch(sess, inner, innerPayload)
-}
-
-// sessionTrace builds the trace for one routed request: remote-rooted
-// when the session carries a sampled wire context, otherwise gated on
-// the router's own trace/slowlog switches.
-func (r *Router) sessionTrace(sess *rsession, label string, slowNs int64) (tr *obs.Trace, external bool) {
-	if tc := sess.traceCtx; tc != nil && tc.Sampled {
-		tr = obs.New(tc.TraceID, label)
-		tr.Parent = tc.ParentSpan
-		return tr, true
-	}
-	if r.traceOn.Load() || slowNs >= 0 {
-		return obs.New(r.queryID.Add(1), label), false
-	}
-	return nil, false
-}
-
-// emitSpans piggybacks the assembled span summary back to an external
-// traced caller, right before the closing frame.
-func (r *Router) emitSpans(sess *rsession, tr *obs.Trace, external bool) {
-	if !external || tr == nil {
-		return
-	}
-	spans := tr.AllSpans()
-	recs := make([]wire.SpanRecord, len(spans))
-	for i, sp := range spans {
-		recs[i] = wire.SpanRecord{
-			Kind:    uint8(sp.Kind),
-			StartNs: int64(sp.Start),
-			DurNs:   int64(sp.Dur),
-			N1:      sp.N1,
-			N2:      sp.N2,
-			N3:      sp.N3,
-			Rows:    sp.Rows,
-			Bytes:   sp.Bytes,
-			Allocs:  sp.Allocs,
-			Fsyncs:  sp.Fsyncs,
-		}
-	}
-	payload, err := wire.EncodeSpans(tr.ID, recs)
-	if err != nil {
-		return // telemetry never fails the request
-	}
-	sess.armWrite()
-	wire.WriteFrame(sess.bw, wire.MsgSpans, payload)
-}
-
-// handleTrace reads or updates the router's tracing and slow-log
-// switches, mirroring the single-node semantics.
-func (r *Router) handleTrace(bw *bufio.Writer, payload []byte) error {
-	var req wire.TraceRequest
-	if len(payload) > 0 {
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return r.writeErr(bw, fmt.Errorf("router: bad trace request: %w", err))
-		}
-	}
-	if req.Trace != nil {
-		r.traceOn.Store(*req.Trace)
-	}
-	if req.SlowThresholdNs != nil {
-		ns := *req.SlowThresholdNs
-		if ns < 0 {
-			ns = -1
-		}
-		r.slowNs.Store(ns)
-	}
-	return r.reply(bw, wire.TraceReply{
-		Trace:           r.traceOn.Load(),
-		SlowThresholdNs: r.slowNs.Load(),
-	})
-}
-
-// handleSlowlog dumps the router's slow/degraded ring, newest first.
-func (r *Router) handleSlowlog(bw *bufio.Writer, payload []byte) error {
-	var req wire.SlowlogRequest
-	if len(payload) > 0 {
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return r.writeErr(bw, fmt.Errorf("router: bad slowlog request: %w", err))
-		}
-	}
-	return r.reply(bw, wire.SlowlogReply{
-		ThresholdNs: r.slowNs.Load(),
-		Queries:     r.slow.snapshot(req.Limit),
-	})
-}
-
 // handleTraceGet serves one assembled trace, or the retained id list
 // when the id is 0 or unknown.
-func (r *Router) handleTraceGet(bw *bufio.Writer, payload []byte) error {
+func (r *Router) handleTraceGet(sess *session.Session, payload []byte) error {
 	var req wire.TraceGetRequest
 	if len(payload) > 0 {
 		if err := json.Unmarshal(payload, &req); err != nil {
-			return r.writeErr(bw, fmt.Errorf("router: bad trace request: %w", err))
+			return sess.WriteErr(fmt.Errorf("router: bad trace request: %w", err))
 		}
 	}
 	if req.ID != 0 {
 		if st, ok := r.traces.get(req.ID); ok {
-			return r.reply(bw, wire.TraceGetReply{Found: true, Trace: st.assemble()})
+			return sess.Reply(wire.TraceGetReply{Found: true, Trace: st.assemble()})
 		}
 	}
-	return r.reply(bw, wire.TraceGetReply{Recent: r.traces.recent(32)})
+	return sess.Reply(wire.TraceGetReply{Recent: r.traces.recent(32)})
 }
 
 // handleFleet scrapes every shard's stats in parallel and answers one
 // federated fleet view: per-shard health, epoch, snapshot freshness,
 // and maintenance backlog, plus fleet-wide aggregates.
-func (r *Router) handleFleet(bw *bufio.Writer) error {
+func (r *Router) handleFleet(sess *session.Session) error {
 	m := r.shardMap()
 	out := wire.FleetReply{
 		Epoch:           m.Epoch(),
@@ -346,21 +202,18 @@ func (r *Router) handleFleet(bw *bufio.Writer) error {
 		// the "never" signal distinguishable from a large age.
 		out.OldestSnapshotS = -1
 	}
-	return r.reply(bw, out)
+	return sess.Reply(out)
 }
 
 // queryObs carries one routed query's observability state from setup
 // through finishQuery: the trace (nil when neither the caller nor the
-// router wants one), the allocation mark, the wire bytes the row
-// stream put on the session, and the degradation reason — set at the
-// point a query silently shrinks (shed, lost shard partials, O3
-// failing everywhere) so the slow ring records it even when it was
-// fast.
+// router wants one), the allocation mark, and the degradation reason —
+// set at the point a query silently shrinks (shed, lost shard
+// partials, O3 failing everywhere) so the slow ring records it even
+// when it was fast.
 type queryObs struct {
 	tr        *obs.Trace
-	external  bool
 	allocMark int64
-	wireBytes int64
 	view      string
 	reason    string
 }
@@ -375,20 +228,12 @@ func (o *queryObs) degrade(reason string) {
 }
 
 // recordQuery closes one routed query's observability: the serve-level
-// cost span, the trace store entry, the slow ring (threshold hits plus
-// every degraded query, which are recorded regardless of latency), and
-// the span fan-back to an external traced caller.
-func (r *Router) recordQuery(sess *rsession, rep wire.Report, start time.Time, o *queryObs) {
+// cost span, the trace store entry, and the slow ring (threshold hits
+// plus every degraded query, which are recorded regardless of latency).
+func (r *Router) recordQuery(sess *session.Session, rep wire.Report, start time.Time, o *queryObs) {
 	dur := time.Since(start)
-	r.metrics.CostRows.Add(int64(rep.TotalTuples))
-	r.metrics.CostBytes.Add(o.wireBytes)
-
+	sess.Bill(o.tr, start, o.allocMark, rep.TotalTuples)
 	if o.tr != nil {
-		allocd := o.tr.AllocMark() - o.allocMark
-		o.tr.SpanCost(obs.KindServe, start, int64(rep.TotalTuples), 0, 0,
-			obs.Cost{Rows: int64(rep.TotalTuples), Bytes: o.wireBytes, Allocs: allocd})
-		r.metrics.TracesSampled.Add(1)
-		r.metrics.CostAllocs.Add(allocd)
 		r.traces.add(&storedTrace{
 			id:     o.tr.ID,
 			view:   o.view,
@@ -400,7 +245,7 @@ func (r *Router) recordQuery(sess *rsession, rep wire.Report, start time.Time, o
 		})
 	}
 
-	slowNs := r.slowNs.Load()
+	slowNs := r.SlowNs()
 	slow := slowNs >= 0 && int64(dur) >= slowNs
 	if slow || o.reason != "" {
 		rec := wire.SlowQuery{
@@ -415,14 +260,14 @@ func (r *Router) recordQuery(sess *rsession, rep wire.Report, start time.Time, o
 		}
 		if o.tr != nil {
 			rec.ID = o.tr.ID
-			rec.Spans = server.WireSpans(o.tr)
+			rec.Spans = session.WireSpans(o.tr)
 		} else {
 			// Degraded queries are recorded even with tracing and the
 			// slow log off — the record then carries the report and
 			// reason without spans.
-			rec.ID = r.queryID.Add(1)
+			rec.ID = r.NextTraceID()
 		}
-		r.slow.add(rec)
+		r.RecordSlow(rec)
 		if slow {
 			r.metrics.SlowRecorded.Add(1)
 		}
@@ -430,6 +275,4 @@ func (r *Router) recordQuery(sess *rsession, rep wire.Report, start time.Time, o
 			r.metrics.DegradedRecorded.Add(1)
 		}
 	}
-
-	r.emitSpans(sess, o.tr, o.external)
 }

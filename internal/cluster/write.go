@@ -28,22 +28,22 @@ import (
 
 	"pmv/client"
 	"pmv/internal/obs"
+	"pmv/internal/session"
 	"pmv/internal/wire"
 )
 
 // handleUpdate fans one ΔR batch to every shard and acks when all
 // have applied it.
-func (r *Router) handleUpdate(sess *rsession, payload []byte) error {
-	bw := sess.bw
+func (r *Router) handleUpdate(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeUpdate(payload)
 	if err != nil {
-		return r.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	if len(req.Ops) == 0 {
-		return r.writeErr(bw, errors.New("router: empty update batch"))
+		return sess.WriteErr(errors.New("router: empty update batch"))
 	}
 
-	tr, external := r.sessionTrace(sess, "update", -1)
+	tr := sess.Trace("update", -1)
 	allocMark := tr.AllocMark()
 	start := time.Now()
 
@@ -79,7 +79,7 @@ func (r *Router) handleUpdate(sess *rsession, payload []byte) error {
 	for shard := range results {
 		if uerr := results[shard].err; uerr != nil {
 			r.metrics.UpdateFailures.Add(1)
-			return r.writeErr(bw, fmt.Errorf("router: update failed on shard %s: %w",
+			return sess.WriteErr(fmt.Errorf("router: update failed on shard %s: %w",
 				r.cfg.Shards[shard], uerr))
 		}
 	}
@@ -102,8 +102,10 @@ func (r *Router) handleUpdate(sess *rsession, payload []byte) error {
 		r.metrics.TracesSampled.Add(1)
 		r.metrics.CostAllocs.Add(allocd)
 	}
-	r.emitSpans(sess, tr, external)
-	return r.reply(bw, prim)
+	if err := sess.EmitSpans(tr); err != nil {
+		return err
+	}
+	return sess.Reply(prim)
 }
 
 // spawnInvalidate fans the primary's reported damage to the shards
@@ -115,7 +117,7 @@ func (r *Router) spawnInvalidate(primary int, keys map[string][][]byte, wide map
 		return
 	}
 	select {
-	case <-r.closing:
+	case <-r.Closing():
 		return
 	default:
 	}

@@ -212,6 +212,7 @@ func (v *View) ApplyHotSet(seq uint64, keys []string, tuples [][]value.Tuple) (r
 			}
 			ct := t.Clone()
 			e.tuples = append(e.tuples, ct)
+			v.stampFillLocked(e, 0)
 			v.stats.TuplesCached++
 			cached++
 			if v.maint != nil {

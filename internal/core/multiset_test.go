@@ -97,3 +97,44 @@ func TestDuplicateCachedTuplesSurviveSingleDelete(t *testing.T) {
 		t.Fatalf("expected exactly 1 surviving result, oracle has %d", len(want))
 	}
 }
+
+// TestConcurrentMissesCacheOnce pins the refill half of the multiset
+// argument under concurrency: queries that miss the same bcp at the
+// same moment all produce its result tuples in O3, but the entry must
+// end up holding each of them once. A doubled cached tuple is streamed
+// twice by the next query's O2, matched once by its O3, and fails that
+// query's DS audit.
+func TestConcurrentMissesCacheOnce(t *testing.T) {
+	eng, tpl := testDB(t)
+	loadFig1(t, eng, 8, 8, 3)
+	for round := 0; round < 20; round++ {
+		v, err := NewView(eng, Config{Template: tpl, MaxEntries: 64, TuplesPerBCP: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := int64(0); f < 8; f++ {
+			q := eqQuery(tpl, []int64{f}, []int64{f})
+			want := len(runFull(t, eng, tpl, q))
+			start := make(chan struct{})
+			errs := make(chan error, 4)
+			for g := 0; g < 4; g++ {
+				go func() {
+					<-start
+					_, err := v.ExecutePartial(q, func(Result) error { return nil })
+					errs <- err
+				}()
+			}
+			close(start)
+			for g := 0; g < 4; g++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("round %d key %d: concurrent query: %v", round, f, err)
+				}
+			}
+			got, _ := runPartial(t, v, q)
+			if len(got) != want {
+				t.Fatalf("round %d key %d: %d rows after concurrent misses, want %d", round, f, len(got), want)
+			}
+		}
+		v.Drop()
+	}
+}

@@ -342,6 +342,7 @@ func (v *View) FillTuples(tuples []value.Tuple) (int, error) {
 			}
 			ct := t.Clone()
 			e.tuples = append(e.tuples, ct)
+			v.stampFillLocked(e, 0)
 			v.stats.TuplesCached++
 			cached++
 			if v.maint != nil {

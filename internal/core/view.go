@@ -89,6 +89,12 @@ type entry struct {
 	// fgen is the presence-filter generation at Add time (freq.go);
 	// zero and unused when the frequency plane is off.
 	fgen uint64
+	// filler is the txn id of the O3 run that last appended to the
+	// entry (0 for a routed refill or hot-set push) and fillSeq the
+	// view's fill sequence at that append; fill uses them to keep two
+	// concurrent O3s from caching the same result tuples twice.
+	filler  uint64
+	fillSeq uint64
 }
 
 // View is one live partial materialized view.
@@ -102,6 +108,7 @@ type View struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
+	fillSeq uint64 // bumped on every append to any entry
 	policy  cache.Policy
 	maint   *maintIndex // nil unless UseMaintIndex
 
@@ -400,6 +407,9 @@ type partialRun struct {
 	admit map[string]bool
 	txn   uint64
 	tr    *obs.Trace
+	// fillMark is the view's fill sequence when O2 looked at the
+	// entries: anything appended later is unknown to ds.
+	fillMark uint64
 	// Refill deltas accumulated by fill/dropEntriesLocked during O3,
 	// recorded as the trace's refill event.
 	refTuples  int64
@@ -483,6 +493,7 @@ func (v *View) beginPartial(ctx context.Context, q *expr.Query, emit func(Result
 func (v *View) probeO2(run *partialRun, emit func(Result) error) error {
 	parts, ds, admitDecided, rep, tr := run.parts, run.ds, run.admit, &run.rep, run.tr
 	v.mu.Lock()
+	run.fillMark = v.fillSeq
 	for pi := range parts {
 		cp := &parts[pi]
 		var pStart time.Time
@@ -646,13 +657,30 @@ func (v *View) fill(t value.Tuple, run *partialRun) {
 	if len(e.tuples) >= v.cfg.TuplesPerBCP {
 		return // the F bound (cj ≥ F)
 	}
+	if e.filler != run.txn && e.fillSeq > run.fillMark {
+		// Someone else appended to this entry after our O2 looked at
+		// it — typically a concurrent query that missed the same bcp
+		// and is producing the same result tuples. ds has never seen
+		// its appends, so adding ours beside them would cache a tuple
+		// twice and the next query's O2 would deliver it twice. The
+		// entry is that filler's to complete.
+		return
+	}
 	ct := t.Clone()
 	e.tuples = append(e.tuples, ct)
+	v.stampFillLocked(e, run.txn)
 	v.stats.TuplesCached++
 	run.refTuples++
 	if v.maint != nil {
 		v.maint.add(key, ct)
 	}
+}
+
+// stampFillLocked records that the run with txn id filler (0 outside
+// O3) just appended to e. Caller holds v.mu.
+func (v *View) stampFillLocked(e *entry, filler uint64) {
+	v.fillSeq++
+	e.filler, e.fillSeq = filler, v.fillSeq
 }
 
 // dropEntriesLocked removes evicted bcps' cached tuples, returning the

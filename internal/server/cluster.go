@@ -1,15 +1,11 @@
-// cluster.go implements the shard half of the cluster plane: the
-// hello/version handshake, remote O2 probes and plain O3 execution
-// over Ls′, refill ingestion, and shard-map storage with epoch
-// validation. Every handler keeps the session's framing discipline —
-// per-request failures answer MsgError (or the typed MsgErrEpoch) and
-// leave the stream in sync; only a version mismatch terminates the
-// session, and it does so after a typed frame, never a mid-stream
-// decode failure.
+// cluster.go implements the shard half of the cluster plane: remote
+// O2 probes and plain O3 execution over Ls′, refill ingestion, and
+// shard-map storage with epoch validation. Every handler keeps the
+// session's framing discipline — per-request failures answer MsgError
+// (or the typed MsgErrEpoch) and leave the stream in sync.
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,35 +15,10 @@ import (
 	"pmv/internal/core"
 	"pmv/internal/expr"
 	"pmv/internal/obs"
+	"pmv/internal/session"
 	"pmv/internal/value"
 	"pmv/internal/wire"
 )
-
-// errVersionMismatch terminates a session whose hello announced a
-// protocol version this build does not speak. The peer has already
-// received a MsgErrVersion frame by the time it is returned.
-var errVersionMismatch = errors.New("server: protocol version mismatch")
-
-// handleHello answers the session-opening version handshake. Matching
-// versions get a HelloReply; anything else gets the typed
-// MsgErrVersion frame and loses the session — by contract, before any
-// other traffic could desync the stream.
-func (s *Server) handleHello(sess *session, payload []byte) error {
-	v, err := wire.DecodeHello(payload)
-	if err != nil {
-		return s.writeErr(sess.bw, err)
-	}
-	if v != wire.ProtocolVersion {
-		if werr := wire.WriteFrame(sess.bw, wire.MsgErrVersion, wire.EncodeVersionErr(wire.ProtocolVersion)); werr != nil {
-			return werr
-		}
-		if werr := sess.bw.Flush(); werr != nil {
-			return werr
-		}
-		return fmt.Errorf("%w: peer speaks %d, server speaks %d", errVersionMismatch, v, wire.ProtocolVersion)
-	}
-	return s.reply(sess.bw, wire.HelloReply{Version: int(wire.ProtocolVersion)})
-}
 
 // clusterEpoch returns the installed shard map's epoch (0 = none).
 func (s *Server) clusterEpoch() uint64 {
@@ -59,44 +30,38 @@ func (s *Server) clusterEpoch() uint64 {
 // checkEpoch validates a request's shard-map epoch, answering the
 // typed MsgErrEpoch frame on mismatch. Returns true when the request
 // may proceed.
-func (s *Server) checkEpoch(bw *bufio.Writer, epoch uint64) (bool, error) {
+func (s *Server) checkEpoch(sess *session.Session, epoch uint64) (bool, error) {
 	cur := s.clusterEpoch()
 	if epoch == cur && cur != 0 {
 		return true, nil
 	}
-	return false, wire.WriteFrame(bw, wire.MsgErrEpoch, wire.EncodeEpochErr(cur))
+	return false, sess.WriteFrame(wire.MsgErrEpoch, wire.EncodeEpochErr(cur))
 }
 
 // handleProbeParts runs Operation O2 for a router-computed batch of
 // condition parts, streaming each cached Ls′ tuple as a MsgRow with
 // RowPartial set (flushed per row — the partial-first contract is the
 // whole point of probing before O3).
-func (s *Server) handleProbeParts(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleProbeParts(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeProbe(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
-	ok, err := s.checkEpoch(bw, req.Epoch)
+	ok, err := s.checkEpoch(sess, req.Epoch)
 	if err != nil || !ok {
 		return err
 	}
 	v, found := s.db.ViewByName(req.View)
 	if !found {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", req.View))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", req.View))
 	}
 	parts := make([]core.RemotePart, len(req.Parts))
 	for i, p := range req.Parts {
 		parts[i] = core.RemotePart{Key: p.Key, Exact: p.Exact, Conds: p.Conds}
 	}
 
-	tr, external := s.sessionTrace(sess, req.View, -1)
+	tr := sess.Trace(req.View, -1)
 	allocMark := tr.AllocMark()
-	var (
-		rowBuf    []byte
-		emitFail  error
-		wireBytes int64
-	)
 	ctx := obs.WithTrace(context.Background(), tr)
 	if req.BudgetNs > 0 {
 		// The router rode its remaining deadline budget on the request:
@@ -108,40 +73,20 @@ func (s *Server) handleProbeParts(sess *session, payload []byte) error {
 		defer cancel()
 	}
 	start := time.Now()
-	rep, perr := v.ProbeBCPs(ctx, parts, func(t value.Tuple) error {
-		sess.armWrite()
-		rowBuf = wire.EncodeRow(rowBuf[:0], t, true)
-		if err := wire.WriteFrame(bw, wire.MsgRow, rowBuf); err != nil {
-			emitFail = err
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			emitFail = err
-			return err
-		}
-		wireBytes += int64(len(rowBuf)) + frameOverhead
-		return nil
-	})
-	if emitFail != nil {
-		return emitFail
+	rep, perr := v.ProbeBCPs(ctx, parts, func(t value.Tuple) error { return sess.WriteRow(t, true) })
+	if err := sess.Err(); err != nil {
+		return err
 	}
 	if perr != nil {
-		return s.writeErr(bw, perr)
+		return sess.WriteErr(perr)
 	}
 	s.metrics.PartialRows.Add(int64(rep.PartialTuples))
 	s.metrics.PartialPhase.Observe(time.Since(start))
-	s.metrics.CostRows.Add(int64(rep.PartialTuples))
-	s.metrics.CostBytes.Add(wireBytes)
-	if tr != nil {
-		allocd := tr.AllocMark() - allocMark
-		tr.SpanCost(obs.KindServe, start, int64(rep.PartialTuples), 0, 0,
-			obs.Cost{Rows: int64(rep.PartialTuples), Bytes: wireBytes, Allocs: allocd})
-		s.metrics.TracesSampled.Add(1)
-		s.metrics.CostAllocs.Add(allocd)
+	sess.Bill(tr, start, allocMark, rep.PartialTuples)
+	if err := sess.EmitSpans(tr); err != nil {
+		return err
 	}
-	s.emitSpans(sess, tr, external)
-	sess.armWrite()
-	return wire.WriteFrame(bw, wire.MsgDone, wire.EncodeReport(nil, wire.Report{
+	return sess.WriteFrame(wire.MsgDone, wire.EncodeReport(nil, wire.Report{
 		Hit:            rep.Hit,
 		ConditionParts: len(parts),
 		PartialTuples:  rep.PartialTuples,
@@ -156,19 +101,18 @@ func (s *Server) handleProbeParts(sess *session, payload []byte) error {
 // and is counting on a complete remainder, so a bounded wait beats a
 // useless empty answer. The request deadline (or the server default)
 // bounds both the wait and the execution.
-func (s *Server) handleExec(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleExec(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeExec(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	v, found := s.db.ViewByName(req.View)
 	if !found {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", req.View))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", req.View))
 	}
 	q := &expr.Query{Template: v.Config().Template, Conds: req.Conds}
 
-	tr, external := s.sessionTrace(sess, req.View, -1)
+	tr := sess.Trace(req.View, -1)
 	allocMark := tr.AllocMark()
 	ctx := obs.WithTrace(context.Background(), tr)
 	deadline := req.Deadline
@@ -185,32 +129,23 @@ func (s *Server) handleExec(sess *session, payload []byte) error {
 	case s.sem <- struct{}{}:
 		tr.Span(obs.KindQueue, admitStart, 1, 0, 0)
 	case <-ctx.Done():
-		return s.writeErr(bw, fmt.Errorf("server: no admission slot within deadline: %w", ctx.Err()))
-	case <-s.closing:
-		return s.writeErr(bw, errors.New("server: shutting down"))
+		return sess.WriteErr(fmt.Errorf("server: no admission slot within deadline: %w", ctx.Err()))
+	case <-s.Closing():
+		return sess.WriteErr(errors.New("server: shutting down"))
 	}
 
-	var (
-		rowBuf    []byte
-		emitFail  error
-		rows      int
-		wireBytes int64
-	)
+	rows := 0
 	start := time.Now()
 	execDur, qerr := v.ExecutePlainCtx(ctx, q, func(t value.Tuple) error {
-		sess.armWrite()
-		rowBuf = wire.EncodeRow(rowBuf[:0], t, false)
-		if err := wire.WriteFrame(bw, wire.MsgRow, rowBuf); err != nil {
-			emitFail = err
+		if err := sess.WriteRow(t, false); err != nil {
 			return err
 		}
 		rows++
-		wireBytes += int64(len(rowBuf)) + frameOverhead
 		return nil
 	})
 	<-s.sem
-	if emitFail != nil {
-		return emitFail
+	if err := sess.Err(); err != nil {
+		return err
 	}
 	rep := wire.Report{TotalTuples: rows, ExecLatency: execDur}
 	if qerr != nil {
@@ -219,7 +154,7 @@ func (s *Server) handleExec(sess *session, payload []byte) error {
 			// the rows delivered stand, flagged.
 			rep.DeadlineExpired = true
 		} else {
-			return s.writeErr(bw, qerr)
+			return sess.WriteErr(qerr)
 		}
 	}
 	s.metrics.Queries.Add(1)
@@ -229,70 +164,50 @@ func (s *Server) handleExec(sess *session, payload []byte) error {
 	}
 	s.metrics.ExecPhase.Observe(execDur)
 	s.metrics.Total.Observe(time.Since(start))
-	s.metrics.CostRows.Add(int64(rows))
-	s.metrics.CostBytes.Add(wireBytes)
-	if tr != nil {
-		allocd := tr.AllocMark() - allocMark
-		tr.SpanCost(obs.KindServe, start, int64(rows), 0, 0,
-			obs.Cost{Rows: int64(rows), Bytes: wireBytes, Allocs: allocd})
-		s.metrics.TracesSampled.Add(1)
-		s.metrics.CostAllocs.Add(allocd)
+	sess.Bill(tr, start, allocMark, rows)
+	if err := sess.EmitSpans(tr); err != nil {
+		return err
 	}
-	s.emitSpans(sess, tr, external)
-	sess.armWrite()
-	return wire.WriteFrame(bw, wire.MsgDone, wire.EncodeReport(nil, rep))
+	return sess.WriteFrame(wire.MsgDone, wire.EncodeReport(nil, rep))
 }
 
 // handleRefill caches router-observed O3 result tuples under their
 // bcps, with the same epoch discipline as probes (a refill routed by a
 // stale map could cache tuples on a shard that no longer owns them).
-func (s *Server) handleRefill(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleRefill(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeRefill(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
-	ok, err := s.checkEpoch(bw, req.Epoch)
+	ok, err := s.checkEpoch(sess, req.Epoch)
 	if err != nil || !ok {
 		return err
 	}
 	v, found := s.db.ViewByName(req.View)
 	if !found {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", req.View))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", req.View))
 	}
 	if req.BudgetNs > 0 && time.Duration(req.BudgetNs) <= time.Millisecond {
 		// The router's deadline budget is effectively spent (it sends a
 		// 1ns sentinel for an already-expired context): refill is free
 		// best-effort work, so drop it rather than hold the session.
-		return s.writeErr(bw, errors.New("server: refill budget exhausted"))
+		return sess.WriteErr(errors.New("server: refill budget exhausted"))
 	}
-	tr, external := s.sessionTrace(sess, req.View, -1)
+	tr := sess.Trace(req.View, -1)
 	start := time.Now()
 	cached, ferr := v.FillTuples(req.Tuples)
 	if ferr != nil {
-		return s.writeErr(bw, ferr)
+		return sess.WriteErr(ferr)
 	}
 	if tr != nil {
 		tr.SpanCost(obs.KindRefill, start, int64(cached), 0, 0,
-			obs.Cost{Rows: int64(len(req.Tuples)), Bytes: int64(len(payload)) + frameOverhead})
+			obs.Cost{Rows: int64(len(req.Tuples)), Bytes: int64(len(payload)) + wire.FrameHeaderLen})
 		s.metrics.TracesSampled.Add(1)
 	}
-	s.emitSpans(sess, tr, external)
-	return s.reply(bw, wire.RefillReply{Cached: cached})
-}
-
-// handlePing answers a router heartbeat with the echoed nonce and the
-// installed shard-map epoch. Deliberately touches no locks beyond the
-// epoch read and no engine state: the round trip must measure the
-// shard's responsiveness, and a zero/stale epoch in the pong is how a
-// rebooted shard asks to be re-taught without failing a live probe.
-func (s *Server) handlePing(bw *bufio.Writer, payload []byte) error {
-	nonce, err := wire.DecodePing(payload)
-	if err != nil {
-		return s.writeErr(bw, err)
+	if err := sess.EmitSpans(tr); err != nil {
+		return err
 	}
-	var buf [16]byte
-	return wire.WriteFrame(bw, wire.MsgPong, wire.EncodePong(buf[:0], nonce, s.clusterEpoch()))
+	return sess.Reply(wire.RefillReply{Cached: cached})
 }
 
 // handleShardMap reads (empty payload) or installs the shard map. An
@@ -300,14 +215,14 @@ func (s *Server) handlePing(bw *bufio.Writer, payload []byte) error {
 // with the newer installed map — the stale router sees the epoch in
 // the reply and refreshes; regressing the epoch would reopen the very
 // misrouting window epochs exist to close.
-func (s *Server) handleShardMap(bw *bufio.Writer, payload []byte) error {
+func (s *Server) handleShardMap(sess *session.Session, payload []byte) error {
 	if len(payload) > 0 {
 		var m wire.ShardMapReply
 		if err := json.Unmarshal(payload, &m); err != nil {
-			return s.writeErr(bw, fmt.Errorf("server: bad shard map: %w", err))
+			return sess.WriteErr(fmt.Errorf("server: bad shard map: %w", err))
 		}
 		if m.Epoch == 0 || len(m.Shards) == 0 || m.VNodes <= 0 {
-			return s.writeErr(bw, errors.New("server: shard map needs epoch, shards, and vnodes"))
+			return sess.WriteErr(errors.New("server: shard map needs epoch, shards, and vnodes"))
 		}
 		s.shardMu.Lock()
 		installed := false
@@ -325,5 +240,5 @@ func (s *Server) handleShardMap(bw *bufio.Writer, payload []byte) error {
 	s.shardMu.Lock()
 	cur := s.shardMap
 	s.shardMu.Unlock()
-	return s.reply(bw, cur)
+	return sess.Reply(cur)
 }

@@ -10,26 +10,26 @@ package server
 import (
 	"fmt"
 
+	"pmv/internal/session"
 	"pmv/internal/value"
 	"pmv/internal/wire"
 )
 
 // handleHotSet caches replica tuples for hot keys a router pushed.
-func (s *Server) handleHotSet(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleHotSet(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeHotSet(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	if req.Epoch != 0 {
-		ok, err := s.checkEpoch(bw, req.Epoch)
+		ok, err := s.checkEpoch(sess, req.Epoch)
 		if err != nil || !ok {
 			return err
 		}
 	}
 	v, found := s.db.ViewByName(req.View)
 	if !found {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", req.View))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", req.View))
 	}
 	keys := make([]string, len(req.Keys))
 	tuples := make([][]value.Tuple, len(req.Keys))
@@ -39,52 +39,50 @@ func (s *Server) handleHotSet(sess *session, payload []byte) error {
 	}
 	replicated, stale, cached, err := v.ApplyHotSet(req.Seq, keys, tuples)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
-	return s.reply(bw, wire.HotSetReply{Replicated: replicated, Stale: stale, Tuples: cached})
+	return sess.Reply(wire.HotSetReply{Replicated: replicated, Stale: stale, Tuples: cached})
 }
 
 // handleHotInval raises hot floors and bumps invalidation generations
 // for replicated keys a write just damaged.
-func (s *Server) handleHotInval(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleHotInval(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeHotInval(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	if req.Epoch != 0 {
-		ok, err := s.checkEpoch(bw, req.Epoch)
+		ok, err := s.checkEpoch(sess, req.Epoch)
 		if err != nil || !ok {
 			return err
 		}
 	}
 	v, found := s.db.ViewByName(req.View)
 	if !found {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", req.View))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", req.View))
 	}
 	s.metrics.Invalidations.Add(1)
 	v.ApplyHotInval(req.Seq, req.Keys)
-	return s.reply(bw, wire.HotInvalReply{Keys: len(req.Keys)})
+	return sess.Reply(wire.HotInvalReply{Keys: len(req.Keys)})
 }
 
 // handleFilter exports one view's presence-filter snapshot. A view
 // running without the frequency plane answers with empty Bits — the
 // router treats that as "suppress nothing".
-func (s *Server) handleFilter(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleFilter(sess *session.Session, payload []byte) error {
 	name, err := wire.DecodeFilterReq(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	v, found := s.db.ViewByName(name)
 	if !found {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", name))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", name))
 	}
 	rep := wire.FilterReply{View: name}
 	if bits, hashes, gen, keys, ok := v.FilterSnapshot(); ok {
 		rep.Bits, rep.Hashes, rep.Gen, rep.Keys = bits, hashes, gen, keys
 	}
-	return s.reply(bw, rep)
+	return sess.Reply(rep)
 }
 
 // freqStats sums the frequency-plane counters across views for the

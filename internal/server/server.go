@@ -1,10 +1,12 @@
 // Package server is the pmvd query service: a concurrent, deadline-
 // aware network front end over an embedded pmv database.
 //
-// Each accepted connection is one session, owned by one goroutine that
-// reads length-prefixed requests (internal/wire) and answers them in
-// order. Query execution — the only expensive request — passes through
-// an admission controller: a bounded worker pool sized by
+// Sessions — accept, framing, deadlines, the idle reaper, drain, the
+// hello handshake, the MsgTraced envelope and the reply primitives —
+// are the shared kernel in internal/session; this package is the
+// dispatch function handed to it and the handlers behind that. Query
+// execution — the only expensive request — passes through an
+// admission controller: a bounded worker pool sized by
 // Config.PoolSize. While a slot is free the full PMV protocol runs
 // (O1+O2 partials stream first, then O3's remainder); when every slot
 // is busy the server does not queue or hang but sheds the query,
@@ -19,38 +21,21 @@
 // default), so a query that outlives its budget returns the partial
 // rows already streamed, flagged DeadlineExpired, instead of blocking
 // the session.
-//
-// Sessions are hardened against a hostile or broken network plane:
-// a connection cap (distinct from the query-admission semaphore)
-// bounds accepted sessions; an idle deadline plus a reaper goroutine
-// reclaim sessions whose peer went silent between requests; a
-// per-frame read deadline caps how long one request may take to
-// finish arriving once its first byte is seen (the slowloris shape);
-// and write deadlines on row streaming stop a stuck peer from pinning
-// a session goroutine mid-response. Every failure mode counts into
-// Metrics so operators can see resets, reaps, corrupt frames, and
-// timeouts per class.
 package server
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"os"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pmv"
 	"pmv/internal/expr"
 	"pmv/internal/heap"
 	"pmv/internal/maint"
-	"pmv/internal/obs"
+	"pmv/internal/session"
 	"pmv/internal/snapshot"
 	"pmv/internal/storage"
 	"pmv/internal/value"
@@ -95,39 +80,15 @@ type Config struct {
 	WriteTimeout time.Duration
 }
 
-func (c *Config) fill() {
-	if c.PoolSize <= 0 {
-		c.PoolSize = runtime.GOMAXPROCS(0)
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 5 * time.Second
-	}
-	if c.FrameTimeout == 0 {
-		c.FrameTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout == 0 {
-		c.WriteTimeout = 30 * time.Second
-	}
-}
-
-// Server serves the pmvd wire protocol over a database.
+// Server serves the pmvd wire protocol over a database. The embedded
+// kernel provides Start, Addr and Shutdown (which leaves the database
+// open — it stays owned by the caller).
 type Server struct {
+	*session.Kernel
 	db      *pmv.DB
 	cfg     Config
 	sem     chan struct{} // admission slots: acquired per executed query
 	metrics Metrics
-
-	// Observability state, all togglable at runtime via MsgTrace.
-	traceOn atomic.Bool   // per-query tracing
-	slowNs  atomic.Int64  // slow-query threshold in ns; < 0 = log off
-	queryID atomic.Uint64 // trace ids
-	slowlog slowLog
-
-	mu       sync.Mutex
-	ln       net.Listener
-	sessions map[*session]struct{}
-	closing  chan struct{}
-	wg       sync.WaitGroup
 
 	// Cluster plane: the shard map a router installed (epoch 0 until
 	// one does), validated against every probe/refill request.
@@ -147,89 +108,23 @@ type Server struct {
 // SetSnapshots attaches the snapshot manager (call before Start).
 func (s *Server) SetSnapshots(m *snapshot.Manager) { s.snap = m }
 
-// session is one accepted connection's state: the conn with its
-// buffered streams, plus the activity tracking the idle reaper and
-// the deadline plumbing need.
-type session struct {
-	srv  *Server
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-
-	// lastActive is the unix-nano time of the last completed request
-	// or flush; the reaper compares it against IdleTimeout.
-	lastActive atomic.Int64
-	// busy is true while a request is being served — the reaper never
-	// closes a session mid-request (write deadlines cover that phase).
-	busy atomic.Bool
-	// reaped marks a session the reaper closed, so its read error is
-	// not double-counted.
-	reaped atomic.Bool
-	// inFrame is true once the first byte of a request has been read,
-	// distinguishing an idle-timeout close from a slowloris kill.
-	inFrame bool
-
-	// traceCtx is the wire trace context of the request currently being
-	// served, set by handleTraced for the inner dispatch only. Nil for
-	// every untraced request (the common case).
-	traceCtx *wire.TraceContext
-}
-
-func (sess *session) touch() { sess.lastActive.Store(time.Now().UnixNano()) }
-
-// armWrite starts the per-write deadline window; every response write
-// (row frames, flushes, reports) must progress within WriteTimeout.
-func (sess *session) armWrite() {
-	if wt := sess.srv.cfg.WriteTimeout; wt > 0 {
-		sess.conn.SetWriteDeadline(time.Now().Add(wt))
-	}
-}
-
-// readRequest blocks for the next request frame under the session's
-// two read budgets: the first byte must arrive within IdleTimeout
-// (if set), and the rest of the frame within FrameTimeout.
-func (sess *session) readRequest() (byte, []byte, error) {
-	sess.inFrame = false
-	if idle := sess.srv.cfg.IdleTimeout; idle > 0 {
-		sess.conn.SetReadDeadline(time.Now().Add(idle))
-	} else {
-		sess.conn.SetReadDeadline(time.Time{})
-	}
-	// Re-arming the deadline races with Shutdown's wake-up poke;
-	// checking the closing channel after arming closes the window (a
-	// straggler is still force-closed at the end of the drain).
-	select {
-	case <-sess.srv.closing:
-		sess.conn.SetReadDeadline(time.Now())
-	default:
-	}
-	if _, err := sess.br.Peek(1); err != nil {
-		return 0, nil, err
-	}
-	sess.inFrame = true
-	if ft := sess.srv.cfg.FrameTimeout; ft > 0 {
-		sess.conn.SetReadDeadline(time.Now().Add(ft))
-	}
-	return wire.ReadFrame(sess.br)
-}
-
 // New builds a server over db. The database stays owned by the caller
 // (Shutdown does not close it).
 func New(db *pmv.DB, cfg Config) *Server {
-	cfg.fill()
-	s := &Server{
-		db:       db,
-		cfg:      cfg,
-		sem:      make(chan struct{}, cfg.PoolSize),
-		sessions: make(map[*session]struct{}),
-		closing:  make(chan struct{}),
+	if cfg.PoolSize <= 0 {
+		cfg.PoolSize = runtime.GOMAXPROCS(0)
 	}
-	s.traceOn.Store(cfg.Trace)
-	if cfg.SlowThreshold > 0 {
-		s.slowNs.Store(int64(cfg.SlowThreshold))
-	} else {
-		s.slowNs.Store(-1)
-	}
+	s := &Server{db: db, cfg: cfg, sem: make(chan struct{}, cfg.PoolSize)}
+	s.Kernel = session.New("server", session.Config{
+		MaxConns:      cfg.MaxConns,
+		IdleTimeout:   cfg.IdleTimeout,
+		FrameTimeout:  cfg.FrameTimeout,
+		WriteTimeout:  cfg.WriteTimeout,
+		DrainTimeout:  cfg.DrainTimeout,
+		Trace:         cfg.Trace,
+		SlowThreshold: cfg.SlowThreshold,
+	}, &s.metrics.Counters, s.dispatch,
+		wire.MsgQuery, wire.MsgProbeParts, wire.MsgExec, wire.MsgRefill, wire.MsgUpdate)
 	return s
 }
 
@@ -239,304 +134,43 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 // PoolSize reports the effective admission-control pool size.
 func (s *Server) PoolSize() int { return cap(s.sem) }
 
-// Start listens on addr (e.g. ":7070", "127.0.0.1:0") and accepts
-// sessions in a background goroutine until Shutdown.
-func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.Serve(ln)
-	return nil
-}
-
-// Serve accepts sessions on ln until Shutdown. Ownership of ln
-// transfers to the server (Shutdown closes it). Useful when the caller
-// wants a pre-bound or wrapped listener, e.g. a fault-injecting one.
-func (s *Server) Serve(ln net.Listener) {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	if s.cfg.IdleTimeout > 0 {
-		s.wg.Add(1)
-		go s.reaper()
-	}
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-}
-
-// Addr returns the bound listen address (nil before Start).
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return // listener closed by Shutdown
-		}
-		s.mu.Lock()
-		select {
-		case <-s.closing:
-			s.mu.Unlock()
-			c.Close()
-			return
-		default:
-		}
-		if s.cfg.MaxConns > 0 && len(s.sessions) >= s.cfg.MaxConns {
-			s.mu.Unlock()
-			s.metrics.ConnRejected.Add(1)
-			go rejectConn(c)
-			continue
-		}
-		sess := &session{
-			srv:  s,
-			conn: c,
-			br:   bufio.NewReaderSize(c, 64<<10),
-			bw:   bufio.NewWriterSize(c, 64<<10),
-		}
-		sess.touch()
-		s.sessions[sess] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handleSession(sess)
-	}
-}
-
-// rejectConn answers an over-cap connection with a single error frame,
-// best-effort under a short deadline so a slow peer cannot pin the
-// goroutine, then closes it.
-func rejectConn(c net.Conn) {
-	c.SetWriteDeadline(time.Now().Add(time.Second))
-	wire.WriteFrame(c, wire.MsgError, []byte("server: connection limit reached"))
-	c.Close()
-}
-
-// reaper periodically closes sessions that have been idle past
-// IdleTimeout. The per-read idle deadline catches most of these; the
-// reaper is the backstop that also works when a deadline was cleared
-// or the platform missed a poke.
-func (s *Server) reaper() {
-	defer s.wg.Done()
-	interval := s.cfg.IdleTimeout / 2
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.closing:
-			return
-		case <-tick.C:
-		}
-		cutoff := time.Now().Add(-s.cfg.IdleTimeout).UnixNano()
-		s.mu.Lock()
-		var victims []*session
-		for sess := range s.sessions {
-			if sess.busy.Load() || sess.lastActive.Load() > cutoff {
-				continue
-			}
-			victims = append(victims, sess)
-		}
-		s.mu.Unlock()
-		for _, sess := range victims {
-			if sess.reaped.CompareAndSwap(false, true) {
-				s.metrics.IdleReaped.Add(1)
-				sess.conn.Close()
-			}
-		}
-	}
-}
-
-// Shutdown stops accepting, lets in-flight requests finish (bounded by
-// DrainTimeout), then force-closes whatever remains. Safe to call
-// once; the database is left open.
-func (s *Server) Shutdown() error {
-	s.mu.Lock()
-	select {
-	case <-s.closing:
-		s.mu.Unlock()
-		return nil
-	default:
-	}
-	close(s.closing)
-	ln := s.ln
-	// Wake sessions blocked reading the next request; ones mid-query
-	// finish their response first, then observe the closed channel.
-	// The write deadline bounds sessions stuck in a response write to a
-	// dead peer — they unblock within the drain window instead of
-	// needing the force-close hammer.
-	for sess := range s.sessions {
-		sess.conn.SetReadDeadline(time.Now())
-		sess.conn.SetWriteDeadline(time.Now().Add(s.cfg.DrainTimeout))
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(s.cfg.DrainTimeout):
-		s.mu.Lock()
-		for sess := range s.sessions {
-			sess.conn.Close()
-		}
-		s.mu.Unlock()
-		<-done
-	}
-	return err
-}
-
-// errUnknownRequest terminates a session whose peer sent a request
-// type the server does not speak; the stream may be desynced.
-var errUnknownRequest = errors.New("server: unknown request type")
-
-// handleSession owns one session for the connection's lifetime.
-func (s *Server) handleSession(sess *session) {
-	s.metrics.SessionsTotal.Add(1)
-	s.metrics.SessionsActive.Add(1)
-	defer func() {
-		s.metrics.SessionsActive.Add(-1)
-		s.mu.Lock()
-		delete(s.sessions, sess)
-		s.mu.Unlock()
-		sess.conn.Close()
-		s.wg.Done()
-	}()
-
-	for {
-		typ, payload, err := sess.readRequest()
-		if err != nil {
-			s.classifyReadErr(sess, err)
-			return
-		}
-		sess.busy.Store(true)
-		sess.armWrite()
-		err = s.dispatch(sess, typ, payload)
-		if err == nil {
-			sess.armWrite()
-			err = sess.bw.Flush()
-		}
-		sess.busy.Store(false)
-		sess.touch()
-		if err != nil {
-			s.classifyDispatchErr(sess, err)
-			return
-		}
-		select {
-		case <-s.closing:
-			return
-		default:
-		}
-	}
-}
-
-// classifyReadErr counts why a session's request read failed. Clean
-// EOF and shutdown pokes are not failures; everything else lands in
-// exactly one counter so netchaos runs can audit the failure budget.
-func (s *Server) classifyReadErr(sess *session, err error) {
-	switch {
-	case sess.reaped.Load():
-		// The reaper closed it and already counted IdleReaped.
-	case errors.Is(err, wire.ErrCorruptFrame) || errors.Is(err, wire.ErrFrameTooLarge):
-		s.metrics.CorruptFrames.Add(1)
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		select {
-		case <-s.closing:
-			return // drain poke, not a network failure
-		default:
-		}
-		if sess.inFrame {
-			s.metrics.ReadTimeouts.Add(1) // slowloris: frame stalled mid-arrival
-		} else {
-			s.metrics.IdleReaped.Add(1) // peer went silent between requests
-		}
-	case errors.Is(err, io.EOF):
-		// Clean close between requests.
-	default:
-		s.metrics.SessionResets.Add(1)
-	}
-}
-
-// classifyDispatchErr counts why serving a request terminated the
-// session: a response write that timed out or failed, or a request the
-// server cannot parse past.
-func (s *Server) classifyDispatchErr(sess *session, err error) {
-	switch {
-	case sess.reaped.Load():
-	case errors.Is(err, errVersionMismatch):
-		// Clean, typed rejection: the peer got MsgErrVersion and the
-		// session is closed on purpose.
-	case errors.Is(err, errUnknownRequest):
-		s.metrics.CorruptFrames.Add(1)
-	case errors.Is(err, os.ErrDeadlineExceeded):
-		s.metrics.WriteTimeouts.Add(1)
-	default:
-		select {
-		case <-s.closing:
-			return // drain deadline fired mid-response
-		default:
-		}
-		s.metrics.SessionResets.Add(1)
-	}
-}
-
 // dispatch answers one request. A returned error terminates the
 // session (unwritable connection or an unparseable request that may
 // have desynced the stream); per-request failures that leave the
 // stream well-formed are reported to the client in a MsgError frame
 // and return nil.
-func (s *Server) dispatch(sess *session, typ byte, payload []byte) error {
-	bw := sess.bw
+func (s *Server) dispatch(sess *session.Session, typ byte, payload []byte) error {
 	switch typ {
 	case wire.MsgQuery:
 		return s.handleQuery(sess, payload)
 	case wire.MsgStats:
-		return s.reply(bw, s.statsReply())
+		return sess.Reply(s.statsReply())
 	case wire.MsgViews:
-		return s.reply(bw, s.viewsReply())
+		return sess.Reply(s.viewsReply())
 	case wire.MsgTables:
-		return s.reply(bw, s.tablesReply())
+		return sess.Reply(s.tablesReply())
 	case wire.MsgSchema:
-		return s.handleSchema(bw, string(payload))
+		return s.handleSchema(sess, string(payload))
 	case wire.MsgCount:
 		r, err := s.db.Engine().Catalog().GetRelation(string(payload))
 		if err != nil {
-			return s.writeErr(bw, err)
+			return sess.WriteErr(err)
 		}
-		return s.reply(bw, wire.CountReply{Count: r.Heap.Count()})
+		return sess.Reply(wire.CountReply{Count: r.Heap.Count()})
 	case wire.MsgPeek:
-		return s.handlePeek(bw, payload)
+		return s.handlePeek(sess, payload)
 	case wire.MsgAnalyze:
 		if err := s.db.Analyze(); err != nil {
-			return s.writeErr(bw, err)
+			return sess.WriteErr(err)
 		}
-		return s.reply(bw, wire.OKReply{OK: true})
+		return sess.Reply(wire.OKReply{OK: true})
 	case wire.MsgCheckpoint:
 		if err := s.db.Checkpoint(); err != nil {
-			return s.writeErr(bw, err)
+			return sess.WriteErr(err)
 		}
-		return s.reply(bw, wire.OKReply{OK: true})
-	case wire.MsgTrace:
-		return s.handleTrace(bw, payload)
-	case wire.MsgSlowlog:
-		return s.handleSlowlog(bw, payload)
+		return sess.Reply(wire.OKReply{OK: true})
 	case wire.MsgViewStats:
-		return s.reply(bw, s.viewStatsReply())
-	case wire.MsgHello:
-		return s.handleHello(sess, payload)
+		return sess.Reply(s.viewStatsReply())
 	case wire.MsgProbeParts:
 		return s.handleProbeParts(sess, payload)
 	case wire.MsgExec:
@@ -544,9 +178,9 @@ func (s *Server) dispatch(sess *session, typ byte, payload []byte) error {
 	case wire.MsgRefill:
 		return s.handleRefill(sess, payload)
 	case wire.MsgShardMap:
-		return s.handleShardMap(bw, payload)
+		return s.handleShardMap(sess, payload)
 	case wire.MsgPing:
-		return s.handlePing(bw, payload)
+		return sess.Pong(payload, s.clusterEpoch())
 	case wire.MsgUpdate:
 		return s.handleUpdate(sess, payload)
 	case wire.MsgInvalidate:
@@ -557,80 +191,36 @@ func (s *Server) dispatch(sess *session, typ byte, payload []byte) error {
 		return s.handleHotInval(sess, payload)
 	case wire.MsgFilter:
 		return s.handleFilter(sess, payload)
-	case wire.MsgTraced:
-		return s.handleTraced(sess, payload)
 	case wire.MsgShards:
-		return s.writeErr(bw, errors.New("server: shards is a router request; this is a shard"))
+		return sess.WriteErr(errors.New("server: shards is a router request; this is a shard"))
 	case wire.MsgTraceGet, wire.MsgFleet:
-		return s.writeErr(bw, errors.New("server: trace assembly and fleet federation live in the router; address a pmvrouter"))
+		return sess.WriteErr(errors.New("server: trace assembly and fleet federation live in the router; address a pmvrouter"))
 	default:
-		return fmt.Errorf("%w 0x%02x", errUnknownRequest, typ)
+		return session.ErrUnknownRequest
 	}
-}
-
-// writeErr reports a per-request failure and keeps the session open.
-func (s *Server) writeErr(bw *bufio.Writer, err error) error {
-	s.metrics.Errors.Add(1)
-	return wire.WriteFrame(bw, wire.MsgError, []byte(err.Error()))
-}
-
-// reply marshals v into a MsgReply frame.
-func (s *Server) reply(bw *bufio.Writer, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return s.writeErr(bw, err)
-	}
-	return wire.WriteFrame(bw, wire.MsgReply, data)
 }
 
 // handleQuery runs one PMV query with admission control and deadline
 // enforcement, streaming rows as they are produced.
-func (s *Server) handleQuery(sess *session, payload []byte) error {
-	bw := sess.bw
+func (s *Server) handleQuery(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeQuery(payload)
 	if err != nil {
 		// The payload is framed, so the stream is still in sync — but
 		// a client speaking garbage gets an error, not a hang.
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	v, ok := s.db.ViewByName(req.View)
 	if !ok {
-		return s.writeErr(bw, fmt.Errorf("server: no view %q", req.View))
+		return sess.WriteErr(fmt.Errorf("server: no view %q", req.View))
 	}
 	q := &expr.Query{Template: v.Config().Template, Conds: req.Conds}
-
-	var (
-		rowBuf    []byte
-		emitFail  error // distinguishes our write failures from query errors
-		wireBytes int64 // response bytes, for the query's cost bill
-	)
-	emit := func(r pmv.Result) error {
-		// Re-arm the write deadline per row: progress, not total
-		// response time, is what WriteTimeout bounds.
-		sess.armWrite()
-		rowBuf = wire.EncodeRow(rowBuf[:0], r.Tuple, r.Partial)
-		if err := wire.WriteFrame(bw, wire.MsgRow, rowBuf); err != nil {
-			emitFail = err
-			return err
-		}
-		wireBytes += int64(len(rowBuf)) + frameOverhead
-		if r.Partial {
-			// Partial-first contract: O2 rows reach the client now,
-			// not when the buffer happens to fill.
-			if err := bw.Flush(); err != nil {
-				emitFail = err
-				return err
-			}
-		}
-		return nil
-	}
+	emit := func(r pmv.Result) error { return sess.WriteRow(r.Tuple, r.Partial) }
 
 	// A trace is allocated when the request carries a sampled wire
-	// context, when tracing is on, or when the slow-query log is armed
-	// (the log needs spans to be worth dumping). Otherwise tr stays nil
-	// and every recording site downstream is a pointer compare.
-	slowNs := s.slowNs.Load()
-	tr, external := s.sessionTrace(sess, req.View, slowNs)
+	// context, when tracing is on, or when the slow-query log is armed;
+	// otherwise tr stays nil.
+	slowNs := s.SlowNs()
+	tr := sess.Trace(req.View, slowNs)
 	allocMark := tr.AllocMark()
 
 	start := time.Now()
@@ -657,11 +247,11 @@ func (s *Server) handleQuery(sess *session, payload []byte) error {
 		shed = true
 		rep, qerr = v.PartialOnlyCtx(pmv.WithTrace(context.Background(), tr), q, emit)
 	}
-	if emitFail != nil {
-		return emitFail
+	if err := sess.Err(); err != nil {
+		return err // our write failed, not the query
 	}
 	if qerr != nil {
-		return s.writeErr(bw, qerr)
+		return sess.WriteErr(qerr)
 	}
 	total := time.Since(start)
 
@@ -698,75 +288,22 @@ func (s *Server) handleQuery(sess *session, payload []byte) error {
 		ExecLatency:     rep.ExecLatency,
 		Overhead:        rep.Overhead,
 	}
-	// Cost accounting: rows/bytes are always-on cheap adds; the heap
-	// bill is sampled only on traced queries (AllocMark reads the
-	// runtime, so the untraced path must never pay it).
-	s.metrics.CostRows.Add(int64(rep.TotalTuples))
-	s.metrics.CostBytes.Add(wireBytes)
-	if tr != nil {
-		allocd := tr.AllocMark() - allocMark
-		tr.SpanCost(obs.KindServe, start, int64(rep.TotalTuples), 0, 0, obs.Cost{
-			Rows:   int64(rep.TotalTuples),
-			Bytes:  wireBytes,
-			Allocs: allocd,
-		})
-		s.metrics.TracesSampled.Add(1)
-		s.metrics.CostAllocs.Add(allocd)
-	}
+	sess.Bill(tr, start, allocMark, rep.TotalTuples)
 	if tr != nil && slowNs >= 0 && int64(total) >= slowNs {
-		s.slowlog.add(wire.SlowQuery{
+		s.RecordSlow(wire.SlowQuery{
 			ID:     tr.ID,
 			UnixNs: time.Now().UnixNano(),
 			View:   req.View,
 			DurNs:  int64(total),
 			Reason: "slow",
 			Report: wrep,
-			Spans:  WireSpans(tr),
+			Spans:  session.WireSpans(tr),
 		})
 	}
-	if err := s.emitSpans(sess, tr, external); err != nil {
+	if err := sess.EmitSpans(tr); err != nil {
 		return err
 	}
-	sess.armWrite()
-	return wire.WriteFrame(bw, wire.MsgDone, wire.EncodeReport(nil, wrep))
-}
-
-// handleTrace reads/updates the tracing and slow-query-log settings.
-func (s *Server) handleTrace(bw *bufio.Writer, payload []byte) error {
-	var req wire.TraceRequest
-	if len(payload) > 0 {
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return s.writeErr(bw, fmt.Errorf("server: bad trace request: %w", err))
-		}
-	}
-	if req.Trace != nil {
-		s.traceOn.Store(*req.Trace)
-	}
-	if req.SlowThresholdNs != nil {
-		ns := *req.SlowThresholdNs
-		if ns < 0 {
-			ns = -1
-		}
-		s.slowNs.Store(ns)
-	}
-	return s.reply(bw, wire.TraceReply{
-		Trace:           s.traceOn.Load(),
-		SlowThresholdNs: s.slowNs.Load(),
-	})
-}
-
-// handleSlowlog dumps the slow-query ring, newest first.
-func (s *Server) handleSlowlog(bw *bufio.Writer, payload []byte) error {
-	var req wire.SlowlogRequest
-	if len(payload) > 0 {
-		if err := json.Unmarshal(payload, &req); err != nil {
-			return s.writeErr(bw, fmt.Errorf("server: bad slowlog request: %w", err))
-		}
-	}
-	return s.reply(bw, wire.SlowlogReply{
-		ThresholdNs: s.slowNs.Load(),
-		Queries:     s.slowlog.snapshot(req.Limit),
-	})
+	return sess.WriteFrame(wire.MsgDone, wire.EncodeReport(nil, wrep))
 }
 
 // viewStatsReply flattens every view's core counters.
@@ -909,10 +446,10 @@ func (s *Server) tablesReply() []wire.TableInfo {
 	return out
 }
 
-func (s *Server) handleSchema(bw *bufio.Writer, rel string) error {
+func (s *Server) handleSchema(sess *session.Session, rel string) error {
 	r, err := s.db.Engine().Catalog().GetRelation(rel)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	var rep wire.SchemaReply
 	for _, c := range r.Schema.Columns {
@@ -925,17 +462,17 @@ func (s *Server) handleSchema(bw *bufio.Writer, rel string) error {
 		}
 		rep.Indexes = append(rep.Indexes, wire.IndexInfo{Name: ix.Name, Cols: names})
 	}
-	return s.reply(bw, rep)
+	return sess.Reply(rep)
 }
 
-func (s *Server) handlePeek(bw *bufio.Writer, payload []byte) error {
+func (s *Server) handlePeek(sess *session.Session, payload []byte) error {
 	rel, n, err := wire.DecodePeek(payload)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	r, err := s.db.Engine().Catalog().GetRelation(rel)
 	if err != nil {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
 	var rep wire.PeekReply
 	err = r.Heap.Scan(func(_ storage.RID, t value.Tuple) error {
@@ -946,7 +483,7 @@ func (s *Server) handlePeek(bw *bufio.Writer, payload []byte) error {
 		return nil
 	})
 	if err != nil && !errors.Is(err, heap.ErrStopScan) {
-		return s.writeErr(bw, err)
+		return sess.WriteErr(err)
 	}
-	return s.reply(bw, rep)
+	return sess.Reply(rep)
 }

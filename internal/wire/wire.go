@@ -102,19 +102,24 @@ var ErrCorruptFrame = errors.New("wire: corrupt frame")
 // arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameHdrLen is the fixed header: u32 length + u32 crc + u8 type.
-const frameHdrLen = 9
+// FrameHeaderLen is the fixed header: u32 length + u32 crc + u8 type.
+const FrameHeaderLen = 9
+
+// putFrameHeader fills hdr for a frame of the given type and payload.
+func putFrameHeader(hdr []byte, typ byte, payload []byte) {
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
+	hdr[8] = typ
+	crc := crc32.Update(crc32.Update(0, castagnoli, hdr[8:9]), castagnoli, payload)
+	binary.BigEndian.PutUint32(hdr[4:8], crc)
+}
 
 // WriteFrame writes one frame.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	if len(payload)+1 > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [frameHdrLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
-	crc := crc32.Update(crc32.Checksum([]byte{typ}, castagnoli), castagnoli, payload)
-	binary.BigEndian.PutUint32(hdr[4:8], crc)
-	hdr[8] = typ
+	var hdr [FrameHeaderLen]byte
+	putFrameHeader(hdr[:], typ, payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -122,11 +127,24 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// SealFrame completes a frame built in place: frame[FrameHeaderLen:]
+// already holds the payload and the header bytes before it are filled
+// in, so a caller that reuses one buffer per connection writes a whole
+// frame with one Write and no allocation.
+func SealFrame(frame []byte, typ byte) error {
+	payload := frame[FrameHeaderLen:]
+	if len(payload)+1 > MaxFrame {
+		return ErrFrameTooLarge
+	}
+	putFrameHeader(frame, typ, payload)
+	return nil
+}
+
 // ReadFrame reads one frame, returning its type and payload. A frame
 // that fails validation (bad length, checksum mismatch) returns an
 // error wrapping ErrCorruptFrame.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [frameHdrLen]byte
+	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}

@@ -15,8 +15,17 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xab}, 4096)}
 	for i, p := range payloads {
+		before := buf.Len()
 		if err := WriteFrame(&buf, byte(i+1), p); err != nil {
 			t.Fatal(err)
+		}
+		// A frame sealed in place is the same bytes WriteFrame emits.
+		sealed := append(make([]byte, FrameHeaderLen), p...)
+		if err := SealFrame(sealed, byte(i+1)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sealed, buf.Bytes()[before:]) {
+			t.Fatalf("frame %d: SealFrame and WriteFrame disagree", i)
 		}
 	}
 	for i, p := range payloads {
