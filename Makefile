@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-race cover bench experiments examples torture net-torture cluster-smoke cluster-torture hedge-smoke restart-smoke restart-torture snapshot-torture maint-smoke write-torture fuzz-smoke obs-smoke trace-smoke hot-smoke hot-torture clean
+.PHONY: all build vet staticcheck test test-race cover bench microbench experiments experiments-quick examples torture net-torture cluster-smoke cluster-torture hedge-smoke restart-smoke restart-torture snapshot-torture maint-smoke write-torture fuzz-smoke obs-smoke trace-smoke hot-smoke hot-torture clean
 
 all: build vet staticcheck test test-race
 
@@ -25,8 +25,13 @@ test-race:
 cover:
 	$(GO) test -coverprofile=coverage.out ./... && $(GO) tool cover -func=coverage.out | tail -1
 
-# One benchmark per table/figure of the paper, plus ablations.
+# The benchmark of record: four workloads, five end-to-end metrics and
+# the per-layer ladder, written to bench/out/ (see bench/README.md).
 bench:
+	$(GO) run ./bench
+
+# Per-package Go microbenchmarks (codecs, B+tree, policies, session echo).
+microbench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Regenerate every figure/table at paper scale (takes a few minutes).
@@ -217,3 +222,4 @@ examples:
 
 clean:
 	rm -f coverage.out test_output.txt bench_output.txt
+	rm -rf bench/out .bench_build

@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	pmvbench [-fig all|6|7|8|9|10|11|12|t1|serve|cluster|write|probe|tail|ablation-policy|ablation-maint|ablation-f|ablation-planner|ablation-dividers]
-//	         [-scale s] [-sim-div n] [-rounds n] [-dir path]
+//	pmvbench [-fig all|6|7|8|9|10|11|12|t1|ablation-policy|ablation-maint|ablation-f|ablation-planner|ablation-dividers|sim-policies]
+//	         [-scale s] [-sim-div n] [-rounds n] [-dir path] [-csv dir]
 //
 // -sim-div divides the simulation's 1M warm-up/measure query counts
 // (1 = the paper's full setting; the default 10 finishes in seconds
@@ -24,30 +24,12 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure/table to run")
+	fig := flag.String("fig", "all", "which figure/table to run: all, 6..12, t1, ablation-{policy,maint,f,planner,dividers}, sim-policies")
 	scale := flag.Float64("scale", 0.002, "TPC-R-like scale factor for measured experiments")
 	simDiv := flag.Int("sim-div", 10, "divide the paper's 1M simulation query counts by this")
 	rounds := flag.Int("rounds", 20, "measurement repetitions for overhead experiments")
 	dir := flag.String("dir", "", "working directory (default: a temp dir)")
 	csvDir := flag.String("csv", "", "also write each figure's series as CSV into this directory")
-	serveSessions := flag.Int("serve-sessions", 64, "concurrent client sessions for the serve benchmark")
-	serveQueries := flag.Int("serve-queries", 50, "queries per session for the serve benchmark")
-	serveJSON := flag.String("serve-json", "BENCH_serve.json", "output path for the serve benchmark's JSON result")
-	clusterJSON := flag.String("cluster-json", "BENCH_cluster.json", "output path for the cluster benchmark's JSON result")
-	writeFrac := flag.Float64("write-frac", 0.5, "fraction of sessions that are writers in the write benchmark")
-	writeBatch := flag.Int("write-batch", 64, "statements per ΔR update request in the write benchmark")
-	writeOps := flag.Int("write-ops", 320, "statements each writer session lands in the write benchmark")
-	zipfS := flag.Float64("zipf", 1.2, "Zipf skew exponent for the write benchmark's key choice")
-	writeJSON := flag.String("write-json", "BENCH_write.json", "output path for the write benchmark's JSON result")
-	probeIters := flag.Int("probe-iters", 5000, "measured queries per pass in the probe benchmark")
-	probeJSON := flag.String("probe-json", "BENCH_probe.json", "output path for the probe benchmark's JSON result")
-	tailSessions := flag.Int("tail-sessions", 16, "concurrent client sessions for the tail benchmark")
-	tailQueries := flag.Int("tail-queries", 40, "queries per session for the tail benchmark")
-	tailJSON := flag.String("tail-json", "BENCH_tail.json", "output path for the tail benchmark's JSON result")
-	hotSessions := flag.Int("hot-sessions", 16, "concurrent client sessions for the hot (frequency plane) benchmark")
-	hotQueries := flag.Int("hot-queries", 40, "queries per session for the hot benchmark")
-	zipfAlpha := flag.Float64("zipf-alpha", 0, "restrict the hot benchmark's Zipf sweep to this single skew (0 = sweep 0.8, 1.0, 1.2)")
-	hotJSON := flag.String("hot-json", "BENCH_hot.json", "output path for the hot benchmark's JSON result")
 	flag.Parse()
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -66,10 +48,12 @@ func main() {
 		baseDir = d
 	}
 
+	ran := false
 	run := func(name string, fn func() error) {
 		if *fig != "all" && *fig != name {
 			return
 		}
+		ran = true
 		fmt.Printf("\n=== %s ===\n", title(name))
 		start := time.Now()
 		if err := fn(); err != nil {
@@ -92,20 +76,9 @@ func main() {
 	run("ablation-planner", func() error { return ablationPlanner(baseDir, *scale) })
 	run("ablation-dividers", func() error { return ablationDividers(baseDir, *scale) })
 	run("sim-policies", func() error { return simPolicies(*simDiv) })
-	run("serve", func() error { return serveBench(baseDir, *serveSessions, *serveQueries, *serveJSON) })
-	run("cluster", func() error { return clusterBench(baseDir, *serveSessions, *serveQueries, *clusterJSON) })
-	run("write", func() error {
-		return writeBench(baseDir, *serveSessions, *writeOps, *writeBatch, *writeFrac, *zipfS, *writeJSON)
-	})
-	run("probe", func() error { return probeBench(baseDir, *probeIters, *probeJSON) })
-	run("tail", func() error { return tailBench(baseDir, *tailSessions, *tailQueries, *tailJSON) })
-	run("hot", func() error {
-		alphas := []float64{0.8, 1.0, 1.2}
-		if *zipfAlpha > 0 {
-			alphas = []float64{*zipfAlpha}
-		}
-		return hotBench(baseDir, *hotSessions, *hotQueries, alphas, *hotJSON)
-	})
+	if !ran {
+		fatal(fmt.Errorf("no figure named %q (see -h)", *fig))
+	}
 }
 
 func title(name string) string {
@@ -126,18 +99,6 @@ func title(name string) string {
 		return "Figure 11: maintenance total workload (analytical)"
 	case "12":
 		return "Figure 12: PMV-over-MV maintenance speedup (analytical)"
-	case "serve":
-		return "Service: loopback pmvd throughput and partial-first latency"
-	case "cluster":
-		return "Cluster: scatter-gather router vs single-node pmvd"
-	case "write":
-		return "Write: batched maintenance plane vs per-statement"
-	case "probe":
-		return "Probe: single-session hot path, per-phase latency and allocation"
-	case "tail":
-		return "Tail: routed p99 with one gray shard, hedging + breakers vs plain"
-	case "hot":
-		return "Hot: frequency plane under Zipf skew — replication, gating, suppression"
 	default:
 		return name
 	}

@@ -30,14 +30,11 @@ func main() {
 	var (
 		addr     = flag.String("addr", ":7080", "listen address")
 		shards   = flag.String("shards", "", "comma-separated shard addresses (required), e.g. host1:7070,host2:7070,host3:7070")
-		vnodes   = flag.Int("vnodes", 0, "virtual nodes per shard on the consistent-hash ring (0 = default 64)")
 		epoch    = flag.Uint64("epoch", 1, "initial shard-map epoch (must be nonzero)")
 		pool     = flag.Int("pool", 0, "max concurrently routed query executions (0 = GOMAXPROCS); excess load is shed to probes-only answers")
-		perShard = flag.Int("clients-per-shard", 4, "max pooled idle connections per shard")
 		deadline = flag.Duration("deadline", 0, "default per-query deadline for requests that carry none (0 = unbounded)")
 		dialTO   = flag.Duration("dial-timeout", 2*time.Second, "per-shard dial timeout")
-		refillTO = flag.Duration("refill-timeout", 2*time.Second, "budget for each asynchronous refill fan-out")
-		invalTO  = flag.Duration("inval-timeout", 2*time.Second, "budget for each asynchronous invalidation fan-out after a write")
+		refillTO = flag.Duration("refill-timeout", 2*time.Second, "budget for each asynchronous fan-out, refill or invalidation")
 		drain    = flag.Duration("drain", 5*time.Second, "graceful-shutdown drain timeout before connections are force-closed")
 		obsAddr  = flag.String("obs", "", "observability HTTP address (e.g. :9091) serving /metrics, /healthz and /debug/pprof; empty = off")
 		maxConns = flag.Int("max-conns", 0, "max concurrently open client sessions (0 = unlimited)")
@@ -50,10 +47,8 @@ func main() {
 		tail       = flag.Bool("tail", false, "enable the tail-tolerance plane: per-shard health scoring, circuit breakers, heartbeats, and deadline-budget propagation")
 		hedge      = flag.Bool("hedge", false, "enable hedged O2 probes (implies -tail): race a second probe against a slow shard, first wins")
 		heartbeat  = flag.Duration("heartbeat", 0, "health heartbeat interval (0 = default 500ms; needs -tail)")
-		brkFails   = flag.Int("breaker-failures", 0, "consecutive failures that trip a shard's breaker (0 = default 3; needs -tail)")
 		brkCool    = flag.Duration("breaker-cooldown", 0, "first breaker open period before a half-open trial, doubling per re-trip (0 = default 500ms; needs -tail)")
 		hedgeAfter = flag.Duration("hedge-max-delay", 0, "upper clamp on the adaptive hedge delay (0 = default 50ms; needs -hedge)")
-		hedgeRate  = flag.Float64("hedge-rate", 0, "hedge-token income per primary probe, i.e. the amplification cap (0 = default 0.05; needs -hedge)")
 
 		hot       = flag.Bool("hot", false, "frequency plane: track the hottest bcp keys per view, replicate their entries to every shard (MsgHotSet), answer hot probes from a router-side replica cache, and suppress provably-absent owner probes via shard presence-filter bitsets")
 		hotK      = flag.Int("hot-k", 0, "per-view hot-set size (0 = default 8; needs -hot)")
@@ -75,14 +70,11 @@ func main() {
 
 	r, err := cluster.NewRouter(cluster.Config{
 		Shards:          shardList,
-		VNodes:          *vnodes,
 		Epoch:           *epoch,
 		PoolSize:        *pool,
-		ClientsPerShard: *perShard,
 		DefaultDeadline: *deadline,
 		DialTimeout:     *dialTO,
 		RefillTimeout:   *refillTO,
-		InvalTimeout:    *invalTO,
 		DrainTimeout:    *drain,
 		MaxConns:        *maxConns,
 		IdleTimeout:     *idle,
@@ -91,13 +83,11 @@ func main() {
 		Trace:           *trace,
 		SlowThreshold:   *slow,
 
-		TailTolerance:        *tail,
-		Hedge:                *hedge,
-		HeartbeatInterval:    *heartbeat,
-		BreakerFailThreshold: *brkFails,
-		BreakerCooldown:      *brkCool,
-		HedgeMaxDelay:        *hedgeAfter,
-		HedgeRate:            *hedgeRate,
+		TailTolerance:     *tail,
+		Hedge:             *hedge,
+		HeartbeatInterval: *heartbeat,
+		BreakerCooldown:   *brkCool,
+		HedgeMaxDelay:     *hedgeAfter,
 
 		Hot:                   *hot,
 		HotK:                  *hotK,

@@ -98,3 +98,29 @@ func TestBreakerResetRacesTrial(t *testing.T) {
 		t.Fatal("reset did not clear cooldown escalation")
 	}
 }
+
+// TestBreakerCooldownNeverShrinks pins the escalation direction for an
+// operator-supplied first cooldown above the default cap (pmvrouter
+// -breaker-cooldown 20s): Config.fill lifts BreakerMaxCooldown to it,
+// so consecutive re-trips never open for less time than the one before.
+func TestBreakerCooldownNeverShrinks(t *testing.T) {
+	cfg := &Config{Shards: []string{"127.0.0.1:0"}, TailTolerance: true, BreakerCooldown: 20 * time.Second}
+	if err := cfg.fill(); err != nil {
+		t.Fatal(err)
+	}
+	b := newTailTolerance(cfg, 1).breakers[0]
+	now := time.Now()
+	prev := b.cooldown // the (pre-jitter) period the next trip opens for
+	b.trip(now)
+	for i := 0; i < 5; i++ {
+		if b.cooldown < prev {
+			t.Fatalf("re-trip %d: cooldown shrank from %v to %v", i, prev, b.cooldown)
+		}
+		prev = b.cooldown
+		now = now.Add(time.Hour)
+		if admit, trial := b.allow(now); !admit || !trial {
+			t.Fatalf("re-trip %d: trial not admitted after the wait", i)
+		}
+		b.resolveTrial(false, now)
+	}
+}

@@ -24,8 +24,11 @@ import (
 	"pmv/internal/wire"
 )
 
-// Breaker trip thresholds beyond the consecutive-failure count.
+// Breaker trip thresholds.
 const (
+	// breakerFailThreshold trips a breaker after this many consecutive
+	// failures.
+	breakerFailThreshold = 3
 	// breakerPhi trips a breaker when the phi-accrual suspicion level
 	// reaches it — the silence is ~10⁸× longer than normal.
 	breakerPhi = 8.0
@@ -149,7 +152,7 @@ func newTailTolerance(cfg *Config, nShards int) *tailTolerance {
 		tt.breakers[i] = newBreaker(cfg.BreakerCooldown, cfg.BreakerMaxCooldown, int64(i+1))
 	}
 	if cfg.Hedge {
-		tt.hedge = newHedgeBudget(cfg.HedgeRate, hedgeBurst)
+		tt.hedge = newHedgeBudget(hedgeRate, hedgeBurst)
 	}
 	return tt
 }
@@ -197,7 +200,7 @@ func (tt *tailTolerance) fleetMedianEwma() int64 {
 // sick reports whether any trip condition currently holds for shard.
 func (tt *tailTolerance) sick(shard int, now time.Time) bool {
 	h := tt.health[shard]
-	if h.consecFails.Load() >= int64(tt.cfg.BreakerFailThreshold) {
+	if h.consecFails.Load() >= breakerFailThreshold {
 		return true
 	}
 	if h.phi(now) >= breakerPhi {

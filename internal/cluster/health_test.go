@@ -116,7 +116,7 @@ func TestNoteOutcomeTripsAndResolves(t *testing.T) {
 	r := &Router{cfg: *cfg, metrics: newMetrics([]string{"a", "b"})}
 	r.tt = newTailTolerance(&r.cfg, 2)
 
-	for i := 0; i < int(cfg.BreakerFailThreshold); i++ {
+	for i := 0; i < breakerFailThreshold; i++ {
 		r.noteOutcome(0, outcomeProbe, 0, errors.New("boom"), false)
 	}
 	if breakerState(r.tt.breakers[0].state.Load()) != bkOpen {

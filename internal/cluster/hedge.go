@@ -18,9 +18,9 @@
 // and the hedge would erase the partials it raced to save) but over a
 // fresh session from the pool, which is what rescues probes stuck
 // behind one sick connection or a dropped packet. A token budget caps
-// hedge amplification: each primary probe earns HedgeRate tokens and a
+// hedge amplification: each primary probe earns hedgeRate tokens and a
 // hedge spends one, so steady-state extra probe load is at most
-// HedgeRate (default 5%).
+// hedgeRate (5%).
 package cluster
 
 import (
@@ -38,6 +38,10 @@ const (
 	// hedgeMinDelay floors the adaptive hedge delay: hedging a shard
 	// faster than this buys nothing a retry would not.
 	hedgeMinDelay = time.Millisecond
+	// hedgeRate is the hedge-token income per primary probe: steady-
+	// state hedge amplification is capped at 5% extra probes, in bursts
+	// of at most hedgeBurst.
+	hedgeRate = 0.05
 	// hedgeBurst caps the hedge token bucket.
 	hedgeBurst = 4.0
 )

@@ -324,7 +324,7 @@ func (h *hotPlane) fanInval(view string, ks []string, m *ShardMap) {
 		h.r.invalWG.Add(1)
 		go func(shard int, req wire.HotInvalRequest) {
 			defer h.r.invalWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), h.r.cfg.InvalTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), h.r.cfg.RefillTimeout)
 			defer cancel()
 			if err := h.sendHotInval(ctx, shard, req, m); err != nil {
 				h.invalFails.Add(1)

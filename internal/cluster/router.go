@@ -52,24 +52,18 @@ import (
 type Config struct {
 	// Shards lists the shard addresses (index = shard id). Required.
 	Shards []string
-	// VNodes is the consistent-hash virtual-node count (default 64).
-	VNodes int
 	// Epoch stamps the initial shard map (default 1; must be nonzero).
 	Epoch uint64
 	// PoolSize bounds concurrently routed O3s; queries beyond it are
 	// shed to probes-only answers. Default: GOMAXPROCS.
 	PoolSize int
-	// ClientsPerShard caps each shard's idle connection pool (default 4).
-	ClientsPerShard int
 	// DefaultDeadline bounds queries that carry none (0 = unbounded).
 	DefaultDeadline time.Duration
 	// DialTimeout bounds each shard dial (default 2s).
 	DialTimeout time.Duration
-	// RefillTimeout bounds each asynchronous refill fan-out (default 2s).
+	// RefillTimeout bounds each asynchronous fan-out, refill or
+	// invalidation (default 2s).
 	RefillTimeout time.Duration
-	// InvalTimeout bounds each asynchronous invalidation fan-out after
-	// a write batch (default 2s).
-	InvalTimeout time.Duration
 	// DrainTimeout bounds Shutdown's wait for in-flight sessions.
 	// Default 5s.
 	DrainTimeout time.Duration
@@ -105,21 +99,14 @@ type Config struct {
 	Hedge bool
 	// HeartbeatInterval paces the health pings (default 500ms).
 	HeartbeatInterval time.Duration
-	// BreakerFailThreshold trips a breaker after this many consecutive
-	// failures (default 3).
-	BreakerFailThreshold int
 	// BreakerCooldown is the first open period before a half-open trial
 	// (default 500ms, jittered, doubling per re-trip up to
-	// BreakerMaxCooldown, default 8s).
+	// BreakerMaxCooldown, default 8s and never below BreakerCooldown).
 	BreakerCooldown    time.Duration
 	BreakerMaxCooldown time.Duration
 	// HedgeMaxDelay caps the adaptive hedge delay (default 50ms; the
 	// floor is hedgeMinDelay).
 	HedgeMaxDelay time.Duration
-	// HedgeRate is the hedge-token income per primary probe (default
-	// 0.05 — steady-state hedge amplification is capped at 5% extra
-	// probes, in bursts of at most hedgeBurst).
-	HedgeRate float64
 
 	// Hot enables the router half of the frequency plane: a per-view
 	// top-k tracker over probed bcp keys, a router-side replica cache
@@ -142,26 +129,17 @@ func (c *Config) fill() error {
 	if len(c.Shards) == 0 {
 		return errors.New("cluster: router needs at least one shard")
 	}
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
 	if c.Epoch == 0 {
 		c.Epoch = 1
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = runtime.GOMAXPROCS(0)
 	}
-	if c.ClientsPerShard <= 0 {
-		c.ClientsPerShard = 4
-	}
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
 	}
 	if c.RefillTimeout <= 0 {
 		c.RefillTimeout = 2 * time.Second
-	}
-	if c.InvalTimeout <= 0 {
-		c.InvalTimeout = 2 * time.Second
 	}
 	if c.Hedge {
 		c.TailTolerance = true
@@ -170,20 +148,17 @@ func (c *Config) fill() error {
 		if c.HeartbeatInterval <= 0 {
 			c.HeartbeatInterval = 500 * time.Millisecond
 		}
-		if c.BreakerFailThreshold <= 0 {
-			c.BreakerFailThreshold = 3
-		}
 		if c.BreakerCooldown <= 0 {
 			c.BreakerCooldown = 500 * time.Millisecond
 		}
 		if c.BreakerMaxCooldown <= 0 {
 			c.BreakerMaxCooldown = 8 * time.Second
 		}
+		// The cap never sits below the first cooldown, or re-trips
+		// would open for less time than the first trip did.
+		c.BreakerMaxCooldown = max(c.BreakerMaxCooldown, c.BreakerCooldown)
 		if c.HedgeMaxDelay <= 0 {
 			c.HedgeMaxDelay = 50 * time.Millisecond
-		}
-		if c.HedgeRate <= 0 {
-			c.HedgeRate = 0.05
 		}
 	}
 	if c.Hot {
@@ -251,7 +226,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	smap, err := NewShardMap(cfg.Epoch, cfg.Shards, cfg.VNodes)
+	smap, err := NewShardMap(cfg.Epoch, cfg.Shards, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +255,7 @@ func NewRouter(cfg Config) (*Router, error) {
 		r.hot = newHotPlane(r)
 	}
 	for i, addr := range cfg.Shards {
-		r.pools[i] = newPool(addr, cfg.DialTimeout, cfg.ClientsPerShard)
+		r.pools[i] = newPool(addr, cfg.DialTimeout)
 	}
 	return r, nil
 }
@@ -348,7 +323,7 @@ func (r *Router) Shutdown() error {
 	err := r.Kernel.Shutdown()
 	r.bgWG.Wait()     // bounded: every loop selects on Closing
 	r.refillWG.Wait() // bounded: each refill runs under RefillTimeout
-	r.invalWG.Wait()  // bounded: each invalidation runs under InvalTimeout
+	r.invalWG.Wait()  // bounded: each invalidation runs under RefillTimeout
 	for _, p := range r.pools {
 		p.close()
 	}
@@ -1039,12 +1014,14 @@ func (r *Router) spawnRefill(tr *obs.Trace, meta *viewMeta, tuples []value.Tuple
 	}
 }
 
+// clientsPerShard caps each shard's idle connection pool.
+const clientsPerShard = 4
+
 // pool is a small free-list of self-healing clients for one shard.
 // Clients that saw transport trouble are closed rather than pooled, so
 // a session that died mid-stream never pollutes a later request.
 type pool struct {
-	addr  string
-	limit int
+	addr string
 
 	mu     sync.Mutex
 	free   []*client.Client
@@ -1054,8 +1031,8 @@ type pool struct {
 	dialTimeout time.Duration
 }
 
-func newPool(addr string, dialTimeout time.Duration, limit int) *pool {
-	return &pool{addr: addr, limit: limit, dialTimeout: dialTimeout}
+func newPool(addr string, dialTimeout time.Duration) *pool {
+	return &pool{addr: addr, dialTimeout: dialTimeout}
 }
 
 func (p *pool) get() *client.Client {
@@ -1084,7 +1061,7 @@ func (p *pool) get() *client.Client {
 func (p *pool) put(c *client.Client, healthy bool) {
 	if healthy {
 		p.mu.Lock()
-		if !p.closed && len(p.free) < p.limit {
+		if !p.closed && len(p.free) < clientsPerShard {
 			p.free = append(p.free, c)
 			p.mu.Unlock()
 			return

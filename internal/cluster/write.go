@@ -166,7 +166,7 @@ func (r *Router) spawnInvalidate(primary int, keys map[string][][]byte, wide map
 		r.invalWG.Add(1)
 		go func(shard int, reqs []wire.InvalidateRequest) {
 			defer r.invalWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.InvalTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.RefillTimeout)
 			defer cancel()
 			c := r.pools[shard].get()
 			healthy := true

@@ -2,8 +2,8 @@
 // paper's evaluation (Section 4): the simulation figures delegate to
 // internal/sim, the analytical figures to internal/costmodel, and the
 // measured figures run the PMV method against the TPC-R-like dataset
-// on the embedded engine. cmd/pmvbench and the repository-root
-// benchmarks are thin wrappers over this package.
+// on the embedded engine. cmd/pmvbench is a thin wrapper over this
+// package.
 package experiments
 
 import (

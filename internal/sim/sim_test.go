@@ -7,7 +7,7 @@ import (
 )
 
 // Small-scale configurations keep the suite fast; Figure-scale runs
-// live in cmd/pmvbench and the repository benchmarks.
+// live in cmd/pmvbench.
 func smallCfg(pol cache.PolicyKind) Config {
 	return Config{
 		BCPs: 50_000, Alpha: 1.07, H: 2, N: 2_000,
@@ -167,5 +167,21 @@ func TestFigureSweepsShapes(t *testing.T) {
 				t.Errorf("Figure7 series %d not increasing at N step %d", s, i)
 			}
 		}
+	}
+}
+
+// BenchmarkSimulationStep isolates the per-query cost of the
+// Section 4.1 simulator's inner loop (a microbenchmark, not a figure).
+func BenchmarkSimulationStep(b *testing.B) {
+	for _, pol := range []cache.PolicyKind{cache.PolicyCLOCK, cache.Policy2Q} {
+		b.Run(string(pol), func(b *testing.B) {
+			_, err := Run(Config{
+				Alpha: 1.07, H: 2, N: 5000, BCPs: 100000,
+				Policy: pol, Warmup: b.N, Measure: 1, Seed: 3,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

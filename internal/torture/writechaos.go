@@ -196,7 +196,6 @@ func RunWrite(opts WriteOptions) (WriteReport, error) {
 		PoolSize:        2,
 		DialTimeout:     time.Second,
 		RefillTimeout:   time.Second,
-		InvalTimeout:    time.Second,
 		DrainTimeout:    2 * time.Second,
 		FrameTimeout:    2 * time.Second,
 		WriteTimeout:    2 * time.Second,
