@@ -122,9 +122,10 @@ func Open(pool *buffer.Pool, mgr *storage.Manager, file string) (*Tree, error) {
 // File returns the backing file name.
 func (t *Tree) File() string { return t.file }
 
-// node is the in-memory form of one page. Nodes are read, mutated, and
-// re-serialized whole; with 8 KiB pages this keeps the code simple and
-// the constant factors acceptable.
+// node is the in-memory form of one page, used by the mutating paths
+// (Insert, Delete): a node is deserialized, changed, and re-serialized
+// whole; with 8 KiB pages this keeps the code simple and the constant
+// factors acceptable. The read paths never build one — see page.
 type node struct {
 	isLeaf   bool
 	next     storage.PageID // leaf sibling chain
@@ -197,6 +198,99 @@ func deserialize(buf []byte) (*node, error) {
 		}
 	}
 	return n, nil
+}
+
+// page is a read-only view of a serialized node in a pinned frame. The
+// read paths (Scan, Contains, Height) search its slot directory in
+// place, so visiting a page copies and allocates nothing; t.mu's read
+// side keeps writers off the bytes for as long as the view is used.
+type page []byte
+
+func (p page) isLeaf() (bool, error) {
+	switch p[0] {
+	case nodeLeaf:
+		return true, nil
+	case nodeInner:
+		return false, nil
+	default:
+		return false, fmt.Errorf("btree: bad node type %d", p[0])
+	}
+}
+
+func (p page) count() int { return int(binary.BigEndian.Uint16(p[1:])) }
+
+func (p page) next() storage.PageID {
+	return storage.PageID(binary.BigEndian.Uint32(p[3:]))
+}
+
+// key returns the i-th key as a slice of the page.
+func (p page) key(i int) []byte {
+	off := int(binary.BigEndian.Uint16(p[nodeHdr+2*i:]))
+	klen := int(binary.BigEndian.Uint16(p[off:]))
+	return p[off+2 : off+2+klen]
+}
+
+// child returns the i-th child of an inner page; i == count() is the
+// rightmost child, kept in the header.
+func (p page) child(i int) storage.PageID {
+	if i == p.count() {
+		return storage.PageID(binary.BigEndian.Uint32(p[7:]))
+	}
+	off := int(binary.BigEndian.Uint16(p[nodeHdr+2*i:]))
+	klen := int(binary.BigEndian.Uint16(p[off:]))
+	return storage.PageID(binary.BigEndian.Uint32(p[off+2+klen:]))
+}
+
+// search returns the first index i with key(i) >= key.
+func (p page) search(key []byte) int {
+	lo, hi := 0, p.count()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(p.key(mid), key) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// childIdx returns the child slot to descend into for key (see the
+// slice-based childIdx below for the separator convention).
+func (p page) childIdx(key []byte) int {
+	lo, hi := 0, p.count()
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if bytes.Compare(key, p.key(mid)) < 0 {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// descend pins the leaf whose key range covers key and returns its
+// frame with the number of levels walked (root = 1). The caller unpins.
+func (t *Tree) descend(key []byte) (*buffer.Frame, int, error) {
+	id := t.root
+	for depth := 1; ; depth++ {
+		fr, err := t.pool.Fetch(t.file, id)
+		if err != nil {
+			return nil, 0, err
+		}
+		p := page(fr.Buf)
+		leaf, err := p.isLeaf()
+		if err != nil {
+			t.pool.Unpin(fr, false)
+			return nil, 0, err
+		}
+		if leaf {
+			return fr, depth, nil
+		}
+		id = p.child(p.childIdx(key))
+		t.pool.Unpin(fr, false)
+	}
 }
 
 func (t *Tree) readNode(id storage.PageID) (*node, error) {
@@ -403,62 +497,57 @@ func (t *Tree) Delete(key []byte) error {
 func (t *Tree) Contains(key []byte) (bool, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return false, err
-		}
-		if n.isLeaf {
-			i := searchIdx(n.keys, key)
-			return i < len(n.keys) && bytes.Equal(n.keys[i], key), nil
-		}
-		id = n.children[childIdx(n.keys, key)]
+	fr, _, err := t.descend(key)
+	if err != nil {
+		return false, err
 	}
+	p := page(fr.Buf)
+	i := p.search(key)
+	found := i < p.count() && bytes.Equal(p.key(i), key)
+	t.pool.Unpin(fr, false)
+	return found, nil
 }
 
 // Scan visits every key k with lo <= k < hi in order. A nil hi means
 // "to the end". fn returning ErrStopScan ends the scan cleanly.
+//
+// The slice handed to fn aliases the pinned page frame: it is valid
+// only until fn returns and must not be modified; a caller that keeps
+// the key copies it. The tree's read lock is held for the whole scan,
+// so fn must not insert into or delete from this tree.
 func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.isLeaf {
-			return t.scanLeaves(n, lo, hi, fn)
-		}
-		id = n.children[childIdx(n.keys, lo)]
+	fr, _, err := t.descend(lo)
+	if err != nil {
+		return err
 	}
-}
-
-func (t *Tree) scanLeaves(n *node, lo, hi []byte, fn func([]byte) error) error {
-	i := searchIdx(n.keys, lo)
+	p := page(fr.Buf)
+	i := p.search(lo)
 	for {
-		for ; i < len(n.keys); i++ {
-			k := n.keys[i]
+		for n := p.count(); i < n; i++ {
+			k := p.key(i)
 			if hi != nil && bytes.Compare(k, hi) >= 0 {
+				t.pool.Unpin(fr, false)
 				return nil
 			}
 			if err := fn(k); err != nil {
+				t.pool.Unpin(fr, false)
 				if errors.Is(err, ErrStopScan) {
 					return nil
 				}
 				return err
 			}
 		}
-		if n.next == storage.InvalidPageID {
+		next := p.next()
+		t.pool.Unpin(fr, false)
+		if next == storage.InvalidPageID {
 			return nil
 		}
-		next, err := t.readNode(n.next)
-		if err != nil {
+		if fr, err = t.pool.Fetch(t.file, next); err != nil {
 			return err
 		}
-		n = next
-		i = 0
+		p, i = page(fr.Buf), 0
 	}
 }
 
@@ -476,19 +565,12 @@ func (t *Tree) Count() (int, error) {
 func (t *Tree) Height() (int, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	h := 1
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return 0, err
-		}
-		if n.isLeaf {
-			return h, nil
-		}
-		id = n.children[0]
-		h++
+	fr, depth, err := t.descend(nil)
+	if err != nil {
+		return 0, err
 	}
+	t.pool.Unpin(fr, false)
+	return depth, nil
 }
 
 // PackRID appends the 6-byte encoding of rid to key, producing the

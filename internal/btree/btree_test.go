@@ -343,6 +343,74 @@ func BenchmarkContains(b *testing.B) {
 	}
 }
 
+// TestReadsInPlace pins the read paths to the pinned frame: scanning a
+// 300-key leaf and probing for a key allocate nothing (the parent
+// rebuilt every visited node, one slice per key), and the slice a scan
+// hands out is the page's own bytes, not a copy.
+func TestReadsInPlace(t *testing.T) {
+	tr := newTree(t, 64)
+	for i := 0; i < 300; i++ {
+		if err := tr.Insert(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, _ := tr.Height(); h != 1 {
+		t.Fatalf("height = %d, want a single leaf", h)
+	}
+	var seen int
+	count := func(k []byte) error {
+		seen++
+		return nil
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		seen = 0
+		if err := tr.Scan(nil, nil, count); err != nil || seen != 300 {
+			t.Fatalf("scan: %d keys, %v", seen, err)
+		}
+	}); n != 0 {
+		t.Errorf("Scan of a 300-key leaf: %v allocs, want 0", n)
+	}
+	probe := key(123)
+	if n := testing.AllocsPerRun(50, func() {
+		if ok, err := tr.Contains(probe); err != nil || !ok {
+			t.Fatalf("contains: %v %v", ok, err)
+		}
+	}); n != 0 {
+		t.Errorf("Contains: %v allocs, want 0", n)
+	}
+
+	// Two levels: the descent and the leaf chain are in place too.
+	for i := 300; i < 3000; i++ {
+		if err := tr.Insert(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, _ := tr.Height(); h < 2 {
+		t.Fatalf("height = %d, want >= 2", h)
+	}
+	lo, hi := key(1000), key(2000)
+	if n := testing.AllocsPerRun(20, func() {
+		seen = 0
+		if err := tr.Scan(lo, hi, count); err != nil || seen != 1000 {
+			t.Fatalf("range scan: %d keys, %v", seen, err)
+		}
+	}); n != 0 {
+		t.Errorf("range Scan across leaves: %v allocs, want 0", n)
+	}
+
+	// The key a scan hands out is a window on the 8 KiB frame (its
+	// capacity runs to the end of the page), not a key-sized copy.
+	err := tr.Scan(key(5), key(6), func(k []byte) error {
+		if cap(k) <= maxKeyLen {
+			t.Errorf("Scan handed out a copy: len %d cap %d", len(k), cap(k))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestConcurrentReaders(t *testing.T) {
 	tr := newTree(t, 256)
 	for i := 0; i < 5000; i++ {
@@ -400,13 +468,41 @@ func TestReadersDuringWrites(t *testing.T) {
 			}
 		}(g * 311)
 	}
+	// A fourth reader range-scans in place while leaves split under it:
+	// the first 1000 keys are never deleted, so every scan sees them all,
+	// in order.
+	go func() {
+		for {
+			select {
+			case <-stop:
+				errc <- nil
+				return
+			default:
+			}
+			want := 0
+			err := tr.Scan(key(0), key(1000), func(k []byte) error {
+				if !bytes.Equal(k, key(want)) {
+					return fmt.Errorf("scan position %d: got key %x", want, k)
+				}
+				want++
+				return nil
+			})
+			if err == nil && want != 1000 {
+				err = fmt.Errorf("scan saw %d of 1000 keys", want)
+			}
+			if err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
 	for i := 1000; i < 3000; i++ {
 		if err := tr.Insert(key(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
-	for g := 0; g < 3; g++ {
+	for g := 0; g < 4; g++ {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}

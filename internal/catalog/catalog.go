@@ -95,24 +95,25 @@ func (ix *Index) Delete(t value.Tuple, rid storage.RID) error {
 // LookupEq streams the RIDs whose index key equals key (the encoded
 // logical key without RID suffix).
 func (ix *Index) LookupEq(key []byte, fn func(storage.RID) error) error {
-	hi := btree.Successor(key)
-	return ix.Tree.Scan(key, hi, func(entry []byte) error {
-		_, rid, err := btree.UnpackRID(entry)
-		if err != nil {
-			return err
-		}
-		return fn(rid)
-	})
+	return ix.LookupRange(key, btree.Successor(key), fn)
 }
 
 // LookupRange streams RIDs with lo <= key < hi (encoded logical keys).
 func (ix *Index) LookupRange(lo, hi []byte, fn func(storage.RID) error) error {
+	return ix.ScanKeys(lo, hi, func(_ []byte, rid storage.RID) error { return fn(rid) })
+}
+
+// ScanKeys streams (encoded logical key, RID) for every entry with
+// lo <= key < hi, without touching the heap — the index-only access a
+// composite index exists for. key aliases the pinned index page (see
+// btree.Tree.Scan): it is valid only until fn returns.
+func (ix *Index) ScanKeys(lo, hi []byte, fn func(key []byte, rid storage.RID) error) error {
 	return ix.Tree.Scan(lo, hi, func(entry []byte) error {
-		_, rid, err := btree.UnpackRID(entry)
+		key, rid, err := btree.UnpackRID(entry)
 		if err != nil {
 			return err
 		}
-		return fn(rid)
+		return fn(key, rid)
 	})
 }
 
@@ -125,8 +126,9 @@ type Relation struct {
 	Heap    *heap.Heap     `json:"-"`
 }
 
-// IndexOn returns an index whose key starts with exactly the given
-// column positions, or nil.
+// IndexOn returns an index whose key is exactly the given column
+// positions, in that order, or nil. A composite index is not a match
+// for its leading column alone.
 func (r *Relation) IndexOn(cols ...int) *Index {
 	for _, ix := range r.Indexes {
 		if len(ix.Cols) != len(cols) {

@@ -351,6 +351,18 @@ func (v *View) ExecutePartialCtx(ctx context.Context, q *expr.Query, emit func(R
 	// After O3, every DS token must have been consumed: the partial
 	// results were a subset of the full results (serializability held).
 	if len(ds) != 0 {
+		// The unaccounted tuples came from entries this query probed:
+		// invalidate those, so that the retry this error invites runs
+		// against the base data instead of meeting the same stale
+		// entries until their deferred purge arrives. Without it a
+		// reader retrying every hundred microseconds can exhaust any
+		// retry budget inside one write batch's apply → fsync → purge
+		// window.
+		keys := make([]string, len(run.parts))
+		for i := range run.parts {
+			keys[i] = run.parts[i].BCPKey
+		}
+		v.BumpKeyGens(keys)
 		return run.rep, fmt.Errorf("core: %d partial tuples not found during execution (consistency violation)", len(ds))
 	}
 

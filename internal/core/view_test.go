@@ -277,6 +277,41 @@ func TestDeleteMaintenancePurges(t *testing.T) {
 	}
 }
 
+// TestFailedAuditInvalidatesProbedEntries: with maintenance deferred (as
+// under the write plane, between a batch's apply and its purge) a query
+// can be handed a cached tuple the base data no longer produces. The DS
+// audit fails that query loudly — and must leave the view so that the
+// retry the error invites succeeds at once, not only after the purge
+// arrives.
+func TestFailedAuditInvalidatesProbedEntries(t *testing.T) {
+	eng, tpl := testDB(t)
+	loadFig1(t, eng, 4, 4, 2)
+	v, err := NewView(eng, Config{Template: tpl, MaxEntries: 100, TuplesPerBCP: 5})
+	if err != nil {
+		t.Fatalf("new view: %v", err)
+	}
+	q := eqQuery(tpl, []int64{1}, []int64{2})
+	runPartial(t, v, q) // warm the cache
+	// Change a select-list column behind the view's back: detached, as
+	// the write plane detaches views, it is told nothing.
+	eng.UnregisterObserver(v)
+	if _, err := eng.UpdateWhere("S",
+		func(tu value.Tuple) bool { return tu[0].Int64() == 1002 },
+		func(tu value.Tuple) value.Tuple { tu[1] = value.Int(-1); return tu }); err != nil {
+		t.Fatalf("update: %v", err)
+	}
+	if _, err := v.ExecutePartial(q, func(Result) error { return nil }); err == nil {
+		t.Fatal("stale cached tuples passed the DS audit")
+	}
+	got, rep := runPartial(t, v, q) // the retry
+	if want := runFull(t, eng, tpl, q); !equalStrings(got, want) {
+		t.Fatalf("retry results differ:\n got %v\nwant %v", got, want)
+	}
+	if rep.PartialTuples != 0 {
+		t.Errorf("retry was served %d tuples from the entries the audit had just failed", rep.PartialTuples)
+	}
+}
+
 func TestInsertRequiresNoMaintenance(t *testing.T) {
 	eng, tpl := testDB(t)
 	loadFig1(t, eng, 3, 3, 2)

@@ -10,6 +10,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -350,6 +351,10 @@ func (e *Engine) CreateRelation(name string, schema catalog.Schema) (*catalog.Re
 // CreateIndex builds a secondary index named rel_col1_col2... if name
 // is empty.
 func (e *Engine) CreateIndex(name, rel string, cols ...string) (*catalog.Index, error) {
+	// The backfill writes B+tree pages: like DML, it must not overlap a
+	// checkpoint's FlushAll.
+	e.chkMu.RLock()
+	defer e.chkMu.RUnlock()
 	if name == "" {
 		name = rel
 		for _, c := range cols {
@@ -540,6 +545,11 @@ func (e *Engine) UpdateWhereCtx(ctx context.Context, rel string, pred func(value
 			return i, err
 		}
 		for _, ix := range r.Indexes {
+			// An entry is key ++ RID: a row that kept its place and
+			// this index's columns has nothing to rewrite.
+			if newRID == h.rid && bytes.Equal(ix.KeyFor(h.t), ix.KeyFor(newT)) {
+				continue
+			}
 			if err := ix.Delete(h.t, h.rid); err != nil {
 				return i, fmt.Errorf("engine: index %s: %w", ix.Name, err)
 			}

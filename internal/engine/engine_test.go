@@ -114,6 +114,143 @@ func TestUpdateWhereMaintainsIndexes(t *testing.T) {
 	}
 }
 
+// TestUpdateRewritesOnlyChangedIndexEntries: an index entry is key ++
+// RID, so an update that keeps the row's RID and an index's columns has
+// nothing to rewrite in that index. Three statements over a relation
+// with three indexes: one that changes no indexed column dirties the
+// heap page and nothing else; one that changes an indexed column and
+// one that grows the row off its page (new RID) leave every index
+// exact.
+func TestUpdateRewritesOnlyChangedIndexEntries(t *testing.T) {
+	e := newEngine(t)
+	if _, err := e.CreateRelation("ord", catalog.NewSchema(
+		catalog.Col("ok", value.TypeInt), catalog.Col("od", value.TypeInt),
+		catalog.Col("price", value.TypeFloat), catalog.Col("pad", value.TypeString))); err != nil {
+		t.Fatal(err)
+	}
+	const n = 400
+	for i := 0; i < n; i++ {
+		if err := e.Insert("ord", value.Tuple{
+			value.Int(int64(i)), value.Int(int64(i % 20)), value.Float(1), value.Str("0123456789012345678901234567890123456789")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cols := range [][]string{{"ok"}, {"od"}, {"od", "ok"}} {
+		if _, err := e.CreateIndex("", "ord", cols...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, _ := e.Catalog().GetRelation("ord")
+	// exact checks every index against the heap: same entry count, and
+	// every row found under its own key at its own RID.
+	exact := func(when string) {
+		t.Helper()
+		for _, ix := range r.Indexes {
+			if c, err := ix.Tree.Count(); err != nil || int64(c) != r.Heap.Count() {
+				t.Errorf("%s: index %s has %d entries, heap %d rows (%v)", when, ix.Name, c, r.Heap.Count(), err)
+			}
+		}
+		err := r.Heap.Scan(func(rid storage.RID, tup value.Tuple) error {
+			for _, ix := range r.Indexes {
+				found := false
+				ix.LookupEq(ix.KeyFor(tup), func(got storage.RID) error {
+					found = found || got == rid
+					return nil
+				})
+				if !found {
+					t.Errorf("%s: index %s has no entry for row %v at %v", when, ix.Name, tup[:3], rid)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	lookups := func(ix *catalog.Index, vals ...int64) int {
+		key := make(value.Tuple, r.Schema.Arity())
+		for i, c := range ix.Cols {
+			key[c] = value.Int(vals[i])
+		}
+		c := 0
+		ix.LookupEq(ix.KeyFor(key), func(storage.RID) error { c++; return nil })
+		return c
+	}
+	byOK := func(k int64) func(value.Tuple) bool {
+		return func(tup value.Tuple) bool { return tup[0].Int64() == k }
+	}
+
+	// (1) No indexed column changes, the row stays put: after a flush
+	// the statement must dirty exactly one page, the heap page.
+	if err := e.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	_, w0 := e.IOStats()
+	if got, err := e.UpdateWhere("ord", byOK(7), func(tup value.Tuple) value.Tuple {
+		tup[2] = value.Float(99.5)
+		return tup
+	}); err != nil || got != 1 {
+		t.Fatalf("price update: %d rows, %v", got, err)
+	}
+	if err := e.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, w1 := e.IOStats(); w1-w0 != 1 {
+		t.Errorf("price update wrote %d pages, want 1 (the heap page; no B+tree page)", w1-w0)
+	}
+	exact("after price update")
+
+	// (2) An indexed column changes: od 8 → 19 for ok 8. The od and
+	// (od, ok) entries move; the old keys are gone, the new ones there.
+	if _, err := e.UpdateWhere("ord", byOK(8), func(tup value.Tuple) value.Tuple {
+		tup[1] = value.Int(19)
+		return tup
+	}); err != nil {
+		t.Fatal(err)
+	}
+	exact("after od update")
+	if old, new := lookups(r.IndexOn(1, 0), 8, 8), lookups(r.IndexOn(1, 0), 19, 8); old != 0 || new != 1 {
+		t.Errorf("(od, ok) index: old key %d entries, new key %d; want 0 and 1", old, new)
+	}
+	if old, new := lookups(r.IndexOn(1), 8), lookups(r.IndexOn(1), 19); old != n/20-1 || new != n/20+1 {
+		t.Errorf("od index: od=8 %d entries, od=19 %d; want %d and %d", old, new, n/20-1, n/20+1)
+	}
+
+	// (3) No indexed column changes but the row outgrows its page: the
+	// RID moves, so every index must follow it.
+	var before, after storage.RID
+	find := func(k int64) (rid storage.RID) {
+		r.Heap.Scan(func(at storage.RID, tup value.Tuple) error {
+			if tup[0].Int64() == k {
+				rid = at
+			}
+			return nil
+		})
+		return rid
+	}
+	before = find(9)
+	big := make([]byte, 6000)
+	for i := range big {
+		big[i] = 'z'
+	}
+	if _, err := e.UpdateWhere("ord", byOK(9), func(tup value.Tuple) value.Tuple {
+		tup[3] = value.Str(string(big))
+		return tup
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if after = find(9); after == before {
+		t.Fatalf("row did not move (still at %v); fixture broken", after)
+	}
+	exact("after RID move")
+	r.IndexOn(0).LookupEq(r.IndexOn(0).KeyFor(value.Tuple{value.Int(9)}), func(got storage.RID) error {
+		if got != after {
+			t.Errorf("ok index points at %v, row is at %v", got, after)
+		}
+		return nil
+	})
+}
+
 type recordingObserver struct {
 	inserts, deletes, updates int
 }

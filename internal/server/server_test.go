@@ -358,7 +358,9 @@ func TestAdminCommands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(schema.Columns) != 3 || len(schema.Indexes) != 2 {
+	// sale_pid, sale_store, and sale_store_pid, which CreatePartialView
+	// derived for the view's join.
+	if len(schema.Columns) != 3 || len(schema.Indexes) != 3 {
 		t.Fatalf("schema = %+v", schema)
 	}
 	rows, err := c.Peek(ctx, "product", 5)

@@ -328,6 +328,16 @@ type ViewOptions struct {
 
 // CreatePartialView defines a PMV over the template and registers it
 // for automatic deferred maintenance.
+//
+// A view knows the only query shape it will ever run, so creating one
+// also creates the access paths that shape needs: for every join
+// predicate whose two relations both carry a selection condition, a
+// composite index (condition column, join column) on each side, unless
+// the catalog already has it. With both present and statistics
+// collected (Analyze), the planner can answer the join from the two
+// indexes and fetch only the matching rows. They are ordinary catalog
+// indexes named rel_cond_join: they persist, are maintained by every
+// write, and are shared by views whose templates name the same columns.
 func (db *DB) CreatePartialView(tpl *Template, opts ViewOptions) (*View, error) {
 	v, err := core.NewView(db.eng, core.Config{
 		Name:              "pmv_" + tpl.Name,
@@ -346,6 +356,10 @@ func (db *DB) CreatePartialView(tpl *Template, opts ViewOptions) (*View, error) 
 		v.Drop()
 		return nil, fmt.Errorf("pmv: view %q already exists", v.Name())
 	}
+	if err := db.deriveIndexes(tpl); err != nil {
+		v.Drop()
+		return nil, fmt.Errorf("pmv: view %q: %w", v.Name(), err)
+	}
 	db.views[v.Name()] = v
 	if db.freqCfg != nil {
 		v.EnableFreq(*db.freqCfg)
@@ -354,6 +368,39 @@ func (db *DB) CreatePartialView(tpl *Template, opts ViewOptions) (*View, error) 
 		return nil, err
 	}
 	return v, nil
+}
+
+// deriveIndexes creates the composite indexes CreatePartialView
+// promises for tpl, skipping the ones the catalog already holds. A
+// relation with several conditions gets one index, on its first.
+func (db *DB) deriveIndexes(tpl *Template) error {
+	firstCond := func(rel string) string {
+		for _, c := range tpl.Conds {
+			if c.Col.Rel == rel {
+				return c.Col.Col
+			}
+		}
+		return ""
+	}
+	for _, jp := range tpl.Join {
+		if jp.Left.Rel == jp.Right.Rel || firstCond(jp.Left.Rel) == "" || firstCond(jp.Right.Rel) == "" {
+			continue
+		}
+		for _, side := range []expr.ColumnRef{jp.Left, jp.Right} {
+			rel, err := db.eng.Catalog().GetRelation(side.Rel)
+			if err != nil {
+				return err
+			}
+			cond := firstCond(side.Rel)
+			if cond == side.Col || rel.IndexOn(rel.Schema.ColIndex(cond), rel.Schema.ColIndex(side.Col)) != nil {
+				continue
+			}
+			if _, err := db.eng.CreateIndex("", side.Rel, cond, side.Col); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // ViewByName returns a previously created view.

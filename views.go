@@ -143,7 +143,10 @@ func (db *DB) Stats() DBStats {
 	return s
 }
 
-// DropPartialView detaches and forgets a view.
+// DropPartialView detaches and forgets a view. The composite indexes
+// CreatePartialView derived for it stay: they are ordinary catalog
+// indexes and another view, or a plain query of the same shape, may be
+// using them.
 func (db *DB) DropPartialView(name string) error {
 	v, ok := db.views[name]
 	if !ok {
