@@ -199,6 +199,8 @@ func (r *remoteBackend) stats() error {
 	if s.Updates > 0 || s.Invalidations > 0 {
 		fmt.Printf("  writes: %d batches, %d ops, %d rows; %d invalidation requests\n",
 			s.Updates, s.UpdateOps, s.UpdateRows, s.Invalidations)
+		fmt.Printf("  dml: %d statements found their rows by index, %d by heap scan\n",
+			st.Engine.DMLLocated, st.Engine.DMLScanned)
 	}
 	if ss := st.Snapshot; ss != nil {
 		fmt.Printf("  snapshot: %s\n", snapshotLine(ss))
@@ -279,7 +281,7 @@ func snapshotLine(ss *wire.SnapshotStats) string {
 	age := "never written"
 	if ss.AgeSeconds >= 0 {
 		age = fmt.Sprintf("age %s, %d B in %v",
-			(time.Duration(ss.AgeSeconds*float64(time.Second))).Round(time.Millisecond),
+			(time.Duration(ss.AgeSeconds * float64(time.Second))).Round(time.Millisecond),
 			ss.LastWriteBytes, time.Duration(ss.LastWriteNs).Round(time.Microsecond))
 	}
 	return fmt.Sprintf("%s; %d writes (%d errors), warm-admitted %d entries/%d tuples, rejected %d stale + %d corrupt, epoch %d",

@@ -148,6 +148,20 @@ func (r *Relation) IndexOn(cols ...int) *Index {
 	return nil
 }
 
+// IndexLedBy returns an index whose key starts with column position
+// col, or nil: every entry for one value of col lies in one prefix
+// range of it. Of several, the one with the fewest key columns wins —
+// the shortest entries, so the fewest leaf pages per range.
+func (r *Relation) IndexLedBy(col int) *Index {
+	var best *Index
+	for _, ix := range r.Indexes {
+		if len(ix.Cols) > 0 && ix.Cols[0] == col && (best == nil || len(ix.Cols) < len(best.Cols)) {
+			best = ix
+		}
+	}
+	return best
+}
+
 // Catalog is the metadata root for one database directory.
 type Catalog struct {
 	mu        sync.RWMutex

@@ -164,6 +164,23 @@ func TestIndexOn(t *testing.T) {
 	}
 }
 
+func TestIndexLedBy(t *testing.T) {
+	c, _, _ := newCatalog(t)
+	r, _ := c.CreateRelation("items", itemsSchema())
+	c.CreateIndex("by_name_price", "items", "name", "price")
+	c.CreateIndex("by_id_name", "items", "id", "name")
+	c.CreateIndex("by_id", "items", "id")
+	if ix := r.IndexLedBy(1); ix == nil || ix.Name != "by_name_price" {
+		t.Errorf("column led by a composite only: got %v", ix)
+	}
+	if ix := r.IndexLedBy(0); ix == nil || ix.Name != "by_id" {
+		t.Errorf("narrowest index led by id: got %v, want by_id", ix)
+	}
+	if ix := r.IndexLedBy(2); ix != nil {
+		t.Errorf("price only trails a composite: got %s", ix.Name)
+	}
+}
+
 func TestCatalogPersistence(t *testing.T) {
 	dir := t.TempDir()
 	mgr, _ := storage.NewManager(dir)

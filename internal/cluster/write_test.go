@@ -2,10 +2,12 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"pmv"
 	"pmv/client"
 	"pmv/internal/maint"
 	"pmv/internal/wire"
@@ -63,6 +65,7 @@ func TestRouterUpdateFansOut(t *testing.T) {
 			runQuery(t, c, cat, st, want[[2]int64{cat, st}]-1)
 		}
 	}
+	assertLocated(t, dbs)
 
 	// The async fan-out must land: the router dispatched invalidations
 	// to the non-primary shards (or degraded, but never silently).
@@ -82,6 +85,72 @@ func TestRouterUpdateFansOut(t *testing.T) {
 			t.Fatalf("fan-out never dispatched: %+v", st.Maint)
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// assertLocated fails unless every shard found the rows of every
+// DELETE/UPDATE it ran through an index: sale.pid is indexed, so a
+// routed point statement must not scan a shard's heap.
+func assertLocated(t *testing.T, dbs []*pmv.DB) {
+	t.Helper()
+	for i, db := range dbs {
+		if es := db.EngineStats(); es.DMLLocated == 0 || es.DMLScanned != 0 {
+			t.Errorf("shard %d located %d statements and scanned for %d, want >0 and 0", i, es.DMLLocated, es.DMLScanned)
+		}
+	}
+}
+
+// TestRouterUpdateLocatesRows pins the routed write path without write
+// planes — every shard applies every statement directly — on what it
+// costs and what it promises: no shard scans its heap for a point
+// update on an indexed column, and a query through the router sees the
+// write on whichever shard owns its key.
+func TestRouterUpdateLocatesRows(t *testing.T) {
+	r, _, dbs, want := testCluster(t)
+	c := client.New(r.Addr().String())
+	defer c.Close()
+
+	// Warm every key, so the writes below have cached entries to purge.
+	for cat := int64(0); cat < 8; cat++ {
+		for st := int64(0); st < 5; st++ {
+			runQuery(t, c, cat, st, want[[2]int64{cat, st}])
+		}
+	}
+	time.Sleep(200 * time.Millisecond)
+
+	// pids 0..39 hold one pid of each of the 40 (category, store) keys,
+	// so the damage spans every shard's slice of the key space.
+	var ops []client.Op
+	for pid := int64(0); pid < 40; pid++ {
+		ops = append(ops, client.Set("sale", "pid", client.Int(pid), "discount", client.Int(1000+pid)))
+	}
+	rep, err := c.Update(context.Background(), true, ops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Applied != 40 || rep.Rows != 40 {
+		t.Fatalf("applied=%d rows=%d, want 40/40", rep.Applied, rep.Rows)
+	}
+	assertLocated(t, dbs)
+
+	for pid := int64(0); pid < 40; pid++ {
+		cat, st := pid%8, (pid/8)%5
+		seen := false
+		_, err := c.ExecutePartial(context.Background(), "pmv_on_sale", conds(cat, st), func(r client.Row) error {
+			if r.Tuple[0].Int64() == pid {
+				seen = true
+				if d := r.Tuple[1].Int64(); d != 1000+pid {
+					return fmt.Errorf("pid %d served with discount %d, want %d", pid, d, 1000+pid)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("query (%d,%d): %v", cat, st, err)
+		}
+		if !seen {
+			t.Fatalf("query (%d,%d) lost pid %d", cat, st, pid)
+		}
 	}
 }
 

@@ -82,7 +82,7 @@ func (o *Options) fill() {
 	}
 }
 
-// Stats is a snapshot of the engine's robustness counters.
+// Stats is a snapshot of the engine's counters.
 type Stats struct {
 	// LockRetries counts lock attempts that timed out and were retried
 	// after backoff; LockTimeouts counts acquisitions that exhausted
@@ -95,6 +95,12 @@ type Stats struct {
 	// TornPageRepairs counts torn trailing partial pages truncated when
 	// a page file was opened after a crash.
 	TornPageRepairs int64
+	// DMLLocated counts DELETE/UPDATE statements that found their rows
+	// through an index, DMLScanned those that scanned the heap: every
+	// closure-predicate statement, and an equality statement with no
+	// index led by its column or a value an index cannot enumerate.
+	DMLLocated int64
+	DMLScanned int64
 }
 
 // ChangeObserver receives base-relation change notifications. The PMV
@@ -181,6 +187,8 @@ type Engine struct {
 	lockRetries  atomic.Int64
 	lockTimeouts atomic.Int64
 	degraded     atomic.Int64
+	dmlLocated   atomic.Int64
+	dmlScanned   atomic.Int64
 
 	// chkMu quiesces writers during a checkpoint: DML holds the read
 	// side, Checkpoint the write side, so FlushAll never races a page
@@ -268,13 +276,15 @@ func (e *Engine) FS() vfs.FS { return e.mgr.FS() }
 // a trivially-true match and must rely on coarser checks.
 func (e *Engine) DataStamp() uint64 { return e.opSeq.Load() }
 
-// Stats returns a snapshot of the robustness counters.
+// Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
 	return Stats{
 		LockRetries:     e.lockRetries.Load(),
 		LockTimeouts:    e.lockTimeouts.Load(),
 		DegradedQueries: e.degraded.Load(),
 		TornPageRepairs: e.mgr.Stats.Repairs.Load(),
+		DMLLocated:      e.dmlLocated.Load(),
+		DMLScanned:      e.dmlScanned.Load(),
 	}
 }
 
@@ -434,63 +444,14 @@ func (e *Engine) DeleteWhere(rel string, pred func(value.Tuple) bool) ([]value.T
 // implement CtxChangeObserver receive it, so a trace attached with
 // obs.WithTrace records the statement's maintenance purge work.
 func (e *Engine) DeleteWhereCtx(ctx context.Context, rel string, pred func(value.Tuple) bool) ([]value.Tuple, error) {
-	e.chkMu.RLock()
-	defer e.chkMu.RUnlock()
-	r, err := e.cat.GetRelation(rel)
-	if err != nil {
-		return nil, err
-	}
-	// The barrier comes BEFORE the victim scan: scanning first would
-	// let a concurrent statement commit between scan and apply, and the
-	// observers would then be notified with stale pre-images — view
-	// maintenance would purge the wrong cache keys and leave stale
-	// entries behind.
-	release, err := e.changeBarrier(rel)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	type victim struct {
-		rid storage.RID
-		t   value.Tuple
-	}
-	var victims []victim
-	err = r.Heap.Scan(func(rid storage.RID, t value.Tuple) error {
-		if pred(t) {
-			victims = append(victims, victim{rid, t})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	deleted := make([]value.Tuple, 0, len(victims))
-	for _, v := range victims {
-		var err error
-		if e.wal != nil {
-			err = e.walDelete(rel, r.Heap, v.rid)
-		} else {
-			err = r.Heap.Delete(v.rid)
-		}
-		if err != nil {
-			return deleted, err
-		}
-		for _, ix := range r.Indexes {
-			if err := ix.Delete(v.t, v.rid); err != nil {
-				return deleted, fmt.Errorf("engine: index %s: %w", ix.Name, err)
-			}
-		}
-		deleted = append(deleted, v.t)
-		if err := e.eachObserver(func(o ChangeObserver) error {
-			if co, ok := o.(CtxChangeObserver); ok {
-				return co.OnDeleteCtx(ctx, rel, v.t)
-			}
-			return o.OnDelete(rel, v.t)
-		}); err != nil {
-			return deleted, err
-		}
-	}
-	return deleted, nil
+	return e.deleteRows(ctx, rel, e.whereRows(pred))
+}
+
+// DeleteEqCtx removes every tuple of rel whose column col equals one of
+// vals: DeleteWhereCtx for the predicate the engine can read, so an
+// index led by col finds the rows (see eqRows).
+func (e *Engine) DeleteEqCtx(ctx context.Context, rel, col string, vals *EqSet) ([]value.Tuple, error) {
+	return e.deleteRows(ctx, rel, e.eqRows(col, vals))
 }
 
 // UpdateWhere replaces tuples satisfying pred with apply(t), returning
@@ -502,47 +463,94 @@ func (e *Engine) UpdateWhere(rel string, pred func(value.Tuple) bool, apply func
 // UpdateWhereCtx is UpdateWhere carrying a context for trace-aware
 // observers (see DeleteWhereCtx).
 func (e *Engine) UpdateWhereCtx(ctx context.Context, rel string, pred func(value.Tuple) bool, apply func(value.Tuple) value.Tuple) (int, error) {
+	return e.updateRows(ctx, rel, e.whereRows(pred), apply)
+}
+
+// UpdateEqCtx replaces with apply(t) every tuple of rel whose column
+// col equals one of vals, located like DeleteEqCtx.
+func (e *Engine) UpdateEqCtx(ctx context.Context, rel, col string, vals *EqSet, apply func(value.Tuple) value.Tuple) (int, error) {
+	return e.updateRows(ctx, rel, e.eqRows(col, vals), apply)
+}
+
+// dml runs one DELETE/UPDATE statement: find names its rows, apply
+// changes one. It returns how many rows apply completed.
+func (e *Engine) dml(rel string, find rowFinder, apply func(*catalog.Relation, row) error) (int, error) {
 	e.chkMu.RLock()
 	defer e.chkMu.RUnlock()
 	r, err := e.cat.GetRelation(rel)
 	if err != nil {
 		return 0, err
 	}
-	// Barrier before the scan — see DeleteWhereCtx: a scan-time
-	// snapshot taken outside the barrier can go stale under a
-	// concurrent statement, feeding observers wrong pre-images.
+	// The barrier comes BEFORE the rows are located: locating first
+	// would let a concurrent statement commit between locate and apply,
+	// and the observers would then be notified with stale pre-images —
+	// view maintenance would purge the wrong cache keys and leave stale
+	// entries behind.
 	release, err := e.changeBarrier(rel)
 	if err != nil {
 		return 0, err
 	}
 	defer release()
-	type hit struct {
-		rid storage.RID
-		t   value.Tuple
-	}
-	var hits []hit
-	err = r.Heap.Scan(func(rid storage.RID, t value.Tuple) error {
-		if pred(t) {
-			hits = append(hits, hit{rid, t.Clone()})
-		}
-		return nil
-	})
+	rows, err := find(r)
 	if err != nil {
 		return 0, err
 	}
-	for i, h := range hits {
+	for i, h := range rows {
+		if err := apply(r, h); err != nil {
+			return i, err
+		}
+	}
+	return len(rows), nil
+}
+
+// deleteRows is the apply half of DELETE: heap (through the WAL when
+// enabled), index entries, observers. A tuple whose heap and index
+// removal succeeded is reported even when an observer then fails.
+func (e *Engine) deleteRows(ctx context.Context, rel string, find rowFinder) ([]value.Tuple, error) {
+	var deleted []value.Tuple
+	_, err := e.dml(rel, find, func(r *catalog.Relation, v row) error {
+		var err error
+		if e.wal != nil {
+			err = e.walDelete(rel, r.Heap, v.rid)
+		} else {
+			err = r.Heap.Delete(v.rid)
+		}
+		if err != nil {
+			return err
+		}
+		for _, ix := range r.Indexes {
+			if err := ix.Delete(v.t, v.rid); err != nil {
+				return fmt.Errorf("engine: index %s: %w", ix.Name, err)
+			}
+		}
+		deleted = append(deleted, v.t)
+		return e.eachObserver(func(o ChangeObserver) error {
+			if co, ok := o.(CtxChangeObserver); ok {
+				return co.OnDeleteCtx(ctx, rel, v.t)
+			}
+			return o.OnDelete(rel, v.t)
+		})
+	})
+	return deleted, err
+}
+
+// updateRows is the apply half of UPDATE: heap (through the WAL when
+// enabled), the index entries the change moved, observers.
+func (e *Engine) updateRows(ctx context.Context, rel string, find rowFinder, apply func(value.Tuple) value.Tuple) (int, error) {
+	return e.dml(rel, find, func(r *catalog.Relation, h row) error {
 		newT := apply(h.t.Clone())
 		if len(newT) != r.Schema.Arity() {
-			return i, fmt.Errorf("engine: update of %s produced %d values, want %d", rel, len(newT), r.Schema.Arity())
+			return fmt.Errorf("engine: update of %s produced %d values, want %d", rel, len(newT), r.Schema.Arity())
 		}
 		var newRID storage.RID
+		var err error
 		if e.wal != nil {
 			newRID, err = e.walUpdate(rel, r.Heap, h.rid, newT)
 		} else {
 			newRID, err = r.Heap.Update(h.rid, newT)
 		}
 		if err != nil {
-			return i, err
+			return err
 		}
 		for _, ix := range r.Indexes {
 			// An entry is key ++ RID: a row that kept its place and
@@ -551,22 +559,19 @@ func (e *Engine) UpdateWhereCtx(ctx context.Context, rel string, pred func(value
 				continue
 			}
 			if err := ix.Delete(h.t, h.rid); err != nil {
-				return i, fmt.Errorf("engine: index %s: %w", ix.Name, err)
+				return fmt.Errorf("engine: index %s: %w", ix.Name, err)
 			}
 			if err := ix.Insert(newT, newRID); err != nil {
-				return i, fmt.Errorf("engine: index %s: %w", ix.Name, err)
+				return fmt.Errorf("engine: index %s: %w", ix.Name, err)
 			}
 		}
-		if err := e.eachObserver(func(o ChangeObserver) error {
+		return e.eachObserver(func(o ChangeObserver) error {
 			if co, ok := o.(CtxChangeObserver); ok {
 				return co.OnUpdateCtx(ctx, rel, h.t, newT)
 			}
 			return o.OnUpdate(rel, h.t, newT)
-		}); err != nil {
-			return i, err
-		}
-	}
-	return len(hits), nil
+		})
+	})
 }
 
 // Analyze recomputes optimizer statistics for one relation.

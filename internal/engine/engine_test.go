@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"sort"
 	"testing"
 
@@ -288,11 +289,18 @@ type barrierObserver struct {
 	recordingObserver
 	held     bool
 	acquired int
+	// fetchesAtBarrier, when set, reads the pool's fetch count as the
+	// barrier is taken; the reading lands in fetched.
+	fetchesAtBarrier func() int64
+	fetched          int64
 }
 
 func (o *barrierObserver) BeforeChange(string) (func(), error) {
 	o.acquired++
 	o.held = true
+	if o.fetchesAtBarrier != nil {
+		o.fetched = o.fetchesAtBarrier()
+	}
 	return func() { o.held = false }, nil
 }
 
@@ -330,14 +338,25 @@ func TestChangeBarrierPrecedesScan(t *testing.T) {
 		t.Error("delete scanned the heap before acquiring the change barrier")
 	}
 
+	// A located statement has no predicate to watch, but it reads pages:
+	// none may be read before the barrier is held.
+	obs.fetchesAtBarrier = func() int64 { h, m := e.Pool().Stats(); return h + m }
+	before := obs.fetchesAtBarrier()
+	if _, err := e.DeleteEqCtx(context.Background(), "kv", "k", NewEqSet(value.Int(4))); err != nil {
+		t.Fatal(err)
+	}
+	if obs.fetched != before {
+		t.Errorf("located delete fetched %d pages before acquiring the change barrier", obs.fetched-before)
+	}
+
 	// Zero-victim statements still take — and release — the barrier:
 	// the barrier cannot be gated on the scan result without reopening
 	// the window.
-	before := obs.acquired
+	acquired := obs.acquired
 	if _, err := e.DeleteWhere("kv", func(value.Tuple) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
-	if got := obs.acquired - before; got != 1 {
+	if got := obs.acquired - acquired; got != 1 {
 		t.Errorf("zero-victim delete acquired the barrier %d times, want 1", got)
 	}
 	if obs.held {

@@ -7,10 +7,12 @@
 // with an ingest stage in the batcher idiom: writers enqueue ΔR
 // batches on a bounded queue and a single flush worker drains it,
 // applying each batch under ONE X-lock window per view. Consecutive
-// point ops on the same relation+column coalesce into one heap scan,
-// and one WAL sync per batch (group commit) buys every acked request
-// per-statement durability at a fraction of the fsync count. View
-// maintenance then runs after the ack:
+// point ops on the same relation+column coalesce into one engine
+// statement over the run's match values (engine.EqSet: its rows come
+// from an index led by the column when there is one, from one heap
+// scan when not), and one WAL sync per batch (group commit) buys every
+// acked request per-statement durability at a fraction of the fsync
+// count. View maintenance then runs after the ack:
 //
 //   - affected bcp keys are computed per victim via the view's delta
 //     join (global keys — valid on any node caching them),
@@ -44,7 +46,6 @@ import (
 	"pmv/internal/core"
 	"pmv/internal/engine"
 	"pmv/internal/freq"
-	"pmv/internal/keycodec"
 	"pmv/internal/obs"
 	"pmv/internal/value"
 	"pmv/internal/wire"
@@ -412,8 +413,8 @@ func (p *Plane) applyBatch(batch []*request) {
 	p.curMu.Unlock()
 
 	// Apply in batch order, coalescing consecutive point ops on the
-	// same relation+column into one heap scan: N updates of hot keys
-	// cost one pass over the heap instead of N.
+	// same relation+column into one engine statement: N updates cost
+	// one barrier and one pass over the index or heap instead of N.
 	applyStart := time.Now()
 	refs := make([]opRef, 0, nops)
 	for _, r := range batch {
@@ -506,29 +507,24 @@ func (p *Plane) applyBatch(batch []*request) {
 	}
 }
 
-// applyOp executes one ΔR statement through the engine's DML. The
-// plane holds the views' X locks, so no per-statement barrier fires
-// (the views are detached; the collector has none).
-func (p *Plane) applyOp(op *wire.UpdateOp) (int, error) {
+// ApplyOp executes one ΔR statement through the engine's DML; a point
+// delete or update finds its rows the way engine.EqSet says. The plane
+// calls it under the views' X locks, so no per-statement barrier fires
+// (the views are detached; the collector has none); a server without a
+// plane calls it with the views attached, and each statement pays its
+// own barrier and maintenance pass.
+func ApplyOp(ctx context.Context, eng *engine.Engine, op *wire.UpdateOp) (int, error) {
 	switch op.Kind {
 	case wire.OpInsert:
-		if err := p.eng.Insert(op.Rel, op.Tuple); err != nil {
+		if err := eng.Insert(op.Rel, op.Tuple); err != nil {
 			return 0, err
 		}
 		return 1, nil
 	case wire.OpDelete:
-		pred, err := p.eqPred(op.Rel, op.Col, op.Val)
-		if err != nil {
-			return 0, err
-		}
-		victims, err := p.eng.DeleteWhere(op.Rel, pred)
+		victims, err := eng.DeleteEqCtx(ctx, op.Rel, op.Col, engine.NewEqSet(op.Val))
 		return len(victims), err
 	case wire.OpUpdate:
-		pred, err := p.eqPred(op.Rel, op.Col, op.Val)
-		if err != nil {
-			return 0, err
-		}
-		r, err := p.eng.Catalog().GetRelation(op.Rel)
+		r, err := eng.Catalog().GetRelation(op.Rel)
 		if err != nil {
 			return 0, err
 		}
@@ -537,7 +533,7 @@ func (p *Plane) applyOp(op *wire.UpdateOp) (int, error) {
 			return 0, fmt.Errorf("maint: relation %s has no column %s", op.Rel, op.SetCol)
 		}
 		set := op.SetVal
-		return p.eng.UpdateWhere(op.Rel, pred, func(t value.Tuple) value.Tuple {
+		return eng.UpdateEqCtx(ctx, op.Rel, op.Col, engine.NewEqSet(op.Val), func(t value.Tuple) value.Tuple {
 			t[si] = set
 			return t
 		})
@@ -553,10 +549,10 @@ type opRef struct {
 	op *wire.UpdateOp
 }
 
-// coalescable reports whether an op may share a scan with neighbours:
-// point deletes always; point updates only when they leave their own
-// match column untouched (an op that moves a tuple between match
-// values must see the heap state its predecessors left).
+// coalescable reports whether an op may share an engine statement with
+// its neighbours: point deletes always; point updates only when they
+// leave their own match column untouched (an op that moves a tuple
+// between match values must see the heap state its predecessors left).
 func coalescable(op *wire.UpdateOp) bool {
 	switch op.Kind {
 	case wire.OpDelete:
@@ -568,14 +564,14 @@ func coalescable(op *wire.UpdateOp) bool {
 }
 
 // sameRun reports whether b can join a's run: same kind, relation, and
-// match column, so one scan's predicate covers both.
+// match column, so one statement's value set covers both.
 func sameRun(a, b *wire.UpdateOp) bool {
 	return coalescable(b) && a.Kind == b.Kind && a.Rel == b.Rel && a.Col == b.Col
 }
 
 // applySingle runs one op through the per-op engine path.
 func (p *Plane) applySingle(ref opRef) (applied, errs int64) {
-	rows, err := p.applyOp(ref.op)
+	rows, err := ApplyOp(context.Background(), p.eng, ref.op)
 	if err != nil {
 		if ref.r.err == nil {
 			ref.r.err = err
@@ -588,12 +584,13 @@ func (p *Plane) applySingle(ref opRef) (applied, errs int64) {
 }
 
 // applyRun executes a coalesced run — ≥2 point ops on the same
-// relation and match column — in one heap scan. Equivalence with the
-// sequential application holds because no op in a run changes its own
-// match column (see coalescable), so the set of matching tuples is
-// fixed for the whole run; ops hitting the same tuple apply in batch
-// order inside the scan. On an engine error the whole run is reported
-// failed (the scan cannot say which ops landed).
+// relation and match column — as one engine statement over the run's
+// match values. Equivalence with the sequential application holds
+// because no op in a run changes its own match column (see
+// coalescable), so the set of matching tuples is fixed for the whole
+// run; ops hitting the same tuple apply in batch order on it. On an
+// engine error the whole run is reported failed (the statement cannot
+// say which ops landed).
 func (p *Plane) applyRun(run []opRef) (applied, errs int64) {
 	first := run[0].op
 	rel, err := p.eng.Catalog().GetRelation(first.Rel)
@@ -604,22 +601,19 @@ func (p *Plane) applyRun(run []opRef) (applied, errs int64) {
 	if ci < 0 {
 		return p.failRun(run, fmt.Errorf("maint: relation %s has no column %s", first.Rel, first.Col))
 	}
-	byVal := make(map[string][]int, len(run))
+	vals := make([]value.Value, len(run))
 	for i, ref := range run {
-		byVal[valKey(ref.op.Val)] = append(byVal[valKey(ref.op.Val)], i)
+		vals[i] = ref.op.Val
 	}
-	pred := func(t value.Tuple) bool {
-		_, ok := byVal[valKey(t[ci])]
-		return ok
-	}
+	set := engine.NewEqSet(vals...)
 
 	switch first.Kind {
 	case wire.OpDelete:
-		victims, derr := p.eng.DeleteWhere(first.Rel, pred)
+		victims, derr := p.eng.DeleteEqCtx(context.Background(), first.Rel, first.Col, set)
 		// A value dueling over several delete ops belongs to the first:
 		// sequentially, later ops would find the tuples already gone.
 		for _, t := range victims {
-			run[byVal[valKey(t[ci])][0]].r.rows++
+			run[set.Which(t[ci])[0]].r.rows++
 		}
 		if derr != nil {
 			return p.failRun(run, derr)
@@ -631,8 +625,8 @@ func (p *Plane) applyRun(run []opRef) (applied, errs int64) {
 				return p.failRun(run, fmt.Errorf("maint: relation %s has no column %s", first.Rel, ref.op.SetCol))
 			}
 		}
-		_, uerr := p.eng.UpdateWhere(first.Rel, pred, func(t value.Tuple) value.Tuple {
-			for _, i := range byVal[valKey(t[ci])] {
+		_, uerr := p.eng.UpdateEqCtx(context.Background(), first.Rel, first.Col, set, func(t value.Tuple) value.Tuple {
+			for _, i := range set.Which(t[ci]) {
 				t[setIdx[i]] = run[i].op.SetVal
 				run[i].r.rows++
 			}
@@ -656,23 +650,6 @@ func (p *Plane) failRun(run []opRef, err error) (applied, errs int64) {
 		}
 	}
 	return 0, int64(len(run))
-}
-
-// valKey encodes a value for run-local map lookup.
-func valKey(v value.Value) string {
-	return string(keycodec.AppendValue(nil, v))
-}
-
-func (p *Plane) eqPred(rel, col string, val value.Value) (func(value.Tuple) bool, error) {
-	r, err := p.eng.Catalog().GetRelation(rel)
-	if err != nil {
-		return nil, err
-	}
-	ci := r.Schema.ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("maint: relation %s has no column %s", rel, col)
-	}
-	return func(t value.Tuple) bool { return value.Equal(t[ci], val) }, nil
 }
 
 // maintain runs the post-ack maintenance phase for one batch: compute

@@ -331,10 +331,10 @@ func TestCloseReattachesPerStatement(t *testing.T) {
 	}
 }
 
-// TestCoalescedRunEquivalence pins the shared-scan optimisation:
-// consecutive point ops on the same relation+column apply through one
-// heap scan, with batch order preserved inside the run and per-request
-// row attribution identical to sequential application.
+// TestCoalescedRunEquivalence pins the coalescing optimisation:
+// consecutive point ops on the same relation+column apply as one
+// engine statement, with batch order preserved inside the run and
+// per-request row attribution identical to sequential application.
 func TestCoalescedRunEquivalence(t *testing.T) {
 	db := openDB(t)
 	tpl := storefront(t, db)
@@ -369,14 +369,19 @@ func TestCoalescedRunEquivalence(t *testing.T) {
 		t.Fatalf("group syncs %d for %d batches, want one per batch", st.GroupSyncs, st.Batches)
 	}
 
-	q := pmv.NewQuery(tpl).In(0, pmv.Int(1), pmv.Int(2)).In(1, pmv.Int(3)).Query()
-	disc := make(map[int64]int64)
-	if _, err := view.ExecutePartial(q, func(r pmv.Result) error {
-		disc[r.Tuple[0].Int64()] = r.Tuple[1].Int64()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+	discounts := func() map[int64]int64 {
+		t.Helper()
+		q := pmv.NewQuery(tpl).In(0, pmv.Int(1), pmv.Int(2)).In(1, pmv.Int(3)).Query()
+		disc := make(map[int64]int64)
+		if _, err := view.ExecutePartial(q, func(r pmv.Result) error {
+			disc[r.Tuple[0].Int64()] = r.Tuple[1].Int64()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return disc
 	}
+	disc := discounts()
 	if disc[25] != 11 {
 		t.Errorf("pid 25 discount = %d, want 11 (batch order inside the run)", disc[25])
 	}
@@ -391,6 +396,38 @@ func TestCoalescedRunEquivalence(t *testing.T) {
 	}
 	if len(disc) != len(before)-2 {
 		t.Errorf("result shrank by %d rows, want 2", len(before)-len(disc))
+	}
+
+	// A run matches by the rule a single op does. value.Equal equates
+	// Float(105) with the stored Int 105 while their key encodings
+	// differ: the op must find its row alone and as one of a run.
+	res, err = p.Apply(context.Background(), []wire.UpdateOp{
+		{Kind: wire.OpUpdate, Rel: "sale", Col: "pid", Val: value.Float(105), SetCol: "discount", SetVal: value.Int(13)},
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Applied != 1 || res.Rows != 1 {
+		t.Fatalf("Float match value alone: applied=%d rows=%d, want 1/1", res.Applied, res.Rows)
+	}
+	res, err = p.Apply(context.Background(), []wire.UpdateOp{
+		{Kind: wire.OpUpdate, Rel: "sale", Col: "pid", Val: value.Float(105), SetCol: "discount", SetVal: value.Int(15)},
+		{Kind: wire.OpUpdate, Rel: "sale", Col: "pid", Val: value.Int(106), SetCol: "discount", SetVal: value.Int(17)},
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Applied != 2 || res.Rows != 2 {
+		t.Fatalf("Float match value in a run of two: applied=%d rows=%d, want 2/2 (alone it changed its row)", res.Applied, res.Rows)
+	}
+	if st := p.Stats(); st.CoalescedOps != 7 {
+		t.Fatalf("coalesced %d ops, want 7 (the cross-type pair ran as a run)", st.CoalescedOps)
+	}
+	if disc = discounts(); disc[105] != 15 || disc[106] != 17 {
+		t.Errorf("pid 105/106 discounts = %d/%d, want 15/17", disc[105], disc[106])
+	}
+	if es := db.EngineStats(); es.DMLScanned != 0 {
+		t.Errorf("%d statements scanned the heap: sale.pid is indexed", es.DMLScanned)
 	}
 	if err := view.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -4,10 +4,12 @@
 // batching, one view X-lock grab per batch, heavy/light-classified
 // maintenance — and the reply carries the affected bcp keys so a
 // router can fan the damage to sibling shards. Without a plane the
-// server falls back to per-statement application: every op runs
+// server applies per statement: every op runs the same maint.ApplyOp
 // directly against the engine with the views attached as observers,
-// paying one maintenance pass per statement (the baseline the write
-// benchmark measures the plane against).
+// paying one change barrier and one maintenance pass per statement.
+// That is the path a router's shards take unless they are given a
+// plane. Either way a point statement finds its rows through an index
+// led by its match column when the catalog has one (engine.EqSet).
 package server
 
 import (
@@ -19,7 +21,6 @@ import (
 	"pmv/internal/maint"
 	"pmv/internal/obs"
 	"pmv/internal/session"
-	"pmv/internal/value"
 	"pmv/internal/wire"
 )
 
@@ -66,7 +67,7 @@ func (s *Server) handleUpdate(sess *session.Session, payload []byte) error {
 	} else {
 		var firstErr error
 		for i := range req.Ops {
-			n, oerr := s.applyDirect(&req.Ops[i])
+			n, oerr := maint.ApplyOp(context.Background(), s.db.Engine(), &req.Ops[i])
 			if oerr != nil {
 				if firstErr == nil {
 					firstErr = oerr
@@ -95,60 +96,6 @@ func (s *Server) handleUpdate(sess *session.Session, payload []byte) error {
 		return err
 	}
 	return sess.Reply(rep)
-}
-
-// applyDirect runs one op straight against the engine — the
-// per-statement baseline. The views are registered observers, so each
-// statement triggers its own synchronous maintenance pass.
-func (s *Server) applyDirect(op *wire.UpdateOp) (int, error) {
-	eng := s.db.Engine()
-	switch op.Kind {
-	case wire.OpInsert:
-		return 1, eng.Insert(op.Rel, op.Tuple)
-	case wire.OpDelete:
-		pred, err := s.eqPred(op.Rel, op.Col, op.Val)
-		if err != nil {
-			return 0, err
-		}
-		victims, err := eng.DeleteWhere(op.Rel, pred)
-		return len(victims), err
-	case wire.OpUpdate:
-		pred, err := s.eqPred(op.Rel, op.Col, op.Val)
-		if err != nil {
-			return 0, err
-		}
-		r, err := eng.Catalog().GetRelation(op.Rel)
-		if err != nil {
-			return 0, err
-		}
-		si := r.Schema.ColIndex(op.SetCol)
-		if si < 0 {
-			return 0, fmt.Errorf("server: relation %q has no column %q", op.Rel, op.SetCol)
-		}
-		set := op.SetVal
-		return eng.UpdateWhere(op.Rel, pred, func(t value.Tuple) value.Tuple {
-			t[si] = set
-			return t
-		})
-	default:
-		return 0, fmt.Errorf("server: unknown update op kind %d", op.Kind)
-	}
-}
-
-// eqPred builds the op's equality predicate over the relation's
-// stored tuples.
-func (s *Server) eqPred(rel, col string, val value.Value) (func(value.Tuple) bool, error) {
-	r, err := s.db.Engine().Catalog().GetRelation(rel)
-	if err != nil {
-		return nil, err
-	}
-	ci := r.Schema.ColIndex(col)
-	if ci < 0 {
-		return nil, fmt.Errorf("server: relation %q has no column %q", rel, col)
-	}
-	return func(t value.Tuple) bool {
-		return ci < len(t) && value.Compare(t[ci], val) == 0
-	}, nil
 }
 
 // handleInvalidate bumps invalidation generations for a view. A

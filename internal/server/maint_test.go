@@ -77,8 +77,9 @@ func TestUpdateOverWire(t *testing.T) {
 }
 
 // TestUpdatePerStatementFallback pins the no-plane path: ops apply
-// directly with synchronous per-statement maintenance, and the stats
-// reply carries no maint block.
+// directly with synchronous per-statement maintenance, the stats reply
+// carries no maint block, and a point statement on an indexed column
+// finds its rows through the index, not by scanning the heap.
 func TestUpdatePerStatementFallback(t *testing.T) {
 	s, _, _ := testServer(t, Config{})
 	c := client.New(s.Addr().String())
@@ -109,6 +110,10 @@ func TestUpdatePerStatementFallback(t *testing.T) {
 	}
 	if st.Server.Updates != 1 || st.Server.UpdateOps != 2 {
 		t.Fatalf("server write counters: %+v", st.Server)
+	}
+	if st.Engine.DMLLocated != 2 || st.Engine.DMLScanned != 0 {
+		t.Fatalf("engine located %d statements and scanned for %d, want 2 and 0: sale.pid is indexed",
+			st.Engine.DMLLocated, st.Engine.DMLScanned)
 	}
 }
 

@@ -322,6 +322,8 @@ func TestWritePrometheus(t *testing.T) {
 		`pmv_view_queries_total{view="pmv_on_sale"} 4`,
 		"pmvd_slowlog_threshold_seconds -1",
 		"pmvd_trace_enabled 0",
+		`pmvd_dml_statements_total{path="located"} 0`,
+		`pmvd_dml_statements_total{path="scanned"} 0`,
 		"# TYPE go_goroutines gauge",
 		"go_gc_cycles_total",
 	} {

@@ -31,6 +31,10 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Counter("pmvd_update_rows_total", "Base-relation rows touched by updates.", float64(m.UpdateRows.Load()))
 	p.Counter("pmvd_invalidations_total", "Invalidation requests honored.", float64(m.Invalidations.Load()))
 	p.Counter("pmvd_corrupt_frames_total", "Sessions dropped on checksum or framing violations.", float64(m.CorruptFrames.Load()))
+	es := s.db.EngineStats()
+	p.Header("pmvd_dml_statements_total", "counter", "DELETE/UPDATE statements by how they found their rows (located = through an index, scanned = by heap scan).")
+	p.Sample("pmvd_dml_statements_total", obs.Label("path", "located"), float64(es.DMLLocated))
+	p.Sample("pmvd_dml_statements_total", obs.Label("path", "scanned"), float64(es.DMLScanned))
 	m.Counters.WritePrometheus(p, "pmvd")
 	p.Gauge("pmvd_pool_size", "Admission-control worker slots.", float64(cap(s.sem)))
 	p.Gauge("pmvd_trace_enabled", "1 when per-query tracing is on.", b2f(s.TraceOn()))
@@ -70,7 +74,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		p.Gauge("pmvd_maint_max_batch_ops", "Largest batch applied so far.", float64(ms.MaxBatchOps))
 		p.Counter("pmvd_maint_lock_wait_seconds_total", "Time batches waited for view X locks.", float64(ms.LockWaitNs)/1e9)
 		p.Counter("pmvd_maint_apply_seconds_total", "Time spent applying base-relation ops.", float64(ms.ApplyNs)/1e9)
-		p.Counter("pmvd_maint_coalesced_ops_total", "Ops applied through shared-scan coalesced runs.", float64(ms.CoalescedOps))
+		p.Counter("pmvd_maint_coalesced_ops_total", "Ops applied through multi-op coalesced runs.", float64(ms.CoalescedOps))
 		p.Counter("pmvd_maint_group_syncs_total", "Per-batch WAL group commits.", float64(ms.GroupSyncs))
 		p.Counter("pmvd_maint_sync_seconds_total", "Time spent in group-commit WAL syncs.", float64(ms.SyncNs)/1e9)
 		p.Counter("pmvd_maint_maintain_seconds_total", "Time spent in view maintenance.", float64(ms.MaintNs)/1e9)

@@ -379,6 +379,8 @@ func (s *Server) statsReply() wire.StatsReply {
 			LockTimeouts:    es.LockTimeouts,
 			DegradedQueries: es.DegradedQueries,
 			TornPageRepairs: es.TornPageRepairs,
+			DMLLocated:      es.DMLLocated,
+			DMLScanned:      es.DMLScanned,
 		},
 		Snapshot: s.snapshotStats(),
 		Maint:    s.maintStats(),

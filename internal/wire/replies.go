@@ -125,12 +125,16 @@ type ServerStats struct {
 	Total        HistSnapshot `json:"total"`
 }
 
-// EngineStatsReply mirrors the engine's robustness counters.
+// EngineStatsReply mirrors the engine's counters (engine.Stats).
 type EngineStatsReply struct {
 	LockRetries     int64 `json:"lock_retries"`
 	LockTimeouts    int64 `json:"lock_timeouts"`
 	DegradedQueries int64 `json:"degraded_queries"`
 	TornPageRepairs int64 `json:"torn_page_repairs"`
+	// DMLLocated / DMLScanned count DELETE/UPDATE statements that found
+	// their rows through an index / by heap scan.
+	DMLLocated int64 `json:"dml_located"`
+	DMLScanned int64 `json:"dml_scanned"`
 }
 
 // DBStatsReply mirrors the database-level counters.
@@ -187,8 +191,8 @@ type MaintStats struct {
 	LockWaitNs  int64 `json:"lock_wait_ns"`
 	ApplyNs     int64 `json:"apply_ns"`
 	MaintNs     int64 `json:"maint_ns"`
-	// CoalescedOps counts ops applied through a multi-op scan run
-	// (point ops on the same relation+column share one heap scan);
+	// CoalescedOps counts ops applied through a multi-op run (point
+	// ops on the same relation+column share one engine statement);
 	// GroupSyncs/SyncNs count the per-batch WAL group commits.
 	CoalescedOps int64 `json:"coalesced_ops"`
 	GroupSyncs   int64 `json:"group_syncs"`

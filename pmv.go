@@ -106,8 +106,8 @@ type (
 	QueryReport = core.QueryReport
 	// ViewStats is a view's cumulative counters.
 	ViewStats = core.Stats
-	// EngineStats is the engine's robustness counters (lock retries,
-	// degraded queries, torn-page repairs).
+	// EngineStats is the engine's counters (lock retries, degraded
+	// queries, torn-page repairs, DML statements located or scanned).
 	EngineStats = engine.Stats
 	// FS is the filesystem seam every persisted byte flows through;
 	// supply one in Options.FS to intercept I/O (fault injection).
@@ -249,7 +249,7 @@ func (db *DB) Close() error { return db.eng.Close() }
 // harnesses, statistics).
 func (db *DB) Engine() *engine.Engine { return db.eng }
 
-// EngineStats snapshots the engine's robustness counters.
+// EngineStats snapshots the engine's counters.
 func (db *DB) EngineStats() EngineStats { return db.eng.Stats() }
 
 // CreateRelation defines a base relation.
