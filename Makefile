@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test test-race cover bench microbench experiments experiments-quick examples torture net-torture cluster-smoke cluster-torture hedge-smoke restart-smoke restart-torture snapshot-torture maint-smoke write-torture fuzz-smoke obs-smoke trace-smoke hot-smoke hot-torture clean
+.PHONY: all build vet staticcheck test test-race cover bench microbench experiments experiments-quick examples chaos torture fuzz-smoke obs-smoke trace-smoke hot-smoke clean
 
 all: build vet staticcheck test test-race
 
@@ -45,65 +45,18 @@ experiments:
 experiments-quick:
 	$(GO) run ./cmd/pmvbench
 
-# Crash-recovery torture sweep: random fault-injected workloads, crash,
-# reopen, verify against the oracle (see cmd/pmvtorture).
+# Every torture harness at its CI seed count under the race detector:
+# the storage crash and snapshot-fault harnesses, then each row of the
+# chaos table (net, cluster, cluster-tail, cluster-hot, restart, write —
+# see internal/torture/chaos.go and cmd/pmvtorture).
+chaos:
+	$(GO) run -race ./cmd/pmvtorture -scenario all -v
+
+# The wide sweep: fifty storage crash seeds, then ten seeds of every
+# harness under the race detector.
 torture:
-	$(GO) run ./cmd/pmvtorture -seeds 50 -v
-
-# Network-plane chaos sweep: pmvd behind a fault-injecting proxy,
-# hammered by self-healing clients, verified against the
-# exactly-once-or-flagged oracle (see internal/torture/netchaos.go).
-net-torture:
-	$(GO) run -race ./cmd/pmvtorture -net -seeds 10 -v
-
-# Cluster-plane smoke: the router loopback tests and the session-kernel
-# tests both daemons' front doors rest on, plus one seeded chaos cycle
-# (3 shards + router, kills/blackholes/reset bursts) under the race
-# detector (see internal/torture/clusterchaos.go).
-cluster-smoke:
-	$(GO) test -race -count=1 ./internal/cluster/ ./internal/session/
-	$(GO) run -race ./cmd/pmvtorture -cluster -seeds 1 -clients 6 -queries 30 -v
-
-# Cluster-plane chaos sweep: the wide seeded run.
-cluster-torture:
-	$(GO) run -race ./cmd/pmvtorture -cluster -seeds 10 -v
-
-# Tail-tolerance smoke: the health/breaker/hedge loopback tests under
-# the race detector, then one seeded cluster chaos cycle with the tail
-# plane on — gray-ramp and flap events join the kill/blackhole/reset
-# mix, hedged probes race the slow shard, and the run must still hold
-# the exactly-once-or-flagged oracle (see internal/torture/clusterchaos.go).
-hedge-smoke:
-	$(GO) test -race -count=1 -run 'Health|Breaker|Hedge|Tail|Heartbeat|Budget|Phi|Ewma' ./internal/cluster/ ./internal/wire/ ./internal/netfault/
-	$(GO) run -race ./cmd/pmvtorture -cluster -tail -seeds 1 -clients 4 -queries 20 -v
-
-# Warm-restart chaos smoke: full shard reboots from snapshots under
-# chaos, each seed run warm then cold to prove the snapshot pays off,
-# plus the corrupt/stale rejection ladder
-# (see internal/torture/restartchaos.go).
-restart-smoke:
-	$(GO) run -race ./cmd/pmvtorture -restart -seeds 3 -clients 4 -queries 20 -v
-
-# Warm-restart chaos sweep: the wide seeded run.
-restart-torture:
-	$(GO) run -race ./cmd/pmvtorture -restart -seeds 10 -v
-
-# Write-plane smoke: the maint package tests plus a short seeded write
-# torture run (concurrent ΔR writers vs the per-pid version-timeline
-# oracle) under the race detector (see internal/torture/writechaos.go).
-maint-smoke:
-	$(GO) test -race -count=1 ./internal/maint/
-	$(GO) run -race ./cmd/pmvtorture -write -seeds 3 -v
-
-# Write-plane torture sweep: the wide seeded run.
-write-torture:
-	$(GO) run -race ./cmd/pmvtorture -write -seeds 10 -v
-
-# Snapshot-fault sweep: fill→snapshot→reboot cycles with torn writes,
-# sticky fsync failures, read bit rot, and crashes injected under the
-# snapshot file (see internal/torture/snapfault.go).
-snapshot-torture:
-	$(GO) run -race ./cmd/pmvtorture -snap -seeds 10 -v
+	$(GO) run ./cmd/pmvtorture -scenario storage -seeds 50 -v
+	$(GO) run -race ./cmd/pmvtorture -scenario all -seeds 10 -v
 
 # Short coverage-guided fuzz of the wire codecs (the seed corpus and
 # any fuzzer-found regressions always run as part of plain `make test`).
@@ -173,15 +126,10 @@ trace-smoke:
 	done; \
 	echo "trace-smoke: OK"
 
-# Frequency-plane smoke: the freq/hot loopback tests under the race
-# detector, one seeded hot-replica invalidation chaos cycle (Zipf α=1.2
-# workload, sacrificial hot pair audited by the staleness oracle,
-# replication/suppression counters asserted to move), then a
-# binary-level pass — three -freq pmvd shards behind a -hot pmvrouter,
-# checked through the router's /metrics frequency-plane families.
+# Frequency-plane smoke, binary level: three -freq pmvd shards behind a
+# -hot pmvrouter, checked through the router's and a shard's /metrics
+# frequency-plane families. The plane's chaos row is cluster-hot.
 hot-smoke:
-	$(GO) test -race -count=1 -run 'Hot|Freq|Flood|TopK|Sketch|Bitset|Filter|Churn|Admit' ./internal/freq/ ./internal/core/ ./internal/cluster/ ./internal/wire/
-	$(GO) run -race ./cmd/pmvtorture -cluster -hot -zipf-alpha 1.2 -seeds 1 -clients 4 -queries 40 -v
 	@set -e; dir=$$(mktemp -d); \
 	trap 'kill $$spid1 $$spid2 $$spid3 $$rpid 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/pmvd" ./cmd/pmvd; \
@@ -211,10 +159,6 @@ hot-smoke:
 		grep -q "^# TYPE $$fam " "$$dir/shard.txt" || { echo "hot-smoke: missing shard family $$fam"; exit 1; }; \
 	done; \
 	echo "hot-smoke: OK"
-
-# Frequency-plane chaos sweep: the wide seeded hot-replica run.
-hot-torture:
-	$(GO) run -race ./cmd/pmvtorture -cluster -hot -zipf-alpha 1.2 -seeds 10 -v
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,60 +1,32 @@
 // Command pmvtorture runs the torture harnesses across many seeds.
 //
-// The default (storage) mode drives a random DML + ExecutePartial
-// workload through a fault-injecting vfs, crashes the database at a
-// random failpoint, reopens it, and verifies the recovered state
-// against an oracle plus the DESIGN.md invariants. Durability mode
-// alternates by seed (odd = fsync per statement, even = batched), so
-// both oracle regimes are exercised.
+// -scenario names what to run:
 //
-// With -net it instead runs the network-plane chaos harness: a real
-// pmvd server behind a fault-injecting proxy, hammered by concurrent
-// self-healing clients, verified against the exactly-once-or-flagged
-// oracle (see internal/torture/netchaos.go).
+//   - storage: a random DML + ExecutePartial workload through a
+//     fault-injecting vfs, crashed at a random failpoint, reopened and
+//     checked against an oracle plus the DESIGN.md invariants.
+//     Durability mode alternates by seed (odd = fsync per statement).
+//   - snap: fill→snapshot→reboot cycles with torn writes, sticky fsync
+//     failures, read bit rot and crashes injected under the snapshot
+//     file (see internal/torture/snapfault.go).
+//   - a row of the chaos table (see internal/torture/chaos.go): real
+//     pmvd shards behind fault-injecting proxies, optionally a router,
+//     concurrent self-healing clients, fault events, and one version
+//     window oracle. net is one shard alone; cluster adds a router and
+//     shard kills; cluster-tail its tail-tolerance plane with gray-ramp
+//     and flap events; cluster-hot its frequency plane with a hot row
+//     overwritten mid-run; restart reboots shards from disk and
+//     snapshots (warm must beat cold; corrupt and stale snapshots must
+//     be refused); write runs a batched write plane per shard under
+//     concurrent monotone writers.
+//   - all: every one of the above in turn.
 //
-// With -cluster it runs the cluster-plane chaos harness: a 3-shard
-// cluster behind per-shard fault proxies with a router in front, while
-// a seeded driver kills/restarts shards, blackholes links, and fires
-// reset bursts (see internal/torture/clusterchaos.go). Adding -tail
-// turns on the router's tail-tolerance plane (health scoring, circuit
-// breakers, hedged probes) and mixes gray-ramp and flapping-link
-// events into the schedule, so hedged duplicate row streams run
-// against the same exactly-once oracle. Adding -hot (optionally with
-// -zipf-alpha for a skewed key choice) turns on the frequency plane
-// end to end and mixes hot-replica invalidation chaos into the
-// schedule: a dedicated writer makes one sacrificial pair hot, then
-// overwrites one of its rows under a monotone version sequence while
-// MsgHotInval fan-outs race MsgHotSet pushes, replica-served probes,
-// and suppressed absent-key probes; reads of that pair are judged by
-// the write-chaos staleness oracle instead of the static multiset.
-//
-// With -restart it runs the warm-restart chaos harness: the cluster
-// topology, but kills are full process deaths (snapshot written,
-// database closed, reopened from disk), and each seed runs twice —
-// snapshots on, then off — to prove the warm boot's sweep hit rate
-// beats cold by a decisive margin while corrupted and stale snapshots
-// degrade to cold starts (see internal/torture/restartchaos.go).
-//
-// With -snap it runs the snapshot-fault harness: fill→snapshot→reboot
-// cycles with torn writes, sticky fsync failures, read bit rot, and
-// crashes injected under the snapshot file (see
-// internal/torture/snapfault.go).
-//
-// With -write it runs the write-plane chaos harness: the 3-shard
-// topology with a batched maintenance plane on every shard, hammered
-// by concurrent writers (idempotent monotone overwrites) and readers
-// while links blackhole and reset, verified by a per-pid version
-// timeline proving no stale tuple is ever served unflagged (see
-// internal/torture/writechaos.go).
+// Without -seeds each harness runs its CI seed count (make chaos); make
+// torture passes a wide one.
 //
 // Usage:
 //
-//	pmvtorture [-seeds 50] [-start 0] [-ops 300] [-v]
-//	pmvtorture -net [-seeds 10] [-start 0] [-clients 8] [-queries 50] [-v]
-//	pmvtorture -cluster [-tail] [-hot] [-zipf-alpha 1.2] [-seeds 3] [-start 0] [-clients 6] [-queries 30] [-v]
-//	pmvtorture -restart [-seeds 3] [-start 0] [-clients 6] [-queries 30] [-v]
-//	pmvtorture -snap [-seeds 10] [-start 0] [-cycles 10] [-v]
-//	pmvtorture -write [-seeds 3] [-start 0] [-writers 4] [-writes 40] [-readers 4] [-v]
+//	pmvtorture [-scenario all] [-seeds N] [-start 0] [-v]
 package main
 
 import (
@@ -65,202 +37,73 @@ import (
 	"pmv/internal/torture"
 )
 
+// harness is one name -scenario accepts.
+type harness struct {
+	name  string
+	seeds int // CI seed count
+	run   func(seed int64) (string, error)
+}
+
+func harnesses() []harness {
+	hs := []harness{
+		{"storage", 3, func(seed int64) (string, error) {
+			opts := torture.Options{Seed: seed, SyncEveryOp: seed%2 == 1}
+			rep, err := torture.Run(opts)
+			return fmt.Sprintf("storage seed=%d sync=%v crashed=%v acked=%d prefixK=%d replayed=%d repairs=%d",
+				seed, opts.SyncEveryOp, rep.Crashed, rep.AckedOps, rep.PrefixK, rep.Recovered, rep.Repairs), err
+		}},
+		{"snap", 3, func(seed int64) (string, error) {
+			rep, err := torture.RunSnapFault(torture.SnapFaultOptions{Seed: seed})
+			return fmt.Sprintf("snap seed=%d cycles=%d warm=%d cold=%d write-errors=%d reasons=%v torn=%d syncfail=%d rot=%d crashes=%d",
+				seed, rep.Cycles, rep.WarmBoots, rep.ColdBoots, rep.WriteErrors, rep.ColdReasons,
+				rep.Faults.TornWrites, rep.Faults.SyncFailures, rep.Faults.CorruptReads, rep.Faults.Crashes), err
+		}},
+	}
+	for _, sc := range torture.Scenarios {
+		hs = append(hs, harness{sc.Name, sc.Seeds, func(seed int64) (string, error) {
+			rep, err := torture.RunScenario(sc, seed)
+			return rep.String(), err
+		}})
+	}
+	return hs
+}
+
 func main() {
-	seeds := flag.Int("seeds", 50, "number of seeds to run")
+	name := flag.String("scenario", "all", "harness to run: storage, snap, a chaos scenario, or all")
+	seeds := flag.Int("seeds", 0, "seeds per harness (0 = its CI seed count)")
 	start := flag.Int64("start", 0, "first seed")
-	ops := flag.Int("ops", 300, "workload operations per faulty phase (storage mode)")
-	netMode := flag.Bool("net", false, "run the network-plane chaos harness instead of the storage one")
-	clusterMode := flag.Bool("cluster", false, "run the cluster-plane chaos harness (3 shards + router) instead of the storage one")
-	restartMode := flag.Bool("restart", false, "run the warm-restart chaos harness (full shard reboots from snapshots, warm-vs-cold compared per seed)")
-	snapMode := flag.Bool("snap", false, "run the snapshot-fault harness (faulted snapshot write/boot cycles)")
-	writeMode := flag.Bool("write", false, "run the write-plane chaos harness (concurrent writers + readers against 3 planed shards, per-pid staleness oracle)")
-	tail := flag.Bool("tail", false, "cluster mode: enable the tail-tolerance plane and add gray-ramp/flap chaos events")
-	hot := flag.Bool("hot", false, "cluster mode: enable the frequency plane end to end and add hot-replica invalidation chaos (versioned overwrites of a hot row racing pushes and probes, audited by the staleness oracle)")
-	zipfAlpha := flag.Float64("zipf-alpha", 0, "cluster mode: Zipf skew for the query key choice (0 = uniform); a stable hot set needs >= 0.8")
-	clients := flag.Int("clients", 8, "concurrent self-healing clients per seed (net/cluster/restart mode)")
-	queries := flag.Int("queries", 50, "queries per client per seed (net/cluster/restart mode)")
-	cycles := flag.Int("cycles", 10, "fill→snapshot→reboot cycles per seed (snap mode)")
-	writers := flag.Int("writers", 4, "concurrent writers per seed (write mode)")
-	writes := flag.Int("writes", 40, "acked updates each writer lands per seed (write mode)")
-	readers := flag.Int("readers", 4, "concurrent readers per seed (write mode)")
 	verbose := flag.Bool("v", false, "print one line per seed")
 	flag.Parse()
 
-	if *writeMode {
-		runWrite(*seeds, *start, *writers, *writes, *readers, *verbose)
-		return
-	}
-	if *snapMode {
-		runSnap(*seeds, *start, *cycles, *verbose)
-		return
-	}
-	if *restartMode {
-		runRestart(*seeds, *start, *clients, *queries, *verbose)
-		return
-	}
-	if *clusterMode {
-		runCluster(*seeds, *start, *clients, *queries, *tail, *hot, *zipfAlpha, *verbose)
-		return
-	}
-	if *netMode {
-		runNet(*seeds, *start, *clients, *queries, *verbose)
-		return
-	}
-
-	crashed, failed := 0, 0
-	for i := 0; i < *seeds; i++ {
-		seed := *start + int64(i)
-		opts := torture.Options{Seed: seed, Ops: *ops, SyncEveryOp: seed%2 == 1}
-		rep, err := torture.Run(opts)
-		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d sync=%v: %v\n", seed, opts.SyncEveryOp, err)
-			continue
-		}
-		if rep.Crashed {
-			crashed++
-		}
-		if *verbose {
-			fmt.Printf("ok   seed=%d sync=%v crashed=%v acked=%d prefixK=%d replayed=%d repairs=%d\n",
-				seed, opts.SyncEveryOp, rep.Crashed, rep.AckedOps, rep.PrefixK, rep.Recovered, rep.Repairs)
+	var run []harness
+	for _, h := range harnesses() {
+		if *name == "all" || *name == h.name {
+			run = append(run, h)
 		}
 	}
-	fmt.Printf("pmvtorture: %d seeds, %d crashed mid-run, %d failed\n", *seeds, crashed, failed)
-	if failed > 0 {
-		os.Exit(1)
+	if len(run) == 0 {
+		fmt.Fprintf(os.Stderr, "pmvtorture: no harness %q\n", *name)
+		os.Exit(2)
 	}
-}
-
-func runNet(seeds int, start int64, clients, queries int, verbose bool) {
 	failed := 0
-	for i := 0; i < seeds; i++ {
-		seed := start + int64(i)
-		rep, err := torture.RunNet(torture.NetOptions{Seed: seed, Clients: clients, Queries: queries})
-		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d: %v\n", seed, err)
-			continue
+	for _, h := range run {
+		n, hfailed := h.seeds, 0
+		if *seeds > 0 {
+			n = *seeds
 		}
-		if verbose {
-			fmt.Printf("ok   seed=%d queries=%d clean=%d flagged=%d interrupted=%d unavailable=%d remote=%d ctx=%d retries=%d redials=%d resets=%d corrupt=%d blackholes=%d tears=%d\n",
-				seed, rep.Queries, rep.Clean, rep.Flagged, rep.Interrupted, rep.Unavailable, rep.Remote,
-				rep.CtxExpired, rep.Retries, rep.Redials,
-				rep.Faults.Resets, rep.Faults.Corruptions, rep.Faults.Blackholes, rep.Faults.PartialWrites)
-		}
-	}
-	fmt.Printf("pmvtorture -net: %d seeds, %d failed\n", seeds, failed)
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-func runRestart(seeds int, start int64, clients, queries int, verbose bool) {
-	failed := 0
-	for i := 0; i < seeds; i++ {
-		seed := start + int64(i)
-		warm, cold, err := torture.RunRestartCompare(torture.RestartOptions{Seed: seed, Clients: clients, Queries: queries})
-		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d: %v\n", seed, err)
-			continue
-		}
-		if verbose {
-			fmt.Printf("ok   seed=%d queries=%d clean=%d flagged=%d reboots=%d warmboots=%d entries=%d hitrate=%.3f coldrate=%.3f corrupt-rejected=%v stale-rejected=%v installs=%d\n",
-				seed, warm.Queries, warm.Clean, warm.Flagged, warm.Reboots, warm.WarmBoots,
-				warm.WarmEntries, warm.SweepHitRate, cold.SweepHitRate,
-				warm.CorruptRejected, warm.StaleRejected, warm.EpochInstalls)
-		}
-	}
-	fmt.Printf("pmvtorture -restart: %d seeds, %d failed\n", seeds, failed)
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-func runSnap(seeds int, start int64, cycles int, verbose bool) {
-	failed := 0
-	for i := 0; i < seeds; i++ {
-		seed := start + int64(i)
-		rep, err := torture.RunSnapFault(torture.SnapFaultOptions{Seed: seed, Cycles: cycles})
-		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d: %v\n", seed, err)
-			continue
-		}
-		if verbose {
-			fmt.Printf("ok   seed=%d cycles=%d warm=%d cold=%d write-errors=%d reasons=%v torn=%d syncfail=%d rot=%d crashes=%d\n",
-				seed, rep.Cycles, rep.WarmBoots, rep.ColdBoots, rep.WriteErrors,
-				rep.ColdReasons, rep.Faults.TornWrites, rep.Faults.SyncFailures,
-				rep.Faults.CorruptReads, rep.Faults.Crashes)
-		}
-	}
-	fmt.Printf("pmvtorture -snap: %d seeds, %d failed\n", seeds, failed)
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-func runWrite(seeds int, start int64, writers, writes, readers int, verbose bool) {
-	failed := 0
-	for i := 0; i < seeds; i++ {
-		seed := start + int64(i)
-		rep, err := torture.RunWrite(torture.WriteOptions{Seed: seed, Writers: writers, Writes: writes, Readers: readers})
-		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d: %v\n", seed, err)
-			continue
-		}
-		if verbose {
-			fmt.Printf("ok   seed=%d writes=%d retries=%d failures=%d fanout=%d reads=%d clean=%d flagged=%d interrupted=%d unavailable=%d remote=%d ctx=%d blackholes=%d bursts=%d\n",
-				seed, rep.Writes, rep.WriteRetries, rep.WriteFailures, rep.FanoutSent,
-				rep.Reads, rep.Clean, rep.Flagged, rep.Interrupted, rep.Unavailable, rep.Remote,
-				rep.CtxExpired, rep.Blackholes, rep.ResetBursts)
-		}
-	}
-	fmt.Printf("pmvtorture -write: %d seeds, %d failed\n", seeds, failed)
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-func runCluster(seeds int, start int64, clients, queries int, tail, hot bool, zipfAlpha float64, verbose bool) {
-	failed := 0
-	for i := 0; i < seeds; i++ {
-		seed := start + int64(i)
-		rep, err := torture.RunCluster(torture.ClusterOptions{
-			Seed: seed, Clients: clients, Queries: queries,
-			Tail: tail, Hot: hot, ZipfAlpha: zipfAlpha,
-		})
-		if err != nil {
-			failed++
-			fmt.Fprintf(os.Stderr, "FAIL seed=%d: %v\n", seed, err)
-			continue
-		}
-		if verbose {
-			line := fmt.Sprintf("ok   seed=%d queries=%d clean=%d flagged=%d interrupted=%d unavailable=%d remote=%d ctx=%d kills=%d blackholes=%d bursts=%d installs=%d retries=%d redials=%d",
-				seed, rep.Queries, rep.Clean, rep.Flagged, rep.Interrupted, rep.Unavailable, rep.Remote,
-				rep.CtxExpired, rep.Kills, rep.Blackholes, rep.ResetBursts, rep.EpochInstalls,
-				rep.Retries, rep.Redials)
-			if tail {
-				line += fmt.Sprintf(" grays=%d flaps=%d hedges=%d hedgewins=%d trips=%d skips=%d",
-					rep.GrayRamps, rep.Flaps, rep.Hedges, rep.HedgeWins, rep.BreakerTrips, rep.BreakerSkips)
+		for seed := *start; seed < *start+int64(n); seed++ {
+			line, err := h.run(seed)
+			switch {
+			case err != nil:
+				hfailed++
+				fmt.Fprintf(os.Stderr, "FAIL %s seed=%d: %v\n", h.name, seed, err)
+			case *verbose:
+				fmt.Println("ok   " + line)
 			}
-			if hot {
-				line += fmt.Sprintf(" hotwrites=%d hotreads=%d absent=%d pushes=%d invals=%d replicahits=%d suppressed=%d audits=%d",
-					rep.HotWrites, rep.HotReads, rep.AbsentQueries, rep.HotPushes, rep.HotInvals,
-					rep.HotReplicaHits, rep.HotSuppressed, rep.AuditFailures)
-			}
-			fmt.Println(line)
 		}
+		fmt.Printf("pmvtorture -scenario %s: %d seeds, %d failed\n", h.name, n, hfailed)
+		failed += hfailed
 	}
-	mode := "-cluster"
-	if tail {
-		mode = "-cluster -tail"
-	}
-	if hot {
-		mode += " -hot"
-	}
-	fmt.Printf("pmvtorture %s: %d seeds, %d failed\n", mode, seeds, failed)
 	if failed > 0 {
 		os.Exit(1)
 	}

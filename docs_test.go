@@ -5,6 +5,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"pmv/internal/torture"
 )
 
 // The documents whose references TestDocsReferencesExist holds to the
@@ -27,6 +29,8 @@ var (
 	docMakeRe = regexp.MustCompile(`(?:^|[\s;&])make((?: +[a-z][a-z0-9-]*)+)`)
 	// -fig is a pmvbench flag only; ablation-{a,b} names several.
 	docFigRe = regexp.MustCompile(`-fig +([A-Za-z0-9]+(?:-[a-z]+)*)(?:-\{([a-z,]+)\})?`)
+	// -scenario is a pmvtorture flag only.
+	docScenarioRe = regexp.MustCompile(`-scenario +([a-z][a-z-]*)`)
 
 	docSpanRe     = regexp.MustCompile("`([^`]+)`")
 	makeTargetRe  = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
@@ -59,7 +63,8 @@ func docCode(text string) []string {
 }
 
 // TestDocsReferencesExist fails when a document names a source path,
-// root data file, make target or pmvbench figure that is not there.
+// root data file, make target, pmvbench figure or pmvtorture scenario
+// that is not there.
 func TestDocsReferencesExist(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -75,6 +80,12 @@ func TestDocsReferencesExist(t *testing.T) {
 	figs := map[string]bool{"all": true}
 	for _, m := range pmvbenchFigRe.FindAllStringSubmatch(read("cmd/pmvbench/main.go"), -1) {
 		figs[m[1]] = true
+	}
+	// pmvtorture runs the chaos table's rows, the two harnesses outside
+	// it, and all of them.
+	scenarios := map[string]bool{"storage": true, "snap": true, "all": true}
+	for _, sc := range torture.Scenarios {
+		scenarios[sc.Name] = true
 	}
 	exists := func(path string) bool {
 		_, err := os.Stat(path)
@@ -105,6 +116,11 @@ func TestDocsReferencesExist(t *testing.T) {
 				if !figs[name] {
 					t.Errorf("%s: pmvbench has no -fig %s", doc, name)
 				}
+			}
+		}
+		for _, m := range docScenarioRe.FindAllStringSubmatch(text, -1) {
+			if !scenarios[m[1]] {
+				t.Errorf("%s: pmvtorture has no -scenario %s", doc, m[1])
 			}
 		}
 		for _, code := range docCode(text) {

@@ -807,6 +807,17 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 				// fresh one so the next read converges.
 				r.hot.repair(meta, parts)
 			}
+			// An owner's entry holds a row execution no longer produces:
+			// a refill whose O3 read came before a write can land after
+			// the write's maintenance passed. Invalidate every bcp that
+			// served a partial, as a failed local audit does, so the
+			// retry the error invites converges instead of failing on
+			// the same entry forever.
+			keys := make([][]byte, 0, len(served))
+			for k := range served {
+				keys = append(keys, []byte(k))
+			}
+			r.spawnInvalidate(-1, map[string][][]byte{meta.name: keys}, nil)
 			r.metrics.DSLeftover.Add(1)
 			return sess.WriteErr(fmt.Errorf("router: consistency violation: %d partial tuples never produced by execution", leftover))
 		}

@@ -111,7 +111,8 @@ func (r *Router) handleUpdate(sess *session.Session, payload []byte) error {
 // spawnInvalidate fans the primary's reported damage to the shards
 // owning the affected keys, asynchronously (the writer's ack already
 // went out; invalidation is a freshness upgrade, not a correctness
-// gate). One goroutine per target shard; Shutdown waits for them.
+// gate). The primary maintained its own cache and is skipped; -1 skips
+// no shard. One goroutine per target shard; Shutdown waits for them.
 func (r *Router) spawnInvalidate(primary int, keys map[string][][]byte, wide map[string]bool) {
 	if len(keys) == 0 && len(wide) == 0 {
 		return

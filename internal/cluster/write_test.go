@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -186,5 +187,61 @@ func TestRouterUpdateShardDownFailsLoudly(t *testing.T) {
 		View: "pmv_on_sale", All: true,
 	}); err == nil || !strings.Contains(err.Error(), "shard request") {
 		t.Fatalf("router accepted an invalidate: %v", err)
+	}
+}
+
+// TestRouterAuditFailureInvalidatesServedBCPs: a refill whose O3 read
+// came before a write can land on the owner after the write's
+// maintenance passed, caching a row execution no longer produces. The
+// routed DS audit fails that query loudly; the retry it invites must
+// then converge instead of meeting the same entry forever.
+func TestRouterAuditFailureInvalidatesServedBCPs(t *testing.T) {
+	r, _, dbs, want := testCluster(t)
+	c := client.New(r.Addr().String())
+	defer c.Close()
+
+	// The pair's Ls′ rows with one discount from before a write, refilled
+	// into every shard's empty view (so whichever owns the bcp holds it).
+	v, _ := dbs[0].ViewByName("pmv_on_sale")
+	disc := -1
+	for i, col := range v.SelectPlus() {
+		if col.Rel == "sale" && col.Col == "discount" {
+			disc = i
+		}
+	}
+	q := pmv.NewQuery(v.Config().Template).In(0, pmv.Int(3)).In(1, pmv.Int(2)).Query()
+	var stale []pmv.Tuple
+	if _, err := v.ExecutePlainCtx(context.Background(), q, func(t pmv.Tuple) error {
+		stale = append(stale, t.Clone())
+		return nil
+	}); err != nil || disc < 0 || len(stale) == 0 {
+		t.Fatalf("stale rows: %d rows, discount at %d, %v", len(stale), disc, err)
+	}
+	stale[0][disc] = pmv.Int(-1)
+	for _, db := range dbs {
+		v, _ := db.ViewByName("pmv_on_sale")
+		if _, err := v.FillTuples(stale); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, err := c.ExecutePartial(context.Background(), "pmv_on_sale", conds(3, 2), func(client.Row) error { return nil })
+	if !errors.Is(err, client.ErrRemote) || !strings.Contains(err.Error(), "consistency violation") {
+		t.Fatalf("stale partial passed the routed audit: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		rows := 0
+		_, err := c.ExecutePartial(context.Background(), "pmv_on_sale", conds(3, 2), func(client.Row) error {
+			rows++
+			return nil
+		})
+		if err == nil && rows == want[[2]int64{3, 2}] {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("owner kept the stale entry: %d rows, %v", rows, err)
+		}
+		time.Sleep(50 * time.Millisecond)
 	}
 }

@@ -178,8 +178,8 @@ func (v *View) AffectedKeys(rel string, base value.Tuple) (keys []string, wide b
 	return keys, false
 }
 
-// UpdateAffects is the batched counterpart of OnUpdate's
-// relevant-attribute check (the paper's case 3 optimization): it
+// UpdateAffects is the relevant-attribute check (the paper's case 3
+// optimization) shared by OnUpdate and the batched write plane: it
 // reports whether an update of rel from old to new can affect cached
 // results, bumping UpdatesSeen/UpdatesSkipped so batched and
 // per-statement paths account identically. An update that touches no
@@ -208,9 +208,9 @@ func (v *View) UpdateAffects(rel string, old, new value.Tuple) (bool, error) {
 	return changed, nil
 }
 
-// NoteInsert / NoteDelete record batched change notifications so the
-// plane's detached views keep the same maintenance counters the
-// per-statement observer path maintains.
+// NoteInsert / NoteDelete record change notifications so the plane's
+// detached views keep the same maintenance counters the per-statement
+// observer path (OnInsert) maintains.
 func (v *View) NoteInsert(rel string) {
 	if !v.inTemplate(rel) {
 		return

@@ -9,7 +9,6 @@ import (
 	"pmv/internal/exec"
 	"pmv/internal/expr"
 	"pmv/internal/keycodec"
-	"pmv/internal/lock"
 	"pmv/internal/obs"
 	"pmv/internal/value"
 )
@@ -138,11 +137,7 @@ func (v *View) inTemplate(rel string) bool {
 // case (1) — an insert may create new result tuples but cannot
 // invalidate cached ones, so the PMV is left untouched.
 func (v *View) OnInsert(rel string, _ value.Tuple) error {
-	if v.inTemplate(rel) {
-		v.mu.Lock()
-		v.stats.InsertsSeen++
-		v.mu.Unlock()
-	}
+	v.NoteInsert(rel)
 	return nil
 }
 
@@ -154,14 +149,10 @@ func (v *View) BeforeChange(rel string) (func(), error) {
 	if !v.inTemplate(rel) {
 		return nil, nil
 	}
-	// The X lock goes through the engine's retrying acquire but cannot
-	// degrade: maintenance that skipped the purge would leave the view
-	// serving deleted tuples, so exhaustion propagates as an error.
-	txn := v.eng.NewTxnID()
-	if err := v.eng.AcquireLock(txn, v.lockRes(), lock.Exclusive); err != nil {
-		return nil, err
-	}
-	return func() { v.eng.Locks().ReleaseAll(txn) }, nil
+	// The X lock cannot degrade: maintenance that skipped the purge
+	// would leave the view serving deleted tuples, so exhaustion
+	// propagates as an error.
+	return v.LockForMaintenance()
 }
 
 // OnDelete implements the paper's case (2): cached tuples derived from
@@ -183,7 +174,10 @@ func (v *View) OnDeleteCtx(ctx context.Context, rel string, t value.Tuple) error
 	tr := obs.FromContext(ctx)
 	v.mu.Lock()
 	v.stats.DeletesSeen++
-	useIdx := v.maint != nil
+	// A relation that contributes no Ls′ column has no key in the
+	// maintenance index (a join-only relation); its deletes purge
+	// through the delta join instead.
+	useIdx := v.maint != nil && len(v.maint.relCols[rel]) > 0
 	var purgedBefore int64
 	if tr != nil {
 		purgedBefore = v.stats.TuplesPurged
@@ -222,29 +216,9 @@ func (v *View) OnUpdate(rel string, old, new value.Tuple) error {
 // OnUpdateCtx is OnUpdate with a context for trace propagation (see
 // OnDeleteCtx).
 func (v *View) OnUpdateCtx(ctx context.Context, rel string, old, new value.Tuple) error {
-	if !v.inTemplate(rel) {
-		return nil
-	}
-	r, err := v.eng.Catalog().GetRelation(rel)
-	if err != nil {
+	changed, err := v.UpdateAffects(rel, old, new)
+	if !changed {
 		return err
-	}
-	relevant := v.relevantCols(rel, r)
-	changed := false
-	for _, ci := range relevant {
-		if !value.Equal(old[ci], new[ci]) {
-			changed = true
-			break
-		}
-	}
-	v.mu.Lock()
-	v.stats.UpdatesSeen++
-	if !changed {
-		v.stats.UpdatesSkipped++
-	}
-	v.mu.Unlock()
-	if !changed {
-		return nil
 	}
 	return v.OnDeleteCtx(ctx, rel, old)
 }
@@ -285,7 +259,7 @@ func (v *View) relevantCols(rel string, r *catalog.Relation) []int {
 
 // purgeByIndex removes cached tuples matching the deleted base tuple
 // using the in-memory maintenance index — "cheap in-memory operations"
-// (Section 4.3).
+// (Section 4.3). rel must contribute at least one Ls′ column.
 func (v *View) purgeByIndex(rel string, base value.Tuple) error {
 	r, err := v.eng.Catalog().GetRelation(rel)
 	if err != nil {
@@ -294,9 +268,6 @@ func (v *View) purgeByIndex(rel string, base value.Tuple) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	cols := v.maint.relCols[rel]
-	if len(cols) == 0 {
-		return nil // relation contributes no visible attributes
-	}
 	// Build the relation key from the base tuple: the visible columns'
 	// values, in the same Ls′ order the index uses.
 	buf := make([]byte, 0, 16*len(cols))

@@ -47,8 +47,8 @@ type Options struct {
 	Dir string
 }
 
-// Report summarizes one run for the harness's logs.
-type Report struct {
+// CrashReport summarizes one crash-recovery run for the harness's logs.
+type CrashReport struct {
 	Seed        int64
 	Crashed     bool // the failpoint fired before the workload ended
 	AckedOps    int  // DML statements acknowledged before the crash
@@ -78,7 +78,7 @@ type runner struct {
 	acked     []op                // faulty-phase acked ops, in order
 	pending   *op                 // the op whose statement hit the crash
 	nextK     int64
-	report    Report
+	report    CrashReport
 }
 
 const (
@@ -96,7 +96,7 @@ func template() *pmv.Template {
 
 // Run executes one full torture cycle: seed, crash, recover, verify.
 // A nil error means every check passed.
-func Run(opts Options) (Report, error) {
+func Run(opts Options) (CrashReport, error) {
 	if opts.Ops <= 0 {
 		opts.Ops = 300
 	}
@@ -104,7 +104,7 @@ func Run(opts Options) (Report, error) {
 	if opts.Dir == "" {
 		dir, err := os.MkdirTemp("", "pmv-torture")
 		if err != nil {
-			return Report{}, err
+			return CrashReport{}, err
 		}
 		opts.Dir = filepath.Join(dir, "db")
 		cleanup = true
@@ -113,7 +113,7 @@ func Run(opts Options) (Report, error) {
 		rng:    rand.New(rand.NewSource(opts.Seed)),
 		opts:   opts,
 		model:  make(map[int64]itemState),
-		report: Report{Seed: opts.Seed},
+		report: CrashReport{Seed: opts.Seed},
 	}
 	if err := r.seedPhase(); err != nil {
 		return r.report, fmt.Errorf("seed %d: setup: %w", opts.Seed, err)

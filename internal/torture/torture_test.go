@@ -22,38 +22,16 @@ func TestTortureSmoke(t *testing.T) {
 	}
 }
 
-// One seeded cluster-chaos cycle with the tail-tolerance plane on rides
-// in the suite: hedged probes race duplicate row streams while shards
-// gray-ramp and flap, and the exactly-once oracle plus the DS audit
-// must hold. cmd/pmvtorture -cluster -tail runs the wide sweep.
-func TestTailChaosSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cluster chaos cycle is several seconds")
-	}
-	rep, err := RunCluster(ClusterOptions{Seed: 7, Clients: 4, Queries: 20, Tail: true})
+// One seeded snapshot-fault cycle sequence rides in the suite;
+// cmd/pmvtorture -scenario snap runs the wide sweep.
+func TestSnapFaultSmoke(t *testing.T) {
+	rep, err := RunSnapFault(SnapFaultOptions{Seed: 1, Cycles: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("tailchaos seed 7: %d queries: clean=%d flagged=%d interrupted=%d unavailable=%d remote=%d ctx=%d grays=%d flaps=%d hedges=%d hedgewins=%d trips=%d skips=%d",
-		rep.Queries, rep.Clean, rep.Flagged, rep.Interrupted, rep.Unavailable, rep.Remote,
-		rep.CtxExpired, rep.GrayRamps, rep.Flaps, rep.Hedges, rep.HedgeWins,
-		rep.BreakerTrips, rep.BreakerSkips)
-	if rep.Clean == 0 {
-		t.Fatal("no query completed cleanly — the harness is all noise")
-	}
-}
-
-// One seeded netchaos cycle rides in the suite; cmd/pmvtorture -net
-// runs the wide sweep.
-func TestNetChaosSmoke(t *testing.T) {
-	rep, err := RunNet(NetOptions{Seed: 1, Clients: 4, Queries: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("netchaos seed 1: %d queries: clean=%d flagged=%d interrupted=%d unavailable=%d remote=%d ctx=%d retries=%d redials=%d faults=%+v",
-		rep.Queries, rep.Clean, rep.Flagged, rep.Interrupted, rep.Unavailable, rep.Remote, rep.CtxExpired,
-		rep.Retries, rep.Redials, rep.Faults)
-	if rep.Clean == 0 {
-		t.Fatal("no query completed cleanly — the harness is all noise")
+	t.Logf("snapfault seed 1: %d cycles: warm=%d cold=%d write-errors=%d reasons=%v faults=%+v",
+		rep.Cycles, rep.WarmBoots, rep.ColdBoots, rep.WriteErrors, rep.ColdReasons, rep.Faults)
+	if rep.WarmBoots == 0 {
+		t.Fatal("no cycle booted warm — the control scenario never ran")
 	}
 }
