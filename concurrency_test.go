@@ -22,7 +22,7 @@ func TestConcurrentPublicAPIWithWAL(t *testing.T) {
 	defer db.Close()
 	tpl := storefront(t, db)
 	view, err := db.CreatePartialView(tpl, pmv.ViewOptions{
-		MaxEntries: 40, TuplesPerBCP: 2, UseMaintIndex: true,
+		MaxEntries: 40, TuplesPerBCP: 2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -201,23 +201,15 @@ func (v *View) ApplyHotSet(seq uint64, keys []string, tuples [][]value.Tuple) (r
 		}
 		e, ok := v.entries[key]
 		if !ok {
-			e = &entry{gen: v.invalSeq}
-			v.entries[key] = e
-			v.stats.EntriesCreated++
-			v.freqAddLocked(key, e)
+			e = v.newEntryLocked(key)
 		}
 		for _, t := range tuples[i] {
 			if len(e.tuples) >= v.cfg.TuplesPerBCP {
 				break // the F bound
 			}
-			ct := t.Clone()
-			e.tuples = append(e.tuples, ct)
+			v.cacheTupleLocked(e, t)
 			v.stampFillLocked(e, 0)
-			v.stats.TuplesCached++
 			cached++
-			if v.maint != nil {
-				v.maint.add(key, ct)
-			}
 		}
 		v.stats.HotSetKeys++
 		replicated++

@@ -23,6 +23,7 @@ type fuzzWorld struct {
 	domains []int64
 	// per relation: join-key domain
 	joinDomain int64
+	hotSeq     uint64
 }
 
 // buildFuzzWorld creates 2 or 3 relations R0 ⋈ R1 (⋈ R2) with integer
@@ -114,12 +115,11 @@ func buildFuzzWorld(t *testing.T, seed int64) *fuzzWorld {
 
 	policies := []cache.PolicyKind{cache.PolicyCLOCK, cache.Policy2Q, cache.PolicyLRU}
 	view, err := NewView(eng, Config{
-		Template:      tpl,
-		MaxEntries:    4 + rng.Intn(60),
-		TuplesPerBCP:  1 + rng.Intn(5),
-		Policy:        policies[rng.Intn(len(policies))],
-		Dividers:      dividers,
-		UseMaintIndex: rng.Intn(2) == 0,
+		Template:     tpl,
+		MaxEntries:   4 + rng.Intn(60),
+		TuplesPerBCP: 1 + rng.Intn(5),
+		Policy:       policies[rng.Intn(len(policies))],
+		Dividers:     dividers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,9 @@ func (w *fuzzWorld) oracle(t *testing.T, q *expr.Query) []string {
 	return out
 }
 
-func (w *fuzzWorld) mutate(t *testing.T) {
+// mutate runs one random DML statement and reports whether it could
+// have purged (a delete or an update).
+func (w *fuzzWorld) mutate(t *testing.T) bool {
 	t.Helper()
 	ri := w.rng.Intn(len(w.tpl.Relations))
 	rel := fmt.Sprintf("r%d", ri)
@@ -203,6 +205,7 @@ func (w *fuzzWorld) mutate(t *testing.T) {
 		for i := 0; i < 1+w.rng.Intn(4); i++ {
 			w.insertRow(t, ri)
 		}
+		return false
 	case 2: // delete by join key
 		key := w.rng.Int63n(w.joinDomain)
 		if _, err := w.eng.DeleteWhere(rel, func(tu value.Tuple) bool {
@@ -226,6 +229,147 @@ func (w *fuzzWorld) mutate(t *testing.T) {
 				return out
 			}); err != nil {
 			t.Fatal(err)
+		}
+	}
+	return true
+}
+
+// step runs one random operation beside the queries: DML, a routed
+// refill (FillTuples), a hot-set push (ApplyHotSet), a snapshot reload
+// (SnapshotEntries, PurgeKeys, WarmAdmit), a generation bump whose
+// entries the next probe discards lazily, or a light-key purge. After
+// it the maintenance index must equal a rebuild from the entries, and
+// after DML every cached tuple must be in the full query's answer.
+func (w *fuzzWorld) step(t *testing.T) {
+	t.Helper()
+	v := w.view
+	switch w.rng.Intn(8) {
+	case 0, 6, 7:
+		if w.mutate(t) {
+			if err := checkMaintIndex(v); err != nil {
+				t.Fatal(err)
+			}
+			w.checkCachedInAnswer(t)
+		}
+	case 1:
+		if _, err := v.FillTuples(w.lsRows(t, w.randomQuery())); err != nil {
+			t.Fatal(err)
+		}
+	case 2:
+		groups := make(map[string][]value.Tuple)
+		var keys []string
+		for _, row := range w.lsRows(t, w.randomQuery()) {
+			k := v.coder.KeyFromCondValues(v.condValues(row))
+			if groups[k] == nil {
+				keys = append(keys, k)
+			}
+			groups[k] = append(groups[k], row)
+		}
+		tuples := make([][]value.Tuple, len(keys))
+		for i, k := range keys {
+			tuples[i] = groups[k]
+		}
+		w.hotSeq++
+		if _, _, _, err := v.ApplyHotSet(w.hotSeq, keys, tuples); err != nil {
+			t.Fatal(err)
+		}
+	case 3:
+		type snap struct {
+			key      string
+			accesses int64
+			tuples   []value.Tuple
+		}
+		var snaps []snap
+		if err := v.SnapshotEntries(func(key string, accesses int64, tuples []value.Tuple) error {
+			cp := make([]value.Tuple, len(tuples))
+			for i, tu := range tuples {
+				cp[i] = tu.Clone()
+			}
+			snaps = append(snaps, snap{key, accesses, cp})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, len(snaps))
+		for i, s := range snaps {
+			keys[i] = s.key
+		}
+		v.PurgeKeys(keys)
+		for _, s := range snaps {
+			if _, err := v.WarmAdmit(s.key, s.accesses, s.tuples); err != nil {
+				t.Fatal(err)
+			}
+		}
+	case 4:
+		if w.rng.Intn(4) == 0 {
+			v.BumpAllGen()
+		} else {
+			v.BumpKeyGens(w.someKeys())
+		}
+	case 5:
+		v.PurgeKeys(w.someKeys())
+	}
+	if err := checkMaintIndex(v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// someKeys returns a random half of the view's bcp keys.
+func (w *fuzzWorld) someKeys() []string {
+	w.view.mu.Lock()
+	defer w.view.mu.Unlock()
+	var keys []string
+	for k := range w.view.entries {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var out []string
+	for _, k := range keys {
+		if w.rng.Intn(2) == 0 {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// lsRows executes q fresh over Ls′.
+func (w *fuzzWorld) lsRows(t *testing.T, q *expr.Query) []value.Tuple {
+	t.Helper()
+	var out []value.Tuple
+	if err := w.eng.ExecuteProject(q, w.view.selectPlus, func(tu value.Tuple) error {
+		out = append(out, tu.Clone())
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// checkCachedInAnswer requires the view's cached tuples, stale entries
+// included, to be a sub-multiset of the full query's answer.
+func (w *fuzzWorld) checkCachedInAnswer(t *testing.T) {
+	t.Helper()
+	q := &expr.Query{Template: w.tpl, Conds: make([]expr.CondInstance, len(w.tpl.Conds))}
+	for ci, ct := range w.tpl.Conds {
+		if ct.Form == expr.EqualityForm {
+			for x := int64(0); x < w.domains[ci]; x++ {
+				q.Conds[ci].Values = append(q.Conds[ci].Values, value.Int(x))
+			}
+		} else {
+			q.Conds[ci].Intervals = []expr.Interval{{Lo: value.Int(-1), Hi: value.Int(w.domains[ci] + 1), LoIncl: true}}
+		}
+	}
+	answer := make(map[string]int)
+	for _, row := range w.lsRows(t, q) {
+		answer[row.String()]++
+	}
+	w.view.mu.Lock()
+	defer w.view.mu.Unlock()
+	for key, e := range w.view.entries {
+		for _, tu := range e.tuples {
+			if answer[tu.String()]--; answer[tu.String()] < 0 {
+				t.Fatalf("entry %q caches %v, which the full answer lacks", key, tu)
+			}
 		}
 	}
 }
@@ -268,8 +412,11 @@ func TestFuzzExactlyOnce(t *testing.T) {
 				if rep.PartialTuples != partials {
 					t.Fatalf("report says %d partials, observed %d", rep.PartialTuples, partials)
 				}
+				if err := checkMaintIndex(w.view); err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
 				if w.rng.Intn(2) == 0 {
-					w.mutate(t)
+					w.step(t)
 				}
 			}
 			// Structural invariants after the storm.

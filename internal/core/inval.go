@@ -23,6 +23,9 @@ package core
 import (
 	"time"
 
+	"pmv/internal/catalog"
+	"pmv/internal/exec"
+	"pmv/internal/expr"
 	"pmv/internal/lock"
 	"pmv/internal/value"
 )
@@ -35,14 +38,10 @@ func (v *View) entryLiveLocked(key string, e *entry) bool {
 
 // discardStaleLocked drops one invalidated entry. Caller holds v.mu.
 func (v *View) discardStaleLocked(key string, e *entry) {
-	delete(v.entries, key)
 	delete(v.invalGen, key)
 	v.stats.EntriesInvalidated++
 	v.stats.TuplesInvalidated += int64(len(e.tuples))
-	v.freqRemoveLocked(key, e)
-	if v.maint != nil {
-		v.maint.dropEntry(key)
-	}
+	v.removeEntryLocked(key, e)
 }
 
 // liveEntryLocked returns the live entry for key, lazily discarding a
@@ -134,12 +133,8 @@ func (v *View) PurgeKeys(keys []string) (entries, tuples int, degraded bool) {
 			tuples += len(e.tuples)
 			v.stats.EntriesPurged++
 			v.stats.TuplesPurged += int64(len(e.tuples))
-			delete(v.entries, k)
 			delete(v.invalGen, k)
-			v.freqRemoveLocked(k, e)
-			if v.maint != nil {
-				v.maint.dropEntry(k)
-			}
+			v.removeEntryLocked(k, e)
 		}
 	}
 	v.stats.MaintTime += time.Since(start)
@@ -233,3 +228,180 @@ func (v *View) NoteDelete(rel string) {
 // InTemplate reports whether rel is one of the view's base relations
 // (exported for the write plane's per-view routing).
 func (v *View) InTemplate(rel string) bool { return v.inTemplate(rel) }
+
+// deltaJoin joins delta rows of rel (full base schema) with the other
+// template relations under Cjoin and the fixed predicates, projecting
+// Ls′. Only AffectedKeys needs it: the write plane's damage report must
+// name bcps cached on other shards, which no local index knows.
+func (v *View) deltaJoin(rel string, delta []value.Tuple) ([]value.Tuple, error) {
+	tpl := v.cfg.Template
+	cat := v.eng.Catalog()
+	dr, err := cat.GetRelation(rel)
+	if err != nil {
+		return nil, err
+	}
+	schema := execQualify(dr, rel)
+	var root exec.Iterator = exec.NewSliceIter(delta)
+
+	// Fixed predicates on the delta relation.
+	var preds []exec.Pred
+	for _, f := range tpl.Fixed {
+		if f.Col.Rel == rel {
+			p, err := fixedPred(schema, f)
+			if err != nil {
+				return nil, err
+			}
+			preds = append(preds, p)
+		}
+	}
+	if p := andPred(preds); p != nil {
+		root = &exec.Filter{Child: root, Pred: p}
+	}
+
+	joined := map[string]bool{rel: true}
+	usedJoin := make([]bool, len(tpl.Join))
+	remaining := make([]string, 0, len(tpl.Relations)-1)
+	for _, rn := range tpl.Relations {
+		if rn != rel {
+			remaining = append(remaining, rn)
+		}
+	}
+	for _, relName := range remaining {
+		r, err := cat.GetRelation(relName)
+		if err != nil {
+			return nil, err
+		}
+		relSchema := execQualify(r, relName)
+		newSchema := schema.Concat(relSchema)
+
+		linkIdx := -1
+		var outerRef, innerRef expr.ColumnRef
+		for ji, jp := range tpl.Join {
+			if usedJoin[ji] {
+				continue
+			}
+			switch {
+			case joined[jp.Left.Rel] && jp.Right.Rel == relName:
+				linkIdx, outerRef, innerRef = ji, jp.Left, jp.Right
+			case joined[jp.Right.Rel] && jp.Left.Rel == relName:
+				linkIdx, outerRef, innerRef = ji, jp.Right, jp.Left
+			}
+			if linkIdx >= 0 {
+				break
+			}
+		}
+
+		var resid []exec.Pred
+		for _, f := range tpl.Fixed {
+			if f.Col.Rel == relName {
+				p, err := fixedPred(newSchema, f)
+				if err != nil {
+					return nil, err
+				}
+				resid = append(resid, p)
+			}
+		}
+		for ji, jp := range tpl.Join {
+			if usedJoin[ji] || ji == linkIdx {
+				continue
+			}
+			if (joined[jp.Left.Rel] || jp.Left.Rel == relName) &&
+				(joined[jp.Right.Rel] || jp.Right.Rel == relName) {
+				p, err := joinPred(newSchema, jp)
+				if err != nil {
+					return nil, err
+				}
+				resid = append(resid, p)
+				usedJoin[ji] = true
+			}
+		}
+		residP := andPred(resid)
+
+		if linkIdx >= 0 {
+			usedJoin[linkIdx] = true
+			outerPos, err := schema.MustIndex(outerRef)
+			if err != nil {
+				return nil, err
+			}
+			innerCol := r.Schema.ColIndex(innerRef.Col)
+			if ix := r.IndexOn(innerCol); ix != nil {
+				root = &exec.IndexJoin{Outer: root, OuterCol: outerPos, Inner: r, InnerIdx: ix, Residual: residP}
+			} else {
+				jp, err := joinPred(newSchema, expr.JoinPred{Left: outerRef, Right: innerRef})
+				if err != nil {
+					return nil, err
+				}
+				all := append([]exec.Pred{jp}, resid...)
+				root = &exec.NestedLoopJoin{Left: root, Right: &exec.SeqScan{Rel: r}, On: andPred(all)}
+			}
+		} else {
+			root = &exec.NestedLoopJoin{Left: root, Right: &exec.SeqScan{Rel: r}, On: residP}
+		}
+		schema = newSchema
+		joined[relName] = true
+	}
+
+	positions := make([]int, len(v.selectPlus))
+	for i, c := range v.selectPlus {
+		p, err := schema.MustIndex(c)
+		if err != nil {
+			return nil, err
+		}
+		positions[i] = p
+	}
+	var out []value.Tuple
+	err = exec.ForEach(&exec.Project{Child: root, Cols: positions}, func(t value.Tuple) error {
+		out = append(out, t)
+		return nil
+	})
+	return out, err
+}
+
+// Helpers shared with the planner shape (duplicated here to keep exec
+// free of core types).
+
+func execQualify(r *catalog.Relation, as string) exec.RowSchema {
+	cols := make([]expr.ColumnRef, len(r.Schema.Columns))
+	for i, c := range r.Schema.Columns {
+		cols[i] = expr.ColumnRef{Rel: as, Col: c.Name}
+	}
+	return exec.RowSchema{Cols: cols}
+}
+
+func fixedPred(s exec.RowSchema, f expr.FixedPred) (exec.Pred, error) {
+	pos, err := s.MustIndex(f.Col)
+	if err != nil {
+		return nil, err
+	}
+	return func(t value.Tuple) bool { return f.Op.Eval(t[pos], f.Val) }, nil
+}
+
+func joinPred(s exec.RowSchema, jp expr.JoinPred) (exec.Pred, error) {
+	l, err := s.MustIndex(jp.Left)
+	if err != nil {
+		return nil, err
+	}
+	rr, err := s.MustIndex(jp.Right)
+	if err != nil {
+		return nil, err
+	}
+	return func(t value.Tuple) bool { return value.Equal(t[l], t[rr]) }, nil
+}
+
+func andPred(ps []exec.Pred) exec.Pred {
+	switch len(ps) {
+	case 0:
+		return nil
+	case 1:
+		return ps[0]
+	default:
+		return func(t value.Tuple) bool {
+			for _, p := range ps {
+				if !p(t) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+}

@@ -3,122 +3,282 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
+	"math"
+	"slices"
 	"time"
 
 	"pmv/internal/catalog"
-	"pmv/internal/exec"
 	"pmv/internal/expr"
-	"pmv/internal/keycodec"
 	"pmv/internal/obs"
 	"pmv/internal/value"
 )
 
-// maintIndex is the full-version [25] optimization: an in-memory
-// secondary index from each base relation's visible attribute values
-// to the entries caching tuples derived from them, so deletes can
-// purge cached tuples without computing ΔR ⋈ rest.
+// maintIndex is the full version's [25] maintenance index: per
+// template relation, a hash index from the values a base tuple gives
+// a cached Ls′ row — its Ls′ columns and its join columns — to the
+// cached tuples carrying them. A delete or update of a base tuple
+// purges exactly the cached tuples it matches, with no ΔR ⋈ rest.
 //
-// The index may over-approximate (two base tuples with identical
-// visible attributes share a key), which can purge cached tuples that
-// were actually derived from a surviving base tuple. For a PMV this is
-// safe — it only loses cache, never correctness — which is exactly why
-// the optimization works here but not for full MVs.
+// Storage is flat and holds no pointers but ents, so the collector
+// does not scan it. Entries are integer handles. A posting names one
+// cached tuple (handle, slot) and is a node in one arena, chained into
+// its relation's bucket for the hash of its key; every entry keeps
+// back-pointers to its postings. Adding or unindexing an entry thus
+// costs O(its tuples) however large the view, and no map is touched.
+// Different keys may share a bucket: a purge compares values before it
+// removes.
+//
+// Two base tuples of one relation that agree on every key column
+// derive identical cached rows, so deleting either purges both. That
+// loses cache, never correctness — which is why the index works for a
+// PMV and not for a full MV.
 type maintIndex struct {
-	// relCols: for each template relation with at least one column in
-	// Ls′, the positions of those columns within Ls′ rows.
-	relCols map[string][]int
-	// idx[rel][relKey][entryKey] = number of cached tuples in entry
-	// whose rel-columns encode to relKey.
-	idx map[string]map[string]map[string]int
+	rels  []relIndex
+	ents  []*entry // by handle; a nil slot is on free
+	free  []int32
+	posts []posting
+	spare int32 // first free posting, chained through next; -1 if none
+	live  int   // postings in use
+	atCap int   // back-pointers a full entry needs
 }
 
-func newMaintIndex(tpl *expr.Template, selectPlus []expr.ColumnRef) *maintIndex {
-	m := &maintIndex{
-		relCols: make(map[string][]int),
-		idx:     make(map[string]map[string]map[string]int),
-	}
+// relIndex is one relation's part of the index.
+type relIndex struct {
+	rel   string
+	slots []int    // Ls′ positions of the key
+	cols  []string // rel's base column holding each key value
+	heads []int32  // bucket → first posting or -1; a power of two long
+}
+
+// posting names one cached tuple: its entry's handle and its slot in
+// the entry's tuples. next chains its bucket (-1 ends it); prev is the
+// previous posting, or -(bucket+1) at the chain's head.
+type posting struct{ h, slot, prev, next int32 }
+
+func newMaintIndex(tpl *expr.Template, selectPlus []expr.ColumnRef, tuplesPerBCP int) *maintIndex {
+	cls := joinClasses(tpl)
+	m := &maintIndex{spare: -1, atCap: len(tpl.Relations) * tuplesPerBCP}
 	for _, rel := range tpl.Relations {
-		var cols []int
+		ri := relIndex{rel: rel, heads: emptyHeads(16)}
+		add := func(slot int, col string) {
+			for _, s := range ri.slots {
+				if s == slot {
+					return
+				}
+			}
+			ri.slots = append(ri.slots, slot)
+			ri.cols = append(ri.cols, col)
+		}
 		for i, c := range selectPlus {
 			if c.Rel == rel {
-				cols = append(cols, i)
+				add(i, c.Col)
 			}
 		}
-		if len(cols) > 0 {
-			m.relCols[rel] = cols
-			m.idx[rel] = make(map[string]map[string]int)
+		// SelectPlusLayout put an equal of every join column in Ls′.
+		for _, j := range tpl.Join {
+			for _, c := range [2]expr.ColumnRef{j.Left, j.Right} {
+				if c.Rel == rel {
+					add(layoutSlot(selectPlus, cls, c), c.Col)
+				}
+			}
 		}
+		m.rels = append(m.rels, ri)
 	}
 	return m
 }
 
-func (m *maintIndex) keyForRow(rel string, t value.Tuple) string {
-	cols := m.relCols[rel]
-	buf := make([]byte, 0, 16*len(cols))
-	for _, c := range cols {
-		buf = keycodec.AppendValue(buf, t[c])
-	}
-	return string(buf)
-}
-
-func (m *maintIndex) bump(rel, relKey, entryKey string, delta int) {
-	byKey := m.idx[rel]
-	ents, ok := byKey[relKey]
-	if !ok {
-		if delta <= 0 {
-			return
+// joinClasses maps every join column of tpl to a representative:
+// columns the join predicates make equal share one.
+func joinClasses(tpl *expr.Template) map[expr.ColumnRef]expr.ColumnRef {
+	parent := make(map[expr.ColumnRef]expr.ColumnRef)
+	var find func(c expr.ColumnRef) expr.ColumnRef
+	find = func(c expr.ColumnRef) expr.ColumnRef {
+		p, ok := parent[c]
+		if !ok {
+			parent[c] = c
+			return c
 		}
-		ents = make(map[string]int)
-		byKey[relKey] = ents
+		if p != c {
+			p = find(p)
+			parent[c] = p
+		}
+		return p
 	}
-	ents[entryKey] += delta
-	if ents[entryKey] <= 0 {
-		delete(ents, entryKey)
-		if len(ents) == 0 {
-			delete(byKey, relKey)
+	for _, j := range tpl.Join {
+		parent[find(j.Right)] = find(j.Left)
+	}
+	for c := range parent {
+		parent[c] = find(c)
+	}
+	return parent
+}
+
+// layoutSlot returns the Ls′ position holding c's value: c itself, or
+// else any column the join predicates make equal to it; -1 if none.
+func layoutSlot(selectPlus []expr.ColumnRef, cls map[expr.ColumnRef]expr.ColumnRef, c expr.ColumnRef) int {
+	for i, s := range selectPlus {
+		if s == c {
+			return i
 		}
 	}
-}
-
-// add indexes one cached tuple.
-func (m *maintIndex) add(entryKey string, t value.Tuple) {
-	for rel := range m.relCols {
-		m.bump(rel, m.keyForRow(rel, t), entryKey, 1)
-	}
-}
-
-// remove unindexes one cached tuple.
-func (m *maintIndex) remove(entryKey string, t value.Tuple) {
-	for rel := range m.relCols {
-		m.bump(rel, m.keyForRow(rel, t), entryKey, -1)
-	}
-}
-
-// dropEntry unindexes an entire entry (eviction path).
-func (m *maintIndex) dropEntry(entryKey string) {
-	// Entries are unindexed tuple-by-tuple where the caller has the
-	// tuples; this sweep handles the eviction path where it does not.
-	for _, byKey := range m.idx {
-		for relKey, ents := range byKey {
-			if _, ok := ents[entryKey]; ok {
-				delete(ents, entryKey)
-				if len(ents) == 0 {
-					delete(byKey, relKey)
-				}
+	if rc, ok := cls[c]; ok {
+		for i, s := range selectPlus {
+			if rs, ok := cls[s]; ok && rs == rc {
+				return i
 			}
 		}
 	}
+	return -1
 }
 
-// entriesFor returns the entry keys that may cache tuples derived from
-// a base tuple of rel whose visible columns encode to relKey.
-func (m *maintIndex) entriesFor(rel, relKey string) []string {
-	ents := m.idx[rel][relKey]
-	out := make([]string, 0, len(ents))
-	for k := range ents {
-		out = append(out, k)
+var hashSeed = maphash.MakeSeed()
+
+// hashValue folds v into h so that value.Equal values hash alike: Int
+// and Float compare numerically across types, so both hash as float64.
+func hashValue(h uint64, v value.Value) uint64 {
+	var x uint64
+	switch v.Type() {
+	case value.TypeInt, value.TypeFloat:
+		switch f := v.Float64(); {
+		case f != f:
+			x = 0x7ff8000000000001 // every NaN
+		case f == 0:
+			x = 0 // -0 == 0
+		default:
+			x = math.Float64bits(f)
+		}
+	case value.TypeString:
+		x = maphash.String(hashSeed, v.Str())
+	case value.TypeNull:
+		x = 0x9e3779b97f4a7c15
+	default: // Date, Bool
+		x = uint64(v.Int64()) ^ uint64(v.Type())<<56
 	}
-	return out
+	h = (h ^ x) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
+}
+
+func (ri *relIndex) key(t value.Tuple) uint64 {
+	var h uint64
+	for _, s := range ri.slots {
+		h = hashValue(h, t[s])
+	}
+	return h
+}
+
+// baseKey is key for a base tuple of ri's relation.
+func (ri *relIndex) baseKey(sch catalog.Schema, base value.Tuple) uint64 {
+	var h uint64
+	for _, c := range ri.cols {
+		h = hashValue(h, base[sch.ColIndex(c)])
+	}
+	return h
+}
+
+// derives reports whether cached tuple t may derive from base.
+func (ri *relIndex) derives(t value.Tuple, sch catalog.Schema, base value.Tuple) bool {
+	for i, s := range ri.slots {
+		if !value.Equal(t[s], base[sch.ColIndex(ri.cols[i])]) {
+			return false
+		}
+	}
+	return true
+}
+
+// register gives a new, tupleless entry its handle.
+func (m *maintIndex) register(e *entry) {
+	e.at = make([]int32, 0, m.atCap)
+	if n := len(m.free); n > 0 {
+		e.h, m.free = m.free[n-1], m.free[:n-1]
+		m.ents[e.h] = e
+		return
+	}
+	e.h = int32(len(m.ents))
+	m.ents = append(m.ents, e)
+}
+
+// release unindexes a dying entry and frees its handle.
+func (m *maintIndex) release(e *entry) {
+	m.unindex(e)
+	m.ents[e.h] = nil
+	m.free = append(m.free, e.h)
+}
+
+// add indexes e.tuples[slot], which must be the entry's last tuple.
+func (m *maintIndex) add(e *entry, slot int) {
+	if m.live >= len(m.rels)*len(m.rels[0].heads) {
+		m.grow()
+	}
+	for r := range m.rels {
+		i := m.spare
+		if i >= 0 {
+			m.spare = m.posts[i].next
+		} else {
+			i = int32(len(m.posts))
+			m.posts = append(m.posts, posting{})
+		}
+		m.posts[i] = posting{h: e.h, slot: int32(slot)}
+		m.link(&m.rels[r], i, e.tuples[slot])
+		e.at = append(e.at, i)
+	}
+	m.live += len(m.rels)
+}
+
+// link pushes posting i, whose tuple is t, onto its bucket in ri.
+func (m *maintIndex) link(ri *relIndex, i int32, t value.Tuple) {
+	b := int32(ri.key(t) & uint64(len(ri.heads)-1))
+	p := &m.posts[i]
+	p.prev, p.next = -(b + 1), ri.heads[b]
+	if p.next >= 0 {
+		m.posts[p.next].prev = i
+	}
+	ri.heads[b] = i
+}
+
+// unindex unlinks and frees every posting of e.
+func (m *maintIndex) unindex(e *entry) {
+	n := len(m.rels)
+	for j, i := range e.at {
+		p := m.posts[i]
+		if p.prev >= 0 {
+			m.posts[p.prev].next = p.next
+		} else {
+			m.rels[j%n].heads[-p.prev-1] = p.next
+		}
+		if p.next >= 0 {
+			m.posts[p.next].prev = p.prev
+		}
+		m.posts[i] = posting{next: m.spare}
+		m.spare = i
+	}
+	m.live -= len(e.at)
+	e.at = e.at[:0]
+}
+
+// grow doubles every relation's buckets and relinks the live postings,
+// keeping chains about one posting long.
+func (m *maintIndex) grow() {
+	for r := range m.rels {
+		m.rels[r].heads = emptyHeads(2 * len(m.rels[r].heads))
+	}
+	n := len(m.rels)
+	for _, e := range m.ents {
+		if e == nil {
+			continue
+		}
+		for j, i := range e.at {
+			m.link(&m.rels[j%n], i, e.tuples[j/n])
+		}
+	}
+}
+
+func emptyHeads(n int) []int32 {
+	h := make([]int32, n)
+	for i := range h {
+		h[i] = -1
+	}
+	return h
 }
 
 // --- engine.ChangeObserver implementation (Section 3.4) ---
@@ -166,41 +326,18 @@ func (v *View) OnDelete(rel string, t value.Tuple) error {
 // OnDeleteCtx is OnDelete with a context, implementing
 // engine.CtxChangeObserver so a trace on the mutating statement's
 // context records the maintenance purge work it triggered (span:
-// tuples purged, index-path flag).
+// tuples purged).
 func (v *View) OnDeleteCtx(ctx context.Context, rel string, t value.Tuple) error {
 	if !v.inTemplate(rel) {
 		return nil
 	}
-	tr := obs.FromContext(ctx)
+	start := time.Now()
+	purged, err := v.purgeByIndex(rel, t)
 	v.mu.Lock()
 	v.stats.DeletesSeen++
-	// A relation that contributes no Ls′ column has no key in the
-	// maintenance index (a join-only relation); its deletes purge
-	// through the delta join instead.
-	useIdx := v.maint != nil && len(v.maint.relCols[rel]) > 0
-	var purgedBefore int64
-	if tr != nil {
-		purgedBefore = v.stats.TuplesPurged
-	}
-	v.mu.Unlock()
-
-	start := time.Now()
-	var err error
-	if useIdx {
-		err = v.purgeByIndex(rel, t)
-	} else {
-		err = v.purgeByJoin(rel, t)
-	}
-	v.mu.Lock()
 	v.stats.MaintTime += time.Since(start)
-	if tr != nil {
-		idxFlag := int64(0)
-		if useIdx {
-			idxFlag = 1
-		}
-		tr.Span(obs.KindMaint, start, v.stats.TuplesPurged-purgedBefore, idxFlag, 0)
-	}
 	v.mu.Unlock()
+	obs.FromContext(ctx).Span(obs.KindMaint, start, int64(purged), 0, 0)
 	return err
 }
 
@@ -257,258 +394,54 @@ func (v *View) relevantCols(rel string, r *catalog.Relation) []int {
 	return out
 }
 
-// purgeByIndex removes cached tuples matching the deleted base tuple
-// using the in-memory maintenance index — "cheap in-memory operations"
-// (Section 4.3). rel must contribute at least one Ls′ column.
-func (v *View) purgeByIndex(rel string, base value.Tuple) error {
+// purgeByIndex removes the cached tuples that may derive from base, a
+// full-schema tuple of rel, through the maintenance index — "cheap
+// in-memory operations" (Section 4.3) — and returns how many it
+// removed. It allocates nothing when no cached tuple matches.
+func (v *View) purgeByIndex(rel string, base value.Tuple) (int, error) {
 	r, err := v.eng.Catalog().GetRelation(rel)
 	if err != nil {
-		return err
+		return 0, err
 	}
+	sch := r.Schema
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	cols := v.maint.relCols[rel]
-	// Build the relation key from the base tuple: the visible columns'
-	// values, in the same Ls′ order the index uses.
-	buf := make([]byte, 0, 16*len(cols))
-	baseVals := make([]value.Value, len(cols))
-	for i, c := range cols {
-		ref := v.selectPlus[c]
-		bi := r.Schema.ColIndex(ref.Col)
-		if bi < 0 {
-			return fmt.Errorf("core: relation %s has no column %s", rel, ref.Col)
+	m := v.maint
+	var ri *relIndex
+	for i := range m.rels {
+		if m.rels[i].rel == rel {
+			ri = &m.rels[i]
 		}
-		baseVals[i] = base[bi]
-		buf = keycodec.AppendValue(buf, base[bi])
 	}
-	relKey := string(buf)
-
-	for _, entryKey := range v.maint.entriesFor(rel, relKey) {
-		e, ok := v.entries[entryKey]
-		if !ok {
-			v.maint.dropEntry(entryKey) // stale ref
-			continue
+	for _, c := range ri.cols {
+		if sch.ColIndex(c) < 0 {
+			return 0, fmt.Errorf("core: relation %s has no column %s", rel, c)
 		}
+	}
+	var hit []*entry
+	for i := ri.heads[ri.baseKey(sch, base)&uint64(len(ri.heads)-1)]; i >= 0; i = m.posts[i].next {
+		p := m.posts[i]
+		if e := m.ents[p.h]; ri.derives(e.tuples[p.slot], sch, base) && !slices.Contains(hit, e) {
+			hit = append(hit, e)
+		}
+	}
+	purged := 0
+	for _, e := range hit {
+		m.unindex(e)
 		kept := e.tuples[:0]
 		for _, t := range e.tuples {
-			match := true
-			for i, c := range cols {
-				if !value.Equal(t[c], baseVals[i]) {
-					match = false
-					break
-				}
-			}
-			if match {
-				v.maint.remove(entryKey, t)
-				v.stats.TuplesPurged++
+			if ri.derives(t, sch, base) {
+				purged++
 			} else {
 				kept = append(kept, t)
 			}
 		}
+		clear(e.tuples[len(kept):])
 		e.tuples = kept
-	}
-	return nil
-}
-
-// purgeByJoin removes cached tuples by computing ΔR ⋈ (other base
-// relations) and probing the view with each join result — the paper's
-// base maintenance algorithm when no maintenance index exists.
-func (v *View) purgeByJoin(rel string, base value.Tuple) error {
-	rows, err := v.deltaJoin(rel, []value.Tuple{base})
-	if err != nil {
-		return err
-	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, jt := range rows {
-		key := v.coder.KeyFromCondValues(v.condValues(jt))
-		e, ok := v.entries[key]
-		if !ok {
-			continue
-		}
-		for i, t := range e.tuples {
-			if value.CompareTuples(t, jt) == 0 {
-				e.tuples = append(e.tuples[:i], e.tuples[i+1:]...)
-				v.stats.TuplesPurged++
-				break // one join row invalidates one cached occurrence
-			}
+		for slot := range e.tuples {
+			m.add(e, slot)
 		}
 	}
-	return nil
-}
-
-// deltaJoin joins delta rows of rel (full base schema) with the other
-// template relations under Cjoin and the fixed predicates, projecting
-// Ls′.
-func (v *View) deltaJoin(rel string, delta []value.Tuple) ([]value.Tuple, error) {
-	tpl := v.cfg.Template
-	cat := v.eng.Catalog()
-	dr, err := cat.GetRelation(rel)
-	if err != nil {
-		return nil, err
-	}
-	schema := execQualify(dr, rel)
-	var root exec.Iterator = exec.NewSliceIter(delta)
-
-	// Fixed predicates on the delta relation.
-	var preds []exec.Pred
-	for _, f := range tpl.Fixed {
-		if f.Col.Rel == rel {
-			p, err := fixedPred(schema, f)
-			if err != nil {
-				return nil, err
-			}
-			preds = append(preds, p)
-		}
-	}
-	if p := andPred(preds); p != nil {
-		root = &exec.Filter{Child: root, Pred: p}
-	}
-
-	joined := map[string]bool{rel: true}
-	usedJoin := make([]bool, len(tpl.Join))
-	remaining := make([]string, 0, len(tpl.Relations)-1)
-	for _, rn := range tpl.Relations {
-		if rn != rel {
-			remaining = append(remaining, rn)
-		}
-	}
-	for _, relName := range remaining {
-		r, err := cat.GetRelation(relName)
-		if err != nil {
-			return nil, err
-		}
-		relSchema := execQualify(r, relName)
-		newSchema := schema.Concat(relSchema)
-
-		linkIdx := -1
-		var outerRef, innerRef expr.ColumnRef
-		for ji, jp := range tpl.Join {
-			if usedJoin[ji] {
-				continue
-			}
-			switch {
-			case joined[jp.Left.Rel] && jp.Right.Rel == relName:
-				linkIdx, outerRef, innerRef = ji, jp.Left, jp.Right
-			case joined[jp.Right.Rel] && jp.Left.Rel == relName:
-				linkIdx, outerRef, innerRef = ji, jp.Right, jp.Left
-			}
-			if linkIdx >= 0 {
-				break
-			}
-		}
-
-		var resid []exec.Pred
-		for _, f := range tpl.Fixed {
-			if f.Col.Rel == relName {
-				p, err := fixedPred(newSchema, f)
-				if err != nil {
-					return nil, err
-				}
-				resid = append(resid, p)
-			}
-		}
-		for ji, jp := range tpl.Join {
-			if usedJoin[ji] || ji == linkIdx {
-				continue
-			}
-			if (joined[jp.Left.Rel] || jp.Left.Rel == relName) &&
-				(joined[jp.Right.Rel] || jp.Right.Rel == relName) {
-				p, err := joinPred(newSchema, jp)
-				if err != nil {
-					return nil, err
-				}
-				resid = append(resid, p)
-				usedJoin[ji] = true
-			}
-		}
-		residP := andPred(resid)
-
-		if linkIdx >= 0 {
-			usedJoin[linkIdx] = true
-			outerPos, err := schema.MustIndex(outerRef)
-			if err != nil {
-				return nil, err
-			}
-			innerCol := r.Schema.ColIndex(innerRef.Col)
-			if ix := r.IndexOn(innerCol); ix != nil {
-				root = &exec.IndexJoin{Outer: root, OuterCol: outerPos, Inner: r, InnerIdx: ix, Residual: residP}
-			} else {
-				jp, err := joinPred(newSchema, expr.JoinPred{Left: outerRef, Right: innerRef})
-				if err != nil {
-					return nil, err
-				}
-				all := append([]exec.Pred{jp}, resid...)
-				root = &exec.NestedLoopJoin{Left: root, Right: &exec.SeqScan{Rel: r}, On: andPred(all)}
-			}
-		} else {
-			root = &exec.NestedLoopJoin{Left: root, Right: &exec.SeqScan{Rel: r}, On: residP}
-		}
-		schema = newSchema
-		joined[relName] = true
-	}
-
-	positions := make([]int, len(v.selectPlus))
-	for i, c := range v.selectPlus {
-		p, err := schema.MustIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		positions[i] = p
-	}
-	var out []value.Tuple
-	err = exec.ForEach(&exec.Project{Child: root, Cols: positions}, func(t value.Tuple) error {
-		out = append(out, t)
-		return nil
-	})
-	return out, err
-}
-
-// Helpers shared with the planner shape (duplicated here to keep exec
-// free of core types).
-
-func execQualify(r *catalog.Relation, as string) exec.RowSchema {
-	cols := make([]expr.ColumnRef, len(r.Schema.Columns))
-	for i, c := range r.Schema.Columns {
-		cols[i] = expr.ColumnRef{Rel: as, Col: c.Name}
-	}
-	return exec.RowSchema{Cols: cols}
-}
-
-func fixedPred(s exec.RowSchema, f expr.FixedPred) (exec.Pred, error) {
-	pos, err := s.MustIndex(f.Col)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) bool { return f.Op.Eval(t[pos], f.Val) }, nil
-}
-
-func joinPred(s exec.RowSchema, jp expr.JoinPred) (exec.Pred, error) {
-	l, err := s.MustIndex(jp.Left)
-	if err != nil {
-		return nil, err
-	}
-	rr, err := s.MustIndex(jp.Right)
-	if err != nil {
-		return nil, err
-	}
-	return func(t value.Tuple) bool { return value.Equal(t[l], t[rr]) }, nil
-}
-
-func andPred(ps []exec.Pred) exec.Pred {
-	switch len(ps) {
-	case 0:
-		return nil
-	case 1:
-		return ps[0]
-	default:
-		return func(t value.Tuple) bool {
-			for _, p := range ps {
-				if !p(t) {
-					return false
-				}
-			}
-			return true
-		}
-	}
+	v.stats.TuplesPurged += int64(purged)
+	return purged, nil
 }

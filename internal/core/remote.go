@@ -88,6 +88,11 @@ func (cp *ConditionPart) CondInstances() []expr.CondInstance {
 // plus each condition attribute's slot in Ls′ rows, mirroring NewView.
 // Routers use it to project Ls′ rows down to the user columns and to
 // extract condition values without opening the database.
+//
+// Ls′ is Ls, then every condition attribute not already in it, then
+// every join column none of whose equals (under the join predicates)
+// is in it yet, so every relation's maintenance-index key can be read
+// off a cached row. Appending keeps the user prefix and condPos fixed.
 func SelectPlusLayout(tpl *expr.Template) (selectPlus []expr.ColumnRef, condPos []int) {
 	selectPlus = append([]expr.ColumnRef(nil), tpl.Select...)
 	pos := func(ref expr.ColumnRef) int {
@@ -106,6 +111,12 @@ func SelectPlusLayout(tpl *expr.Template) (selectPlus []expr.ColumnRef, condPos 
 			p = len(selectPlus) - 1
 		}
 		condPos[i] = p
+	}
+	cls := joinClasses(tpl)
+	for _, j := range tpl.Join {
+		if layoutSlot(selectPlus, cls, j.Left) < 0 {
+			selectPlus = append(selectPlus, j.Left)
+		}
 	}
 	return selectPlus, condPos
 }
@@ -331,23 +342,15 @@ func (v *View) FillTuples(tuples []value.Tuple) (int, error) {
 		}
 		e, ok := v.entries[key]
 		if !ok {
-			e = &entry{gen: v.invalSeq}
-			v.entries[key] = e
-			v.stats.EntriesCreated++
-			v.freqAddLocked(key, e)
+			e = v.newEntryLocked(key)
 		}
 		for _, t := range groups[key] {
 			if len(e.tuples) >= v.cfg.TuplesPerBCP {
 				break // the F bound
 			}
-			ct := t.Clone()
-			e.tuples = append(e.tuples, ct)
+			v.cacheTupleLocked(e, t)
 			v.stampFillLocked(e, 0)
-			v.stats.TuplesCached++
 			cached++
-			if v.maint != nil {
-				v.maint.add(key, ct)
-			}
 		}
 	}
 	return cached, nil

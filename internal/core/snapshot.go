@@ -92,17 +92,10 @@ func (v *View) WarmAdmit(key string, accesses int64, tuples []value.Tuple) (int,
 			}
 		}
 	}
-	e := &entry{accesses: accesses, gen: v.invalSeq, tuples: make([]value.Tuple, 0, len(tuples))}
+	e := v.newEntryLocked(key)
+	e.accesses = accesses
 	for _, t := range tuples {
-		ct := t.Clone()
-		e.tuples = append(e.tuples, ct)
-		if v.maint != nil {
-			v.maint.add(key, ct)
-		}
+		v.cacheTupleLocked(e, t)
 	}
-	v.entries[key] = e
-	v.freqAddLocked(key, e)
-	v.stats.EntriesCreated++
-	v.stats.TuplesCached += int64(len(e.tuples))
 	return len(e.tuples), nil
 }

@@ -40,10 +40,6 @@ type Config struct {
 	// exceeding it skip the PMV probe (guarding against pathological
 	// h). Zero means the default of 4096.
 	MaxConditionParts int
-	// UseMaintIndex enables the full-version [25] optimization:
-	// in-memory secondary indices on the PMV's per-relation attributes
-	// let deletes purge cached tuples without computing ΔR ⋈ rest.
-	UseMaintIndex bool
 }
 
 func (c *Config) fill() error {
@@ -95,6 +91,11 @@ type entry struct {
 	// concurrent O3s from caching the same result tuples twice.
 	filler  uint64
 	fillSeq uint64
+	// h is the entry's maintenance-index handle and at its back-pointers:
+	// at[slot·|relations|+r] is the posting of tuple slot under
+	// relation r (maintain.go).
+	h  int32
+	at []int32
 }
 
 // View is one live partial materialized view.
@@ -110,7 +111,7 @@ type View struct {
 	entries map[string]*entry
 	fillSeq uint64 // bumped on every append to any entry
 	policy  cache.Policy
-	maint   *maintIndex // nil unless UseMaintIndex
+	maint   *maintIndex
 
 	// Invalidation generations (see inval.go): invalSeq stamps new
 	// entries, invalGen/invalAll are per-key and view-wide staleness
@@ -166,9 +167,7 @@ func NewView(eng *engine.Engine, cfg Config) (*View, error) {
 		entries:    make(map[string]*entry),
 		invalGen:   make(map[string]uint64),
 		policy:     pol,
-	}
-	if cfg.UseMaintIndex {
-		v.maint = newMaintIndex(tpl, selectPlus)
+		maint:      newMaintIndex(tpl, selectPlus, cfg.TuplesPerBCP),
 	}
 	eng.RegisterObserver(v)
 	return v, nil
@@ -184,7 +183,7 @@ func (v *View) Drop() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.entries = make(map[string]*entry)
-	v.maint = nil
+	v.maint = newMaintIndex(v.cfg.Template, v.selectPlus, v.cfg.TuplesPerBCP)
 	if v.freq != nil {
 		v.freq.Filter.Reset()
 	}
@@ -674,10 +673,7 @@ func (v *View) fill(t value.Tuple, run *partialRun) {
 	}
 	e, ok := v.liveEntryLocked(key)
 	if !ok {
-		e = &entry{gen: v.invalSeq}
-		v.entries[key] = e
-		v.stats.EntriesCreated++
-		v.freqAddLocked(key, e)
+		e = v.newEntryLocked(key)
 		run.refEntries++
 	}
 	if len(e.tuples) >= v.cfg.TuplesPerBCP {
@@ -692,14 +688,36 @@ func (v *View) fill(t value.Tuple, run *partialRun) {
 		// entry is that filler's to complete.
 		return
 	}
-	ct := t.Clone()
-	e.tuples = append(e.tuples, ct)
+	v.cacheTupleLocked(e, t)
 	v.stampFillLocked(e, run.txn)
-	v.stats.TuplesCached++
 	run.refTuples++
-	if v.maint != nil {
-		v.maint.add(key, ct)
-	}
+}
+
+// newEntryLocked creates key's entry, which must not exist, stamped
+// with the current invalidation sequence. Caller holds v.mu.
+func (v *View) newEntryLocked(key string) *entry {
+	e := &entry{gen: v.invalSeq}
+	v.entries[key] = e
+	v.maint.register(e)
+	v.stats.EntriesCreated++
+	v.freqAddLocked(key, e)
+	return e
+}
+
+// cacheTupleLocked appends a copy of t to e and indexes it. Caller
+// holds v.mu.
+func (v *View) cacheTupleLocked(e *entry, t value.Tuple) {
+	e.tuples = append(e.tuples, t.Clone())
+	v.maint.add(e, len(e.tuples)-1)
+	v.stats.TuplesCached++
+}
+
+// removeEntryLocked deletes key's entry e and unindexes its tuples.
+// Caller holds v.mu.
+func (v *View) removeEntryLocked(key string, e *entry) {
+	delete(v.entries, key)
+	v.freqRemoveLocked(key, e)
+	v.maint.release(e)
 }
 
 // stampFillLocked records that the run with txn id filler (0 outside
@@ -717,12 +735,8 @@ func (v *View) dropEntriesLocked(keys []string) int {
 		if e, ok := v.entries[k]; ok {
 			v.stats.EntriesEvicted++
 			v.stats.TuplesEvicted += int64(len(e.tuples))
-			delete(v.entries, k)
-			v.freqRemoveLocked(k, e)
+			v.removeEntryLocked(k, e)
 			dropped++
-			if v.maint != nil {
-				v.maint.dropEntry(k)
-			}
 		}
 	}
 	return dropped

@@ -232,70 +232,9 @@ func TestMaxEntriesRespected(t *testing.T) {
 	}
 }
 
-func TestDeleteMaintenancePurges(t *testing.T) {
-	for _, useIdx := range []bool{false, true} {
-		name := "join"
-		if useIdx {
-			name = "index"
-		}
-		t.Run(name, func(t *testing.T) {
-			// Delete every R tuple feeding (f=1, g=2): join key 1002.
-			eng, tpl := testDB(t)
-			loadFig1(t, eng, 4, 4, 2)
-			checkDeletePurges(t, eng, tpl, useIdx, "R", func(tu value.Tuple) bool {
-				return tu[1].Int64() == 1002
-			})
-
-			// Delete the T row feeding (f=1, g=2). T only joins, so it
-			// has no Ls′ column and no key in the maintenance index.
-			eng, tpl = testDB(t)
-			loadFig1(t, eng, 4, 4, 2)
-			tpl = addJoinOnly(t, eng, tpl, 4, 4)
-			checkDeletePurges(t, eng, tpl, useIdx, "T", func(tu value.Tuple) bool {
-				return tu[0].Int64() == 1002
-			})
-		})
-	}
-}
-
-// checkDeletePurges warms (f=1, g=2), deletes the rel rows that match,
-// which are every feeder of that bcp, and requires the view to purge
-// the bcp's cached tuples instead of serving them.
-func checkDeletePurges(t *testing.T, eng *engine.Engine, tpl *expr.Template, useIdx bool, rel string, match func(value.Tuple) bool) {
-	t.Helper()
-	v, err := NewView(eng, Config{
-		Template: tpl, MaxEntries: 100, TuplesPerBCP: 5, UseMaintIndex: useIdx,
-	})
-	if err != nil {
-		t.Fatalf("new view: %v", err)
-	}
-	q := eqQuery(tpl, []int64{1}, []int64{2})
-	runPartial(t, v, q) // warm the cache
-	if v.TupleCount() == 0 {
-		t.Fatal("view did not cache anything")
-	}
-	if _, err := eng.DeleteWhere(rel, match); err != nil {
-		t.Fatalf("delete from %s: %v", rel, err)
-	}
-	// The view must no longer serve stale partials.
-	got, rep := runPartial(t, v, q)
-	want := runFull(t, eng, tpl, q)
-	if !equalStrings(got, want) {
-		t.Fatalf("post-delete results differ:\n got %v\nwant %v", got, want)
-	}
-	if len(want) != 0 {
-		t.Fatalf("expected empty result after deleting all feeders, got %d", len(want))
-	}
-	if rep.PartialTuples != 0 {
-		t.Errorf("served %d stale partial tuples after deleting from %s", rep.PartialTuples, rel)
-	}
-	if v.Stats().TuplesPurged == 0 {
-		t.Errorf("maintenance purged nothing after deleting from %s", rel)
-	}
-}
-
 // addJoinOnly adds T(h), one row per loadFig1 join key, and returns
-// tpl extended by R.c = T.h: T contributes no column to Ls′.
+// tpl extended by R.c = T.h: T only joins, so no column of its own is
+// in Ls′ and its index key is read from R.c, which the layout appends.
 func addJoinOnly(t *testing.T, eng *engine.Engine, tpl *expr.Template, nf, ng int) *expr.Template {
 	t.Helper()
 	mustCreateRel(t, eng, "T", "h")

@@ -58,9 +58,9 @@ const (
 	// N1 = tuples cached, N2 = entries created, N3 = entries evicted
 	// by the replacement policy while admitting.
 	KindRefill
-	// KindMaint is deferred maintenance purge work (Section 3.4).
-	// N1 = tuples purged, N2 = 1 when the in-memory maintenance index
-	// was used, 0 for the delta-join path.
+	// KindMaint is deferred maintenance purge work (Section 3.4),
+	// always through the in-memory maintenance index. N1 = tuples
+	// purged.
 	KindMaint
 	// KindQueue is time spent waiting for an admission slot (the
 	// router's or server's bounded worker pool).
@@ -164,11 +164,7 @@ func (s Span) detail() string {
 	case KindRefill:
 		return fmt.Sprintf("cached=%d entries_created=%d evicted=%d", s.N1, s.N2, s.N3)
 	case KindMaint:
-		path := "delta-join"
-		if s.N2 == 1 {
-			path = "index"
-		}
-		return fmt.Sprintf("purged=%d path=%s", s.N1, path)
+		return fmt.Sprintf("purged=%d", s.N1)
 	case KindQueue:
 		if s.N1 == 1 {
 			return "admitted"

@@ -194,6 +194,10 @@ func WriteEpochState(fs vfs.FS, dir string, epoch uint64) error {
 	return fs.WriteFile(filepath.Join(dir, epochFile), []byte(strconv.FormatUint(epoch, 10)+"\n"))
 }
 
+// layoutOf returns the Ls′ columns of a view's cached rows. It is a
+// variable so a test can stand in for a build with another layout.
+var layoutOf = (*core.View).SelectPlus
+
 // stamps computes the booting/writing shard's current world.
 func (m *Manager) stamps() Stamps {
 	eng := m.src.Engine()
@@ -211,10 +215,12 @@ func (m *Manager) stamps() Stamps {
 			}
 		}
 		// The view revision covers everything that shapes cached
-		// content: the template, the bounds, the policy.
+		// content: the template, the bounds, the policy, and the Ls′
+		// columns a cached row holds — a build with another layout
+		// must never load rows of the wrong width.
 		tj, _ := json.Marshal(cfg.Template)
 		fmt.Fprintf(rev, "%s\x00%s\x00%d\x00%d\x00%s\x00%v\x00", cfg.Name, tj,
-			cfg.MaxEntries, cfg.TuplesPerBCP, cfg.Policy, cfg.UseMaintIndex)
+			cfg.MaxEntries, cfg.TuplesPerBCP, cfg.Policy, layoutOf(v))
 	}
 	rels := eng.Catalog().Relations()
 	fp := fnv.New64a()

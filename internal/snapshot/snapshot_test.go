@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"pmv"
+	"pmv/internal/core"
+	"pmv/internal/expr"
 	"pmv/internal/snapshot"
 	"pmv/internal/value"
 	"pmv/internal/vfs"
@@ -477,6 +479,54 @@ func TestViewRevisionMismatch(t *testing.T) {
 	}
 	if !strings.Contains(res.Reason, "revision") {
 		t.Fatalf("cold reason %q does not name the revision", res.Reason)
+	}
+}
+
+// TestLayoutChangeBootsCold: a snapshot written by a build whose Ls′
+// was narrower — the same template, fewer columns per cached row —
+// boots cold with a stale reason instead of loading rows of the wrong
+// width. The control boot without the narrowing is warm.
+func TestLayoutChangeBootsCold(t *testing.T) {
+	for _, narrow := range []bool{false, true} {
+		dir := t.TempDir()
+		dbDir, snapDir := filepath.Join(dir, "db"), filepath.Join(dir, "snap")
+		db, _ := buildDB(t, dbDir, pmv.ViewOptions{})
+		fillCache(t, db, 2)
+		m := newMgr(t, db, snapDir)
+		if narrow {
+			wide := *snapshot.LayoutOf
+			*snapshot.LayoutOf = func(v *core.View) []expr.ColumnRef {
+				sp := wide(v)
+				return sp[:len(sp)-1]
+			}
+			err := m.WriteNow()
+			*snapshot.LayoutOf = wide
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else if err := m.WriteNow(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		db2, err := pmv.Open(dbDir, pmv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := newMgr(t, db2, snapDir).Load()
+		v, _ := db2.ViewByName("pmv_on_sale")
+		switch {
+		case !narrow && !res.Warm:
+			t.Fatalf("same layout booted cold: %s", res.Reason)
+		case narrow && res.Warm:
+			t.Fatalf("snapshot of a narrower layout admitted: %s", res.Reason)
+		case narrow && (!strings.HasPrefix(res.Reason, snapshot.ErrStale.Error()) || !strings.Contains(res.Reason, "revision")):
+			t.Fatalf("cold reason %q is not a stale view revision", res.Reason)
+		case narrow && v.Len() != 0:
+			t.Fatalf("cold boot cached %d entries", v.Len())
+		}
+		db2.Close()
 	}
 }
 

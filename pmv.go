@@ -319,9 +319,6 @@ type ViewOptions struct {
 	// Dividers supplies dividing values per interval-form condition
 	// index (required for interval-form conditions).
 	Dividers map[int][]Value
-	// UseMaintIndex enables in-memory maintenance indices so deletes
-	// avoid delta joins (the full-version [25] optimization).
-	UseMaintIndex bool
 	// MaxConditionParts caps Operation O1 (default 4096).
 	MaxConditionParts int
 }
@@ -346,7 +343,6 @@ func (db *DB) CreatePartialView(tpl *Template, opts ViewOptions) (*View, error) 
 		TuplesPerBCP:      opts.TuplesPerBCP,
 		Policy:            opts.Policy,
 		Dividers:          opts.Dividers,
-		UseMaintIndex:     opts.UseMaintIndex,
 		MaxConditionParts: opts.MaxConditionParts,
 	})
 	if err != nil {

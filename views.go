@@ -17,7 +17,9 @@ import (
 // View definitions are persisted to views.json in the database
 // directory, so a reopened database recreates its PMVs automatically
 // (empty — a PMV is a cache and refills from query execution, exactly
-// as a freshly-created one does in the paper).
+// as a freshly-created one does in the paper). Unknown keys are
+// ignored, so a views.json written with a since-removed option such as
+// "use_maint_index" still opens.
 
 type viewDef struct {
 	Name              string                `json:"name"`
@@ -27,7 +29,6 @@ type viewDef struct {
 	MaxConditionParts int                   `json:"max_condition_parts,omitempty"`
 	Policy            cache.PolicyKind      `json:"policy"`
 	Dividers          map[int][]value.Value `json:"dividers,omitempty"`
-	UseMaintIndex     bool                  `json:"use_maint_index,omitempty"`
 }
 
 func (db *DB) viewsPath() string { return filepath.Join(db.eng.Dir(), "views.json") }
@@ -44,7 +45,6 @@ func (db *DB) saveViews() error {
 			MaxConditionParts: cfg.MaxConditionParts,
 			Policy:            cfg.Policy,
 			Dividers:          cfg.Dividers,
-			UseMaintIndex:     cfg.UseMaintIndex,
 		})
 	}
 	sort.Slice(defs, func(i, j int) bool { return defs[i].Name < defs[j].Name })
@@ -76,7 +76,6 @@ func (db *DB) loadViews() error {
 			MaxConditionParts: d.MaxConditionParts,
 			Policy:            d.Policy,
 			Dividers:          d.Dividers,
-			UseMaintIndex:     d.UseMaintIndex,
 		})
 		if err != nil {
 			return fmt.Errorf("pmv: recreate view %q: %w", d.Name, err)

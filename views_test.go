@@ -1,6 +1,9 @@
 package pmv_test
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -17,7 +20,7 @@ func TestViewDefinitionsPersistAcrossReopen(t *testing.T) {
 	}
 	tpl := storefront(t, db)
 	// A view exercising every persisted knob: policy, dividers, fixed
-	// predicates, maintenance index.
+	// predicates.
 	tpl2 := pmv.NewTemplate("discounted").
 		From("product", "sale").
 		Select("product.name").
@@ -32,10 +35,9 @@ func TestViewDefinitionsPersistAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := db.CreatePartialView(tpl2, pmv.ViewOptions{
-		MaxEntries:    33,
-		TuplesPerBCP:  2,
-		UseMaintIndex: true,
-		Dividers:      map[int][]pmv.Value{1: {pmv.Int(10), pmv.Int(25)}},
+		MaxEntries:   33,
+		TuplesPerBCP: 2,
+		Dividers:     map[int][]pmv.Value{1: {pmv.Int(10), pmv.Int(25)}},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestViewDefinitionsPersistAcrossReopen(t *testing.T) {
 		t.Fatal("pmv_discounted lost")
 	}
 	c2 := v2.Config()
-	if !c2.UseMaintIndex || len(c2.Dividers[1]) != 2 {
+	if len(c2.Dividers[1]) != 2 {
 		t.Errorf("interval view config lost: %+v", c2)
 	}
 	if len(c2.Template.Fixed) != 1 || c2.Template.Fixed[0].Val.Int64() != 10 {
@@ -88,6 +90,58 @@ func TestViewDefinitionsPersistAcrossReopen(t *testing.T) {
 	}
 	if n > 0 && !rep.Hit {
 		t.Error("recovered view did not refill")
+	}
+}
+
+// TestViewsJSONWithRemovedOptionOpens: a views.json written when views
+// took a "use_maint_index" option (every view now keeps the index)
+// still opens, with either value, and its view still serves.
+func TestViewsJSONWithRemovedOptionOpens(t *testing.T) {
+	for _, old := range []bool{true, false} {
+		dir := t.TempDir()
+		db, err := pmv.Open(dir, pmv.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tpl := storefront(t, db)
+		if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{MaxEntries: 50}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "views.json")
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var defs []map[string]any
+		if err := json.Unmarshal(data, &defs); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range defs {
+			d["use_maint_index"] = old
+		}
+		if data, err = json.Marshal(defs); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		db2, err := pmv.Open(dir, pmv.Options{})
+		if err != nil {
+			t.Fatalf("use_maint_index=%v: %v", old, err)
+		}
+		v, ok := db2.ViewByName("pmv_on_sale")
+		if !ok || v.Config().MaxEntries != 50 {
+			t.Fatalf("use_maint_index=%v: view lost or changed", old)
+		}
+		q := pmv.NewQuery(tpl).In(0, pmv.Int(1)).In(1, pmv.Int(2)).Query()
+		if _, err := v.ExecutePartial(q, func(pmv.Result) error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		db2.Close()
 	}
 }
 
