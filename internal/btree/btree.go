@@ -9,6 +9,10 @@
 // RID encoding to the logical key, which both disambiguates duplicates
 // and makes deletes exact; see PackRID/UnpackRID.
 //
+// A tree is filled in bulk by Build, which writes packed leaves left to
+// right from sorted input and then the inner levels above them; Insert
+// and Delete maintain it one entry at a time afterwards.
+//
 // Deletion is lazy: entries are removed from leaves but nodes are not
 // merged or rebalanced. For the paper's workloads (bulk load, then
 // reads with a modest delete rate) this is the standard trade-off;
@@ -31,6 +35,8 @@ var (
 	ErrKeyExists   = errors.New("btree: key exists")
 	ErrKeyNotFound = errors.New("btree: key not found")
 	ErrKeyTooLarge = errors.New("btree: key too large")
+	ErrUnsorted    = errors.New("btree: build input not sorted")
+	ErrNotEmpty    = errors.New("btree: build into a non-empty tree")
 )
 
 // ErrStopScan stops a scan early without error.
@@ -44,6 +50,11 @@ const (
 	maxKeyLen = 1024
 	// serialized node header: type(1) + count(2) + next(4) + rightmost(4)
 	nodeHdr = 11
+	// buildFill is how many bytes of a page Build fills before it starts
+	// the next node. Not all of it: an index is built once and then
+	// maintained by every insert, and a page packed to the brim would
+	// split on the first insert that lands in it.
+	buildFill = storage.PageDataSize * 9 / 10
 )
 
 // Tree is one B+tree index.
@@ -122,10 +133,11 @@ func Open(pool *buffer.Pool, mgr *storage.Manager, file string) (*Tree, error) {
 // File returns the backing file name.
 func (t *Tree) File() string { return t.file }
 
-// node is the in-memory form of one page, used by the mutating paths
-// (Insert, Delete): a node is deserialized, changed, and re-serialized
-// whole; with 8 KiB pages this keeps the code simple and the constant
-// factors acceptable. The read paths never build one — see page.
+// node is the in-memory form of one page, used by the writing paths:
+// Insert and Delete deserialize a node, change it, and re-serialize it
+// whole, which with 8 KiB pages keeps the code simple and the constant
+// factors acceptable for one entry; Build only serializes the nodes it
+// lays out. The read paths never build one — see page.
 type node struct {
 	isLeaf   bool
 	next     storage.PageID // leaf sibling chain
@@ -430,8 +442,28 @@ func (t *Tree) insertRec(id storage.PageID, key []byte) ([]byte, storage.PageID,
 	return t.splitInner(id, n)
 }
 
+// splitAt returns where to split the keys of a node that has outgrown
+// its page, each key costing perKey bytes besides its own: after the
+// most keys whose bytes stay within half the node's, but at least one
+// and before the last. Splitting by bytes rather than by count keeps
+// both halves within a page however the key lengths vary; with keys of
+// one length it is the middle.
+func splitAt(keys [][]byte, perKey int) int {
+	total := 0
+	for _, k := range keys {
+		total += perKey + len(k)
+	}
+	mid, sum := 0, 0
+	for ; mid < len(keys)-1; mid++ {
+		if sum += perKey + len(keys[mid]); 2*sum > total {
+			break
+		}
+	}
+	return max(mid, 1)
+}
+
 func (t *Tree) splitLeaf(id storage.PageID, n *node) ([]byte, storage.PageID, error) {
-	mid := len(n.keys) / 2
+	mid := splitAt(n.keys, 2+2) // slot offset, key length
 	right := &node{
 		isLeaf: true,
 		next:   n.next,
@@ -451,7 +483,7 @@ func (t *Tree) splitLeaf(id storage.PageID, n *node) ([]byte, storage.PageID, er
 }
 
 func (t *Tree) splitInner(id storage.PageID, n *node) ([]byte, storage.PageID, error) {
-	mid := len(n.keys) / 2
+	mid := splitAt(n.keys, 2+2+4) // slot offset, key length, child
 	sep := n.keys[mid]
 	right := &node{
 		isLeaf:   false,
@@ -491,6 +523,193 @@ func (t *Tree) Delete(key []byte) error {
 		}
 		id = n.children[childIdx(n.keys, key)]
 	}
+}
+
+// Build fills an empty tree with entries, which must be sorted in
+// strictly ascending order. It works bottom-up: the keys are packed
+// into leaves to buildFill, written left to right and linked in that
+// order; each inner level then holds the level below as children, each
+// behind the shortest separator between its keys and its left
+// neighbour's, until one node is left to be the root (see runs). Every
+// page is written once and none is read back, where inserting the
+// entries one at a time reads and rewrites a whole node per entry. The
+// first leaf goes into the empty root page, so the file holds the meta
+// page and the tree's own pages and nothing else.
+//
+// The input is checked before anything is written: a key out of order
+// fails with ErrUnsorted, a repeated one with ErrKeyExists, an
+// oversized one with ErrKeyTooLarge, and a tree that holds a key
+// already fails with ErrNotEmpty; none of these changes the tree.
+func (t *Tree) Build(entries [][]byte) error {
+	for i, k := range entries {
+		if len(k) > maxKeyLen {
+			return ErrKeyTooLarge
+		}
+		if i == 0 {
+			continue
+		}
+		switch c := bytes.Compare(entries[i-1], k); {
+		case c == 0:
+			return ErrKeyExists
+		case c > 0:
+			return ErrUnsorted
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	root, err := t.readNode(t.root)
+	if err != nil {
+		return err
+	}
+	if !root.isLeaf || len(root.keys) > 0 {
+		return ErrNotEmpty
+	}
+	if len(entries) == 0 {
+		return nil
+	}
+	level, err := t.writeLevel(packLeaves(entries), t.root)
+	for err == nil && len(level) > 1 {
+		level, err = t.writeLevel(packInner(level), storage.InvalidPageID)
+	}
+	if err != nil || level[0].id == t.root {
+		return err
+	}
+	return t.setRoot(level[0].id)
+}
+
+// laidOut is a node Build has packed: the node, the separator its
+// parent puts in front of it, and its page once written.
+type laidOut struct {
+	n   *node
+	sep []byte
+	id  storage.PageID
+}
+
+// packLeaves packs sorted keys into leaves.
+func packLeaves(keys [][]byte) []laidOut {
+	b := runs(len(keys), func(i int, _ bool) int {
+		return 2 + 2 + len(keys[i]) // slot offset, key length, key
+	})
+	out := make([]laidOut, len(b)-1)
+	for j := range out {
+		s, e := b[j], b[j+1]
+		out[j] = laidOut{n: &node{isLeaf: true, keys: keys[s:e]}, sep: keys[s]}
+		if s > 0 {
+			out[j].sep = separator(keys[s-1], keys[s])
+		}
+	}
+	return out
+}
+
+// separator returns the shortest prefix of hi that is greater than lo,
+// for lo < hi: every key up to lo sorts below it and hi does not, so it
+// can stand between the leaves ending at lo and starting at hi. Keys
+// that part early make short separators, and short separators make
+// wide inner nodes.
+func separator(lo, hi []byte) []byte {
+	n := 0
+	for n < len(lo) && lo[n] == hi[n] {
+		n++
+	}
+	return hi[:n+1]
+}
+
+// packInner packs one written level into the parents above it. A parent
+// holds a run of children and, in front of every child but the first,
+// that child's separator — childIdx's rule: keys below a separator
+// descend to its left. A parent's own separator is its first child's.
+// A last parent left with a single child takes its neighbour's last
+// child too, so that no inner node is a bare pointer.
+func packInner(kids []laidOut) []laidOut {
+	b := runs(len(kids), func(i int, opens bool) int {
+		if opens {
+			return 0 // the node's first child has no key in it
+		}
+		return 2 + 2 + len(kids[i].sep) + 4 // slot offset, key length, key, child
+	})
+	if last := len(b) - 2; last > 0 && b[last] == len(kids)-1 {
+		b[last]--
+	}
+	out := make([]laidOut, len(b)-1)
+	for j := range out {
+		s, e := b[j], b[j+1]
+		n := &node{next: storage.InvalidPageID, keys: make([][]byte, 0, e-s-1), children: make([]storage.PageID, 0, e-s)}
+		for i := s; i < e; i++ {
+			if i > s {
+				n.keys = append(n.keys, kids[i].sep)
+			}
+			n.children = append(n.children, kids[i].id)
+		}
+		out[j] = laidOut{n: n, sep: kids[s].sep}
+	}
+	return out
+}
+
+// runs splits one level's n items into the runs its nodes hold and
+// returns their bounds, run j being items [b[j], b[j+1]); cost(i, opens)
+// is item i's bytes in a node, opens telling whether it is the node's
+// first. Each node is filled to buildFill — unless the whole level fits
+// one page. That node is the root, and a full root keeps the tree as
+// short as inserting the same items one at a time would make it.
+func runs(n int, cost func(i int, opens bool) int) []int {
+	total := nodeHdr
+	for i := 0; i < n; i++ {
+		total += cost(i, i == 0)
+	}
+	b := []int{0}
+	if total <= storage.PageDataSize {
+		return append(b, n)
+	}
+	size := nodeHdr + cost(0, true)
+	for i := 1; i < n; i++ {
+		c := cost(i, false)
+		if size+c > buildFill {
+			b = append(b, i)
+			size, c = nodeHdr, cost(i, true)
+		}
+		size += c
+	}
+	return append(b, n)
+}
+
+// writeLevel writes one level's nodes left to right: the first into page
+// first when that is valid (the empty root page), every other into a
+// fresh page. A node is serialized once the next one has a page, so a
+// leaf's sibling link is known when it is written.
+func (t *Tree) writeLevel(level []laidOut, first storage.PageID) ([]laidOut, error) {
+	var prev *buffer.Frame
+	for i := range level {
+		var fr *buffer.Frame
+		var err error
+		if i == 0 && first != storage.InvalidPageID {
+			fr, err = t.pool.Fetch(t.file, first)
+			level[i].id = first
+		} else {
+			fr, level[i].id, err = t.pool.NewPage(t.file)
+		}
+		if err != nil {
+			if prev != nil {
+				t.pool.Unpin(prev, false)
+			}
+			return nil, err
+		}
+		if prev != nil {
+			t.writeBuilt(prev, level[i-1].n, level[i].id)
+		}
+		prev = fr
+	}
+	t.writeBuilt(prev, level[len(level)-1].n, storage.InvalidPageID)
+	return level, nil
+}
+
+// writeBuilt serializes n into its pinned frame, linking a leaf to next,
+// and releases the frame.
+func (t *Tree) writeBuilt(fr *buffer.Frame, n *node, next storage.PageID) {
+	if n.isLeaf {
+		n.next = next
+	}
+	n.serialize(fr.Buf)
+	t.pool.Unpin(fr, true)
 }
 
 // Contains reports whether key is present.
@@ -548,6 +767,15 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
 			return err
 		}
 		p, i = page(fr.Buf), 0
+		// A link to a page that never reached disk (a crash) reads as
+		// zeros: fail on it rather than walk on into whatever it names.
+		if leaf, err := p.isLeaf(); !leaf {
+			t.pool.Unpin(fr, false)
+			if err == nil {
+				err = fmt.Errorf("btree: %s: leaf link to inner page %d", t.file, next)
+			}
+			return err
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -231,6 +232,63 @@ func TestKeyTooLarge(t *testing.T) {
 	tr := newTree(t, 16)
 	if err := tr.Insert(bytes.Repeat([]byte{1}, 5000)); !errors.Is(err, ErrKeyTooLarge) {
 		t.Errorf("oversized key: %v", err)
+	}
+}
+
+// TestSplitKeepsHalvesInPage: a node splits by bytes, not by key count.
+// A leaf that holds seven 1-byte keys and seven maxKeyLen ones
+// overflows on the eighth long key; split at its middle key, the eight
+// long keys would make a half larger than a page.
+func TestSplitKeepsHalvesInPage(t *testing.T) {
+	long := func(i int) []byte { return append(bytes.Repeat([]byte{0xF0}, maxKeyLen-1), byte(i)) }
+	for _, order := range []string{"long-first", "short-first"} {
+		t.Run(order, func(t *testing.T) {
+			tr := newTree(t, 16)
+			var keys [][]byte
+			for i := 0; i < 8; i++ {
+				keys = append(keys, long(i))
+			}
+			for i := 0; i < 7; i++ {
+				keys = append(keys, []byte{byte(i)})
+			}
+			if order == "short-first" {
+				slices.Reverse(keys)
+			}
+			for _, k := range keys {
+				if err := tr.Insert(k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, err := tr.Count(); err != nil || n != len(keys) {
+				t.Fatalf("count %d (%v), want %d", n, err, len(keys))
+			}
+			for _, k := range keys {
+				if ok, err := tr.Contains(k); err != nil || !ok {
+					t.Fatalf("contains %x: %v %v", k[len(k)-1], ok, err)
+				}
+			}
+		})
+	}
+}
+
+// TestScanFailsOnZeroedLeaf: after a crash a leaf link can name a page
+// whose content never reached disk. Scan reports it instead of reading
+// the zeros as an empty leaf linked to page 0, the meta page.
+func TestScanFailsOnZeroedLeaf(t *testing.T) {
+	tr := newTree(t, 16)
+	for i := 0; i < 2000; i++ {
+		if err := tr.Insert(key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr, err := tr.pool.Fetch(tr.file, 2) // the first split's right leaf
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(fr.Buf)
+	tr.pool.Unpin(fr, true)
+	if err := tr.Scan(nil, nil, func([]byte) error { return nil }); err == nil {
+		t.Fatal("Scan crossed a zeroed leaf without an error")
 	}
 }
 

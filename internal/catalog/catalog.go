@@ -4,11 +4,13 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -264,37 +266,76 @@ func (c *Catalog) Relations() []*Relation {
 // RebuildIndexes discards and rebuilds every secondary index from its
 // relation's heap. Recovery uses it: heap changes are WAL-logged but
 // index changes are not, so after a crash the indexes are rebuilt
-// wholesale.
+// wholesale — into fresh files, from one heap scan per relation.
 func (c *Catalog) RebuildIndexes() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, r := range c.relations {
+		if len(r.Indexes) == 0 {
+			continue
+		}
 		for _, ix := range r.Indexes {
-			file := indexFile(ix.Name)
-			if err := c.pool.DiscardFile(file); err != nil {
-				return err
-			}
-			if err := c.mgr.Remove(file); err != nil {
-				return err
-			}
-			tr, err := btree.Open(c.pool, c.mgr, file)
+			tr, err := c.freshTree(ix.Name)
 			if err != nil {
 				return err
 			}
 			ix.Tree = tr
-			err = r.Heap.Scan(func(rid storage.RID, t value.Tuple) error {
-				return ix.Insert(t, rid)
-			})
-			if err != nil {
-				return fmt.Errorf("catalog: rebuild index %s: %w", ix.Name, err)
-			}
+		}
+		if err := backfill(r, r.Indexes); err != nil {
+			return fmt.Errorf("catalog: rebuild indexes of %s: %w", r.Name, err)
+		}
+	}
+	return nil
+}
+
+// freshTree opens an empty tree for index name in a new file. Whatever
+// the name's file held — an index's previous life, a build that failed
+// or was cut short by a crash before catalog.json named it — is
+// discarded from the pool unwritten and deleted first.
+func (c *Catalog) freshTree(name string) (*btree.Tree, error) {
+	if err := c.removeIndexFile(name); err != nil {
+		return nil, err
+	}
+	return btree.Open(c.pool, c.mgr, indexFile(name))
+}
+
+func (c *Catalog) removeIndexFile(name string) error {
+	file := indexFile(name)
+	if err := c.pool.DiscardFile(file); err != nil {
+		return err
+	}
+	return c.mgr.Remove(file)
+}
+
+// backfill fills the empty trees of ixs, all indexes of r, from one scan
+// of r's heap: the scan encodes every index's entries, and each index
+// sorts its own once and hands them to btree.Build.
+func backfill(r *Relation, ixs []*Index) error {
+	entries := make([][][]byte, len(ixs))
+	for i := range entries {
+		entries[i] = make([][]byte, 0, r.Heap.Count())
+	}
+	err := r.Heap.Scan(func(rid storage.RID, t value.Tuple) error {
+		for i, ix := range ixs {
+			entries[i] = append(entries[i], btree.PackRID(ix.KeyFor(t), rid))
+		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("scan %s: %w", r.Name, err)
+	}
+	for i, ix := range ixs {
+		slices.SortFunc(entries[i], bytes.Compare)
+		if err := ix.Tree.Build(entries[i]); err != nil {
+			return fmt.Errorf("index %s: %w", ix.Name, err)
 		}
 	}
 	return nil
 }
 
 // CreateIndex builds a secondary index over the named columns of rel,
-// backfilling it from the heap.
+// backfilling it from the heap. The index is registered only once it is
+// built; a failed build leaves no file behind.
 func (c *Catalog) CreateIndex(name, rel string, colNames ...string) (*Index, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -302,9 +343,13 @@ func (c *Catalog) CreateIndex(name, rel string, colNames ...string) (*Index, err
 	if !ok {
 		return nil, fmt.Errorf("catalog: relation %s: %w", rel, ErrNotFound)
 	}
-	for _, ix := range r.Indexes {
-		if ix.Name == name {
-			return nil, fmt.Errorf("catalog: index %s: %w", name, ErrExists)
+	// Index files are named after the index alone, so a name is taken
+	// catalog-wide.
+	for _, other := range c.relations {
+		for _, ix := range other.Indexes {
+			if ix.Name == name {
+				return nil, fmt.Errorf("catalog: index %s: %w", name, ErrExists)
+			}
 		}
 	}
 	cols := make([]int, len(colNames))
@@ -315,17 +360,16 @@ func (c *Catalog) CreateIndex(name, rel string, colNames ...string) (*Index, err
 		}
 		cols[i] = ci
 	}
-	tr, err := btree.Open(c.pool, c.mgr, indexFile(name))
+	tr, err := c.freshTree(name)
 	if err != nil {
 		return nil, err
 	}
 	ix := &Index{Name: name, Relation: rel, Cols: cols, Tree: tr}
-	// Backfill from existing heap contents.
-	err = r.Heap.Scan(func(rid storage.RID, t value.Tuple) error {
-		return ix.Insert(t, rid)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("catalog: backfill index %s: %w", name, err)
+	if err := backfill(r, []*Index{ix}); err != nil {
+		if rerr := c.removeIndexFile(name); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
+		return nil, fmt.Errorf("catalog: backfill %w", err)
 	}
 	r.Indexes = append(r.Indexes, ix)
 	return ix, c.saveLocked()

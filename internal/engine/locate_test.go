@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pmv/internal/catalog"
+	"pmv/internal/catalog/catalogtest"
 	"pmv/internal/storage"
 	"pmv/internal/value"
 )
@@ -115,7 +116,7 @@ func anyEqual(ci int, vals []value.Value) func(value.Tuple) bool {
 // closure API with value.Equal as the predicate — must return the same
 // counts and victims, notify observers with the same images in the
 // same order, and leave the same heap (RID for RID) and indexes that
-// equal their own rebuild. The values stored and matched mix what
+// equal their heap and their own rebuild. The values stored and matched mix what
 // value.Equal equates and keycodec tells apart.
 func TestLocatedEqualsScanned(t *testing.T) {
 	for _, wal := range []bool{false, true} {
@@ -226,12 +227,18 @@ func locatedEqualsScanned(t *testing.T, wal bool) {
 		t.Fatalf("stream changed %d rows, %d statements several at once: too few to mean anything", changed, multi)
 	}
 	for _, e := range []*Engine{located, scanned} {
+		if err := catalogtest.IndexesMatchHeap(e.Catalog()); err != nil {
+			t.Fatal(err)
+		}
 		before := indexImage(t, e)
 		if err := e.Catalog().RebuildIndexes(); err != nil {
 			t.Fatal(err)
 		}
 		if after := indexImage(t, e); !reflect.DeepEqual(before, after) {
 			t.Fatal("an index differs from its rebuild")
+		}
+		if err := catalogtest.IndexesMatchHeap(e.Catalog()); err != nil {
+			t.Fatalf("after RebuildIndexes: %v", err)
 		}
 	}
 	ls, ss := located.Stats(), scanned.Stats()

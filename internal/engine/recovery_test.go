@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pmv/internal/catalog"
+	"pmv/internal/catalog/catalogtest"
 	"pmv/internal/storage"
 	"pmv/internal/value"
 )
@@ -83,6 +84,9 @@ func TestCrashRecoveryReplaysInserts(t *testing.T) {
 	if err != nil || n != 200 {
 		t.Errorf("rebuilt index has %d entries (%v)", n, err)
 	}
+	if err := catalogtest.IndexesMatchHeap(e2.Catalog()); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestCrashRecoveryMixedOps(t *testing.T) {
@@ -90,6 +94,11 @@ func TestCrashRecoveryMixedOps(t *testing.T) {
 	e := walEngine(t, dir, 64)
 	e.CreateRelation("kv", catalog.NewSchema(
 		catalog.Col("k", value.TypeInt), catalog.Col("v", value.TypeString)))
+	for _, cols := range [][]string{{"k"}, {"v", "k"}} {
+		if _, err := e.CreateIndex("", "kv", cols...); err != nil {
+			t.Fatal(err)
+		}
+	}
 	shadow := map[int64]string{}
 	for i := int64(0); i < 100; i++ {
 		e.Insert("kv", value.Tuple{value.Int(i), value.Str("a")})
@@ -130,6 +139,9 @@ func TestCrashRecoveryMixedOps(t *testing.T) {
 		if got[k] != v {
 			t.Errorf("key %d: %q, want %q", k, got[k], v)
 		}
+	}
+	if err := catalogtest.IndexesMatchHeap(e2.Catalog()); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 // buffer pool's PreFlush hook syncs the log ahead of any page
 // write-back), heap pages carry the sequence number of the last
 // applied operation, and Open replays the log idempotently after an
-// unclean shutdown, then rebuilds all secondary indexes from the
-// heaps.
+// unclean shutdown, then rebuilds every secondary index from the heaps
+// into a fresh file: one scan per relation, each index's entries sorted
+// once and built bottom-up (catalog.RebuildIndexes, btree.Tree.Build).
 //
 // Durability granularity: with SyncEveryOp each statement is durable
 // on return; otherwise records become durable at page write-back,

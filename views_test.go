@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
 	"pmv"
+	"pmv/internal/catalog/catalogtest"
 	"pmv/internal/workload"
 )
 
@@ -249,6 +251,9 @@ func TestDerivedIndexesLifecycle(t *testing.T) {
 		if strings.Join(rows, "\n") != strings.Join(want, "\n") {
 			t.Errorf("%s: %d rows, the IndexJoin plan returned %d", when, len(rows), len(want))
 		}
+		if err := catalogtest.IndexesMatchHeap(db.Engine().Catalog()); err != nil {
+			t.Errorf("%s: %v", when, err)
+		}
 	}
 	check("created", db)
 
@@ -312,6 +317,40 @@ func TestCreatePartialViewIndexFailureLeavesNoView(t *testing.T) {
 	}
 	if st := db.Stats(); len(st.Views) != 0 {
 		t.Errorf("stats list %d views", len(st.Views))
+	}
+}
+
+// TestCreatePartialViewRetryAfterFailedIndex: a derived index whose
+// backfill fails — here one product name is too long for an index key —
+// fails CreatePartialView and leaves nothing behind, so that once the
+// row is gone the same call succeeds and builds the index whole.
+func TestCreatePartialViewRetryAfterFailedIndex(t *testing.T) {
+	db := openDB(t)
+	storefront(t, db)
+	if err := db.Insert("product", pmv.Int(1000), pmv.Int(1), pmv.Str(strings.Repeat("n", 2000))); err != nil {
+		t.Fatal(err)
+	}
+	tpl := pmv.NewTemplate("by_name").
+		From("product", "sale").
+		Select("product.pid", "sale.discount").
+		Join("product.pid", "sale.pid").
+		WhereEq("product.name").
+		WhereEq("sale.store").
+		MustBuild()
+	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{}); err == nil {
+		t.Fatal("CreatePartialView succeeded over a 2,000-byte index key")
+	}
+	if _, err := db.Delete("product", func(tu pmv.Tuple) bool { return tu[0].Int64() == 1000 }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{}); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if got := indexNames(t, db, "product"); !slices.Contains(got, "product_name_pid") {
+		t.Fatalf("product indexes %v lack product_name_pid", got)
+	}
+	if err := catalogtest.IndexesMatchHeap(db.Engine().Catalog()); err != nil {
+		t.Fatal(err)
 	}
 }
 
