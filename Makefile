@@ -59,9 +59,10 @@ torture:
 	$(GO) run ./cmd/pmvtorture -scenario storage -seeds 50 -v
 	$(GO) run -race ./cmd/pmvtorture -scenario all -seeds 10 -v
 
-# Short coverage-guided fuzz of the wire codecs, the snapshot reader and
-# the B+tree bulk build (the seed corpus and any fuzzer-found
-# regressions always run as part of plain `make test`).
+# Short coverage-guided fuzz of the wire codecs, the snapshot reader,
+# the B+tree bulk build and the B+tree's in-place Insert/Delete (the
+# seed corpus and any fuzzer-found regressions always run as part of
+# plain `make test`).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=30s ./internal/wire
@@ -75,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeHotInval -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=30s ./internal/snapshot
 	$(GO) test -fuzz=FuzzBuild -fuzztime=30s ./internal/btree
+	$(GO) test -fuzz=FuzzInsertDelete -fuzztime=30s ./internal/btree
 
 # Observability smoke test: boot pmvd with -obs on a scratch database,
 # probe /healthz and /metrics, and require the key metric families.

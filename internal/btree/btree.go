@@ -9,9 +9,10 @@
 // RID encoding to the logical key, which both disambiguates duplicates
 // and makes deletes exact; see PackRID/UnpackRID.
 //
-// A tree is filled in bulk by Build, which writes packed leaves left to
-// right from sorted input and then the inner levels above them; Insert
-// and Delete maintain it one entry at a time afterwards.
+// A node has one form, its page in a pinned buffer frame (see page):
+// reads search it in place, Insert and Delete edit it in place, and
+// Build writes packed leaves left to right from sorted input and then
+// the inner levels above them.
 //
 // Deletion is lazy: entries are removed from leaves but nodes are not
 // merged or rebalanced. For the paper's workloads (bulk load, then
@@ -48,7 +49,7 @@ const (
 	nodeLeaf  = 1
 	nodeInner = 2
 	maxKeyLen = 1024
-	// serialized node header: type(1) + count(2) + next(4) + rightmost(4)
+	// page header: type(1) + count(2) + next(4) + rightmost(4)
 	nodeHdr = 11
 	// buildFill is how many bytes of a page Build fills before it starts
 	// the next node. Not all of it: an index is built once and then
@@ -68,154 +69,64 @@ type Tree struct {
 
 // Open opens (creating if empty) the B+tree stored in file.
 func Open(pool *buffer.Pool, mgr *storage.Manager, file string) (*Tree, error) {
-	t := &Tree{pool: pool, file: file}
 	f, err := mgr.Open(file)
 	if err != nil {
 		return nil, err
 	}
+	var mfr *buffer.Frame
 	if f.NumPages() == 0 {
-		// Fresh tree: meta page + empty root leaf.
-		mfr, mid, err := pool.NewPage(file)
-		if err != nil {
+		var mid storage.PageID
+		if mfr, mid, err = pool.NewPage(file); err != nil {
 			return nil, err
 		}
 		if mid != metaPage {
 			pool.Unpin(mfr, false)
 			return nil, fmt.Errorf("btree: meta page allocated at %d", mid)
 		}
-		rfr, rid, err := pool.NewPage(file)
-		if err != nil {
-			pool.Unpin(mfr, false)
+	} else {
+		if mfr, err = pool.Fetch(file, metaPage); err != nil {
 			return nil, err
 		}
-		root := &node{isLeaf: true, next: storage.InvalidPageID}
-		root.serialize(rfr.Buf)
-		pool.Unpin(rfr, true)
-		binary.BigEndian.PutUint32(mfr.Buf[0:], metaMagic)
-		binary.BigEndian.PutUint32(mfr.Buf[4:], uint32(rid))
-		pool.Unpin(mfr, true)
-		t.root = rid
-		return t, nil
+		switch binary.BigEndian.Uint32(mfr.Buf[0:]) {
+		case metaMagic:
+			root := storage.PageID(binary.BigEndian.Uint32(mfr.Buf[4:]))
+			pool.Unpin(mfr, false)
+			return &Tree{pool: pool, file: file, root: root}, nil
+		case 0:
+			// An all-zero meta page means the file was allocated but its
+			// content never reached disk (a crash before flush). The tree
+			// holds nothing durable; reformat it with a fresh empty root.
+			// Recovery rebuilds secondary indexes from the heap afterwards.
+		default:
+			pool.Unpin(mfr, false)
+			return nil, fmt.Errorf("btree: %s: bad meta magic", file)
+		}
 	}
-	mfr, err := pool.Fetch(file, metaPage)
+	rfr, root, err := pool.NewPage(file)
 	if err != nil {
+		pool.Unpin(mfr, false)
 		return nil, err
 	}
-	switch binary.BigEndian.Uint32(mfr.Buf[0:]) {
-	case metaMagic:
-		t.root = storage.PageID(binary.BigEndian.Uint32(mfr.Buf[4:]))
-		pool.Unpin(mfr, false)
-		return t, nil
-	case 0:
-		// An all-zero meta page means the file was allocated but its
-		// content never reached disk (a crash before flush). The tree
-		// holds nothing durable; reformat it with a fresh empty root.
-		// Recovery rebuilds secondary indexes from the heap afterwards.
-		rfr, rid, err := pool.NewPage(file)
-		if err != nil {
-			pool.Unpin(mfr, false)
-			return nil, err
-		}
-		root := &node{isLeaf: true, next: storage.InvalidPageID}
-		root.serialize(rfr.Buf)
-		pool.Unpin(rfr, true)
-		binary.BigEndian.PutUint32(mfr.Buf[0:], metaMagic)
-		binary.BigEndian.PutUint32(mfr.Buf[4:], uint32(rid))
-		pool.Unpin(mfr, true)
-		t.root = rid
-		return t, nil
-	default:
-		pool.Unpin(mfr, false)
-		return nil, fmt.Errorf("btree: %s: bad meta magic", file)
-	}
+	page(rfr.Buf).fill(nil, nil, storage.InvalidPageID)
+	pool.Unpin(rfr, true)
+	binary.BigEndian.PutUint32(mfr.Buf[0:], metaMagic)
+	binary.BigEndian.PutUint32(mfr.Buf[4:], uint32(root))
+	pool.Unpin(mfr, true)
+	return &Tree{pool: pool, file: file, root: root}, nil
 }
 
 // File returns the backing file name.
 func (t *Tree) File() string { return t.file }
 
-// node is the in-memory form of one page, used by the writing paths:
-// Insert and Delete deserialize a node, change it, and re-serialize it
-// whole, which with 8 KiB pages keeps the code simple and the constant
-// factors acceptable for one entry; Build only serializes the nodes it
-// lays out. The read paths never build one — see page.
-type node struct {
-	isLeaf   bool
-	next     storage.PageID // leaf sibling chain
-	keys     [][]byte
-	children []storage.PageID // inner only; len(children) == len(keys)+1
-}
-
-func (n *node) serializedSize() int {
-	sz := nodeHdr + 2*len(n.keys) // slot offsets
-	for _, k := range n.keys {
-		sz += 2 + len(k)
-		if !n.isLeaf {
-			sz += 4
-		}
-	}
-	return sz
-}
-
-func (n *node) serialize(buf []byte) {
-	if n.isLeaf {
-		buf[0] = nodeLeaf
-	} else {
-		buf[0] = nodeInner
-	}
-	binary.BigEndian.PutUint16(buf[1:], uint16(len(n.keys)))
-	binary.BigEndian.PutUint32(buf[3:], uint32(n.next))
-	if !n.isLeaf {
-		binary.BigEndian.PutUint32(buf[7:], uint32(n.children[len(n.keys)]))
-	} else {
-		binary.BigEndian.PutUint32(buf[7:], 0)
-	}
-	off := nodeHdr + 2*len(n.keys)
-	for i, k := range n.keys {
-		binary.BigEndian.PutUint16(buf[nodeHdr+2*i:], uint16(off))
-		binary.BigEndian.PutUint16(buf[off:], uint16(len(k)))
-		copy(buf[off+2:], k)
-		off += 2 + len(k)
-		if !n.isLeaf {
-			binary.BigEndian.PutUint32(buf[off:], uint32(n.children[i]))
-			off += 4
-		}
-	}
-}
-
-func deserialize(buf []byte) (*node, error) {
-	n := &node{}
-	switch buf[0] {
-	case nodeLeaf:
-		n.isLeaf = true
-	case nodeInner:
-		n.isLeaf = false
-	default:
-		return nil, fmt.Errorf("btree: bad node type %d", buf[0])
-	}
-	count := int(binary.BigEndian.Uint16(buf[1:]))
-	n.next = storage.PageID(binary.BigEndian.Uint32(buf[3:]))
-	n.keys = make([][]byte, count)
-	if !n.isLeaf {
-		n.children = make([]storage.PageID, count+1)
-		n.children[count] = storage.PageID(binary.BigEndian.Uint32(buf[7:]))
-	}
-	for i := 0; i < count; i++ {
-		off := int(binary.BigEndian.Uint16(buf[nodeHdr+2*i:]))
-		klen := int(binary.BigEndian.Uint16(buf[off:]))
-		key := make([]byte, klen)
-		copy(key, buf[off+2:off+2+klen])
-		n.keys[i] = key
-		if !n.isLeaf {
-			n.children[i] = storage.PageID(binary.BigEndian.Uint32(buf[off+2+klen:]))
-		}
-	}
-	return n, nil
-}
-
-// page is a read-only view of a serialized node in a pinned frame. The
-// read paths (Scan, Contains, Height) search its slot directory in
-// place, so visiting a page copies and allocates nothing; t.mu's read
-// side keeps writers off the bytes for as long as the view is used.
+// page is a node in a pinned frame, and the only form a node has. Its
+// layout is the index file's: the header (type, entry count, a leaf's
+// next sibling, an inner page's rightmost child), a directory of 2-byte
+// entry offsets, and right behind it the entries packed in slot order —
+// key length, key and, on an inner page, the child left of the key.
+// Reads search the directory in place; Insert and Delete shift the
+// directory and the entries with copy; Build and splits lay a run of
+// entries out in one pass. Nothing is copied out of the frame, and t.mu
+// keeps writers off the bytes while a reader uses the view.
 type page []byte
 
 func (p page) isLeaf() (bool, error) {
@@ -267,8 +178,9 @@ func (p page) search(key []byte) int {
 	return lo
 }
 
-// childIdx returns the child slot to descend into for key (see the
-// slice-based childIdx below for the separator convention).
+// childIdx returns the child slot to descend into for key. Keys in
+// child i are < key(i); the rightmost child holds keys >= the last
+// separator.
 func (p page) childIdx(key []byte) int {
 	lo, hi := 0, p.count()
 	for lo < hi {
@@ -280,6 +192,149 @@ func (p page) childIdx(key []byte) int {
 		}
 	}
 	return lo
+}
+
+// off returns where entry i starts; off(count()) is where the entries
+// end, and so the bytes the page uses.
+func (p page) off(i int) int {
+	n := p.count()
+	if i < n {
+		return int(binary.BigEndian.Uint16(p[nodeHdr+2*i:]))
+	}
+	if n == 0 {
+		return nodeHdr
+	}
+	last := p.off(n - 1)
+	return last + p.entrySize(int(binary.BigEndian.Uint16(p[last:])))
+}
+
+// entrySize returns the bytes an entry with a klen-byte key takes in p,
+// its slot not counted.
+func (p page) entrySize(klen int) int {
+	if p[0] == nodeInner {
+		return 2 + klen + 4
+	}
+	return 2 + klen
+}
+
+// format writes the header of a node of n entries: a leaf whose next
+// sibling is link, or an inner page whose rightmost child is link.
+func (p page) format(leaf bool, n int, link storage.PageID) {
+	next, rightmost := storage.InvalidPageID, link
+	p[0] = nodeInner
+	if leaf {
+		p[0], next, rightmost = nodeLeaf, link, 0
+	}
+	binary.BigEndian.PutUint16(p[1:], uint16(n))
+	binary.BigEndian.PutUint32(p[3:], uint32(next))
+	binary.BigEndian.PutUint32(p[7:], uint32(rightmost))
+}
+
+// put writes an entry at offset o and points slot i at it; child is
+// written on an inner page only. It returns the offset past the entry.
+func (p page) put(i, o int, key []byte, child storage.PageID) int {
+	binary.BigEndian.PutUint16(p[nodeHdr+2*i:], uint16(o))
+	binary.BigEndian.PutUint16(p[o:], uint16(len(key)))
+	o += 2 + copy(p[o+2:], key)
+	if p[0] == nodeInner {
+		binary.BigEndian.PutUint32(p[o:], uint32(child))
+		o += 4
+	}
+	return o
+}
+
+// fill lays keys out as the whole node in one pass: a leaf linked to
+// next when kids is nil, else an inner page with kids[i] left of
+// keys[i] and its last kid rightmost.
+func (p page) fill(keys [][]byte, kids []storage.PageID, next storage.PageID) {
+	if kids == nil {
+		p.format(true, len(keys), next)
+	} else {
+		p.format(false, len(keys), kids[len(keys)])
+	}
+	o := nodeHdr + 2*len(keys)
+	for i, k := range keys {
+		var c storage.PageID
+		if kids != nil {
+			c = kids[i]
+		}
+		o = p.put(i, o, k, c)
+	}
+}
+
+// copyRun lays entries [s, e) of src out as the whole node, linked as
+// format says: one copy of their bytes, and each offset moved by the
+// distance the bytes moved.
+func (p page) copyRun(src page, s, e int, leaf bool, link storage.PageID) {
+	n := e - s
+	p.format(leaf, n, link)
+	d := nodeHdr + 2*n - src.off(s)
+	for j := 0; j < n; j++ {
+		binary.BigEndian.PutUint16(p[nodeHdr+2*j:], uint16(src.off(s+j)+d))
+	}
+	copy(p[nodeHdr+2*n:], src[src.off(s):src.off(e)])
+}
+
+// insert makes key, with child on an inner page, entry i. The page must
+// have room for it: the entries from i on move up by the new entry and
+// its slot, the ones before i by its slot, and the directory's offsets
+// with them.
+func (p page) insert(i int, key []byte, child storage.PageID) {
+	n, at, end := p.count(), p.off(i), p.off(p.count())
+	size, dir := p.entrySize(len(key)), nodeHdr+2*n
+	copy(p[at+2+size:], p[at:end])
+	copy(p[dir+2:], p[dir:at])
+	copy(p[nodeHdr+2*i+2:], p[nodeHdr+2*i:dir])
+	binary.BigEndian.PutUint16(p[1:], uint16(n+1))
+	p.shift(0, i, 2)
+	p.shift(i+1, n+1, 2+size)
+	p.put(i, at+2, key, child)
+}
+
+// remove deletes entry i, closing the gaps it leaves in the directory
+// and among the entries.
+func (p page) remove(i int) {
+	n, at, past, end := p.count(), p.off(i), p.off(i+1), p.off(p.count())
+	dir := nodeHdr + 2*n
+	copy(p[nodeHdr+2*i:], p[nodeHdr+2*i+2:dir])
+	copy(p[dir-2:], p[dir:at])
+	copy(p[at-2:], p[past:end])
+	binary.BigEndian.PutUint16(p[1:], uint16(n-1))
+	p.shift(0, i, -2)
+	p.shift(i, n-1, -2-(past-at))
+}
+
+// shift adds d to the offsets in slots [s, e).
+func (p page) shift(s, e, d int) {
+	for j := s; j < e; j++ {
+		slot := p[nodeHdr+2*j:]
+		binary.BigEndian.PutUint16(slot, uint16(int(binary.BigEndian.Uint16(slot))+d))
+	}
+}
+
+// setChild makes id child i of an inner page; i == count() is the
+// rightmost child. An entry's child is its last 4 bytes.
+func (p page) setChild(i int, id storage.PageID) {
+	o := 7
+	if i < p.count() {
+		o = p.off(i+1) - 4
+	}
+	binary.BigEndian.PutUint32(p[o:], uint32(id))
+}
+
+// splitAt returns where to split a page that has outgrown its frame:
+// after the most entries whose bytes, slots included, stay within half
+// the page's, but at least one and before the last. Splitting by bytes
+// rather than by count keeps both halves within a page however the key
+// lengths vary; with keys of one length it is the middle.
+func (p page) splitAt() int {
+	n := p.count()
+	upTo := func(j int) int { return 2*j + p.off(j) - p.off(0) }
+	mid := 0
+	for mid < n-1 && 2*upTo(mid+1) <= upTo(n) {
+		mid++
+	}
+	return max(mid, 1)
 }
 
 // descend pins the leaf whose key range covers key and returns its
@@ -305,35 +360,6 @@ func (t *Tree) descend(key []byte) (*buffer.Frame, int, error) {
 	}
 }
 
-func (t *Tree) readNode(id storage.PageID) (*node, error) {
-	fr, err := t.pool.Fetch(t.file, id)
-	if err != nil {
-		return nil, err
-	}
-	defer t.pool.Unpin(fr, false)
-	return deserialize(fr.Buf)
-}
-
-func (t *Tree) writeNode(id storage.PageID, n *node) error {
-	fr, err := t.pool.Fetch(t.file, id)
-	if err != nil {
-		return err
-	}
-	n.serialize(fr.Buf)
-	t.pool.Unpin(fr, true)
-	return nil
-}
-
-func (t *Tree) allocNode(n *node) (storage.PageID, error) {
-	fr, id, err := t.pool.NewPage(t.file)
-	if err != nil {
-		return storage.InvalidPageID, err
-	}
-	n.serialize(fr.Buf)
-	t.pool.Unpin(fr, true)
-	return id, nil
-}
-
 func (t *Tree) setRoot(id storage.PageID) error {
 	fr, err := t.pool.Fetch(t.file, metaPage)
 	if err != nil {
@@ -345,36 +371,6 @@ func (t *Tree) setRoot(id storage.PageID) error {
 	return nil
 }
 
-// searchIdx returns the first index i with keys[i] >= key.
-func searchIdx(keys [][]byte, key []byte) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(keys[mid], key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// childIdx returns the child slot to descend into for key. Keys in
-// child i are < keys[i]; the rightmost child holds keys >= the last
-// separator.
-func childIdx(keys [][]byte, key []byte) int {
-	lo, hi := 0, len(keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(key, keys[mid]) < 0 {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}
-
 // Insert adds key to the tree. Inserting a key that already exists
 // returns ErrKeyExists.
 func (t *Tree) Insert(key []byte) error {
@@ -384,145 +380,122 @@ func (t *Tree) Insert(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	sep, right, err := t.insertRec(t.root, key)
-	if err != nil {
+	if err != nil || right == storage.InvalidPageID {
 		return err
-	}
-	if right == storage.InvalidPageID {
-		return nil
 	}
 	// Root split: grow the tree by one level.
-	newRoot := &node{
-		isLeaf:   false,
-		next:     storage.InvalidPageID,
-		keys:     [][]byte{sep},
-		children: []storage.PageID{t.root, right},
-	}
-	id, err := t.allocNode(newRoot)
+	fr, id, err := t.pool.NewPage(t.file)
 	if err != nil {
 		return err
 	}
+	page(fr.Buf).fill([][]byte{sep}, []storage.PageID{t.root, right}, storage.InvalidPageID)
+	t.pool.Unpin(fr, true)
 	return t.setRoot(id)
 }
 
-// insertRec inserts into the subtree at id. On split it returns the
-// separator key and new right sibling page; otherwise right is
-// InvalidPageID.
+// insertRec inserts key into the subtree at id. On a split it returns
+// the separator and the new right sibling page; otherwise right is
+// InvalidPageID. An inner page is released while its child takes the
+// key and fetched again only if the child split, so that a write pins
+// no more pages at once than a split needs.
 func (t *Tree) insertRec(id storage.PageID, key []byte) ([]byte, storage.PageID, error) {
-	n, err := t.readNode(id)
+	fr, err := t.pool.Fetch(t.file, id)
 	if err != nil {
 		return nil, storage.InvalidPageID, err
 	}
-	if n.isLeaf {
-		i := searchIdx(n.keys, key)
-		if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
+	p := page(fr.Buf)
+	leaf, err := p.isLeaf()
+	if err != nil {
+		t.pool.Unpin(fr, false)
+		return nil, storage.InvalidPageID, err
+	}
+	if leaf {
+		i := p.search(key)
+		if i < p.count() && bytes.Equal(p.key(i), key) {
+			t.pool.Unpin(fr, false)
 			return nil, storage.InvalidPageID, ErrKeyExists
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = append([]byte(nil), key...)
-		if n.serializedSize() <= storage.PageDataSize {
-			return nil, storage.InvalidPageID, t.writeNode(id, n)
-		}
-		return t.splitLeaf(id, n)
+		return t.insertAt(fr, i, key, 0, 0)
 	}
-	ci := childIdx(n.keys, key)
-	sep, right, err := t.insertRec(n.children[ci], key)
+	ci := p.childIdx(key)
+	child := p.child(ci)
+	t.pool.Unpin(fr, false)
+	sep, right, err := t.insertRec(child, key)
 	if err != nil || right == storage.InvalidPageID {
 		return nil, storage.InvalidPageID, err
 	}
-	n.keys = append(n.keys, nil)
-	copy(n.keys[ci+1:], n.keys[ci:])
-	n.keys[ci] = sep
-	n.children = append(n.children, storage.InvalidPageID)
-	copy(n.children[ci+2:], n.children[ci+1:])
-	n.children[ci+1] = right
-	if n.serializedSize() <= storage.PageDataSize {
-		return nil, storage.InvalidPageID, t.writeNode(id, n)
+	if fr, err = t.pool.Fetch(t.file, id); err != nil {
+		return nil, storage.InvalidPageID, err
 	}
-	return t.splitInner(id, n)
+	return t.insertAt(fr, ci, sep, child, right)
 }
 
-// splitAt returns where to split the keys of a node that has outgrown
-// its page, each key costing perKey bytes besides its own: after the
-// most keys whose bytes stay within half the node's, but at least one
-// and before the last. Splitting by bytes rather than by count keeps
-// both halves within a page however the key lengths vary; with keys of
-// one length it is the middle.
-func splitAt(keys [][]byte, perKey int) int {
-	total := 0
-	for _, k := range keys {
-		total += perKey + len(k)
+// insertAt makes key entry i of the page in the pinned frame fr and releases
+// the frame; on an inner page the entry's child is child, the one that
+// split, and right, its upper half, follows it. A page without room for
+// the entry takes it in a spill copy larger than a frame, which split
+// then halves.
+func (t *Tree) insertAt(fr *buffer.Frame, i int, key []byte, child, right storage.PageID) ([]byte, storage.PageID, error) {
+	p := page(fr.Buf)
+	end := p.off(p.count())
+	fits := end+2+p.entrySize(len(key)) <= storage.PageDataSize
+	if !fits {
+		p = make(page, 2*storage.PageDataSize)
+		copy(p, fr.Buf[:end])
 	}
-	mid, sum := 0, 0
-	for ; mid < len(keys)-1; mid++ {
-		if sum += perKey + len(keys[mid]); 2*sum > total {
-			break
-		}
+	p.insert(i, key, child)
+	if p[0] == nodeInner {
+		p.setChild(i+1, right)
 	}
-	return max(mid, 1)
+	if !fits {
+		return t.split(fr, p)
+	}
+	t.pool.Unpin(fr, true)
+	return nil, storage.InvalidPageID, nil
 }
 
-func (t *Tree) splitLeaf(id storage.PageID, n *node) ([]byte, storage.PageID, error) {
-	mid := splitAt(n.keys, 2+2) // slot offset, key length
-	right := &node{
-		isLeaf: true,
-		next:   n.next,
-		keys:   append([][]byte(nil), n.keys[mid:]...),
-	}
-	rid, err := t.allocNode(right)
+// split halves the spill page q of the pinned frame fr by bytes
+// (splitAt): the entries from the split on go to a new page and the
+// ones before it back into fr, except that on an inner page the entry
+// at the split moves up, its child ending the left half. It releases
+// fr and returns the separator, which aliases q, and the new page.
+func (t *Tree) split(fr *buffer.Frame, q page) ([]byte, storage.PageID, error) {
+	rfr, rid, err := t.pool.NewPage(t.file)
 	if err != nil {
+		t.pool.Unpin(fr, false)
 		return nil, storage.InvalidPageID, err
 	}
-	n.keys = n.keys[:mid]
-	n.next = rid
-	if err := t.writeNode(id, n); err != nil {
-		return nil, storage.InvalidPageID, err
+	n, m := q.count(), q.splitAt()
+	left, right := page(fr.Buf), page(rfr.Buf)
+	if q[0] == nodeLeaf {
+		right.copyRun(q, m, n, true, q.next())
+		left.copyRun(q, 0, m, true, rid)
+	} else {
+		right.copyRun(q, m+1, n, false, q.child(n))
+		left.copyRun(q, 0, m, false, q.child(m))
 	}
-	sep := append([]byte(nil), right.keys[0]...)
-	return sep, rid, nil
-}
-
-func (t *Tree) splitInner(id storage.PageID, n *node) ([]byte, storage.PageID, error) {
-	mid := splitAt(n.keys, 2+2+4) // slot offset, key length, child
-	sep := n.keys[mid]
-	right := &node{
-		isLeaf:   false,
-		next:     storage.InvalidPageID,
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		children: append([]storage.PageID(nil), n.children[mid+1:]...),
-	}
-	rid, err := t.allocNode(right)
-	if err != nil {
-		return nil, storage.InvalidPageID, err
-	}
-	n.keys = n.keys[:mid]
-	n.children = n.children[:mid+1]
-	if err := t.writeNode(id, n); err != nil {
-		return nil, storage.InvalidPageID, err
-	}
-	return append([]byte(nil), sep...), rid, nil
+	t.pool.Unpin(rfr, true)
+	t.pool.Unpin(fr, true)
+	return q.key(m), rid, nil
 }
 
 // Delete removes key from the tree (lazy: no rebalancing).
 func (t *Tree) Delete(key []byte) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	id := t.root
-	for {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.isLeaf {
-			i := searchIdx(n.keys, key)
-			if i >= len(n.keys) || !bytes.Equal(n.keys[i], key) {
-				return ErrKeyNotFound
-			}
-			n.keys = append(n.keys[:i], n.keys[i+1:]...)
-			return t.writeNode(id, n)
-		}
-		id = n.children[childIdx(n.keys, key)]
+	fr, _, err := t.descend(key)
+	if err != nil {
+		return err
 	}
+	p := page(fr.Buf)
+	i := p.search(key)
+	if i == p.count() || !bytes.Equal(p.key(i), key) {
+		t.pool.Unpin(fr, false)
+		return ErrKeyNotFound
+	}
+	p.remove(i)
+	t.pool.Unpin(fr, true)
+	return nil
 }
 
 // Build fills an empty tree with entries, which must be sorted in
@@ -531,10 +504,10 @@ func (t *Tree) Delete(key []byte) error {
 // order; each inner level then holds the level below as children, each
 // behind the shortest separator between its keys and its left
 // neighbour's, until one node is left to be the root (see runs). Every
-// page is written once and none is read back, where inserting the
-// entries one at a time reads and rewrites a whole node per entry. The
-// first leaf goes into the empty root page, so the file holds the meta
-// page and the tree's own pages and nothing else.
+// page is laid out once and none is read back, where inserting the
+// entries one at a time shifts a page's directory and entries per
+// entry. The first leaf goes into the empty root page, so the file
+// holds the meta page and the tree's own pages and nothing else.
 //
 // The input is checked before anything is written: a key out of order
 // fails with ErrUnsorted, a repeated one with ErrKeyExists, an
@@ -557,11 +530,13 @@ func (t *Tree) Build(entries [][]byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	root, err := t.readNode(t.root)
+	fr, depth, err := t.descend(nil)
 	if err != nil {
 		return err
 	}
-	if !root.isLeaf || len(root.keys) > 0 {
+	empty := depth == 1 && page(fr.Buf).count() == 0
+	t.pool.Unpin(fr, false)
+	if !empty {
 		return ErrNotEmpty
 	}
 	if len(entries) == 0 {
@@ -577,12 +552,14 @@ func (t *Tree) Build(entries [][]byte) error {
 	return t.setRoot(level[0].id)
 }
 
-// laidOut is a node Build has packed: the node, the separator its
-// parent puts in front of it, and its page once written.
+// laidOut is a node Build has packed: its keys, its children when it is
+// an inner node (see fill), the separator its parent puts in front of
+// it, and its page once written.
 type laidOut struct {
-	n   *node
-	sep []byte
-	id  storage.PageID
+	keys [][]byte
+	kids []storage.PageID
+	sep  []byte
+	id   storage.PageID
 }
 
 // packLeaves packs sorted keys into leaves.
@@ -593,7 +570,7 @@ func packLeaves(keys [][]byte) []laidOut {
 	out := make([]laidOut, len(b)-1)
 	for j := range out {
 		s, e := b[j], b[j+1]
-		out[j] = laidOut{n: &node{isLeaf: true, keys: keys[s:e]}, sep: keys[s]}
+		out[j] = laidOut{keys: keys[s:e], sep: keys[s]}
 		if s > 0 {
 			out[j].sep = separator(keys[s-1], keys[s])
 		}
@@ -633,14 +610,14 @@ func packInner(kids []laidOut) []laidOut {
 	out := make([]laidOut, len(b)-1)
 	for j := range out {
 		s, e := b[j], b[j+1]
-		n := &node{next: storage.InvalidPageID, keys: make([][]byte, 0, e-s-1), children: make([]storage.PageID, 0, e-s)}
+		n := laidOut{keys: make([][]byte, 0, e-s-1), kids: make([]storage.PageID, 0, e-s), sep: kids[s].sep}
 		for i := s; i < e; i++ {
 			if i > s {
 				n.keys = append(n.keys, kids[i].sep)
 			}
-			n.children = append(n.children, kids[i].id)
+			n.kids = append(n.kids, kids[i].id)
 		}
-		out[j] = laidOut{n: n, sep: kids[s].sep}
+		out[j] = n
 	}
 	return out
 }
@@ -674,7 +651,7 @@ func runs(n int, cost func(i int, opens bool) int) []int {
 
 // writeLevel writes one level's nodes left to right: the first into page
 // first when that is valid (the empty root page), every other into a
-// fresh page. A node is serialized once the next one has a page, so a
+// fresh page. A node is laid out once the next one has a page, so a
 // leaf's sibling link is known when it is written.
 func (t *Tree) writeLevel(level []laidOut, first storage.PageID) ([]laidOut, error) {
 	var prev *buffer.Frame
@@ -694,21 +671,18 @@ func (t *Tree) writeLevel(level []laidOut, first storage.PageID) ([]laidOut, err
 			return nil, err
 		}
 		if prev != nil {
-			t.writeBuilt(prev, level[i-1].n, level[i].id)
+			t.writeBuilt(prev, level[i-1], level[i].id)
 		}
 		prev = fr
 	}
-	t.writeBuilt(prev, level[len(level)-1].n, storage.InvalidPageID)
+	t.writeBuilt(prev, level[len(level)-1], storage.InvalidPageID)
 	return level, nil
 }
 
-// writeBuilt serializes n into its pinned frame, linking a leaf to next,
-// and releases the frame.
-func (t *Tree) writeBuilt(fr *buffer.Frame, n *node, next storage.PageID) {
-	if n.isLeaf {
-		n.next = next
-	}
-	n.serialize(fr.Buf)
+// writeBuilt lays n out in its pinned frame, linking a leaf to next, and
+// releases the frame.
+func (t *Tree) writeBuilt(fr *buffer.Frame, n laidOut, next storage.PageID) {
+	page(fr.Buf).fill(n.keys, n.kids, next)
 	t.pool.Unpin(fr, true)
 }
 

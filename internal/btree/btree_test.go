@@ -380,11 +380,56 @@ func TestSuccessor(t *testing.T) {
 	}
 }
 
+// builtTree returns a tree built from n random 8-byte keys, and the keys.
+func builtTree(b *testing.B, rng *rand.Rand, n int) (*Tree, [][]byte) {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key(int(rng.Int63()))
+	}
+	slices.SortFunc(keys, bytes.Compare)
+	keys = slices.CompactFunc(keys, func(a, b []byte) bool { return bytes.Equal(a, b) })
+	tr := newTree(b, 4096)
+	if err := tr.Build(keys); err != nil {
+		b.Fatal(err)
+	}
+	return tr, keys
+}
+
+// BenchmarkInsert inserts random keys into a tree built from 100,000.
 func BenchmarkInsert(b *testing.B) {
-	tr := newTree(b, 1024)
+	rng := rand.New(rand.NewSource(1))
+	tr, _ := builtTree(b, rng, 100000)
+	var k [8]byte
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := tr.Insert(key(i)); err != nil {
+		binary.BigEndian.PutUint64(k[:], uint64(rng.Int63()))
+		if err := tr.Insert(k[:]); err != nil && !errors.Is(err, ErrKeyExists) {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDelete deletes the keys of a tree built from 100,000 in
+// random order, putting them back untimed whenever it runs out.
+func BenchmarkDelete(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	tr, keys := builtTree(b, rng, 100000)
+	order := rng.Perm(len(keys))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(keys)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			for _, k := range keys {
+				if err := tr.Insert(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if err := tr.Delete(keys[order[j]]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -501,72 +546,89 @@ func TestConcurrentReaders(t *testing.T) {
 	}
 }
 
+// TestReadersDuringWrites: point and range readers run beside a writer
+// that inserts keys from 1000 on and, in the second case, deletes some
+// of them again. The first 1000 keys are never touched, so every range
+// scan over them sees them all, in order, while leaves split and shrink
+// under it.
 func TestReadersDuringWrites(t *testing.T) {
-	tr := newTree(t, 256)
-	for i := 0; i < 1000; i++ {
-		tr.Insert(key(i))
-	}
-	stop := make(chan struct{})
-	errc := make(chan error, 4)
-	for g := 0; g < 3; g++ {
-		go func(seed int) {
-			i := 0
-			for {
-				select {
-				case <-stop:
-					errc <- nil
-					return
-				default:
+	for _, c := range []struct {
+		name  string
+		write func(tr *Tree, i int) error
+		want  int
+	}{
+		{"inserts", func(tr *Tree, i int) error { return tr.Insert(key(i)) }, 3000},
+		{"inserts-and-deletes", func(tr *Tree, i int) error {
+			if err := tr.Insert(key(i)); err != nil || i%3 != 0 || i < 1500 {
+				return err
+			}
+			return tr.Delete(key(i - 500))
+		}, 3000 - 500},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := newTree(t, 256)
+			for i := 0; i < 1000; i++ {
+				tr.Insert(key(i))
+			}
+			stop := make(chan struct{})
+			errc := make(chan error, 4)
+			for g := 0; g < 3; g++ {
+				go func(seed int) {
+					i := 0
+					for {
+						select {
+						case <-stop:
+							errc <- nil
+							return
+						default:
+						}
+						if _, err := tr.Contains(key((seed + i) % 1000)); err != nil {
+							errc <- err
+							return
+						}
+						i++
+					}
+				}(g * 311)
+			}
+			go func() {
+				for {
+					select {
+					case <-stop:
+						errc <- nil
+						return
+					default:
+					}
+					want := 0
+					err := tr.Scan(key(0), key(1000), func(k []byte) error {
+						if !bytes.Equal(k, key(want)) {
+							return fmt.Errorf("scan position %d: got key %x", want, k)
+						}
+						want++
+						return nil
+					})
+					if err == nil && want != 1000 {
+						err = fmt.Errorf("scan saw %d of 1000 keys", want)
+					}
+					if err != nil {
+						errc <- err
+						return
+					}
 				}
-				if _, err := tr.Contains(key((seed + i) % 1000)); err != nil {
-					errc <- err
-					return
+			}()
+			for i := 1000; i < 3000; i++ {
+				if err := c.write(tr, i); err != nil {
+					t.Fatal(err)
 				}
-				i++
 			}
-		}(g * 311)
-	}
-	// A fourth reader range-scans in place while leaves split under it:
-	// the first 1000 keys are never deleted, so every scan sees them all,
-	// in order.
-	go func() {
-		for {
-			select {
-			case <-stop:
-				errc <- nil
-				return
-			default:
-			}
-			want := 0
-			err := tr.Scan(key(0), key(1000), func(k []byte) error {
-				if !bytes.Equal(k, key(want)) {
-					return fmt.Errorf("scan position %d: got key %x", want, k)
+			close(stop)
+			for g := 0; g < 4; g++ {
+				if err := <-errc; err != nil {
+					t.Fatal(err)
 				}
-				want++
-				return nil
-			})
-			if err == nil && want != 1000 {
-				err = fmt.Errorf("scan saw %d of 1000 keys", want)
 			}
-			if err != nil {
-				errc <- err
-				return
+			if n, _ := tr.Count(); n != c.want {
+				t.Errorf("count = %d, want %d", n, c.want)
 			}
-		}
-	}()
-	for i := 1000; i < 3000; i++ {
-		if err := tr.Insert(key(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	for g := 0; g < 4; g++ {
-		if err := <-errc; err != nil {
-			t.Fatal(err)
-		}
-	}
-	c, _ := tr.Count()
-	if c != 3000 {
-		t.Errorf("count = %d", c)
+		})
 	}
 }

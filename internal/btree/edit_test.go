@@ -1,0 +1,254 @@
+package btree
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"pmv/internal/storage"
+)
+
+// checkPages walks every page reachable from the root, parsing the bytes
+// itself, and holds each to the layout: entries packed in slot order
+// right behind the directory, at most PageDataSize bytes used, keys
+// strictly ascending and within the range the parent's separators give
+// the page, header fields the node type does not use at their fixed
+// values, and every leaf at one depth. Then the leaf chain, followed
+// from the leftmost leaf, must visit the walk's leaves in order and hold
+// want, as Scan must.
+func checkPages(t testing.TB, tr *Tree, want [][]byte) {
+	t.Helper()
+	var leaves []storage.PageID
+	leafDepth := 0
+	var walk func(id storage.PageID, lo, hi []byte, depth int)
+	walk = func(id storage.PageID, lo, hi []byte, depth int) {
+		fr, err := tr.pool.Fetch(tr.file, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := fr.Buf
+		typ, n := p[0], int(binary.BigEndian.Uint16(p[1:]))
+		var keys [][]byte
+		var kids []storage.PageID
+		o := nodeHdr + 2*n
+		for i := 0; i < n; i++ {
+			if at := int(binary.BigEndian.Uint16(p[nodeHdr+2*i:])); at != o {
+				t.Fatalf("page %d: entry %d of %d at %d, want %d", id, i, n, at, o)
+			}
+			klen := int(binary.BigEndian.Uint16(p[o:]))
+			keys = append(keys, bytes.Clone(p[o+2:o+2+klen]))
+			o += 2 + klen
+			if typ == nodeInner {
+				kids = append(kids, storage.PageID(binary.BigEndian.Uint32(p[o:])))
+				o += 4
+			}
+			if o > storage.PageDataSize {
+				t.Fatalf("page %d: %d entries use %d bytes", id, n, o)
+			}
+		}
+		next := storage.PageID(binary.BigEndian.Uint32(p[3:]))
+		rightmost := storage.PageID(binary.BigEndian.Uint32(p[7:]))
+		tr.pool.Unpin(fr, false)
+		for i, k := range keys {
+			if i > 0 && bytes.Compare(keys[i-1], k) >= 0 {
+				t.Fatalf("page %d: key %d %x not above key %d %x", id, i, k, i-1, keys[i-1])
+			}
+			if (lo != nil && bytes.Compare(k, lo) < 0) || (hi != nil && bytes.Compare(k, hi) >= 0) {
+				t.Fatalf("page %d: key %x outside [%x, %x)", id, k, lo, hi)
+			}
+		}
+		switch typ {
+		case nodeLeaf:
+			if rightmost != 0 {
+				t.Fatalf("leaf %d: rightmost child %d", id, rightmost)
+			}
+			if leafDepth == 0 {
+				leafDepth = depth
+			} else if depth != leafDepth {
+				t.Fatalf("leaf %d at depth %d, another at %d", id, depth, leafDepth)
+			}
+			leaves = append(leaves, id)
+		case nodeInner:
+			if next != storage.InvalidPageID {
+				t.Fatalf("inner page %d: next %d", id, next)
+			}
+			kids = append(kids, rightmost)
+			for i, c := range kids {
+				clo, chi := lo, hi
+				if i > 0 {
+					clo = keys[i-1]
+				}
+				if i < n {
+					chi = keys[i]
+				}
+				walk(c, clo, chi, depth+1)
+			}
+		default:
+			t.Fatalf("page %d: node type %d", id, typ)
+		}
+	}
+	walk(tr.root, nil, nil, 1)
+
+	var chain []storage.PageID
+	var got [][]byte
+	for id := leaves[0]; id != storage.InvalidPageID; {
+		chain = append(chain, id)
+		fr, err := tr.pool.Fetch(tr.file, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := page(fr.Buf)
+		for i := 0; i < p.count(); i++ {
+			got = append(got, bytes.Clone(p.key(i)))
+		}
+		id = p.next()
+		tr.pool.Unpin(fr, false)
+	}
+	if !slices.Equal(chain, leaves) {
+		t.Fatalf("leaf chain %v, the walk's leaves %v", chain, leaves)
+	}
+	if !equalKeys(got, want) {
+		t.Fatalf("leaf chain holds %d keys, want %d, or out of order", len(got), len(want))
+	}
+	if scanned := collect(t, tr, nil, nil); !equalKeys(scanned, want) {
+		t.Fatalf("Scan: %d keys, want %d, or out of order", len(scanned), len(want))
+	}
+}
+
+// FuzzInsertDelete runs n Insert and Delete calls, delPct of them
+// deletes, against a sorted slice, and checks every page after each
+// call. Keys are 1 to maxLen bytes from a four-letter alphabet and half
+// of the calls name a key the tree holds, so that inserts collide,
+// deletes find their key, and pages split and empty.
+func FuzzInsertDelete(f *testing.F) {
+	f.Add(int64(1), uint16(300), uint16(8), uint8(30))
+	f.Add(int64(2), uint16(599), uint16(maxKeyLen-1), uint8(10))
+	f.Add(int64(3), uint16(500), uint16(60), uint8(45))
+	f.Add(int64(4), uint16(400), uint16(maxKeyLen-1), uint8(40))
+	f.Add(int64(5), uint16(599), uint16(300), uint8(5))
+	f.Fuzz(func(t *testing.T, seed int64, n, maxLen uint16, delPct uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		klen := 1 + int(maxLen)%maxKeyLen
+		tr := newTree(t, 16)
+		var want [][]byte
+		for op := 0; op < int(n%600); op++ {
+			k := randomKeys(rng, 1, klen)[0]
+			if len(want) > 0 && rng.Intn(2) == 0 {
+				k = want[rng.Intn(len(want))]
+			}
+			i, found := slices.BinarySearchFunc(want, k, bytes.Compare)
+			if rng.Intn(100) < int(delPct%100) {
+				err := tr.Delete(k)
+				if found != (err == nil) || (!found && !errors.Is(err, ErrKeyNotFound)) {
+					t.Fatalf("op %d: Delete(%x) = %v, present %v", op, k, err, found)
+				}
+				if found {
+					want = slices.Delete(want, i, i+1)
+				}
+			} else {
+				err := tr.Insert(k)
+				if found != errors.Is(err, ErrKeyExists) || (!found && err != nil) {
+					t.Fatalf("op %d: Insert(%x) = %v, present %v", op, k, err, found)
+				}
+				if !found {
+					want = slices.Insert(want, i, k)
+				}
+			}
+			checkPages(t, tr, want)
+		}
+		checkOracle(t, tr, want, rng)
+	})
+}
+
+// usedBytes returns the header, directory and entries of a tree's
+// single leaf.
+func usedBytes(t *testing.T, tr *Tree) []byte {
+	t.Helper()
+	if h, err := tr.Height(); err != nil || h != 1 {
+		t.Fatalf("height %d (%v), want a single leaf", h, err)
+	}
+	fr, err := tr.pool.Fetch(tr.file, tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.pool.Unpin(fr, false)
+	p := page(fr.Buf)
+	return bytes.Clone(p[:p.off(p.count())])
+}
+
+// TestEditsMatchBuild: a leaf that keys came into and left in random
+// order holds, byte for byte, what Build lays out for the keys that
+// stayed — the in-place edits keep the entries packed in slot order.
+func TestEditsMatchBuild(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keys := randomKeys(rng, 150, 40)
+		edited := newTree(t, 16)
+		for _, i := range rng.Perm(len(keys)) {
+			if err := edited.Insert(keys[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		gone := make([]bool, len(keys))
+		for _, i := range rng.Perm(len(keys))[:len(keys)/3] {
+			if err := edited.Delete(keys[i]); err != nil {
+				t.Fatal(err)
+			}
+			gone[i] = true
+		}
+		var kept [][]byte
+		for i, k := range keys {
+			if !gone[i] {
+				kept = append(kept, k)
+			}
+		}
+		built := newTree(t, 16)
+		if err := built.Build(kept); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := usedBytes(t, edited), usedBytes(t, built); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: the edited leaf's %d bytes differ from the built leaf's %d", seed, len(got), len(want))
+		}
+	}
+}
+
+// TestWritesInPlace pins the write paths to the pinned frame: inserting
+// into a leaf with room, and deleting from it, allocate nothing.
+func TestWritesInPlace(t *testing.T) {
+	tr := newTree(t, 16)
+	var odd [][]byte
+	for i := 0; i < 150; i++ {
+		if err := tr.Insert(key(2 * i)); err != nil {
+			t.Fatal(err)
+		}
+		odd = append(odd, key(2*i+1))
+	}
+	const runs = 100 // AllocsPerRun calls the function runs+1 times
+	j := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := tr.Insert(odd[j]); err != nil {
+			t.Fatal(err)
+		}
+		j++
+	}); n != 0 {
+		t.Errorf("Insert into a leaf with room: %v allocs, want 0", n)
+	}
+	if h, _ := tr.Height(); h != 1 {
+		t.Fatalf("height %d: the inserts split the leaf", h)
+	}
+	j = 0
+	if n := testing.AllocsPerRun(runs, func() {
+		if err := tr.Delete(odd[j]); err != nil {
+			t.Fatal(err)
+		}
+		j++
+	}); n != 0 {
+		t.Errorf("Delete: %v allocs, want 0", n)
+	}
+	if c, _ := tr.Count(); c != 150 {
+		t.Fatalf("count %d, want 150", c)
+	}
+}

@@ -31,6 +31,7 @@ package pmv
 import (
 	"context"
 	"fmt"
+	"maps"
 	"time"
 
 	"pmv/internal/buffer"
@@ -356,12 +357,15 @@ func (db *DB) CreatePartialView(tpl *Template, opts ViewOptions) (*View, error) 
 		v.Drop()
 		return nil, fmt.Errorf("pmv: view %q: %w", v.Name(), err)
 	}
-	db.views[v.Name()] = v
+	next := maps.Clone(db.views)
+	next[v.Name()] = v
+	if err := db.saveViews(next); err != nil {
+		v.Drop()
+		return nil, err
+	}
+	db.views = next
 	if db.freqCfg != nil {
 		v.EnableFreq(*db.freqCfg)
-	}
-	if err := db.saveViews(); err != nil {
-		return nil, err
 	}
 	return v, nil
 }

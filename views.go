@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,9 +34,12 @@ type viewDef struct {
 
 func (db *DB) viewsPath() string { return filepath.Join(db.eng.Dir(), "views.json") }
 
-func (db *DB) saveViews() error {
-	defs := make([]viewDef, 0, len(db.views))
-	for _, v := range db.views {
+// saveViews writes views as views.json. View DDL saves the set it is
+// about to install and installs it only once the file is written, so
+// that memory never holds a view set the file does not.
+func (db *DB) saveViews(views map[string]*View) error {
+	defs := make([]viewDef, 0, len(views))
+	for _, v := range views {
 		cfg := v.Config()
 		defs = append(defs, viewDef{
 			Name:              cfg.Name,
@@ -151,7 +155,12 @@ func (db *DB) DropPartialView(name string) error {
 	if !ok {
 		return fmt.Errorf("pmv: no view %q", name)
 	}
+	next := maps.Clone(db.views)
+	delete(next, name)
+	if err := db.saveViews(next); err != nil {
+		return err
+	}
 	v.Drop()
-	delete(db.views, name)
-	return db.saveViews()
+	db.views = next
+	return nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"pmv"
 	"pmv/internal/catalog/catalogtest"
+	"pmv/internal/vfs"
 	"pmv/internal/workload"
 )
 
@@ -171,6 +172,94 @@ func TestDropPartialView(t *testing.T) {
 	// And it can be recreated under the same name.
 	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// failViewsSave opens a database whose next write of views.json, and
+// only that one, fails once arm is called.
+func failViewsSave(t *testing.T, dir string) (db *pmv.DB, arm func()) {
+	t.Helper()
+	inj := vfs.NewInjector(1)
+	db, err := pmv.Open(dir, pmv.Options{FS: vfs.NewFaulty(vfs.OS(), inj)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db, func() {
+		inj.Add(vfs.Rule{Kind: vfs.FaultError, Op: vfs.OpWrite, Path: "views.json", AfterOps: 1})
+	}
+}
+
+// TestCreatePartialViewSaveFailureLeavesNoView: when views.json cannot
+// be written, CreatePartialView fails, registers nothing and detaches
+// the view, so that the retry succeeds and a reopen finds the view.
+func TestCreatePartialViewSaveFailureLeavesNoView(t *testing.T) {
+	dir := t.TempDir()
+	db, arm := failViewsSave(t, dir)
+	tpl := storefront(t, db)
+	arm()
+	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{}); err == nil {
+		t.Fatal("CreatePartialView succeeded although views.json could not be written")
+	}
+	if len(db.Views()) != 0 {
+		t.Fatalf("failed CreatePartialView left %d views registered", len(db.Views()))
+	}
+	if _, err := db.Delete("sale", func(tu pmv.Tuple) bool { return tu[0].Int64() == 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{}); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := pmv.Open(dir, pmv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if _, ok := db2.ViewByName("pmv_on_sale"); !ok || len(db2.Views()) != 1 {
+		t.Fatalf("reopened database has views %v, want pmv_on_sale", db2.Views())
+	}
+}
+
+// TestDropPartialViewSaveFailureKeepsView: when views.json cannot be
+// written, DropPartialView fails and the view stays registered and
+// maintained, as the file still has it; the retry drops it for good.
+func TestDropPartialViewSaveFailureKeepsView(t *testing.T) {
+	dir := t.TempDir()
+	db, arm := failViewsSave(t, dir)
+	tpl := storefront(t, db)
+	v, err := db.CreatePartialView(tpl, pmv.ViewOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := pmv.NewQuery(tpl).In(0, pmv.Int(1)).In(1, pmv.Int(2)).Query()
+	if _, err := v.ExecutePartial(q, func(pmv.Result) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	arm()
+	if err := db.DropPartialView(v.Name()); err == nil {
+		t.Fatal("DropPartialView succeeded although views.json could not be written")
+	}
+	if got, ok := db.ViewByName(v.Name()); !ok || got != v {
+		t.Fatal("failed DropPartialView unregistered the view")
+	}
+	if v.Len() == 0 {
+		t.Fatal("failed DropPartialView emptied the view")
+	}
+	if err := db.DropPartialView(v.Name()); err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := pmv.Open(dir, pmv.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if len(db2.Views()) != 0 {
+		t.Fatalf("reopened database has views %v after the drop", db2.Views())
 	}
 }
 
