@@ -36,12 +36,10 @@ func Set(rel, col string, val Value, setCol string, setVal Value) Op {
 	return Op{Kind: OpUpdate, Rel: rel, Col: col, Val: val, SetCol: setCol, SetVal: setVal}
 }
 
-// Update ships a batch of DML ops to the server's write plane and
-// waits for them to be applied. With maint set the call additionally
-// waits for view maintenance to complete and the reply carries the
-// affected bcp keys per view (the router uses this to fan
-// invalidations to sibling shards); without it the reply returns as
-// soon as the base relations are updated.
+// Update ships a batch of DML ops to the server and waits until they
+// are applied and the server's views maintained. With maint set the
+// reply also names the bcps per view the server purged (a router's hot
+// plane drops its replicas of them).
 //
 // Updates are NEVER transparently retried: a transport failure after
 // the request was written leaves the batch's fate unknown, and

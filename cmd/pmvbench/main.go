@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	pmvbench [-fig all|6|7|8|9|10|11|12|t1|ablation-policy|ablation-maint|ablation-f|ablation-planner|ablation-dividers|sim-policies]
+//	pmvbench [-fig all|6|7|8|9|10|11|12|t1|ablation-policy|ablation-f|ablation-planner|ablation-dividers|sim-policies]
 //	         [-scale s] [-sim-div n] [-rounds n] [-dir path] [-csv dir]
 //
 // -sim-div divides the simulation's 1M warm-up/measure query counts
@@ -71,7 +71,6 @@ func main() {
 	run("11", func() error { return figure11() })
 	run("12", func() error { return figure12() })
 	run("ablation-policy", func() error { return ablationPolicy(baseDir, *scale) })
-	run("ablation-maint", func() error { return ablationMaint(baseDir, *scale) })
 	run("ablation-f", func() error { return ablationF(baseDir, *scale) })
 	run("ablation-planner", func() error { return ablationPlanner(baseDir, *scale) })
 	run("ablation-dividers", func() error { return ablationDividers(baseDir, *scale) })
@@ -237,18 +236,6 @@ func ablationPolicy(dir string, scale float64) error {
 	}
 	for _, r := range rows {
 		fmt.Printf("  policy=%-6s hit=%.3f  partial tuples/query=%.2f\n", r.Policy, r.HitProb, r.Partial)
-	}
-	return nil
-}
-
-func ablationMaint(dir string, scale float64) error {
-	rows, err := experiments.MaintAblation(dir, scale, 50, 13)
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		fmt.Printf("  strategy=%-11s deletes=%d total=%v maintenance-overhead=%v per-op=%v\n",
-			r.Strategy, r.Deletes, r.Total, r.Overhead, r.PerOp)
 	}
 	return nil
 }

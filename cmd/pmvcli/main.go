@@ -35,8 +35,8 @@
 //	                           epoch, snapshot freshness, maint backlog
 //	                           (-addr must point at a pmvrouter)
 //	maint                      write-plane health: ingest queue, batch
-//	                           sizes, heavy/light key split, invalidation
-//	                           and fan-out counters (server mode)
+//	                           sizes, purge and invalidation counters
+//	                           (server mode)
 //	help / quit
 package main
 

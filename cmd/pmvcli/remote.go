@@ -261,10 +261,8 @@ func (r *remoteBackend) maint() error {
 		ms.CoalescedOps, ms.GroupSyncs, time.Duration(ms.SyncNs))
 	fmt.Printf("  time: lock-wait %v, apply %v, maintain %v\n",
 		time.Duration(ms.LockWaitNs), time.Duration(ms.ApplyNs), time.Duration(ms.MaintNs))
-	fmt.Printf("  keys: %d affected (%d light -> purge, %d heavy -> lazy invalidation)\n",
-		ms.KeysAffected, ms.LightKeys, ms.HeavyKeys)
-	fmt.Printf("  invalidation: %d entries / %d tuples purged, %d key bumps, %d wide bumps, %d purge degrades\n",
-		ms.EntriesPurged, ms.TuplesPurged, ms.KeyGenBumps, ms.WideGenBumps, ms.PurgeDegrades)
+	fmt.Printf("  purge: %d keys, %d entries / %d tuples purged, %d wide bumps\n",
+		ms.KeysAffected, ms.EntriesPurged, ms.TuplesPurged, ms.WideGenBumps)
 	if ms.FanoutSent > 0 || ms.FanoutFailures > 0 {
 		lag := time.Duration(0)
 		if ms.FanoutSent > 0 {

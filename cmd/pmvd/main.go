@@ -56,8 +56,6 @@ func main() {
 		maintOn    = flag.Bool("maint", true, "batched deferred view maintenance for writes (off = synchronous per-statement maintenance)")
 		maintBatch = flag.Int("maint-batch", 0, "ops per maintenance batch before a size flush (0 = default 64)")
 		maintDelay = flag.Duration("maint-delay", 0, "max age of a non-empty batch before a flush (0 = default 2ms); bounds write latency")
-		maintHeavy = flag.Int("maint-heavy", 0, "touches per window that classify a bcp key heavy, switching purge to lazy invalidation (0 = default 32)")
-		maintWin   = flag.Duration("maint-window", 0, "heavy/light classifier sliding-window rotation (0 = default 1s)")
 		maintQueue = flag.Int("maint-queue", 0, "bounded ingest queue depth; writers block when full (0 = default 1024)")
 
 		freqOn     = flag.Bool("freq", false, "frequency plane: windowed popularity sketch gating cache admission, counting-bloom presence filter suppressing provably-absent O2 probes, and the shard half of hot-entry replication")
@@ -72,8 +70,6 @@ func main() {
 		os.Exit(1)
 	}
 	if *freqOn {
-		// Before the maintenance plane: maint.New derives its heavy/light
-		// estimator from the views' frequency planes when they exist.
 		db.EnableFreq(pmv.FreqConfig{
 			Window:         *freqWindow,
 			AdmitThreshold: uint32(*freqAdmit),
@@ -83,13 +79,11 @@ func main() {
 	var plane *maint.Plane
 	if *maintOn {
 		plane, err = maint.New(maint.Config{
-			Source:         db,
-			BatchSize:      *maintBatch,
-			MaxDelay:       *maintDelay,
-			QueueDepth:     *maintQueue,
-			HeavyThreshold: *maintHeavy,
-			WindowInterval: *maintWin,
-			Logf:           log.Printf,
+			Source:     db,
+			BatchSize:  *maintBatch,
+			MaxDelay:   *maintDelay,
+			QueueDepth: *maintQueue,
+			Logf:       log.Printf,
 		})
 		if err != nil {
 			db.Close()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pmv"
+	"pmv/internal/catalog/catalogtest"
 )
 
 // TestCrashDurabilityEndToEnd exercises the public WAL surface: data
@@ -74,5 +75,48 @@ func TestCrashDurabilityEndToEnd(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("row %d differs after recovery", i)
 		}
+	}
+}
+
+// TestCreateIndexDurableBeforeCatalog: an index catalog.json names must
+// hold its entries on disk. After a checkpoint the WAL is empty, so an
+// Open after a crash runs no recovery and trusts the index file as it
+// finds it.
+func TestCreateIndexDurableBeforeCatalog(t *testing.T) {
+	dir := t.TempDir()
+	db, err := pmv.Open(dir, pmv.Options{EnableWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateRelation("kv", pmv.Col("k", pmv.TypeInt), pmv.Col("v", pmv.TypeInt)); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 300; i++ {
+		if err := db.Insert("kv", pmv.Int(i), pmv.Int(i*i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateIndex("kv", "k"); err != nil {
+		t.Fatal(err)
+	}
+	// Crash: abandon without Close.
+
+	db2, err := pmv.Open(dir, pmv.Options{EnableWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	if err := catalogtest.IndexesMatchHeap(db2.Engine().Catalog()); err != nil {
+		t.Fatal(err)
+	}
+	r, err := db2.Engine().Catalog().GetRelation("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Indexes) != 1 || r.Heap.Count() != 300 {
+		t.Fatalf("%d indexes over %d rows, want 1 over 300", len(r.Indexes), r.Heap.Count())
 	}
 }

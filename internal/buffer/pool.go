@@ -178,6 +178,25 @@ func (p *Pool) FlushAll() error {
 	return nil
 }
 
+// SyncFile writes back the dirty pages of one file and fsyncs it, so
+// the file is durable without a checkpoint. Pages stay resident.
+func (p *Pool) SyncFile(file string) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for i := range p.frames {
+		if fr := &p.frames[i]; fr.tag.File == file {
+			if err := p.flushLocked(fr); err != nil {
+				return err
+			}
+		}
+	}
+	f, err := p.mgr.Open(file)
+	if err != nil {
+		return err
+	}
+	return f.Sync()
+}
+
 // FlushFile writes back dirty pages of one file and drops them from the
 // pool (used when a relation is dropped).
 func (p *Pool) FlushFile(file string) error {

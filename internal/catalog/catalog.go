@@ -211,9 +211,16 @@ func (c *Catalog) metaPath() string { return filepath.Join(c.dir, "catalog.json"
 func heapFile(rel string) string   { return "heap." + rel }
 func indexFile(name string) string { return "idx." + name }
 
-func (c *Catalog) saveLocked() error {
+// saveLocked writes catalog.json (synced), listing pending, when
+// non-nil, as one more index of its relation.
+func (c *Catalog) saveLocked(pending *Index) error {
 	rels := make([]*Relation, 0, len(c.relations))
 	for _, r := range c.relations {
+		if pending != nil && r.Name == pending.Relation {
+			withIx := *r
+			withIx.Indexes = append(slices.Clip(r.Indexes), pending)
+			r = &withIx
+		}
 		rels = append(rels, r)
 	}
 	sort.Slice(rels, func(i, j int) bool { return rels[i].Name < rels[j].Name })
@@ -237,7 +244,7 @@ func (c *Catalog) CreateRelation(name string, schema Schema) (*Relation, error) 
 	}
 	r := &Relation{Name: name, Schema: schema, Heap: h}
 	c.relations[name] = r
-	return r, c.saveLocked()
+	return r, c.saveLocked(nil)
 }
 
 // GetRelation returns the named relation.
@@ -371,6 +378,18 @@ func (c *Catalog) CreateIndex(name, rel string, colNames ...string) (*Index, err
 		}
 		return nil, fmt.Errorf("catalog: backfill %w", err)
 	}
+	// The index's pages are durable before catalog.json names it: with
+	// the WAL empty, Open runs no recovery and trusts the file.
+	err = c.pool.SyncFile(indexFile(name))
+	if err == nil {
+		err = c.saveLocked(ix)
+	}
+	if err != nil {
+		if rerr := c.removeIndexFile(name); rerr != nil {
+			err = errors.Join(err, rerr)
+		}
+		return nil, fmt.Errorf("catalog: create index %s: %w", name, err)
+	}
 	r.Indexes = append(r.Indexes, ix)
-	return ix, c.saveLocked()
+	return ix, nil
 }

@@ -91,7 +91,7 @@ func (c *Catalog) Analyze(rel string) (*RelationStats, error) {
 		return nil, err
 	}
 	r.Stats = st
-	return st, c.saveLocked()
+	return st, c.saveLocked(nil)
 }
 
 // AnalyzeAll analyzes every relation.

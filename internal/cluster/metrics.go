@@ -36,8 +36,8 @@ type Metrics struct {
 	DegradedRecorded atomic.Int64
 
 	// Write plane: batches acked (all shards applied), ops/rows from the
-	// primary's reply, batches failed on any shard, and the invalidation
-	// fan-out's delivery ladder.
+	// primary's reply, batches failed on any shard, and the audit
+	// repair's invalidation ladder.
 	Updates        atomic.Int64
 	UpdateOps      atomic.Int64
 	UpdateRows     atomic.Int64
@@ -46,7 +46,7 @@ type Metrics struct {
 	FanoutRetries  atomic.Int64
 	FanoutDegrades atomic.Int64
 	FanoutFailures atomic.Int64
-	FanoutLagNs    atomic.Int64 // cumulative ack-to-delivered lag
+	FanoutLagNs    atomic.Int64 // cumulative dispatch-to-delivered lag
 
 	// Tail-tolerance plane: hedges refused by the token budget (the
 	// per-shard hedge counters live in ShardMetrics).
@@ -72,7 +72,7 @@ type ShardMetrics struct {
 	EpochInstalls  atomic.Int64 // shard-map installs pushed (startup + MsgErrEpoch)
 	Execs          atomic.Int64 // routed O3s attempted
 	ExecFailures   atomic.Int64 // routed O3s failed (failover or give-up)
-	RefillsSent    atomic.Int64 // refill batches dispatched
+	RefillsSent    atomic.Int64 // refill batches spawned (the write gate may drop one)
 	RefillTuples   atomic.Int64 // tuples the shard confirmed cached
 	RefillFailures atomic.Int64 // refill batches lost (never retried)
 	Updates        atomic.Int64 // update batches sent

@@ -35,7 +35,7 @@ func (r *Router) WritePrometheus(w io.Writer) error {
 	p.Counter("pmvrouter_fanout_retries_total", "Invalidations retried after re-teaching the shard map.", float64(m.FanoutRetries.Load()))
 	p.Counter("pmvrouter_fanout_degrades_total", "Invalidations degraded to whole-view bumps.", float64(m.FanoutDegrades.Load()))
 	p.Counter("pmvrouter_fanout_failures_total", "Invalidations lost after the full degradation ladder.", float64(m.FanoutFailures.Load()))
-	p.Counter("pmvrouter_fanout_lag_seconds_total", "Cumulative ack-to-delivered invalidation lag.", float64(m.FanoutLagNs.Load())/1e9)
+	p.Counter("pmvrouter_fanout_lag_seconds_total", "Cumulative dispatch-to-delivered invalidation lag.", float64(m.FanoutLagNs.Load())/1e9)
 	p.Counter("pmvrouter_corrupt_frames_total", "Sessions dropped on framing violations.", float64(m.CorruptFrames.Load()))
 	m.Counters.WritePrometheus(p, "pmvrouter")
 

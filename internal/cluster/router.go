@@ -198,6 +198,7 @@ type Router struct {
 	bgWG     sync.WaitGroup // map install, heartbeat and hot-plane loops
 	refillWG sync.WaitGroup
 	invalWG  sync.WaitGroup
+	gate     refillGate // orders refills against writes (write.go)
 
 	traces *traceStore
 
@@ -701,6 +702,7 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 	// dropped, and replaying against the consumed map would either
 	// re-emit a partial or fake a consistency violation.
 	snapshot := maps.Clone(ds)
+	refillSeq, refillOK := r.gate.begin()
 	nShards := len(r.pools)
 	firstShard := int(r.rr.Add(1)-1) % nShards
 	var (
@@ -807,17 +809,16 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 				// fresh one so the next read converges.
 				r.hot.repair(meta, parts)
 			}
-			// An owner's entry holds a row execution no longer produces:
-			// a refill whose O3 read came before a write can land after
-			// the write's maintenance passed. Invalidate every bcp that
-			// served a partial, as a failed local audit does, so the
-			// retry the error invites converges instead of failing on
-			// the same entry forever.
-			keys := make([][]byte, 0, len(served))
+			// An owner's entry holds a row execution no longer produces
+			// (a write that bypassed the router, say). Invalidate every
+			// bcp that served a partial, as a failed local audit does, so
+			// the retry the error invites converges instead of failing
+			// on the same entry forever.
+			keys := make([]string, 0, len(served))
 			for k := range served {
-				keys = append(keys, []byte(k))
+				keys = append(keys, k)
 			}
-			r.spawnInvalidate(-1, map[string][][]byte{meta.name: keys}, nil)
+			r.spawnInvalidate(meta.name, keys)
 			r.metrics.DSLeftover.Add(1)
 			return sess.WriteErr(fmt.Errorf("router: consistency violation: %d partial tuples never produced by execution", leftover))
 		}
@@ -829,7 +830,7 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 	baseRep.ExecLatency = execRep.ExecLatency
 
 	if len(refill) > 0 {
-		r.spawnRefill(tr, meta, refill, served, hotGen)
+		r.spawnRefill(tr, meta, refill, served, hotGen, refillSeq, refillOK)
 	}
 	return r.finishQuery(sess, baseRep, start, o)
 }
@@ -998,8 +999,9 @@ func (r *Router) probeShard(ctx context.Context, shard int, view string, m *Shar
 // miss, nothing else. A non-nil tr rides into the refill contexts so
 // the shards' refill spans land in the router's stored trace — after
 // the reply, which is why `pmvcli trace` reads the live trace rather
-// than a snapshot.
-func (r *Router) spawnRefill(tr *obs.Trace, meta *viewMeta, tuples []value.Tuple, served map[string]struct{}, hotGen uint64) {
+// than a snapshot. seq and ok are what r.gate.begin returned as the
+// query's O3 began: a batch the gate refuses is dropped.
+func (r *Router) spawnRefill(tr *obs.Trace, meta *viewMeta, tuples []value.Tuple, served map[string]struct{}, hotGen uint64, seq int64, ok bool) {
 	select {
 	case <-r.Closing():
 		return
@@ -1022,12 +1024,19 @@ func (r *Router) spawnRefill(tr *obs.Trace, meta *viewMeta, tuples []value.Tuple
 		owner := m.Owner(key)
 		groups[owner] = append(groups[owner], t)
 	}
+	if !ok {
+		return
+	}
 	for shard, batch := range groups {
 		sm := r.metrics.Shards[shard]
 		sm.RefillsSent.Add(1)
 		r.refillWG.Add(1)
 		go func(shard int, batch []value.Tuple) {
 			defer r.refillWG.Done()
+			if !r.gate.enter(seq) {
+				return
+			}
+			defer r.gate.mu.RUnlock()
 			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.RefillTimeout)
 			defer cancel()
 			ctx = obs.WithTrace(ctx, tr)

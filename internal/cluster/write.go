@@ -1,22 +1,22 @@
 // write.go is the cluster plane's write path. A ΔR batch arriving at
 // the router (MsgUpdate) fans to every shard — each holds the full
-// base data — with exactly one shard, the round-robined primary,
-// asked to run maintenance and report the affected bcp keys. The ack
-// to the writer requires every shard to have applied the batch; there
-// is no write failover, because re-sending a batch whose fate is
+// base data — and the ack to the writer requires every shard to have
+// applied it. Each shard also maintains its own views before it
+// answers: its write plane purges the batch's victims while it holds
+// the batch's X locks, and a shard without a plane purges per
+// statement. So once the writer is acked no shard's cache holds a row
+// the write removed, and the router sends no invalidations after a
+// write. One shard, the round-robined primary, is asked for its damage
+// report, which the router's hot plane uses to drop its replicas.
+// There is no write failover, because re-sending a batch whose fate is
 // unknown could apply non-idempotent ops twice (writers that know
 // their ops are idempotent retry on the typed error themselves).
 //
-// After the ack the router fans the primary's reported damage to the
-// shards owning those keys as epoch-stamped MsgInvalidate frames,
-// asynchronously. Delivery is best-effort with a ladder of
-// degradations — retry once after re-teaching the shard map on
-// MsgErrEpoch, then fall back to an epoch-less whole-view
-// invalidation — and a rung that fails entirely only costs cache
-// freshness on that shard: every shard also maintains its own views
-// locally when it applies the batch, and the DS duplicate-multiset
-// audit turns any surviving staleness into a loud query failure, not
-// a silently wrong answer.
+// What a shard's purge cannot see is a routed refill still on its way:
+// O3 rows read before the write, sent to their owner after its purge.
+// refillGate orders the two. The router's MsgInvalidate fan-out
+// (spawnInvalidate) is left to recovery: a failed routed DS audit
+// invalidates the bcps that served it.
 package cluster
 
 import (
@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pmv/client"
@@ -53,6 +54,7 @@ func (r *Router) handleUpdate(sess *session.Session, payload []byte) error {
 
 	nShards := len(r.pools)
 	primary := int(r.rr.Add(1)-1) % nShards
+	writeDone := r.gate.write()
 
 	type result struct {
 		rep wire.UpdateReply
@@ -76,6 +78,7 @@ func (r *Router) handleUpdate(sess *session.Session, payload []byte) error {
 		}(shard)
 	}
 	wg.Wait()
+	writeDone()
 	for shard := range results {
 		if uerr := results[shard].err; uerr != nil {
 			r.metrics.UpdateFailures.Add(1)
@@ -88,13 +91,13 @@ func (r *Router) handleUpdate(sess *session.Session, payload []byte) error {
 	r.metrics.UpdateOps.Add(int64(prim.Applied))
 	r.metrics.UpdateRows.Add(int64(prim.Rows))
 	if r.hot != nil {
-		// Before the ack: drop router replicas for the damaged keys
-		// synchronously (a post-ack read must never be answered from a
-		// pre-write replica) and fan MsgHotInval for pushed keys to
-		// every shard — replicas live everywhere, unlike owned entries.
+		// Before the ack: drop router replicas for the keys the primary
+		// purged synchronously (a post-ack read must never be answered
+		// from a pre-write replica) and fan MsgHotInval for pushed keys
+		// to every shard — replicas live everywhere, unlike owned
+		// entries.
 		r.hot.invalidate(prim.Keys, prim.Wide)
 	}
-	r.spawnInvalidate(primary, prim.Keys, prim.Wide)
 	if tr != nil {
 		allocd := tr.AllocMark() - allocMark
 		tr.SpanCost(obs.KindServe, start, int64(prim.Rows), 0, 0,
@@ -108,15 +111,10 @@ func (r *Router) handleUpdate(sess *session.Session, payload []byte) error {
 	return sess.Reply(prim)
 }
 
-// spawnInvalidate fans the primary's reported damage to the shards
-// owning the affected keys, asynchronously (the writer's ack already
-// went out; invalidation is a freshness upgrade, not a correctness
-// gate). The primary maintained its own cache and is skipped; -1 skips
-// no shard. One goroutine per target shard; Shutdown waits for them.
-func (r *Router) spawnInvalidate(primary int, keys map[string][][]byte, wide map[string]bool) {
-	if len(keys) == 0 && len(wide) == 0 {
-		return
-	}
+// spawnInvalidate invalidates keys of view on the shards owning them,
+// asynchronously — the routed audit's repair, not a correctness gate.
+// One goroutine per target shard; Shutdown waits for them.
+func (r *Router) spawnInvalidate(view string, keys []string) {
 	select {
 	case <-r.Closing():
 		return
@@ -124,61 +122,22 @@ func (r *Router) spawnInvalidate(primary int, keys map[string][][]byte, wide map
 	}
 	m := r.shardMap()
 	start := time.Now()
-
-	// Per-key damage grouped by owning shard (wide views are covered by
-	// the whole-view fan below; their key lists would be redundant).
-	perShard := make(map[int]map[string][]string)
-	for view, ks := range keys {
-		if wide[view] {
-			continue
-		}
-		for _, k := range ks {
-			owner := m.Owner(string(k))
-			if owner == primary {
-				continue // the primary maintained its own cache
-			}
-			if perShard[owner] == nil {
-				perShard[owner] = make(map[string][]string)
-			}
-			perShard[owner][view] = append(perShard[owner][view], string(k))
-		}
+	perShard := make(map[int][]string)
+	for _, k := range keys {
+		owner := m.Owner(k)
+		perShard[owner] = append(perShard[owner], k)
 	}
-	var wideViews []string
-	for view, w := range wide {
-		if w {
-			wideViews = append(wideViews, view)
-		}
-	}
-
-	for shard := range r.pools {
-		if shard == primary {
-			continue
-		}
-		var reqs []wire.InvalidateRequest
-		for view, ks := range perShard[shard] {
-			reqs = append(reqs, wire.InvalidateRequest{View: view, Epoch: m.Epoch(), Keys: ks})
-		}
-		for _, view := range wideViews {
-			reqs = append(reqs, wire.InvalidateRequest{View: view, Epoch: m.Epoch(), All: true})
-		}
-		if len(reqs) == 0 {
-			continue
-		}
+	for shard, ks := range perShard {
 		r.invalWG.Add(1)
-		go func(shard int, reqs []wire.InvalidateRequest) {
+		go func(shard int, req wire.InvalidateRequest) {
 			defer r.invalWG.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.RefillTimeout)
 			defer cancel()
 			c := r.pools[shard].get()
-			healthy := true
-			for i := range reqs {
-				if r.sendInval(ctx, c, shard, reqs[i], m) != nil {
-					healthy = false
-				}
-			}
+			healthy := r.sendInval(ctx, c, shard, req, m) == nil
 			r.pools[shard].put(c, healthy)
 			r.metrics.FanoutLagNs.Add(int64(time.Since(start)))
-		}(shard, reqs)
+		}(shard, wire.InvalidateRequest{View: view, Epoch: m.Epoch(), Keys: ks})
 	}
 }
 
@@ -187,7 +146,7 @@ func (r *Router) spawnInvalidate(primary int, keys map[string][][]byte, wide map
 // once; any remaining failure degrades a per-key request to an
 // epoch-less whole-view invalidation (always accepted if the shard is
 // reachable at all). A rung that fails entirely is counted and left
-// to the shard's own local maintenance plus the DS audit.
+// to the DS audit, which fails the next query on the entry again.
 func (r *Router) sendInval(ctx context.Context, c *client.Client, shard int, req wire.InvalidateRequest, m *ShardMap) error {
 	sm := r.metrics.Shards[shard]
 	sm.InvalsSent.Add(1)
@@ -213,7 +172,7 @@ func (r *Router) sendInval(ctx context.Context, c *client.Client, shard int, req
 	return err
 }
 
-// maintStats renders the router's fan-out counters in the write
+// maintStats renders the router's invalidation counters in the write
 // plane's stats shape (queue/batch fields stay zero — batching
 // happens on the shards).
 func (m *Metrics) maintStats() *wire.MaintStats {
@@ -224,4 +183,47 @@ func (m *Metrics) maintStats() *wire.MaintStats {
 		FanoutFailures: m.FanoutFailures.Load(),
 		FanoutLagNs:    m.FanoutLagNs.Load(),
 	}
+}
+
+// refillGate orders routed refills against routed writes. A refill
+// carries O3 rows read before it is sent; should a write purge their
+// owner in between, the refill would cache rows the write removed. So
+// a query may refill only if no routed write was in flight when its
+// O3 began and none has started since, and a write waits for the
+// refills already sent before it dispatches.
+type refillGate struct {
+	mu      sync.RWMutex // held shared by each refill until its reply
+	writes  atomic.Int64 // routed writes started
+	writing atomic.Int64 // routed writes in flight
+}
+
+// begin is called as a query's O3 starts. It returns the write count
+// enter checks against, and false if a write is in flight.
+func (g *refillGate) begin() (seq int64, ok bool) {
+	seq = g.writes.Load()
+	return seq, g.writing.Load() == 0
+}
+
+// enter is called before a refill is sent. It reports whether no write
+// started since begin returned seq; if so, the caller holds the gate
+// until the refill's reply and then calls g.mu.RUnlock.
+func (g *refillGate) enter(seq int64) bool {
+	g.mu.RLock()
+	if g.writes.Load() != seq {
+		g.mu.RUnlock()
+		return false
+	}
+	return true
+}
+
+// write is called before a routed write dispatches. It waits for the
+// refills already sent and returns the call that marks the write
+// applied everywhere.
+func (g *refillGate) write() (done func()) {
+	g.writing.Add(1)
+	g.writes.Add(1)
+	//lint:ignore SA2001 the empty critical section waits out the refills holding the gate
+	g.mu.Lock()
+	g.mu.Unlock()
+	return func() { g.writing.Add(-1) }
 }

@@ -236,8 +236,8 @@ func (w *fuzzWorld) mutate(t *testing.T) bool {
 
 // step runs one random operation beside the queries: DML, a routed
 // refill (FillTuples), a hot-set push (ApplyHotSet), a snapshot reload
-// (SnapshotEntries, PurgeKeys, WarmAdmit), a generation bump whose
-// entries the next probe discards lazily, or a light-key purge. After
+// (SnapshotEntries, removeKeys, WarmAdmit), a generation bump whose
+// entries the next probe discards lazily, or an entry removal. After
 // it the maintenance index must equal a rebuild from the entries, and
 // after DML every cached tuple must be in the full query's answer.
 func (w *fuzzWorld) step(t *testing.T) {
@@ -294,7 +294,7 @@ func (w *fuzzWorld) step(t *testing.T) {
 		for i, s := range snaps {
 			keys[i] = s.key
 		}
-		v.PurgeKeys(keys)
+		removeKeys(v, keys)
 		for _, s := range snaps {
 			if _, err := v.WarmAdmit(s.key, s.accesses, s.tuples); err != nil {
 				t.Fatal(err)
@@ -307,10 +307,22 @@ func (w *fuzzWorld) step(t *testing.T) {
 			v.BumpKeyGens(w.someKeys())
 		}
 	case 5:
-		v.PurgeKeys(w.someKeys())
+		removeKeys(v, w.someKeys())
 	}
 	if err := checkMaintIndex(v); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// removeKeys drops the entries of keys outright.
+func removeKeys(v *View, keys []string) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	for _, k := range keys {
+		if e, ok := v.entries[k]; ok {
+			delete(v.invalGen, k)
+			v.removeEntryLocked(k, e)
+		}
 	}
 }
 

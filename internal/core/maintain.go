@@ -297,7 +297,11 @@ func (v *View) inTemplate(rel string) bool {
 // case (1) — an insert may create new result tuples but cannot
 // invalidate cached ones, so the PMV is left untouched.
 func (v *View) OnInsert(rel string, _ value.Tuple) error {
-	v.NoteInsert(rel)
+	if v.inTemplate(rel) {
+		v.mu.Lock()
+		v.stats.InsertsSeen++
+		v.mu.Unlock()
+	}
 	return nil
 }
 
@@ -328,17 +332,24 @@ func (v *View) OnDelete(rel string, t value.Tuple) error {
 // context records the maintenance purge work it triggered (span:
 // tuples purged).
 func (v *View) OnDeleteCtx(ctx context.Context, rel string, t value.Tuple) error {
+	_, err := v.onDelete(ctx, rel, t, nil)
+	return err
+}
+
+// onDelete is OnDeleteCtx reporting the tuples it purged and, when
+// keys is non-nil, the bcps it hit (see purgeByIndex).
+func (v *View) onDelete(ctx context.Context, rel string, t value.Tuple, keys *[]string) (int, error) {
 	if !v.inTemplate(rel) {
-		return nil
+		return 0, nil
 	}
 	start := time.Now()
-	purged, err := v.purgeByIndex(rel, t)
+	purged, err := v.purgeByIndex(rel, t, keys)
 	v.mu.Lock()
 	v.stats.DeletesSeen++
 	v.stats.MaintTime += time.Since(start)
 	v.mu.Unlock()
 	obs.FromContext(ctx).Span(obs.KindMaint, start, int64(purged), 0, 0)
-	return err
+	return purged, err
 }
 
 // OnUpdate implements the paper's case (3): an update that does not
@@ -358,6 +369,20 @@ func (v *View) OnUpdateCtx(ctx context.Context, rel string, old, new value.Tuple
 		return err
 	}
 	return v.OnDeleteCtx(ctx, rel, old)
+}
+
+// Purge is the write plane's maintenance for one base change of rel,
+// run inside its batch while it holds the view's X lock: OnDeleteCtx
+// for a delete (new == nil), OnUpdateCtx for an update. It appends to
+// *keys the bcp of every entry that lost tuples and returns how many
+// tuples it purged.
+func (v *View) Purge(rel string, old, new value.Tuple, keys *[]string) (int, error) {
+	if new != nil {
+		if changed, err := v.UpdateAffects(rel, old, new); !changed {
+			return 0, err
+		}
+	}
+	return v.onDelete(context.Background(), rel, old, keys)
 }
 
 // relevantCols returns the base-schema positions of rel's columns that
@@ -397,8 +422,9 @@ func (v *View) relevantCols(rel string, r *catalog.Relation) []int {
 // purgeByIndex removes the cached tuples that may derive from base, a
 // full-schema tuple of rel, through the maintenance index — "cheap
 // in-memory operations" (Section 4.3) — and returns how many it
-// removed. It allocates nothing when no cached tuple matches.
-func (v *View) purgeByIndex(rel string, base value.Tuple) (int, error) {
+// removed; keys, when non-nil, gets the bcp of every entry it hit. It
+// allocates nothing when no cached tuple matches.
+func (v *View) purgeByIndex(rel string, base value.Tuple, keys *[]string) (int, error) {
 	r, err := v.eng.Catalog().GetRelation(rel)
 	if err != nil {
 		return 0, err
@@ -427,6 +453,9 @@ func (v *View) purgeByIndex(rel string, base value.Tuple) (int, error) {
 	}
 	purged := 0
 	for _, e := range hit {
+		if keys != nil {
+			*keys = append(*keys, e.key)
+		}
 		m.unindex(e)
 		kept := e.tuples[:0]
 		for _, t := range e.tuples {

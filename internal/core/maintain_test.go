@@ -239,7 +239,7 @@ func TestPurgeByIndexNoMatchAllocs(t *testing.T) {
 	runPartial(t, v, eqQuery(tpl, []int64{1}, []int64{2}))
 	base := value.Tuple{value.Int(77), value.Int(3003), value.Int(3)} // R(a, c, f), cached nowhere
 	allocs := testing.AllocsPerRun(100, func() {
-		if n, err := v.purgeByIndex("R", base); n != 0 || err != nil {
+		if n, err := v.purgeByIndex("R", base, nil); n != 0 || err != nil {
 			t.Fatalf("purged %d, %v", n, err)
 		}
 	})

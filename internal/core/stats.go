@@ -24,11 +24,8 @@ type Stats struct {
 	TuplesCached  int64
 	TuplesEvicted int64
 	TuplesPurged  int64
-	// EntriesPurged counts whole entries removed by the write plane's
-	// per-key purge (light keys).
-	EntriesPurged int64
 	// EntriesInvalidated / TuplesInvalidated count stale entries lazily
-	// discarded after an invalidation-generation bump (heavy keys).
+	// discarded after an invalidation-generation bump.
 	EntriesInvalidated int64
 	TuplesInvalidated  int64
 	// KeyGenBumps / ViewGenBumps count invalidation-generation bumps

@@ -76,6 +76,7 @@ func (c *Config) fill() error {
 // result tuples (rows over the expanded select list Ls′) and the
 // popularity counter used by the ranking extension.
 type entry struct {
+	key      string // the bcp key the entry is stored under
 	tuples   []value.Tuple
 	accesses int64
 	// gen is the view's invalidation sequence at fill time; an entry
@@ -696,7 +697,7 @@ func (v *View) fill(t value.Tuple, run *partialRun) {
 // newEntryLocked creates key's entry, which must not exist, stamped
 // with the current invalidation sequence. Caller holds v.mu.
 func (v *View) newEntryLocked(key string) *entry {
-	e := &entry{gen: v.invalSeq}
+	e := &entry{key: key, gen: v.invalSeq}
 	v.entries[key] = e
 	v.maint.register(e)
 	v.stats.EntriesCreated++

@@ -96,97 +96,6 @@ func newZipfQueryStream(env *Env, seed int64) func() *expr.Query {
 	}
 }
 
-// MaintRow compares delete-maintenance strategies.
-type MaintRow struct {
-	Strategy string
-	Deletes  int
-	// Total is the wall time of the delete batch for the maint-index
-	// row (dominated by the engine's own delete work) and of the join
-	// runs for the delta-join row; Overhead is the time spent inside
-	// view maintenance (measured directly).
-	Total    time.Duration
-	Overhead time.Duration
-	PerOp    time.Duration
-}
-
-// MaintAblation measures the cost of finding a deleted lineitem's
-// cached results two ways on one warmed T1 view: the [25] in-memory
-// maintenance index, which every delete purges through, and the base
-// delta join ΔR ⋈ rest, timed through View.AffectedKeys (the write
-// plane's damage report, its remaining caller) on the same victims.
-func MaintAblation(baseDir string, scale float64, deletes int, seed int64) ([]MaintRow, error) {
-	if deletes <= 0 {
-		deletes = 50
-	}
-	env, err := Setup(baseDir, scale)
-	if err != nil {
-		return nil, err
-	}
-	defer env.Close()
-	v, err := core.NewView(env.Eng, core.Config{
-		Name:         "abl_maint",
-		Template:     env.T1,
-		MaxEntries:   1000,
-		TuplesPerBCP: 4,
-	})
-	if err != nil {
-		return nil, err
-	}
-	gen := newZipfQueryStream(env, seed)
-	for i := 0; i < 100; i++ {
-		if _, err := v.ExecutePartial(gen(), func(core.Result) error { return nil }); err != nil {
-			return nil, err
-		}
-	}
-	// Delete a deterministic set of lineitems, keeping each victim.
-	rng := rand.New(rand.NewSource(seed + 1))
-	picked := make(map[int64]bool, deletes)
-	for len(picked) < deletes {
-		picked[rng.Int63n(int64(env.Cfg.Orders())*4)] = true
-	}
-	// Time the join right after each delete, so both paths run with
-	// the same caches.
-	var total, join time.Duration
-	n := 0
-	for victim := range picked {
-		ok := victim / 4
-		li := victim % 4
-		seen := int64(0)
-		start := time.Now()
-		gone, err := env.Eng.DeleteWhere("lineitem", func(t value.Tuple) bool {
-			if t[0].Int64() != ok {
-				return false
-			}
-			seen++
-			return seen-1 == li
-		})
-		total += time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		for _, t := range gone {
-			if _, wide := v.AffectedKeys("lineitem", t); wide {
-				return nil, fmt.Errorf("experiments: delta join failed for %v", t)
-			}
-		}
-		join += time.Since(start)
-		n += len(gone)
-	}
-	idx := v.Stats().MaintTime
-	return []MaintRow{
-		{Strategy: "delta-join", Deletes: n, Total: join, Overhead: join, PerOp: join / time.Duration(max(n, 1))},
-		{Strategy: "maint-index", Deletes: n, Total: total, Overhead: idx, PerOp: idx / time.Duration(max(n, 1))},
-	}, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // DividerRow is one divider-granularity setting for range workloads.
 type DividerRow struct {
 	// Dividers is the number of dividing values over the date domain.

@@ -160,27 +160,6 @@ func TestPolicyAblation2QWins(t *testing.T) {
 	}
 }
 
-func TestMaintAblationIndexWins(t *testing.T) {
-	rows, err := MaintAblation(t.TempDir(), 0.001, 20, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	var join, idx MaintRow
-	for _, r := range rows {
-		if r.Strategy == "delta-join" {
-			join = r
-		} else {
-			idx = r
-		}
-	}
-	if idx.Overhead >= join.Overhead {
-		t.Errorf("maint index (%v) not cheaper than delta join (%v)", idx.Overhead, join.Overhead)
-	}
-}
-
 func TestPlannerAblationStatsWin(t *testing.T) {
 	env := smallEnv(t)
 	rows, err := PlannerAblation(env, 10)

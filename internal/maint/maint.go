@@ -11,33 +11,29 @@
 // statement over the run's match values (engine.EqSet: its rows come
 // from an index led by the column when there is one, from one heap
 // scan when not), and one WAL sync per batch (group commit) buys every
-// acked request per-statement durability at a fraction of the fsync
-// count. View maintenance then runs after the ack:
+// request per-statement durability at a fraction of the fsync count.
 //
-//   - affected bcp keys are computed per victim via the view's delta
-//     join (global keys — valid on any node caching them),
-//   - each key is classified heavy/light against a sliding frequency
-//     window,
-//   - light keys are purged under a short X-lock grab, heavy keys get
-//     an invalidation-generation bump (lazily discarded on next
-//     probe), so a hot key's write burst never serializes against its
-//     readers,
-//   - unboundable damage (failed delta join, failed lock) degrades to
-//     a view-wide generation bump — correctness by cache loss.
+// Maintenance runs inside the batch, while the plane still holds the
+// X locks: the collector observer that stands in for the detached
+// views hands every deleted or updated base tuple to each locked
+// view's Purge, the same maintenance-index purge the per-statement
+// path runs (Section 3.4 with the full version's [25] index). A
+// request completes once its batch is applied, purged and synced; its
+// Result names the bcps whose entries lost tuples. A view whose X lock
+// could not be had, or whose purge failed, is invalidated whole by a
+// generation bump — correctness by cache loss.
 //
-// While a Plane is attached the views are detached from the engine's
-// observer list (a collector observer records victims instead), so
-// per-statement purge work and its per-tuple X locks disappear from
-// the write path entirely. Correctness never depends on any of the
-// maintenance arriving: a stale entry that slips through is caught by
-// the DS multiset audit at query time — a loud typed error, never a
-// silently stale answer.
+// Correctness never depends on the plane alone: a stale entry that
+// slips through (DML that bypassed it) is caught by the DS multiset
+// audit at query time — a loud typed error, never a silently stale
+// answer.
 package maint
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,7 +41,6 @@ import (
 
 	"pmv/internal/core"
 	"pmv/internal/engine"
-	"pmv/internal/freq"
 	"pmv/internal/obs"
 	"pmv/internal/value"
 	"pmv/internal/wire"
@@ -72,19 +67,6 @@ type Config struct {
 	// QueueDepth bounds queued requests; Apply blocks (ctx-aware) when
 	// full (default 1024).
 	QueueDepth int
-	// HeavyThreshold: a key touched at least this many times per
-	// sliding window classifies heavy (default 32).
-	HeavyThreshold int
-	// WindowInterval is the classifier's bucket rotation (default 1s).
-	WindowInterval time.Duration
-	// Estimator, when set, supplies a read-side popularity estimate for
-	// a bcp key; the classifier treats a key as heavy when either its
-	// own write-touch count or the estimate clears HeavyThreshold, so a
-	// read-hot key's writes take the gen-bump path instead of purging
-	// under an X-lock its readers are contending for. Left nil, New
-	// derives one from the views' frequency planes when present, so
-	// both thresholds share one sliding estimator.
-	Estimator func(key string) uint32
 	// Logf receives plane lifecycle messages (nil = silent).
 	Logf func(format string, args ...any)
 }
@@ -102,26 +84,19 @@ func (c *Config) fill() error {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
 	}
-	if c.HeavyThreshold <= 0 {
-		c.HeavyThreshold = 32
-	}
-	if c.WindowInterval <= 0 {
-		c.WindowInterval = time.Second
-	}
 	return nil
 }
 
 // Result is one request's outcome. Keys/Wide cover the whole batch the
-// request rode in (a superset of the request's own damage — harmless
-// for invalidation, which is idempotent and monotone).
+// request rode in (a superset of the request's own damage).
 type Result struct {
 	// Applied counts this request's ops that executed cleanly; Rows is
 	// their total affected row count.
 	Applied int
 	Rows    int
-	// Keys maps view name → affected bcp keys; Wide marks views whose
-	// damage was unbounded. Populated only when Apply ran with
-	// wantKeys (the maintenance stage was awaited).
+	// Keys maps view name → the bcps whose entries the batch purged;
+	// Wide marks views invalidated whole instead. Populated only when
+	// Apply ran with wantKeys.
 	Keys map[string][]string
 	Wide map[string]bool
 }
@@ -129,12 +104,11 @@ type Result struct {
 // request is one Apply call in the queue.
 type request struct {
 	ops  []wire.UpdateOp
-	ack  chan struct{} // closed after base apply (ops/rows/err valid)
-	done chan struct{} // closed after maintenance (keys/wide valid)
+	done chan struct{} // closed once the batch is applied, purged and synced
 
 	// tr is the caller's trace (nil when untraced). The flush worker
 	// bills the group-commit fsync to it via the thread-safe AddSpans
-	// sink, always before ack closes so the span is visible when Apply
+	// sink, always before done closes so the span is visible when Apply
 	// returns.
 	tr *obs.Trace
 
@@ -145,17 +119,20 @@ type request struct {
 	wide    map[string]bool
 }
 
-// victim is one recorded base-tuple casualty of a batch.
-type victim struct {
-	rel string
-	old value.Tuple
-	new value.Tuple // nil for deletes
-}
-
 // batchState is what the collector records while a batch applies.
 type batchState struct {
-	inserts []string // relation per insert
-	victims []victim
+	views []damage // one per view whose X lock the batch holds
+	// entries and tuples count what the purges removed; maint the time
+	// they took.
+	entries, tuples int64
+	maint           time.Duration
+}
+
+// damage is one locked view's purge record for a batch.
+type damage struct {
+	v    *core.View
+	keys []string // bcps purged, in purge order, possibly repeated
+	wide bool     // a purge failed: invalidate the whole view
 }
 
 // Plane is the batched write plane. Create with New, feed with Apply,
@@ -165,14 +142,13 @@ type Plane struct {
 	eng   *engine.Engine
 	views []*core.View // sorted by name; lock order
 	col   *collector
-	class *classifier
 
 	queue   chan *request
 	closing chan struct{}
 	closed  sync.Once
 	wg      sync.WaitGroup
 
-	pending atomic.Int64 // requests ingested but not yet maintained
+	pending atomic.Int64 // requests ingested but not yet completed
 
 	curMu sync.Mutex
 	cur   *batchState
@@ -191,30 +167,10 @@ func New(cfg Config) (*Plane, error) {
 	}
 	views := append([]*core.View(nil), cfg.Source.Views()...)
 	sort.Slice(views, func(i, j int) bool { return views[i].Name() < views[j].Name() })
-	if cfg.Estimator == nil {
-		var freqs []*freq.ViewFreq
-		for _, v := range views {
-			if f := v.Freq(); f != nil {
-				freqs = append(freqs, f)
-			}
-		}
-		if len(freqs) > 0 {
-			cfg.Estimator = func(key string) uint32 {
-				var m uint32
-				for _, f := range freqs {
-					if e := f.Sketch.Estimate(key); e > m {
-						m = e
-					}
-				}
-				return m
-			}
-		}
-	}
 	p := &Plane{
 		cfg:     cfg,
 		eng:     cfg.Source.Engine(),
 		views:   views,
-		class:   newClassifier(cfg.HeavyThreshold, cfg.WindowInterval, cfg.Estimator),
 		queue:   make(chan *request, cfg.QueueDepth),
 		closing: make(chan struct{}),
 	}
@@ -239,7 +195,6 @@ func (p *Plane) Close() error {
 		case r := <-p.queue:
 			r.err = ErrClosed
 			p.pending.Add(-1)
-			close(r.ack)
 			close(r.done)
 		default:
 			p.eng.UnregisterObserver(p.col)
@@ -251,23 +206,20 @@ func (p *Plane) Close() error {
 	}
 }
 
-// Pending reports whether any ingested batch has not finished its
-// maintenance yet. The snapshot manager gates on it: a snapshot taken
-// between base apply and invalidation would warm-boot a stale cache
-// with matching staleness stamps.
+// Pending reports whether any ingested request has not completed yet.
+// The snapshot manager gates on it: a snapshot must not capture a
+// cache beside base data a queued batch is about to change.
 func (p *Plane) Pending() bool { return p.pending.Load() > 0 }
 
-// Apply enqueues ops and waits. With wantKeys false it returns at the
-// ack stage — base data applied, maintenance still in flight — which
-// is the replica path (invalidation arrives separately). With
-// wantKeys true it waits for maintenance and the Result carries the
-// batch's affected keys for fan-out.
+// Apply enqueues ops and waits until their batch is applied, purged
+// and synced. With wantKeys the Result carries the batch's damage
+// report.
 //
 // A per-op engine failure does not abort the batch: the op is skipped,
 // counted, and reported as this request's error; the other ops stand
 // (the queue is not transactional — it is a maintenance conduit).
 func (p *Plane) Apply(ctx context.Context, ops []wire.UpdateOp, wantKeys bool) (Result, error) {
-	r := &request{ops: ops, ack: make(chan struct{}), done: make(chan struct{}), tr: obs.FromContext(ctx)}
+	r := &request{ops: ops, done: make(chan struct{}), tr: obs.FromContext(ctx)}
 	select {
 	case <-p.closing:
 		return Result{}, ErrClosed
@@ -287,12 +239,8 @@ func (p *Plane) Apply(ctx context.Context, ops []wire.UpdateOp, wantKeys bool) (
 	p.stats.OpsIngested += int64(len(ops))
 	p.statsMu.Unlock()
 
-	wait := r.done
-	if !wantKeys {
-		wait = r.ack
-	}
 	select {
-	case <-wait:
+	case <-r.done:
 	case <-ctx.Done():
 		// The request is queued and WILL apply; the caller just stops
 		// waiting. Report the interruption truthfully.
@@ -316,7 +264,7 @@ func (p *Plane) Stats() wire.MaintStats {
 }
 
 // run is the flush worker: gather a batch (size/age triggers), apply,
-// maintain, repeat; on close, drain and exit.
+// repeat; on close, drain and exit.
 func (p *Plane) run() {
 	defer p.wg.Done()
 	for {
@@ -375,8 +323,9 @@ func (p *Plane) bumpFlush(size bool) {
 }
 
 // applyBatch is one group commit: X-lock every view, apply the ops
-// (the collector records victims), release, ack the writers, then run
-// the maintenance phase and complete them.
+// (the collector purges each victim from the locked views), bump the
+// views it could not maintain, release, sync, and complete the
+// requests.
 func (p *Plane) applyBatch(batch []*request) {
 	nops := 0
 	for _, r := range batch {
@@ -391,10 +340,11 @@ func (p *Plane) applyBatch(batch []*request) {
 
 	// One X-lock window per view for the whole batch — the amortized
 	// ChangeBarrier. A lock that cannot be had does not block the
-	// batch; that view's cache is wholly invalidated afterwards
+	// batch; that view's cache is wholly invalidated after the apply
 	// (readers mid-protocol there may fail their DS audit — loud, not
 	// stale).
 	lockStart := time.Now()
+	st := &batchState{views: make([]damage, 0, len(p.views))}
 	releases := make([]func(), 0, len(p.views))
 	var unbarriered []*core.View
 	for _, v := range p.views {
@@ -404,10 +354,10 @@ func (p *Plane) applyBatch(batch []*request) {
 			continue
 		}
 		releases = append(releases, release)
+		st.views = append(st.views, damage{v: v})
 	}
 	lockWait := time.Since(lockStart)
 
-	st := &batchState{}
 	p.curMu.Lock()
 	p.cur = st
 	p.curMu.Unlock()
@@ -446,12 +396,13 @@ func (p *Plane) applyBatch(batch []*request) {
 	p.curMu.Lock()
 	p.cur = nil
 	p.curMu.Unlock()
+	keys, wide := p.report(st, unbarriered)
 	for i := len(releases) - 1; i >= 0; i-- {
 		releases[i]()
 	}
 
 	// Group commit: one WAL sync covers the whole batch, so every
-	// acked request is as durable as a SyncEveryOp statement at a
+	// completed request is as durable as a SyncEveryOp statement at a
 	// fraction of the fsync count. A failed sync fails the batch —
 	// acking would promise durability the log cannot back.
 	syncStart := time.Now()
@@ -467,28 +418,6 @@ func (p *Plane) applyBatch(batch []*request) {
 			p.cfg.Logf("maint: group commit sync failed: %v", syncErr)
 		}
 	}
-	// Bill the shared fsync to every traced request in the batch —
-	// each rider carries the full sync duration (they all waited for
-	// it) and one attributed fsync, with N1 recording how many requests
-	// shared the group commit. Delivered through AddSpans because the
-	// flush worker is not the trace's owner goroutine, and before ack
-	// so the span is visible the moment Apply returns.
-	for _, r := range batch {
-		if r.tr != nil {
-			r.tr.AddSpans(obs.Span{
-				Kind:   obs.KindSync,
-				Start:  syncStart.Sub(r.tr.Begin),
-				Dur:    syncDur,
-				N1:     int64(len(batch)),
-				Fsyncs: 1,
-			})
-		}
-	}
-	for _, r := range batch {
-		close(r.ack)
-	}
-
-	keys, wide := p.maintain(st, unbarriered)
 
 	p.statsMu.Lock()
 	p.stats.OpsApplied += applied
@@ -500,11 +429,58 @@ func (p *Plane) applyBatch(batch []*request) {
 	p.stats.ApplyNs += applyDur.Nanoseconds()
 	p.statsMu.Unlock()
 
+	// Bill the shared fsync to every traced request in the batch —
+	// each rider carries the full sync duration (they all waited for
+	// it) and one attributed fsync, with N1 recording how many requests
+	// shared the group commit. Delivered through AddSpans because the
+	// flush worker is not the trace's owner goroutine, and before done
+	// closes so the span is visible the moment Apply returns.
 	for _, r := range batch {
+		if r.tr != nil {
+			r.tr.AddSpans(obs.Span{
+				Kind:   obs.KindSync,
+				Start:  syncStart.Sub(r.tr.Begin),
+				Dur:    syncDur,
+				N1:     int64(len(batch)),
+				Fsyncs: 1,
+			})
+		}
 		r.keys, r.wide = keys, wide
 		p.pending.Add(-1)
 		close(r.done)
 	}
+}
+
+// report turns a batch's purge record into its damage report, still
+// under the batch's X locks: per view the distinct bcps purged, and a
+// whole-view generation bump for each view left unmaintained.
+func (p *Plane) report(st *batchState, unbarriered []*core.View) (map[string][]string, map[string]bool) {
+	keys := make(map[string][]string, len(st.views))
+	wide := make(map[string]bool)
+	var affected int64
+	for _, d := range st.views {
+		if d.wide {
+			unbarriered = append(unbarriered, d.v)
+			continue
+		}
+		slices.Sort(d.keys)
+		d.keys = slices.Compact(d.keys)
+		keys[d.v.Name()] = d.keys
+		affected += int64(len(d.keys))
+	}
+	for _, v := range unbarriered {
+		v.BumpAllGen()
+		wide[v.Name()] = true
+	}
+
+	p.statsMu.Lock()
+	p.stats.KeysAffected += affected
+	p.stats.EntriesPurged += st.entries
+	p.stats.TuplesPurged += st.tuples
+	p.stats.WideGenBumps += int64(len(unbarriered))
+	p.stats.MaintNs += st.maint.Nanoseconds()
+	p.statsMu.Unlock()
+	return keys, wide
 }
 
 // ApplyOp executes one ΔR statement through the engine's DML; a point
@@ -652,104 +628,12 @@ func (p *Plane) failRun(run []opRef, err error) (applied, errs int64) {
 	return 0, int64(len(run))
 }
 
-// maintain runs the post-ack maintenance phase for one batch: compute
-// affected keys per view, classify heavy/light, purge or bump.
-func (p *Plane) maintain(st *batchState, unbarriered []*core.View) (map[string][]string, map[string]bool) {
-	start := time.Now()
-	keys := make(map[string][]string)
-	wide := make(map[string]bool)
-	for _, v := range unbarriered {
-		wide[v.Name()] = true
-	}
-	var affected, heavyN, lightN, purgedE, purgedT, bumps, wides, degrades int64
-
-	for _, v := range p.views {
-		name := v.Name()
-		for _, rel := range st.inserts {
-			v.NoteInsert(rel)
-		}
-		seen := make(map[string]bool)
-		var vkeys []string
-		for i := range st.victims {
-			vic := &st.victims[i]
-			if !v.InTemplate(vic.rel) {
-				continue
-			}
-			if vic.new != nil {
-				changed, err := v.UpdateAffects(vic.rel, vic.old, vic.new)
-				if err != nil {
-					wide[name] = true
-					continue
-				}
-				if !changed {
-					continue
-				}
-			}
-			v.NoteDelete(vic.rel)
-			ks, w := v.AffectedKeys(vic.rel, vic.old)
-			if w {
-				wide[name] = true
-				continue
-			}
-			for _, k := range ks {
-				if !seen[k] {
-					seen[k] = true
-					vkeys = append(vkeys, k)
-				}
-			}
-		}
-		keys[name] = vkeys
-		affected += int64(len(vkeys))
-
-		if wide[name] {
-			v.BumpAllGen()
-			wides++
-			continue
-		}
-		var light, heavy []string
-		for _, k := range vkeys {
-			if p.class.heavy(name + "\x00" + k) {
-				heavy = append(heavy, k)
-			} else {
-				light = append(light, k)
-			}
-		}
-		heavyN += int64(len(heavy))
-		lightN += int64(len(light))
-		if len(light) > 0 {
-			e, t, degraded := v.PurgeKeys(light)
-			purgedE += int64(e)
-			purgedT += int64(t)
-			if degraded {
-				degrades++
-				bumps += int64(len(light))
-			}
-		}
-		if len(heavy) > 0 {
-			v.BumpKeyGens(heavy)
-			bumps += int64(len(heavy))
-		}
-	}
-
-	p.statsMu.Lock()
-	p.stats.KeysAffected += affected
-	p.stats.HeavyKeys += heavyN
-	p.stats.LightKeys += lightN
-	p.stats.EntriesPurged += purgedE
-	p.stats.TuplesPurged += purgedT
-	p.stats.KeyGenBumps += bumps
-	p.stats.WideGenBumps += wides
-	p.stats.PurgeDegrades += degrades
-	p.stats.MaintNs += time.Since(start).Nanoseconds()
-	p.statsMu.Unlock()
-	return keys, wide
-}
-
 // collector is the engine observer standing in for the detached
-// views: it records each mutation into the current batch state. It
-// deliberately does NOT implement engine.ChangeBarrier — the plane
-// already holds the views' X locks across the batch, and a barrier
-// here would self-deadlock against them.
+// views. Inside a batch it purges each delete or update victim from
+// every view the batch holds locked. It deliberately does NOT
+// implement engine.ChangeBarrier — the plane already holds the views'
+// X locks across the batch, and a barrier here would self-deadlock
+// against them.
 //
 // Out-of-band DML (anything mutating the engine while a Plane is
 // attached but outside its flush worker) has no batch to ride: an
@@ -760,17 +644,9 @@ type collector struct {
 	p *Plane
 }
 
-func (c *collector) OnInsert(rel string, _ value.Tuple) error {
-	p := c.p
-	p.curMu.Lock()
-	if p.cur != nil {
-		p.cur.inserts = append(p.cur.inserts, rel)
-		p.curMu.Unlock()
-		return nil
-	}
-	p.curMu.Unlock()
-	for _, v := range p.views {
-		v.NoteInsert(rel)
+func (c *collector) OnInsert(rel string, t value.Tuple) error {
+	for _, v := range c.p.views {
+		v.OnInsert(rel, t)
 	}
 	return nil
 }
@@ -786,12 +662,22 @@ func (c *collector) OnUpdate(rel string, old, new value.Tuple) error {
 func (c *collector) record(rel string, old, new value.Tuple) error {
 	p := c.p
 	p.curMu.Lock()
-	if p.cur != nil {
-		p.cur.victims = append(p.cur.victims, victim{rel: rel, old: old.Clone(), new: cloneOrNil(new)})
-		p.curMu.Unlock()
+	defer p.curMu.Unlock()
+	if st := p.cur; st != nil {
+		start := time.Now()
+		for i := range st.views {
+			d := &st.views[i]
+			n0 := len(d.keys)
+			n, err := d.v.Purge(rel, old, new, &d.keys)
+			if err != nil {
+				d.wide = true
+			}
+			st.entries += int64(len(d.keys) - n0)
+			st.tuples += int64(n)
+		}
+		st.maint += time.Since(start)
 		return nil
 	}
-	p.curMu.Unlock()
 	for _, v := range p.views {
 		if v.InTemplate(rel) {
 			v.BumpAllGen()
@@ -801,11 +687,4 @@ func (c *collector) record(rel string, old, new value.Tuple) error {
 		p.cfg.Logf("maint: out-of-band %s mutation invalidated attached views", rel)
 	}
 	return nil
-}
-
-func cloneOrNil(t value.Tuple) value.Tuple {
-	if t == nil {
-		return nil
-	}
-	return t.Clone()
 }

@@ -81,10 +81,10 @@ func newPlane(t *testing.T, db *pmv.DB, cfg maint.Config) *maint.Plane {
 	return p
 }
 
-// TestBatchedDeletePurges pins the light-key path end to end: a
-// batched delete's affected bcp key is computed, classified light,
-// purged under the short X grab, and the next query is correct with a
-// clean DS audit.
+// TestBatchedDeletePurges pins the in-batch purge end to end: a
+// batched delete's victim is purged through the maintenance index, the
+// purged bcp is reported, and the next query is correct with a clean
+// DS audit.
 func TestBatchedDeletePurges(t *testing.T) {
 	db := openDB(t)
 	tpl := storefront(t, db)
@@ -122,57 +122,11 @@ func TestBatchedDeletePurges(t *testing.T) {
 		t.Fatalf("result shrank by %d rows, want 1", len(before)-len(after))
 	}
 	st := p.Stats()
-	if st.KeysAffected == 0 || st.LightKeys == 0 {
-		t.Fatalf("classification did not run: %+v", st)
+	if st.KeysAffected != int64(len(res.Keys[view.Name()])) || st.EntriesPurged == 0 || st.TuplesPurged == 0 {
+		t.Fatalf("purge not accounted: %+v", st)
 	}
-	vs := view.Stats()
-	if vs.EntriesPurged == 0 && vs.TuplesPurged == 0 {
-		t.Fatalf("nothing purged: %+v", vs)
-	}
-	if err := view.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHeavyKeysInvalidateLazily forces every key heavy and pins the
-// generation-bump path: no purge, the stale entry is discarded on its
-// next probe, and results stay correct.
-func TestHeavyKeysInvalidateLazily(t *testing.T) {
-	db := openDB(t)
-	tpl := storefront(t, db)
-	view, err := db.CreatePartialView(tpl, pmv.ViewOptions{MaxEntries: 50, TuplesPerBCP: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := runQuery(t, view, tpl)
-
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond, HeavyThreshold: 1})
-	if _, err := p.Apply(context.Background(), []wire.UpdateOp{
-		{Kind: wire.OpDelete, Rel: "sale", Col: "pid", Val: value.Int(25)},
-	}, true); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.HeavyKeys == 0 || st.LightKeys != 0 {
-		t.Fatalf("heavy=%d light=%d, want all heavy", st.HeavyKeys, st.LightKeys)
-	}
-	if st.EntriesPurged != 0 {
-		t.Fatalf("heavy path purged %d entries", st.EntriesPurged)
-	}
-
-	after := runQuery(t, view, tpl)
-	if after[25] {
-		t.Fatal("deleted pid 25 still served after generation bump")
-	}
-	if len(after) != len(before)-1 {
-		t.Fatalf("result shrank by %d rows, want 1", len(before)-len(after))
-	}
-	vs := view.Stats()
-	if vs.KeyGenBumps == 0 {
-		t.Fatalf("no generation bumps recorded: %+v", vs)
-	}
-	if vs.EntriesInvalidated == 0 {
-		t.Fatalf("stale entry not lazily discarded: %+v", vs)
+	if vs := view.Stats(); vs.TuplesPurged != st.TuplesPurged {
+		t.Fatalf("view purged %d tuples, plane reports %d", vs.TuplesPurged, st.TuplesPurged)
 	}
 	if err := view.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -263,7 +217,7 @@ func TestUpdatesSkippedParity(t *testing.T) {
 	if vs.UpdatesSkipped != 2 {
 		t.Fatalf("relevant update skipped: %+v", vs)
 	}
-	if vs.TuplesPurged == 0 && vs.KeyGenBumps == 0 && vs.EntriesPurged == 0 {
+	if vs.TuplesPurged == 0 {
 		t.Fatalf("relevant update caused no maintenance: %+v", vs)
 	}
 	after := runQuery(t, view, tpl)
@@ -461,7 +415,7 @@ func TestSelfMatchUpdateNotCoalesced(t *testing.T) {
 	}
 }
 
-// TestPendingGate: Pending must be true from ingest until maintenance
+// TestPendingGate: Pending must be true from ingest until the request
 // completes — the snapshot manager's staleness gate.
 func TestPendingGate(t *testing.T) {
 	db := openDB(t)
@@ -478,8 +432,53 @@ func TestPendingGate(t *testing.T) {
 	}, true); err != nil {
 		t.Fatal(err)
 	}
-	// wantKeys waited for maintenance, so the batch is fully settled.
+	// Apply returned, so the batch is fully settled.
 	if p.Pending() {
 		t.Fatal("settled plane reports pending work")
+	}
+}
+
+// TestApplyPurgesBeforeAck pins the plane's one stage: when Apply
+// returns, even without asking for the damage report, its victims'
+// cached tuples are already purged through the maintenance index — no
+// query after the ack meets them, and no view was invalidated whole.
+// The batch deletes half the sales, so a purge that ran after the ack
+// would still be running when the checks start.
+func TestApplyPurgesBeforeAck(t *testing.T) {
+	db := openDB(t)
+	tpl := storefront(t, db)
+	view, err := db.CreatePartialView(tpl, pmv.ViewOptions{MaxEntries: 50, TuplesPerBCP: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runQuery(t, view, tpl)
+	var ops []wire.UpdateOp
+	for pid := int64(0); pid < 200; pid++ {
+		ops = append(ops, wire.UpdateOp{Kind: wire.OpDelete, Rel: "sale", Col: "pid", Val: value.Int(pid)})
+	}
+	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond, BatchSize: len(ops)})
+	if _, err := p.Apply(context.Background(), ops, false); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.Stats(); st.TuplesPurged == 0 {
+		t.Fatalf("Apply returned before the purge: %+v", st)
+	}
+	after := runQuery(t, view, tpl) // fails on a dirty DS audit
+	kept := 0
+	for pid := range before {
+		if pid >= 200 {
+			kept++
+		}
+	}
+	for pid := range after {
+		if pid < 200 {
+			t.Fatalf("deleted pid %d served after the ack", pid)
+		}
+	}
+	if len(after) != kept || kept == 0 {
+		t.Fatalf("after the ack: %d rows, want %d", len(after), kept)
+	}
+	if vs := view.Stats(); vs.ViewGenBumps != 0 {
+		t.Fatalf("the view was invalidated whole: %+v", vs)
 	}
 }

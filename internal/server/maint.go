@@ -1,15 +1,15 @@
 // maint.go implements the write half of the service: ΔR batches
 // (MsgUpdate) and invalidation fan-ins (MsgInvalidate). With a write
 // plane attached updates go through its ingest queue — group-commit
-// batching, one view X-lock grab per batch, heavy/light-classified
-// maintenance — and the reply carries the affected bcp keys so a
-// router can fan the damage to sibling shards. Without a plane the
-// server applies per statement: every op runs the same maint.ApplyOp
-// directly against the engine with the views attached as observers,
-// paying one change barrier and one maintenance pass per statement.
-// That is the path a router's shards take unless they are given a
-// plane. Either way a point statement finds its rows through an index
-// led by its match column when the catalog has one (engine.EqSet).
+// batching, one view X-lock grab per batch, the batch's victims purged
+// under it — and, when asked, the reply names the bcps this shard
+// purged. Without a plane the server applies per statement: every op
+// runs the same maint.ApplyOp directly against the engine with the
+// views attached as observers, paying one change barrier and one
+// maintenance pass per statement. Either way the shard's cache is
+// maintained before the reply, and a point statement finds its rows
+// through an index led by its match column when the catalog has one
+// (engine.EqSet).
 package server
 
 import (
@@ -100,7 +100,7 @@ func (s *Server) handleUpdate(sess *session.Session, payload []byte) error {
 
 // handleInvalidate bumps invalidation generations for a view. A
 // nonzero epoch is validated against the installed shard map (the
-// router's fan-out path); epoch 0 skips the check so a local operator
+// router's audit repair); epoch 0 skips the check so a local operator
 // can invalidate a standalone shard.
 func (s *Server) handleInvalidate(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeInvalidate(payload)

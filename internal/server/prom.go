@@ -78,14 +78,10 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		p.Counter("pmvd_maint_group_syncs_total", "Per-batch WAL group commits.", float64(ms.GroupSyncs))
 		p.Counter("pmvd_maint_sync_seconds_total", "Time spent in group-commit WAL syncs.", float64(ms.SyncNs)/1e9)
 		p.Counter("pmvd_maint_maintain_seconds_total", "Time spent in view maintenance.", float64(ms.MaintNs)/1e9)
-		p.Counter("pmvd_maint_keys_affected_total", "Affected bcp keys computed.", float64(ms.KeysAffected))
-		p.Counter("pmvd_maint_light_keys_total", "Keys classified light (purged eagerly).", float64(ms.LightKeys))
-		p.Counter("pmvd_maint_heavy_keys_total", "Keys classified heavy (invalidated lazily).", float64(ms.HeavyKeys))
-		p.Counter("pmvd_maint_entries_purged_total", "View entries purged by the light path.", float64(ms.EntriesPurged))
-		p.Counter("pmvd_maint_tuples_purged_total", "Cached tuples purged by the light path.", float64(ms.TuplesPurged))
-		p.Counter("pmvd_maint_key_gen_bumps_total", "Per-key invalidation-generation bumps.", float64(ms.KeyGenBumps))
+		p.Counter("pmvd_maint_keys_affected_total", "Distinct bcps purged, summed over batches.", float64(ms.KeysAffected))
+		p.Counter("pmvd_maint_entries_purged_total", "View entries that lost tuples to an in-batch purge.", float64(ms.EntriesPurged))
+		p.Counter("pmvd_maint_tuples_purged_total", "Cached tuples removed by in-batch purges.", float64(ms.TuplesPurged))
 		p.Counter("pmvd_maint_wide_gen_bumps_total", "View-wide invalidation-generation bumps.", float64(ms.WideGenBumps))
-		p.Counter("pmvd_maint_purge_degrades_total", "Purges degraded to generation bumps on lock failure.", float64(ms.PurgeDegrades))
 	}
 
 	if fs := s.freqStats(); fs != nil {

@@ -173,8 +173,7 @@ type SnapshotStats struct {
 }
 
 // MaintStats is the write plane's counter snapshot: ingest queue
-// health, batching behavior, the heavy/light split, and invalidation
-// accounting.
+// health, batching behavior, and purge accounting.
 type MaintStats struct {
 	// Ingest queue.
 	QueueDepth  int64 `json:"queue_depth"`
@@ -198,17 +197,16 @@ type MaintStats struct {
 	GroupSyncs   int64 `json:"group_syncs"`
 	SyncNs       int64 `json:"sync_ns"`
 
-	// Heavy/light classification and local maintenance.
+	// In-batch maintenance: distinct bcps purged per batch, summed;
+	// entries and cached tuples the purges removed; views invalidated
+	// whole instead.
 	KeysAffected  int64 `json:"keys_affected"`
-	LightKeys     int64 `json:"light_keys"`
-	HeavyKeys     int64 `json:"heavy_keys"`
 	EntriesPurged int64 `json:"entries_purged"`
 	TuplesPurged  int64 `json:"tuples_purged"`
-	KeyGenBumps   int64 `json:"key_gen_bumps"`
 	WideGenBumps  int64 `json:"wide_gen_bumps"`
-	PurgeDegrades int64 `json:"purge_degrades"`
 
-	// Cluster fan-out (router side; zero on shards).
+	// The router's audit-repair invalidations (router side; zero on
+	// shards).
 	FanoutSent     int64 `json:"fanout_sent"`
 	FanoutRetries  int64 `json:"fanout_retries"`
 	FanoutDegrades int64 `json:"fanout_degrades"`
@@ -312,19 +310,19 @@ type RefillReply struct {
 }
 
 // UpdateReply answers MsgUpdate: how much of the batch applied, and —
-// when maintenance ran — which bcp keys each view saw invalidated, so
-// a router can fan the damage to the shards owning those keys. Keys
-// are raw key bytes ([]byte → base64 under JSON, since bcp keys are
-// binary).
+// when the request asked for the report — which bcps of each view the
+// shard purged, so a router's hot plane can drop its replicas of them.
+// Keys are raw key bytes ([]byte → base64 under JSON, since bcp keys
+// are binary).
 type UpdateReply struct {
 	// Applied counts ops that executed cleanly; Rows is the total
 	// affected row count across them.
 	Applied int `json:"applied"`
 	Rows    int `json:"rows"`
-	// Keys maps view name → affected bcp keys (maintenance runs only).
+	// Keys maps view name → purged bcp keys (write plane, on request).
 	Keys map[string][][]byte `json:"keys,omitempty"`
-	// Wide marks views whose damage could not be bounded to keys — the
-	// whole view's invalidation generation was bumped.
+	// Wide marks views invalidated whole instead — the view's
+	// invalidation generation was bumped.
 	Wide map[string]bool `json:"wide,omitempty"`
 }
 

@@ -1,5 +1,5 @@
 // update.go defines the write plane's wire surface: ΔR batches
-// (MsgUpdate) and PMV invalidation fan-outs (MsgInvalidate). Both
+// (MsgUpdate) and PMV invalidations (MsgInvalidate). Both
 // follow the package's frame idiom — strict decoding with typed
 // errors, prealloc caps on peer-supplied sizes, trailing-byte checks —
 // because the write path crosses the same hostile network the query
@@ -18,7 +18,7 @@ const (
 	// MsgUpdate delivers a ΔR batch (UpdateRequest payload): inserts,
 	// predicate deletes, and single-column updates over base relations.
 	// Answered with a MsgReply UpdateReply once the batch is applied
-	// (and, when maintenance is requested, invalidated locally).
+	// and the receiver's views are maintained.
 	MsgUpdate byte = 0x13
 	// MsgInvalidate delivers a PMV invalidation (InvalidateRequest
 	// payload): bump the named view's invalidation generation for a set
@@ -59,10 +59,9 @@ type UpdateOp struct {
 
 // UpdateRequest is the decoded MsgUpdate payload.
 type UpdateRequest struct {
-	// Maint asks the receiving shard to run view maintenance (compute
-	// affected bcp keys and invalidate/purge its own cache). A router
-	// fanning a batch to replicas sets it on one shard only and covers
-	// the rest with MsgInvalidate.
+	// Maint asks the receiving shard for its damage report: the bcps
+	// it purged (UpdateReply.Keys). A shard maintains its own cache
+	// whether or not it is asked; a router asks one shard per batch.
 	Maint bool
 	Ops   []UpdateOp
 }
@@ -215,8 +214,7 @@ type InvalidateRequest struct {
 	// trusted to hold invalidations for the keys it owns).
 	Epoch uint64
 	// All bumps the whole view's invalidation generation — the
-	// degradation step when per-key delivery failed or the key damage
-	// could not be bounded.
+	// degradation step when per-key delivery failed.
 	All  bool
 	Keys []string
 }
