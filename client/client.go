@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"pmv/internal/expr"
-	"pmv/internal/obs"
 	"pmv/internal/value"
 	"pmv/internal/wire"
 )
@@ -463,11 +462,6 @@ func (c *Client) attempt(ctx context.Context, typ byte, payload []byte, recv fun
 	return nil
 }
 
-// readFrame reads one reply frame. Callers hold c.mu.
-func (c *Client) readFrame() (byte, []byte, error) {
-	return wire.ReadFrame(c.br)
-}
-
 // ExecutePartial runs the PMV protocol on the named view, streaming
 // every result row to fn exactly once. O2 partials arrive first with
 // Row.Partial set. A ctx deadline is forwarded to the server as the
@@ -481,98 +475,29 @@ func (c *Client) readFrame() (byte, []byte, error) {
 // failure returns ErrInterrupted instead — never a silent
 // re-execution, which could deliver duplicate rows.
 func (c *Client) ExecutePartial(ctx context.Context, view string, conds []Cond, fn func(Row) error) (Report, error) {
-	req := wire.QueryRequest{View: view, Conds: conds}
-	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d > 0 {
-			req.Deadline = d
-		} else {
-			req.Deadline = time.Nanosecond // already expired: tell the server
-		}
-	}
-	payload, err := wire.EncodeQuery(req)
+	payload, err := queryRequest(ctx, view, conds)
 	if err != nil {
 		return Report{}, err
 	}
-	tr := obs.FromContext(ctx)
-	reqTyp, payload := wrapTraced(ctx, wire.MsgQuery, payload)
-	var rep Report
-	rows, partials := 0, 0
-	streamBroken := false
-	err = c.roundTrip(ctx, reqTyp, payload,
-		func() bool { return rows == 0 },
-		func() error {
-			for {
-				typ, body, err := c.readFrame()
-				if err != nil {
-					streamBroken = true
-					return &transient{err}
-				}
-				switch typ {
-				case wire.MsgSpans:
-					c.absorbSpans(tr, body)
-				case wire.MsgRow:
-					t, partial, err := wire.DecodeRow(body)
-					if err != nil {
-						streamBroken = true
-						return &transient{err}
-					}
-					rows++
-					if partial {
-						partials++
-					}
-					if fn != nil {
-						if err := fn(Row{Tuple: t, Partial: partial}); err != nil {
-							return err
-						}
-					}
-				case wire.MsgDone:
-					rep, err = wire.DecodeReport(body)
-					if err != nil {
-						streamBroken = true
-						return &transient{err}
-					}
-					return nil
-				case wire.MsgError:
-					return fmt.Errorf("%w: %s", ErrRemote, body)
-				default:
-					streamBroken = true
-					return &transient{fmt.Errorf("client: unexpected frame 0x%02x in query stream", typ)}
-				}
-			}
-		})
-	if err != nil && streamBroken && rows > 0 {
-		c.interrupted.Add(1)
-		return rep, &InterruptedError{
-			Report: Report{TotalTuples: rows, PartialTuples: partials},
-			Err:    err,
-		}
+	return c.stream(ctx, wire.MsgQuery, payload, fn)
+}
+
+// queryRequest encodes a MsgQuery/MsgExec payload, forwarding ctx's
+// deadline as the query deadline (an expired one as 1ns, so the server
+// still sees it).
+func queryRequest(ctx context.Context, view string, conds []Cond) ([]byte, error) {
+	req := wire.QueryRequest{View: view, Conds: conds}
+	if dl, ok := ctx.Deadline(); ok {
+		req.Deadline = max(time.Until(dl), time.Nanosecond)
 	}
-	return rep, err
+	return wire.EncodeQuery(req)
 }
 
 // admin performs a request whose response is one JSON MsgReply frame,
 // decoding it into out. Admin requests are idempotent, so transport
 // failures reconnect and retry transparently.
 func (c *Client) admin(ctx context.Context, typ byte, payload []byte, out any) error {
-	return c.roundTrip(ctx, typ, payload,
-		func() bool { return true },
-		func() error {
-			rtyp, body, err := c.readFrame()
-			if err != nil {
-				return &transient{err}
-			}
-			switch rtyp {
-			case wire.MsgReply:
-				if out == nil {
-					return nil
-				}
-				return json.Unmarshal(body, out)
-			case wire.MsgError:
-				return fmt.Errorf("%w: %s", ErrRemote, body)
-			default:
-				return &transient{fmt.Errorf("client: unexpected frame 0x%02x", rtyp)}
-			}
-		})
+	return c.roundTrip(ctx, typ, payload, func() bool { return true }, c.replyRecv(nil, out))
 }
 
 // Stats fetches the server's counters.
@@ -613,8 +538,12 @@ func (c *Client) Count(ctx context.Context, rel string) (int64, error) {
 
 // Peek returns a relation's first n tuples.
 func (c *Client) Peek(ctx context.Context, rel string, n int) ([]Tuple, error) {
+	payload, err := wire.EncodePeek(rel, n)
+	if err != nil {
+		return nil, err
+	}
 	var out wire.PeekReply
-	err := c.admin(ctx, wire.MsgPeek, wire.EncodePeek(rel, n), &out)
+	err = c.admin(ctx, wire.MsgPeek, payload, &out)
 	return out.Rows, err
 }
 

@@ -55,12 +55,7 @@ func (c *Client) ProbeParts(ctx context.Context, view string, epoch uint64, part
 	if err != nil {
 		return Report{}, err
 	}
-	return c.stream(ctx, wire.MsgProbeParts, payload, func(t Tuple, partial bool) error {
-		if fn != nil {
-			return fn(t)
-		}
-		return nil
-	})
+	return c.stream(ctx, wire.MsgProbeParts, payload, tuplesOnly(fn))
 }
 
 // ExecPlain executes the query plainly on the shard (Operation O3
@@ -68,40 +63,37 @@ func (c *Client) ProbeParts(ctx context.Context, view string, epoch uint64, part
 // zero-rows retry discipline as ExecutePartial. A ctx deadline is
 // forwarded as the query deadline.
 func (c *Client) ExecPlain(ctx context.Context, view string, conds []Cond, fn func(Tuple) error) (Report, error) {
-	req := wire.ExecRequest{View: view, Conds: conds}
-	if dl, ok := ctx.Deadline(); ok {
-		if d := time.Until(dl); d > 0 {
-			req.Deadline = d
-		} else {
-			req.Deadline = time.Nanosecond
-		}
-	}
-	payload, err := wire.EncodeExec(req)
+	payload, err := queryRequest(ctx, view, conds)
 	if err != nil {
 		return Report{}, err
 	}
-	return c.stream(ctx, wire.MsgExec, payload, func(t Tuple, partial bool) error {
-		if fn != nil {
-			return fn(t)
-		}
-		return nil
-	})
+	return c.stream(ctx, wire.MsgExec, payload, tuplesOnly(fn))
 }
 
-// stream is the shared row-stream receiver for probe and plain-exec
-// calls: MsgRow frames to fn, MsgDone closes with the report, MsgError
-// and MsgErrEpoch come back typed with the session intact.
-func (c *Client) stream(ctx context.Context, typ byte, payload []byte, fn func(Tuple, bool) error) (Report, error) {
+// tuplesOnly adapts a tuple callback to stream's row callback.
+func tuplesOnly(fn func(Tuple) error) func(Row) error {
+	if fn == nil {
+		return nil
+	}
+	return func(r Row) error { return fn(r.Tuple) }
+}
+
+// stream is the one row-stream receiver, for queries, probes and plain
+// execution: MsgRow frames to fn (when non-nil), MsgDone closes with
+// the report, MsgError and MsgErrEpoch come back typed with the
+// session intact. It retries only while zero rows have been delivered;
+// a later transport failure is an InterruptedError with the counts.
+func (c *Client) stream(ctx context.Context, typ byte, payload []byte, fn func(Row) error) (Report, error) {
 	tr := obs.FromContext(ctx)
 	typ, payload = wrapTraced(ctx, typ, payload)
 	var rep Report
-	rows := 0
+	rows, partials := 0, 0
 	streamBroken := false
 	err := c.roundTrip(ctx, typ, payload,
 		func() bool { return rows == 0 },
 		func() error {
 			for {
-				rtyp, body, err := c.readFrame()
+				rtyp, body, err := wire.ReadFrame(c.br)
 				if err != nil {
 					streamBroken = true
 					return &transient{err}
@@ -116,8 +108,13 @@ func (c *Client) stream(ctx context.Context, typ byte, payload []byte, fn func(T
 						return &transient{err}
 					}
 					rows++
-					if err := fn(t, partial); err != nil {
-						return err
+					if partial {
+						partials++
+					}
+					if fn != nil {
+						if err := fn(Row{Tuple: t, Partial: partial}); err != nil {
+							return err
+						}
 					}
 				case wire.MsgDone:
 					rep, err = wire.DecodeReport(body)
@@ -144,7 +141,7 @@ func (c *Client) stream(ctx context.Context, typ byte, payload []byte, fn func(T
 	if err != nil && streamBroken && rows > 0 {
 		c.interrupted.Add(1)
 		return rep, &InterruptedError{
-			Report: Report{TotalTuples: rows},
+			Report: Report{TotalTuples: rows, PartialTuples: partials},
 			Err:    err,
 		}
 	}
@@ -174,41 +171,10 @@ func (c *Client) Refill(ctx context.Context, view string, epoch uint64, tuples [
 	if err != nil {
 		return 0, err
 	}
-	tr := obs.FromContext(ctx)
 	typ, payload := wrapTraced(ctx, wire.MsgRefill, payload)
-	cached := 0
-	err = c.roundTrip(ctx, typ, payload,
-		nil, // never retry
-		func() error {
-			for {
-				rtyp, body, err := c.readFrame()
-				if err != nil {
-					return &transient{err}
-				}
-				switch rtyp {
-				case wire.MsgSpans:
-					c.absorbSpans(tr, body)
-				case wire.MsgReply:
-					var out wire.RefillReply
-					if err := json.Unmarshal(body, &out); err != nil {
-						return err
-					}
-					cached = out.Cached
-					return nil
-				case wire.MsgError:
-					return fmt.Errorf("%w: %s", ErrRemote, body)
-				case wire.MsgErrEpoch:
-					cur, derr := wire.DecodeEpochErr(body)
-					if derr != nil {
-						return &transient{derr}
-					}
-					return &EpochError{Current: cur}
-				default:
-					return &transient{fmt.Errorf("client: unexpected frame 0x%02x", rtyp)}
-				}
-			}
-		})
-	return cached, err
+	var out wire.RefillReply
+	err = c.roundTrip(ctx, typ, payload, nil, c.replyRecv(obs.FromContext(ctx), &out)) // never retry
+	return out.Cached, err
 }
 
 // ShardMap reads the shard's installed shard map (epoch 0 with no

@@ -26,7 +26,7 @@ func (c *Client) Ping(ctx context.Context) (time.Duration, uint64, error) {
 	err := c.roundTrip(ctx, wire.MsgPing, payload,
 		nil, // never retry
 		func() error {
-			typ, body, err := c.readFrame()
+			typ, body, err := wire.ReadFrame(c.br)
 			if err != nil {
 				return &transient{err}
 			}

@@ -27,8 +27,7 @@ func (c *Client) HotSet(ctx context.Context, req wire.HotSetRequest) (wire.HotSe
 		return wire.HotSetReply{}, err
 	}
 	var out wire.HotSetReply
-	err = c.roundTrip(ctx, wire.MsgHotSet, payload,
-		func() bool { return true }, c.replyRecv(nil, &out))
+	err = c.admin(ctx, wire.MsgHotSet, payload, &out)
 	return out, err
 }
 
@@ -42,8 +41,7 @@ func (c *Client) HotInval(ctx context.Context, req wire.HotInvalRequest) (wire.H
 		return wire.HotInvalReply{}, err
 	}
 	var out wire.HotInvalReply
-	err = c.roundTrip(ctx, wire.MsgHotInval, payload,
-		func() bool { return true }, c.replyRecv(nil, &out))
+	err = c.admin(ctx, wire.MsgHotInval, payload, &out)
 	return out, err
 }
 

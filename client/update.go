@@ -67,19 +67,17 @@ func (c *Client) Invalidate(ctx context.Context, req wire.InvalidateRequest) (wi
 		return wire.InvalidateReply{}, err
 	}
 	var out wire.InvalidateReply
-	err = c.roundTrip(ctx, wire.MsgInvalidate, payload,
-		func() bool { return true }, c.replyRecv(nil, &out))
+	err = c.admin(ctx, wire.MsgInvalidate, payload, &out)
 	return out, err
 }
 
-// replyRecv returns a recv callback decoding one JSON MsgReply frame
-// into out (the admin reply shape, reusable for typed round trips).
-// A non-nil tr absorbs any MsgSpans frame piggybacked ahead of the
-// reply.
+// replyRecv returns the one recv callback for single-reply requests:
+// it decodes one JSON MsgReply frame into out. A non-nil tr absorbs any
+// MsgSpans frame piggybacked ahead of the reply.
 func (c *Client) replyRecv(tr *obs.Trace, out any) func() error {
 	return func() error {
 		for {
-			rtyp, body, err := c.readFrame()
+			rtyp, body, err := wire.ReadFrame(c.br)
 			if err != nil {
 				return &transient{err}
 			}

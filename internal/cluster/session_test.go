@@ -73,7 +73,10 @@ func TestSessionFailureAccounting(t *testing.T) {
 			// none of them. The requests themselves are tiny; a write
 			// error only means the daemon already gave up on us.
 			c.(*net.TCPConn).SetReadBuffer(4 << 10)
-			peek := wire.EncodePeek("product", 400)
+			peek, err := wire.EncodePeek("product", 400)
+			if err != nil {
+				t.Fatal(err)
+			}
 			c.SetWriteDeadline(time.Now().Add(10 * time.Second))
 			for i := 0; i < 2000; i++ {
 				if wire.WriteFrame(c, wire.MsgPeek, peek) != nil {

@@ -241,9 +241,17 @@ func TestRouterFleetFederation(t *testing.T) {
 
 	runQuery(t, c, 2, 3, want[[2]int64{2, 3}])
 
-	fl, err := c.Fleet(ctx)
-	if err != nil {
-		t.Fatal(err)
+	// Router.Start installs the shard map in the background, so a shard
+	// the query did not reach may still be stale: wait for the install.
+	var fl wire.FleetReply
+	var err error
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if fl, err = c.Fleet(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if fl.ShardsStale == 0 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if fl.Epoch != 1 || len(fl.Shards) != 3 {
 		t.Fatalf("fleet = epoch %d, %d shards", fl.Epoch, len(fl.Shards))

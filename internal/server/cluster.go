@@ -103,7 +103,7 @@ func (s *Server) handleProbeParts(sess *session.Session, payload []byte) error {
 // useless empty answer. The request deadline (or the server default)
 // bounds both the wait and the execution.
 func (s *Server) handleExec(sess *session.Session, payload []byte) error {
-	req, err := wire.DecodeExec(payload)
+	req, err := wire.DecodeQuery(payload)
 	if err != nil {
 		return sess.WriteErr(err)
 	}

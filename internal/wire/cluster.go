@@ -1,16 +1,11 @@
 // cluster.go defines the wire surface of the sharded cluster plane:
 // session version negotiation, per-condition-part O2 probes, plain O3
 // execution over the expanded select list Ls′, refill deltas, and
-// shard-map distribution. Everything here follows the package's frame
-// idiom — strict decoding with typed errors, no allocation driven by
-// unvalidated peer-supplied sizes — because routers and shards speak
-// these frames across the same hostile network the query path does.
+// shard-map distribution.
 package wire
 
 import (
-	"encoding/binary"
 	"errors"
-	"fmt"
 
 	"pmv/internal/expr"
 	"pmv/internal/value"
@@ -83,37 +78,35 @@ var ErrEpoch = errors.New("wire: stale shard map epoch")
 func EncodeHello() []byte { return []byte{ProtocolVersion} }
 
 // DecodeHello parses a MsgHello payload.
-func DecodeHello(b []byte) (byte, error) {
-	if len(b) != 1 {
-		return 0, fmt.Errorf("wire: hello payload is %d bytes", len(b))
-	}
-	return b[0], nil
-}
+func DecodeHello(b []byte) (byte, error) { return decodeByte("hello", b) }
 
 // EncodeVersionErr encodes a MsgErrVersion payload (the responder's
 // own version).
 func EncodeVersionErr(v byte) []byte { return []byte{v} }
 
 // DecodeVersionErr parses a MsgErrVersion payload.
-func DecodeVersionErr(b []byte) (byte, error) {
-	if len(b) != 1 {
-		return 0, fmt.Errorf("wire: version-error payload is %d bytes", len(b))
-	}
-	return b[0], nil
+func DecodeVersionErr(b []byte) (byte, error) { return decodeByte("version-error", b) }
+
+// decodeByte parses a one-byte payload.
+func decodeByte(msg string, b []byte) (byte, error) {
+	d := &dec{msg: msg, b: b}
+	v := d.u8("version")
+	return v, d.done()
 }
 
 // EncodeEpochErr encodes a MsgErrEpoch payload (the shard's installed
 // epoch).
 func EncodeEpochErr(epoch uint64) []byte {
-	return binary.BigEndian.AppendUint64(nil, epoch)
+	e := enc{}
+	e.u64(epoch)
+	return e.b
 }
 
 // DecodeEpochErr parses a MsgErrEpoch payload.
 func DecodeEpochErr(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("wire: epoch-error payload is %d bytes", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
+	d := &dec{msg: "epoch-error", b: b}
+	epoch := d.u64("epoch")
+	return epoch, d.done()
 }
 
 // ProbePart is one condition part to probe on a shard: the encoded
@@ -142,184 +135,41 @@ type ProbeRequest struct {
 // probe part flag bits.
 const partExact byte = 1 << 0
 
-// appendCond appends one condition instance in the query-condition
-// encoding (kind byte + values tuple, or kind byte + interval list).
-func appendCond(b []byte, ci expr.CondInstance) ([]byte, error) {
-	if len(ci.Values) > 0 {
-		b = append(b, condValues)
-		return value.EncodeTuple(b, value.Tuple(ci.Values)), nil
-	}
-	b = append(b, condIntervals)
-	if len(ci.Intervals) > 0xffff {
-		return nil, fmt.Errorf("wire: too many intervals")
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(ci.Intervals)))
-	for _, iv := range ci.Intervals {
-		var fl byte
-		if iv.LoIncl {
-			fl |= loIncl
-		}
-		if iv.HiIncl {
-			fl |= hiIncl
-		}
-		b = append(b, fl)
-		b = value.EncodeTuple(b, value.Tuple{iv.Lo, iv.Hi})
-	}
-	return b, nil
-}
-
-// decodeCond parses one condition instance, returning the rest of the
-// buffer.
-func decodeCond(b []byte) (expr.CondInstance, []byte, error) {
-	var ci expr.CondInstance
-	if len(b) < 1 {
-		return ci, nil, fmt.Errorf("wire: truncated condition")
-	}
-	kind := b[0]
-	b = b[1:]
-	switch kind {
-	case condValues:
-		t, used, err := value.DecodeTuple(b)
-		if err != nil {
-			return ci, nil, fmt.Errorf("wire: condition values: %w", err)
-		}
-		ci.Values = t
-		return ci, b[used:], nil
-	case condIntervals:
-		if len(b) < 2 {
-			return ci, nil, fmt.Errorf("wire: truncated interval count")
-		}
-		ni := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		ci.Intervals = make([]expr.Interval, 0, ni)
-		for j := 0; j < ni; j++ {
-			if len(b) < 1 {
-				return ci, nil, fmt.Errorf("wire: truncated interval %d", j)
-			}
-			fl := b[0]
-			b = b[1:]
-			t, used, err := value.DecodeTuple(b)
-			if err != nil {
-				return ci, nil, fmt.Errorf("wire: interval %d bounds: %w", j, err)
-			}
-			if len(t) != 2 {
-				return ci, nil, fmt.Errorf("wire: interval %d has %d bounds", j, len(t))
-			}
-			b = b[used:]
-			ci.Intervals = append(ci.Intervals, expr.Interval{
-				Lo: t[0], Hi: t[1],
-				LoIncl: fl&loIncl != 0, HiIncl: fl&hiIncl != 0,
-			})
-		}
-		return ci, b, nil
-	default:
-		return ci, nil, fmt.Errorf("wire: unknown condition kind %d", kind)
-	}
-}
-
 // EncodeProbe encodes a ProbeRequest as a MsgProbeParts payload.
 func EncodeProbe(req ProbeRequest) ([]byte, error) {
-	if len(req.View) > 0xffff {
-		return nil, fmt.Errorf("wire: view name too long")
-	}
-	if len(req.Parts) > 0xffff {
-		return nil, fmt.Errorf("wire: too many probe parts")
-	}
-	b := make([]byte, 0, 64)
-	b = binary.BigEndian.AppendUint64(b, req.Epoch)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.View)))
-	b = append(b, req.View...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.Parts)))
+	e := newEnc("probe", 64)
+	e.u64(req.Epoch)
+	e.str(req.View, "view")
+	e.count16(len(req.Parts), "parts")
 	for _, p := range req.Parts {
-		if len(p.Key) > 0xffff {
-			return nil, fmt.Errorf("wire: bcp key too long")
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(p.Key)))
-		b = append(b, p.Key...)
-		var fl byte
-		if p.Exact {
-			fl |= partExact
-		}
-		b = append(b, fl)
-		if len(p.Conds) > 0xffff {
-			return nil, fmt.Errorf("wire: too many part conditions")
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(p.Conds)))
+		e.str(p.Key, "bcp key")
+		e.u8(bit(p.Exact, partExact))
+		e.count16(len(p.Conds), "part conditions")
 		for _, ci := range p.Conds {
-			var err error
-			if b, err = appendCond(b, ci); err != nil {
-				return nil, err
-			}
+			e.cond(ci)
 		}
 	}
-	if req.BudgetNs != 0 {
-		b = binary.BigEndian.AppendUint64(b, req.BudgetNs)
-	}
-	return b, nil
+	e.budget(req.BudgetNs)
+	return e.bytes()
 }
 
 // DecodeProbe parses a MsgProbeParts payload.
 func DecodeProbe(b []byte) (ProbeRequest, error) {
-	var req ProbeRequest
-	if len(b) < 12 {
-		return req, fmt.Errorf("wire: short probe header")
-	}
-	req.Epoch = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return req, fmt.Errorf("wire: truncated view name")
-	}
-	req.View = string(b[:n])
-	b = b[n:]
-	if len(b) < 2 {
-		return req, fmt.Errorf("wire: truncated part count")
-	}
-	np := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	req.Parts = make([]ProbePart, 0, min(np, 1024))
-	for i := 0; i < np; i++ {
-		if len(b) < 2 {
-			return req, fmt.Errorf("wire: truncated part %d key length", i)
-		}
-		kl := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < kl+3 {
-			return req, fmt.Errorf("wire: truncated part %d", i)
-		}
-		var p ProbePart
-		p.Key = string(b[:kl])
-		b = b[kl:]
-		fl := b[0]
-		if fl&^partExact != 0 {
-			return req, fmt.Errorf("wire: unknown part flags 0x%02x", fl)
-		}
-		p.Exact = fl&partExact != 0
-		nc := int(binary.BigEndian.Uint16(b[1:]))
-		b = b[3:]
-		p.Conds = make([]expr.CondInstance, 0, min(nc, 64))
-		for j := 0; j < nc; j++ {
-			ci, rest, err := decodeCond(b)
-			if err != nil {
-				return req, fmt.Errorf("wire: part %d condition %d: %w", i, j, err)
-			}
-			b = rest
-			p.Conds = append(p.Conds, ci)
+	d := &dec{msg: "probe", b: b}
+	req := ProbeRequest{Epoch: d.u64("epoch"), View: d.str("view")}
+	np := d.count16("part count")
+	req.Parts = make([]ProbePart, 0, prealloc(np))
+	for i := 0; i < np && d.err == nil; i++ {
+		p := ProbePart{Key: d.str("bcp key"), Exact: d.flags(partExact, "part flags")&partExact != 0}
+		nc := d.count16("part condition count")
+		p.Conds = make([]expr.CondInstance, 0, prealloc(nc))
+		for j := 0; j < nc && d.err == nil; j++ {
+			p.Conds = append(p.Conds, d.cond())
 		}
 		req.Parts = append(req.Parts, p)
 	}
-	switch len(b) {
-	case 0:
-	case 8:
-		req.BudgetNs = binary.BigEndian.Uint64(b)
-		if req.BudgetNs == 0 {
-			return req, fmt.Errorf("wire: zero budget tail on probe")
-		}
-	default:
-		return req, fmt.Errorf("wire: %d trailing bytes after probe", len(b))
-	}
-	return req, nil
+	req.BudgetNs = d.budget()
+	return req, d.done()
 }
 
 // RefillRequest is the decoded MsgRefill payload: Ls′ result tuples a
@@ -336,75 +186,26 @@ type RefillRequest struct {
 
 // EncodeRefill encodes a RefillRequest as a MsgRefill payload.
 func EncodeRefill(req RefillRequest) ([]byte, error) {
-	if len(req.View) > 0xffff {
-		return nil, fmt.Errorf("wire: view name too long")
-	}
-	b := make([]byte, 0, 64)
-	b = binary.BigEndian.AppendUint64(b, req.Epoch)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.View)))
-	b = append(b, req.View...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(req.Tuples)))
+	e := newEnc("refill", 64)
+	e.u64(req.Epoch)
+	e.str(req.View, "view")
+	e.u32(uint32(len(req.Tuples)))
 	for _, t := range req.Tuples {
-		b = value.EncodeTuple(b, t)
+		e.tuple(t)
 	}
-	if req.BudgetNs != 0 {
-		b = binary.BigEndian.AppendUint64(b, req.BudgetNs)
-	}
-	if len(b)+1 > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
+	e.budget(req.BudgetNs)
+	return e.bytes()
 }
 
 // DecodeRefill parses a MsgRefill payload.
 func DecodeRefill(b []byte) (RefillRequest, error) {
-	var req RefillRequest
-	if len(b) < 14 {
-		return req, fmt.Errorf("wire: short refill header")
+	d := &dec{msg: "refill", b: b}
+	req := RefillRequest{Epoch: d.u64("epoch"), View: d.str("view")}
+	nt := int(d.u32("tuple count"))
+	req.Tuples = make([]value.Tuple, 0, prealloc(nt))
+	for i := 0; i < nt && d.err == nil; i++ {
+		req.Tuples = append(req.Tuples, d.tuple(-1, "tuple"))
 	}
-	req.Epoch = binary.BigEndian.Uint64(b)
-	b = b[8:]
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return req, fmt.Errorf("wire: truncated view name")
-	}
-	req.View = string(b[:n])
-	b = b[n:]
-	if len(b) < 4 {
-		return req, fmt.Errorf("wire: truncated tuple count")
-	}
-	nt := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	req.Tuples = make([]value.Tuple, 0, min(nt, 1024))
-	for i := 0; i < nt; i++ {
-		t, used, err := value.DecodeTuple(b)
-		if err != nil {
-			return req, fmt.Errorf("wire: refill tuple %d: %w", i, err)
-		}
-		b = b[used:]
-		req.Tuples = append(req.Tuples, t)
-	}
-	switch len(b) {
-	case 0:
-	case 8:
-		req.BudgetNs = binary.BigEndian.Uint64(b)
-		if req.BudgetNs == 0 {
-			return req, fmt.Errorf("wire: zero budget tail on refill")
-		}
-	default:
-		return req, fmt.Errorf("wire: %d trailing bytes after refill", len(b))
-	}
-	return req, nil
+	req.BudgetNs = d.budget()
+	return req, d.done()
 }
-
-// ExecRequest is the MsgExec payload — structurally a QueryRequest
-// (view, deadline, bound conditions); the distinct message type is
-// what selects plain Ls′ execution instead of the PMV protocol.
-type ExecRequest = QueryRequest
-
-// EncodeExec encodes a MsgExec payload.
-func EncodeExec(req ExecRequest) ([]byte, error) { return EncodeQuery(req) }
-
-// DecodeExec parses a MsgExec payload.
-func DecodeExec(b []byte) (ExecRequest, error) { return DecodeQuery(b) }

@@ -211,27 +211,7 @@ func FuzzDecodeProbe(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q1, err := DecodeProbe(data)
-		if err != nil {
-			return
-		}
-		// One encode/decode cycle reaches a fixed point (the first
-		// cycle may canonicalize empty-slice representations).
-		b2, err := EncodeProbe(q1)
-		if err != nil {
-			t.Fatalf("re-encode of decoded probe failed: %v", err)
-		}
-		q2, err := DecodeProbe(b2)
-		if err != nil {
-			t.Fatalf("decode of re-encoded probe failed: %v", err)
-		}
-		b3, err := EncodeProbe(q2)
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(b2, b3) {
-			t.Fatal("probe encoding not a fixed point after one cycle")
-		}
+		canonical(t, "probe", data, DecodeProbe, EncodeProbe)
 	})
 }
 
@@ -250,25 +230,7 @@ func FuzzDecodeRefill(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q1, err := DecodeRefill(data)
-		if err != nil {
-			return
-		}
-		b2, err := EncodeRefill(q1)
-		if err != nil {
-			t.Fatalf("re-encode of decoded refill failed: %v", err)
-		}
-		q2, err := DecodeRefill(b2)
-		if err != nil {
-			t.Fatalf("decode of re-encoded refill failed: %v", err)
-		}
-		b3, err := EncodeRefill(q2)
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(b2, b3) {
-			t.Fatal("refill encoding not a fixed point after one cycle")
-		}
+		canonical(t, "refill", data, DecodeRefill, EncodeRefill)
 	})
 }
 
@@ -278,20 +240,8 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(EncodeEpochErr(17))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if v, err := DecodeHello(data); err == nil {
-			if !bytes.Equal([]byte{v}, data) {
-				t.Fatal("hello round trip changed bytes")
-			}
-		}
-		if v, err := DecodeVersionErr(data); err == nil {
-			if !bytes.Equal(EncodeVersionErr(v), data) {
-				t.Fatal("version-error round trip changed bytes")
-			}
-		}
-		if e, err := DecodeEpochErr(data); err == nil {
-			if !bytes.Equal(EncodeEpochErr(e), data) {
-				t.Fatal("epoch-error round trip changed bytes")
-			}
-		}
+		canonical(t, "hello", data, DecodeHello, func(v byte) ([]byte, error) { return []byte{v}, nil })
+		canonical(t, "version error", data, DecodeVersionErr, func(v byte) ([]byte, error) { return EncodeVersionErr(v), nil })
+		canonical(t, "epoch error", data, DecodeEpochErr, func(e uint64) ([]byte, error) { return EncodeEpochErr(e), nil })
 	})
 }

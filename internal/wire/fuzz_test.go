@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"reflect"
 	"testing"
 	"time"
 
@@ -12,10 +11,27 @@ import (
 )
 
 // Fuzz targets for the decoders that face hostile bytes: everything a
-// peer sends crosses ReadFrame, and MsgQuery payloads cross
-// DecodeQuery before touching the engine. The contract under fuzzing
-// is the graceful-degradation one: hostile input must produce an
-// error, never a panic or an unbounded allocation.
+// peer sends crosses ReadFrame, and every payload crosses its decoder
+// before touching the engine. Hostile input must produce an error,
+// never a panic or an unbounded allocation, and every target checks
+// one shared property with canonical: a payload a decoder accepts
+// re-encodes to exactly the same bytes.
+
+// canonical asserts that a payload decode accepts re-encodes to data.
+func canonical[T any](t *testing.T, what string, data []byte, decode func([]byte) (T, error), encode func(T) ([]byte, error)) {
+	t.Helper()
+	v, err := decode(data)
+	if err != nil {
+		return
+	}
+	b, err := encode(v)
+	if err != nil {
+		t.Fatalf("%s: re-encode of accepted payload failed: %v", what, err)
+	}
+	if !bytes.Equal(b, data) {
+		t.Fatalf("%s: accepted % x but re-encodes to % x", what, data, b)
+	}
+}
 
 // fuzzFrameCorpus seeds the frame fuzzer with valid frames of every
 // shape the round-trip tests cover.
@@ -72,32 +88,7 @@ func FuzzDecodeQuery(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		q1, err := DecodeQuery(data)
-		if err != nil {
-			return
-		}
-		// Re-encoding a decoded query must be stable: one encode/decode
-		// cycle reaches a fixed point (the first cycle may canonicalize
-		// an empty condition's representation).
-		b2, err := EncodeQuery(q1)
-		if err != nil {
-			t.Fatalf("re-encode of decoded query failed: %v", err)
-		}
-		q2, err := DecodeQuery(b2)
-		if err != nil {
-			t.Fatalf("decode of re-encoded query failed: %v", err)
-		}
-		b3, err := EncodeQuery(q2)
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		q3, err := DecodeQuery(b3)
-		if err != nil {
-			t.Fatalf("second re-decode failed: %v", err)
-		}
-		if !reflect.DeepEqual(q2, q3) {
-			t.Fatalf("query encode/decode not idempotent:\n q2 %+v\n q3 %+v", q2, q3)
-		}
+		canonical(t, "query", data, DecodeQuery, EncodeQuery)
 	})
 }
 
@@ -105,24 +96,24 @@ func FuzzDecodeRow(f *testing.F) {
 	f.Add(EncodeRow(nil, value.Tuple{value.Int(42), value.Str("hello"), value.Bool(true)}, true))
 	f.Add(EncodeRow(nil, value.Tuple{}, false))
 	f.Add(EncodeReport(nil, Report{Hit: true, TotalTuples: 3}))
+	type row struct {
+		t       value.Tuple
+		partial bool
+	}
+	type peek struct {
+		rel string
+		n   int
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if tu, partial, err := DecodeRow(data); err == nil {
-			b2 := EncodeRow(nil, tu, partial)
-			if !bytes.Equal(b2, data) {
-				t.Fatalf("row round trip changed bytes")
-			}
-		}
-		if rep, err := DecodeReport(data); err == nil {
-			got, err := DecodeReport(EncodeReport(nil, rep))
-			if err != nil || got != rep {
-				t.Fatalf("report round trip mismatch: %v", err)
-			}
-		}
-		if rel, n, err := DecodePeek(data); err == nil {
-			if !bytes.Equal(EncodePeek(rel, n), data) {
-				t.Fatalf("peek round trip changed bytes")
-			}
-		}
+		canonical(t, "row", data, func(b []byte) (row, error) {
+			tu, partial, err := DecodeRow(b)
+			return row{tu, partial}, err
+		}, func(r row) ([]byte, error) { return EncodeRow(nil, r.t, r.partial), nil })
+		canonical(t, "report", data, DecodeReport, func(r Report) ([]byte, error) { return EncodeReport(nil, r), nil })
+		canonical(t, "peek", data, func(b []byte) (peek, error) {
+			rel, n, err := DecodePeek(b)
+			return peek{rel, n}, err
+		}, func(p peek) ([]byte, error) { return EncodePeek(p.rel, p.n) })
 	})
 }
 
@@ -162,22 +153,11 @@ func FuzzDecodeHotSet(f *testing.F) {
 		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeHotSet(data)
-		if err != nil {
-			return
-		}
-		// A hot set that decoded must re-encode byte-identically: the
-		// format has exactly one encoding per request.
-		b2, err := EncodeHotSet(req)
-		if err != nil {
-			t.Fatalf("re-encode of decoded hot set failed: %v", err)
-		}
-		if !bytes.Equal(b2, data) {
-			t.Fatalf("hot set round trip changed bytes")
-		}
+		canonical(t, "hot set", data, DecodeHotSet, EncodeHotSet)
 	})
 }
 
+// FuzzDecodeHotInval also covers DecodeFilterReq.
 func FuzzDecodeHotInval(f *testing.F) {
 	seeds := []HotInvalRequest{
 		{View: "v", Epoch: 1, Seq: 1},
@@ -190,17 +170,11 @@ func FuzzDecodeHotInval(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	if b, err := EncodeFilterReq("pmv_orders"); err == nil {
+		f.Add(b)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		req, err := DecodeHotInval(data)
-		if err != nil {
-			return
-		}
-		b2, err := EncodeHotInval(req)
-		if err != nil {
-			t.Fatalf("re-encode of decoded hot inval failed: %v", err)
-		}
-		if !bytes.Equal(b2, data) {
-			t.Fatalf("hot inval round trip changed bytes")
-		}
+		canonical(t, "hot inval", data, DecodeHotInval, EncodeHotInval)
+		canonical(t, "filter request", data, DecodeFilterReq, EncodeFilterReq)
 	})
 }

@@ -7,11 +7,6 @@
 // the heartbeat loop must cost nothing measurable.
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 const (
 	// MsgPing is a liveness probe (8-byte nonce payload). Any server
 	// answers MsgPong immediately, before touching the engine, so the
@@ -26,27 +21,29 @@ const (
 
 // EncodePing encodes a MsgPing payload into dst (appended).
 func EncodePing(dst []byte, nonce uint64) []byte {
-	return binary.BigEndian.AppendUint64(dst, nonce)
+	e := enc{b: dst}
+	e.u64(nonce)
+	return e.b
 }
 
 // DecodePing parses a MsgPing payload.
 func DecodePing(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("wire: ping payload is %d bytes", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
+	d := &dec{msg: "ping", b: b}
+	nonce := d.u64("nonce")
+	return nonce, d.done()
 }
 
 // EncodePong encodes a MsgPong payload into dst (appended).
 func EncodePong(dst []byte, nonce, epoch uint64) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, nonce)
-	return binary.BigEndian.AppendUint64(dst, epoch)
+	e := enc{b: dst}
+	e.u64(nonce)
+	e.u64(epoch)
+	return e.b
 }
 
 // DecodePong parses a MsgPong payload.
 func DecodePong(b []byte) (nonce, epoch uint64, err error) {
-	if len(b) != 16 {
-		return 0, 0, fmt.Errorf("wire: pong payload is %d bytes", len(b))
-	}
-	return binary.BigEndian.Uint64(b), binary.BigEndian.Uint64(b[8:]), nil
+	d := &dec{msg: "pong", b: b}
+	nonce, epoch = d.u64("nonce"), d.u64("epoch")
+	return nonce, epoch, d.done()
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"testing"
 )
 
@@ -48,16 +47,12 @@ func FuzzDecodePing(f *testing.F) {
 	f.Add(EncodePing(nil, 42))
 	f.Add(EncodePong(nil, 42, 7))
 	f.Add([]byte{})
+	type pong struct{ nonce, epoch uint64 }
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if n, err := DecodePing(data); err == nil {
-			if !bytes.Equal(EncodePing(nil, n), data) {
-				t.Fatal("ping round trip changed bytes")
-			}
-		}
-		if n, e, err := DecodePong(data); err == nil {
-			if !bytes.Equal(EncodePong(nil, n, e), data) {
-				t.Fatal("pong round trip changed bytes")
-			}
-		}
+		canonical(t, "ping", data, DecodePing, func(n uint64) ([]byte, error) { return EncodePing(nil, n), nil })
+		canonical(t, "pong", data, func(b []byte) (pong, error) {
+			n, e, err := DecodePong(b)
+			return pong{n, e}, err
+		}, func(p pong) ([]byte, error) { return EncodePong(nil, p.nonce, p.epoch), nil })
 	})
 }

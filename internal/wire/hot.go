@@ -1,11 +1,8 @@
 // hot.go defines the frequency-plane wire surface: hot-entry
 // replication pushes (MsgHotSet), hot-key invalidation fan-out
-// (MsgHotInval), and presence-filter snapshot fetch (MsgFilter). The
-// first two are binary frames in the cluster-plane idiom — strict
-// decoding, typed errors, no allocation driven by unvalidated peer
-// sizes — because routers push them to shards over the same hostile
-// network the probe path uses. MsgFilter answers with a JSON
-// FilterReply inside MsgReply like the other admin commands.
+// (MsgHotInval), and presence-filter snapshot fetch (MsgFilter).
+// MsgFilter answers with a JSON FilterReply inside MsgReply like the
+// other admin commands.
 //
 // Ordering contract: every HotSet/HotInval a router emits for a view
 // carries a strictly increasing Seq. A shard records the highest
@@ -15,12 +12,7 @@
 // owner-probe via invalidation generations — never a wrong answer.
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"pmv/internal/value"
-)
+import "pmv/internal/value"
 
 // Frequency-plane message types (requests continue the 0x18 sequence).
 const (
@@ -56,89 +48,37 @@ type HotSetRequest struct {
 
 // EncodeHotSet encodes a HotSetRequest as a MsgHotSet payload.
 func EncodeHotSet(req HotSetRequest) ([]byte, error) {
-	if len(req.View) > 0xffff {
-		return nil, fmt.Errorf("wire: view name too long")
-	}
-	if len(req.Keys) > 0xffff {
-		return nil, fmt.Errorf("wire: too many hot keys")
-	}
-	b := make([]byte, 0, 256)
-	b = binary.BigEndian.AppendUint64(b, req.Epoch)
-	b = binary.BigEndian.AppendUint64(b, req.Seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.View)))
-	b = append(b, req.View...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.Keys)))
+	e := newEnc("hot set", 256)
+	e.u64(req.Epoch)
+	e.u64(req.Seq)
+	e.str(req.View, "view")
+	e.count16(len(req.Keys), "hot keys")
 	for _, hk := range req.Keys {
-		if len(hk.Key) > 0xffff {
-			return nil, fmt.Errorf("wire: bcp key too long")
-		}
-		if len(hk.Tuples) > 0xffff {
-			return nil, fmt.Errorf("wire: too many tuples for hot key")
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(hk.Key)))
-		b = append(b, hk.Key...)
-		b = binary.BigEndian.AppendUint16(b, uint16(len(hk.Tuples)))
+		e.str(hk.Key, "bcp key")
+		e.count16(len(hk.Tuples), "hot key tuples")
 		for _, t := range hk.Tuples {
-			b = value.EncodeTuple(b, t)
+			e.tuple(t)
 		}
 	}
-	if len(b)+1 > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
+	return e.bytes()
 }
 
 // DecodeHotSet parses a MsgHotSet payload.
 func DecodeHotSet(b []byte) (HotSetRequest, error) {
-	var req HotSetRequest
-	if len(b) < 20 {
-		return req, fmt.Errorf("wire: short hot-set header")
-	}
-	req.Epoch = binary.BigEndian.Uint64(b)
-	req.Seq = binary.BigEndian.Uint64(b[8:])
-	b = b[16:]
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return req, fmt.Errorf("wire: truncated view name")
-	}
-	req.View = string(b[:n])
-	b = b[n:]
-	if len(b) < 2 {
-		return req, fmt.Errorf("wire: truncated hot-key count")
-	}
-	nk := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	req.Keys = make([]HotKey, 0, min(nk, 1024))
-	for i := 0; i < nk; i++ {
-		if len(b) < 2 {
-			return req, fmt.Errorf("wire: truncated hot key %d length", i)
-		}
-		kl := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < kl+2 {
-			return req, fmt.Errorf("wire: truncated hot key %d", i)
-		}
-		var hk HotKey
-		hk.Key = string(b[:kl])
-		b = b[kl:]
-		nt := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		hk.Tuples = make([]value.Tuple, 0, min(nt, 1024))
-		for j := 0; j < nt; j++ {
-			t, used, err := value.DecodeTuple(b)
-			if err != nil {
-				return req, fmt.Errorf("wire: hot key %d tuple %d: %w", i, j, err)
-			}
-			b = b[used:]
-			hk.Tuples = append(hk.Tuples, t)
+	d := &dec{msg: "hot set", b: b}
+	req := HotSetRequest{Epoch: d.u64("epoch"), Seq: d.u64("seq"), View: d.str("view")}
+	nk := d.count16("hot key count")
+	req.Keys = make([]HotKey, 0, prealloc(nk))
+	for i := 0; i < nk && d.err == nil; i++ {
+		hk := HotKey{Key: d.str("bcp key")}
+		nt := d.count16("hot key tuple count")
+		hk.Tuples = make([]value.Tuple, 0, prealloc(nt))
+		for j := 0; j < nt && d.err == nil; j++ {
+			hk.Tuples = append(hk.Tuples, d.tuple(-1, "hot key tuple"))
 		}
 		req.Keys = append(req.Keys, hk)
 	}
-	if len(b) != 0 {
-		return req, fmt.Errorf("wire: %d trailing bytes after hot set", len(b))
-	}
-	return req, nil
+	return req, d.done()
 }
 
 // HotInvalRequest is the decoded MsgHotInval payload: bcp keys whose
@@ -153,91 +93,40 @@ type HotInvalRequest struct {
 
 // EncodeHotInval encodes a HotInvalRequest as a MsgHotInval payload.
 func EncodeHotInval(req HotInvalRequest) ([]byte, error) {
-	if len(req.View) > 0xffff {
-		return nil, fmt.Errorf("wire: view name too long")
-	}
-	if len(req.Keys) > 0xffff {
-		return nil, fmt.Errorf("wire: too many hot-inval keys")
-	}
-	b := make([]byte, 0, 128)
-	b = binary.BigEndian.AppendUint64(b, req.Epoch)
-	b = binary.BigEndian.AppendUint64(b, req.Seq)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.View)))
-	b = append(b, req.View...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.Keys)))
+	e := newEnc("hot inval", 128)
+	e.u64(req.Epoch)
+	e.u64(req.Seq)
+	e.str(req.View, "view")
+	e.count16(len(req.Keys), "keys")
 	for _, k := range req.Keys {
-		if len(k) > 0xffff {
-			return nil, fmt.Errorf("wire: bcp key too long")
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(k)))
-		b = append(b, k...)
+		e.str(k, "bcp key")
 	}
-	if len(b)+1 > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
+	return e.bytes()
 }
 
 // DecodeHotInval parses a MsgHotInval payload.
 func DecodeHotInval(b []byte) (HotInvalRequest, error) {
-	var req HotInvalRequest
-	if len(b) < 20 {
-		return req, fmt.Errorf("wire: short hot-inval header")
+	d := &dec{msg: "hot inval", b: b}
+	req := HotInvalRequest{Epoch: d.u64("epoch"), Seq: d.u64("seq"), View: d.str("view")}
+	nk := d.count16("key count")
+	req.Keys = make([]string, 0, prealloc(nk))
+	for i := 0; i < nk && d.err == nil; i++ {
+		req.Keys = append(req.Keys, d.str("bcp key"))
 	}
-	req.Epoch = binary.BigEndian.Uint64(b)
-	req.Seq = binary.BigEndian.Uint64(b[8:])
-	b = b[16:]
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return req, fmt.Errorf("wire: truncated view name")
-	}
-	req.View = string(b[:n])
-	b = b[n:]
-	if len(b) < 2 {
-		return req, fmt.Errorf("wire: truncated key count")
-	}
-	nk := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	req.Keys = make([]string, 0, min(nk, 1024))
-	for i := 0; i < nk; i++ {
-		if len(b) < 2 {
-			return req, fmt.Errorf("wire: truncated key %d length", i)
-		}
-		kl := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < kl {
-			return req, fmt.Errorf("wire: truncated key %d", i)
-		}
-		req.Keys = append(req.Keys, string(b[:kl]))
-		b = b[kl:]
-	}
-	if len(b) != 0 {
-		return req, fmt.Errorf("wire: %d trailing bytes after hot inval", len(b))
-	}
-	return req, nil
+	return req, d.done()
 }
 
 // EncodeFilterReq encodes a MsgFilter payload (the view whose
 // presence-filter snapshot is wanted).
 func EncodeFilterReq(view string) ([]byte, error) {
-	if len(view) > 0xffff {
-		return nil, fmt.Errorf("wire: view name too long")
-	}
-	b := make([]byte, 0, 2+len(view))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(view)))
-	return append(b, view...), nil
+	e := newEnc("filter request", 2+len(view))
+	e.str(view, "view")
+	return e.bytes()
 }
 
 // DecodeFilterReq parses a MsgFilter payload.
 func DecodeFilterReq(b []byte) (string, error) {
-	if len(b) < 2 {
-		return "", fmt.Errorf("wire: short filter request")
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) != n {
-		return "", fmt.Errorf("wire: filter request view length %d, have %d bytes", n, len(b))
-	}
-	return string(b), nil
+	d := &dec{msg: "filter request", b: b}
+	view := d.str("view")
+	return view, d.done()
 }

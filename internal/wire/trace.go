@@ -13,11 +13,6 @@
 // rejects the session first.
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
 // Observability message types. Requests continue the 0x0c sequence
 // (0x13/0x14 are the write plane's), responses the 0x84 one.
 const (
@@ -67,69 +62,70 @@ const tcSampled byte = 1 << 0
 
 // AppendTraceContext appends the 17-byte encoding of tc to b.
 func AppendTraceContext(b []byte, tc TraceContext) []byte {
-	b = binary.BigEndian.AppendUint64(b, tc.TraceID)
-	b = binary.BigEndian.AppendUint64(b, tc.ParentSpan)
-	var fl byte
-	if tc.Sampled {
-		fl |= tcSampled
+	e := enc{b: b}
+	e.traceContext(tc)
+	return e.b
+}
+
+// traceContext writes tc: trace id, parent span id, flag byte.
+func (e *enc) traceContext(tc TraceContext) {
+	e.traceID(tc.TraceID)
+	e.u64(tc.ParentSpan)
+	e.u8(bit(tc.Sampled, tcSampled))
+}
+
+func (d *dec) traceContext() TraceContext {
+	tc := TraceContext{TraceID: d.traceID(), ParentSpan: d.u64("parent span")}
+	tc.Sampled = d.flags(tcSampled, "trace flags")&tcSampled != 0
+	return tc
+}
+
+// traceID writes a trace id, rejecting zero.
+func (e *enc) traceID(id uint64) {
+	if id == 0 {
+		e.fail("trace id", "zero")
 	}
-	return append(b, fl)
+	e.u64(id)
+}
+
+func (d *dec) traceID() uint64 {
+	id := d.u64("trace id")
+	if id == 0 {
+		d.fail("trace id", "zero")
+	}
+	return id
 }
 
 // DecodeTraceContext parses exactly one encoded TraceContext,
 // rejecting unknown flag bits, a zero trace id, and any length
 // mismatch.
 func DecodeTraceContext(b []byte) (TraceContext, error) {
-	var tc TraceContext
-	if len(b) != TraceContextLen {
-		return tc, fmt.Errorf("wire: trace context is %d bytes, want %d", len(b), TraceContextLen)
-	}
-	fl := b[16]
-	if fl&^tcSampled != 0 {
-		return tc, fmt.Errorf("wire: unknown trace-context flags 0x%02x", fl)
-	}
-	tc.TraceID = binary.BigEndian.Uint64(b)
-	tc.ParentSpan = binary.BigEndian.Uint64(b[8:])
-	tc.Sampled = fl&tcSampled != 0
-	if tc.TraceID == 0 {
-		return tc, fmt.Errorf("wire: zero trace id")
-	}
-	return tc, nil
+	d := &dec{msg: "trace context", b: b}
+	tc := d.traceContext()
+	return tc, d.done()
 }
 
 // EncodeTraced wraps an encoded inner request in a MsgTraced payload.
 func EncodeTraced(tc TraceContext, inner byte, payload []byte) ([]byte, error) {
+	e := newEnc("traced frame", TraceContextLen+1+len(payload))
 	if inner == MsgTraced {
-		return nil, fmt.Errorf("wire: nested traced frame")
+		e.fail("inner type", "nested traced frame")
 	}
-	if tc.TraceID == 0 {
-		return nil, fmt.Errorf("wire: zero trace id")
-	}
-	b := make([]byte, 0, TraceContextLen+1+len(payload))
-	b = AppendTraceContext(b, tc)
-	b = append(b, inner)
-	b = append(b, payload...)
-	if len(b)+1 > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
+	e.traceContext(tc)
+	e.u8(inner)
+	e.b = append(e.b, payload...)
+	return e.bytes()
 }
 
 // DecodeTraced parses a MsgTraced payload into its context, the inner
 // request type, and the inner payload (a subslice of b).
 func DecodeTraced(b []byte) (TraceContext, byte, []byte, error) {
-	if len(b) < TraceContextLen+1 {
-		return TraceContext{}, 0, nil, fmt.Errorf("wire: short traced frame (%d bytes)", len(b))
-	}
-	tc, err := DecodeTraceContext(b[:TraceContextLen])
-	if err != nil {
-		return TraceContext{}, 0, nil, err
-	}
-	inner := b[TraceContextLen]
+	d := &dec{msg: "traced frame", b: b}
+	tc, inner := d.traceContext(), d.u8("inner type")
 	if inner == MsgTraced {
-		return TraceContext{}, 0, nil, fmt.Errorf("wire: nested traced frame")
+		d.fail("inner type", "nested traced frame")
 	}
-	return tc, inner, b[TraceContextLen+1:], nil
+	return tc, inner, d.b[d.off:], d.err
 }
 
 // SpanRecord is one span in a MsgSpans frame: the kind's numeric code
@@ -158,51 +154,35 @@ const MaxSpansPerFrame = 4096
 // EncodeSpans encodes a MsgSpans payload. Spans beyond
 // MaxSpansPerFrame are dropped (the frame is a summary, not a log).
 func EncodeSpans(traceID uint64, recs []SpanRecord) ([]byte, error) {
-	if traceID == 0 {
-		return nil, fmt.Errorf("wire: zero trace id")
-	}
-	if len(recs) > MaxSpansPerFrame {
-		recs = recs[:MaxSpansPerFrame]
-	}
-	b := make([]byte, 0, 10+len(recs)*spanRecLen)
-	b = binary.BigEndian.AppendUint64(b, traceID)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(recs)))
+	recs = recs[:min(len(recs), MaxSpansPerFrame)]
+	e := newEnc("spans", 10+len(recs)*spanRecLen)
+	e.traceID(traceID)
+	e.count16(len(recs), "spans")
 	for _, r := range recs {
-		b = append(b, r.Kind)
+		e.u8(r.Kind)
 		for _, v := range [...]int64{r.StartNs, r.DurNs, r.N1, r.N2, r.N3, r.Rows, r.Bytes, r.Allocs, r.Fsyncs} {
-			b = binary.BigEndian.AppendUint64(b, uint64(v))
+			e.u64(uint64(v))
 		}
 	}
-	if len(b)+1 > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
+	return e.bytes()
 }
 
 // DecodeSpans parses a MsgSpans payload, rejecting any length that is
 // not exactly header + count × record.
 func DecodeSpans(b []byte) (uint64, []SpanRecord, error) {
-	if len(b) < 10 {
-		return 0, nil, fmt.Errorf("wire: short spans header (%d bytes)", len(b))
-	}
-	traceID := binary.BigEndian.Uint64(b)
-	if traceID == 0 {
-		return 0, nil, fmt.Errorf("wire: zero trace id")
-	}
-	n := int(binary.BigEndian.Uint16(b[8:]))
-	b = b[10:]
-	if len(b) != n*spanRecLen {
-		return 0, nil, fmt.Errorf("wire: spans payload is %d bytes, want %d for %d spans", len(b), n*spanRecLen, n)
+	d := &dec{msg: "spans", b: b}
+	traceID, n := d.traceID(), d.count16("span count")
+	d.fixed(n * spanRecLen)
+	if d.err != nil {
+		return 0, nil, d.err
 	}
 	recs := make([]SpanRecord, n)
 	for i := range recs {
 		r := &recs[i]
-		r.Kind = b[0]
-		b = b[1:]
+		r.Kind = d.u8("kind")
 		for _, dst := range [...]*int64{&r.StartNs, &r.DurNs, &r.N1, &r.N2, &r.N3, &r.Rows, &r.Bytes, &r.Allocs, &r.Fsyncs} {
-			*dst = int64(binary.BigEndian.Uint64(b))
-			b = b[8:]
+			*dst = int64(d.u64("span field"))
 		}
 	}
-	return traceID, recs, nil
+	return traceID, recs, d.done()
 }

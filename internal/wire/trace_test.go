@@ -177,34 +177,27 @@ func FuzzDecodeTraceContext(f *testing.F) {
 	f.Add(tr)
 	sp, _ := EncodeSpans(11, []SpanRecord{{Kind: 4, DurNs: 9, Rows: 2}})
 	f.Add(sp)
+	type traced struct {
+		tc      TraceContext
+		inner   byte
+		payload []byte
+	}
+	type spans struct {
+		id   uint64
+		recs []SpanRecord
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// A context that decodes must re-encode byte-identically.
-		if tc, err := DecodeTraceContext(b); err == nil {
-			re := AppendTraceContext(nil, tc)
-			if !bytes.Equal(re, b) {
-				t.Fatalf("context not a fixed point: % x -> %+v -> % x", b, tc, re)
-			}
-		}
-		// A traced wrapper that decodes must rebuild byte-identically.
-		if tc, inner, payload, err := DecodeTraced(b); err == nil {
-			re, err := EncodeTraced(tc, inner, payload)
-			if err != nil {
-				t.Fatalf("re-encode of decoded traced frame failed: %v", err)
-			}
-			if !bytes.Equal(re, b) {
-				t.Fatal("traced frame not a fixed point")
-			}
-		}
-		// A spans frame that decodes must rebuild byte-identically.
-		if id, recs, err := DecodeSpans(b); err == nil {
-			re, err := EncodeSpans(id, recs)
-			if err != nil {
-				t.Fatalf("re-encode of decoded spans failed: %v", err)
-			}
-			if !bytes.Equal(re, b) {
-				t.Fatal("spans frame not a fixed point")
-			}
-		}
+		canonical(t, "trace context", b, DecodeTraceContext, func(tc TraceContext) ([]byte, error) {
+			return AppendTraceContext(nil, tc), nil
+		})
+		canonical(t, "traced", b, func(b []byte) (traced, error) {
+			tc, inner, payload, err := DecodeTraced(b)
+			return traced{tc, inner, payload}, err
+		}, func(v traced) ([]byte, error) { return EncodeTraced(v.tc, v.inner, v.payload) })
+		canonical(t, "spans", b, func(b []byte) (spans, error) {
+			id, recs, err := DecodeSpans(b)
+			return spans{id, recs}, err
+		}, func(v spans) ([]byte, error) { return EncodeSpans(v.id, v.recs) })
 	})
 }
 

@@ -1,17 +1,8 @@
 // update.go defines the write plane's wire surface: ΔR batches
-// (MsgUpdate) and PMV invalidations (MsgInvalidate). Both
-// follow the package's frame idiom — strict decoding with typed
-// errors, prealloc caps on peer-supplied sizes, trailing-byte checks —
-// because the write path crosses the same hostile network the query
-// path does.
+// (MsgUpdate) and PMV invalidations (MsgInvalidate).
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"pmv/internal/value"
-)
+import "pmv/internal/value"
 
 // Write-plane message types (requests continue the 0x12 sequence).
 const (
@@ -71,138 +62,57 @@ const updMaint byte = 1 << 0
 
 // EncodeUpdate encodes an UpdateRequest as a MsgUpdate payload.
 func EncodeUpdate(req UpdateRequest) ([]byte, error) {
-	if len(req.Ops) > 0xffff {
-		return nil, fmt.Errorf("wire: too many update ops")
-	}
-	var fl byte
-	if req.Maint {
-		fl |= updMaint
-	}
-	b := make([]byte, 0, 64)
-	b = append(b, fl)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.Ops)))
+	e := newEnc("update", 64)
+	e.u8(bit(req.Maint, updMaint))
+	e.count16(len(req.Ops), "ops")
 	for i := range req.Ops {
 		op := &req.Ops[i]
-		if len(op.Rel) > 0xffff || len(op.Col) > 0xffff || len(op.SetCol) > 0xffff {
-			return nil, fmt.Errorf("wire: update op name too long")
-		}
-		b = append(b, op.Kind)
-		b = binary.BigEndian.AppendUint16(b, uint16(len(op.Rel)))
-		b = append(b, op.Rel...)
+		e.u8(op.Kind)
+		e.str(op.Rel, "relation")
 		switch op.Kind {
 		case OpInsert:
-			b = value.EncodeTuple(b, op.Tuple)
+			e.tuple(op.Tuple)
 		case OpDelete:
-			b = binary.BigEndian.AppendUint16(b, uint16(len(op.Col)))
-			b = append(b, op.Col...)
-			b = value.EncodeTuple(b, value.Tuple{op.Val})
+			e.str(op.Col, "predicate column")
+			e.tuple(value.Tuple{op.Val})
 		case OpUpdate:
-			b = binary.BigEndian.AppendUint16(b, uint16(len(op.Col)))
-			b = append(b, op.Col...)
-			b = binary.BigEndian.AppendUint16(b, uint16(len(op.SetCol)))
-			b = append(b, op.SetCol...)
-			b = value.EncodeTuple(b, value.Tuple{op.Val, op.SetVal})
+			e.str(op.Col, "predicate column")
+			e.str(op.SetCol, "assignment column")
+			e.tuple(value.Tuple{op.Val, op.SetVal})
 		default:
-			return nil, fmt.Errorf("wire: unknown update op kind %d", op.Kind)
+			e.fail("op kind", "unknown")
 		}
 	}
-	if len(b)+1 > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
+	return e.bytes()
 }
 
 // DecodeUpdate parses a MsgUpdate payload.
 func DecodeUpdate(b []byte) (UpdateRequest, error) {
-	var req UpdateRequest
-	if len(b) < 3 {
-		return req, fmt.Errorf("wire: short update header")
-	}
-	fl := b[0]
-	if fl&^updMaint != 0 {
-		return req, fmt.Errorf("wire: unknown update flags 0x%02x", fl)
-	}
-	req.Maint = fl&updMaint != 0
-	n := int(binary.BigEndian.Uint16(b[1:]))
-	b = b[3:]
-	req.Ops = make([]UpdateOp, 0, min(n, 1024))
-	for i := 0; i < n; i++ {
-		if len(b) < 3 {
-			return req, fmt.Errorf("wire: truncated update op %d", i)
-		}
-		var op UpdateOp
-		op.Kind = b[0]
-		rl := int(binary.BigEndian.Uint16(b[1:]))
-		b = b[3:]
-		if len(b) < rl {
-			return req, fmt.Errorf("wire: truncated update op %d relation", i)
-		}
-		op.Rel = string(b[:rl])
-		b = b[rl:]
+	d := &dec{msg: "update", b: b}
+	req := UpdateRequest{Maint: d.flags(updMaint, "flags")&updMaint != 0}
+	n := d.count16("op count")
+	req.Ops = make([]UpdateOp, 0, prealloc(n))
+	for i := 0; i < n && d.err == nil; i++ {
+		op := UpdateOp{Kind: d.u8("op kind"), Rel: d.str("relation")}
 		switch op.Kind {
 		case OpInsert:
-			t, used, err := value.DecodeTuple(b)
-			if err != nil {
-				return req, fmt.Errorf("wire: update op %d tuple: %w", i, err)
-			}
-			op.Tuple = t
-			b = b[used:]
+			op.Tuple = d.tuple(-1, "insert tuple")
 		case OpDelete:
-			col, rest, err := decodeName(b, "predicate column")
-			if err != nil {
-				return req, fmt.Errorf("wire: update op %d: %w", i, err)
+			op.Col = d.str("predicate column")
+			if t := d.tuple(1, "predicate value"); t != nil {
+				op.Val = t[0]
 			}
-			b = rest
-			t, used, err := value.DecodeTuple(b)
-			if err != nil {
-				return req, fmt.Errorf("wire: update op %d value: %w", i, err)
-			}
-			if len(t) != 1 {
-				return req, fmt.Errorf("wire: update op %d carries %d predicate values", i, len(t))
-			}
-			op.Col, op.Val = col, t[0]
-			b = b[used:]
 		case OpUpdate:
-			col, rest, err := decodeName(b, "predicate column")
-			if err != nil {
-				return req, fmt.Errorf("wire: update op %d: %w", i, err)
+			op.Col, op.SetCol = d.str("predicate column"), d.str("assignment column")
+			if t := d.tuple(2, "predicate and assigned values"); t != nil {
+				op.Val, op.SetVal = t[0], t[1]
 			}
-			setCol, rest, err := decodeName(rest, "assignment column")
-			if err != nil {
-				return req, fmt.Errorf("wire: update op %d: %w", i, err)
-			}
-			b = rest
-			t, used, err := value.DecodeTuple(b)
-			if err != nil {
-				return req, fmt.Errorf("wire: update op %d values: %w", i, err)
-			}
-			if len(t) != 2 {
-				return req, fmt.Errorf("wire: update op %d carries %d values", i, len(t))
-			}
-			op.Col, op.Val, op.SetCol, op.SetVal = col, t[0], setCol, t[1]
-			b = b[used:]
 		default:
-			return req, fmt.Errorf("wire: update op %d has unknown kind %d", i, op.Kind)
+			d.fail("op kind", "unknown")
 		}
 		req.Ops = append(req.Ops, op)
 	}
-	if len(b) != 0 {
-		return req, fmt.Errorf("wire: %d trailing bytes after update", len(b))
-	}
-	return req, nil
-}
-
-// decodeName parses one u16-length-prefixed string.
-func decodeName(b []byte, what string) (string, []byte, error) {
-	if len(b) < 2 {
-		return "", nil, fmt.Errorf("truncated %s length", what)
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return "", nil, fmt.Errorf("truncated %s", what)
-	}
-	return string(b[:n]), b[n:], nil
+	return req, d.done()
 }
 
 // InvalidateRequest is the decoded MsgInvalidate payload.
@@ -225,71 +135,25 @@ const invAll byte = 1 << 0
 // EncodeInvalidate encodes an InvalidateRequest as a MsgInvalidate
 // payload.
 func EncodeInvalidate(req InvalidateRequest) ([]byte, error) {
-	if len(req.View) > 0xffff {
-		return nil, fmt.Errorf("wire: view name too long")
-	}
-	var fl byte
-	if req.All {
-		fl |= invAll
-	}
-	b := make([]byte, 0, 64)
-	b = binary.BigEndian.AppendUint64(b, req.Epoch)
-	b = append(b, fl)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(req.View)))
-	b = append(b, req.View...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(req.Keys)))
+	e := newEnc("invalidate", 64)
+	e.u64(req.Epoch)
+	e.u8(bit(req.All, invAll))
+	e.str(req.View, "view")
+	e.u32(uint32(len(req.Keys)))
 	for _, k := range req.Keys {
-		if len(k) > 0xffff {
-			return nil, fmt.Errorf("wire: bcp key too long")
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(k)))
-		b = append(b, k...)
+		e.str(k, "bcp key")
 	}
-	if len(b)+1 > MaxFrame {
-		return nil, ErrFrameTooLarge
-	}
-	return b, nil
+	return e.bytes()
 }
 
 // DecodeInvalidate parses a MsgInvalidate payload.
 func DecodeInvalidate(b []byte) (InvalidateRequest, error) {
-	var req InvalidateRequest
-	if len(b) < 15 {
-		return req, fmt.Errorf("wire: short invalidate header")
+	d := &dec{msg: "invalidate", b: b}
+	req := InvalidateRequest{Epoch: d.u64("epoch"), All: d.flags(invAll, "flags")&invAll != 0, View: d.str("view")}
+	nk := int(d.u32("key count"))
+	req.Keys = make([]string, 0, prealloc(nk))
+	for i := 0; i < nk && d.err == nil; i++ {
+		req.Keys = append(req.Keys, d.str("bcp key"))
 	}
-	req.Epoch = binary.BigEndian.Uint64(b)
-	fl := b[8]
-	if fl&^invAll != 0 {
-		return req, fmt.Errorf("wire: unknown invalidate flags 0x%02x", fl)
-	}
-	req.All = fl&invAll != 0
-	n := int(binary.BigEndian.Uint16(b[9:]))
-	b = b[11:]
-	if len(b) < n {
-		return req, fmt.Errorf("wire: truncated view name")
-	}
-	req.View = string(b[:n])
-	b = b[n:]
-	if len(b) < 4 {
-		return req, fmt.Errorf("wire: truncated key count")
-	}
-	nk := int(binary.BigEndian.Uint32(b))
-	b = b[4:]
-	req.Keys = make([]string, 0, min(nk, 1024))
-	for i := 0; i < nk; i++ {
-		if len(b) < 2 {
-			return req, fmt.Errorf("wire: truncated key %d length", i)
-		}
-		kl := int(binary.BigEndian.Uint16(b))
-		b = b[2:]
-		if len(b) < kl {
-			return req, fmt.Errorf("wire: truncated key %d", i)
-		}
-		req.Keys = append(req.Keys, string(b[:kl]))
-		b = b[kl:]
-	}
-	if len(b) != 0 {
-		return req, fmt.Errorf("wire: %d trailing bytes after invalidate", len(b))
-	}
-	return req, nil
+	return req, d.done()
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -104,9 +103,7 @@ func TestInvalidateRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeUpdate covers both write-plane decoders: hostile bytes
-// must produce a typed error, never a panic, and anything that decodes
-// must reach an encoding fixed point after one cycle.
+// FuzzDecodeUpdate covers both write-plane decoders.
 func FuzzDecodeUpdate(f *testing.F) {
 	if b, err := EncodeUpdate(updateFixture()); err == nil {
 		f.Add(b)
@@ -122,39 +119,7 @@ func FuzzDecodeUpdate(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if q1, err := DecodeUpdate(data); err == nil {
-			b2, err := EncodeUpdate(q1)
-			if err != nil {
-				t.Fatalf("re-encode of decoded update failed: %v", err)
-			}
-			q2, err := DecodeUpdate(b2)
-			if err != nil {
-				t.Fatalf("decode of re-encoded update failed: %v", err)
-			}
-			b3, err := EncodeUpdate(q2)
-			if err != nil {
-				t.Fatalf("second re-encode failed: %v", err)
-			}
-			if !bytes.Equal(b2, b3) {
-				t.Fatal("update encoding not a fixed point after one cycle")
-			}
-		}
-		if q1, err := DecodeInvalidate(data); err == nil {
-			b2, err := EncodeInvalidate(q1)
-			if err != nil {
-				t.Fatalf("re-encode of decoded invalidate failed: %v", err)
-			}
-			q2, err := DecodeInvalidate(b2)
-			if err != nil {
-				t.Fatalf("decode of re-encoded invalidate failed: %v", err)
-			}
-			b3, err := EncodeInvalidate(q2)
-			if err != nil {
-				t.Fatalf("second re-encode failed: %v", err)
-			}
-			if !bytes.Equal(b2, b3) {
-				t.Fatal("invalidate encoding not a fixed point after one cycle")
-			}
-		}
+		canonical(t, "update", data, DecodeUpdate, EncodeUpdate)
+		canonical(t, "invalidate", data, DecodeInvalidate, EncodeInvalidate)
 	})
 }

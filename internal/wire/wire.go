@@ -179,128 +179,28 @@ type QueryRequest struct {
 	Conds    []expr.CondInstance
 }
 
-// Condition-instance kinds on the wire.
-const (
-	condValues    byte = 0
-	condIntervals byte = 1
-)
-
-// interval inclusivity flag bits.
-const (
-	loIncl byte = 1 << iota
-	hiIncl
-)
-
 // EncodeQuery encodes a QueryRequest as a MsgQuery payload.
 func EncodeQuery(q QueryRequest) ([]byte, error) {
-	if len(q.View) > 0xffff {
-		return nil, fmt.Errorf("wire: view name too long")
-	}
-	if len(q.Conds) > 0xffff {
-		return nil, fmt.Errorf("wire: too many conditions")
-	}
-	b := make([]byte, 0, 64)
-	b = binary.BigEndian.AppendUint64(b, uint64(q.Deadline))
-	b = binary.BigEndian.AppendUint16(b, uint16(len(q.View)))
-	b = append(b, q.View...)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(q.Conds)))
+	e := newEnc("query", 64)
+	e.u64(uint64(q.Deadline))
+	e.str(q.View, "view")
+	e.count16(len(q.Conds), "conditions")
 	for _, ci := range q.Conds {
-		if len(ci.Values) > 0 {
-			b = append(b, condValues)
-			b = value.EncodeTuple(b, value.Tuple(ci.Values))
-			continue
-		}
-		b = append(b, condIntervals)
-		if len(ci.Intervals) > 0xffff {
-			return nil, fmt.Errorf("wire: too many intervals")
-		}
-		b = binary.BigEndian.AppendUint16(b, uint16(len(ci.Intervals)))
-		for _, iv := range ci.Intervals {
-			var fl byte
-			if iv.LoIncl {
-				fl |= loIncl
-			}
-			if iv.HiIncl {
-				fl |= hiIncl
-			}
-			b = append(b, fl)
-			b = value.EncodeTuple(b, value.Tuple{iv.Lo, iv.Hi})
-		}
+		e.cond(ci)
 	}
-	return b, nil
+	return e.bytes()
 }
 
-// DecodeQuery parses a MsgQuery payload.
+// DecodeQuery parses a MsgQuery or MsgExec payload.
 func DecodeQuery(b []byte) (QueryRequest, error) {
-	var q QueryRequest
-	if len(b) < 12 {
-		return q, fmt.Errorf("wire: short query header")
+	d := &dec{msg: "query", b: b}
+	q := QueryRequest{Deadline: time.Duration(d.u64("deadline")), View: d.str("view")}
+	n := d.count16("condition count")
+	q.Conds = make([]expr.CondInstance, 0, prealloc(n))
+	for i := 0; i < n && d.err == nil; i++ {
+		q.Conds = append(q.Conds, d.cond())
 	}
-	q.Deadline = time.Duration(binary.BigEndian.Uint64(b))
-	b = b[8:]
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n {
-		return q, fmt.Errorf("wire: truncated view name")
-	}
-	q.View = string(b[:n])
-	b = b[n:]
-	if len(b) < 2 {
-		return q, fmt.Errorf("wire: truncated condition count")
-	}
-	nc := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	q.Conds = make([]expr.CondInstance, 0, nc)
-	for i := 0; i < nc; i++ {
-		if len(b) < 1 {
-			return q, fmt.Errorf("wire: truncated condition %d", i)
-		}
-		kind := b[0]
-		b = b[1:]
-		var ci expr.CondInstance
-		switch kind {
-		case condValues:
-			t, used, err := value.DecodeTuple(b)
-			if err != nil {
-				return q, fmt.Errorf("wire: condition %d values: %w", i, err)
-			}
-			b = b[used:]
-			ci.Values = t
-		case condIntervals:
-			if len(b) < 2 {
-				return q, fmt.Errorf("wire: truncated interval count")
-			}
-			ni := int(binary.BigEndian.Uint16(b))
-			b = b[2:]
-			ci.Intervals = make([]expr.Interval, 0, ni)
-			for j := 0; j < ni; j++ {
-				if len(b) < 1 {
-					return q, fmt.Errorf("wire: truncated interval %d.%d", i, j)
-				}
-				fl := b[0]
-				b = b[1:]
-				t, used, err := value.DecodeTuple(b)
-				if err != nil {
-					return q, fmt.Errorf("wire: interval %d.%d bounds: %w", i, j, err)
-				}
-				if len(t) != 2 {
-					return q, fmt.Errorf("wire: interval %d.%d has %d bounds", i, j, len(t))
-				}
-				b = b[used:]
-				ci.Intervals = append(ci.Intervals, expr.Interval{
-					Lo: t[0], Hi: t[1],
-					LoIncl: fl&loIncl != 0, HiIncl: fl&hiIncl != 0,
-				})
-			}
-		default:
-			return q, fmt.Errorf("wire: unknown condition kind %d", kind)
-		}
-		q.Conds = append(q.Conds, ci)
-	}
-	if len(b) != 0 {
-		return q, fmt.Errorf("wire: %d trailing bytes after query", len(b))
-	}
-	return q, nil
+	return q, d.done()
 }
 
 // Row flag bits.
@@ -366,81 +266,52 @@ const (
 	repShed
 )
 
+// reportLen is the fixed size of a MsgDone payload.
+const reportLen = 1 + 3*4 + 3*8
+
 // EncodeReport encodes a MsgDone payload.
 func EncodeReport(dst []byte, r Report) []byte {
-	var fl byte
-	if r.Hit {
-		fl |= repHit
-	}
-	if r.Skipped {
-		fl |= repSkipped
-	}
-	if r.Degraded {
-		fl |= repDegraded
-	}
-	if r.DeadlineExpired {
-		fl |= repDeadline
-	}
-	if r.PartialOnly {
-		fl |= repPartialOnly
-	}
-	if r.Shed {
-		fl |= repShed
-	}
-	dst = append(dst, fl)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.ConditionParts))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.PartialTuples))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(r.TotalTuples))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.PartialLatency))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.ExecLatency))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Overhead))
-	return dst
+	e := enc{b: dst}
+	e.u8(bit(r.Hit, repHit) | bit(r.Skipped, repSkipped) | bit(r.Degraded, repDegraded) |
+		bit(r.DeadlineExpired, repDeadline) | bit(r.PartialOnly, repPartialOnly) | bit(r.Shed, repShed))
+	e.u32(uint32(r.ConditionParts))
+	e.u32(uint32(r.PartialTuples))
+	e.u32(uint32(r.TotalTuples))
+	e.u64(uint64(r.PartialLatency))
+	e.u64(uint64(r.ExecLatency))
+	e.u64(uint64(r.Overhead))
+	return e.b
 }
 
 // DecodeReport parses a MsgDone payload.
 func DecodeReport(b []byte) (Report, error) {
-	var r Report
-	if len(b) != 1+3*4+3*8 {
-		return r, fmt.Errorf("wire: report payload is %d bytes", len(b))
+	d := &dec{msg: "report", b: b}
+	d.fixed(reportLen)
+	fl := d.flags(repHit|repSkipped|repDegraded|repDeadline|repPartialOnly|repShed, "flags")
+	r := Report{
+		Hit: fl&repHit != 0, Skipped: fl&repSkipped != 0, Degraded: fl&repDegraded != 0,
+		DeadlineExpired: fl&repDeadline != 0, PartialOnly: fl&repPartialOnly != 0, Shed: fl&repShed != 0,
+		ConditionParts: int(d.u32("condition parts")),
+		PartialTuples:  int(d.u32("partial tuples")),
+		TotalTuples:    int(d.u32("total tuples")),
+		PartialLatency: time.Duration(d.u64("partial latency")),
+		ExecLatency:    time.Duration(d.u64("exec latency")),
+		Overhead:       time.Duration(d.u64("overhead")),
 	}
-	fl := b[0]
-	if fl&^(repHit|repSkipped|repDegraded|repDeadline|repPartialOnly|repShed) != 0 {
-		return r, fmt.Errorf("wire: unknown report flags 0x%02x", fl)
-	}
-	r.Hit = fl&repHit != 0
-	r.Skipped = fl&repSkipped != 0
-	r.Degraded = fl&repDegraded != 0
-	r.DeadlineExpired = fl&repDeadline != 0
-	r.PartialOnly = fl&repPartialOnly != 0
-	r.Shed = fl&repShed != 0
-	b = b[1:]
-	r.ConditionParts = int(binary.BigEndian.Uint32(b))
-	r.PartialTuples = int(binary.BigEndian.Uint32(b[4:]))
-	r.TotalTuples = int(binary.BigEndian.Uint32(b[8:]))
-	r.PartialLatency = time.Duration(binary.BigEndian.Uint64(b[12:]))
-	r.ExecLatency = time.Duration(binary.BigEndian.Uint64(b[20:]))
-	r.Overhead = time.Duration(binary.BigEndian.Uint64(b[28:]))
-	return r, nil
+	return r, d.done()
 }
 
 // EncodePeek encodes a MsgPeek payload (relation name + row limit).
-func EncodePeek(rel string, n int) []byte {
-	b := make([]byte, 0, len(rel)+6)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(rel)))
-	b = append(b, rel...)
-	b = binary.BigEndian.AppendUint32(b, uint32(n))
-	return b
+func EncodePeek(rel string, n int) ([]byte, error) {
+	e := newEnc("peek", len(rel)+6)
+	e.str(rel, "relation")
+	e.u32(uint32(n))
+	return e.bytes()
 }
 
 // DecodePeek parses a MsgPeek payload.
 func DecodePeek(b []byte) (string, int, error) {
-	if len(b) < 2 {
-		return "", 0, fmt.Errorf("wire: short peek payload")
-	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) != n+4 {
-		return "", 0, fmt.Errorf("wire: peek payload length mismatch")
-	}
-	return string(b[:n]), int(binary.BigEndian.Uint32(b[n:])), nil
+	d := &dec{msg: "peek", b: b}
+	rel, n := d.str("relation"), int(d.u32("limit"))
+	return rel, n, d.done()
 }

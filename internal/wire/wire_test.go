@@ -116,6 +116,59 @@ func TestQueryDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsNonCanonicalConds pins the two condition encodings
+// no encoder writes: interval flag bytes with undefined bits, and a
+// values condition carrying zero values. Either would decode to a
+// request that re-encodes to different bytes.
+func TestDecodeRejectsNonCanonicalConds(t *testing.T) {
+	iv := func(incl bool) expr.CondInstance {
+		return expr.CondInstance{Intervals: []expr.Interval{{Lo: value.Int(1), Hi: value.Int(2), LoIncl: incl, HiIncl: incl}}}
+	}
+	codecs := []struct {
+		name   string
+		encode func(expr.CondInstance) ([]byte, error)
+		decode func([]byte) error
+	}{
+		{"query", func(ci expr.CondInstance) ([]byte, error) {
+			return EncodeQuery(QueryRequest{View: "v", Conds: []expr.CondInstance{ci}})
+		}, func(b []byte) error { _, err := DecodeQuery(b); return err }},
+		{"probe", func(ci expr.CondInstance) ([]byte, error) {
+			return EncodeProbe(ProbeRequest{View: "v", Parts: []ProbePart{{Key: "k", Conds: []expr.CondInstance{ci}}}})
+		}, func(b []byte) error { _, err := DecodeProbe(b); return err }},
+	}
+	for _, c := range codecs {
+		closed, err := c.encode(iv(true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		open, err := c.encode(iv(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flag := 0 // the one byte the two encodings differ in
+		for closed[flag] == open[flag] {
+			flag++
+		}
+		for _, fl := range []byte{0xfc, 0x04, 0x80} {
+			bad := append([]byte(nil), open...)
+			bad[flag] = fl
+			if err := c.decode(bad); err == nil {
+				t.Errorf("%s: interval flags 0x%02x accepted", c.name, fl)
+			}
+		}
+		// An empty interval list is kind, u16 0; as a values condition
+		// the same two zero bytes are an empty tuple.
+		empty, err := c.encode(expr.CondInstance{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		empty[len(empty)-3] = condValues
+		if err := c.decode(empty); err == nil {
+			t.Errorf("%s: values condition with zero values accepted", c.name)
+		}
+	}
+}
+
 func TestRowRoundTrip(t *testing.T) {
 	tu := value.Tuple{value.Int(42), value.Str("hello"), value.Bool(true)}
 	for _, partial := range []bool{true, false} {
@@ -151,7 +204,11 @@ func TestReportRoundTrip(t *testing.T) {
 }
 
 func TestPeekRoundTrip(t *testing.T) {
-	rel, n, err := DecodePeek(EncodePeek("lineitem", 17))
+	b, err := EncodePeek("lineitem", 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rel, n, err := DecodePeek(b)
 	if err != nil {
 		t.Fatal(err)
 	}
