@@ -60,10 +60,10 @@ torture:
 	$(GO) run -race ./cmd/pmvtorture -scenario all -seeds 10 -v
 
 # Short coverage-guided fuzz of the wire codecs, the snapshot reader,
-# the B+tree bulk build, the B+tree's in-place Insert/Delete and the
-# write plane against per-statement maintenance (the seed corpus and
-# any fuzzer-found regressions always run as part of plain `make
-# test`).
+# the B+tree bulk build, the B+tree's in-place Insert/Delete, the
+# key-only join against a nested loop and the write plane against
+# per-statement maintenance (the seed corpus and any fuzzer-found
+# regressions always run as part of plain `make test`).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=30s ./internal/wire
@@ -78,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=30s ./internal/snapshot
 	$(GO) test -fuzz=FuzzBuild -fuzztime=30s ./internal/btree
 	$(GO) test -fuzz=FuzzInsertDelete -fuzztime=30s ./internal/btree
+	$(GO) test -fuzz=FuzzKeyJoin -fuzztime=30s ./internal/exec
 	$(GO) test -fuzz=FuzzPlaneMatchesPerStatement -fuzztime=30s ./internal/maint
 
 # Observability smoke test: boot pmvd with -obs on a scratch database,

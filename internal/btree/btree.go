@@ -165,8 +165,11 @@ func (p page) child(i int) storage.PageID {
 }
 
 // search returns the first index i with key(i) >= key.
-func (p page) search(key []byte) int {
-	lo, hi := 0, p.count()
+func (p page) search(key []byte) int { return p.bisect(0, p.count(), key) }
+
+// bisect returns the first index i in [lo, hi) with key(i) >= key, or
+// hi when there is none.
+func (p page) bisect(lo, hi int, key []byte) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if bytes.Compare(p.key(mid), key) < 0 {
@@ -176,6 +179,22 @@ func (p page) search(key []byte) int {
 		}
 	}
 	return lo
+}
+
+// searchFrom is search over the entries from index from on. It gallops
+// (probes from, from+2, from+6, from+14, …) before it bisects, so an
+// answer m entries past from costs O(log m) compares: a point range
+// costs three, and a range that runs past the page about log₂ count.
+func (p page) searchFrom(from int, key []byte) int {
+	lo, n := from, p.count()
+	for step := 1; lo < n; step *= 2 {
+		j := min(lo+step, n) - 1
+		if bytes.Compare(p.key(j), key) >= 0 {
+			return p.bisect(lo, j, key)
+		}
+		lo = j + 1
+	}
+	return n
 }
 
 // childIdx returns the child slot to descend into for key. Keys in
@@ -718,13 +737,15 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
 	p := page(fr.Buf)
 	i := p.search(lo)
 	for {
-		for n := p.count(); i < n; i++ {
-			k := p.key(i)
-			if hi != nil && bytes.Compare(k, hi) >= 0 {
-				t.pool.Unpin(fr, false)
-				return nil
-			}
-			if err := fn(k); err != nil {
+		// Find where the range ends in this leaf once, so the entries
+		// before it need no compare.
+		n := p.count()
+		end := n
+		if hi != nil {
+			end = p.searchFrom(i, hi)
+		}
+		for ; i < end; i++ {
+			if err := fn(p.key(i)); err != nil {
 				t.pool.Unpin(fr, false)
 				if errors.Is(err, ErrStopScan) {
 					return nil
@@ -734,7 +755,7 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
 		}
 		next := p.next()
 		t.pool.Unpin(fr, false)
-		if next == storage.InvalidPageID {
+		if end < n || next == storage.InvalidPageID {
 			return nil
 		}
 		if fr, err = t.pool.Fetch(t.file, next); err != nil {

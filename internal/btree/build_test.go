@@ -88,6 +88,89 @@ func oracleRange(keys [][]byte, lo, hi []byte) [][]byte {
 	return keys[i:j]
 }
 
+// leafFirstKeys returns the first key of every non-empty leaf, in
+// leaf-chain order.
+func leafFirstKeys(t testing.TB, tr *Tree) [][]byte {
+	t.Helper()
+	fr, _, err := tr.descend(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firsts [][]byte
+	for {
+		p := page(fr.Buf)
+		if p.count() > 0 {
+			firsts = append(firsts, bytes.Clone(p.key(0)))
+		}
+		next := p.next()
+		tr.pool.Unpin(fr, false)
+		if next == storage.InvalidPageID {
+			return firsts
+		}
+		if fr, err = tr.pool.Fetch(tr.file, next); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// scanBound is one [lo, hi) a Scan is held to the oracle on.
+type scanBound struct {
+	name   string
+	lo, hi []byte
+}
+
+// scanBounds returns the ranges whose hi falls on a leaf's edge around
+// leaf i of firsts (the leaves' first keys) or on lo itself: hi equal
+// to the leaf's first key, a range of exactly that leaf, hi just past
+// the leaf's first key and past the last key, hi == lo, and hi < lo.
+func scanBounds(keys, firsts [][]byte, i int, lo []byte) []scanBound {
+	var past []byte
+	if len(keys) > 0 {
+		past = append(bytes.Clone(keys[len(keys)-1]), 0)
+	}
+	bs := []scanBound{
+		{"hi-past-last", lo, past},
+		{"hi-eq-lo", lo, lo},
+	}
+	if len(lo) > 0 {
+		bs = append(bs, scanBound{"hi-below-lo", lo, lo[:len(lo)-1]})
+	}
+	if i < len(firsts) {
+		f := firsts[i]
+		var nextFirst []byte // nil: f's leaf is the last one
+		if i+1 < len(firsts) {
+			nextFirst = firsts[i+1]
+		}
+		bs = append(bs,
+			scanBound{"hi-at-leaf-first", lo, f},
+			scanBound{"to-leaf-first", nil, f},
+			scanBound{"one-leaf", f, nextFirst},
+			scanBound{"leaf-first-only", f, append(bytes.Clone(f), 0)},
+			scanBound{"leaf-first-past-last", f, past},
+			scanBound{"leaf-first-eq", f, f})
+		if len(f) > 0 {
+			bs = append(bs, scanBound{"below-leaf-first", f, f[:len(f)-1]})
+		}
+	}
+	return bs
+}
+
+// checkScanBounds holds Scan to the oracle over scanBounds for a
+// random leaf and a random lo.
+func checkScanBounds(t testing.TB, tr *Tree, keys [][]byte, rng *rand.Rand) {
+	t.Helper()
+	firsts := leafFirstKeys(t, tr)
+	i := 0
+	if len(firsts) > 0 {
+		i = rng.Intn(len(firsts))
+	}
+	for _, b := range scanBounds(keys, firsts, i, probe(rng, keys)) {
+		if got, want := collect(t, tr, b.lo, b.hi), oracleRange(keys, b.lo, b.hi); !equalKeys(got, want) {
+			t.Fatalf("%s: Scan [%x, %x): %d keys, want %d", b.name, b.lo, b.hi, len(got), len(want))
+		}
+	}
+}
+
 // probe returns a key near the oracle's: one of them, a neighbour
 // one byte longer or shorter, or a random one.
 func probe(rng *rand.Rand, keys [][]byte) []byte {
@@ -269,6 +352,32 @@ func TestBuildMatchesInsert(t *testing.T) {
 				t.Fatalf("height %d, want %d", h, c.height)
 			}
 		})
+	}
+}
+
+// TestScanBoundsOverBuild holds Scan to the oracle on a packed tree of
+// many leaves for every leaf's bound ranges (scanBounds), with lo both
+// the smallest key and a key inside the leaf before.
+func TestScanBoundsOverBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	keys := randomKeys(rng, 3000, 12)
+	tr := newTree(t, 64)
+	if err := tr.Build(keys); err != nil {
+		t.Fatal(err)
+	}
+	firsts := leafFirstKeys(t, tr)
+	if len(firsts) < 3 {
+		t.Fatalf("%d leaves; fixture too small", len(firsts))
+	}
+	for i, f := range firsts {
+		j, _ := slices.BinarySearchFunc(keys, f, bytes.Compare)
+		for _, lo := range [][]byte{keys[0], keys[max(j-1, 0)]} {
+			for _, b := range scanBounds(keys, firsts, i, lo) {
+				if got, want := collect(t, tr, b.lo, b.hi), oracleRange(keys, b.lo, b.hi); !equalKeys(got, want) {
+					t.Fatalf("leaf %d, %s: Scan [%x, %x): %d keys, want %d", i, b.name, b.lo, b.hi, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 

@@ -119,10 +119,11 @@ func checkPages(t testing.TB, tr *Tree, want [][]byte) {
 }
 
 // FuzzInsertDelete runs n Insert and Delete calls, delPct of them
-// deletes, against a sorted slice, and checks every page after each
-// call. Keys are 1 to maxLen bytes from a four-letter alphabet and half
-// of the calls name a key the tree holds, so that inserts collide,
-// deletes find their key, and pages split and empty.
+// deletes, against a sorted slice, and checks every page and Scan's
+// bounds around a random leaf (checkScanBounds) after each call. Keys
+// are 1 to maxLen bytes from a four-letter alphabet and half of the
+// calls name a key the tree holds, so that inserts collide, deletes
+// find their key, and pages split and empty.
 func FuzzInsertDelete(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint16(8), uint8(30))
 	f.Add(int64(2), uint16(599), uint16(maxKeyLen-1), uint8(10))
@@ -158,6 +159,7 @@ func FuzzInsertDelete(f *testing.F) {
 				}
 			}
 			checkPages(t, tr, want)
+			checkScanBounds(t, tr, want, rng)
 		}
 		checkOracle(t, tr, want, rng)
 	})

@@ -102,6 +102,7 @@ func (v *View) ResetStats() {
 
 func (v *View) statsO2Locked(rep *QueryReport) {
 	v.stats.PartsProbed += int64(rep.ConditionParts)
+	v.stats.PartHits += int64(rep.PartHits)
 	v.stats.PartialTuples += int64(rep.PartialTuples)
 }
 

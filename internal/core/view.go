@@ -230,6 +230,8 @@ type QueryReport struct {
 	Hit bool
 	// ConditionParts is the number of parts O1 produced (h).
 	ConditionParts int
+	// PartHits counts probed parts whose bcp was present.
+	PartHits int
 	// PartialTuples is the number of tuples served from the PMV.
 	PartialTuples int
 	// TotalTuples is the total result size.
@@ -567,6 +569,7 @@ func (v *View) probeO2(run *partialRun, emit func(Result) error) error {
 		}
 		if hit == 1 {
 			rep.Hit = true
+			rep.PartHits++
 		}
 		if hit == 1 && ok {
 			for _, t := range e.tuples {

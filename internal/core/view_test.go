@@ -195,6 +195,29 @@ func TestExactlyOnceDelivery(t *testing.T) {
 	}
 }
 
+// TestPartHitsCountedLocally: the local O2 path counts the parts whose
+// bcp is cached, in the report and in Stats, as the routed ProbeBCPs
+// does. Two single-part queries cache (1,2) and (3,4); the 4-part query
+// over f ∈ {1,3}, g ∈ {2,4} then finds exactly those two.
+func TestPartHitsCountedLocally(t *testing.T) {
+	eng, tpl := testDB(t)
+	loadFig1(t, eng, 6, 6, 3)
+	v, err := NewView(eng, Config{Template: tpl, MaxEntries: 100, TuplesPerBCP: 2})
+	if err != nil {
+		t.Fatalf("new view: %v", err)
+	}
+	runPartial(t, v, eqQuery(tpl, []int64{1}, []int64{2}))
+	runPartial(t, v, eqQuery(tpl, []int64{3}, []int64{4}))
+	v.ResetStats()
+	_, rep := runPartial(t, v, eqQuery(tpl, []int64{1, 3}, []int64{2, 4}))
+	if rep.ConditionParts != 4 || rep.PartHits != 2 {
+		t.Errorf("report: %d parts, %d hits; want 4 parts, 2 hits", rep.ConditionParts, rep.PartHits)
+	}
+	if st := v.Stats(); st.PartsProbed != 4 || st.PartHits != 2 {
+		t.Errorf("Stats: PartsProbed %d, PartHits %d; want 4, 2", st.PartsProbed, st.PartHits)
+	}
+}
+
 func TestFBoundRespected(t *testing.T) {
 	eng, tpl := testDB(t)
 	loadFig1(t, eng, 3, 3, 5) // 5 results per (f,g) pair

@@ -1,6 +1,10 @@
 package exec
 
 import (
+	"bytes"
+	"hash/maphash"
+	"sync"
+
 	"pmv/internal/catalog"
 	"pmv/internal/keycodec"
 	"pmv/internal/storage"
@@ -126,57 +130,120 @@ type KeyJoin struct {
 	pos   int
 }
 
+// keyTable is the build side of a KeyJoin: every entry's join key
+// copied into one arena, and a power-of-two slot array whose chains
+// link the entries through int32 indexes. It holds no map and no
+// per-entry allocation, and tables are pooled, so a warm Open
+// allocates nothing for it however many entries it holds.
+type keyTable struct {
+	arena []byte
+	ents  []keyEntry
+	slots []int32 // 1 + the last entry hashed to the slot; 0 = empty
+}
+
+type keyEntry struct {
+	off, end int // the join key is arena[off:end]
+	next     int32
+	rid      storage.RID
+}
+
+var (
+	keyTables = sync.Pool{New: func() any { return new(keyTable) }}
+	keySeed   = maphash.MakeSeed()
+)
+
+// add copies one build entry's join key into the arena.
+func (t *keyTable) add(k []byte, rid storage.RID) {
+	off := len(t.arena)
+	t.arena = append(t.arena, k...)
+	t.ents = append(t.ents, keyEntry{off: off, end: len(t.arena), rid: rid})
+}
+
+// link sizes the slot array to at least twice the entries, once, and
+// chains every entry into its slot. Later entries go in front, so a
+// chain lists a key's entries newest first.
+func (t *keyTable) link() {
+	n := 1
+	for n < 2*len(t.ents) {
+		n <<= 1
+	}
+	if cap(t.slots) < n {
+		t.slots = make([]int32, n)
+	} else {
+		t.slots = t.slots[:n]
+		clear(t.slots)
+	}
+	mask := uint64(n - 1)
+	for i := range t.ents {
+		e := &t.ents[i]
+		s := maphash.Bytes(keySeed, t.arena[e.off:e.end]) & mask
+		e.next = t.slots[s]
+		t.slots[s] = int32(i + 1)
+	}
+}
+
+// match calls fn with the RID of every entry whose join key is k.
+func (t *keyTable) match(k []byte, fn func(rid storage.RID)) {
+	s := maphash.Bytes(keySeed, k) & uint64(len(t.slots)-1)
+	for b := t.slots[s]; b != 0; {
+		e := &t.ents[b-1]
+		if bytes.Equal(t.arena[e.off:e.end], k) {
+			fn(e.rid)
+		}
+		b = e.next
+	}
+}
+
 // Open scans both indexes and intersects them: the build side's
-// entries are hashed on their join key, the probe side's are looked up
-// straight from the index page, in scan order.
+// entries go into a keyTable, the probe side's are looked up straight
+// from the index page, in scan order.
 func (j *KeyJoin) Open() error {
 	j.pairs, j.pos = j.pairs[:0], 0
 	build, probe := &j.Left, &j.Right
 	if j.BuildRight {
 		build, probe = probe, build
 	}
-	// head maps a join key to 1 + the last build entry carrying it;
-	// each entry links to the one before it with the same key.
-	type entry struct {
-		rid  storage.RID
-		prev int
-	}
-	var ents []entry
-	head := make(map[string]int)
+	t := keyTables.Get().(*keyTable)
+	defer keyTables.Put(t)
+	t.arena, t.ents = t.arena[:0], t.ents[:0]
 	err := build.scan(func(k []byte, rid storage.RID) error {
-		ents = append(ents, entry{rid: rid, prev: head[string(k)]})
-		head[string(k)] = len(ents)
+		t.add(k, rid)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
+	t.link()
 	return probe.scan(func(k []byte, rid storage.RID) error {
-		for b := head[string(k)]; b != 0; b = ents[b-1].prev {
+		t.match(k, func(b storage.RID) {
 			if j.BuildRight {
-				j.pairs = append(j.pairs, [2]storage.RID{rid, ents[b-1].rid})
+				j.pairs = append(j.pairs, [2]storage.RID{rid, b})
 			} else {
-				j.pairs = append(j.pairs, [2]storage.RID{ents[b-1].rid, rid})
+				j.pairs = append(j.pairs, [2]storage.RID{b, rid})
 			}
-		}
+		})
 		return nil
 	})
 }
 
-// Next fetches the next matched pair's heap rows and concatenates them.
+// Next fetches the next matched pair's heap rows, decoding both into
+// one row sized for the two schemas: one allocation per joined row.
 func (j *KeyJoin) Next() (value.Tuple, bool, error) {
+	// A row the residual rejects is reused for the next pair.
+	var row value.Tuple
+	var err error
 	for j.pos < len(j.pairs) {
 		pair := j.pairs[j.pos]
 		j.pos++
-		l, err := j.Left.Rel.Heap.Get(pair[0])
-		if err != nil {
+		if row == nil {
+			row = make(value.Tuple, 0, len(j.Left.Rel.Schema.Columns)+len(j.Right.Rel.Schema.Columns))
+		}
+		if row, err = j.Left.Rel.Heap.AppendGet(row[:0], pair[0]); err != nil {
 			return nil, false, err
 		}
-		r, err := j.Right.Rel.Heap.Get(pair[1])
-		if err != nil {
+		if row, err = j.Right.Rel.Heap.AppendGet(row, pair[1]); err != nil {
 			return nil, false, err
 		}
-		row := concat(l, r)
 		if j.Residual == nil || j.Residual(row) {
 			return row, true, nil
 		}

@@ -1,0 +1,253 @@
+package exec
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"pmv/internal/catalog"
+	"pmv/internal/expr"
+	"pmv/internal/keycodec"
+	"pmv/internal/storage"
+	"pmv/internal/value"
+)
+
+// keyJoinSide is one relation of the KeyJoin fixtures: id, condition
+// column c, join column k, with the composite index (c, k).
+type keyJoinSide struct {
+	rel  *catalog.Relation
+	ix   *catalog.Index
+	rows []value.Tuple
+}
+
+func newKeyJoinSide(t testing.TB, c *catalog.Catalog, name string, kType value.Type, rows []value.Tuple) keyJoinSide {
+	t.Helper()
+	r, err := c.CreateRelation(name, catalog.NewSchema(
+		catalog.Col("id", value.TypeInt), catalog.Col("c", value.TypeInt), catalog.Col("k", kType)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range rows {
+		if _, err := r.Heap.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ix, err := c.CreateIndex(name+"_c_k", name, "c", "k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keyJoinSide{rel: r, ix: ix, rows: rows}
+}
+
+// joinedIDs drains j and returns its output as sorted "left id,right
+// id" pairs; each side's id is its row's first column.
+func joinedIDs(t testing.TB, j *KeyJoin) []string {
+	t.Helper()
+	var out []string
+	nl := len(j.Left.Rel.Schema.Columns)
+	err := ForEach(j, func(row value.Tuple) error {
+		out = append(out, fmt.Sprintf("%d,%d", row[0].Int64(), row[nl].Int64()))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// randomCond draws a condition on c over [-1, dom]: distinct values for
+// the equality form, disjoint intervals with random inclusive ends for
+// the interval form — the shapes O1 hands the planner.
+func randomCond(rng *rand.Rand, form expr.CondForm, dom int) expr.CondInstance {
+	var ci expr.CondInstance
+	n := rng.Intn(4)
+	if form == expr.EqualityForm {
+		for _, v := range rng.Perm(dom + 2)[:min(n, dom+2)] {
+			ci.Values = append(ci.Values, value.Int(int64(v-1)))
+		}
+		return ci
+	}
+	bounds := rng.Perm(dom + 3)[:min(2*n, dom+3)]
+	sort.Ints(bounds)
+	for i := 0; i+1 < len(bounds); i += 2 {
+		ci.Intervals = append(ci.Intervals, expr.Interval{
+			Lo: value.Int(int64(bounds[i] - 1)), Hi: value.Int(int64(bounds[i+1] - 1)),
+			LoIncl: rng.Intn(2) == 0, HiIncl: rng.Intn(2) == 0})
+	}
+	return ci
+}
+
+// FuzzKeyJoin holds KeyJoin to a nested loop over the same rows: two
+// relations of up to 255 rows whose join keys, ints or strings of
+// several lengths, repeat on both sides, equality or interval ranges on
+// each side's condition column (including ranges no row falls in), and
+// either side as the build side. The answer is compared as a multiset
+// of (left id, right id) pairs.
+func FuzzKeyJoin(f *testing.F) {
+	f.Add(int64(1), uint8(40), uint8(60), uint8(8), uint8(4), false, false, false)
+	f.Add(int64(2), uint8(0), uint8(30), uint8(5), uint8(3), true, false, true)
+	f.Add(int64(3), uint8(25), uint8(0), uint8(5), uint8(3), false, true, false)
+	f.Add(int64(4), uint8(90), uint8(70), uint8(1), uint8(2), true, true, true)
+	// Many to many: about 240 entries a side over 80 keys, so the build
+	// table's slot chains hold several distinct keys as well as runs of
+	// one key.
+	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, false, false)
+	f.Add(int64(6), uint8(240), uint8(240), uint8(80), uint8(0), false, true, true)
+	f.Fuzz(func(t *testing.T, seed int64, nl, nr, keys, conds uint8, interval, buildRight, strKeys bool) {
+		rng := rand.New(rand.NewSource(seed))
+		keyDom, condDom := 1+int(keys)%120, 1+int(conds)%10
+		kType := value.TypeInt
+		joinKey := func() value.Value { return value.Int(int64(rng.Intn(keyDom))) }
+		if strKeys {
+			kType = value.TypeString
+			joinKey = func() value.Value {
+				k := rng.Intn(keyDom)
+				return value.Str(fmt.Sprintf("%0*d", 1+k%7, k))
+			}
+		}
+		rows := func(n uint8) []value.Tuple {
+			out := make([]value.Tuple, n)
+			for i := range out {
+				out[i] = value.Tuple{value.Int(int64(i)), value.Int(int64(rng.Intn(condDom))), joinKey()}
+			}
+			return out
+		}
+		c := testCatalog(t)
+		l := newKeyJoinSide(t, c, "l", kType, rows(nl))
+		r := newKeyJoinSide(t, c, "r", kType, rows(nr))
+		form := expr.EqualityForm
+		if interval {
+			form = expr.IntervalForm
+		}
+		lc, rc := randomCond(rng, form, condDom), randomCond(rng, form, condDom)
+
+		j := &KeyJoin{
+			Left:       KeySide{Rel: l.rel, Index: l.ix, Ranges: rangesFor(form, lc)},
+			Right:      KeySide{Rel: r.rel, Index: r.ix, Ranges: rangesFor(form, rc)},
+			BuildRight: buildRight,
+		}
+		got := joinedIDs(t, j)
+		var want []string
+		for _, lt := range l.rows {
+			if !lc.Matches(form, lt[1]) {
+				continue
+			}
+			for _, rt := range r.rows {
+				if rc.Matches(form, rt[1]) && value.Equal(lt[2], rt[2]) {
+					want = append(want, fmt.Sprintf("%d,%d", lt[0].Int64(), rt[0].Int64()))
+				}
+			}
+		}
+		sort.Strings(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("KeyJoin returned %d pairs, nested loop %d\nleft %+v\nright %+v", len(got), len(want), lc, rc)
+		}
+	})
+}
+
+// TestKeyTableChains: with as many distinct keys as entries, some slot
+// chain holds more than one distinct key, and match still returns
+// exactly each key's entries — the byte compare, not the slot, decides.
+func TestKeyTableChains(t *testing.T) {
+	var tbl keyTable
+	want := map[string][]storage.RID{}
+	for i := 0; i < 2000; i++ {
+		k := keycodec.AppendValue(nil, value.Int(int64(i/2)))
+		rid := storage.RID{Page: storage.PageID(i), Slot: uint16(i)}
+		tbl.add(k, rid)
+		want[string(k)] = append(want[string(k)], rid)
+	}
+	tbl.link()
+	shared := 0
+	for _, head := range tbl.slots {
+		var first []byte
+		for b := head; b != 0; b = tbl.ents[b-1].next {
+			e := tbl.ents[b-1]
+			if k := tbl.arena[e.off:e.end]; first == nil {
+				first = k
+			} else if !bytes.Equal(k, first) {
+				shared++
+				break
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no slot chain holds two distinct keys; the test covers nothing")
+	}
+	for k, rids := range want {
+		var got []storage.RID
+		tbl.match([]byte(k), func(rid storage.RID) { got = append(got, rid) })
+		slices.Reverse(got) // chains list a key's entries newest first
+		if !slices.Equal(got, rids) {
+			t.Fatalf("key %x: match %v, want %v", k, got, rids)
+		}
+	}
+	var none int
+	tbl.match(keycodec.AppendValue(nil, value.Int(-5)), func(storage.RID) { none++ })
+	if none != 0 {
+		t.Fatalf("absent key matched %d entries", none)
+	}
+}
+
+// TestKeyJoinAllocs pins the key-only join's allocations: opening and
+// draining a join allocates one row per joined row plus a constant,
+// however many index entries it scans. Widening either side's range 4×
+// over entries that join nothing keeps the answer and must keep the
+// allocation count.
+func TestKeyJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random; allocation counts do not repeat")
+	}
+	c := testCatalog(t)
+	rng := rand.New(rand.NewSource(3))
+	// l.c in [0, 10) joins on k in [0, 50); l.c in [10, 40) carries keys
+	// r does not hold.
+	var lRows, rRows []value.Tuple
+	for i := 0; i < 400; i++ {
+		k := int64(1000 + i)
+		if i%40 < 10 {
+			k = rng.Int63n(50)
+		}
+		lRows = append(lRows, value.Tuple{value.Int(int64(i)), value.Int(int64(i % 40)), value.Int(k)})
+	}
+	for i := 0; i < 200; i++ {
+		rRows = append(rRows, value.Tuple{value.Int(int64(i)), value.Int(int64(i % 10)), value.Int(rng.Int63n(50))})
+	}
+	l := newKeyJoinSide(t, c, "l", value.TypeInt, lRows)
+	r := newKeyJoinSide(t, c, "r", value.TypeInt, rRows)
+	span := func(lo, hi int64) []KeyRange {
+		return rangesFor(expr.IntervalForm, expr.CondInstance{Intervals: []expr.Interval{ivOf(lo, hi)}})
+	}
+	for _, buildRight := range []bool{false, true} {
+		join := func(lHi int64) *KeyJoin {
+			return &KeyJoin{
+				Left:       KeySide{Rel: l.rel, Index: l.ix, Ranges: span(0, lHi)},
+				Right:      KeySide{Rel: r.rel, Index: r.ix, Ranges: span(0, 3)},
+				BuildRight: buildRight,
+			}
+		}
+		narrow, wide := join(10), join(40)
+		answer := joinedIDs(t, narrow)
+		if len(answer) < 20 || !slices.Equal(joinedIDs(t, wide), answer) {
+			t.Fatalf("buildRight=%v: fixture broken: narrow %d pairs, wide differs or too few", buildRight, len(answer))
+		}
+		allocs := func(j *KeyJoin) float64 {
+			return testing.AllocsPerRun(50, func() {
+				if err := ForEach(j, func(value.Tuple) error { return nil }); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		an, aw := allocs(narrow), allocs(wide)
+		if aw > an {
+			t.Errorf("buildRight=%v: %v allocs scanning 4× the entries, %v before", buildRight, aw, an)
+		}
+		if an >= float64(2*len(answer)) {
+			t.Errorf("buildRight=%v: %v allocs for %d joined rows; want about one a row", buildRight, an, len(answer))
+		}
+	}
+}

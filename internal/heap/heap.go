@@ -75,6 +75,12 @@ func (h *Heap) Insert(t value.Tuple) (storage.RID, error) {
 
 // Get returns the tuple at rid.
 func (h *Heap) Get(rid storage.RID) (value.Tuple, error) {
+	return h.AppendGet(nil, rid)
+}
+
+// AppendGet decodes the tuple at rid onto the end of dst (see
+// value.AppendDecoded) and returns the extended row.
+func (h *Heap) AppendGet(dst value.Tuple, rid storage.RID) (value.Tuple, error) {
 	fr, err := h.pool.Fetch(h.file, rid.Page)
 	if err != nil {
 		return nil, err
@@ -85,7 +91,7 @@ func (h *Heap) Get(rid storage.RID) (value.Tuple, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("heap: %v: %w", rid, ErrNotFound)
 	}
-	t, _, err := value.DecodeTuple(rec)
+	t, _, err := value.AppendDecoded(dst, rec)
 	return t, err
 }
 

@@ -47,12 +47,25 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 // DecodeTuple parses one tuple from the front of b, returning the tuple
 // and the number of bytes consumed.
 func DecodeTuple(b []byte) (Tuple, int, error) {
+	return AppendDecoded(nil, b)
+}
+
+// AppendDecoded parses one tuple from the front of b and appends its
+// columns to dst, returning the extended row and the number of bytes
+// consumed. It allocates only when dst lacks room for the columns, so a
+// caller that sizes dst for several records decodes them into one row.
+// On error it returns a nil row.
+func AppendDecoded(dst Tuple, b []byte) (Tuple, int, error) {
 	if len(b) < 2 {
 		return nil, 0, fmt.Errorf("value: short tuple header")
 	}
 	n := int(binary.BigEndian.Uint16(b))
 	off := 2
-	t := make(Tuple, 0, n)
+	t := dst
+	if t == nil || cap(t)-len(t) < n {
+		t = make(Tuple, len(dst), len(dst)+n)
+		copy(t, dst)
+	}
 	for i := 0; i < n; i++ {
 		if off >= len(b) {
 			return nil, 0, fmt.Errorf("value: truncated tuple at column %d", i)
