@@ -61,8 +61,8 @@ torture:
 
 # Short coverage-guided fuzz of the wire codecs, the snapshot reader,
 # the B+tree bulk build, the B+tree's in-place Insert/Delete, the
-# key-only join against a nested loop and the write plane against
-# per-statement maintenance (the seed corpus and any fuzzer-found
+# key-only join against a nested loop, the masked tuple decoder against
+# the full one and the write plane against per-statement maintenance (the seed corpus and any fuzzer-found
 # regressions always run as part of plain `make test`).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
@@ -79,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzBuild -fuzztime=30s ./internal/btree
 	$(GO) test -fuzz=FuzzInsertDelete -fuzztime=30s ./internal/btree
 	$(GO) test -fuzz=FuzzKeyJoin -fuzztime=30s ./internal/exec
+	$(GO) test -fuzz=FuzzAppendDecoded -fuzztime=30s ./internal/value
 	$(GO) test -fuzz=FuzzPlaneMatchesPerStatement -fuzztime=30s ./internal/maint
 
 # Observability smoke test: boot pmvd with -obs on a scratch database,

@@ -720,14 +720,27 @@ func (t *Tree) Contains(key []byte) (bool, error) {
 	return found, nil
 }
 
-// Scan visits every key k with lo <= k < hi in order. A nil hi means
-// "to the end". fn returning ErrStopScan ends the scan cleanly.
+// Leaf is the run of entries one leaf holds within a Walk's range, in
+// key order. Its entries alias the pinned page frame: they are valid
+// only until the Walk callback returns and must not be modified.
+type Leaf struct {
+	p        page
+	from, to int
+}
+
+// Len returns the number of entries in the run.
+func (l Leaf) Len() int { return l.to - l.from }
+
+// Entry returns the run's i-th entry, 0 <= i < Len().
+func (l Leaf) Entry(i int) []byte { return l.p.key(l.from + i) }
+
+// Walk calls fn once per leaf with the run of keys k, lo <= k < hi, the
+// leaf holds, in order; a leaf with none in the range is skipped. A nil
+// hi means "to the end". fn returning ErrStopScan ends the walk cleanly.
 //
-// The slice handed to fn aliases the pinned page frame: it is valid
-// only until fn returns and must not be modified; a caller that keeps
-// the key copies it. The tree's read lock is held for the whole scan,
-// so fn must not insert into or delete from this tree.
-func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
+// The tree's read lock is held for the whole walk, so fn must not
+// insert into or delete from this tree.
+func (t *Tree) Walk(lo, hi []byte, fn func(Leaf) error) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	fr, _, err := t.descend(lo)
@@ -744,8 +757,8 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
 		if hi != nil {
 			end = p.searchFrom(i, hi)
 		}
-		for ; i < end; i++ {
-			if err := fn(p.key(i)); err != nil {
+		if i < end {
+			if err := fn(Leaf{p: p, from: i, to: end}); err != nil {
 				t.pool.Unpin(fr, false)
 				if errors.Is(err, ErrStopScan) {
 					return nil
@@ -772,6 +785,24 @@ func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
 			return err
 		}
 	}
+}
+
+// Scan visits every key k with lo <= k < hi in order: Walk, one entry
+// at a time. A nil hi means "to the end". fn returning ErrStopScan ends
+// the scan cleanly.
+//
+// The slice handed to fn aliases the pinned page frame: it is valid
+// only until fn returns and must not be modified; a caller that keeps
+// the key copies it. fn must not insert into or delete from this tree.
+func (t *Tree) Scan(lo, hi []byte, fn func(key []byte) error) error {
+	return t.Walk(lo, hi, func(l Leaf) error {
+		for i := 0; i < l.Len(); i++ {
+			if err := fn(l.Entry(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Count returns the number of keys (full scan; for tests and stats).

@@ -300,6 +300,7 @@ func (v *View) ExecutePhasedCtx(ctx context.Context, q *expr.Query, emit func(Re
 		return run.rep, err
 	}
 	defer v.eng.Locks().ReleaseAll(run.txn)
+	defer run.ds.release()
 
 	start := time.Now()
 	if err := v.probeO2(run, emit); err != nil {
@@ -329,16 +330,10 @@ func (v *View) ExecutePhasedCtx(ctx context.Context, q *expr.Query, emit func(Re
 	ds := run.ds
 	err = v.eng.ExecuteProjectCtx(ctx, q, v.selectPlus, func(t value.Tuple) error {
 		tupStart := time.Now()
-		key := string(value.EncodeTuple(nil, t))
-		if n := ds[key]; n > 0 {
-			// Already delivered in O2: consume one DS token so
+		if ds.take(t) {
+			// Already delivered in O2: one DS token consumed, so
 			// duplicate result tuples are still delivered the right
 			// number of times (the paper's multiset argument).
-			if n == 1 {
-				delete(ds, key)
-			} else {
-				ds[key] = n - 1
-			}
 			dups++
 			o3Overhead += time.Since(tupStart)
 			return nil
@@ -366,7 +361,7 @@ func (v *View) ExecutePhasedCtx(ctx context.Context, q *expr.Query, emit func(Re
 
 	// After O3, every DS token must have been consumed: the partial
 	// results were a subset of the full results (serializability held).
-	if len(ds) != 0 {
+	if ds.left != 0 {
 		// The unaccounted tuples came from entries this query probed:
 		// invalidate those, so that the retry this error invites runs
 		// against the base data instead of meeting the same stale
@@ -379,7 +374,7 @@ func (v *View) ExecutePhasedCtx(ctx context.Context, q *expr.Query, emit func(Re
 			keys[i] = run.parts[i].BCPKey
 		}
 		v.BumpKeyGens(keys)
-		return run.rep, fmt.Errorf("core: %d partial tuples not found during execution (consistency violation)", len(ds))
+		return run.rep, fmt.Errorf("core: %d partial tuples not found during execution (consistency violation)", ds.left)
 	}
 
 	v.mu.Lock()
@@ -406,6 +401,7 @@ func (v *View) PartialOnlyCtx(ctx context.Context, q *expr.Query, emit func(Resu
 		return run.rep, err
 	}
 	defer v.eng.Locks().ReleaseAll(run.txn)
+	defer run.ds.release()
 
 	start := time.Now()
 	if err := v.probeO2(run, emit); err != nil {
@@ -431,7 +427,7 @@ func (v *View) PartialOnlyCtx(ctx context.Context, q *expr.Query, emit func(Resu
 type partialRun struct {
 	rep   QueryReport
 	parts []ConditionPart
-	ds    map[string]int
+	ds    *dsTable
 	admit map[string]bool
 	txn   uint64
 	tr    *obs.Trace
@@ -510,7 +506,7 @@ func (v *View) beginPartial(ctx context.Context, q *expr.Query, emit func(Result
 	run.parts = parts
 	run.rep.ConditionParts = len(parts)
 	// DS: the temporary in-memory multiset of delivered tuples.
-	run.ds = make(map[string]int)
+	run.ds = newDS()
 	run.admit = make(map[string]bool) // per-query admission memo (2Q)
 	return run, false, nil
 }
@@ -578,8 +574,7 @@ func (v *View) probeO2(run *partialRun, emit func(Result) error) error {
 				if !cp.Exact && !cp.Matches(v.condValues(t)) {
 					continue
 				}
-				key := string(value.EncodeTuple(nil, t))
-				ds[key]++
+				ds.add(t)
 				rep.PartialTuples++
 				v.mu.Unlock()
 				err := emit(Result{Tuple: v.userTuple(t), Partial: true})

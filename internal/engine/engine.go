@@ -636,6 +636,7 @@ func (e *Engine) ExecuteProjectCtx(ctx context.Context, q *expr.Query, cols []ex
 		}
 		positions[i] = p
 	}
+	plan.Narrow(positions)
 	root := guarded(ctx, plan.Root)
 	var tally *exec.Tally
 	if tr != nil {

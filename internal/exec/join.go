@@ -2,9 +2,12 @@ package exec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"hash/maphash"
 	"sync"
 
+	"pmv/internal/btree"
 	"pmv/internal/catalog"
 	"pmv/internal/keycodec"
 	"pmv/internal/storage"
@@ -85,27 +88,10 @@ type KeySide struct {
 	Rel    *catalog.Relation
 	Index  *catalog.Index
 	Ranges []KeyRange
-}
-
-// scan range-scans the composite index without touching the heap and
-// hands fn every entry's encoded join key and RID. An entry's logical
-// key is enc(condition value) ++ enc(join value), so the join key is
-// what follows the leading column; it aliases the pinned index page and
-// is valid only until fn returns.
-func (s *KeySide) scan(fn func(joinKey []byte, rid storage.RID) error) error {
-	for _, r := range s.Ranges {
-		err := s.Index.ScanKeys(r.Lo, r.Hi, func(key []byte, rid storage.RID) error {
-			_, n, err := keycodec.DecodeValue(key)
-			if err != nil {
-				return err
-			}
-			return fn(key[n:], rid)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	// Cols, when non-nil, marks the columns of Rel the plan reads; the
+	// others come out of the join NULL (see value.AppendDecoded).
+	// Plan.Narrow sets it; nil decodes whole rows.
+	Cols []bool
 }
 
 // KeyJoin joins two relations that each carry a selection condition
@@ -182,21 +168,53 @@ func (t *keyTable) link() {
 	}
 }
 
-// match calls fn with the RID of every entry whose join key is k.
-func (t *keyTable) match(k []byte, fn func(rid storage.RID)) {
-	s := maphash.Bytes(keySeed, k) & uint64(len(t.slots)-1)
-	for b := t.slots[s]; b != 0; {
-		e := &t.ents[b-1]
-		if bytes.Equal(t.arena[e.off:e.end], k) {
-			fn(e.rid)
-		}
-		b = e.next
-	}
+// chain returns the head of k's slot chain, 1 + an entry index, or 0
+// when the chain is empty; each entry's next links to the one after it.
+// A chain holds other keys' entries too: the byte compare, not the
+// slot, decides a match.
+func (t *keyTable) chain(k []byte) int32 {
+	return t.slots[maphash.Bytes(keySeed, k)&uint64(len(t.slots)-1)]
 }
 
-// Open scans both indexes and intersects them: the build side's
-// entries go into a keyTable, the probe side's are looked up straight
-// from the index page, in scan order.
+// leadLen is the encoded length of the condition column every key of r
+// begins with when r fixes it (an equality range), else 0.
+func leadLen(r KeyRange) int {
+	if r.Eq {
+		return len(r.Lo)
+	}
+	return 0
+}
+
+// joinKey returns the join key of a composite index entry,
+// enc(condition value) ++ enc(join value) ++ RID, as a slice of it.
+// lead is the condition value's encoded length, or 0 when the range
+// does not fix it and it has to be decoded.
+func joinKey(e []byte, lead int) ([]byte, error) {
+	n := len(e) - 6
+	if lead == 0 && n > 0 {
+		_, k, err := keycodec.DecodeValue(e[:n])
+		if err != nil {
+			return nil, err
+		}
+		lead = k
+	}
+	if lead == 0 || n < lead {
+		return nil, fmt.Errorf("exec: index entry of %d bytes has no join key", len(e))
+	}
+	return e[lead:n], nil
+}
+
+// entryRID returns the RID an index entry ends with; joinKey has
+// checked its length.
+func entryRID(e []byte) storage.RID {
+	n := len(e) - 6
+	return storage.RID{Page: storage.PageID(binary.BigEndian.Uint32(e[n:])), Slot: binary.BigEndian.Uint16(e[n+4:])}
+}
+
+// Open scans both indexes and intersects them, one leaf's run of
+// entries at a time: the build side's join keys go into a keyTable,
+// the probe side's are looked up straight from the index page, in scan
+// order.
 func (j *KeyJoin) Open() error {
 	j.pairs, j.pos = j.pairs[:0], 0
 	build, probe := &j.Left, &j.Right
@@ -206,28 +224,57 @@ func (j *KeyJoin) Open() error {
 	t := keyTables.Get().(*keyTable)
 	defer keyTables.Put(t)
 	t.arena, t.ents = t.arena[:0], t.ents[:0]
-	err := build.scan(func(k []byte, rid storage.RID) error {
-		t.add(k, rid)
-		return nil
-	})
-	if err != nil {
-		return err
+	for _, r := range build.Ranges {
+		lead := leadLen(r)
+		err := build.Index.Tree.Walk(r.Lo, r.Hi, func(l btree.Leaf) error {
+			for i := 0; i < l.Len(); i++ {
+				e := l.Entry(i)
+				k, err := joinKey(e, lead)
+				if err != nil {
+					return err
+				}
+				t.add(k, entryRID(e))
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 	t.link()
-	return probe.scan(func(k []byte, rid storage.RID) error {
-		t.match(k, func(b storage.RID) {
-			if j.BuildRight {
-				j.pairs = append(j.pairs, [2]storage.RID{rid, b})
-			} else {
-				j.pairs = append(j.pairs, [2]storage.RID{b, rid})
+	for _, r := range probe.Ranges {
+		lead := leadLen(r)
+		err := probe.Index.Tree.Walk(r.Lo, r.Hi, func(l btree.Leaf) error {
+			for i := 0; i < l.Len(); i++ {
+				e := l.Entry(i)
+				k, err := joinKey(e, lead)
+				if err != nil {
+					return err
+				}
+				for b := t.chain(k); b != 0; b = t.ents[b-1].next {
+					m := &t.ents[b-1]
+					if !bytes.Equal(t.arena[m.off:m.end], k) {
+						continue
+					}
+					if j.BuildRight {
+						j.pairs = append(j.pairs, [2]storage.RID{entryRID(e), m.rid})
+					} else {
+						j.pairs = append(j.pairs, [2]storage.RID{m.rid, entryRID(e)})
+					}
+				}
 			}
+			return nil
 		})
-		return nil
-	})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Next fetches the next matched pair's heap rows, decoding both into
-// one row sized for the two schemas: one allocation per joined row.
+// one row sized for the two schemas: one allocation per joined row. A
+// side with Cols set decodes only the columns they mark.
 func (j *KeyJoin) Next() (value.Tuple, bool, error) {
 	// A row the residual rejects is reused for the next pair.
 	var row value.Tuple
@@ -238,10 +285,10 @@ func (j *KeyJoin) Next() (value.Tuple, bool, error) {
 		if row == nil {
 			row = make(value.Tuple, 0, len(j.Left.Rel.Schema.Columns)+len(j.Right.Rel.Schema.Columns))
 		}
-		if row, err = j.Left.Rel.Heap.AppendGet(row[:0], pair[0]); err != nil {
+		if row, err = j.Left.Rel.Heap.AppendGet(row[:0], pair[0], j.Left.Cols); err != nil {
 			return nil, false, err
 		}
-		if row, err = j.Right.Rel.Heap.AppendGet(row, pair[1]); err != nil {
+		if row, err = j.Right.Rel.Heap.AppendGet(row, pair[1], j.Right.Cols); err != nil {
 			return nil, false, err
 		}
 		if j.Residual == nil || j.Residual(row) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"pmv/internal/catalog"
@@ -150,8 +151,9 @@ func FuzzKeyJoin(f *testing.F) {
 }
 
 // TestKeyTableChains: with as many distinct keys as entries, some slot
-// chain holds more than one distinct key, and match still returns
-// exactly each key's entries — the byte compare, not the slot, decides.
+// chain holds more than one distinct key, and walking a key's chain
+// with the byte compare, as KeyJoin.Open does, still finds exactly each
+// key's entries — the byte compare, not the slot, decides.
 func TestKeyTableChains(t *testing.T) {
 	var tbl keyTable
 	want := map[string][]storage.RID{}
@@ -180,14 +182,22 @@ func TestKeyTableChains(t *testing.T) {
 	}
 	for k, rids := range want {
 		var got []storage.RID
-		tbl.match([]byte(k), func(rid storage.RID) { got = append(got, rid) })
+		for b := tbl.chain([]byte(k)); b != 0; b = tbl.ents[b-1].next {
+			if e := tbl.ents[b-1]; bytes.Equal(tbl.arena[e.off:e.end], []byte(k)) {
+				got = append(got, e.rid)
+			}
+		}
 		slices.Reverse(got) // chains list a key's entries newest first
 		if !slices.Equal(got, rids) {
-			t.Fatalf("key %x: match %v, want %v", k, got, rids)
+			t.Fatalf("key %x: chain %v, want %v", k, got, rids)
 		}
 	}
-	var none int
-	tbl.match(keycodec.AppendValue(nil, value.Int(-5)), func(storage.RID) { none++ })
+	absent, none := keycodec.AppendValue(nil, value.Int(-5)), 0
+	for b := tbl.chain(absent); b != 0; b = tbl.ents[b-1].next {
+		if e := tbl.ents[b-1]; bytes.Equal(tbl.arena[e.off:e.end], absent) {
+			none++
+		}
+	}
 	if none != 0 {
 		t.Fatalf("absent key matched %d entries", none)
 	}
@@ -248,6 +258,74 @@ func TestKeyJoinAllocs(t *testing.T) {
 		}
 		if an >= float64(2*len(answer)) {
 			t.Errorf("buildRight=%v: %v allocs for %d joined rows; want about one a row", buildRight, an, len(answer))
+		}
+	}
+}
+
+// TestNarrowDecodesOnlyReadColumns: a narrowed key-only plan returns the
+// same answer as the full-row plan for T1- and T2-shaped queries,
+// including a fixed predicate and T2's later join on O.ck, which only
+// the IndexJoin above the KeyJoin reads; and the columns nobody reads,
+// the pads and O.ck in T1, come out of the join NULL.
+func TestNarrowDecodesOnlyReadColumns(t *testing.T) {
+	db := newDiffDB(t)
+	eq, iv := expr.EqualityForm, expr.IntervalForm
+	fixed := diffTemplate(eq, eq, false)
+	fixed.Fixed = []expr.FixedPred{{Col: ref("L", "pad"), Op: expr.OpNe, Val: value.Str("")}}
+	for _, tc := range []struct {
+		name   string
+		q      *expr.Query
+		unread []expr.ColumnRef
+	}{
+		{"t1-eq", &expr.Query{Template: diffTemplate(eq, eq, false), Conds: []expr.CondInstance{intsOf(3, 4, 5), intsOf(1, 2, 7)}},
+			[]expr.ColumnRef{ref("O", "ck"), ref("O", "pad"), ref("L", "pad")}},
+		{"t1-interval", &expr.Query{Template: diffTemplate(iv, iv, false), Conds: []expr.CondInstance{ivsOf(2, 9), ivsOf(0, 6)}},
+			[]expr.ColumnRef{ref("O", "ck"), ref("O", "pad"), ref("L", "pad")}},
+		{"t1-fixed", &expr.Query{Template: fixed, Conds: []expr.CondInstance{intsOf(3, 4, 5), intsOf(1, 2, 7)}},
+			[]expr.ColumnRef{ref("O", "ck"), ref("O", "pad")}},
+		{"t2", &expr.Query{Template: diffTemplate(eq, eq, true), Conds: []expr.CondInstance{intsOf(3, 4, 5), intsOf(1, 2, 7), intsOf(0, 1, 2, 3)}},
+			[]expr.ColumnRef{ref("O", "pad"), ref("L", "pad")}},
+	} {
+		want := db.oracle(tc.q)
+		if len(want) == 0 {
+			t.Fatalf("%s: empty answer; fixture broken", tc.name)
+		}
+		plan, err := PlanQuery(db.cats[0], tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan.String(), "KeyJoin") {
+			t.Fatalf("%s: no KeyJoin planned:\n%s", tc.name, plan)
+		}
+		cols := make([]int, len(tc.q.Template.Select))
+		for i, r := range tc.q.Template.Select {
+			cols[i], _ = plan.Schema.MustIndex(r)
+		}
+		unread := make([]int, len(tc.unread))
+		for i, r := range tc.unread {
+			unread[i], _ = plan.Schema.MustIndex(r)
+		}
+		plan.Narrow(cols)
+		var got []string
+		err = ForEach(plan.Root, func(row value.Tuple) error {
+			for i, c := range unread {
+				if !row[c].IsNull() {
+					return fmt.Errorf("unread column %v decoded as %v", tc.unread[i], row[c])
+				}
+			}
+			out := make(value.Tuple, len(cols))
+			for i, c := range cols {
+				out[i] = row[c]
+			}
+			got = append(got, out.String())
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		sort.Strings(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: narrowed plan returned %d rows, oracle %d", tc.name, len(got), len(want))
 		}
 	}
 }

@@ -16,6 +16,35 @@ import (
 type Plan struct {
 	Root   Iterator
 	Schema RowSchema
+
+	// keyJoin is the plan's KeyJoin, whose rows are the first columns of
+	// Schema, or nil; reads lists the row positions the plan's compiled
+	// predicates and joins read. Narrow uses both.
+	keyJoin *KeyJoin
+	reads   []int
+}
+
+// Narrow limits what the plan decodes to what is read. cols are the
+// positions of every column the caller reads of the rows Root yields.
+// The key-only join's heap rows then carry only those columns and the
+// ones the plan's own predicates and joins read; every other column of
+// its rows is NULL. Call it before the plan is opened. A plan without a
+// KeyJoin decodes whole rows either way.
+func (p *Plan) Narrow(cols []int) {
+	kj := p.keyJoin
+	if kj == nil {
+		return
+	}
+	nl := len(kj.Left.Rel.Schema.Columns)
+	mask := make([]bool, nl+len(kj.Right.Rel.Schema.Columns))
+	for _, pos := range [2][]int{p.reads, cols} {
+		for _, c := range pos {
+			if c < len(mask) {
+				mask[c] = true
+			}
+		}
+	}
+	kj.Left.Cols, kj.Right.Cols = mask[:nl], mask[nl:]
 }
 
 // String renders the plan one operator per line, children indented
@@ -76,6 +105,9 @@ type planner struct {
 	// stats is true when every relation has ANALYZE statistics; without
 	// them nothing is costed and the declared order is kept.
 	stats bool
+	// ranges memoizes each condition's index key ranges (rangesOf), which
+	// both candidate plans read.
+	ranges [][]KeyRange
 }
 
 // subplan is a plan under construction: the relations joined so far and
@@ -86,6 +118,20 @@ type subplan struct {
 	joined      map[string]bool
 	usedJoin    []bool
 	rows, pages float64
+	// keyJoin and reads become the Plan's fields of the same names.
+	keyJoin *KeyJoin
+	reads   []int
+}
+
+// col resolves ref in sp's row schema and records that the plan reads
+// it. Positions stay valid as the plan grows: every join appends its
+// relation's columns to the right of the schema so far.
+func (sp *subplan) col(ref expr.ColumnRef) (int, error) {
+	pos, err := sp.schema.MustIndex(ref)
+	if err == nil {
+		sp.reads = append(sp.reads, pos)
+	}
+	return pos, err
 }
 
 // PlanQuery compiles a bound template query into an index-driven plan.
@@ -114,6 +160,7 @@ func PlanQuery(cat *catalog.Catalog, q *expr.Query) (*Plan, error) {
 		}
 	}
 	p.conds = make([][]int, len(p.rels))
+	p.ranges = make([][]KeyRange, len(p.tpl.Conds))
 	for ci, c := range p.tpl.Conds {
 		if ri := p.relIndex(c.Col.Rel); ri >= 0 {
 			p.conds[ri] = append(p.conds[ri], ci)
@@ -138,7 +185,7 @@ func PlanQuery(cat *catalog.Catalog, q *expr.Query) (*Plan, error) {
 			best = kj
 		}
 	}
-	return &Plan{Root: best.root, Schema: best.schema}, nil
+	return &Plan{Root: best.root, Schema: best.schema, keyJoin: best.keyJoin, reads: best.reads}, nil
 }
 
 func (p *planner) newSubplan() *subplan {
@@ -191,15 +238,24 @@ func (p *planner) distinct(ri, col int) float64 {
 	return math.Max(float64(p.rels[ri].Stats.Cols[col].NDistinct), 1)
 }
 
+// rangesOf returns condition ci's index key ranges, computed once per
+// query.
+func (p *planner) rangesOf(ci int) []KeyRange {
+	if p.ranges[ci] == nil {
+		p.ranges[ci] = rangesFor(p.tpl.Conds[ci].Form, p.q.Conds[ci])
+	}
+	return p.ranges[ci]
+}
+
 // relPreds compiles relation ri's conditions (except skip) and fixed
-// predicates against schema.
-func (p *planner) relPreds(schema RowSchema, ri, skip int) ([]Pred, error) {
+// predicates against sp's schema.
+func (p *planner) relPreds(sp *subplan, ri, skip int) ([]Pred, error) {
 	var preds []Pred
 	for _, ci := range p.conds[ri] {
 		if ci == skip {
 			continue
 		}
-		pr, err := condPred(schema, p.tpl.Conds[ci], p.q.Conds[ci])
+		pr, err := condPred(sp, p.tpl.Conds[ci], p.q.Conds[ci])
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +265,7 @@ func (p *planner) relPreds(schema RowSchema, ri, skip int) ([]Pred, error) {
 		if f.Col.Rel != p.tpl.Relations[ri] {
 			continue
 		}
-		pr, err := fixedPredFn(schema, f)
+		pr, err := fixedPredFn(sp, f)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +282,7 @@ func (p *planner) boundJoinPreds(sp *subplan, link int) ([]Pred, error) {
 		if sp.usedJoin[ji] || ji == link || !sp.joined[jp.Left.Rel] || !sp.joined[jp.Right.Rel] {
 			continue
 		}
-		pr, err := joinPredFn(sp.schema, jp)
+		pr, err := joinPredFn(sp, jp)
 		if err != nil {
 			return nil, err
 		}
@@ -258,7 +314,7 @@ func (p *planner) startDriver() (*subplan, error) {
 		if ix == nil {
 			continue
 		}
-		ranges := rangesFor(p.tpl.Conds[ci].Form, p.q.Conds[ci])
+		ranges := p.rangesOf(ci)
 		sp.root = &IndexScan{Rel: driver, Index: ix, Ranges: ranges}
 		usedCond = ci
 		if p.stats {
@@ -274,7 +330,7 @@ func (p *planner) startDriver() (*subplan, error) {
 			sp.pages = float64(driver.Heap.NumPages())
 		}
 	}
-	preds, err := p.relPreds(sp.schema, di, usedCond)
+	preds, err := p.relPreds(sp, di, usedCond)
 	if err != nil {
 		return nil, err
 	}
@@ -313,7 +369,7 @@ func (p *planner) keyInput(ref expr.ColumnRef) (*keyInput, error) {
 			continue
 		}
 		return &keyInput{
-			KeySide: KeySide{Rel: rel, Index: ix, Ranges: rangesFor(p.tpl.Conds[ci].Form, p.q.Conds[ci])},
+			KeySide: KeySide{Rel: rel, Index: ix, Ranges: p.rangesOf(ci)},
 			ri:      ri, cond: ci, joinCol: joinCol,
 			scanned: p.rowCount(ri) * p.condSel(ri, ci),
 		}, nil
@@ -369,13 +425,13 @@ func (p *planner) startKeyJoin() (*subplan, error) {
 			sp.rows *= p.sel(in.ri, in.cond)
 		}
 		for _, in := range []*keyInput{l, r} {
-			preds, err := p.relPreds(sp.schema, in.ri, -1)
+			preds, err := p.relPreds(sp, in.ri, -1)
 			if err != nil {
 				return nil, err
 			}
 			resid = append(resid, preds...)
 		}
-		link, err := joinPredFn(sp.schema, jp)
+		link, err := joinPredFn(sp, jp)
 		if err != nil {
 			return nil, err
 		}
@@ -383,11 +439,12 @@ func (p *planner) startKeyJoin() (*subplan, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp.root = &KeyJoin{
+		sp.keyJoin = &KeyJoin{
 			Left: l.KeySide, Right: r.KeySide,
 			BuildRight: r.scanned < l.scanned,
 			Residual:   andPreds(append(append(resid, link), more...)),
 		}
+		sp.root = sp.keyJoin
 		return sp, nil
 	}
 	return nil, nil
@@ -449,7 +506,7 @@ func (p *planner) joinRest(sp *subplan) error {
 		// and any further join predicates now fully bound.
 		sp.schema = outerSchema.Concat(qualify(rel, relName))
 		sp.joined[relName] = true
-		resid, err := p.relPreds(sp.schema, ri, -1)
+		resid, err := p.relPreds(sp, ri, -1)
 		if err != nil {
 			return err
 		}
@@ -469,7 +526,7 @@ func (p *planner) joinRest(sp *subplan) error {
 			continue
 		}
 		sp.usedJoin[linkIdx] = true
-		outerPos, err := outerSchema.MustIndex(outerRef)
+		outerPos, err := sp.col(outerRef)
 		if err != nil {
 			return err
 		}
@@ -490,7 +547,7 @@ func (p *planner) joinRest(sp *subplan) error {
 			}
 			continue
 		}
-		jpPred, err := joinPredFn(sp.schema, expr.JoinPred{Left: outerRef, Right: innerRef})
+		jpPred, err := joinPredFn(sp, expr.JoinPred{Left: outerRef, Right: innerRef})
 		if err != nil {
 			return err
 		}
@@ -558,9 +615,9 @@ func rangesFor(form expr.CondForm, ci expr.CondInstance) []KeyRange {
 	return out
 }
 
-// condPred compiles one bound selection condition against a schema.
-func condPred(schema RowSchema, ct expr.CondTemplate, ci expr.CondInstance) (Pred, error) {
-	pos, err := schema.MustIndex(ct.Col)
+// condPred compiles one bound selection condition against sp's schema.
+func condPred(sp *subplan, ct expr.CondTemplate, ci expr.CondInstance) (Pred, error) {
+	pos, err := sp.col(ct.Col)
 	if err != nil {
 		return nil, err
 	}
@@ -568,20 +625,20 @@ func condPred(schema RowSchema, ct expr.CondTemplate, ci expr.CondInstance) (Pre
 	return func(t value.Tuple) bool { return ci.Matches(form, t[pos]) }, nil
 }
 
-func fixedPredFn(schema RowSchema, f expr.FixedPred) (Pred, error) {
-	pos, err := schema.MustIndex(f.Col)
+func fixedPredFn(sp *subplan, f expr.FixedPred) (Pred, error) {
+	pos, err := sp.col(f.Col)
 	if err != nil {
 		return nil, err
 	}
 	return func(t value.Tuple) bool { return f.Op.Eval(t[pos], f.Val) }, nil
 }
 
-func joinPredFn(schema RowSchema, jp expr.JoinPred) (Pred, error) {
-	l, err := schema.MustIndex(jp.Left)
+func joinPredFn(sp *subplan, jp expr.JoinPred) (Pred, error) {
+	l, err := sp.col(jp.Left)
 	if err != nil {
 		return nil, err
 	}
-	r, err := schema.MustIndex(jp.Right)
+	r, err := sp.col(jp.Right)
 	if err != nil {
 		return nil, err
 	}

@@ -57,12 +57,17 @@ func (s *SeqScan) Close() error {
 // unbounded above.
 type KeyRange struct {
 	Lo, Hi []byte
+	// Eq marks an equality range: Hi is Lo's prefix successor (which
+	// exists, keycodec's tag bytes being below 0xFF), so the range holds
+	// exactly the keys that begin with Lo, and since keycodec is
+	// self-delimiting a key's leading column is exactly Lo's bytes.
+	Eq bool
 }
 
 // EqKeyRange returns the range covering exactly the encoded value v.
 func EqKeyRange(v value.Value) KeyRange {
 	lo := keycodec.AppendValue(nil, v)
-	return KeyRange{Lo: lo, Hi: successorOf(lo)}
+	return KeyRange{Lo: lo, Hi: successorOf(lo), Eq: true}
 }
 
 // IntervalKeyRange returns the encoded range for interval iv over a

@@ -75,12 +75,13 @@ func (h *Heap) Insert(t value.Tuple) (storage.RID, error) {
 
 // Get returns the tuple at rid.
 func (h *Heap) Get(rid storage.RID) (value.Tuple, error) {
-	return h.AppendGet(nil, rid)
+	return h.AppendGet(nil, rid, nil)
 }
 
-// AppendGet decodes the tuple at rid onto the end of dst (see
-// value.AppendDecoded) and returns the extended row.
-func (h *Heap) AppendGet(dst value.Tuple, rid storage.RID) (value.Tuple, error) {
+// AppendGet decodes the tuple at rid onto the end of dst and returns
+// the extended row; a non-nil mask decodes only the columns it marks
+// and leaves the others NULL (see value.AppendDecoded).
+func (h *Heap) AppendGet(dst value.Tuple, rid storage.RID, mask []bool) (value.Tuple, error) {
 	fr, err := h.pool.Fetch(h.file, rid.Page)
 	if err != nil {
 		return nil, err
@@ -91,7 +92,7 @@ func (h *Heap) AppendGet(dst value.Tuple, rid storage.RID) (value.Tuple, error) 
 	if rec == nil {
 		return nil, fmt.Errorf("heap: %v: %w", rid, ErrNotFound)
 	}
-	t, _, err := value.AppendDecoded(dst, rec)
+	t, _, err := value.AppendDecoded(dst, rec, mask)
 	return t, err
 }
 

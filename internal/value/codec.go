@@ -47,15 +47,21 @@ func EncodeTuple(dst []byte, t Tuple) []byte {
 // DecodeTuple parses one tuple from the front of b, returning the tuple
 // and the number of bytes consumed.
 func DecodeTuple(b []byte) (Tuple, int, error) {
-	return AppendDecoded(nil, b)
+	return AppendDecoded(nil, b, nil)
 }
 
 // AppendDecoded parses one tuple from the front of b and appends its
 // columns to dst, returning the extended row and the number of bytes
 // consumed. It allocates only when dst lacks room for the columns, so a
 // caller that sizes dst for several records decodes them into one row.
-// On error it returns a nil row.
-func AppendDecoded(dst Tuple, b []byte) (Tuple, int, error) {
+//
+// A non-nil mask names the columns the caller reads: column i is
+// decoded when i < len(mask) && mask[i], and appended as NULL
+// otherwise, so a skipped string costs no allocation. A nil mask
+// decodes every column. A skipped column is still parsed and
+// bounds-checked, so the byte count and the errors do not depend on the
+// mask. On error it returns a nil row.
+func AppendDecoded(dst Tuple, b []byte, mask []bool) (Tuple, int, error) {
 	if len(b) < 2 {
 		return nil, 0, fmt.Errorf("value: short tuple header")
 	}
@@ -72,20 +78,16 @@ func AppendDecoded(dst Tuple, b []byte) (Tuple, int, error) {
 		}
 		typ := Type(b[off])
 		off++
+		keep := mask == nil || i < len(mask) && mask[i]
+		var v Value
 		switch typ {
 		case TypeNull:
-			t = append(t, Null())
 		case TypeInt, TypeDate:
 			if off+8 > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated int at column %d", i)
 			}
-			u := binary.BigEndian.Uint64(b[off:])
+			v = Value{typ: typ, i: int64(binary.BigEndian.Uint64(b[off:]))}
 			off += 8
-			if typ == TypeInt {
-				t = append(t, Int(int64(u)))
-			} else {
-				t = append(t, Date(int64(u)))
-			}
 		case TypeBool:
 			if off+1 > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated bool at column %d", i)
@@ -95,13 +97,13 @@ func AppendDecoded(dst Tuple, b []byte) (Tuple, int, error) {
 				// not a sloppy encoder.
 				return nil, 0, fmt.Errorf("value: bad bool byte 0x%02x at column %d", b[off], i)
 			}
-			t = append(t, Bool(b[off] != 0))
+			v = Bool(b[off] != 0)
 			off++
 		case TypeFloat:
 			if off+8 > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated float at column %d", i)
 			}
-			t = append(t, Float(math.Float64frombits(binary.BigEndian.Uint64(b[off:]))))
+			v = Float(math.Float64frombits(binary.BigEndian.Uint64(b[off:])))
 			off += 8
 		case TypeString:
 			if off+4 > len(b) {
@@ -112,11 +114,17 @@ func AppendDecoded(dst Tuple, b []byte) (Tuple, int, error) {
 			if off+l > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated string at column %d", i)
 			}
-			t = append(t, Str(string(b[off:off+l])))
+			if keep {
+				v = Str(string(b[off : off+l]))
+			}
 			off += l
 		default:
 			return nil, 0, fmt.Errorf("value: unknown type tag %d at column %d", typ, i)
 		}
+		if !keep {
+			v = Value{}
+		}
+		t = append(t, v)
 	}
 	return t, off, nil
 }

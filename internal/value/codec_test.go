@@ -128,3 +128,87 @@ func TestEncodeDeterministic(t *testing.T) {
 		t.Error("encoding is not deterministic")
 	}
 }
+
+// same reports whether a and b are the identical value, NaN payloads
+// included.
+func same(a, b Value) bool {
+	return a.typ == b.typ && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
+// FuzzAppendDecoded holds the masked decode to the full one: on a random
+// tuple's encoding, cut short, with a bit flipped or with bytes after
+// it, AppendDecoded under a random mask must fail exactly when the full
+// decode fails, consume the same bytes, keep dst's columns, and yield
+// the full decode's value on every marked column and NULL elsewhere.
+func FuzzAppendDecoded(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint64(0b101101), uint8(6), uint16(0), uint16(0), uint8(0))
+	f.Add(int64(2), uint8(9), uint64(0), uint8(0), uint16(0), uint16(0), uint8(0))
+	f.Add(int64(3), uint8(12), ^uint64(0), uint8(40), uint16(0), uint16(0), uint8(0))
+	f.Add(int64(4), uint8(8), uint64(0b0110), uint8(4), uint16(17), uint16(0), uint8(0))
+	f.Add(int64(5), uint8(8), uint64(0b1010), uint8(8), uint16(0), uint16(9), uint8(3))
+	f.Add(int64(6), uint8(3), uint64(0b111), uint8(3), uint16(0), uint16(2), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, cols uint8, maskBits uint64, maskLen uint8, cut, flipAt uint16, flipBit uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		tup := make(Tuple, int(cols)%24)
+		for i := range tup {
+			switch rng.Intn(6) {
+			case 0:
+				tup[i] = Null()
+			case 1:
+				tup[i] = Int(rng.Int63() - rng.Int63())
+			case 2:
+				tup[i] = Float(rng.NormFloat64())
+			case 3:
+				b := make([]byte, rng.Intn(20))
+				rng.Read(b)
+				tup[i] = Str(string(b))
+			case 4:
+				tup[i] = Bool(rng.Intn(2) == 0)
+			default:
+				tup[i] = Date(rng.Int63n(100000))
+			}
+		}
+		b := EncodeTuple(nil, tup)
+		if flipBit != 0 && len(b) > 0 {
+			b[int(flipAt)%len(b)] ^= 1 << (flipBit % 8)
+		}
+		switch {
+		case cut > 0 && int(cut) < len(b):
+			b = b[:len(b)-int(cut)]
+		case cut > 0:
+			b = append(b, byte(cut), byte(cut>>8)) // bytes after the record
+		}
+		mask := make([]bool, int(maskLen)%72)
+		for i := range mask {
+			mask[i] = maskBits>>(i%64)&1 == 1
+		}
+
+		full, nf, ferr := AppendDecoded(nil, b, nil)
+		dst := Tuple{Str("kept")}
+		got, nm, merr := AppendDecoded(dst, b, mask)
+		if (ferr == nil) != (merr == nil) {
+			t.Fatalf("full decode err %v, masked decode err %v", ferr, merr)
+		}
+		if ferr != nil {
+			if got != nil || nm != 0 {
+				t.Fatalf("failed masked decode returned %v, %d bytes", got, nm)
+			}
+			return
+		}
+		if nm != nf {
+			t.Fatalf("masked decode consumed %d bytes, full %d", nm, nf)
+		}
+		if len(got) != len(dst)+len(full) || !same(got[0], dst[0]) {
+			t.Fatalf("masked decode returned %v for dst %v and %d columns", got, dst, len(full))
+		}
+		for i, v := range full {
+			want := Null()
+			if i < len(mask) && mask[i] {
+				want = v
+			}
+			if !same(got[len(dst)+i], want) {
+				t.Fatalf("column %d: masked decode %v, want %v (full %v)", i, got[len(dst)+i], want, v)
+			}
+		}
+	})
+}
