@@ -25,7 +25,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -210,7 +209,7 @@ func (r *Router) hedgedProbeShard(ctx context.Context, shard int, view string, m
 			hctx, hcancel = context.WithCancel(ctx)
 			defer hcancel()
 			go func() {
-				rep, err := r.probeOnce(hctx, shard, view, m, batch, arb.source(1, emit))
+				rep, err := r.probeShard(hctx, shard, view, m, batch, false, arb.source(1, emit))
 				results <- probeResult{rep, err, true}
 			}()
 		case res := <-results:
@@ -239,27 +238,4 @@ func (r *Router) hedgedProbeShard(ctx context.Context, shard int, view string, m
 			// One arm is dead; wait for the survivor.
 		}
 	}
-}
-
-// probeOnce is probeShard without the epoch-retry loop, for hedge
-// arms: if the hedge hits a stale-epoch answer the primary's retry
-// path handles re-teaching, and a failed hedge costs nothing.
-func (r *Router) probeOnce(ctx context.Context, shard int, view string, m *ShardMap, batch []wire.ProbePart, emit func(value.Tuple) error) (client.Report, error) {
-	sm := r.metrics.Shards[shard]
-	sm.Probes.Add(1)
-	start := time.Now()
-	c := r.pools[shard].get()
-	rows := 0
-	rep, err := c.ProbeParts(ctx, view, m.Epoch(), batch, r.probeBudget(ctx), func(t client.Tuple) error {
-		rows++
-		return emit(t)
-	})
-	r.pools[shard].put(c, err == nil || errors.Is(err, client.ErrRemote) || errors.Is(err, wire.ErrEpoch))
-	sm.ProbeLatency.Observe(time.Since(start))
-	sm.ProbeRows.Add(int64(rows))
-	if err != nil {
-		sm.ProbeFailures.Add(1)
-	}
-	r.noteOutcome(shard, outcomeProbe, time.Since(start), err, false)
-	return rep, err
 }

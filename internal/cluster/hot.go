@@ -217,15 +217,15 @@ func (h *hotPlane) viewGen(name string) uint64 {
 	return h.viewLocked(name).gen
 }
 
-// capture records one emitted Ls′ tuple into the replica cache when
-// its bcp key is currently tracked by the view's top-k. gen must be
-// the viewGen snapshot taken before the query's probes were
-// dispatched; a stale generation means a write landed while the tuple
-// was in flight, and the capture is discarded. Tuples are deduped on
-// their encoding — the same hot key's partials arrive once per query —
-// and cloned, because the caller's tuple buffer is not ours to retain.
-func (h *hotPlane) capture(meta *viewMeta, t value.Tuple, gen uint64) {
-	key := meta.bcpKey(t, make([]value.Value, len(meta.condPos)))
+// capture records one emitted Ls′ tuple t, whose bcp key is key, into
+// the replica cache when the key is currently tracked by the view's
+// top-k. gen must be the viewGen snapshot taken before the query's
+// probes were dispatched; a stale generation means a write landed
+// while the tuple was in flight, and the capture is discarded. Tuples
+// are deduped on their encoding — the same hot key's partials arrive
+// once per query — and cloned, because the caller's tuple buffer is
+// not ours to retain.
+func (h *hotPlane) capture(meta *viewMeta, key string, t value.Tuple, gen uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	hv := h.viewLocked(meta.name)

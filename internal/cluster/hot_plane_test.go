@@ -58,7 +58,7 @@ func TestHotCaptureGenerationDiscardsStale(t *testing.T) {
 	track(h, "v", key)
 
 	gen := h.viewGen("v")
-	h.capture(meta, tup, gen)
+	h.capture(meta, key, tup, gen)
 	if n := replicaTuples(h, "v", key); n != 1 {
 		t.Fatalf("fresh capture cached %d tuples, want 1", n)
 	}
@@ -68,13 +68,13 @@ func TestHotCaptureGenerationDiscardsStale(t *testing.T) {
 	if n := replicaTuples(h, "v", key); n != 0 {
 		t.Fatalf("invalidate left %d replica tuples", n)
 	}
-	h.capture(meta, tup, gen)
+	h.capture(meta, key, tup, gen)
 	if n := replicaTuples(h, "v", key); n != 0 {
 		t.Fatal("stale-generation capture repopulated the dropped replica")
 	}
 
 	// A capture under the fresh generation is ordinary warm-up.
-	h.capture(meta, tup, h.viewGen("v"))
+	h.capture(meta, key, tup, h.viewGen("v"))
 	if n := replicaTuples(h, "v", key); n != 1 {
 		t.Fatalf("fresh-generation capture cached %d tuples, want 1", n)
 	}
@@ -92,7 +92,7 @@ func TestHotRepairDropsQueryReplicas(t *testing.T) {
 	track(h, "v", key)
 
 	gen := h.viewGen("v")
-	h.capture(meta, tup, gen)
+	h.capture(meta, key, tup, gen)
 	h.repair(meta, []core.ConditionPart{{BCPKey: key}})
 	if n := replicaTuples(h, "v", key); n != 0 {
 		t.Fatal("repair left the suspect replica cached")
@@ -100,7 +100,7 @@ func TestHotRepairDropsQueryReplicas(t *testing.T) {
 	if h.replicaEvicts.Load() != 1 {
 		t.Fatalf("replicaEvicts = %d, want 1", h.replicaEvicts.Load())
 	}
-	h.capture(meta, tup, gen)
+	h.capture(meta, key, tup, gen)
 	if n := replicaTuples(h, "v", key); n != 0 {
 		t.Fatal("pre-repair capture resurrected the suspect replica")
 	}

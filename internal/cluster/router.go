@@ -1,20 +1,21 @@
 // router.go is the scatter-gather front end of the cluster plane. A
 // Router speaks the same wire protocol as pmvd, so existing clients
 // point at it unchanged, but behind each query it runs the paper's
-// protocol across shards:
+// protocol across shards: core.Run, the one driver a local view runs
+// too, over a routedSource whose phases are
 //
-//	O1  locally — BreakConditions via an engine-free BCPCoder built
-//	    from the view's template and dividers (fetched once per view
-//	    from a shard),
+//	O1  local — BreakConditions via an engine-free BCPCoder built from
+//	    the view's template and dividers (fetched once per view from a
+//	    shard),
 //	O2  scattered — condition parts are grouped by the shard map's
-//	    owner and probed concurrently, one batch per owning shard;
-//	    cached Ls′ partials are recorded in the router's DS duplicate
-//	    multiset and written to the client as they arrive (the first
-//	    flushed at once, the rest when the scatter returns),
+//	    owner and probed concurrently, one batch per owning shard; the
+//	    cached Ls′ partials go into core's DS table and to the client as
+//	    they arrive (the first flushed at once, the rest when the
+//	    scatter returns),
 //	O3  on any one shard — every shard holds the full base data, so
 //	    the blocking plan runs once, round-robined with failover while
-//	    zero O3 rows have been emitted; duplicates of already-streamed
-//	    partials are consumed from DS instead of re-emitted,
+//	    zero O3 rows have been emitted; DS consumes the duplicates of
+//	    already-streamed partials,
 //	refill — O3 rows of bcps that delivered no partial fan back to the
 //	    bcp owners asynchronously, never retried (shard-side refill is
 //	    idempotent at entry granularity, so at-most-once is safe and
@@ -25,8 +26,9 @@
 // partials (Report.Degraded), never correctness. If every shard
 // refuses O3 but partials were delivered, the query closes
 // PartialOnly+Degraded — the same contract as single-node admission
-// shedding. Leftover DS tokens on a cleanly completed query are a
-// consistency violation and fail the query loudly.
+// shedding. A deadline that runs out keeps the partials and flags
+// DeadlineExpired, as it does locally. Leftover DS tokens on a cleanly
+// completed query fail core's exactly-once audit loudly.
 package cluster
 
 import (
@@ -34,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -549,7 +550,8 @@ func (r *Router) viewMeta(ctx context.Context, name string) (*viewMeta, error) {
 	return nil, fmt.Errorf("router: no shard reachable for view metadata: %w", lastErr)
 }
 
-// handleQuery runs the scattered PMV protocol for one client query.
+// handleQuery runs the PMV protocol for one client query through
+// core.Run over the shards (routedSource).
 func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 	req, err := wire.DecodeQuery(payload)
 	if err != nil {
@@ -583,30 +585,8 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 		return sess.WriteErr(err)
 	}
 
-	// Operation O1, locally.
-	var o1Start time.Time
-	if tr.Enabled() {
-		o1Start = time.Now()
-	}
-	skipped := false
-	parts, o1err := meta.coder.BreakConditions(q)
-	if o1err != nil {
-		if !errors.Is(o1err, core.ErrTooManyParts) {
-			return sess.WriteErr(o1err)
-		}
-		skipped, parts = true, nil
-	}
-	if tr.Enabled() {
-		var inexact int64
-		for i := range parts {
-			if !parts[i].Exact {
-				inexact++
-			}
-		}
-		tr.Span(obs.KindO1, o1Start, int64(len(parts)), inexact, 0)
-	}
-
-	// Admission: decided before any work, like the single-node server.
+	// Admission, decided before any work like the single-node server's:
+	// a shed query gets a probes-only answer, bounded work and flagged.
 	shed := false
 	select {
 	case r.sem <- struct{}{}:
@@ -615,224 +595,192 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 	default:
 		shed = true
 		tr.Event(obs.KindQueue, 0, 0, 0)
+		o.degrade("shed: partial-only answer")
 	}
 
-	// Shared emission state. ds is the DS duplicate multiset, keyed on
-	// the encoded full Ls′ tuple; every emitted partial is recorded
-	// BEFORE its row frame is written, so O3 can always consume it.
-	// served holds the bcp keys that delivered a partial: their entries
-	// are populated, so refill has nothing to add to them.
-	var (
-		emitMu          sync.Mutex
-		ds              = make(map[string]int)
-		served          = make(map[string]struct{})
-		condVals        = make([]value.Value, len(meta.condPos))
-		partialsEmitted int
-	)
-	emitLocked := func(t value.Tuple, partial bool) error {
-		if werr := sess.WriteRow(t[:meta.nUserCols], partial); werr != nil {
-			return werr
-		}
-		if partial {
-			partialsEmitted++
-		}
-		return nil
-	}
-
-	// The capture generation: a write to this view between here and a
-	// capture discards the capture, so in-flight pre-write tuples can
-	// never repopulate a dropped replica.
-	var hotGen uint64
+	src := &routedSource{r: r, meta: meta, q: q, sess: sess, o: o, condVals: make([]value.Value, len(meta.condPos))}
 	if r.hot != nil {
-		hotGen = r.hot.viewGen(meta.name)
+		// The capture generation: a write to this view between here and a
+		// capture discards the capture, so in-flight pre-write tuples can
+		// never repopulate a dropped replica.
+		src.hotGen = r.hot.viewGen(meta.name)
 	}
-
 	start := time.Now()
-	hit, degraded := r.scatterProbes(ctx, meta, parts, func(t value.Tuple) error {
-		if r.hot != nil {
-			// Capture hot keys' partials into the replica cache; dup-safe
-			// (replica-served tuples re-arrive here and are deduped).
-			r.hot.capture(meta, t, hotGen)
-		}
-		emitMu.Lock()
-		defer emitMu.Unlock()
-		ds[string(value.EncodeTuple(nil, t))]++
-		served[meta.bcpKey(t, condVals)] = struct{}{}
-		return emitLocked(t, true)
-	})
-	partialLatency := time.Since(start)
+	// The flush at the phase boundary puts every partial on the client's
+	// socket before the O3 exec goes out.
+	rep, err := core.Run(ctx, src, meta.nUserCols, shed, func(res core.Result) error {
+		return sess.WriteRow(res.Tuple, res.Partial)
+	}, sess.Flush)
 	if werr := sess.Err(); werr != nil {
 		return werr
 	}
-	r.metrics.Scatter.Observe(partialLatency)
-	r.metrics.PartialRows.Add(int64(partialsEmitted))
+	wrep := wire.Report{
+		Hit:             rep.Hit,
+		Skipped:         rep.Skipped,
+		Degraded:        src.degraded,
+		DeadlineExpired: rep.DeadlineExpired,
+		PartialOnly:     rep.PartialOnly,
+		Shed:            shed,
+		ConditionParts:  rep.ConditionParts,
+		PartialTuples:   rep.PartialTuples,
+		TotalTuples:     rep.TotalTuples,
+		PartialLatency:  rep.PartialLatency,
+		ExecLatency:     src.execLatency,
+	}
+	if err != nil {
+		if src.execErr == nil || len(src.fresh) > 0 || rep.PartialTuples == 0 {
+			return sess.WriteErr(err)
+		}
+		// Every shard refused O3 but the partials stand: close the
+		// stream the way single-node degradation does. This is the
+		// slow-ring's most important customer: the query degraded to the
+		// flagged PMV-only subset, so it is recorded with a reason
+		// regardless of how fast it was.
+		r.metrics.Degraded.Add(1)
+		wrep.Degraded, wrep.PartialOnly = true, true
+		o.degrade(fmt.Sprintf("o3 failed on every shard: %v", src.execErr))
+	}
+	return r.finishQuery(sess, wrep, start, o)
+}
+
+// routedSource is the router's side of one query (core.Source): O1 on
+// the router, O2 scattered to the bcp owners, O3 one plain execution
+// per shard in failover order, and the refill fanned back to the
+// owners of the bcps that served nothing.
+type routedSource struct {
+	r      *Router
+	meta   *viewMeta
+	q      *expr.Query
+	sess   *session.Session
+	o      *queryObs
+	hotGen uint64
+
+	mu       sync.Mutex    // serializes the probe goroutines' rows
+	condVals []value.Value // bcpKey scratch, under mu
+	parts    []core.ConditionPart
+	degraded bool // some shard's partials were lost
+
+	// O3: the failover order, the refill gate's verdict as O3 began,
+	// the last attempt's shard failure, the shard-side latency of the
+	// attempt that answered, and the rows to refill.
+	first       int
+	order       []int
+	gateSeq     int64
+	gateOK      bool
+	execErr     error
+	execLatency time.Duration
+	fresh       []value.Tuple
+}
+
+func (s *routedSource) Parts() ([]core.ConditionPart, error) {
+	return s.meta.coder.BreakConditions(s.q)
+}
+
+// Probe scatters the parts to their owners. Each row's bcp key is
+// computed once, for DS's served set and the hot plane's capture.
+func (s *routedSource) Probe(ctx context.Context, parts []core.ConditionPart, emit func(value.Tuple, string) error) (core.ProbeReport, error) {
+	s.parts = parts
+	rows := 0
+	start := time.Now()
+	hit, degraded := s.r.scatterProbes(ctx, s.meta, parts, func(t value.Tuple) error {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		key := s.meta.bcpKey(t, s.condVals)
+		if s.r.hot != nil {
+			// Capture hot keys' partials into the replica cache; dup-safe
+			// (replica-served tuples re-arrive here and are deduped).
+			s.r.hot.capture(s.meta, key, t, s.hotGen)
+		}
+		rows++
+		return emit(t, key)
+	})
+	s.r.metrics.Scatter.Observe(time.Since(start))
+	s.r.metrics.PartialRows.Add(int64(rows))
 	if degraded {
 		// The query may still close cleanly, but some shard's cached
 		// partials were silently lost — record it either way.
-		o.degrade("probe degraded: shard partials lost")
+		s.degraded = true
+		s.o.degrade("probe degraded: shard partials lost")
 	}
+	return core.ProbeReport{Hit: hit}, s.sess.Err()
+}
 
-	baseRep := wire.Report{
-		Hit:            hit,
-		Skipped:        skipped,
-		Degraded:       degraded,
-		Shed:           shed,
-		ConditionParts: len(parts),
-		PartialTuples:  partialsEmitted,
-		PartialLatency: partialLatency,
+// Exec runs O3 on the i-th shard of the round-robin failover order:
+// every shard holds the full base data.
+func (s *routedSource) Exec(ctx context.Context, i int, emit func(value.Tuple) error) (bool, error) {
+	r := s.r
+	n := len(r.pools)
+	if i == 0 {
+		s.gateSeq, s.gateOK = r.gate.begin()
+		s.first = int(r.rr.Add(1)-1) % n
+		s.order = r.execOrder(s.first, n)
 	}
+	more := i+1 < n
+	s.execErr = nil
+	if err := ctx.Err(); err != nil {
+		return more, err // never sent: no shard to blame
+	}
+	shard := (s.first + i) % n
+	if s.order != nil {
+		shard = s.order[i]
+	}
+	sm := r.metrics.Shards[shard]
+	sm.Execs.Add(1)
+	c := r.pools[shard].get()
+	rep, err := c.ExecPlain(ctx, s.meta.name, s.q.Conds, emit)
+	r.pools[shard].put(c, err == nil || errors.Is(err, client.ErrRemote))
+	if err == nil || ctx.Err() == nil {
+		// Exec latency is workload-shaped, so only the verdict feeds the
+		// failure detector (d=0); a deadline-ended attempt blames
+		// neither side.
+		r.noteOutcome(shard, outcomeExec, 0, err, false)
+	}
+	if err == nil {
+		r.metrics.Exec.Observe(rep.ExecLatency)
+		s.execLatency = rep.ExecLatency
+		if rep.DeadlineExpired {
+			return more, context.DeadlineExceeded
+		}
+		return more, nil
+	}
+	sm.ExecFailures.Add(1)
+	if werr := s.sess.Err(); werr != nil {
+		return false, werr
+	}
+	if ctxErr := ctx.Err(); ctxErr != nil {
+		return more, ctxErr // the deadline, not the shard, ended the attempt
+	}
+	s.execErr = err
+	return more, fmt.Errorf("router: query execution failed: %w", err)
+}
 
-	if shed {
-		// Probes-only answer: bounded work under overload, flagged.
-		baseRep.PartialOnly = true
-		baseRep.TotalTuples = partialsEmitted
-		o.degrade("shed: partial-only answer")
-		return r.finishQuery(sess, baseRep, start, o)
-	}
+func (s *routedSource) Fill(t value.Tuple) { s.fresh = append(s.fresh, t.Clone()) }
 
-	// Phase boundary: every partial is on the client's socket before the
-	// O3 exec goes out.
-	if werr := sess.Flush(); werr != nil {
-		return werr
+func (s *routedSource) Refill(served []string) {
+	if len(s.fresh) == 0 {
+		return
 	}
+	skip := make(map[string]struct{}, len(served))
+	for _, k := range served {
+		skip[k] = struct{}{}
+	}
+	s.r.spawnRefill(s.o.tr, s.meta, s.fresh, skip, s.hotGen, s.gateSeq, s.gateOK)
+}
 
-	// Operation O3 on one shard, with failover while zero O3 rows have
-	// reached the client. Each attempt starts from a fresh DS snapshot:
-	// a failed attempt may have consumed tokens for duplicates it
-	// dropped, and replaying against the consumed map would either
-	// re-emit a partial or fake a consistency violation.
-	snapshot := maps.Clone(ds)
-	refillSeq, refillOK := r.gate.begin()
-	nShards := len(r.pools)
-	firstShard := int(r.rr.Add(1)-1) % nShards
-	var (
-		execRep  client.Report
-		execErr  error
-		execRows int
-		refill   []value.Tuple
-		execOK   bool
-		attempts int
-	)
-	var o3Start time.Time
-	if tr.Enabled() {
-		o3Start = time.Now()
+// Invalidate reacts to a failed audit: an owner's entry holds a row
+// execution no longer produces (a write that bypassed the router, say),
+// so the bcps that served a partial are invalidated, as a failed local
+// audit does, and the retry the error invites converges instead of
+// failing on the same entry forever.
+func (s *routedSource) Invalidate(keys []string) {
+	if s.r.hot != nil {
+		// A leftover with replication in play can mean a stale shard-side
+		// hot entry whose invalidation was lost; fan a fresh one so the
+		// next read converges.
+		s.r.hot.repair(s.meta, s.parts)
 	}
-	order := r.execOrder(firstShard, nShards)
-	for attempt := 0; attempt < nShards; attempt++ {
-		attempts++
-		shard := (firstShard + attempt) % nShards
-		if order != nil {
-			shard = order[attempt]
-		}
-		ds = maps.Clone(snapshot)
-		execRows, refill = 0, nil
-		sm := r.metrics.Shards[shard]
-		sm.Execs.Add(1)
-		c := r.pools[shard].get()
-		execRep, execErr = c.ExecPlain(ctx, meta.name, req.Conds, func(t client.Tuple) error {
-			emitMu.Lock()
-			defer emitMu.Unlock()
-			key := string(value.EncodeTuple(nil, t))
-			if n := ds[key]; n > 0 {
-				if n == 1 {
-					delete(ds, key)
-				} else {
-					ds[key] = n - 1
-				}
-				return nil // duplicate of an already-streamed partial
-			}
-			if werr := emitLocked(t, false); werr != nil {
-				return werr
-			}
-			execRows++
-			refill = append(refill, t.Clone())
-			return nil
-		})
-		r.pools[shard].put(c, execErr == nil || errors.Is(execErr, client.ErrRemote))
-		if execErr == nil || ctx.Err() == nil {
-			// Exec latency is workload-shaped, so only the verdict feeds
-			// the failure detector (d=0); a deadline-ended attempt blames
-			// neither side.
-			r.noteOutcome(shard, outcomeExec, 0, execErr, false)
-		}
-		if werr := sess.Err(); werr != nil {
-			return werr
-		}
-		if execErr == nil {
-			execOK = true
-			break
-		}
-		sm.ExecFailures.Add(1)
-		if ctx.Err() != nil {
-			break // the deadline, not the shard, ended the attempt
-		}
-		if execRows > 0 {
-			// Rows from a now-dead O3 already reached the client; a
-			// second execution could duplicate them. Fail typed — the
-			// client sees a subset plus an error, never duplicates.
-			break
-		}
-	}
-
-	if !execOK {
-		if execRows == 0 && partialsEmitted > 0 && ctx.Err() == nil {
-			// Every shard refused O3 but the partials stand: close the
-			// stream the way single-node degradation does. This is the
-			// slow-ring's most important customer: the query degraded to
-			// the flagged PMV-only subset, so it is recorded with a
-			// reason regardless of how fast it was.
-			r.metrics.Degraded.Add(1)
-			baseRep.Degraded = true
-			baseRep.PartialOnly = true
-			baseRep.TotalTuples = partialsEmitted
-			o.degrade(fmt.Sprintf("o3 failed on every shard: %v", execErr))
-			return r.finishQuery(sess, baseRep, start, o)
-		}
-		return sess.WriteErr(fmt.Errorf("router: query execution failed: %w", execErr))
-	}
-	if tr.Enabled() {
-		tr.Span(obs.KindO3, o3Start, int64(execRows), int64(attempts), 0)
-	}
-
-	// Exactly-once audit: on a clean completion every recorded partial
-	// must have been matched by an O3 row. Deadline truncation excuses
-	// leftovers (O3 stopped early by contract).
-	if !execRep.DeadlineExpired {
-		leftover := 0
-		for _, n := range ds {
-			leftover += n
-		}
-		if leftover > 0 {
-			if r.hot != nil {
-				// A leftover with replication in play can mean a stale
-				// shard-side hot entry whose invalidation was lost; fan a
-				// fresh one so the next read converges.
-				r.hot.repair(meta, parts)
-			}
-			// An owner's entry holds a row execution no longer produces
-			// (a write that bypassed the router, say). Invalidate every
-			// bcp that served a partial, as a failed local audit does, so
-			// the retry the error invites converges instead of failing
-			// on the same entry forever.
-			keys := make([]string, 0, len(served))
-			for k := range served {
-				keys = append(keys, k)
-			}
-			r.spawnInvalidate(meta.name, keys)
-			r.metrics.DSLeftover.Add(1)
-			return sess.WriteErr(fmt.Errorf("router: consistency violation: %d partial tuples never produced by execution", leftover))
-		}
-	}
-
-	r.metrics.Exec.Observe(execRep.ExecLatency)
-	baseRep.DeadlineExpired = execRep.DeadlineExpired
-	baseRep.TotalTuples = partialsEmitted + execRows
-	baseRep.ExecLatency = execRep.ExecLatency
-
-	if len(refill) > 0 {
-		r.spawnRefill(tr, meta, refill, served, hotGen, refillSeq, refillOK)
-	}
-	return r.finishQuery(sess, baseRep, start, o)
+	s.r.spawnInvalidate(s.meta.name, keys)
+	s.r.metrics.DSLeftover.Add(1)
 }
 
 // finishQuery records the closing metrics and observability (trace
@@ -1011,13 +959,13 @@ func (r *Router) spawnRefill(tr *obs.Trace, meta *viewMeta, tuples []value.Tuple
 	condVals := make([]value.Value, len(meta.condPos))
 	groups := make(map[int][]value.Tuple)
 	for _, t := range tuples {
+		key := meta.bcpKey(t, condVals)
 		if r.hot != nil {
 			// A refill candidate is a cache miss for a demanded key — the
 			// capture that lets a newly hot key's entry be replicated
 			// before any shard has it cached.
-			r.hot.capture(meta, t, hotGen)
+			r.hot.capture(meta, key, t, hotGen)
 		}
-		key := meta.bcpKey(t, condVals)
 		if _, ok := served[key]; ok {
 			continue
 		}

@@ -77,13 +77,13 @@ func shardConfig() server.Config {
 }
 
 // testCluster starts three loopback shards and a router over them.
-func testCluster(t *testing.T) (*cluster.Router, []*server.Server, []*pmv.DB, map[[2]int64]int) {
+func testCluster(t testing.TB) (*cluster.Router, []*server.Server, []*pmv.DB, map[[2]int64]int) {
 	return testClusterFS(t, nil)
 }
 
 // testClusterFS is testCluster with every shard's files going through
 // fs (nil = the real OS).
-func testClusterFS(t *testing.T, fs pmv.FS) (*cluster.Router, []*server.Server, []*pmv.DB, map[[2]int64]int) {
+func testClusterFS(t testing.TB, fs pmv.FS) (*cluster.Router, []*server.Server, []*pmv.DB, map[[2]int64]int) {
 	t.Helper()
 	var (
 		srvs  []*server.Server
@@ -326,5 +326,38 @@ func TestRouterAdminProxying(t *testing.T) {
 	}
 	if st.Server.SessionsActive < 1 {
 		t.Fatalf("router stats show no active session: %+v", st.Server)
+	}
+}
+
+// BenchmarkRoutedQuery is the routed layer's number: one warm pair's
+// query from a client through the router over three loopback shards —
+// O1 on the router, the O2 scatter, O3 on one shard, DS and the refill
+// decision — with every process in this one.
+func BenchmarkRoutedQuery(b *testing.B) {
+	r, _, _, want := testCluster(b)
+	c := client.New(r.Addr().String())
+	defer c.Close()
+	n := want[[2]int64{3, 2}]
+	query := func() client.Report {
+		rows := 0
+		rep, err := c.ExecutePartial(context.Background(), "pmv_on_sale", conds(3, 2), func(client.Row) error {
+			rows++
+			return nil
+		})
+		if err != nil || rows != n {
+			b.Fatalf("%d rows, want %d: %v", rows, n, err)
+		}
+		return rep
+	}
+	for deadline := time.Now().Add(5 * time.Second); query().PartialTuples == 0; {
+		if time.Now().After(deadline) {
+			b.Fatal("the pair never cached")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		query()
 	}
 }

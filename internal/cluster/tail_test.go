@@ -321,3 +321,59 @@ func TestRouterAnswersPing(t *testing.T) {
 		t.Fatal("rtt not measured")
 	}
 }
+
+// TestDeadlineDuringProbesKeepsPartials: a routed deadline that runs out
+// while O2 still waits on a blackholed shard ends the query as a local
+// one does — no error, DeadlineExpired, and the partials the healthy
+// shards served delivered — and sends no exec, so no shard is charged
+// an exec failure for a request it never saw.
+func TestDeadlineDuringProbesKeepsPartials(t *testing.T) {
+	inj := netfault.NewInjector(6)
+	r, _, want := tailCluster(t, inj, func(cfg *cluster.Config) {
+		cfg.DefaultDeadline = 300 * time.Millisecond
+	})
+	c := client.New(r.Addr().String())
+	defer c.Close()
+
+	for pass := 0; pass < 2; pass++ {
+		for cc := int64(0); cc < 8; cc++ {
+			for ss := int64(0); ss < 5; ss++ {
+				runQuery(t, c, cc, ss, want[[2]int64{cc, ss}])
+			}
+		}
+		time.Sleep(200 * time.Millisecond) // let refill land
+	}
+	inj.Add(netfault.Rule{Kind: netfault.FaultBlackhole, Op: netfault.OpAny, Prob: 1, Sticky: true})
+
+	shards := r.Metrics().Shards
+	execs := make([]int64, len(shards))
+	for i, sm := range shards {
+		execs[i] = sm.Execs.Load() + sm.ExecFailures.Load()
+	}
+	every := []client.Cond{
+		client.Eq(client.Int(0), client.Int(1), client.Int(2), client.Int(3), client.Int(4), client.Int(5), client.Int(6), client.Int(7)),
+		client.Eq(client.Int(0), client.Int(1), client.Int(2), client.Int(3), client.Int(4)),
+	}
+	rows, partials := 0, 0
+	rep, err := c.ExecutePartial(context.Background(), "pmv_on_sale", every, func(row client.Row) error {
+		rows++
+		if row.Partial {
+			partials++
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("deadline during O2 failed the query: %v", err)
+	}
+	if !rep.DeadlineExpired {
+		t.Fatalf("report not flagged DeadlineExpired: %+v", rep)
+	}
+	if partials == 0 || rows != partials || rep.PartialTuples != partials {
+		t.Fatalf("delivered %d rows, %d partial; report %+v; want the healthy shards' partials only", rows, partials, rep)
+	}
+	for i, sm := range shards {
+		if n := sm.Execs.Load() + sm.ExecFailures.Load(); n != execs[i] {
+			t.Fatalf("shard %d: execs+failures %d -> %d for an exec never sent", i, execs[i], n)
+		}
+	}
+}

@@ -1,0 +1,256 @@
+// driver.go runs the paper's query protocol (Section 3.3) once for
+// every place a view lives: O1 breaks Cselect into condition parts, O2
+// serves the cached tuples and records them in DS, O3 executes the
+// query and consumes DS for every duplicate, and then the view is
+// refilled or, when DS has tokens left, the exactly-once audit fails.
+// A local View and a router over shards are two Sources of the same
+// run, so a protocol change is one edit here.
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"time"
+
+	"pmv/internal/obs"
+	"pmv/internal/value"
+)
+
+// Source is where one query's PMV lives: a local view under its S
+// lock, or a router's shards. Run calls its methods from one goroutine.
+type Source interface {
+	// Parts runs Operation O1. ErrTooManyParts makes the query skip
+	// the PMV (O2 gets no parts).
+	Parts() ([]ConditionPart, error)
+	// Probe runs Operation O2 over parts, calling emit once per cached
+	// Ls′ tuple with the bcp key it is cached under. Calls to emit must
+	// not overlap.
+	Probe(ctx context.Context, parts []ConditionPart, emit func(t value.Tuple, key string) error) (ProbeReport, error)
+	// Exec makes attempt i of Operation O3, emitting every Ls′ result
+	// row, and reports whether an attempt i+1 exists. An attempt that
+	// ended with the deadline returns an error matching
+	// context.DeadlineExceeded.
+	Exec(ctx context.Context, i int, emit func(value.Tuple) error) (more bool, err error)
+	// Fill sees every O3 row DS did not suppress, before it is emitted.
+	Fill(t value.Tuple)
+	// Refill ends an O3 that finished or ran out of time; served holds
+	// the bcp keys that delivered a partial (a key may repeat).
+	Refill(served []string)
+	// Invalidate drops the entries of keys after a failed audit.
+	Invalidate(keys []string)
+}
+
+// ProbeReport summarizes one Operation O2.
+type ProbeReport struct {
+	// Hit is true when any probed bcp was tracked by the view.
+	Hit bool
+	// PartHits counts probed parts whose bcp was present.
+	PartHits int
+	// PartialTuples counts Ls′ tuples emitted.
+	PartialTuples int
+}
+
+// driver is one run's state. Drivers are pooled with their two row
+// callbacks bound once, so a warm run allocates nothing of its own.
+type driver struct {
+	src      Source
+	emit     func(Result) error
+	userCols int
+	ds       *dsTable
+	rep      QueryReport
+	// served holds the bcp key of every partial, written once per run
+	// of equal keys.
+	served []string
+	// O3's counters for the attempt that ended it: rows seen, rows
+	// emitted, duplicates suppressed.
+	seen, fresh, dups int64
+	o3Overhead        time.Duration
+
+	partial func(value.Tuple, string) error
+	row     func(value.Tuple) error
+}
+
+var drivers = sync.Pool{New: func() any {
+	d := new(driver)
+	d.partial, d.row = d.partialRow, d.o3Row
+	return d
+}}
+
+// Run answers one query from src with the PMV protocol. emit receives
+// every result exactly once, projected to its first userCols columns
+// (Ls); O2's results come flagged Partial. With partialOnly set only
+// O1 and O2 run. endO2, when non-nil, runs after O2's last partial and
+// before O3 starts; its error aborts the query.
+//
+// A context that is cancelled ends the query with ctx.Err(). A deadline
+// that runs out does not fail it: the partials delivered stand, O3
+// stops or never starts, and the report comes back with
+// DeadlineExpired set. O3 fails over to the source's next attempt only
+// while none of its rows went out, with DS as O2 left it.
+func Run(ctx context.Context, src Source, userCols int, partialOnly bool, emit func(Result) error, endO2 func() error) (QueryReport, error) {
+	d := drivers.Get().(*driver)
+	d.src, d.emit, d.userCols, d.ds = src, emit, userCols, newDS()
+	defer d.release()
+	return d.run(ctx, partialOnly, endO2)
+}
+
+func (d *driver) release() {
+	d.ds.release()
+	clear(d.served)
+	*d = driver{served: d.served[:0], partial: d.partial, row: d.row}
+	drivers.Put(d)
+}
+
+func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) (QueryReport, error) {
+	tr := obs.FromContext(ctx)
+	rep := &d.rep
+
+	// --- Operation O1 ---
+	var o1Start time.Time
+	var o1Mark int64
+	if tr != nil {
+		o1Start, o1Mark = time.Now(), tr.AllocMark()
+	}
+	parts, err := d.src.Parts()
+	if errors.Is(err, ErrTooManyParts) {
+		rep.Skipped, parts = true, nil
+	} else if err != nil {
+		return *rep, err
+	}
+	if tr != nil {
+		var inexact int64
+		for i := range parts {
+			if !parts[i].Exact {
+				inexact++
+			}
+		}
+		tr.SpanCost(obs.KindO1, o1Start, int64(len(parts)), inexact, 0,
+			obs.Cost{Allocs: tr.AllocMark() - o1Mark})
+	}
+	rep.ConditionParts = len(parts)
+
+	// --- Operation O2 ---
+	start := time.Now()
+	pr, err := d.src.Probe(ctx, parts, d.partial)
+	rep.Hit, rep.PartHits = pr.Hit, pr.PartHits
+	if err != nil {
+		return *rep, err
+	}
+	rep.PartialLatency = time.Since(start)
+	if partialOnly {
+		rep.Overhead, rep.TotalTuples, rep.PartialOnly = rep.PartialLatency, rep.PartialTuples, true
+		return *rep, nil
+	}
+	if endO2 != nil {
+		if err := endO2(); err != nil {
+			return *rep, err
+		}
+	}
+	// A deadline that expired while O2 streamed still delivered the hot
+	// partials: skip O3 rather than fail.
+	if err := ctx.Err(); err != nil {
+		return d.truncated(err)
+	}
+
+	// --- Operation O3 ---
+	execStart := time.Now()
+	var execMark int64
+	if tr != nil {
+		execMark = tr.AllocMark()
+	}
+	for i := 0; ; i++ {
+		var more bool
+		more, err = d.src.Exec(ctx, i, d.row)
+		// Fail over only while no O3 row went out: a second attempt could
+		// repeat one, so the query fails typed instead.
+		if err == nil || d.fresh > 0 || !more || isTruncation(ctx, err) {
+			break
+		}
+		// The failed attempt may have taken tokens for duplicates it
+		// dropped; the next one starts from O2's DS.
+		d.ds.restore()
+		d.seen, d.dups = 0, 0
+	}
+	rep.TotalTuples = rep.PartialTuples + int(d.fresh)
+	rep.ExecLatency = time.Since(execStart)
+	rep.Overhead = rep.PartialLatency + d.o3Overhead
+	if tr != nil {
+		tr.SpanCost(obs.KindO3, execStart, d.seen, d.fresh, d.dups,
+			obs.Cost{Allocs: tr.AllocMark() - execMark})
+	}
+	if err != nil {
+		if isTruncation(ctx, err) {
+			d.src.Refill(d.served)
+			return d.truncated(err)
+		}
+		return *rep, err
+	}
+
+	// After O3 every DS token must have been taken: the partials were a
+	// subset of the full result. The tokens left came from entries that
+	// served this query; invalidate those, so that the retry this error
+	// invites runs against the base data instead of meeting the same
+	// stale entries until their purge arrives.
+	if d.ds.left != 0 {
+		keys := slices.Clone(d.served)
+		slices.Sort(keys)
+		d.src.Invalidate(slices.Compact(keys))
+		return *rep, fmt.Errorf("core: %d partial tuples not found during execution (consistency violation)", d.ds.left)
+	}
+	d.src.Refill(d.served)
+	return *rep, nil
+}
+
+// partialRow records one O2 tuple in DS before the caller sees it, so
+// O3 can always consume it.
+func (d *driver) partialRow(t value.Tuple, key string) error {
+	d.ds.add(t)
+	d.rep.PartialTuples++
+	if n := len(d.served); n == 0 || d.served[n-1] != key {
+		d.served = append(d.served, key)
+	}
+	return d.emit(Result{Tuple: t[:d.userCols], Partial: true})
+}
+
+// o3Row delivers one O3 row unless it takes a DS token: then it was
+// delivered in O2, and the token keeps duplicate result tuples
+// delivered the right number of times (the paper's multiset argument).
+func (d *driver) o3Row(t value.Tuple) error {
+	start := time.Now()
+	d.seen++
+	if d.ds.take(t) {
+		d.dups++
+		d.o3Overhead += time.Since(start)
+		return nil
+	}
+	d.src.Fill(t)
+	d.o3Overhead += time.Since(start)
+	d.fresh++
+	return d.emit(Result{Tuple: t[:d.userCols]})
+}
+
+// isTruncation reports whether err ended O3 because time ran out or
+// the caller gave up.
+func isTruncation(ctx context.Context, err error) bool {
+	if errors.Is(err, context.DeadlineExceeded) {
+		return true
+	}
+	ctxErr := ctx.Err()
+	return ctxErr != nil && errors.Is(err, ctxErr)
+}
+
+// truncated ends a query cut short by err. Deadline expiry is the
+// service contract — the results delivered stand, DeadlineExpired is
+// flagged, no error. Cancellation aborts with its error.
+func (d *driver) truncated(err error) (QueryReport, error) {
+	rep := d.rep
+	rep.TotalTuples = max(rep.TotalTuples, rep.PartialTuples)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		return rep, err
+	}
+	rep.DeadlineExpired = true
+	return rep, nil
+}

@@ -19,12 +19,13 @@ type dsTable struct {
 	slots   []int32 // 1 + the last entry hashed to the slot; 0 = empty
 	scratch []byte  // take's encoding of the tuple it looks up
 	left    int     // tokens not yet taken
+	added   int     // tokens added
 }
 
 type dsEntry struct {
 	off, end int // the encoded tuple is arena[off:end]
 	hash     uint64
-	n        int   // tokens left
+	n, added int   // tokens left and added
 	next     int32 // 1 + the next entry in the slot's chain; 0 = end
 }
 
@@ -39,7 +40,7 @@ var (
 // newDS returns an empty table from the pool; release hands it back.
 func newDS() *dsTable {
 	t := dsTables.Get().(*dsTable)
-	t.arena, t.ents, t.left = t.arena[:0], t.ents[:0], 0
+	t.arena, t.ents, t.left, t.added = t.arena[:0], t.ents[:0], 0, 0
 	if len(t.slots) == 0 {
 		t.slots = make([]int32, dsMinSlots)
 	} else {
@@ -72,8 +73,10 @@ func (t *dsTable) add(tup value.Tuple) {
 	k := t.arena[off:]
 	h := maphash.Bytes(dsSeed, k)
 	t.left++
+	t.added++
 	if i := t.find(k, h); i >= 0 {
 		t.ents[i].n++
+		t.ents[i].added++
 		t.arena = t.arena[:off]
 		return
 	}
@@ -81,7 +84,7 @@ func (t *dsTable) add(tup value.Tuple) {
 		t.grow()
 	}
 	s := h & uint64(len(t.slots)-1)
-	t.ents = append(t.ents, dsEntry{off: off, end: len(t.arena), hash: h, n: 1, next: t.slots[s]})
+	t.ents = append(t.ents, dsEntry{off: off, end: len(t.arena), hash: h, n: 1, added: 1, next: t.slots[s]})
 	t.slots[s] = int32(len(t.ents))
 }
 
@@ -119,4 +122,12 @@ func (t *dsTable) take(tup value.Tuple) bool {
 	t.ents[i].n--
 	t.left--
 	return true
+}
+
+// restore gives back every taken token: DS again holds what O2 added.
+func (t *dsTable) restore() {
+	for i := range t.ents {
+		t.ents[i].n = t.ents[i].added
+	}
+	t.left = t.added
 }

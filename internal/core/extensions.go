@@ -142,7 +142,7 @@ func (v *View) ExistsFast(q *expr.Query) (exists, proven bool, err error) {
 	if err := q.Validate(); err != nil {
 		return false, false, err
 	}
-	parts, err := v.coder.BreakConditions(q, v.cfg.MaxConditionParts)
+	parts, err := v.coder.BreakConditions(q)
 	if err != nil {
 		return false, false, nil // fall back to execution
 	}

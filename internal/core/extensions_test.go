@@ -1,6 +1,9 @@
 package core
 
 import (
+	"context"
+	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"testing"
@@ -318,6 +321,37 @@ func TestViewWithIntervalCondition(t *testing.T) {
 	wantN := runFull(t, eng, tpl, qn)
 	if !equalStrings(gotN, wantN) {
 		t.Fatalf("narrow query mismatch:\n got %v\nwant %v", gotN, wantN)
+	}
+
+	// The routed O2 — ProbeBCPs over the parts a router renders — serves
+	// the narrow query what the local O2 serves, and refuses a part
+	// whose condition is not one component of its form.
+	local := map[string]int{}
+	if _, err := v.PartialOnly(qn, func(r Result) error { local[fmt.Sprint(r.Tuple)]++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	coder, err := NewBCPCoder(tpl, map[int][]value.Value{1: ints(2, 4, 6)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cps, err := coder.BreakConditions(qn)
+	if err != nil || len(cps) != 1 || cps[0].Exact {
+		t.Fatalf("narrow query broke into %d parts (%v), want one inexact part", len(cps), err)
+	}
+	rp := RemotePart{Key: cps[0].BCPKey, Conds: cps[0].CondInstances()}
+	routed := map[string]int{}
+	if _, err := v.ProbeBCPs(context.Background(), []RemotePart{rp}, func(t value.Tuple) error {
+		routed[fmt.Sprint(t[:len(tpl.Select)])]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(local) == 0 || !maps.Equal(local, routed) {
+		t.Fatalf("routed O2 served %v, local O2 %v", routed, local)
+	}
+	rp.Conds = []expr.CondInstance{{Values: ints(1, 2)}, rp.Conds[1]}
+	if _, err := v.ProbeBCPs(context.Background(), []RemotePart{rp}, nil); err == nil {
+		t.Fatal("a two-value equality component was accepted")
 	}
 }
 

@@ -1,11 +1,11 @@
 // remote.go is the shard-side surface of the cluster plane. A router
-// runs Operation O1 itself (BCPCoder), probes the shards owning each
-// condition part (View.ProbeBCPs), executes Operation O3 on any one
-// shard over the expanded select list Ls′ (View.ExecutePlainCtx), and
-// hands the refill deltas back to the owners (View.FillTuples). The
-// methods deliberately stream full Ls′ tuples — the router needs the
-// condition attributes to key the DS multiset and to recover bcp
-// ownership for refill.
+// runs the protocol through Run like a local view, with O1 on its own
+// (BCPCoder), O2 on the shards owning each condition part
+// (View.ProbeBCPs), O3 on any one shard over the expanded select list
+// Ls′ (View.ExecutePlainCtx), and the refill deltas handed back to the
+// owners (View.FillTuples). The methods deliberately stream full Ls′
+// tuples — the router needs the condition attributes to key DS and to
+// recover bcp ownership for refill.
 package core
 
 import (
@@ -131,36 +131,21 @@ type RemotePart struct {
 	Conds []expr.CondInstance
 }
 
-// ProbeReport summarizes one ProbeBCPs call.
-type ProbeReport struct {
-	// Hit is true when any probed bcp was tracked by the view.
-	Hit bool
-	// PartHits counts probed parts whose bcp was present.
-	PartHits int
-	// PartialTuples counts Ls′ tuples emitted.
-	PartialTuples int
-	// Suppressed counts parts skipped by the presence filter (zero
-	// with the frequency plane off).
-	Suppressed int
-}
-
 // ProbeBCPs runs Operation O2 for parts computed by a remote router:
 // under the view's S lock, serve the cached tuples of every present
 // bcp (re-checking non-exact parts against their condition instances)
-// by emitting full Ls′ rows. Popularity and admission bookkeeping
-// match the local probe path, so routed and local workloads train the
-// replacement policy identically.
+// by emitting full Ls′ rows, through the same loop as a local query.
 func (v *View) ProbeBCPs(ctx context.Context, parts []RemotePart, emit func(value.Tuple) error) (ProbeReport, error) {
-	var rep ProbeReport
-	tr := obs.FromContext(ctx)
-	nConds := len(v.coder.forms)
+	cps := make([]ConditionPart, len(parts))
 	for i := range parts {
-		if !parts[i].Exact && len(parts[i].Conds) != nConds {
-			return rep, fmt.Errorf("core: probe part %d has %d conditions, template has %d",
-				i, len(parts[i].Conds), nConds)
+		cp, err := v.coder.remotePart(&parts[i])
+		if err != nil {
+			return ProbeReport{}, fmt.Errorf("core: probe part %d: %w", i, err)
 		}
+		cps[i] = cp
 	}
 
+	tr := obs.FromContext(ctx)
 	txn := v.eng.NewTxnID()
 	lockStart := time.Now()
 	lockErr := v.eng.AcquireLock(txn, v.lockRes(), lock.Shared)
@@ -172,111 +157,46 @@ func (v *View) ProbeBCPs(ctx context.Context, parts []RemotePart, emit func(valu
 		// router treats any typed failure as "no partials from this
 		// shard" — the O3 shard still delivers complete results.
 		tr.Span(obs.KindLockWait, lockStart, 0, 0, 0)
-		return rep, lockErr
+		return ProbeReport{}, lockErr
 	}
 	tr.Span(obs.KindLockWait, lockStart, 1, 0, 0)
 	defer v.eng.Locks().ReleaseAll(txn)
-
-	admitDecided := make(map[string]bool)
-	v.mu.Lock()
-	for pi := range parts {
-		if ctx.Err() != nil {
-			v.mu.Unlock()
-			return rep, ctx.Err()
-		}
-		var pStart time.Time
-		if tr.Enabled() {
-			pStart = time.Now()
-		}
-		before := rep.PartialTuples
-		p := &parts[pi]
-		var hit bool
-		// Frequency plane: train the sketch, honor a provable absence
-		// (see probeO2 — routed and local probes suppress identically).
-		est, proceed := v.probeFreqLocked(p.Key)
-		if !proceed {
-			rep.Suppressed++
-			if tr.Enabled() {
-				tr.Span(obs.KindO2Probe, pStart, int64(pi), 0, 0)
-			}
-			continue
-		}
-		e, ok := v.liveEntryLocked(p.Key)
-		if v.freq != nil && !ok {
-			v.stats.FilterFalsePositives++
-		}
-		switch {
-		case ok:
-			v.policy.Lookup(p.Key)
-			e.accesses++
-			hit = true
-		case v.policy.Lookup(p.Key):
-			hit = true // tracked but currently tupleless
-		default:
-			if _, done := admitDecided[p.Key]; !done && v.admitGateLocked(p.Key, est, true) {
-				if v.policyIsTwoQueue() {
-					adm, evicted := v.policy.RequestAdmit(p.Key)
-					v.dropEntriesLocked(evicted)
-					admitDecided[p.Key] = adm
-				}
-			}
-		}
-		if hit {
-			rep.Hit = true
-			rep.PartHits++
-		}
-		if hit && ok {
-			for _, t := range e.tuples {
-				if !p.Exact && !matchesConds(p.Conds, v.coder.forms, v.condValues(t)) {
-					continue
-				}
-				rep.PartialTuples++
-				v.mu.Unlock()
-				err := emit(t)
-				v.mu.Lock()
-				if err != nil {
-					v.mu.Unlock()
-					return rep, err
-				}
-			}
-		}
-		if tr.Enabled() {
-			var hitN int64
-			if hit {
-				hitN = 1
-			}
-			tr.Span(obs.KindO2Probe, pStart, int64(pi), int64(rep.PartialTuples-before), hitN)
-		}
-	}
-	v.stats.PartsProbed += int64(len(parts))
-	v.stats.PartHits += int64(rep.PartHits)
-	v.stats.PartialTuples += int64(rep.PartialTuples)
-	v.mu.Unlock()
-	return rep, nil
+	return v.probe(ctx, tr, cps, make(map[string]bool), func(t value.Tuple, _ string) error { return emit(t) })
 }
 
-// matchesConds reports whether condVals satisfies every per-condition
-// instance (the wire rendering of a condition part's components).
-func matchesConds(conds []expr.CondInstance, forms []expr.CondForm, condVals []value.Value) bool {
-	for i := range conds {
-		if !conds[i].Matches(forms[i], condVals[i]) {
-			return false
+// remotePart rebuilds the condition part a router rendered as p: a
+// non-exact part needs one component per template condition, of the
+// condition's form, to re-check cached tuples against.
+func (bc *BCPCoder) remotePart(p *RemotePart) (ConditionPart, error) {
+	forms := bc.coder.forms
+	cp := ConditionPart{BCPKey: p.Key, Exact: p.Exact}
+	if p.Exact {
+		return cp, nil
+	}
+	if len(p.Conds) != len(forms) {
+		return cp, fmt.Errorf("%d conditions, template has %d", len(p.Conds), len(forms))
+	}
+	cp.comps = make([]condComponent, len(p.Conds))
+	for i, ci := range p.Conds {
+		switch {
+		case forms[i] == expr.EqualityForm && len(ci.Values) == 1 && len(ci.Intervals) == 0:
+			cp.comps[i] = condComponent{isEquality: true, val: ci.Values[0]}
+		case forms[i] == expr.IntervalForm && len(ci.Intervals) == 1 && len(ci.Values) == 0:
+			cp.comps[i] = condComponent{iv: ci.Intervals[0]}
+		default:
+			return cp, fmt.Errorf("condition %d is not one component of its form", i)
 		}
 	}
-	return true
+	return cp, nil
 }
 
 // ExecutePlainCtx executes q over the expanded select list Ls′ without
 // touching the view: no probe, no DS, no refill, no view stats. It is
-// the shard half of a routed Operation O3 — the router owns the DS
-// multiset and the refill deltas. Returns the execution latency.
+// the shard half of a routed Operation O3 — the router's Run owns DS
+// and the refill deltas. Returns the execution latency.
 func (v *View) ExecutePlainCtx(ctx context.Context, q *expr.Query, emit func(value.Tuple) error) (time.Duration, error) {
-	if err := q.Validate(); err != nil {
+	if err := v.checkQuery(q); err != nil {
 		return 0, err
-	}
-	if q.Template != v.cfg.Template && q.Template.Name != v.cfg.Template.Name {
-		return 0, fmt.Errorf("core: query template %q does not match view template %q",
-			q.Template.Name, v.cfg.Template.Name)
 	}
 	start := time.Now()
 	err := v.eng.ExecuteProjectCtx(ctx, q, v.selectPlus, emit)

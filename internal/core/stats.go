@@ -100,12 +100,6 @@ func (v *View) ResetStats() {
 	v.stats = Stats{}
 }
 
-func (v *View) statsO2Locked(rep *QueryReport) {
-	v.stats.PartsProbed += int64(rep.ConditionParts)
-	v.stats.PartHits += int64(rep.PartHits)
-	v.stats.PartialTuples += int64(rep.PartialTuples)
-}
-
 func (v *View) statsQueryLocked(rep *QueryReport) {
 	v.stats.Queries++
 	if rep.Hit {

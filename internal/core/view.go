@@ -64,11 +64,6 @@ func (c *Config) fill() error {
 	if c.MaxConditionParts <= 0 {
 		c.MaxConditionParts = 4096
 	}
-	for i, ct := range c.Template.Conds {
-		if ct.Form == expr.IntervalForm && len(c.Dividers[i]) == 0 {
-			return fmt.Errorf("core: interval-form condition %d (%s) needs dividing values", i, ct.Col)
-		}
-	}
 	return nil
 }
 
@@ -103,7 +98,7 @@ type entry struct {
 type View struct {
 	cfg        Config
 	eng        *engine.Engine
-	coder      bcpCoder
+	coder      *BCPCoder
 	selectPlus []expr.ColumnRef // Ls′
 	nUserCols  int              // |Ls|: prefix of Ls′ shown to users
 	condPos    []int            // per condition: its attribute's slot in Ls′ rows
@@ -142,17 +137,10 @@ func NewView(eng *engine.Engine, cfg Config) (*View, error) {
 	// conceptual bcp from a stored tuple.
 	selectPlus, condPos := SelectPlusLayout(tpl)
 
-	coder := bcpCoder{
-		forms: make([]expr.CondForm, len(tpl.Conds)),
-		discs: make([]*Discretizer, len(tpl.Conds)),
+	coder, err := NewBCPCoder(tpl, cfg.Dividers, cfg.MaxConditionParts)
+	if err != nil {
+		return nil, err
 	}
-	for i, ct := range tpl.Conds {
-		coder.forms[i] = ct.Form
-		if ct.Form == expr.IntervalForm {
-			coder.discs[i] = NewDiscretizer(cfg.Dividers[i])
-		}
-	}
-
 	pol, err := cache.New(cfg.Policy, cfg.MaxEntries)
 	if err != nil {
 		return nil, err
@@ -295,92 +283,7 @@ func (v *View) ExecutePartialCtx(ctx context.Context, q *expr.Query, emit func(R
 // partials it has buffered. Its error aborts the query like an emit
 // error. A degraded query has no O2 and never calls it.
 func (v *View) ExecutePhasedCtx(ctx context.Context, q *expr.Query, emit func(Result) error, endO2 func() error) (QueryReport, error) {
-	run, done, err := v.beginPartial(ctx, q, emit)
-	if done || err != nil {
-		return run.rep, err
-	}
-	defer v.eng.Locks().ReleaseAll(run.txn)
-	defer run.ds.release()
-
-	start := time.Now()
-	if err := v.probeO2(run, emit); err != nil {
-		return run.rep, err
-	}
-	run.rep.PartialLatency = time.Since(start)
-	if endO2 != nil {
-		if err := endO2(); err != nil {
-			return run.rep, err
-		}
-	}
-
-	// A deadline that expired while O2 streamed still delivered the
-	// hot partials — skip O3 rather than fail.
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return v.finishTruncated(run.rep, ctxErr)
-	}
-
-	// --- Operation O3 ---
-	execStart := time.Now()
-	var execMark int64
-	if run.tr != nil {
-		execMark = run.tr.AllocMark()
-	}
-	var o3Overhead time.Duration
-	var dups int64
-	ds := run.ds
-	err = v.eng.ExecuteProjectCtx(ctx, q, v.selectPlus, func(t value.Tuple) error {
-		tupStart := time.Now()
-		if ds.take(t) {
-			// Already delivered in O2: one DS token consumed, so
-			// duplicate result tuples are still delivered the right
-			// number of times (the paper's multiset argument).
-			dups++
-			o3Overhead += time.Since(tupStart)
-			return nil
-		}
-		v.fill(t, run)
-		o3Overhead += time.Since(tupStart)
-		run.rep.TotalTuples++
-		return emit(Result{Tuple: v.userTuple(t), Partial: false})
-	})
-	emitted := int64(run.rep.TotalTuples)
-	run.rep.TotalTuples += run.rep.PartialTuples
-	run.rep.ExecLatency = time.Since(execStart)
-	run.rep.Overhead = run.rep.PartialLatency + o3Overhead
-	if run.tr != nil {
-		run.tr.SpanCost(obs.KindO3, execStart, emitted+dups, emitted, dups,
-			obs.Cost{Allocs: run.tr.AllocMark() - execMark})
-		run.tr.Event(obs.KindRefill, run.refTuples, run.refEntries, run.refEvicted)
-	}
-	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil && errors.Is(err, ctxErr) {
-			return v.finishTruncated(run.rep, ctxErr)
-		}
-		return run.rep, err
-	}
-
-	// After O3, every DS token must have been consumed: the partial
-	// results were a subset of the full results (serializability held).
-	if ds.left != 0 {
-		// The unaccounted tuples came from entries this query probed:
-		// invalidate those, so that the retry this error invites runs
-		// against the base data instead of meeting the same stale
-		// entries until their deferred purge arrives. Without it a
-		// reader retrying every hundred microseconds can exhaust any
-		// retry budget inside one write batch's apply → fsync → purge
-		// window.
-		keys := make([]string, len(run.parts))
-		for i := range run.parts {
-			keys[i] = run.parts[i].BCPKey
-		}
-		v.BumpKeyGens(keys)
-		return run.rep, fmt.Errorf("core: %d partial tuples not found during execution (consistency violation)", ds.left)
-	}
-
-	v.mu.Lock()
-	v.statsQueryLocked(&run.rep)
-	v.mu.Unlock()
-	return run.rep, nil
+	return v.execute(ctx, q, false, emit, endO2)
 }
 
 // PartialOnly answers q from the view alone: Operations O1+O2 under
@@ -396,135 +299,123 @@ func (v *View) PartialOnly(q *expr.Query, emit func(Result) error) (QueryReport,
 // propagation (O1+O2 are fast enough that deadline checks between them
 // would be noise).
 func (v *View) PartialOnlyCtx(ctx context.Context, q *expr.Query, emit func(Result) error) (QueryReport, error) {
-	run, done, err := v.beginPartial(ctx, q, emit)
-	if done || err != nil {
-		return run.rep, err
-	}
-	defer v.eng.Locks().ReleaseAll(run.txn)
-	defer run.ds.release()
-
-	start := time.Now()
-	if err := v.probeO2(run, emit); err != nil {
-		return run.rep, err
-	}
-	run.rep.PartialLatency = time.Since(start)
-	run.rep.Overhead = run.rep.PartialLatency
-	run.rep.TotalTuples = run.rep.PartialTuples
-	run.rep.PartialOnly = true
-
-	v.mu.Lock()
-	v.statsQueryLocked(&run.rep)
-	v.stats.PartialOnlyQueries++
-	v.mu.Unlock()
-	return run.rep, nil
+	return v.execute(ctx, q, true, emit, nil)
 }
 
-// partialRun is the per-query state of one PMV protocol execution: the
-// report under construction, O1's condition parts, the DS delivered-
-// tuple multiset, the 2Q admission memo, the lock-owning txn, the
-// query's trace (nil when tracing is off), and the refill counters the
-// trace reports.
-type partialRun struct {
-	rep   QueryReport
-	parts []ConditionPart
-	ds    *dsTable
-	admit map[string]bool
-	txn   uint64
-	tr    *obs.Trace
-	// fillMark is the view's fill sequence when O2 looked at the
-	// entries: anything appended later is unknown to ds.
-	fillMark uint64
-	// Refill deltas accumulated by fill/dropEntriesLocked during O3,
-	// recorded as the trace's refill event.
-	refTuples  int64
-	refEntries int64
-	refEvicted int64
-}
-
-// beginPartial validates q, takes the S lock, and runs Operation O1.
-// When the query was already answered — a validation error, or the
-// degraded no-lock path (which streams full results to emit) — done is
-// true and run.rep/err carry the outcome; the caller must not continue
-// the protocol.
-func (v *View) beginPartial(ctx context.Context, q *expr.Query, emit func(Result) error) (run *partialRun, done bool, err error) {
-	run = &partialRun{tr: obs.FromContext(ctx)}
-	if err := q.Validate(); err != nil {
-		return run, true, err
+// execute validates q, takes the Section 3.6 S lock from O2 through O3
+// and runs the protocol over the view (Run). When the lock cannot be
+// had even after the engine's retries (a wedged or long-running
+// maintainer), the query degrades instead of failing: it is still
+// answerable without the view.
+func (v *View) execute(ctx context.Context, q *expr.Query, partialOnly bool, emit func(Result) error, endO2 func() error) (QueryReport, error) {
+	if err := v.checkQuery(q); err != nil {
+		return QueryReport{}, err
 	}
-	if q.Template != v.cfg.Template && q.Template.Name != v.cfg.Template.Name {
-		return run, true, fmt.Errorf("core: query template %q does not match view template %q",
-			q.Template.Name, v.cfg.Template.Name)
-	}
-
-	// Section 3.6 protocol: S lock from O2 through O3. When the lock
-	// cannot be had even after the engine's retries (a wedged or
-	// long-running maintainer), degrade instead of failing: the query
-	// is still answerable without the view.
-	run.txn = v.eng.NewTxnID()
+	src := &localSource{v: v, q: q, tr: obs.FromContext(ctx), txn: v.eng.NewTxnID()}
 	lockStart := time.Now()
-	lockErr := v.eng.AcquireLock(run.txn, v.lockRes(), lock.Shared)
+	lockErr := v.eng.AcquireLock(src.txn, v.lockRes(), lock.Shared)
 	lockWait := time.Since(lockStart)
 	v.mu.Lock()
 	v.stats.LockWaitTime += lockWait
+	src.fillMark = v.fillSeq
 	v.mu.Unlock()
 	if lockErr != nil {
 		if errors.Is(lockErr, lock.ErrTimeout) {
-			run.tr.Span(obs.KindLockWait, lockStart, 0, 0, 0)
-			rep, derr := v.executeDegraded(run.tr, q, emit)
-			run.rep = rep
-			return run, true, derr
+			src.tr.Span(obs.KindLockWait, lockStart, 0, 0, 0)
+			return v.executeDegraded(src.tr, q, emit)
 		}
-		return run, true, lockErr
+		return QueryReport{}, lockErr
 	}
-	run.tr.Span(obs.KindLockWait, lockStart, 1, 0, 0)
+	src.tr.Span(obs.KindLockWait, lockStart, 1, 0, 0)
+	defer v.eng.Locks().ReleaseAll(src.txn)
 
-	// --- Operation O1 ---
-	var o1Start time.Time
-	var o1Mark int64
-	if run.tr != nil {
-		o1Start = time.Now()
-		o1Mark = run.tr.AllocMark()
+	src.admit = make(map[string]bool) // per-query admission memo (2Q)
+	rep, err := Run(ctx, src, v.nUserCols, partialOnly, emit, endO2)
+	if err != nil {
+		return rep, err
 	}
-	parts, err := v.coder.BreakConditions(q, v.cfg.MaxConditionParts)
-	if errors.Is(err, ErrTooManyParts) {
-		run.rep.Skipped = true
-		parts = nil
-	} else if err != nil {
-		v.eng.Locks().ReleaseAll(run.txn)
-		return run, true, err
+	v.mu.Lock()
+	v.statsQueryLocked(&rep)
+	if rep.DeadlineExpired {
+		v.stats.DeadlineQueries++
 	}
-	if run.tr != nil {
-		var inexact int64
-		for i := range parts {
-			if !parts[i].Exact {
-				inexact++
-			}
-		}
-		run.tr.SpanCost(obs.KindO1, o1Start, int64(len(parts)), inexact, 0,
-			obs.Cost{Allocs: run.tr.AllocMark() - o1Mark})
+	if rep.PartialOnly {
+		v.stats.PartialOnlyQueries++
 	}
-	run.parts = parts
-	run.rep.ConditionParts = len(parts)
-	// DS: the temporary in-memory multiset of delivered tuples.
-	run.ds = newDS()
-	run.admit = make(map[string]bool) // per-query admission memo (2Q)
-	return run, false, nil
+	v.mu.Unlock()
+	return rep, nil
 }
 
-// probeO2 runs Operation O2: serve cached partial results for every
-// condition part, recording delivered tuples in the DS multiset. Each
-// probed part gets its own trace span (index, tuples served, hit/miss).
-func (v *View) probeO2(run *partialRun, emit func(Result) error) error {
-	parts, ds, admitDecided, rep, tr := run.parts, run.ds, run.admit, &run.rep, run.tr
+// checkQuery validates q and that it instantiates the view's template.
+func (v *View) checkQuery(q *expr.Query) error {
+	if err := q.Validate(); err != nil {
+		return err
+	}
+	if q.Template != v.cfg.Template && q.Template.Name != v.cfg.Template.Name {
+		return fmt.Errorf("core: query template %q does not match view template %q",
+			q.Template.Name, v.cfg.Template.Name)
+	}
+	return nil
+}
+
+// localSource is the view's side of one query (Source): the txn that
+// holds the S lock, the 2Q admission memo, the query's trace (nil when
+// tracing is off), and the refill counters the trace reports.
+type localSource struct {
+	v     *View
+	q     *expr.Query
+	tr    *obs.Trace
+	txn   uint64
+	admit map[string]bool
+	// fillMark is the view's fill sequence before O2 looked at any
+	// entry: anything appended later may be unknown to DS.
+	fillMark uint64
+	// Refill deltas accumulated by fill/dropEntriesLocked during O3.
+	refTuples, refEntries, refEvicted int64
+}
+
+func (s *localSource) Parts() ([]ConditionPart, error) {
+	return s.v.coder.BreakConditions(s.q)
+}
+
+// Probe serves the view's cached tuples. The local O2 never stops for
+// the context: the hot partials are the point of a deadline.
+func (s *localSource) Probe(_ context.Context, parts []ConditionPart, emit func(value.Tuple, string) error) (ProbeReport, error) {
+	return s.v.probe(context.Background(), s.tr, parts, s.admit, emit)
+}
+
+func (s *localSource) Exec(ctx context.Context, _ int, emit func(value.Tuple) error) (bool, error) {
+	return false, s.v.eng.ExecuteProjectCtx(ctx, s.q, s.v.selectPlus, emit)
+}
+
+func (s *localSource) Fill(t value.Tuple) { s.v.fill(t, s) }
+
+func (s *localSource) Refill([]string) {
+	s.tr.Event(obs.KindRefill, s.refTuples, s.refEntries, s.refEvicted)
+}
+
+func (s *localSource) Invalidate(keys []string) { s.v.BumpKeyGens(keys) }
+
+// probe is Operation O2's one loop, for local queries and routed probe
+// batches alike: under the caller's S lock, serve the cached tuples of
+// every present bcp by emit (re-checking tuples of non-exact parts), and
+// record popularity and admission the same way for both, so routed and
+// local workloads train the replacement policy identically. admit is
+// the query's 2Q admission memo. ctx is checked between parts. Each part
+// gets its own trace span (index, tuples served, hit/miss).
+func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, admit map[string]bool, emit func(value.Tuple, string) error) (ProbeReport, error) {
+	var rep ProbeReport
 	v.mu.Lock()
-	run.fillMark = v.fillSeq
 	for pi := range parts {
+		if err := ctx.Err(); err != nil {
+			v.mu.Unlock()
+			return rep, err
+		}
 		cp := &parts[pi]
 		var pStart time.Time
 		var pMark int64
 		if tr != nil {
-			pStart = time.Now()
-			pMark = tr.AllocMark()
+			pStart, pMark = time.Now(), tr.AllocMark()
 		}
 		before := rep.PartialTuples
 		var hit int64
@@ -555,11 +446,11 @@ func (v *View) probeO2(run *partialRun, emit func(Result) error) error {
 			// (2Q's A1); CLOCK/LRU admit lazily in O3 instead. With the
 			// frequency plane on, a key below the popularity threshold
 			// is not even recorded — cold scans leave no footprint.
-			if _, done := admitDecided[cp.BCPKey]; !done && v.admitGateLocked(cp.BCPKey, est, true) {
+			if _, done := admit[cp.BCPKey]; !done && v.admitGateLocked(cp.BCPKey, est, true) {
 				if v.policyIsTwoQueue() {
 					adm, evicted := v.policy.RequestAdmit(cp.BCPKey)
 					v.dropEntriesLocked(evicted)
-					admitDecided[cp.BCPKey] = adm
+					admit[cp.BCPKey] = adm
 				}
 			}
 		}
@@ -574,14 +465,13 @@ func (v *View) probeO2(run *partialRun, emit func(Result) error) error {
 				if !cp.Exact && !cp.Matches(v.condValues(t)) {
 					continue
 				}
-				ds.add(t)
 				rep.PartialTuples++
 				v.mu.Unlock()
-				err := emit(Result{Tuple: v.userTuple(t), Partial: true})
+				err := emit(t, cp.BCPKey)
 				v.mu.Lock()
 				if err != nil {
 					v.mu.Unlock()
-					return err
+					return rep, err
 				}
 			}
 		}
@@ -590,25 +480,9 @@ func (v *View) probeO2(run *partialRun, emit func(Result) error) error {
 				obs.Cost{Allocs: tr.AllocMark() - pMark})
 		}
 	}
-	v.statsO2Locked(rep)
-	v.mu.Unlock()
-	return nil
-}
-
-// finishTruncated ends a context-interrupted query. Deadline expiry is
-// the service contract — partial results stand, DeadlineExpired is
-// flagged, no error. Explicit cancellation aborts with ctx.Err().
-func (v *View) finishTruncated(rep QueryReport, ctxErr error) (QueryReport, error) {
-	if rep.TotalTuples < rep.PartialTuples {
-		rep.TotalTuples = rep.PartialTuples
-	}
-	if !errors.Is(ctxErr, context.DeadlineExceeded) {
-		return rep, ctxErr
-	}
-	rep.DeadlineExpired = true
-	v.mu.Lock()
-	v.statsQueryLocked(&rep)
-	v.stats.DeadlineQueries++
+	v.stats.PartsProbed += int64(len(parts))
+	v.stats.PartHits += int64(rep.PartHits)
+	v.stats.PartialTuples += int64(rep.PartialTuples)
 	v.mu.Unlock()
 	return rep, nil
 }
@@ -645,7 +519,7 @@ func (v *View) executeDegraded(tr *obs.Trace, q *expr.Query, emit func(Result) e
 // Entries exist only for bcps the policy currently tracks; a bcp
 // admitted earlier in this query but already evicted again (a query
 // with more hot parts than the view has entries) is simply not cached.
-func (v *View) fill(t value.Tuple, run *partialRun) {
+func (v *View) fill(t value.Tuple, run *localSource) {
 	admitDecided := run.admit
 	key := v.coder.KeyFromCondValues(v.condValues(t))
 	v.mu.Lock()
