@@ -1,17 +1,20 @@
 package pmv_test
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
 	"pmv"
+	"pmv/internal/catalog"
 	"pmv/internal/catalog/catalogtest"
 )
 
 // TestCrashDurabilityEndToEnd exercises the public WAL surface: data
 // written with SyncEveryOp survives an unclean shutdown, views are
-// recreated from their persisted definitions, and queries over the
-// recovered database are exact.
+// recreated from their persisted definitions, every index (the view's
+// covering sale index included) matches its heap after recovery, and
+// queries over the recovered database are exact.
 func TestCrashDurabilityEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	db, err := pmv.Open(dir, pmv.Options{EnableWAL: true, SyncEveryOp: true})
@@ -34,8 +37,13 @@ func TestCrashDurabilityEndToEnd(t *testing.T) {
 	if len(before) == 0 {
 		t.Fatal("fixture query empty")
 	}
-	// Post-query DML that must survive the crash.
+	// Post-query DML that must survive the crash, an update of the
+	// column the view's derived sale index carries among it.
 	if _, err := db.Delete("sale", func(tu pmv.Tuple) bool { return tu[0].Int64()%7 == 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Update("sale", func(tu pmv.Tuple) bool { return tu[0].Int64()%5 == 0 },
+		func(tu pmv.Tuple) pmv.Tuple { tu[2] = pmv.Int(tu[2].Int64() + 100); return tu }); err != nil {
 		t.Fatal(err)
 	}
 	var want []string
@@ -55,6 +63,17 @@ func TestCrashDurabilityEndToEnd(t *testing.T) {
 	defer db2.Close()
 	if db2.Engine().Recovered() == 0 {
 		t.Error("nothing was replayed after the crash")
+	}
+	// Recovery rebuilt every index from the heap, the covering one too.
+	if err := catalogtest.IndexesMatchHeap(db2.Engine().Catalog()); err != nil {
+		t.Fatal(err)
+	}
+	sale, err := db2.Engine().Catalog().GetRelation("sale")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(sale.Indexes, func(ix *catalog.Index) bool { return ix.Covered > 0 }) {
+		t.Error("the view's derived sale index carries no column")
 	}
 	v2, ok := db2.ViewByName(view.Name())
 	if !ok {

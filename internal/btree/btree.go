@@ -49,6 +49,8 @@ const (
 	nodeLeaf  = 1
 	nodeInner = 2
 	maxKeyLen = 1024
+	// MaxKeyLen is the longest entry the tree takes.
+	MaxKeyLen = maxKeyLen
 	// page header: type(1) + count(2) + next(4) + rightmost(4)
 	nodeHdr = 11
 	// buildFill is how many bytes of a page Build fills before it starts
@@ -398,6 +400,11 @@ func (t *Tree) Insert(key []byte) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.insertLocked(key)
+}
+
+// insertLocked is Insert under t.mu.
+func (t *Tree) insertLocked(key []byte) error {
 	sep, right, err := t.insertRec(t.root, key)
 	if err != nil || right == storage.InvalidPageID {
 		return err
@@ -515,6 +522,61 @@ func (t *Tree) Delete(key []byte) error {
 	p.remove(i)
 	t.pool.Unpin(fr, true)
 	return nil
+}
+
+// Replace swaps the entry old for new. When the two have one length
+// and new still sorts between old's neighbours in its leaf, it writes
+// new over old in place: one descent, and nothing in the page moves.
+// Otherwise it removes old from that leaf and inserts new from the
+// root, as Delete and Insert would. A missing old fails with
+// ErrKeyNotFound and an existing new with ErrKeyExists; neither
+// changes the tree.
+func (t *Tree) Replace(old, new []byte) error {
+	if len(new) > maxKeyLen {
+		return ErrKeyTooLarge
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	fr, _, err := t.descend(old)
+	if err != nil {
+		return err
+	}
+	p := page(fr.Buf)
+	i := p.search(old)
+	if i == p.count() || !bytes.Equal(p.key(i), old) {
+		t.pool.Unpin(fr, false)
+		return ErrKeyNotFound
+	}
+	if len(new) == len(old) && p.between(i, old, new) {
+		copy(p.key(i), new)
+		t.pool.Unpin(fr, true)
+		return nil
+	}
+	p.remove(i)
+	t.pool.Unpin(fr, true)
+	if err := t.insertLocked(new); err != nil {
+		// Put old back: it fit before, and only a failed write can
+		// fail this too.
+		return errors.Join(err, t.insertLocked(old))
+	}
+	return nil
+}
+
+// between reports whether new, standing in for entry i (old), keeps
+// the leaf in order and inside the key range its parent gives it. A
+// neighbour bounds new on its side; where entry i has none, the bound
+// is the parent's separator, which the leaf cannot see, so new must
+// lie on old's inner side.
+func (p page) between(i int, old, new []byte) bool {
+	n := p.count()
+	switch c := bytes.Compare(new, old); {
+	case c == 0:
+		return true
+	case i == 0 && c < 0, i == n-1 && c > 0:
+		return false
+	}
+	return (i == 0 || bytes.Compare(p.key(i-1), new) < 0) &&
+		(i == n-1 || bytes.Compare(new, p.key(i+1)) < 0)
 }
 
 // Build fills an empty tree with entries, which must be sorted in
@@ -830,11 +892,13 @@ func (t *Tree) Height() (int, error) {
 // PackRID appends the 6-byte encoding of rid to key, producing the
 // unique entry stored in a secondary index.
 func PackRID(key []byte, rid storage.RID) []byte {
-	out := make([]byte, 0, len(key)+6)
-	out = append(out, key...)
-	out = binary.BigEndian.AppendUint32(out, uint32(rid.Page))
-	out = binary.BigEndian.AppendUint16(out, uint16(rid.Slot))
-	return out
+	return AppendRID(append(make([]byte, 0, len(key)+6), key...), rid)
+}
+
+// AppendRID appends the 6-byte encoding of rid to entry, a key.
+func AppendRID(entry []byte, rid storage.RID) []byte {
+	dst := binary.BigEndian.AppendUint32(entry, uint32(rid.Page))
+	return binary.BigEndian.AppendUint16(dst, uint16(rid.Slot))
 }
 
 // UnpackRID splits a stored entry into the logical key and the RID.

@@ -118,12 +118,15 @@ func checkPages(t testing.TB, tr *Tree, want [][]byte) {
 	}
 }
 
-// FuzzInsertDelete runs n Insert and Delete calls, delPct of them
-// deletes, against a sorted slice, and checks every page and Scan's
-// bounds around a random leaf (checkScanBounds) after each call. Keys
-// are 1 to maxLen bytes from a four-letter alphabet and half of the
-// calls name a key the tree holds, so that inserts collide, deletes
-// find their key, and pages split and empty.
+// FuzzInsertDelete runs n Insert, Delete and Replace calls, delPct of
+// them deletes and about a sixth of the rest replaces, against a sorted
+// slice, and checks every page and Scan's bounds around a random leaf
+// (checkScanBounds) after each call. Keys are 1 to maxLen bytes from a
+// four-letter alphabet and half of the calls name a key the tree holds,
+// so that inserts collide, deletes find their key, and pages split and
+// empty. A replacement is the old key with its last byte changed, which
+// keeps its length and often its place (Replace's in-place path), or a
+// random key.
 func FuzzInsertDelete(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint16(8), uint8(30))
 	f.Add(int64(2), uint16(599), uint16(maxKeyLen-1), uint8(10))
@@ -141,7 +144,8 @@ func FuzzInsertDelete(f *testing.F) {
 				k = want[rng.Intn(len(want))]
 			}
 			i, found := slices.BinarySearchFunc(want, k, bytes.Compare)
-			if rng.Intn(100) < int(delPct%100) {
+			switch r := rng.Intn(100); {
+			case r < int(delPct%100):
 				err := tr.Delete(k)
 				if found != (err == nil) || (!found && !errors.Is(err, ErrKeyNotFound)) {
 					t.Fatalf("op %d: Delete(%x) = %v, present %v", op, k, err, found)
@@ -149,7 +153,29 @@ func FuzzInsertDelete(f *testing.F) {
 				if found {
 					want = slices.Delete(want, i, i+1)
 				}
-			} else {
+			case rng.Intn(6) == 0:
+				nk := randomKeys(rng, 1, klen)[0]
+				if rng.Intn(2) == 0 {
+					nk = append(bytes.Clone(k[:len(k)-1]), 'a'+byte(rng.Intn(4)))
+				}
+				j, taken := slices.BinarySearchFunc(want, nk, bytes.Compare)
+				err := tr.Replace(k, nk)
+				switch {
+				case !found:
+					if !errors.Is(err, ErrKeyNotFound) {
+						t.Fatalf("op %d: Replace(%x, %x) of an absent key = %v", op, k, nk, err)
+					}
+				case taken && !bytes.Equal(k, nk):
+					if !errors.Is(err, ErrKeyExists) {
+						t.Fatalf("op %d: Replace(%x, %x) onto a present key = %v", op, k, nk, err)
+					}
+				case err != nil:
+					t.Fatalf("op %d: Replace(%x, %x) = %v", op, k, nk, err)
+				case !taken:
+					want = slices.Insert(want, j, nk)
+					want = slices.DeleteFunc(want, func(w []byte) bool { return bytes.Equal(w, k) })
+				}
+			default:
 				err := tr.Insert(k)
 				if found != errors.Is(err, ErrKeyExists) || (!found && err != nil) {
 					t.Fatalf("op %d: Insert(%x) = %v, present %v", op, k, err, found)
@@ -163,6 +189,86 @@ func FuzzInsertDelete(f *testing.F) {
 		}
 		checkOracle(t, tr, want, rng)
 	})
+}
+
+// TestReplace: a same-length replacement that stays between its leaf
+// neighbours is written over the old entry with no allocation; one that
+// would leave its leaf's range, or changes length, moves through the
+// root; either way the tree holds exactly the new set. Replacing an
+// absent key, or onto a present one, changes nothing.
+func TestReplace(t *testing.T) {
+	tr := newTree(t, 16)
+	var keys [][]byte
+	for i := 0; i < 2000; i++ {
+		keys = append(keys, key(10*i))
+		if err := tr.Insert(key(10 * i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, _ := tr.Height(); h < 2 {
+		t.Fatal("one leaf; the test needs leaf boundaries")
+	}
+	// key(10i) -> key(10i+1) and back: interior entries stay in place.
+	j := 1
+	if n := testing.AllocsPerRun(50, func() {
+		if err := tr.Replace(key(10*j), key(10*j+1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Replace(key(10*j+1), key(10*j)); err != nil {
+			t.Fatal(err)
+		}
+		j++
+	}); n > 4 { // the four key(…) slices
+		t.Errorf("in-place Replace: %v allocs per pair, want only the keys'", n)
+	}
+	h, _ := tr.Height()
+	h0, m0 := tr.pool.Stats()
+	if err := tr.Replace(key(100), key(101)); err != nil {
+		t.Fatal(err)
+	}
+	if h1, m1 := tr.pool.Stats(); h1+m1-h0-m0 != int64(h) {
+		t.Errorf("in-place Replace fetched %d pages, want one descent of %d", h1+m1-h0-m0, h)
+	}
+	if err := tr.Replace(key(101), key(100)); err != nil {
+		t.Fatal(err)
+	}
+	checkPages(t, tr, keys)
+	// The first and last entries of an inner leaf, moved by less than
+	// the gap to the next leaf: the new key sorts between the leaf's
+	// neighbours but maybe not inside its parent's separators, which
+	// the leaf cannot see, so these must move through the root.
+	var firsts, lasts []int
+	if err := tr.Walk(nil, nil, func(l Leaf) error {
+		firsts = append(firsts, int(binary.BigEndian.Uint64(l.Entry(0))))
+		lasts = append(lasts, int(binary.BigEndian.Uint64(l.Entry(l.Len()-1))))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		old, new []byte
+		err      error
+	}{
+		{"a leaf's first entry down", key(firsts[1]), key(firsts[1] - 5), nil},
+		{"a leaf's last entry up", key(lasts[1]), key(lasts[1] + 5), nil},
+		{"to the far end", key(0), key(100000), nil},
+		{"to the front", key(19990), key(1), nil},
+		{"longer", key(3000), append(key(3000), 7), nil},
+		{"absent", key(3), key(4), ErrKeyNotFound},
+		{"onto a present key", key(10), key(20), ErrKeyExists},
+	} {
+		err := tr.Replace(tc.old, tc.new)
+		if !errors.Is(err, tc.err) {
+			t.Fatalf("%s: Replace = %v, want %v", tc.name, err, tc.err)
+		}
+		if err == nil {
+			keys = slices.DeleteFunc(keys, func(k []byte) bool { return bytes.Equal(k, tc.old) })
+			i, _ := slices.BinarySearchFunc(keys, tc.new, bytes.Compare)
+			keys = slices.Insert(keys, i, tc.new)
+		}
+		checkPages(t, tr, keys)
+	}
 }
 
 // usedBytes returns the header, directory and entries of a tree's

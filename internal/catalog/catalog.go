@@ -67,31 +67,95 @@ func (s Schema) Concat(other Schema) Schema {
 	return Schema{Columns: cols}
 }
 
-// Index is one secondary index over a relation.
+// Index is one secondary index over a relation. Its last Covered
+// columns are carried, not searched: a query that reads only the
+// index's columns can be answered from its entries without the heap.
+// Each covered value is written capped (see KeyFor).
 type Index struct {
 	Name     string      `json:"name"`
 	Relation string      `json:"relation"`
-	Cols     []int       `json:"cols"` // column positions forming the key
+	Cols     []int       `json:"cols"` // column positions: the searched key, then the covered ones
+	Covered  int         `json:"covered,omitempty"`
 	Tree     *btree.Tree `json:"-"`
 }
 
-// KeyFor extracts and encodes the index key of tuple t.
+const (
+	// CoveredCap is the longest encoding a covered value is stored
+	// with; a longer one is written as keycodec's absent tag, and a
+	// reader fetches that value from the heap.
+	CoveredCap = 64
+	// MaxCoveredBytes bounds the covered columns of an index: the most
+	// bytes their encodings can take together (see CoveredWidth) must
+	// fit a quarter of the longest entry the tree takes.
+	MaxCoveredBytes = btree.MaxKeyLen / 4
+)
+
+// CoveredWidth is the most bytes a covered column of type t takes in
+// an entry: its fixed encoding, or CoveredCap for a string.
+func CoveredWidth(t value.Type) int {
+	switch t {
+	case value.TypeString:
+		return CoveredCap
+	case value.TypeNull:
+		return 1
+	case value.TypeBool:
+		return 2
+	default:
+		return 9
+	}
+}
+
+// KeyFor extracts and encodes the index key of tuple t: every searched
+// column in full, every covered one capped at CoveredCap
+// (keycodec.AppendCapped).
 func (ix *Index) KeyFor(t value.Tuple) []byte {
-	key := make([]byte, 0, 16*len(ix.Cols))
-	for _, c := range ix.Cols {
-		key = keycodec.AppendValue(key, t[c])
+	return ix.appendKey(make([]byte, 0, 16*len(ix.Cols)), t)
+}
+
+func (ix *Index) appendKey(key []byte, t value.Tuple) []byte {
+	searched := len(ix.Cols) - ix.Covered
+	for i, c := range ix.Cols {
+		if i < searched {
+			key = keycodec.AppendValue(key, t[c])
+		} else {
+			key = keycodec.AppendCapped(key, t[c], CoveredCap)
+		}
 	}
 	return key
 }
 
+// entry returns the tree entry of t at rid, PackRID(KeyFor(t), rid),
+// in one allocation.
+func (ix *Index) entry(t value.Tuple, rid storage.RID) []byte {
+	return btree.AppendRID(ix.appendKey(make([]byte, 0, 16*len(ix.Cols)+6), t), rid)
+}
+
 // Insert adds t (located at rid) to the index.
 func (ix *Index) Insert(t value.Tuple, rid storage.RID) error {
-	return ix.Tree.Insert(btree.PackRID(ix.KeyFor(t), rid))
+	return ix.Tree.Insert(ix.entry(t, rid))
 }
 
 // Delete removes t (located at rid) from the index.
 func (ix *Index) Delete(t value.Tuple, rid storage.RID) error {
-	return ix.Tree.Delete(btree.PackRID(ix.KeyFor(t), rid))
+	return ix.Tree.Delete(ix.entry(t, rid))
+}
+
+// Same reports whether a and b give one entry at one RID: every column
+// of the index holds an identical value (value.Identical, so a float
+// that changed sign or NaN payload counts as changed).
+func (ix *Index) Same(a, b value.Tuple) bool {
+	for _, c := range ix.Cols {
+		if !value.Identical(a[c], b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Replace moves the entry of old at oldRID to that of new at newRID
+// (see btree.Tree.Replace: in place when it can be).
+func (ix *Index) Replace(old value.Tuple, oldRID storage.RID, new value.Tuple, newRID storage.RID) error {
+	return ix.Tree.Replace(ix.entry(old, oldRID), ix.entry(new, newRID))
 }
 
 // LookupEq streams the RIDs whose index key equals key (the encoded
@@ -158,6 +222,27 @@ func (r *Relation) IndexLedBy(col int) *Index {
 	var best *Index
 	for _, ix := range r.Indexes {
 		if len(ix.Cols) > 0 && ix.Cols[0] == col && (best == nil || len(ix.Cols) < len(best.Cols)) {
+			best = ix
+		}
+	}
+	return best
+}
+
+// CoveringIndex returns, of the indexes whose columns start with
+// prefix and include every column of cols, the one with the fewest
+// columns, or nil when there is none.
+func (r *Relation) CoveringIndex(prefix, cols []int) *Index {
+	var best *Index
+	for _, ix := range r.Indexes {
+		if len(ix.Cols) < len(prefix) || !slices.Equal(ix.Cols[:len(prefix)], prefix) ||
+			best != nil && len(ix.Cols) >= len(best.Cols) {
+			continue
+		}
+		holds := true
+		for _, c := range cols {
+			holds = holds && slices.Contains(ix.Cols, c)
+		}
+		if holds {
 			best = ix
 		}
 	}
@@ -324,7 +409,7 @@ func backfill(r *Relation, ixs []*Index) error {
 	}
 	err := r.Heap.Scan(func(rid storage.RID, t value.Tuple) error {
 		for i, ix := range ixs {
-			entries[i] = append(entries[i], btree.PackRID(ix.KeyFor(t), rid))
+			entries[i] = append(entries[i], ix.entry(t, rid))
 		}
 		return nil
 	})
@@ -344,6 +429,12 @@ func backfill(r *Relation, ixs []*Index) error {
 // backfilling it from the heap. The index is registered only once it is
 // built; a failed build leaves no file behind.
 func (c *Catalog) CreateIndex(name, rel string, colNames ...string) (*Index, error) {
+	return c.CreateCoveringIndex(name, rel, colNames, nil)
+}
+
+// CreateCoveringIndex is CreateIndex over the key columns followed by
+// the covered ones (see Index).
+func (c *Catalog) CreateCoveringIndex(name, rel string, key, covered []string) (*Index, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.relations[rel]
@@ -359,6 +450,7 @@ func (c *Catalog) CreateIndex(name, rel string, colNames ...string) (*Index, err
 			}
 		}
 	}
+	colNames := append(slices.Clip(key), covered...)
 	cols := make([]int, len(colNames))
 	for i, cn := range colNames {
 		ci := r.Schema.ColIndex(cn)
@@ -371,7 +463,7 @@ func (c *Catalog) CreateIndex(name, rel string, colNames ...string) (*Index, err
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Name: name, Relation: rel, Cols: cols, Tree: tr}
+	ix := &Index{Name: name, Relation: rel, Cols: cols, Covered: len(covered), Tree: tr}
 	if err := backfill(r, []*Index{ix}); err != nil {
 		if rerr := c.removeIndexFile(name); rerr != nil {
 			err = errors.Join(err, rerr)

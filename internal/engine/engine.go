@@ -10,11 +10,11 @@
 package engine
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -361,17 +361,21 @@ func (e *Engine) CreateRelation(name string, schema catalog.Schema) (*catalog.Re
 // CreateIndex builds a secondary index named rel_col1_col2... if name
 // is empty.
 func (e *Engine) CreateIndex(name, rel string, cols ...string) (*catalog.Index, error) {
+	return e.CreateCoveringIndex(name, rel, cols, nil)
+}
+
+// CreateCoveringIndex builds an index over the key columns that also
+// carries the covered ones (see catalog.Index), named
+// rel_key1_..._covered1_... if name is empty.
+func (e *Engine) CreateCoveringIndex(name, rel string, key, covered []string) (*catalog.Index, error) {
 	// The backfill writes B+tree pages: like DML, it must not overlap a
 	// checkpoint's FlushAll.
 	e.chkMu.RLock()
 	defer e.chkMu.RUnlock()
 	if name == "" {
-		name = rel
-		for _, c := range cols {
-			name += "_" + c
-		}
+		name = strings.Join(append(append([]string{rel}, key...), covered...), "_")
 	}
-	return e.cat.CreateIndex(name, rel, cols...)
+	return e.cat.CreateCoveringIndex(name, rel, key, covered)
 }
 
 // Insert adds t to rel, maintains its indexes, and notifies observers.
@@ -555,13 +559,10 @@ func (e *Engine) updateRows(ctx context.Context, rel string, find rowFinder, app
 		for _, ix := range r.Indexes {
 			// An entry is key ++ RID: a row that kept its place and
 			// this index's columns has nothing to rewrite.
-			if newRID == h.rid && bytes.Equal(ix.KeyFor(h.t), ix.KeyFor(newT)) {
+			if newRID == h.rid && ix.Same(h.t, newT) {
 				continue
 			}
-			if err := ix.Delete(h.t, h.rid); err != nil {
-				return fmt.Errorf("engine: index %s: %w", ix.Name, err)
-			}
-			if err := ix.Insert(newT, newRID); err != nil {
+			if err := ix.Replace(h.t, h.rid, newT, newRID); err != nil {
 				return fmt.Errorf("engine: index %s: %w", ix.Name, err)
 			}
 		}

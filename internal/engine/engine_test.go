@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"math"
 	"sort"
 	"testing"
 
 	"pmv/internal/catalog"
+	"pmv/internal/catalog/catalogtest"
 	"pmv/internal/expr"
 	"pmv/internal/storage"
 	"pmv/internal/value"
@@ -467,5 +469,61 @@ func TestIOStatsAdvance(t *testing.T) {
 	_, w := e.IOStats()
 	if w == 0 {
 		t.Error("no writes counted")
+	}
+}
+
+// TestUpdateComparesFloatBits: the update loop decides that an index
+// entry moved by comparing the index's columns bit for bit, as the key
+// encoding does. SET price = -0.0 over +0.0, and one NaN over another,
+// are equal values but different keys: every index over price, the
+// key one and the one carrying it, is rewritten and still matches the
+// heap; an update that keeps the bits rewrites neither.
+func TestUpdateComparesFloatBits(t *testing.T) {
+	e := newEngine(t)
+	if _, err := e.CreateRelation("o", catalog.NewSchema(
+		catalog.Col("k", value.TypeInt), catalog.Col("price", value.TypeFloat))); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if err := e.Insert("o", value.Tuple{value.Int(int64(i)), value.Float(0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.CreateIndex("", "o", "price"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.CreateCoveringIndex("", "o", []string{"k"}, []string{"price"}); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	set := func(k int64, price float64) {
+		t.Helper()
+		n, err := e.UpdateEqCtx(ctx, "o", "k", NewEqSet(value.Int(k)), func(tup value.Tuple) value.Tuple {
+			tup[1] = value.Float(price)
+			return tup
+		})
+		if err != nil || n != 1 {
+			t.Fatalf("update k=%d: %d rows, %v", k, n, err)
+		}
+		if err := catalogtest.IndexesMatchHeap(e.Catalog()); err != nil {
+			t.Fatalf("after SET price = %v (bits %x) at k=%d: %v", price, math.Float64bits(price), k, err)
+		}
+	}
+	set(3, math.Copysign(0, -1))
+	set(4, math.Float64frombits(0x7ff8000000000001))
+	set(4, math.Float64frombits(0x7ff8000000000002))
+	set(4, math.Float64frombits(0x7ff8000000000002))
+	set(5, 0)
+	// The same bits write no index page.
+	if err := e.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	_, w0 := e.IOStats()
+	set(3, math.Copysign(0, -1))
+	if err := e.Pool().FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, w1 := e.IOStats(); w1-w0 != 1 {
+		t.Errorf("an update that keeps every bit wrote %d pages, want 1 (the heap page)", w1-w0)
 	}
 }

@@ -12,10 +12,13 @@ import (
 // BenchmarkO3T1 is the executor's layer number on the benchmark of
 // record's set-up (bench/spec.go fullScale): one PMV-less T1 query of
 // 2 dates × 2 suppliers against a warm pool, planned and drained. The
-// two sub-benchmarks run the same queries over the same data; what
-// differs is whether the catalog holds the composite indexes
-// pmv.DB.CreatePartialView derives, and so which plan PlanQuery picks.
-// fetches/op is buffer-pool fetches (hits + misses) per query.
+// sub-benchmarks run the same queries over the same data; what differs
+// is which indexes the catalog holds, and so which plan PlanQuery
+// picks: the paper's single-column ones (indexjoin), the bare
+// (condition, join) composites (keyonly, the layout before composite
+// indexes carried columns), and the covering composites
+// pmv.DB.CreatePartialView derives (covering). fetches/op is
+// buffer-pool fetches (hits + misses) per query.
 func BenchmarkO3T1(b *testing.B) {
 	eng, err := engine.Open(b.TempDir(), engine.Options{BufferPoolPages: 2048})
 	if err != nil {
@@ -62,4 +65,16 @@ func BenchmarkO3T1(b *testing.B) {
 		}
 	}
 	b.Run("keyonly", run)
+	for _, ix := range []struct {
+		rel      string
+		key, cov []string
+	}{
+		{"orders", []string{"orderdate", "orderkey"}, []string{"totalprice"}},
+		{"lineitem", []string{"suppkey", "orderkey"}, []string{"extendedprice", "shipmode"}},
+	} {
+		if _, err := eng.CreateCoveringIndex("", ix.rel, ix.key, ix.cov); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("covering", run)
 }

@@ -243,6 +243,14 @@ func TestHashJoin(t *testing.T) {
 
 func testCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
+	c, _ := testCatalogPool(t)
+	return c
+}
+
+// testCatalogPool is testCatalog with its buffer pool, for tests that
+// count page fetches.
+func testCatalogPool(t *testing.T) (*catalog.Catalog, *buffer.Pool) {
+	t.Helper()
 	dir := t.TempDir()
 	mgr, err := storage.NewManager(dir)
 	if err != nil {
@@ -254,7 +262,7 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, pool
 }
 
 func TestSeqScanAndIndexScan(t *testing.T) {

@@ -3,8 +3,10 @@ package exec
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sync"
 
 	"pmv/internal/btree"
@@ -82,8 +84,8 @@ func (j *IndexJoin) Next() (value.Tuple, bool, error) {
 func (j *IndexJoin) Close() error { return j.Outer.Close() }
 
 // KeySide is one input of a KeyJoin: a relation read through a
-// composite index (condition column, join column), restricted to key
-// ranges over the condition column.
+// composite index whose key starts (condition column, join column),
+// restricted to key ranges over the condition column.
 type KeySide struct {
 	Rel    *catalog.Relation
 	Index  *catalog.Index
@@ -94,13 +96,32 @@ type KeySide struct {
 	Cols []bool
 }
 
+// covered reports whether the side's rows can be decoded from its index
+// entries: Cols is set and every column it marks is one of the index's.
+func (s *KeySide) covered() bool {
+	if s.Cols == nil {
+		return false
+	}
+	for c, read := range s.Cols {
+		if read && !slices.Contains(s.Index.Cols, c) {
+			return false
+		}
+	}
+	return true
+}
+
 // KeyJoin joins two relations that each carry a selection condition
 // without reading a heap row that cannot be in the answer: it scans a
-// (condition column, join column) index on each side for the bound
-// ranges, intersects the two entry streams on the join-key bytes, and
-// fetches only the matched RID pairs. Where an IndexJoin would fetch
-// every inner row of every driving row and discard most of them on the
-// inner condition, this reads about two heap rows per result row.
+// (condition column, join column, ...) index on each side for the bound
+// ranges and intersects the two entry streams on the join-key bytes.
+// A side whose index holds every column the plan reads of it (Cols) is
+// covered: its half of each joined row is decoded from the matched
+// entry, and its heap is read only for an entry whose covered value was
+// too long to store (keycodec's absent tag). An uncovered side fetches
+// the matched RID's heap row. Where an IndexJoin would fetch every
+// inner row of every driving row and discard most of them on the inner
+// condition, this reads at most two heap rows per result row, and none
+// when both sides are covered.
 //
 // Join keys are compared as encoded bytes, so the planner uses it only
 // when both join columns have the same type.
@@ -112,25 +133,35 @@ type KeyJoin struct {
 	BuildRight bool
 	Residual   Pred // optional filter on the concatenated row
 
-	pairs [][2]storage.RID // matched (left, right) RIDs
-	pos   int
+	t                 *keyTable // from Open to Close
+	pos               int
+	leftCov, rightCov bool
 }
 
-// keyTable is the build side of a KeyJoin: every entry's join key
-// copied into one arena, and a power-of-two slot array whose chains
-// link the entries through int32 indexes. It holds no map and no
-// per-entry allocation, and tables are pooled, so a warm Open
-// allocates nothing for it however many entries it holds.
+// keyTable is one KeyJoin's scan state from Open to Close: the build
+// side's entries copied whole into one arena, a power-of-two slot array
+// whose chains link them through int32 indexes, the probe entries that
+// matched copied into a second arena, and the matched pairs. It holds
+// no map and no per-entry allocation, and tables are pooled, so a warm
+// Open allocates nothing for it however many entries it holds.
 type keyTable struct {
 	arena []byte
 	ents  []keyEntry
 	slots []int32 // 1 + the last entry hashed to the slot; 0 = empty
+	probe []byte
+	pairs []keyPair
 }
 
 type keyEntry struct {
-	off, end int // the join key is arena[off:end]
-	next     int32
-	rid      storage.RID
+	off, end    int32 // the entry is arena[off:end]
+	key, keyEnd int32 // its join key arena[key:keyEnd]
+	next        int32
+}
+
+// keyPair is one match: a build entry's index and a probe entry's
+// bounds in the probe arena.
+type keyPair struct {
+	build, off, end int32
 }
 
 var (
@@ -138,12 +169,21 @@ var (
 	keySeed   = maphash.MakeSeed()
 )
 
-// add copies one build entry's join key into the arena.
-func (t *keyTable) add(k []byte, rid storage.RID) {
-	off := len(t.arena)
-	t.arena = append(t.arena, k...)
-	t.ents = append(t.ents, keyEntry{off: off, end: len(t.arena), rid: rid})
+func (t *keyTable) reset() {
+	t.arena, t.ents, t.probe, t.pairs = t.arena[:0], t.ents[:0], t.probe[:0], t.pairs[:0]
 }
+
+// add copies one build entry, whose join key is e[lo:hi], into the
+// arena.
+func (t *keyTable) add(e []byte, lo, hi int) {
+	off := int32(len(t.arena))
+	t.arena = append(t.arena, e...)
+	t.ents = append(t.ents, keyEntry{off: off, end: int32(len(t.arena)), key: off + int32(lo), keyEnd: off + int32(hi)})
+}
+
+func (t *keyTable) joinKey(e *keyEntry) []byte { return t.arena[e.key:e.keyEnd] }
+
+func (t *keyTable) entry(e *keyEntry) []byte { return t.arena[e.off:e.end] }
 
 // link sizes the slot array to at least twice the entries, once, and
 // chains every entry into its slot. Later entries go in front, so a
@@ -162,7 +202,7 @@ func (t *keyTable) link() {
 	mask := uint64(n - 1)
 	for i := range t.ents {
 		e := &t.ents[i]
-		s := maphash.Bytes(keySeed, t.arena[e.off:e.end]) & mask
+		s := maphash.Bytes(keySeed, t.joinKey(e)) & mask
 		e.next = t.slots[s]
 		t.slots[s] = int32(i + 1)
 	}
@@ -185,23 +225,26 @@ func leadLen(r KeyRange) int {
 	return 0
 }
 
-// joinKey returns the join key of a composite index entry,
-// enc(condition value) ++ enc(join value) ++ RID, as a slice of it.
-// lead is the condition value's encoded length, or 0 when the range
-// does not fix it and it has to be decoded.
-func joinKey(e []byte, lead int) ([]byte, error) {
+// joinKey returns where the join key of a composite index entry,
+// enc(condition value) ++ enc(join value) ++ [covered values] ++ RID,
+// lies in it: the join value's encoding, e[lo:hi]. lead is the
+// condition value's encoded length, or 0 when the range does not fix it
+// and it has to be skipped.
+func joinKey(e []byte, lead int) (lo, hi int, err error) {
 	n := len(e) - 6
 	if lead == 0 && n > 0 {
-		_, k, err := keycodec.DecodeValue(e[:n])
-		if err != nil {
-			return nil, err
+		if lead, err = keycodec.Skip(e[:n]); err != nil {
+			return 0, 0, err
 		}
-		lead = k
 	}
-	if lead == 0 || n < lead {
-		return nil, fmt.Errorf("exec: index entry of %d bytes has no join key", len(e))
+	if lead == 0 || n <= lead {
+		return 0, 0, fmt.Errorf("exec: index entry of %d bytes has no join key", len(e))
 	}
-	return e[lead:n], nil
+	k, err := keycodec.Skip(e[lead:n])
+	if err != nil {
+		return 0, 0, err
+	}
+	return lead, lead + k, nil
 }
 
 // entryRID returns the RID an index entry ends with; joinKey has
@@ -212,28 +255,31 @@ func entryRID(e []byte) storage.RID {
 }
 
 // Open scans both indexes and intersects them, one leaf's run of
-// entries at a time: the build side's join keys go into a keyTable,
-// the probe side's are looked up straight from the index page, in scan
-// order.
+// entries at a time: the build side's entries go into a keyTable, the
+// probe side's join keys are looked up straight from the index page, in
+// scan order, and a probe entry that matches is copied out once.
 func (j *KeyJoin) Open() error {
-	j.pairs, j.pos = j.pairs[:0], 0
+	if j.t == nil {
+		j.t = keyTables.Get().(*keyTable)
+	}
+	t := j.t
+	t.reset()
+	j.pos = 0
+	j.leftCov, j.rightCov = j.Left.covered(), j.Right.covered()
 	build, probe := &j.Left, &j.Right
 	if j.BuildRight {
 		build, probe = probe, build
 	}
-	t := keyTables.Get().(*keyTable)
-	defer keyTables.Put(t)
-	t.arena, t.ents = t.arena[:0], t.ents[:0]
 	for _, r := range build.Ranges {
 		lead := leadLen(r)
 		err := build.Index.Tree.Walk(r.Lo, r.Hi, func(l btree.Leaf) error {
 			for i := 0; i < l.Len(); i++ {
 				e := l.Entry(i)
-				k, err := joinKey(e, lead)
+				lo, hi, err := joinKey(e, lead)
 				if err != nil {
 					return err
 				}
-				t.add(k, entryRID(e))
+				t.add(e, lo, hi)
 			}
 			return nil
 		})
@@ -247,20 +293,20 @@ func (j *KeyJoin) Open() error {
 		err := probe.Index.Tree.Walk(r.Lo, r.Hi, func(l btree.Leaf) error {
 			for i := 0; i < l.Len(); i++ {
 				e := l.Entry(i)
-				k, err := joinKey(e, lead)
+				lo, hi, err := joinKey(e, lead)
 				if err != nil {
 					return err
 				}
+				k, off := e[lo:hi], int32(-1)
 				for b := t.chain(k); b != 0; b = t.ents[b-1].next {
-					m := &t.ents[b-1]
-					if !bytes.Equal(t.arena[m.off:m.end], k) {
+					if !bytes.Equal(t.joinKey(&t.ents[b-1]), k) {
 						continue
 					}
-					if j.BuildRight {
-						j.pairs = append(j.pairs, [2]storage.RID{entryRID(e), m.rid})
-					} else {
-						j.pairs = append(j.pairs, [2]storage.RID{m.rid, entryRID(e)})
+					if off < 0 {
+						off = int32(len(t.probe))
+						t.probe = append(t.probe, e...)
 					}
+					t.pairs = append(t.pairs, keyPair{build: b - 1, off: off, end: int32(len(t.probe))})
 				}
 			}
 			return nil
@@ -272,23 +318,31 @@ func (j *KeyJoin) Open() error {
 	return nil
 }
 
-// Next fetches the next matched pair's heap rows, decoding both into
-// one row sized for the two schemas: one allocation per joined row. A
-// side with Cols set decodes only the columns they mark.
+// Next builds the next matched pair's row, sized for the two schemas:
+// one allocation, and one more per string a covered side decodes. A
+// side with Cols set yields only the columns they mark.
 func (j *KeyJoin) Next() (value.Tuple, bool, error) {
+	t := j.t
+	if t == nil {
+		return nil, false, nil
+	}
 	// A row the residual rejects is reused for the next pair.
 	var row value.Tuple
 	var err error
-	for j.pos < len(j.pairs) {
-		pair := j.pairs[j.pos]
+	for j.pos < len(t.pairs) {
+		pr := t.pairs[j.pos]
 		j.pos++
+		le, re := t.entry(&t.ents[pr.build]), t.probe[pr.off:pr.end]
+		if j.BuildRight {
+			le, re = re, le
+		}
 		if row == nil {
 			row = make(value.Tuple, 0, len(j.Left.Rel.Schema.Columns)+len(j.Right.Rel.Schema.Columns))
 		}
-		if row, err = j.Left.Rel.Heap.AppendGet(row[:0], pair[0], j.Left.Cols); err != nil {
+		if row, err = j.Left.appendRow(row[:0], j.leftCov, le); err != nil {
 			return nil, false, err
 		}
-		if row, err = j.Right.Rel.Heap.AppendGet(row, pair[1], j.Right.Cols); err != nil {
+		if row, err = j.Right.appendRow(row, j.rightCov, re); err != nil {
 			return nil, false, err
 		}
 		if j.Residual == nil || j.Residual(row) {
@@ -298,9 +352,52 @@ func (j *KeyJoin) Next() (value.Tuple, bool, error) {
 	return nil, false, nil
 }
 
-// Close releases the matched pairs.
+// appendRow appends the side's row for index entry e to row: decoded
+// from e when the side is covered and e holds every value it reads,
+// else read from the heap at e's RID.
+func (s *KeySide) appendRow(row value.Tuple, covered bool, e []byte) (value.Tuple, error) {
+	if covered {
+		out, ok, err := s.decodeEntry(row, e)
+		if err != nil || ok {
+			return out, err
+		}
+	}
+	return s.Rel.Heap.AppendGet(row, entryRID(e), s.Cols)
+}
+
+// decodeEntry appends the side's row decoded from index entry e: the
+// columns Cols marks, the rest NULL. It reports false, and row as it
+// was, when a value it needs was stored absent.
+func (s *KeySide) decodeEntry(row value.Tuple, e []byte) (value.Tuple, bool, error) {
+	base := len(row)
+	row = row[:base+len(s.Rel.Schema.Columns)]
+	clear(row[base:])
+	b := e[:len(e)-6]
+	for _, c := range s.Index.Cols {
+		var n int
+		var err error
+		if s.Cols[c] {
+			row[base+c], n, err = keycodec.DecodeValue(b)
+			if errors.Is(err, keycodec.ErrAbsent) {
+				return row[:base], false, nil
+			}
+		} else {
+			n, err = keycodec.Skip(b)
+		}
+		if err != nil {
+			return nil, false, fmt.Errorf("exec: index %s: %w", s.Index.Name, err)
+		}
+		b = b[n:]
+	}
+	return row, true, nil
+}
+
+// Close returns the scan state to the pool.
 func (j *KeyJoin) Close() error {
-	j.pairs = nil
+	if j.t != nil {
+		keyTables.Put(j.t)
+		j.t = nil
+	}
 	return nil
 }
 

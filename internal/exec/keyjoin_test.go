@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"pmv/internal/btree"
 	"pmv/internal/catalog"
 	"pmv/internal/expr"
 	"pmv/internal/keycodec"
@@ -17,11 +18,12 @@ import (
 )
 
 // keyJoinSide is one relation of the KeyJoin fixtures: id, condition
-// column c, join column k, with the composite index (c, k).
+// column c, join column k, with the composite index (c, k) and the
+// covering one (c, k) carrying id.
 type keyJoinSide struct {
-	rel  *catalog.Relation
-	ix   *catalog.Index
-	rows []value.Tuple
+	rel     *catalog.Relation
+	ix, cov *catalog.Index
+	rows    []value.Tuple
 }
 
 func newKeyJoinSide(t testing.TB, c *catalog.Catalog, name string, kType value.Type, rows []value.Tuple) keyJoinSide {
@@ -40,7 +42,21 @@ func newKeyJoinSide(t testing.TB, c *catalog.Catalog, name string, kType value.T
 	if err != nil {
 		t.Fatal(err)
 	}
-	return keyJoinSide{rel: r, ix: ix, rows: rows}
+	cov, err := c.CreateCoveringIndex(name+"_c_k_id", name, []string{"c", "k"}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return keyJoinSide{rel: r, ix: ix, cov: cov, rows: rows}
+}
+
+// side returns a KeySide over ranges: through the covering index with
+// every column marked read when covered, so the join decodes it from
+// the entries, else through the bare (c, k) index and the heap.
+func (s keyJoinSide) side(ranges []KeyRange, covered bool) KeySide {
+	if covered {
+		return KeySide{Rel: s.rel, Index: s.cov, Ranges: ranges, Cols: []bool{true, true, true}}
+	}
+	return KeySide{Rel: s.rel, Index: s.ix, Ranges: ranges}
 }
 
 // joinedIDs drains j and returns its output as sorted "left id,right
@@ -86,19 +102,25 @@ func randomCond(rng *rand.Rand, form expr.CondForm, dom int) expr.CondInstance {
 // relations of up to 255 rows whose join keys, ints or strings of
 // several lengths, repeat on both sides, equality or interval ranges on
 // each side's condition column (including ranges no row falls in), and
-// either side as the build side. The answer is compared as a multiset
+// either side as the build side, and either side covered (bit 0 of
+// cover the left, bit 1 the right: its rows decoded from the index
+// entries) or read from the heap. The answer is compared as a multiset
 // of (left id, right id) pairs.
 func FuzzKeyJoin(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(60), uint8(8), uint8(4), false, false, false)
-	f.Add(int64(2), uint8(0), uint8(30), uint8(5), uint8(3), true, false, true)
-	f.Add(int64(3), uint8(25), uint8(0), uint8(5), uint8(3), false, true, false)
-	f.Add(int64(4), uint8(90), uint8(70), uint8(1), uint8(2), true, true, true)
+	f.Add(int64(1), uint8(40), uint8(60), uint8(8), uint8(4), false, false, false, uint8(0))
+	f.Add(int64(2), uint8(0), uint8(30), uint8(5), uint8(3), true, false, true, uint8(1))
+	f.Add(int64(3), uint8(25), uint8(0), uint8(5), uint8(3), false, true, false, uint8(2))
+	f.Add(int64(4), uint8(90), uint8(70), uint8(1), uint8(2), true, true, true, uint8(3))
 	// Many to many: about 240 entries a side over 80 keys, so the build
 	// table's slot chains hold several distinct keys as well as runs of
 	// one key.
-	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, false, false)
-	f.Add(int64(6), uint8(240), uint8(240), uint8(80), uint8(0), false, true, true)
-	f.Fuzz(func(t *testing.T, seed int64, nl, nr, keys, conds uint8, interval, buildRight, strKeys bool) {
+	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, false, false, uint8(0))
+	f.Add(int64(6), uint8(240), uint8(240), uint8(80), uint8(0), false, true, true, uint8(3))
+	// Seed 5's draws, which join hundreds of pairs, with covered sides.
+	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, true, false, uint8(1))
+	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, false, true, uint8(2))
+	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, true, true, uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nl, nr, keys, conds uint8, interval, buildRight, strKeys bool, cover uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		keyDom, condDom := 1+int(keys)%120, 1+int(conds)%10
 		kType := value.TypeInt
@@ -127,8 +149,8 @@ func FuzzKeyJoin(f *testing.F) {
 		lc, rc := randomCond(rng, form, condDom), randomCond(rng, form, condDom)
 
 		j := &KeyJoin{
-			Left:       KeySide{Rel: l.rel, Index: l.ix, Ranges: rangesFor(form, lc)},
-			Right:      KeySide{Rel: r.rel, Index: r.ix, Ranges: rangesFor(form, rc)},
+			Left:       l.side(rangesFor(form, lc), cover&1 != 0),
+			Right:      r.side(rangesFor(form, rc), cover&2 != 0),
 			BuildRight: buildRight,
 		}
 		got := joinedIDs(t, j)
@@ -147,6 +169,21 @@ func FuzzKeyJoin(f *testing.F) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("KeyJoin returned %d pairs, nested loop %d\nleft %+v\nright %+v", len(got), len(want), lc, rc)
 		}
+		// Each joined row is its two source rows, however its sides were
+		// read.
+		lw := len(l.rel.Schema.Columns)
+		err := ForEach(j, func(row value.Tuple) error {
+			src := append(slices.Clone(l.rows[row[0].Int64()]), r.rows[row[lw].Int64()]...)
+			for i, v := range src {
+				if !value.Identical(row[i], v) {
+					return fmt.Errorf("joined row %v, column %d: want %v", row, i, v)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -160,7 +197,7 @@ func TestKeyTableChains(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		k := keycodec.AppendValue(nil, value.Int(int64(i/2)))
 		rid := storage.RID{Page: storage.PageID(i), Slot: uint16(i)}
-		tbl.add(k, rid)
+		tbl.add(btree.PackRID(k, rid), 0, len(k))
 		want[string(k)] = append(want[string(k)], rid)
 	}
 	tbl.link()
@@ -168,8 +205,7 @@ func TestKeyTableChains(t *testing.T) {
 	for _, head := range tbl.slots {
 		var first []byte
 		for b := head; b != 0; b = tbl.ents[b-1].next {
-			e := tbl.ents[b-1]
-			if k := tbl.arena[e.off:e.end]; first == nil {
+			if k := tbl.joinKey(&tbl.ents[b-1]); first == nil {
 				first = k
 			} else if !bytes.Equal(k, first) {
 				shared++
@@ -183,8 +219,8 @@ func TestKeyTableChains(t *testing.T) {
 	for k, rids := range want {
 		var got []storage.RID
 		for b := tbl.chain([]byte(k)); b != 0; b = tbl.ents[b-1].next {
-			if e := tbl.ents[b-1]; bytes.Equal(tbl.arena[e.off:e.end], []byte(k)) {
-				got = append(got, e.rid)
+			if e := &tbl.ents[b-1]; bytes.Equal(tbl.joinKey(e), []byte(k)) {
+				got = append(got, entryRID(tbl.entry(e)))
 			}
 		}
 		slices.Reverse(got) // chains list a key's entries newest first
@@ -194,7 +230,7 @@ func TestKeyTableChains(t *testing.T) {
 	}
 	absent, none := keycodec.AppendValue(nil, value.Int(-5)), 0
 	for b := tbl.chain(absent); b != 0; b = tbl.ents[b-1].next {
-		if e := tbl.ents[b-1]; bytes.Equal(tbl.arena[e.off:e.end], absent) {
+		if bytes.Equal(tbl.joinKey(&tbl.ents[b-1]), absent) {
 			none++
 		}
 	}
@@ -205,9 +241,10 @@ func TestKeyTableChains(t *testing.T) {
 
 // TestKeyJoinAllocs pins the key-only join's allocations: opening and
 // draining a join allocates one row per joined row plus a constant,
-// however many index entries it scans. Widening either side's range 4×
-// over entries that join nothing keeps the answer and must keep the
-// allocation count.
+// however many index entries it scans, whether it reads the heap or
+// decodes covered sides (all ints here) from the entries. Widening
+// either side's range 4× over entries that join nothing keeps the
+// answer and must keep the allocation count.
 func TestKeyJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random; allocation counts do not repeat")
@@ -232,18 +269,19 @@ func TestKeyJoinAllocs(t *testing.T) {
 	span := func(lo, hi int64) []KeyRange {
 		return rangesFor(expr.IntervalForm, expr.CondInstance{Intervals: []expr.Interval{ivOf(lo, hi)}})
 	}
-	for _, buildRight := range []bool{false, true} {
+	for i := 0; i < 4; i++ {
+		buildRight, covered := i%2 == 1, i >= 2
 		join := func(lHi int64) *KeyJoin {
 			return &KeyJoin{
-				Left:       KeySide{Rel: l.rel, Index: l.ix, Ranges: span(0, lHi)},
-				Right:      KeySide{Rel: r.rel, Index: r.ix, Ranges: span(0, 3)},
+				Left:       l.side(span(0, lHi), covered),
+				Right:      r.side(span(0, 3), covered),
 				BuildRight: buildRight,
 			}
 		}
 		narrow, wide := join(10), join(40)
 		answer := joinedIDs(t, narrow)
 		if len(answer) < 20 || !slices.Equal(joinedIDs(t, wide), answer) {
-			t.Fatalf("buildRight=%v: fixture broken: narrow %d pairs, wide differs or too few", buildRight, len(answer))
+			t.Fatalf("buildRight=%v covered=%v: fixture broken: narrow %d pairs, wide differs or too few", buildRight, covered, len(answer))
 		}
 		allocs := func(j *KeyJoin) float64 {
 			return testing.AllocsPerRun(50, func() {
@@ -254,10 +292,10 @@ func TestKeyJoinAllocs(t *testing.T) {
 		}
 		an, aw := allocs(narrow), allocs(wide)
 		if aw > an {
-			t.Errorf("buildRight=%v: %v allocs scanning 4× the entries, %v before", buildRight, aw, an)
+			t.Errorf("buildRight=%v covered=%v: %v allocs scanning 4× the entries, %v before", buildRight, covered, aw, an)
 		}
 		if an >= float64(2*len(answer)) {
-			t.Errorf("buildRight=%v: %v allocs for %d joined rows; want about one a row", buildRight, an, len(answer))
+			t.Errorf("buildRight=%v covered=%v: %v allocs for %d joined rows; want about one a row", buildRight, covered, an, len(answer))
 		}
 	}
 }

@@ -26,9 +26,11 @@ type Plan struct {
 
 // Narrow limits what the plan decodes to what is read. cols are the
 // positions of every column the caller reads of the rows Root yields.
-// The key-only join's heap rows then carry only those columns and the
-// ones the plan's own predicates and joins read; every other column of
-// its rows is NULL. Call it before the plan is opened. A plan without a
+// The key-only join's rows then carry only those columns and the ones
+// the plan's own predicates and joins read; every other column of its
+// rows is NULL. A side whose index holds every such column of it is
+// then decoded from its index entries instead of its heap (see
+// KeyJoin). Call it before the plan is opened. A plan without a
 // KeyJoin decodes whole rows either way.
 func (p *Plan) Narrow(cols []int) {
 	kj := p.keyJoin
@@ -140,9 +142,9 @@ func (sp *subplan) col(ref expr.ColumnRef) (int, error) {
 // template order, residual filters for everything else; sequential
 // scans and in-memory joins where an index is missing keep the planner
 // total. When two joined relations both carry a condition and each has
-// a composite (condition column, join column) index, a KeyJoin over the
-// two is planned as well and the plan with the lower estimated page
-// count runs. What the catalog holds decides; there is no switch.
+// a composite index keyed (condition column, join column), a KeyJoin
+// over the two is planned as well and the plan with the lower estimated
+// page count runs. What the catalog holds decides; there is no switch.
 func PlanQuery(cat *catalog.Catalog, q *expr.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -342,17 +344,23 @@ func (p *planner) startDriver() (*subplan, error) {
 }
 
 // keyInput is one side of a candidate KeyJoin: the relation a join
-// predicate's column belongs to, read through a composite (condition
-// column, join column) index.
+// predicate's column belongs to, read through a composite index whose
+// key starts (condition column, join column).
 type keyInput struct {
 	KeySide
 	ri, cond, joinCol int     // relation, its index condition, its join column
 	scanned           float64 // index entries the bound ranges cover, estimated
+	// covers is true when the index holds every column of the relation
+	// the template reads, and so every column Plan.Narrow marks for the
+	// side when the caller projects the template's columns.
+	covers bool
 }
 
 // keyInput resolves one end of a join predicate to a KeyJoin side, or
-// nil when its relation has no condition with a composite index ending
-// in the join column.
+// nil when its relation has no condition with a composite index that
+// starts (condition column, join column). Of several such indexes it
+// takes one that covers the side (see keyInput.covers), and of those,
+// or of none, the one with the fewest columns.
 func (p *planner) keyInput(ref expr.ColumnRef) (*keyInput, error) {
 	ri := p.relIndex(ref.Rel)
 	if ri < 0 {
@@ -363,8 +371,19 @@ func (p *planner) keyInput(ref expr.ColumnRef) (*keyInput, error) {
 		return nil, err
 	}
 	rel := p.rels[ri]
+	var buf [16]int
+	read := buf[:0]
+	p.tpl.EachColumn(func(c expr.ColumnRef) {
+		if c.Rel == ref.Rel {
+			read = append(read, rel.Schema.ColIndex(c.Col))
+		}
+	})
 	for _, ci := range p.conds[ri] {
-		ix := rel.IndexOn(rel.Schema.ColIndex(p.tpl.Conds[ci].Col.Col), joinCol)
+		key := []int{rel.Schema.ColIndex(p.tpl.Conds[ci].Col.Col), joinCol}
+		ix, covers := rel.CoveringIndex(key, read), true
+		if ix == nil {
+			ix, covers = rel.CoveringIndex(key, nil), false
+		}
 		if ix == nil {
 			continue
 		}
@@ -372,6 +391,7 @@ func (p *planner) keyInput(ref expr.ColumnRef) (*keyInput, error) {
 			KeySide: KeySide{Rel: rel, Index: ix, Ranges: p.rangesOf(ci)},
 			ri:      ri, cond: ci, joinCol: joinCol,
 			scanned: p.rowCount(ri) * p.condSel(ri, ci),
+			covers:  covers,
 		}, nil
 	}
 	return nil, nil
@@ -379,8 +399,8 @@ func (p *planner) keyInput(ref expr.ColumnRef) (*keyInput, error) {
 
 // startKeyJoin opens the key-only plan, or returns nil when it does not
 // apply: it needs statistics to be costed, a join predicate whose two
-// relations both carry a condition, a composite (condition column,
-// join column) index on each side, and join columns of one type — the
+// relations both carry a condition, a composite index keyed (condition
+// column, join column) on each side, and join columns of one type — the
 // operator compares encoded key bytes, and keycodec encodes Int 1 and
 // Float 1.0 differently although value.Equal calls them equal.
 func (p *planner) startKeyJoin() (*subplan, error) {
@@ -409,7 +429,6 @@ func (p *planner) startKeyJoin() (*subplan, error) {
 		sp := p.newSubplan()
 		sp.usedJoin[ji] = true
 		matches := l.scanned * r.scanned / math.Max(p.distinct(l.ri, l.joinCol), p.distinct(r.ri, r.joinCol))
-		sp.pages = 2 * matches // one heap row per side per match
 		sp.rows = matches
 
 		// Residuals: every condition is re-checked on the fetched rows,
@@ -422,6 +441,9 @@ func (p *planner) startKeyJoin() (*subplan, error) {
 			sp.schema = sp.schema.Concat(qualify(in.Rel, name))
 			sp.joined[name] = true
 			sp.pages += float64(len(in.Ranges))*descentPages + in.scanned/leafEntries
+			if !in.covers {
+				sp.pages += matches // one heap row per match
+			}
 			sp.rows *= p.sel(in.ri, in.cond)
 		}
 		for _, in := range []*keyInput{l, r} {

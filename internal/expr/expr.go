@@ -176,6 +176,25 @@ func (t *Template) Validate() error {
 	return nil
 }
 
+// EachColumn calls fn with every column reference the template reads:
+// its select list, conditions, join predicates and fixed predicates, in
+// that order. A column named twice is passed twice.
+func (t *Template) EachColumn(fn func(ColumnRef)) {
+	for _, c := range t.Select {
+		fn(c)
+	}
+	for _, c := range t.Conds {
+		fn(c.Col)
+	}
+	for _, j := range t.Join {
+		fn(j.Left)
+		fn(j.Right)
+	}
+	for _, f := range t.Fixed {
+		fn(f.Col)
+	}
+}
+
 // String renders the template as pseudo-SQL for diagnostics.
 func (t *Template) String() string {
 	var sb strings.Builder

@@ -12,6 +12,8 @@
 //	        byte, 0x00 0x00 terminates), so "a" < "aa" < "b" holds
 //	date:   0x05 + same as int
 //	bool:   0x06 + one byte
+//	absent: 0x01 (a covered index column whose value was too long to
+//	        carry; see AppendCapped)
 //
 // Tag bytes are ordered so that NULL sorts first, matching
 // value.Compare. Int and Float share a numeric ordering in
@@ -21,9 +23,12 @@
 package keycodec
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"pmv/internal/value"
 )
@@ -32,6 +37,7 @@ import (
 // cross-type order (NULL first, then by value.Type).
 const (
 	tagNull   = 0x00
+	tagAbsent = 0x01
 	tagInt    = 0x02
 	tagFloat  = 0x03
 	tagString = 0x04
@@ -65,6 +71,22 @@ func AppendValue(dst []byte, v value.Value) []byte {
 	default:
 		panic(fmt.Sprintf("keycodec: unknown type %v", v.Type()))
 	}
+}
+
+// ErrAbsent is DecodeValue's error for the absent tag: the value was
+// not stored, and the reader must fetch it from the row.
+var ErrAbsent = errors.New("keycodec: value absent")
+
+// AppendCapped appends the encoding of v, or the one-byte absent tag
+// when that encoding would be longer than max bytes. A covered index
+// column is written this way, so one long value cannot make its entry
+// too long for the tree.
+func AppendCapped(dst []byte, v value.Value, max int) []byte {
+	n := len(dst)
+	if dst = AppendValue(dst, v); len(dst)-n > max {
+		dst = append(dst[:n], tagAbsent)
+	}
+	return dst
 }
 
 // AppendTuple appends the order-preserving encoding of every value in t.
@@ -114,6 +136,8 @@ func DecodeValue(b []byte) (value.Value, int, error) {
 	switch b[0] {
 	case tagNull:
 		return value.Null(), 1, nil
+	case tagAbsent:
+		return value.Null(), 1, ErrAbsent
 	case tagInt, tagDate:
 		if len(b) < 9 {
 			return value.Null(), 0, fmt.Errorf("keycodec: truncated int")
@@ -135,31 +159,26 @@ func DecodeValue(b []byte) (value.Value, int, error) {
 		}
 		return value.Float(math.Float64frombits(u)), 9, nil
 	case tagString:
-		out := make([]byte, 0, 16)
-		i := 1
-		for {
-			if i >= len(b) {
-				return value.Null(), 0, fmt.Errorf("keycodec: unterminated string")
-			}
-			c := b[i]
-			if c != 0x00 {
-				out = append(out, c)
-				i++
-				continue
-			}
-			if i+1 >= len(b) {
-				return value.Null(), 0, fmt.Errorf("keycodec: truncated escape")
-			}
-			switch b[i+1] {
-			case 0x00:
-				return value.Str(string(out)), i + 2, nil
-			case 0x01:
-				out = append(out, 0x00)
-				i += 2
-			default:
-				return value.Null(), 0, fmt.Errorf("keycodec: bad escape byte %#x", b[i+1])
-			}
+		n, err := Skip(b)
+		if err != nil {
+			return value.Null(), 0, err
 		}
+		body := b[1 : n-2]
+		if bytes.IndexByte(body, 0x00) < 0 {
+			return value.Str(string(body)), n, nil
+		}
+		var sb strings.Builder
+		sb.Grow(len(body) - bytes.Count(body, []byte{0x00, 0x01}))
+		for len(body) > 0 {
+			i := bytes.IndexByte(body, 0x00)
+			if i < 0 {
+				sb.Write(body)
+				break
+			}
+			sb.Write(body[:i+1])
+			body = body[i+2:]
+		}
+		return value.Str(sb.String()), n, nil
 	case tagBool:
 		if len(b) < 2 {
 			return value.Null(), 0, fmt.Errorf("keycodec: truncated bool")
@@ -167,6 +186,48 @@ func DecodeValue(b []byte) (value.Value, int, error) {
 		return value.Bool(b[1] != 0), 2, nil
 	default:
 		return value.Null(), 0, fmt.Errorf("keycodec: unknown tag %#x", b[0])
+	}
+}
+
+// Skip returns the length of the encoded value at the front of b
+// without decoding it: it allocates nothing, a string included.
+func Skip(b []byte) (int, error) {
+	if len(b) == 0 {
+		return 0, fmt.Errorf("keycodec: empty input")
+	}
+	switch b[0] {
+	case tagNull, tagAbsent:
+		return 1, nil
+	case tagInt, tagDate, tagFloat:
+		if len(b) < 9 {
+			return 0, fmt.Errorf("keycodec: truncated value")
+		}
+		return 9, nil
+	case tagBool:
+		if len(b) < 2 {
+			return 0, fmt.Errorf("keycodec: truncated bool")
+		}
+		return 2, nil
+	case tagString:
+		for i := 1; ; i += 2 {
+			z := bytes.IndexByte(b[i:], 0x00)
+			if z < 0 {
+				return 0, fmt.Errorf("keycodec: unterminated string")
+			}
+			i += z
+			if i+1 >= len(b) {
+				return 0, fmt.Errorf("keycodec: truncated escape")
+			}
+			switch b[i+1] {
+			case 0x00:
+				return i + 2, nil
+			case 0x01:
+			default:
+				return 0, fmt.Errorf("keycodec: bad escape byte %#x", b[i+1])
+			}
+		}
+	default:
+		return 0, fmt.Errorf("keycodec: unknown tag %#x", b[0])
 	}
 }
 

@@ -2,6 +2,7 @@ package keycodec
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -174,5 +175,52 @@ func TestAppendValueGrowsBuffer(t *testing.T) {
 	dec, _, err := DecodeTuple(buf, 2)
 	if err != nil || dec[0].Int64() != 1 || dec[1].Str() != "abc" {
 		t.Errorf("append chain broken: %v %v", dec, err)
+	}
+}
+
+// TestSkipAndCapped: Skip measures every encoding DecodeValue reads
+// without decoding it; AppendCapped writes a value whose encoding fits
+// the cap as AppendValue does and a longer one as the one-byte absent
+// tag, which DecodeValue reports as ErrAbsent and Skip steps over.
+func TestSkipAndCapped(t *testing.T) {
+	vals := []value.Value{
+		value.Null(), value.Int(-7), value.Float(math.Copysign(0, -1)), value.Float(math.NaN()),
+		value.Str(""), value.Str("a\x00b\x00"), value.Str("\x00\x01\x00"), value.Date(3), value.Bool(true),
+		value.Str(string(bytes.Repeat([]byte{'x'}, 70))),
+	}
+	for _, v := range vals {
+		enc := AppendValue(nil, v)
+		n, err := Skip(append(enc, 0xEE))
+		if err != nil || n != len(enc) {
+			t.Errorf("Skip(%v) = %d, %v; want %d", v, n, err, len(enc))
+		}
+		got, m, err := DecodeValue(enc)
+		if err != nil || m != len(enc) || !value.Identical(got, v) && !(v.Type() == value.TypeFloat && math.IsNaN(v.Float64())) {
+			t.Errorf("DecodeValue(%v) = %v, %d, %v", v, got, m, err)
+		}
+		capped := AppendCapped([]byte{9}, v, 64)
+		switch {
+		case len(enc) <= 64 && !bytes.Equal(capped[1:], enc):
+			t.Errorf("AppendCapped(%v) = %x, want %x", v, capped[1:], enc)
+		case len(enc) > 64:
+			if !bytes.Equal(capped, []byte{9, tagAbsent}) {
+				t.Errorf("AppendCapped(%v) over the cap = %x, want the absent tag", v, capped)
+			}
+			if _, n, err := DecodeValue(capped[1:]); n != 1 || !errors.Is(err, ErrAbsent) {
+				t.Errorf("DecodeValue(absent) = %d, %v", n, err)
+			}
+			if n, err := Skip(capped[1:]); n != 1 || err != nil {
+				t.Errorf("Skip(absent) = %d, %v", n, err)
+			}
+		}
+	}
+	nan := math.Float64frombits(0x7ff8000000000123)
+	if got, _, _ := DecodeValue(AppendValue(nil, value.Float(nan))); math.Float64bits(got.Float64()) != math.Float64bits(nan) {
+		t.Errorf("NaN payload lost: %x", math.Float64bits(got.Float64()))
+	}
+	for _, bad := range [][]byte{{}, {tagInt, 1}, {tagString, 'a'}, {tagString, 0}, {tagString, 0, 2}, {0x7F}} {
+		if _, err := Skip(bad); err == nil {
+			t.Errorf("Skip(%x) accepted a malformed encoding", bad)
+		}
 	}
 }

@@ -56,6 +56,9 @@ type Manager struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
 	table map[string]*resource
+	// free holds resources released with no holder and no waiter, their
+	// holder maps empty, for the next resource to be locked.
+	free []*resource
 	// DefaultTimeout bounds waits when Acquire is called with zero
 	// timeout.
 	DefaultTimeout time.Duration
@@ -69,8 +72,29 @@ func New() *Manager {
 }
 
 // Acquire blocks until txn holds res in mode (upgrading S→X in place
-// when possible), or the timeout elapses.
+// when possible), or the timeout elapses. A lock no other holder
+// conflicts with is granted at once, with no timer and, once the
+// manager has locked and released some resource, no allocation; only a
+// wait arms the timer that bounds it.
 func (m *Manager) Acquire(txn uint64, res string, mode Mode, timeout time.Duration) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	r, ok := m.table[res]
+	if !ok {
+		if n := len(m.free); n > 0 {
+			r, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			r = &resource{holders: make(map[uint64]Mode)}
+		}
+		m.table[res] = r
+	}
+	if held, has := r.holders[txn]; has && (held == Exclusive || held == mode) {
+		return nil // already strong enough
+	}
+	if r.compatible(txn, mode) {
+		r.holders[txn] = mode
+		return nil
+	}
 	if timeout <= 0 {
 		timeout = m.DefaultTimeout
 	}
@@ -81,17 +105,6 @@ func (m *Manager) Acquire(txn uint64, res string, mode Mode, timeout time.Durati
 		m.mu.Unlock()
 	})
 	defer timer.Stop()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	r, ok := m.table[res]
-	if !ok {
-		r = &resource{holders: make(map[uint64]Mode)}
-		m.table[res] = r
-	}
-	if held, has := r.holders[txn]; has && (held == Exclusive || held == mode) {
-		return nil // already strong enough
-	}
 	r.waiting++
 	defer func() { r.waiting-- }()
 	for !r.compatible(txn, mode) {
@@ -104,6 +117,13 @@ func (m *Manager) Acquire(txn uint64, res string, mode Mode, timeout time.Durati
 	return nil
 }
 
+// drop forgets resource res, which has no holder and no waiter left,
+// keeping it for reuse.
+func (m *Manager) drop(res string, r *resource) {
+	delete(m.table, res)
+	m.free = append(m.free, r)
+}
+
 // Release drops txn's lock on res.
 func (m *Manager) Release(txn uint64, res string) {
 	m.mu.Lock()
@@ -111,7 +131,7 @@ func (m *Manager) Release(txn uint64, res string) {
 	if r, ok := m.table[res]; ok {
 		delete(r.holders, txn)
 		if len(r.holders) == 0 && r.waiting == 0 {
-			delete(m.table, res)
+			m.drop(res, r)
 		}
 		m.cond.Broadcast()
 	}
@@ -127,7 +147,7 @@ func (m *Manager) ReleaseAll(txn uint64) {
 			delete(r.holders, txn)
 			changed = true
 			if len(r.holders) == 0 && r.waiting == 0 {
-				delete(m.table, name)
+				m.drop(name, r)
 			}
 		}
 	}

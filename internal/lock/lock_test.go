@@ -205,3 +205,23 @@ func TestModeString(t *testing.T) {
 		t.Error("mode strings wrong")
 	}
 }
+
+// TestUncontendedAcquireAllocatesNothing: once the manager has locked
+// and released a resource, an uncontended Acquire/Release pair, shared
+// or exclusive, arms no timer and allocates nothing.
+func TestUncontendedAcquireAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates; allocation counts do not repeat")
+	}
+	m := New()
+	for _, mode := range []Mode{Shared, Exclusive} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := m.Acquire(7, "pmv:v", mode, 0); err != nil {
+				t.Fatal(err)
+			}
+			m.Release(7, "pmv:v")
+		}); n != 0 {
+			t.Errorf("%s: %v allocs per uncontended Acquire/Release, want 0", mode, n)
+		}
+	}
+}

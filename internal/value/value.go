@@ -221,6 +221,14 @@ func cmpFloat(a, b float64) int {
 // Equal reports whether two values compare equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// Identical reports whether a and b are the same value bit for bit:
+// one type and, for floats, the same bits, so -0 differs from +0 and
+// one NaN from another, which Equal calls equal. An index key, which
+// stores the bits, changes exactly when Identical is false.
+func Identical(a, b Value) bool {
+	return a.typ == b.typ && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
+}
+
 // Tuple is an ordered list of values: one row as seen by the executor.
 type Tuple []Value
 

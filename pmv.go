@@ -32,6 +32,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"slices"
 	"time"
 
 	"pmv/internal/buffer"
@@ -330,12 +331,14 @@ type ViewOptions struct {
 // A view knows the only query shape it will ever run, so creating one
 // also creates the access paths that shape needs: for every join
 // predicate whose two relations both carry a selection condition, a
-// composite index (condition column, join column) on each side, unless
-// the catalog already has it. With both present and statistics
-// collected (Analyze), the planner can answer the join from the two
-// indexes and fetch only the matching rows. They are ordinary catalog
-// indexes named rel_cond_join: they persist, are maintained by every
-// write, and are shared by views whose templates name the same columns.
+// composite index on each side keyed (condition column, join column)
+// and carrying the side's other columns the template reads, unless the
+// catalog already has one. With both present and statistics collected
+// (Analyze), the planner answers the join from the two indexes alone
+// and reads a heap row only for a value too long to carry. They are
+// ordinary catalog indexes named rel_cond_join_carried...: they
+// persist, are maintained by every write, and are shared by views
+// whose templates name the same condition and join columns.
 func (db *DB) CreatePartialView(tpl *Template, opts ViewOptions) (*View, error) {
 	v, err := core.NewView(db.eng, core.Config{
 		Name:              "pmv_" + tpl.Name,
@@ -371,8 +374,14 @@ func (db *DB) CreatePartialView(tpl *Template, opts ViewOptions) (*View, error) 
 }
 
 // deriveIndexes creates the composite indexes CreatePartialView
-// promises for tpl, skipping the ones the catalog already holds. A
-// relation with several conditions gets one index, on its first.
+// promises for tpl. A relation with several conditions gets one index,
+// on its first. A side that already has an index keyed (condition,
+// join) keeps it, whatever it carries, so every write maintains one
+// such index per pair however many views share it; the first view's
+// columns are the ones carried. A new index carries the side's other
+// template columns only while their widest encodings
+// (catalog.CoveredWidth) fit catalog.MaxCoveredBytes; otherwise it is
+// the bare (condition, join) key and the join reads the side's heap.
 func (db *DB) deriveIndexes(tpl *Template) error {
 	firstCond := func(rel string) string {
 		for _, c := range tpl.Conds {
@@ -392,10 +401,26 @@ func (db *DB) deriveIndexes(tpl *Template) error {
 				return err
 			}
 			cond := firstCond(side.Rel)
-			if cond == side.Col || rel.IndexOn(rel.Schema.ColIndex(cond), rel.Schema.ColIndex(side.Col)) != nil {
+			if cond == side.Col {
 				continue
 			}
-			if _, err := db.eng.CreateIndex("", side.Rel, cond, side.Col); err != nil {
+			key := []int{rel.Schema.ColIndex(cond), rel.Schema.ColIndex(side.Col)}
+			if rel.CoveringIndex(key, nil) != nil {
+				continue
+			}
+			var covered []string
+			width := 0
+			tpl.EachColumn(func(c expr.ColumnRef) {
+				ci := rel.Schema.ColIndex(c.Col)
+				if c.Rel == side.Rel && ci >= 0 && !slices.Contains(key, ci) && !slices.Contains(covered, c.Col) {
+					covered = append(covered, c.Col)
+					width += catalog.CoveredWidth(rel.Schema.Columns[ci].Type)
+				}
+			})
+			if width > catalog.MaxCoveredBytes {
+				covered = nil
+			}
+			if _, err := db.eng.CreateCoveringIndex("", side.Rel, []string{cond, side.Col}, covered); err != nil {
 				return err
 			}
 		}

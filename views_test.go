@@ -315,7 +315,7 @@ func TestDerivedIndexesLifecycle(t *testing.T) {
 	}
 	q := pmv.NewQuery(tpl).In(0, pmv.Int(1), pmv.Int(5)).In(1, pmv.Int(2)).Query()
 	const indexJoin = "IndexJoin product via product_pid\n  IndexScan sale via sale_store\n"
-	const keyJoin = "KeyJoin product via product_category_pid, sale via sale_store_pid\n"
+	const keyJoin = "KeyJoin product via product_category_pid, sale via sale_store_pid_discount\n"
 
 	before, want := planAndRows(t, db, q)
 	if before != indexJoin {
@@ -327,7 +327,7 @@ func TestDerivedIndexesLifecycle(t *testing.T) {
 	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	derived := []string{"product_category", "product_category_pid", "product_pid", "sale_pid", "sale_store", "sale_store_pid"}
+	derived := []string{"product_category", "product_category_pid", "product_pid", "sale_pid", "sale_store", "sale_store_pid_discount"}
 	if got := indexNames(t, db, "product", "sale"); strings.Join(got, " ") != strings.Join(derived, " ") {
 		t.Fatalf("indexes after CreatePartialView: %v, want %v", got, derived)
 	}
@@ -391,11 +391,11 @@ func TestDerivedIndexesLifecycle(t *testing.T) {
 func TestCreatePartialViewIndexFailureLeavesNoView(t *testing.T) {
 	db := openDB(t)
 	tpl := storefront(t, db)
-	if _, err := db.Engine().CreateIndex("sale_store_pid", "sale", "discount"); err != nil {
+	if _, err := db.Engine().CreateIndex("sale_store_pid_discount", "sale", "discount"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{}); err == nil {
-		t.Fatal("CreatePartialView succeeded although sale_store_pid could not be built")
+		t.Fatal("CreatePartialView succeeded although sale_store_pid_discount could not be built")
 	}
 	if _, ok := db.ViewByName("pmv_on_sale"); ok || len(db.Views()) != 0 {
 		t.Error("failed CreatePartialView left a registered view")
