@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"pmv/internal/btree"
 	"pmv/internal/buffer"
@@ -256,7 +257,19 @@ type Catalog struct {
 	pool      *buffer.Pool
 	mgr       *storage.Manager
 	relations map[string]*Relation
+	// rev counts the changes that can change a plan: a relation or an
+	// index created, statistics collected, indexes rebuilt. A plan
+	// chosen at one revision is reused only while it holds (see
+	// Revision).
+	rev atomic.Uint64
 }
+
+// Revision is the catalog's plan revision. It moves after every
+// change a planner reads — CreateRelation, CreateIndex,
+// CreateCoveringIndex, Analyze, RebuildIndexes — has become visible, so
+// a plan built after reading revision r is current while Revision()
+// still returns r.
+func (c *Catalog) Revision() uint64 { return c.rev.Load() }
 
 // Open loads (or initializes) the catalog in dir.
 func Open(dir string, pool *buffer.Pool, mgr *storage.Manager) (*Catalog, error) {
@@ -329,6 +342,7 @@ func (c *Catalog) CreateRelation(name string, schema Schema) (*Relation, error) 
 	}
 	r := &Relation{Name: name, Schema: schema, Heap: h}
 	c.relations[name] = r
+	c.rev.Add(1)
 	return r, c.saveLocked(nil)
 }
 
@@ -377,6 +391,7 @@ func (c *Catalog) RebuildIndexes() error {
 			return fmt.Errorf("catalog: rebuild indexes of %s: %w", r.Name, err)
 		}
 	}
+	c.rev.Add(1)
 	return nil
 }
 
@@ -483,5 +498,6 @@ func (c *Catalog) CreateCoveringIndex(name, rel string, key, covered []string) (
 		return nil, fmt.Errorf("catalog: create index %s: %w", name, err)
 	}
 	r.Indexes = append(r.Indexes, ix)
+	c.rev.Add(1)
 	return ix, nil
 }

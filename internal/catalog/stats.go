@@ -91,6 +91,7 @@ func (c *Catalog) Analyze(rel string) (*RelationStats, error) {
 		return nil, err
 	}
 	r.Stats = st
+	c.rev.Add(1)
 	return st, c.saveLocked(nil)
 }
 

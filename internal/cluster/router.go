@@ -44,6 +44,7 @@ import (
 	"pmv/client"
 	"pmv/internal/core"
 	"pmv/internal/expr"
+	"pmv/internal/keycodec"
 	"pmv/internal/obs"
 	"pmv/internal/session"
 	"pmv/internal/value"
@@ -225,12 +226,13 @@ type viewMeta struct {
 }
 
 // bcpKey encodes the bcp containing Ls′ row t, exactly as its owning
-// shard would; condVals is caller scratch of len(condPos).
-func (vm *viewMeta) bcpKey(t value.Tuple, condVals []value.Value) string {
+// shard would; condVals, of len(condPos), and buf are caller scratch.
+func (vm *viewMeta) bcpKey(t value.Tuple, condVals []value.Value, buf *[]byte) string {
 	for i, p := range vm.condPos {
 		condVals[i] = t[p]
 	}
-	return vm.coder.KeyFromCondValues(condVals)
+	*buf = vm.coder.AppendKey((*buf)[:0], condVals)
+	return string(*buf)
 }
 
 // NewRouter builds a router over cfg.Shards without listening.
@@ -657,6 +659,8 @@ type routedSource struct {
 
 	mu       sync.Mutex    // serializes the probe goroutines' rows
 	condVals []value.Value // bcpKey scratch, under mu
+	keyBuf   []byte        // bcpKey scratch, under mu
+	key      []byte        // an O3 row's encoding for DS, in Exec
 	parts    []core.ConditionPart
 	degraded bool // some shard's partials were lost
 
@@ -672,8 +676,8 @@ type routedSource struct {
 	fresh       []value.Tuple
 }
 
-func (s *routedSource) Parts() ([]core.ConditionPart, error) {
-	return s.meta.coder.BreakConditions(s.q)
+func (s *routedSource) Parts(buf *core.PartBuf) ([]core.ConditionPart, error) {
+	return s.meta.coder.BreakConditionsInto(buf, s.q)
 }
 
 // Probe scatters the parts to their owners. Each row's bcp key is
@@ -685,7 +689,7 @@ func (s *routedSource) Probe(ctx context.Context, parts []core.ConditionPart, em
 	hit, degraded := s.r.scatterProbes(ctx, s.meta, parts, func(t value.Tuple) error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		key := s.meta.bcpKey(t, s.condVals)
+		key := s.meta.bcpKey(t, s.condVals, &s.keyBuf)
 		if s.r.hot != nil {
 			// Capture hot keys' partials into the replica cache; dup-safe
 			// (replica-served tuples re-arrive here and are deduped).
@@ -706,8 +710,9 @@ func (s *routedSource) Probe(ctx context.Context, parts []core.ConditionPart, em
 }
 
 // Exec runs O3 on the i-th shard of the round-robin failover order:
-// every shard holds the full base data.
-func (s *routedSource) Exec(ctx context.Context, i int, emit func(value.Tuple) error) (bool, error) {
+// every shard holds the full base data. The shard does not know DS, so
+// each row it returns is encoded here for dup.
+func (s *routedSource) Exec(ctx context.Context, i int, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
 	r := s.r
 	n := len(r.pools)
 	if i == 0 {
@@ -727,6 +732,16 @@ func (s *routedSource) Exec(ctx context.Context, i int, emit func(value.Tuple) e
 	sm := r.metrics.Shards[shard]
 	sm.Execs.Add(1)
 	c := r.pools[shard].get()
+	if dup != nil {
+		fresh := emit
+		emit = func(t value.Tuple) error {
+			s.key = keycodec.AppendTuple(s.key[:0], t)
+			if dup(s.key) {
+				return nil
+			}
+			return fresh(t)
+		}
+	}
 	rep, err := c.ExecPlain(ctx, s.meta.name, s.q.Conds, emit)
 	r.pools[shard].put(c, err == nil || errors.Is(err, client.ErrRemote))
 	if err == nil || ctx.Err() == nil {
@@ -957,9 +972,10 @@ func (r *Router) spawnRefill(tr *obs.Trace, meta *viewMeta, tuples []value.Tuple
 	}
 	m := r.shardMap()
 	condVals := make([]value.Value, len(meta.condPos))
+	var keyBuf []byte
 	groups := make(map[int][]value.Tuple)
 	for _, t := range tuples {
-		key := meta.bcpKey(t, condVals)
+		key := meta.bcpKey(t, condVals, &keyBuf)
 		if r.hot != nil {
 			// A refill candidate is a cache miss for a demanded key — the
 			// capture that lets a newly hot key's entry be replicated

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -70,6 +71,26 @@ func shardFixtureFS(t testing.TB, fs pmv.FS) (*pmv.DB, map[[2]int64]int) {
 		}
 	}
 	return db, want
+}
+
+// TestShardFixturePlansKeyJoin: the fixture never collects statistics,
+// but CreatePartialView derives the view's composite indexes, so its
+// shards run the shipping key-only plan — the plan BenchmarkRoutedQuery
+// measures.
+func TestShardFixturePlansKeyJoin(t *testing.T) {
+	db, _ := shardFixture(t)
+	v, ok := db.ViewByName("pmv_on_sale")
+	if !ok {
+		t.Fatal("no view pmv_on_sale")
+	}
+	q := pmv.NewQuery(v.Config().Template).In(0, pmv.Int(3)).In(1, pmv.Int(2)).Query()
+	plan, err := db.Engine().Plan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.String(); !strings.HasPrefix(got, "KeyJoin ") {
+		t.Fatalf("the fixture's shards plan\n%swant a KeyJoin", got)
+	}
 }
 
 func shardConfig() server.Config {

@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -194,17 +195,17 @@ type bcpCoder struct {
 	discs []*Discretizer // nil for equality-form conditions
 }
 
-// keyFromComponents encodes the containing bcp of a component vector.
-func (bc *bcpCoder) keyFromComponents(comps []condComponent) string {
-	buf := make([]byte, 0, 16*len(comps))
+// appendComponentsKey appends the encoded containing bcp of a
+// component vector to dst.
+func (bc *bcpCoder) appendComponentsKey(dst []byte, comps []condComponent) []byte {
 	for i, c := range comps {
 		if bc.forms[i] == expr.EqualityForm {
-			buf = keycodec.AppendValue(buf, c.val)
+			dst = keycodec.AppendValue(dst, c.val)
 		} else {
-			buf = keycodec.AppendValue(buf, value.Int(int64(c.basicID)))
+			dst = keycodec.AppendValue(dst, value.Int(int64(c.basicID)))
 		}
 	}
-	return string(buf)
+	return dst
 }
 
 // KeyFromCondValues encodes the containing bcp of a result tuple given
@@ -212,15 +213,19 @@ func (bc *bcpCoder) keyFromComponents(comps []condComponent) string {
 // and maintenance recover the "conceptual" bcp from the stored
 // attributes ats.
 func (bc *bcpCoder) KeyFromCondValues(condVals []value.Value) string {
-	buf := make([]byte, 0, 16*len(condVals))
+	return string(bc.AppendKey(make([]byte, 0, 16*len(condVals)), condVals))
+}
+
+// AppendKey appends KeyFromCondValues's encoding to dst.
+func (bc *bcpCoder) AppendKey(dst []byte, condVals []value.Value) []byte {
 	for i, v := range condVals {
 		if bc.forms[i] == expr.EqualityForm {
-			buf = keycodec.AppendValue(buf, v)
+			dst = keycodec.AppendValue(dst, v)
 		} else {
-			buf = keycodec.AppendValue(buf, value.Int(int64(bc.discs[i].IDOf(v))))
+			dst = keycodec.AppendValue(dst, value.Int(int64(bc.discs[i].IDOf(v))))
 		}
 	}
-	return string(buf)
+	return dst
 }
 
 // ErrTooManyParts is returned by BreakConditions when the cartesian
@@ -228,18 +233,38 @@ func (bc *bcpCoder) KeyFromCondValues(condVals []value.Value) string {
 // falls back to plain execution (no PMV probe) for that query.
 var ErrTooManyParts = fmt.Errorf("core: query breaks into too many condition parts")
 
+// PartBuf is Operation O1's reusable storage: one query's condition
+// parts, their components, and the arena their bcp keys are cut from.
+// A query driver owns one, so a warm O1 allocates one string for all
+// its keys and nothing else. The parts BreakConditionsInto returns live
+// in the buffer until its next use; their keys are ordinary strings and
+// may be kept.
+type PartBuf struct {
+	parts   []ConditionPart
+	comps   []condComponent // m per part
+	sets    []condComponent // every condition's components, in order
+	ends    []int           // condition i's are sets[ends[i-1]:ends[i]]
+	idx     []int
+	keyEnds []int
+	arena   []byte
+}
+
 // BreakConditions is Operation O1: break a query's Cselect into
 // non-overlapping condition parts, each with its containing basic
 // condition part. maxParts caps the cartesian-product size.
 func (bc *bcpCoder) BreakConditions(q *expr.Query, maxParts int) ([]ConditionPart, error) {
+	return bc.breakInto(new(PartBuf), q, maxParts)
+}
+
+func (bc *bcpCoder) breakInto(b *PartBuf, q *expr.Query, maxParts int) ([]ConditionPart, error) {
 	m := len(q.Conds)
-	sets := make([][]condComponent, m)
+	b.sets, b.ends = b.sets[:0], b.ends[:0]
 	total := 1
 	for i := 0; i < m; i++ {
-		var comps []condComponent
+		start := len(b.sets)
 		if bc.forms[i] == expr.EqualityForm {
 			for _, v := range q.Conds[i].Values {
-				comps = append(comps, condComponent{val: v, isEquality: true, exact: true})
+				b.sets = append(b.sets, condComponent{val: v, isEquality: true, exact: true})
 			}
 		} else {
 			disc := bc.discs[i]
@@ -248,48 +273,63 @@ func (bc *bcpCoder) BreakConditions(q *expr.Query, maxParts int) ([]ConditionPar
 					basic := disc.IntervalOf(id)
 					inter := iv.Intersect(basic)
 					exact := intervalsEqual(inter, basic)
-					comps = append(comps, condComponent{iv: inter, basicID: id, exact: exact})
+					b.sets = append(b.sets, condComponent{iv: inter, basicID: id, exact: exact})
 				}
 			}
 		}
-		if len(comps) == 0 {
+		n := len(b.sets) - start
+		if n == 0 {
 			return nil, fmt.Errorf("core: condition %d of query has no disjuncts", i)
 		}
-		sets[i] = comps
-		total *= len(comps)
+		b.ends = append(b.ends, len(b.sets))
+		total *= n
 		if maxParts > 0 && total > maxParts {
 			return nil, ErrTooManyParts
 		}
 	}
 
-	parts := make([]ConditionPart, 0, total)
-	idx := make([]int, m)
-	for {
-		comps := make([]condComponent, m)
+	b.parts, b.keyEnds, b.arena = b.parts[:0], b.keyEnds[:0], b.arena[:0]
+	b.comps = slices.Grow(b.comps[:0], total*m)[:total*m]
+	b.idx = slices.Grow(b.idx[:0], m)[:m]
+	clear(b.idx)
+	for p := 0; ; p++ {
+		comps := b.comps[p*m : (p+1)*m : (p+1)*m]
 		exact := true
 		for i := 0; i < m; i++ {
-			comps[i] = sets[i][idx[i]]
+			start := 0
+			if i > 0 {
+				start = b.ends[i-1]
+			}
+			comps[i] = b.sets[start+b.idx[i]]
 			exact = exact && comps[i].exact
 		}
-		parts = append(parts, ConditionPart{
-			comps:  comps,
-			BCPKey: bc.keyFromComponents(comps),
-			Exact:  exact,
-		})
+		b.arena = bc.appendComponentsKey(b.arena, comps)
+		b.keyEnds = append(b.keyEnds, len(b.arena))
+		b.parts = append(b.parts, ConditionPart{comps: comps, Exact: exact})
 		// Advance the mixed-radix counter.
 		j := m - 1
 		for ; j >= 0; j-- {
-			idx[j]++
-			if idx[j] < len(sets[j]) {
+			b.idx[j]++
+			start := 0
+			if j > 0 {
+				start = b.ends[j-1]
+			}
+			if b.idx[j] < b.ends[j]-start {
 				break
 			}
-			idx[j] = 0
+			b.idx[j] = 0
 		}
 		if j < 0 {
 			break
 		}
 	}
-	return parts, nil
+	// One string for every key: each part's is a slice of it.
+	keys, off := string(b.arena), 0
+	for i := range b.parts {
+		b.parts[i].BCPKey = keys[off:b.keyEnds[i]]
+		off = b.keyEnds[i]
+	}
+	return b.parts, nil
 }
 
 func intervalsEqual(a, b expr.Interval) bool {

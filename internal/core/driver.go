@@ -22,18 +22,21 @@ import (
 // Source is where one query's PMV lives: a local view under its S
 // lock, or a router's shards. Run calls its methods from one goroutine.
 type Source interface {
-	// Parts runs Operation O1. ErrTooManyParts makes the query skip
-	// the PMV (O2 gets no parts).
-	Parts() ([]ConditionPart, error)
+	// Parts runs Operation O1, building the parts in buf.
+	// ErrTooManyParts makes the query skip the PMV (O2 gets no parts).
+	Parts(buf *PartBuf) ([]ConditionPart, error)
 	// Probe runs Operation O2 over parts, calling emit once per cached
 	// Ls′ tuple with the bcp key it is cached under. Calls to emit must
 	// not overlap.
 	Probe(ctx context.Context, parts []ConditionPart, emit func(t value.Tuple, key string) error) (ProbeReport, error)
 	// Exec makes attempt i of Operation O3, emitting every Ls′ result
-	// row, and reports whether an attempt i+1 exists. An attempt that
+	// row dup does not take, and reports whether an attempt i+1 exists.
+	// dup is DS's check: Exec hands it each row's keycodec encoding in
+	// Ls′ order, once, before emitting the row, and drops the row when
+	// dup reports true. dup is nil when DS is empty. An attempt that
 	// ended with the deadline returns an error matching
 	// context.DeadlineExceeded.
-	Exec(ctx context.Context, i int, emit func(value.Tuple) error) (more bool, err error)
+	Exec(ctx context.Context, i int, dup func(key []byte) bool, emit func(value.Tuple) error) (more bool, err error)
 	// Fill sees every O3 row DS did not suppress, before it is emitted.
 	Fill(t value.Tuple)
 	// Refill ends an O3 that finished or ran out of time; served holds
@@ -53,29 +56,32 @@ type ProbeReport struct {
 	PartialTuples int
 }
 
-// driver is one run's state. Drivers are pooled with their two row
-// callbacks bound once, so a warm run allocates nothing of its own.
+// driver is one run's state. Drivers are pooled with their row
+// callbacks bound once and O1's part buffer, so a warm run allocates
+// nothing of its own but the bcp keys' string.
 type driver struct {
 	src      Source
 	emit     func(Result) error
 	userCols int
 	ds       *dsTable
 	rep      QueryReport
+	parts    PartBuf
 	// served holds the bcp key of every partial, written once per run
 	// of equal keys.
 	served []string
-	// O3's counters for the attempt that ended it: rows seen, rows
-	// emitted, duplicates suppressed.
-	seen, fresh, dups int64
-	o3Overhead        time.Duration
+	// O3's counters for the attempt that ended it: rows emitted,
+	// duplicates suppressed.
+	fresh, dups int64
+	o3Overhead  time.Duration
 
 	partial func(value.Tuple, string) error
 	row     func(value.Tuple) error
+	dup     func([]byte) bool
 }
 
 var drivers = sync.Pool{New: func() any {
 	d := new(driver)
-	d.partial, d.row = d.partialRow, d.o3Row
+	d.partial, d.row, d.dup = d.partialRow, d.o3Row, d.takeKey
 	return d
 }}
 
@@ -100,7 +106,7 @@ func Run(ctx context.Context, src Source, userCols int, partialOnly bool, emit f
 func (d *driver) release() {
 	d.ds.release()
 	clear(d.served)
-	*d = driver{served: d.served[:0], partial: d.partial, row: d.row}
+	*d = driver{parts: d.parts, served: d.served[:0], partial: d.partial, row: d.row, dup: d.dup}
 	drivers.Put(d)
 }
 
@@ -114,7 +120,7 @@ func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) 
 	if tr != nil {
 		o1Start, o1Mark = time.Now(), tr.AllocMark()
 	}
-	parts, err := d.src.Parts()
+	parts, err := d.src.Parts(&d.parts)
 	if errors.Is(err, ErrTooManyParts) {
 		rep.Skipped, parts = true, nil
 	} else if err != nil {
@@ -161,9 +167,13 @@ func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) 
 	if tr != nil {
 		execMark = tr.AllocMark()
 	}
+	dup := d.dup
+	if d.ds.left == 0 {
+		dup = nil // O2 delivered nothing: no O3 row can be a duplicate
+	}
 	for i := 0; ; i++ {
 		var more bool
-		more, err = d.src.Exec(ctx, i, d.row)
+		more, err = d.src.Exec(ctx, i, dup, d.row)
 		// Fail over only while no O3 row went out: a second attempt could
 		// repeat one, so the query fails typed instead.
 		if err == nil || d.fresh > 0 || !more || isTruncation(ctx, err) {
@@ -172,13 +182,13 @@ func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) 
 		// The failed attempt may have taken tokens for duplicates it
 		// dropped; the next one starts from O2's DS.
 		d.ds.restore()
-		d.seen, d.dups = 0, 0
+		d.dups = 0
 	}
 	rep.TotalTuples = rep.PartialTuples + int(d.fresh)
 	rep.ExecLatency = time.Since(execStart)
 	rep.Overhead = rep.PartialLatency + d.o3Overhead
 	if tr != nil {
-		tr.SpanCost(obs.KindO3, execStart, d.seen, d.fresh, d.dups,
+		tr.SpanCost(obs.KindO3, execStart, d.fresh+d.dups, d.fresh, d.dups,
 			obs.Cost{Allocs: tr.AllocMark() - execMark})
 	}
 	if err != nil {
@@ -215,17 +225,27 @@ func (d *driver) partialRow(t value.Tuple, key string) error {
 	return d.emit(Result{Tuple: t[:d.userCols], Partial: true})
 }
 
-// o3Row delivers one O3 row unless it takes a DS token: then it was
+// takeKey is O3's duplicate check (Source.Exec's dup): a row whose
+// encoding is k takes a DS token when DS holds one, because it was
 // delivered in O2, and the token keeps duplicate result tuples
 // delivered the right number of times (the paper's multiset argument).
+func (d *driver) takeKey(k []byte) bool {
+	if d.ds.left == 0 {
+		return false
+	}
+	start := time.Now()
+	took := d.ds.takeKey(k)
+	if took {
+		d.dups++
+	}
+	d.o3Overhead += time.Since(start)
+	return took
+}
+
+// o3Row delivers one O3 row DS did not take, after the source saw it
+// for its refill.
 func (d *driver) o3Row(t value.Tuple) error {
 	start := time.Now()
-	d.seen++
-	if d.ds.take(t) {
-		d.dups++
-		d.o3Overhead += time.Since(start)
-		return nil
-	}
 	d.src.Fill(t)
 	d.o3Overhead += time.Since(start)
 	d.fresh++

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pmv/internal/keycodec"
 	"pmv/internal/value"
 )
 
@@ -25,7 +26,7 @@ type fakeSource struct {
 	invalidated    []string
 }
 
-func (s *fakeSource) Parts() ([]ConditionPart, error) { return s.parts, nil }
+func (s *fakeSource) Parts(*PartBuf) ([]ConditionPart, error) { return s.parts, nil }
 
 func (s *fakeSource) Probe(_ context.Context, parts []ConditionPart, emit func(value.Tuple, string) error) (ProbeReport, error) {
 	var rep ProbeReport
@@ -46,9 +47,12 @@ func (s *fakeSource) Probe(_ context.Context, parts []ConditionPart, emit func(v
 	return rep, nil
 }
 
-func (s *fakeSource) Exec(_ context.Context, i int, emit func(value.Tuple) error) (bool, error) {
+func (s *fakeSource) Exec(_ context.Context, i int, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
 	s.execs++
 	for _, t := range s.rows[i] {
+		if dup != nil && dup(keycodec.AppendTuple(nil, t)) {
+			continue
+		}
 		if err := emit(t); err != nil {
 			return false, err
 		}

@@ -5,21 +5,25 @@ import (
 	"hash/maphash"
 	"sync"
 
+	"pmv/internal/keycodec"
 	"pmv/internal/value"
 )
 
 // dsTable is DS, the multiset of tuples O2 delivered (Section 3.3),
-// keyed by their wire encoding: one arena of encoded tuples, a token
-// count per distinct tuple, and a power-of-two slot array whose int32
-// chains link the entries. It holds no map and no per-tuple string, and
+// keyed by their keycodec encoding in Ls′ order — the bytes a covering
+// index entry stores, so a key-only O3 can ask about a row before it
+// decodes one (exec.Dedup). keycodec, like the value codec it replaced
+// here, stores a value's bits: two tuples are one DS key exactly when
+// they are value.Identical column by column. It is one arena of
+// encoded tuples, a token count per distinct tuple, and a power-of-two
+// slot array whose int32 chains link the entries. It holds no map and no per-tuple string, and
 // tables are pooled, so a warm query allocates nothing for its DS.
 type dsTable struct {
-	arena   []byte
-	ents    []dsEntry
-	slots   []int32 // 1 + the last entry hashed to the slot; 0 = empty
-	scratch []byte  // take's encoding of the tuple it looks up
-	left    int     // tokens not yet taken
-	added   int     // tokens added
+	arena []byte
+	ents  []dsEntry
+	slots []int32 // 1 + the last entry hashed to the slot; 0 = empty
+	left  int     // tokens not yet taken
+	added int     // tokens added
 }
 
 type dsEntry struct {
@@ -69,7 +73,7 @@ func (t *dsTable) find(k []byte, h uint64) int {
 // it then gives back.
 func (t *dsTable) add(tup value.Tuple) {
 	off := len(t.arena)
-	t.arena = value.EncodeTuple(t.arena, tup)
+	t.arena = keycodec.AppendTuple(t.arena, tup)
 	k := t.arena[off:]
 	h := maphash.Bytes(dsSeed, k)
 	t.left++
@@ -107,15 +111,15 @@ func (t *dsTable) grow() {
 	}
 }
 
-// take consumes one token of tup and reports whether DS held one: the
-// tuple was delivered in O2, and O3 must not deliver it again. Once
-// every token is taken it answers without encoding tup.
-func (t *dsTable) take(tup value.Tuple) bool {
+// takeKey consumes one token of the tuple whose encoding is k and
+// reports whether DS held one: the tuple was delivered in O2, and O3
+// must not deliver it again. Once every token is taken it answers
+// without looking.
+func (t *dsTable) takeKey(k []byte) bool {
 	if t.left == 0 {
 		return false
 	}
-	t.scratch = value.EncodeTuple(t.scratch[:0], tup)
-	i := t.find(t.scratch, maphash.Bytes(dsSeed, t.scratch))
+	i := t.find(k, maphash.Bytes(dsSeed, k))
 	if i < 0 || t.ents[i].n == 0 {
 		return false
 	}

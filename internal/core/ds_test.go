@@ -6,8 +6,15 @@ import (
 	"strings"
 	"testing"
 
+	"pmv/internal/keycodec"
 	"pmv/internal/value"
 )
+
+// take is takeKey for tup's encoding, written into *buf.
+func (t *dsTable) take(buf *[]byte, tup value.Tuple) bool {
+	*buf = keycodec.AppendTuple((*buf)[:0], tup)
+	return t.takeKey(*buf)
+}
 
 // dsTuples returns n Ls′-shaped tuples over k distinct values, so most
 // repeat: the duplicates a join result can hold.
@@ -27,9 +34,10 @@ func dsTuples(rng *rand.Rand, n, k int) []value.Tuple {
 // from the pool starts empty.
 func TestDSTableMultiset(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	var buf []byte
 	for round, n := range []int{0, 5, 64, 700} {
 		ds := newDS()
-		if ds.left != 0 || ds.take(value.Tuple{value.Int(0)}) {
+		if ds.left != 0 || ds.take(&buf, value.Tuple{value.Int(0)}) {
 			t.Fatalf("round %d: a table from the pool is not empty", round)
 		}
 		oracle := map[string]int{}
@@ -43,11 +51,11 @@ func TestDSTableMultiset(t *testing.T) {
 			if want {
 				oracle[key]--
 			}
-			if got := ds.take(tup); got != want {
+			if got := ds.take(&buf, tup); got != want {
 				t.Fatalf("round %d: take(%v) = %v, oracle %v", round, tup, got, want)
 			}
 		}
-		if ds.take(value.Tuple{value.Str("absent")}) {
+		if ds.take(&buf, value.Tuple{value.Str("absent")}) {
 			t.Fatalf("round %d: took a token of a tuple never added", round)
 		}
 		left := 0
@@ -69,13 +77,14 @@ func TestDSZeroAlloc(t *testing.T) {
 		t.Skip("the race detector drops sync.Pool items at random; allocation counts do not repeat")
 	}
 	tuples := dsTuples(rand.New(rand.NewSource(2)), 64, 20)
+	buf := make([]byte, 0, 64)
 	if n := testing.AllocsPerRun(100, func() {
 		ds := newDS()
 		for _, tup := range tuples {
 			ds.add(tup)
 		}
 		for _, tup := range tuples {
-			if !ds.take(tup) {
+			if !ds.take(&buf, tup) {
 				t.Fatal("a delivered tuple was not in DS")
 			}
 		}

@@ -63,10 +63,20 @@ func (bc *BCPCoder) BreakConditions(q *expr.Query) ([]ConditionPart, error) {
 	return bc.coder.BreakConditions(q, bc.maxParts)
 }
 
+// BreakConditionsInto is BreakConditions building the parts in b.
+func (bc *BCPCoder) BreakConditionsInto(b *PartBuf, q *expr.Query) ([]ConditionPart, error) {
+	return bc.coder.breakInto(b, q, bc.maxParts)
+}
+
 // KeyFromCondValues encodes the containing bcp of a result tuple's
 // condition-attribute values, exactly as the owning shard would.
 func (bc *BCPCoder) KeyFromCondValues(condVals []value.Value) string {
 	return bc.coder.KeyFromCondValues(condVals)
+}
+
+// AppendKey appends KeyFromCondValues's encoding to dst.
+func (bc *BCPCoder) AppendKey(dst []byte, condVals []value.Value) []byte {
+	return bc.coder.AppendKey(dst, condVals)
 }
 
 // CondInstances renders the part's components as one single-component
@@ -193,13 +203,15 @@ func (bc *BCPCoder) remotePart(p *RemotePart) (ConditionPart, error) {
 // ExecutePlainCtx executes q over the expanded select list Ls′ without
 // touching the view: no probe, no DS, no refill, no view stats. It is
 // the shard half of a routed Operation O3 — the router's Run owns DS
-// and the refill deltas. Returns the execution latency.
+// and the refill deltas. It runs the view's prepared plan, and the row
+// emit gets is that plan's own: valid until emit returns, cloned by a
+// caller that keeps it. Returns the execution latency.
 func (v *View) ExecutePlainCtx(ctx context.Context, q *expr.Query, emit func(value.Tuple) error) (time.Duration, error) {
 	if err := v.checkQuery(q); err != nil {
 		return 0, err
 	}
 	start := time.Now()
-	err := v.eng.ExecuteProjectCtx(ctx, q, v.selectPlus, emit)
+	err := v.eng.ExecutePreparedCtx(ctx, v.o3, q, nil, emit)
 	return time.Since(start), err
 }
 

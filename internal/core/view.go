@@ -9,6 +9,7 @@ import (
 
 	"pmv/internal/cache"
 	"pmv/internal/engine"
+	"pmv/internal/exec"
 	"pmv/internal/expr"
 	freqpkg "pmv/internal/freq"
 	"pmv/internal/lock"
@@ -99,6 +100,7 @@ type View struct {
 	cfg        Config
 	eng        *engine.Engine
 	coder      *BCPCoder
+	o3         *exec.Prepared   // Operation O3: the template planned once
 	selectPlus []expr.ColumnRef // Ls′
 	nUserCols  int              // |Ls|: prefix of Ls′ shown to users
 	condPos    []int            // per condition: its attribute's slot in Ls′ rows
@@ -153,6 +155,7 @@ func NewView(eng *engine.Engine, cfg Config) (*View, error) {
 		selectPlus: selectPlus,
 		nUserCols:  len(tpl.Select),
 		condPos:    condPos,
+		o3:         eng.Prepare(tpl, selectPlus),
 		entries:    make(map[string]*entry),
 		invalGen:   make(map[string]uint64),
 		policy:     pol,
@@ -311,7 +314,9 @@ func (v *View) execute(ctx context.Context, q *expr.Query, partialOnly bool, emi
 	if err := v.checkQuery(q); err != nil {
 		return QueryReport{}, err
 	}
-	src := &localSource{v: v, q: q, tr: obs.FromContext(ctx), txn: v.eng.NewTxnID()}
+	src := localSources.Get().(*localSource)
+	defer src.release()
+	src.v, src.q, src.tr, src.txn, src.user = v, q, obs.FromContext(ctx), v.eng.NewTxnID(), emit
 	lockStart := time.Now()
 	lockErr := v.eng.AcquireLock(src.txn, v.lockRes(), lock.Shared)
 	lockWait := time.Since(lockStart)
@@ -329,8 +334,7 @@ func (v *View) execute(ctx context.Context, q *expr.Query, partialOnly bool, emi
 	src.tr.Span(obs.KindLockWait, lockStart, 1, 0, 0)
 	defer v.eng.Locks().ReleaseAll(src.txn)
 
-	src.admit = make(map[string]bool) // per-query admission memo (2Q)
-	rep, err := Run(ctx, src, v.nUserCols, partialOnly, emit, endO2)
+	rep, err := Run(ctx, src, v.nUserCols, partialOnly, src.out, endO2)
 	if err != nil {
 		return rep, err
 	}
@@ -360,22 +364,52 @@ func (v *View) checkQuery(q *expr.Query) error {
 
 // localSource is the view's side of one query (Source): the txn that
 // holds the S lock, the 2Q admission memo, the query's trace (nil when
-// tracing is off), and the refill counters the trace reports.
+// tracing is off), and the refill counters the trace reports. Sources
+// are pooled with their memo, their key scratch and their result
+// callback, so a warm query allocates none of them.
 type localSource struct {
 	v     *View
 	q     *expr.Query
 	tr    *obs.Trace
 	txn   uint64
 	admit map[string]bool
+	// user is the caller's emit and out the one Run calls: it hands an
+	// O3 row to user as a copy, since the row is O3's plan's own.
+	user func(Result) error
+	out  func(Result) error
 	// fillMark is the view's fill sequence before O2 looked at any
 	// entry: anything appended later may be unknown to DS.
 	fillMark uint64
 	// Refill deltas accumulated by fill/dropEntriesLocked during O3.
 	refTuples, refEntries, refEvicted int64
+	// fill's scratch: a row's condition values and its bcp key.
+	condVals []value.Value
+	key      []byte
 }
 
-func (s *localSource) Parts() ([]ConditionPart, error) {
-	return s.v.coder.BreakConditions(s.q)
+var localSources = sync.Pool{New: func() any {
+	s := &localSource{admit: make(map[string]bool)}
+	s.out = s.emitUser
+	return s
+}}
+
+// release clears the query out of s and pools it.
+func (s *localSource) release() {
+	clear(s.admit)
+	clear(s.condVals)
+	*s = localSource{admit: s.admit, out: s.out, condVals: s.condVals[:0], key: s.key[:0]}
+	localSources.Put(s)
+}
+
+func (s *localSource) emitUser(r Result) error {
+	if !r.Partial {
+		r.Tuple = r.Tuple.Clone()
+	}
+	return s.user(r)
+}
+
+func (s *localSource) Parts(buf *PartBuf) ([]ConditionPart, error) {
+	return s.v.coder.BreakConditionsInto(buf, s.q)
 }
 
 // Probe serves the view's cached tuples. The local O2 never stops for
@@ -384,8 +418,9 @@ func (s *localSource) Probe(_ context.Context, parts []ConditionPart, emit func(
 	return s.v.probe(context.Background(), s.tr, parts, s.admit, emit)
 }
 
-func (s *localSource) Exec(ctx context.Context, _ int, emit func(value.Tuple) error) (bool, error) {
-	return false, s.v.eng.ExecuteProjectCtx(ctx, s.q, s.v.selectPlus, emit)
+// Exec runs the view's prepared O3 with DS's check bound into it.
+func (s *localSource) Exec(ctx context.Context, _ int, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
+	return false, s.v.eng.ExecutePreparedCtx(ctx, s.v.o3, s.q, dup, emit)
 }
 
 func (s *localSource) Fill(t value.Tuple) { s.v.fill(t, s) }
@@ -497,9 +532,9 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 func (v *View) executeDegraded(tr *obs.Trace, q *expr.Query, emit func(Result) error) (QueryReport, error) {
 	rep := QueryReport{Skipped: true, Degraded: true}
 	start := time.Now()
-	err := v.eng.ExecuteProjectCtx(obs.WithTrace(context.Background(), tr), q, v.selectPlus, func(t value.Tuple) error {
+	err := v.eng.ExecutePreparedCtx(obs.WithTrace(context.Background(), tr), v.o3, q, nil, func(t value.Tuple) error {
 		rep.TotalTuples++
-		return emit(Result{Tuple: v.userTuple(t)})
+		return emit(Result{Tuple: v.userTuple(t).Clone()})
 	})
 	rep.ExecLatency = time.Since(start)
 	if err != nil {
@@ -521,7 +556,12 @@ func (v *View) executeDegraded(tr *obs.Trace, q *expr.Query, emit func(Result) e
 // with more hot parts than the view has entries) is simply not cached.
 func (v *View) fill(t value.Tuple, run *localSource) {
 	admitDecided := run.admit
-	key := v.coder.KeyFromCondValues(v.condValues(t))
+	run.condVals = run.condVals[:0]
+	for _, p := range v.condPos {
+		run.condVals = append(run.condVals, t[p])
+	}
+	run.key = v.coder.AppendKey(run.key[:0], run.condVals)
+	key := string(run.key)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if !v.policy.Contains(key) {

@@ -590,6 +590,42 @@ func (e *Engine) Plan(q *expr.Query) (*exec.Plan, error) {
 	return exec.PlanQuery(e.cat, q)
 }
 
+// Prepare returns tpl's prepared plans over this engine's catalog,
+// projecting cols (see exec.Prepared). A PMV prepares its template once
+// and runs every query through ExecutePreparedCtx.
+func (e *Engine) Prepare(tpl *expr.Template, cols []expr.ColumnRef) *exec.Prepared {
+	return exec.NewPrepared(e.cat, tpl, cols)
+}
+
+// ExecutePreparedCtx runs q through p: the plan of q's binding class,
+// planned once per catalog revision, bound to q's values. fn sees each
+// row projected to p's columns; the row is p's own and valid only
+// until fn returns. dedup, when non-nil, is O3's duplicate check (see
+// exec.Bound.Run): the rows it takes never reach fn. Cancellation and
+// the trace spans are ExecuteProjectCtx's: the plan span times the
+// binding, the exec span counts the plan's rows.
+func (e *Engine) ExecutePreparedCtx(ctx context.Context, p *exec.Prepared, q *expr.Query, dedup exec.Dedup, fn func(value.Tuple) error) error {
+	tr := obs.FromContext(ctx)
+	var planStart time.Time
+	if tr != nil {
+		planStart = time.Now()
+	}
+	b, err := p.Bind(q)
+	if err != nil {
+		return err
+	}
+	tr.Span(obs.KindPlan, planStart, 0, 0, 0)
+	var execStart time.Time
+	if tr != nil {
+		execStart = time.Now()
+	}
+	n, err := b.Run(ctx, dedup, fn)
+	if tr != nil {
+		tr.Span(obs.KindExec, execStart, n, 0, 0)
+	}
+	return err
+}
+
 // Execute runs q and streams the full concatenated rows to fn. The
 // expanded select list of the PMV layer (Ls′) is applied by the caller.
 func (e *Engine) Execute(q *expr.Query, fn func(value.Tuple) error) error {

@@ -18,6 +18,13 @@ var ErrNotOpen = errors.New("exec: iterator not open")
 
 // Iterator is the pull-based operator interface. Next returns
 // (tuple, true, nil) per row and (nil, false, nil) at end of stream.
+//
+// A row is the consumer's to read until its next call to Next or Close:
+// an operator may rewrite it then (KeyJoin does). A consumer that keeps
+// rows longer clones them. Collect does, and so everything built on it
+// may keep its rows: NestedLoopJoin's right side, Materialize, Sort.
+// HashJoin clones its build side; a join's current outer row is kept
+// only until it pulls the next one.
 type Iterator interface {
 	Open() error
 	Next() (value.Tuple, bool, error)
@@ -59,7 +66,8 @@ func (rs RowSchema) Concat(other RowSchema) RowSchema {
 // Pred is a compiled row predicate.
 type Pred func(value.Tuple) bool
 
-// Collect drains an iterator into a slice (open/close included).
+// Collect drains an iterator into a slice (open/close included), each
+// row a clone the caller owns.
 func Collect(it Iterator) ([]value.Tuple, error) {
 	if err := it.Open(); err != nil {
 		return nil, err
@@ -74,7 +82,7 @@ func Collect(it Iterator) ([]value.Tuple, error) {
 		if !ok {
 			return out, nil
 		}
-		out = append(out, t)
+		out = append(out, t.Clone())
 	}
 }
 

@@ -125,6 +125,9 @@ func (s *KeySide) covered() bool {
 //
 // Join keys are compared as encoded bytes, so the planner uses it only
 // when both join columns have the same type.
+//
+// The row Next returns is the join's own, rewritten by the next call:
+// a consumer that keeps rows clones them (see Iterator).
 type KeyJoin struct {
 	Left, Right KeySide // output rows are Left ++ Right
 	// BuildRight hashes Right's entries and streams Left's through the
@@ -133,9 +136,48 @@ type KeyJoin struct {
 	BuildRight bool
 	Residual   Pred // optional filter on the concatenated row
 
+	// recheck, when set, is the full residual Narrow narrowed Residual
+	// from; a row a covered side had to read from its heap (an absent
+	// value) gets it instead of Residual, since its columns then did not
+	// come from the entries that prove the dropped checks.
+	recheck Pred
+	// segs, set by Narrow on a plan whose only operator this is, lists
+	// the projected columns as entry segments: with a dedup check bound
+	// (Prepared), Next asks it about each pair's projection, encoded
+	// from the two entries' bytes, before it decodes anything.
+	segs  []keySeg
+	dedup Dedup
+	// checked is true when the row Next last returned went through
+	// dedup; dropped counts the pairs dedup took since Open.
+	checked bool
+	dropped int
+
 	t                 *keyTable // from Open to Close
 	pos               int
 	leftCov, rightCov bool
+	row               value.Tuple
+	key               []byte
+	cuts              [2][]int
+}
+
+// keySeg is one projected column of a KeyJoin row: the side it comes
+// from (0 Left, 1 Right) and its ordinal among that side's index
+// columns.
+type keySeg struct {
+	side, ord uint8
+}
+
+// Dedup is O3's duplicate check: it is handed the order-preserving
+// encoding (keycodec) of a projected row and reports true when that row
+// was already delivered, consuming the token that says so. A row it
+// takes is dropped.
+type Dedup func(key []byte) bool
+
+func (j *KeyJoin) side(s uint8) *KeySide {
+	if s == 0 {
+		return &j.Left
+	}
+	return &j.Right
 }
 
 // keyTable is one KeyJoin's scan state from Open to Close: the build
@@ -264,7 +306,7 @@ func (j *KeyJoin) Open() error {
 	}
 	t := j.t
 	t.reset()
-	j.pos = 0
+	j.pos, j.dropped, j.checked = 0, 0, false
 	j.leftCov, j.rightCov = j.Left.covered(), j.Right.covered()
 	build, probe := &j.Left, &j.Right
 	if j.BuildRight {
@@ -318,17 +360,19 @@ func (j *KeyJoin) Open() error {
 	return nil
 }
 
-// Next builds the next matched pair's row, sized for the two schemas:
-// one allocation, and one more per string a covered side decodes. A
-// side with Cols set yields only the columns they mark.
+// Next builds the next matched pair's row, sized for the two schemas,
+// into the join's own row: no allocation but one per string a covered
+// side decodes. A side with Cols set yields only the columns they mark.
+// With a dedup check bound, a pair whose projection it takes is skipped
+// before any of it is decoded.
 func (j *KeyJoin) Next() (value.Tuple, bool, error) {
 	t := j.t
 	if t == nil {
 		return nil, false, nil
 	}
-	// A row the residual rejects is reused for the next pair.
-	var row value.Tuple
-	var err error
+	if j.row == nil {
+		j.row = make(value.Tuple, 0, len(j.Left.Rel.Schema.Columns)+len(j.Right.Rel.Schema.Columns))
+	}
 	for j.pos < len(t.pairs) {
 		pr := t.pairs[j.pos]
 		j.pos++
@@ -336,33 +380,87 @@ func (j *KeyJoin) Next() (value.Tuple, bool, error) {
 		if j.BuildRight {
 			le, re = re, le
 		}
-		if row == nil {
-			row = make(value.Tuple, 0, len(j.Left.Rel.Schema.Columns)+len(j.Right.Rel.Schema.Columns))
+		j.checked = false
+		if j.dedup != nil && j.segs != nil {
+			key, ok, err := j.projectKey(le, re)
+			if err != nil {
+				return nil, false, err
+			}
+			if ok {
+				if j.dedup(key) {
+					j.dropped++
+					continue
+				}
+				j.checked = true
+			}
 		}
-		if row, err = j.Left.appendRow(row[:0], j.leftCov, le); err != nil {
+		row, lh, err := j.Left.appendRow(j.row[:0], j.leftCov, le)
+		if err != nil {
 			return nil, false, err
 		}
-		if row, err = j.Right.appendRow(row, j.rightCov, re); err != nil {
+		row, rh, err := j.Right.appendRow(row, j.rightCov, re)
+		if err != nil {
 			return nil, false, err
 		}
-		if j.Residual == nil || j.Residual(row) {
+		j.row = row
+		resid := j.Residual
+		if j.recheck != nil && (lh && j.leftCov || rh && j.rightCov) {
+			resid = j.recheck
+		}
+		if resid == nil || resid(row) {
 			return row, true, nil
 		}
 	}
 	return nil, false, nil
 }
 
+// projectKey encodes the projection of the pair (le, re) from the
+// entries' bytes: each projected column's segment, in projection
+// order, which is keycodec's encoding of the row Next would build. It
+// reports false when a segment is the absent tag; the row must then be
+// read and checked in full.
+func (j *KeyJoin) projectKey(le, re []byte) ([]byte, bool, error) {
+	for s, e := range [2][]byte{le, re} {
+		cuts := j.cuts[s][:0]
+		b, off := e[:len(e)-6], 0
+		for range j.side(uint8(s)).Index.Cols {
+			cuts = append(cuts, off)
+			n, err := keycodec.Skip(b[off:])
+			if err != nil {
+				return nil, false, err
+			}
+			off += n
+		}
+		j.cuts[s] = append(cuts, off)
+	}
+	key := j.key[:0]
+	for _, sg := range j.segs {
+		e := le
+		if sg.side == 1 {
+			e = re
+		}
+		seg := e[j.cuts[sg.side][sg.ord]:j.cuts[sg.side][sg.ord+1]]
+		if keycodec.Absent(seg) {
+			return nil, false, nil
+		}
+		key = append(key, seg...)
+	}
+	j.key = key
+	return key, true, nil
+}
+
 // appendRow appends the side's row for index entry e to row: decoded
 // from e when the side is covered and e holds every value it reads,
-// else read from the heap at e's RID.
-func (s *KeySide) appendRow(row value.Tuple, covered bool, e []byte) (value.Tuple, error) {
+// else read from the heap at e's RID, which it reports.
+func (s *KeySide) appendRow(row value.Tuple, covered bool, e []byte) (value.Tuple, bool, error) {
 	if covered {
 		out, ok, err := s.decodeEntry(row, e)
 		if err != nil || ok {
-			return out, err
+			return out, false, err
 		}
 	}
-	return s.Rel.Heap.AppendGet(row, entryRID(e), s.Cols)
+	row, err := s.Rel.Heap.AppendGet(row, entryRID(e), s.Cols)
+	return row, true, err
 }
 
 // decodeEntry appends the side's row decoded from index entry e: the
@@ -425,7 +523,7 @@ func (j *HashJoin) Open() error {
 	j.mpos = 0
 	if err := ForEach(j.Right, func(t value.Tuple) error {
 		k := string(keycodec.AppendValue(nil, t[j.RightCol]))
-		j.table[k] = append(j.table[k], t)
+		j.table[k] = append(j.table[k], t.Clone())
 		return nil
 	}); err != nil {
 		return err

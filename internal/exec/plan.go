@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"pmv/internal/catalog"
@@ -19,10 +20,58 @@ type Plan struct {
 
 	// keyJoin is the plan's KeyJoin, whose rows are the first columns of
 	// Schema, or nil; reads lists the row positions the plan's compiled
-	// predicates and joins read. Narrow uses both.
+	// predicates and joins read; checks is the KeyJoin's residual, check
+	// by check, with what makes each redundant. Narrow uses all three.
 	keyJoin *KeyJoin
 	reads   []int
+	checks  []residCheck
+
+	// bind holds the condition instances the plan's compiled condition
+	// predicates read, and slots the operators' key ranges; bindQuery
+	// rewrites both for a query.
+	bind  *binding
+	slots []rangeSlot
 }
+
+// binding is the bound values of one plan: per template condition, the
+// query's instance. The plan's condition predicates read it, so one
+// compiled plan serves every query bound to it.
+type binding struct {
+	forms []expr.CondForm
+	conds []expr.CondInstance
+}
+
+// rangeSlot is one operator's key ranges over condition cond's column.
+type rangeSlot struct {
+	cond   int
+	ranges *[]KeyRange
+}
+
+// residCheck is one check of a KeyJoin's residual. proves names the
+// sides (bit 0 Left, bit 1 Right) whose index entries prove it: once
+// Narrow makes each of them covered, their rows are decoded from the
+// very entries the key ranges selected and the join intersected, and
+// the check cannot fail. 0 means no entry proves it.
+type residCheck struct {
+	pred   Pred
+	proves uint8
+}
+
+// bindQuery writes q's condition instances into the plan: the values
+// its predicates compare with and the key ranges its index scans read.
+// q must instantiate the template the plan was built for, with as many
+// values (or intervals) per condition as its binding class (see
+// Prepared); PlanQuery's plan is bound to its own query. The ranges'
+// buffers are reused, so rebinding a warm plan allocates nothing.
+func (p *Plan) bindQuery(q *expr.Query) {
+	copy(p.bind.conds, q.Conds)
+	for _, sl := range p.slots {
+		*sl.ranges = appendRanges((*sl.ranges)[:0], p.bind.forms[sl.cond], q.Conds[sl.cond])
+	}
+}
+
+// unbind drops the references bindQuery took to the query's values.
+func (p *Plan) unbind() { clear(p.bind.conds) }
 
 // Narrow limits what the plan decodes to what is read. cols are the
 // positions of every column the caller reads of the rows Root yields.
@@ -47,7 +96,41 @@ func (p *Plan) Narrow(cols []int) {
 		}
 	}
 	kj.Left.Cols, kj.Right.Cols = mask[:nl], mask[nl:]
+
+	var covered uint8
+	if kj.Left.covered() {
+		covered |= 1
+	}
+	if kj.Right.covered() {
+		covered |= 2
+	}
+	var kept, all []Pred
+	for _, c := range p.checks {
+		all = append(all, c.pred)
+		if c.proves == 0 || c.proves&covered != c.proves {
+			kept = append(kept, c.pred)
+		}
+	}
+	kj.Residual, kj.recheck = andPreds(kept), nil
+	if len(kept) < len(all) {
+		kj.recheck = andPreds(all)
+	}
+	kj.segs = nil
+	if p.Root == kj && kj.Residual == nil && covered == 3 {
+		kj.segs = make([]keySeg, len(cols))
+		for i, c := range cols {
+			side, col := uint8(0), c
+			if c >= nl {
+				side, col = 1, c-nl
+			}
+			kj.segs[i] = keySeg{side: side, ord: uint8(slices.Index(kj.side(side).Index.Cols, col))}
+		}
+	}
 }
+
+// BuildRight reports whether the plan is a key-only join that hashes
+// its right side (see KeyJoin.BuildRight).
+func (p *Plan) BuildRight() bool { return p.keyJoin != nil && p.keyJoin.BuildRight }
 
 // String renders the plan one operator per line, children indented
 // under their parent, each access path with the index it uses.
@@ -108,8 +191,24 @@ type planner struct {
 	// them nothing is costed and the declared order is kept.
 	stats bool
 	// ranges memoizes each condition's index key ranges (rangesOf), which
-	// both candidate plans read.
+	// both candidate plans read; nil for a planner with fixed choices,
+	// whose plan is bound later.
 	ranges [][]KeyRange
+	// bind is the binding every compiled predicate of the plan reads.
+	bind *binding
+	// fix, when non-nil, holds the choices a previous planning made, and
+	// nothing is costed (see Prepared).
+	fix *choices
+}
+
+// choices are the decisions the planner takes from the cost model: the
+// paper plan's driving relation, whether the key-only plan runs, and
+// its build side. Everything else follows from the template and the
+// catalog.
+type choices struct {
+	driver     int
+	keyJoin    bool
+	buildRight bool
 }
 
 // subplan is a plan under construction: the relations joined so far and
@@ -120,9 +219,13 @@ type subplan struct {
 	joined      map[string]bool
 	usedJoin    []bool
 	rows, pages float64
-	// keyJoin and reads become the Plan's fields of the same names.
-	keyJoin *KeyJoin
-	reads   []int
+	// keyJoin, reads, checks and slots become the Plan's fields of the
+	// same names; buildRight is the key-only plan's build side.
+	keyJoin    *KeyJoin
+	reads      []int
+	checks     []residCheck
+	slots      []rangeSlot
+	buildRight bool
 }
 
 // col resolves ref in sp's row schema and records that the plan reads
@@ -143,23 +246,43 @@ func (sp *subplan) col(ref expr.ColumnRef) (int, error) {
 // scans and in-memory joins where an index is missing keep the planner
 // total. When two joined relations both carry a condition and each has
 // a composite index keyed (condition column, join column), a KeyJoin
-// over the two is planned as well and the plan with the lower estimated
-// page count runs. What the catalog holds decides; there is no switch.
+// over the two is planned as well; with statistics the plan with the
+// lower estimated page count runs, without them the KeyJoin does. What
+// the catalog holds decides; there is no switch.
 func PlanQuery(cat *catalog.Catalog, q *expr.Query) (*Plan, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	p := &planner{tpl: q.Template, q: q, stats: true}
+	plan, _, err := planFor(cat, q.Template, q, nil)
+	if err != nil {
+		return nil, err
+	}
+	plan.bindQuery(q)
+	return plan, nil
+}
+
+// planFor plans tpl: costed with q's values when fix is nil, else with
+// fix's choices and nothing costed (q is then unused). It returns the
+// plan, unbound, and the choices it took.
+func planFor(cat *catalog.Catalog, tpl *expr.Template, q *expr.Query, fix *choices) (*Plan, choices, error) {
+	p := &planner{tpl: tpl, q: q, stats: true, fix: fix}
+	p.bind = &binding{forms: make([]expr.CondForm, len(tpl.Conds)), conds: make([]expr.CondInstance, len(tpl.Conds))}
+	for i, c := range tpl.Conds {
+		p.bind.forms[i] = c.Form
+	}
 	p.rels = make([]*catalog.Relation, len(p.tpl.Relations))
 	for i, name := range p.tpl.Relations {
 		r, err := cat.GetRelation(name)
 		if err != nil {
-			return nil, err
+			return nil, choices{}, err
 		}
 		p.rels[i] = r
 		if r.Stats == nil {
 			p.stats = false
 		}
+	}
+	if fix != nil {
+		p.stats = false
 	}
 	p.conds = make([][]int, len(p.rels))
 	p.ranges = make([][]KeyRange, len(p.tpl.Conds))
@@ -168,26 +291,36 @@ func PlanQuery(cat *catalog.Catalog, q *expr.Query) (*Plan, error) {
 			p.conds[ri] = append(p.conds[ri], ci)
 		}
 	}
-	best, err := p.startDriver()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.joinRest(best); err != nil {
-		return nil, err
-	}
-	kj, err := p.startKeyJoin()
-	if err != nil {
-		return nil, err
-	}
-	if kj != nil {
-		if err := p.joinRest(kj); err != nil {
-			return nil, err
+	var best *subplan
+	if fix == nil || !fix.keyJoin {
+		var err error
+		if best, err = p.startDriver(); err != nil {
+			return nil, choices{}, err
 		}
-		if kj.pages < best.pages {
-			best = kj
+		if err := p.joinRest(best); err != nil {
+			return nil, choices{}, err
 		}
 	}
-	return &Plan{Root: best.root, Schema: best.schema, keyJoin: best.keyJoin, reads: best.reads}, nil
+	if fix == nil || fix.keyJoin {
+		kj, err := p.startKeyJoin()
+		if err != nil {
+			return nil, choices{}, err
+		}
+		if kj != nil {
+			if err := p.joinRest(kj); err != nil {
+				return nil, choices{}, err
+			}
+			if best == nil || !p.stats || kj.pages < best.pages {
+				best = kj
+			}
+		}
+	}
+	if best == nil {
+		return nil, choices{}, fmt.Errorf("exec: the key-only plan of %s no longer applies", tpl.Name)
+	}
+	plan := &Plan{Root: best.root, Schema: best.schema, keyJoin: best.keyJoin, reads: best.reads,
+		checks: best.checks, bind: p.bind, slots: best.slots}
+	return plan, choices{driver: p.chooseDriver(), keyJoin: best.keyJoin != nil, buildRight: best.buildRight}, nil
 }
 
 func (p *planner) newSubplan() *subplan {
@@ -243,7 +376,7 @@ func (p *planner) distinct(ri, col int) float64 {
 // rangesOf returns condition ci's index key ranges, computed once per
 // query.
 func (p *planner) rangesOf(ci int) []KeyRange {
-	if p.ranges[ci] == nil {
+	if p.fix == nil && p.ranges[ci] == nil {
 		p.ranges[ci] = rangesFor(p.tpl.Conds[ci].Form, p.q.Conds[ci])
 	}
 	return p.ranges[ci]
@@ -257,12 +390,23 @@ func (p *planner) relPreds(sp *subplan, ri, skip int) ([]Pred, error) {
 		if ci == skip {
 			continue
 		}
-		pr, err := condPred(sp, p.tpl.Conds[ci], p.q.Conds[ci])
+		pr, err := p.condPred(sp, ci)
 		if err != nil {
 			return nil, err
 		}
 		preds = append(preds, pr)
 	}
+	fixed, err := p.fixedPreds(sp, ri)
+	if err != nil {
+		return nil, err
+	}
+	return append(preds, fixed...), nil
+}
+
+// fixedPreds compiles relation ri's fixed predicates against sp's
+// schema.
+func (p *planner) fixedPreds(sp *subplan, ri int) ([]Pred, error) {
+	var preds []Pred
 	for _, f := range p.tpl.Fixed {
 		if f.Col.Rel != p.tpl.Relations[ri] {
 			continue
@@ -317,7 +461,9 @@ func (p *planner) startDriver() (*subplan, error) {
 			continue
 		}
 		ranges := p.rangesOf(ci)
-		sp.root = &IndexScan{Rel: driver, Index: ix, Ranges: ranges}
+		scan := &IndexScan{Rel: driver, Index: ix, Ranges: ranges}
+		sp.root = scan
+		sp.slots = append(sp.slots, rangeSlot{cond: ci, ranges: &scan.Ranges})
 		usedCond = ci
 		if p.stats {
 			sp.rows = p.rowCount(di) * p.condSel(di, ci)
@@ -387,26 +533,28 @@ func (p *planner) keyInput(ref expr.ColumnRef) (*keyInput, error) {
 		if ix == nil {
 			continue
 		}
-		return &keyInput{
+		in := &keyInput{
 			KeySide: KeySide{Rel: rel, Index: ix, Ranges: p.rangesOf(ci)},
 			ri:      ri, cond: ci, joinCol: joinCol,
-			scanned: p.rowCount(ri) * p.condSel(ri, ci),
-			covers:  covers,
-		}, nil
+			covers: covers,
+		}
+		if p.stats {
+			in.scanned = p.rowCount(ri) * p.condSel(ri, ci)
+		}
+		return in, nil
 	}
 	return nil, nil
 }
 
 // startKeyJoin opens the key-only plan, or returns nil when it does not
-// apply: it needs statistics to be costed, a join predicate whose two
-// relations both carry a condition, a composite index keyed (condition
-// column, join column) on each side, and join columns of one type — the
-// operator compares encoded key bytes, and keycodec encodes Int 1 and
-// Float 1.0 differently although value.Equal calls them equal.
+// apply: it needs a join predicate whose two relations both carry a
+// condition, a composite index keyed (condition column, join column) on
+// each side, and join columns of one type — the operator compares
+// encoded key bytes, and keycodec encodes Int 1 and Float 1.0
+// differently although value.Equal calls them equal. Statistics, when
+// present, cost it and pick its build side, the side expected to scan
+// fewer entries; without them the side with fewer heap pages builds.
 func (p *planner) startKeyJoin() (*subplan, error) {
-	if !p.stats {
-		return nil, nil
-	}
 	for ji, jp := range p.tpl.Join {
 		l, err := p.keyInput(jp.Left)
 		if err != nil {
@@ -428,44 +576,84 @@ func (p *planner) startKeyJoin() (*subplan, error) {
 		}
 		sp := p.newSubplan()
 		sp.usedJoin[ji] = true
-		matches := l.scanned * r.scanned / math.Max(p.distinct(l.ri, l.joinCol), p.distinct(r.ri, r.joinCol))
-		sp.rows = matches
+		switch {
+		case p.fix != nil:
+			sp.buildRight = p.fix.buildRight
+		case p.stats:
+			sp.buildRight = r.scanned < l.scanned
+		default:
+			sp.buildRight = r.Rel.Heap.NumPages() < l.Rel.Heap.NumPages()
+		}
+		var matches float64
+		if p.stats {
+			matches = l.scanned * r.scanned / math.Max(p.distinct(l.ri, l.joinCol), p.distinct(r.ri, r.joinCol))
+			sp.rows = matches
+		}
 
 		// Residuals: every condition is re-checked on the fetched rows,
 		// the indexed ones included, and so is the join predicate — a
 		// row may have moved or changed between the index scan and the
-		// fetch; then what the IndexJoin plan would filter on.
-		var resid []Pred
+		// fetch; then what the IndexJoin plan would filter on. A check
+		// the entries themselves prove (an equality condition on a
+		// side's lead column, the join of two byte-equal keys) is
+		// marked, and Narrow drops it once the sides it names are
+		// decoded from their entries: identical values are equal.
 		for _, in := range []*keyInput{l, r} {
 			name := p.tpl.Relations[in.ri]
 			sp.schema = sp.schema.Concat(qualify(in.Rel, name))
 			sp.joined[name] = true
-			sp.pages += float64(len(in.Ranges))*descentPages + in.scanned/leafEntries
-			if !in.covers {
-				sp.pages += matches // one heap row per match
+			if p.stats {
+				sp.pages += float64(len(in.Ranges))*descentPages + in.scanned/leafEntries
+				if !in.covers {
+					sp.pages += matches // one heap row per match
+				}
+				sp.rows *= p.sel(in.ri, in.cond)
 			}
-			sp.rows *= p.sel(in.ri, in.cond)
 		}
-		for _, in := range []*keyInput{l, r} {
-			preds, err := p.relPreds(sp, in.ri, -1)
+		for side, in := range []*keyInput{l, r} {
+			for _, ci := range p.conds[in.ri] {
+				pr, err := p.condPred(sp, ci)
+				if err != nil {
+					return nil, err
+				}
+				c := residCheck{pred: pr}
+				if ci == in.cond && p.tpl.Conds[ci].Form == expr.EqualityForm {
+					c.proves = 1 << side
+				}
+				sp.checks = append(sp.checks, c)
+			}
+			preds, err := p.fixedPreds(sp, in.ri)
 			if err != nil {
 				return nil, err
 			}
-			resid = append(resid, preds...)
+			for _, pr := range preds {
+				sp.checks = append(sp.checks, residCheck{pred: pr})
+			}
 		}
 		link, err := joinPredFn(sp, jp)
 		if err != nil {
 			return nil, err
 		}
+		sp.checks = append(sp.checks, residCheck{pred: link, proves: 3})
 		more, err := p.boundJoinPreds(sp, ji)
 		if err != nil {
 			return nil, err
 		}
+		for _, pr := range more {
+			sp.checks = append(sp.checks, residCheck{pred: pr})
+		}
+		all := make([]Pred, len(sp.checks))
+		for i, c := range sp.checks {
+			all[i] = c.pred
+		}
 		sp.keyJoin = &KeyJoin{
 			Left: l.KeySide, Right: r.KeySide,
-			BuildRight: r.scanned < l.scanned,
-			Residual:   andPreds(append(append(resid, link), more...)),
+			BuildRight: sp.buildRight,
+			Residual:   andPreds(all),
 		}
+		sp.slots = append(sp.slots,
+			rangeSlot{cond: l.cond, ranges: &sp.keyJoin.Left.Ranges},
+			rangeSlot{cond: r.cond, ranges: &sp.keyJoin.Right.Ranges})
 		sp.root = sp.keyJoin
 		return sp, nil
 	}
@@ -606,6 +794,9 @@ func connectsTo(tpl *expr.Template, usedJoin []bool, joined map[string]bool, rel
 // without statistics score by template position, so an un-analyzed
 // database keeps the declared order.
 func (p *planner) chooseDriver() int {
+	if p.fix != nil {
+		return p.fix.driver
+	}
 	if !p.stats {
 		return 0 // incomplete statistics: keep the declared order
 	}
@@ -624,27 +815,42 @@ func (p *planner) chooseDriver() int {
 
 // rangesFor converts one bound condition into index key ranges.
 func rangesFor(form expr.CondForm, ci expr.CondInstance) []KeyRange {
-	var out []KeyRange
-	if form == expr.EqualityForm {
-		for _, v := range ci.Values {
-			out = append(out, EqKeyRange(v))
-		}
-		return out
-	}
-	for _, iv := range ci.Intervals {
-		out = append(out, IntervalKeyRange(iv))
-	}
-	return out
+	return appendRanges(nil, form, ci)
 }
 
-// condPred compiles one bound selection condition against sp's schema.
-func condPred(sp *subplan, ct expr.CondTemplate, ci expr.CondInstance) (Pred, error) {
+// appendRanges appends ci's key ranges to dst, one per value or
+// interval, reusing the byte buffers of the ranges dst's spare capacity
+// still holds.
+func appendRanges(dst []KeyRange, form expr.CondForm, ci expr.CondInstance) []KeyRange {
+	n := len(ci.Intervals)
+	if form == expr.EqualityForm {
+		n = len(ci.Values)
+	}
+	base := len(dst)
+	if cap(dst)-base < n {
+		dst = slices.Grow(dst, n)
+	}
+	dst = dst[:base+n]
+	for i := range n {
+		kr := &dst[base+i]
+		if form == expr.EqualityForm {
+			*kr = eqRange(kr.Lo, kr.Hi, ci.Values[i])
+		} else {
+			*kr = intervalRange(kr.Lo, kr.Hi, ci.Intervals[i])
+		}
+	}
+	return dst
+}
+
+// condPred compiles condition ci, as bound, against sp's schema.
+func (p *planner) condPred(sp *subplan, ci int) (Pred, error) {
+	ct := p.tpl.Conds[ci]
 	pos, err := sp.col(ct.Col)
 	if err != nil {
 		return nil, err
 	}
-	form := ct.Form
-	return func(t value.Tuple) bool { return ci.Matches(form, t[pos]) }, nil
+	b, form := p.bind, ct.Form
+	return func(t value.Tuple) bool { return b.conds[ci].Matches(form, t[pos]) }, nil
 }
 
 func fixedPredFn(sp *subplan, f expr.FixedPred) (Pred, error) {

@@ -65,29 +65,32 @@ type KeyRange struct {
 }
 
 // EqKeyRange returns the range covering exactly the encoded value v.
-func EqKeyRange(v value.Value) KeyRange {
-	lo := keycodec.AppendValue(nil, v)
-	return KeyRange{Lo: lo, Hi: successorOf(lo), Eq: true}
-}
+func EqKeyRange(v value.Value) KeyRange { return eqRange(nil, nil, v) }
 
 // IntervalKeyRange returns the encoded range for interval iv over a
 // single-column index.
-func IntervalKeyRange(iv expr.Interval) KeyRange {
+func IntervalKeyRange(iv expr.Interval) KeyRange { return intervalRange(nil, nil, iv) }
+
+// eqRange is EqKeyRange writing its bounds into lo's and hi's buffers.
+func eqRange(lo, hi []byte, v value.Value) KeyRange {
+	lo = keycodec.AppendValue(lo[:0], v)
+	return KeyRange{Lo: lo, Hi: appendSuccessor(hi[:0], lo), Eq: true}
+}
+
+// intervalRange is IntervalKeyRange writing its bounds into lo's and
+// hi's buffers.
+func intervalRange(lo, hi []byte, iv expr.Interval) KeyRange {
 	var kr KeyRange
 	if !iv.Lo.IsNull() {
-		lo := keycodec.AppendValue(nil, iv.Lo)
-		if iv.LoIncl {
-			kr.Lo = lo
-		} else {
-			kr.Lo = successorOf(lo)
+		kr.Lo = keycodec.AppendValue(lo[:0], iv.Lo)
+		if !iv.LoIncl {
+			kr.Lo = appendSuccessor(kr.Lo[:0:len(kr.Lo)], kr.Lo)
 		}
 	}
 	if !iv.Hi.IsNull() {
-		hi := keycodec.AppendValue(nil, iv.Hi)
+		kr.Hi = keycodec.AppendValue(hi[:0], iv.Hi)
 		if iv.HiIncl {
-			kr.Hi = successorOf(hi)
-		} else {
-			kr.Hi = hi
+			kr.Hi = appendSuccessor(kr.Hi[:0:len(kr.Hi)], kr.Hi)
 		}
 	}
 	return kr
@@ -99,9 +102,15 @@ func IntervalKeyRange(iv expr.Interval) KeyRange {
 // that prefix — the carry-based prefix successor does exactly that.
 func successorOf(key []byte) []byte { return prefixSuccessor(key) }
 
-func prefixSuccessor(p []byte) []byte {
-	out := append([]byte(nil), p...)
-	for i := len(out) - 1; i >= 0; i-- {
+func prefixSuccessor(p []byte) []byte { return appendSuccessor(nil, p) }
+
+// appendSuccessor appends p's prefix successor to dst (see successorOf),
+// or returns nil, unbounded, when p is all 0xFF bytes. dst may be p's
+// own buffer cut to length 0.
+func appendSuccessor(dst, p []byte) []byte {
+	n := len(p)
+	out := append(dst, p...)
+	for i := n - 1; i >= 0; i-- {
 		if out[i] != 0xFF {
 			out[i]++
 			return out[:i+1]

@@ -77,6 +77,9 @@ func AppendValue(dst []byte, v value.Value) []byte {
 // not stored, and the reader must fetch it from the row.
 var ErrAbsent = errors.New("keycodec: value absent")
 
+// Absent reports whether the encoding b begins with is the absent tag.
+func Absent(b []byte) bool { return len(b) > 0 && b[0] == tagAbsent }
+
 // AppendCapped appends the encoding of v, or the one-byte absent tag
 // when that encoding would be longer than max bytes. A covered index
 // column is written this way, so one long value cannot make its entry

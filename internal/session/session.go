@@ -165,8 +165,9 @@ type Session struct {
 
 	// Row-stream state of the request in flight: the reused frame
 	// buffer, the row-frame bytes written so far (Bill's wire-byte
-	// charge), whether the first partial row has been flushed, and the
-	// first write failure.
+	// charge), whether the first partial row is past (flushed, or not a
+	// MsgQuery answer, which flushes none early), and the first write
+	// failure.
 	row          []byte
 	rowBytes     int64
 	firstPartial bool
@@ -270,11 +271,13 @@ func (sess *Session) Pong(payload []byte, epoch uint64) error {
 	return sess.WriteFrame(wire.MsgPong, wire.EncodePong(buf[:0], nonce, epoch))
 }
 
-// WriteRow streams one result tuple as a MsgRow frame. The response's
-// first partial row is flushed at once — the first row is what the
-// partial-first contract makes fast — and every later row stays in the
-// buffer until the handler's phase-boundary Flush or the end of the
-// response. A failure is also latched for Err, so a handler can tell
+// WriteRow streams one result tuple as a MsgRow frame. A MsgQuery
+// answer's first partial row is flushed at once — the first row is what
+// the partial-first contract makes fast for an end client — and every
+// later row stays in the buffer until the handler's phase-boundary
+// Flush or the end of the response. Every other row stream (a shard's
+// probe or exec reply to a router, which reads it whole) goes out at
+// the end of its response in one write. A failure is also latched for Err, so a handler can tell
 // its own dead connection from a query error after the emit callback's
 // error has passed through the engine.
 func (sess *Session) WriteRow(t value.Tuple, partial bool) error {
@@ -501,7 +504,7 @@ func (k *Kernel) handle(sess *Session) {
 			return
 		}
 		sess.busy.Store(true)
-		sess.rowBytes, sess.firstPartial, sess.werr = 0, false, nil
+		sess.rowBytes, sess.firstPartial, sess.werr = 0, typ != wire.MsgQuery, nil
 		err = k.serve(sess, typ, payload)
 		if err == nil {
 			err = sess.Flush()

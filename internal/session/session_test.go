@@ -454,20 +454,22 @@ func (c *writeLog) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-// TestWritesPerPhase pins the flush discipline: a response of k O2 rows
-// and then O3 rows reaches the socket in three writes — the first
-// partial row alone, the other k-1 partials at the phase boundary, and
-// the O3 rows with the closing frame.
-func TestWritesPerPhase(t *testing.T) {
-	const o2, o3 = 5, 7
+// writesPerRequest serves one request of type typ whose handler writes
+// o2 partial rows, flushes at the phase boundary, writes o3 rows and
+// the closing frame, and returns the sizes of the writes that reached
+// the connection and one row frame's size.
+func writesPerRequest(t *testing.T, typ byte, o2, o3 int) (writes []int, row int) {
+	t.Helper()
 	k := New("test", Config{}, new(Counters), func(sess *Session, typ byte, payload []byte) error {
 		for i := 0; i < o2; i++ {
 			if err := sess.WriteRow(echoRow, true); err != nil {
 				return err
 			}
 		}
-		if err := sess.Flush(); err != nil {
-			return err
+		if o3 > 0 {
+			if err := sess.Flush(); err != nil {
+				return err
+			}
 		}
 		for i := 0; i < o3; i++ {
 			if err := sess.WriteRow(echoRow, false); err != nil {
@@ -488,7 +490,7 @@ func TestWritesPerPhase(t *testing.T) {
 	// would wait for a read the kernel never makes.
 	peer.SetDeadline(time.Now().Add(5 * time.Second))
 	req := make([]byte, wire.FrameHeaderLen)
-	wire.SealFrame(req, wire.MsgQuery)
+	wire.SealFrame(req, typ)
 	if _, err := peer.Write(req); err != nil {
 		t.Fatal(err)
 	}
@@ -506,13 +508,35 @@ func TestWritesPerPhase(t *testing.T) {
 	if rows != o2+o3 {
 		t.Fatalf("read %d rows, want %d", rows, o2+o3)
 	}
-
-	row := len(wire.EncodeRow(nil, echoRow, true)) + wire.FrameHeaderLen
-	want := []int{row, (o2 - 1) * row, o3*row + wire.FrameHeaderLen}
 	log.mu.Lock()
 	defer log.mu.Unlock()
-	if !slices.Equal(log.writes, want) {
-		t.Fatalf("writes = %v bytes, want %v (first row, phase boundary, end)", log.writes, want)
+	return slices.Clone(log.writes), len(wire.EncodeRow(nil, echoRow, true)) + wire.FrameHeaderLen
+}
+
+// TestWritesPerPhase pins the flush discipline: a response of k O2 rows
+// and then O3 rows reaches the socket in three writes — the first
+// partial row alone, the other k-1 partials at the phase boundary, and
+// the O3 rows with the closing frame.
+func TestWritesPerPhase(t *testing.T) {
+	const o2, o3 = 5, 7
+	writes, row := writesPerRequest(t, wire.MsgQuery, o2, o3)
+	if want := []int{row, (o2 - 1) * row, o3*row + wire.FrameHeaderLen}; !slices.Equal(writes, want) {
+		t.Fatalf("writes = %v bytes, want %v (first row, phase boundary, end)", writes, want)
+	}
+}
+
+// TestProbeReplyInOneWrite: a shard's probe reply, partial rows that a
+// router reads whole, reaches the socket in one write with its closing
+// frame; only a MsgQuery answer sends its first row alone.
+func TestProbeReplyInOneWrite(t *testing.T) {
+	const rows = 6
+	writes, row := writesPerRequest(t, wire.MsgProbeParts, rows, 0)
+	if want := []int{rows*row + wire.FrameHeaderLen}; !slices.Equal(writes, want) {
+		t.Fatalf("probe reply writes = %v bytes, want %v (one write)", writes, want)
+	}
+	writes, row = writesPerRequest(t, wire.MsgQuery, rows, 0)
+	if want := []int{row, (rows-1)*row + wire.FrameHeaderLen}; !slices.Equal(writes, want) {
+		t.Fatalf("query answer writes = %v bytes, want %v (first row, then the rest)", writes, want)
 	}
 }
 
