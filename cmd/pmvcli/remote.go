@@ -207,8 +207,8 @@ func (r *remoteBackend) stats() error {
 		fmt.Printf("  snapshot boot: %s\n", ss.LastBoot)
 	}
 	if ms := st.Maint; ms != nil {
-		fmt.Printf("  maint: queue %d/%d, %d batches (max %d ops, %d size / %d age flushes)\n",
-			ms.QueueDepth, ms.QueueCap, ms.Batches, ms.MaxBatchOps, ms.SizeFlushes, ms.AgeFlushes)
+		fmt.Printf("  maint: queue %d/%d, %d batches (max %d ops, %d cut at the batch size)\n",
+			ms.QueueDepth, ms.QueueCap, ms.Batches, ms.MaxBatchOps, ms.SizeFlushes)
 	}
 	if fs := st.Freq; fs != nil {
 		fmt.Printf("  freq: %s\n", freqLine(fs))
@@ -255,8 +255,8 @@ func (r *remoteBackend) maint() error {
 	}
 	fmt.Printf("  queue: %d/%d deep; %d ops ingested, %d applied, %d errors\n",
 		ms.QueueDepth, ms.QueueCap, ms.OpsIngested, ms.OpsApplied, ms.OpErrors)
-	fmt.Printf("  batches: %d (%d size-flushed, %d age-flushed, max %d ops)\n",
-		ms.Batches, ms.SizeFlushes, ms.AgeFlushes, ms.MaxBatchOps)
+	fmt.Printf("  batches: %d (%d cut at the batch size with requests queued, max %d ops)\n",
+		ms.Batches, ms.SizeFlushes, ms.MaxBatchOps)
 	fmt.Printf("  group commit: %d coalesced ops, %d syncs in %v\n",
 		ms.CoalescedOps, ms.GroupSyncs, time.Duration(ms.SyncNs))
 	fmt.Printf("  time: lock-wait %v, apply %v, maintain %v\n",

@@ -54,8 +54,7 @@ func main() {
 		snapInt  = flag.Duration("snapshot-interval", 30*time.Second, "period of the background cache snapshot writer (requires -snapshot-dir; 0 = only the final shutdown snapshot)")
 
 		maintOn    = flag.Bool("maint", true, "batched deferred view maintenance for writes (off = synchronous per-statement maintenance)")
-		maintBatch = flag.Int("maint-batch", 0, "ops per maintenance batch before a size flush (0 = default 64)")
-		maintDelay = flag.Duration("maint-delay", 0, "max age of a non-empty batch before a flush (0 = default 2ms); bounds write latency")
+		maintBatch = flag.Int("maint-batch", 0, "max ops per maintenance batch; a batch takes what is queued up to this many, with no delay (0 = default 64)")
 		maintQueue = flag.Int("maint-queue", 0, "bounded ingest queue depth; writers block when full (0 = default 1024)")
 
 		freqOn     = flag.Bool("freq", false, "frequency plane: windowed popularity sketch gating cache admission, counting-bloom presence filter suppressing provably-absent O2 probes, and the shard half of hot-entry replication")
@@ -81,7 +80,6 @@ func main() {
 		plane, err = maint.New(maint.Config{
 			Source:     db,
 			BatchSize:  *maintBatch,
-			MaxDelay:   *maintDelay,
 			QueueDepth: *maintQueue,
 			Logf:       log.Printf,
 		})

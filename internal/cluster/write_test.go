@@ -23,7 +23,7 @@ func TestRouterUpdatePurgesBeforeAck(t *testing.T) {
 	r, srvs, dbs, want := testCluster(t)
 	planes := make([]*maint.Plane, len(srvs))
 	for i, s := range srvs {
-		p, err := maint.New(maint.Config{Source: dbs[i], MaxDelay: time.Millisecond})
+		p, err := maint.New(maint.Config{Source: dbs[i]})
 		if err != nil {
 			t.Fatal(err)
 		}

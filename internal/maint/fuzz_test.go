@@ -5,7 +5,6 @@ import (
 	"context"
 	"slices"
 	"testing"
-	"time"
 
 	"pmv"
 	"pmv/internal/maint"
@@ -67,7 +66,7 @@ func FuzzPlaneMatchesPerStatement(f *testing.F) {
 			}
 		}
 		check() // warm both caches
-		p := newPlane(t, dbs[0], maint.Config{MaxDelay: time.Millisecond, BatchSize: 1 << 10})
+		p := newPlane(t, dbs[0], maint.Config{BatchSize: 1 << 10})
 
 		var batch []wire.UpdateOp
 		flush := func() {

@@ -59,11 +59,9 @@ var ErrClosed = errors.New("maint: plane closed")
 // Config tunes a Plane. Zero values get defaults.
 type Config struct {
 	Source Source
-	// BatchSize flushes a batch once it holds this many ops (default 64).
+	// BatchSize caps the ops of one batch, and so one X-lock window
+	// (default 64). The request that crosses it still rides along.
 	BatchSize int
-	// MaxDelay flushes a non-empty batch after this long even if small
-	// (default 2ms) — the age trigger bounding write latency.
-	MaxDelay time.Duration
 	// QueueDepth bounds queued requests; Apply blocks (ctx-aware) when
 	// full (default 1024).
 	QueueDepth int
@@ -77,9 +75,6 @@ func (c *Config) fill() error {
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
@@ -263,8 +258,8 @@ func (p *Plane) Stats() wire.MaintStats {
 	return s
 }
 
-// run is the flush worker: gather a batch (size/age triggers), apply,
-// repeat; on close, drain and exit.
+// run is the flush worker: gather what is queued, apply it, repeat;
+// on close, drain and exit.
 func (p *Plane) run() {
 	defer p.wg.Done()
 	for {
@@ -284,42 +279,30 @@ func (p *Plane) run() {
 	}
 }
 
-// gather accumulates requests behind first until the batch reaches
-// BatchSize ops (size flush) or MaxDelay passes (age flush).
+// gather takes first plus the requests already queued behind it until
+// the batch holds BatchSize ops, and returns at once: group commit
+// with no delay. A lone writer waits for its ack, so nothing could
+// join its batch by waiting; concurrent writers queue behind the
+// batch being applied and synced, and ride the next one together.
+// SizeFlushes counts the batches cut at BatchSize with requests still
+// queued, the one sign that the cap binds.
 func (p *Plane) gather(first *request) []*request {
 	batch := []*request{first}
-	n := len(first.ops)
-	if n >= p.cfg.BatchSize {
-		p.bumpFlush(true)
-		return batch
-	}
-	timer := time.NewTimer(p.cfg.MaxDelay)
-	defer timer.Stop()
-	for n < p.cfg.BatchSize {
+	for n := len(first.ops); n < p.cfg.BatchSize; {
 		select {
 		case r := <-p.queue:
 			batch = append(batch, r)
 			n += len(r.ops)
-		case <-timer.C:
-			p.bumpFlush(false)
-			return batch
-		case <-p.closing:
-			p.bumpFlush(false)
+		default:
 			return batch
 		}
 	}
-	p.bumpFlush(true)
-	return batch
-}
-
-func (p *Plane) bumpFlush(size bool) {
-	p.statsMu.Lock()
-	if size {
+	if len(p.queue) > 0 {
+		p.statsMu.Lock()
 		p.stats.SizeFlushes++
-	} else {
-		p.stats.AgeFlushes++
+		p.statsMu.Unlock()
 	}
-	p.statsMu.Unlock()
+	return batch
 }
 
 // applyBatch is one group commit: X-lock every view, apply the ops

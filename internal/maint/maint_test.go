@@ -23,7 +23,7 @@ func openDB(t *testing.T) *pmv.DB {
 
 // storefront is the quickstart-style fixture: product ⋈ sale with
 // equality conditions on category and store.
-func storefront(t *testing.T, db *pmv.DB) *pmv.Template {
+func storefront(t testing.TB, db *pmv.DB) *pmv.Template {
 	t.Helper()
 	check := func(err error) {
 		t.Helper()
@@ -70,7 +70,7 @@ func runQuery(t *testing.T, view *pmv.View, tpl *pmv.Template) map[int64]bool {
 	return pids
 }
 
-func newPlane(t *testing.T, db *pmv.DB, cfg maint.Config) *maint.Plane {
+func newPlane(t testing.TB, db *pmv.DB, cfg maint.Config) *maint.Plane {
 	t.Helper()
 	cfg.Source = db
 	p, err := maint.New(cfg)
@@ -97,7 +97,7 @@ func TestBatchedDeletePurges(t *testing.T) {
 		t.Fatal("fixture broken: pid 25 not in query result")
 	}
 
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	p := newPlane(t, db, maint.Config{})
 	res, err := p.Apply(context.Background(), []wire.UpdateOp{
 		{Kind: wire.OpDelete, Rel: "sale", Col: "pid", Val: value.Int(25)},
 	}, true)
@@ -133,36 +133,62 @@ func TestBatchedDeletePurges(t *testing.T) {
 	}
 }
 
-// TestFlushTriggers pins the batcher's two flush reasons.
+// TestFlushTriggers pins the batcher's one flush rule: a batch takes
+// what is queued and flushes at once. A request carrying BatchSize ops
+// is one batch, and with nothing queued behind it the cap did not bind;
+// a lone small request is a batch of its own.
 func TestFlushTriggers(t *testing.T) {
 	db := openDB(t)
 	tpl := storefront(t, db)
 	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{MaxEntries: 50, TuplesPerBCP: 3}); err != nil {
 		t.Fatal(err)
 	}
-	p := newPlane(t, db, maint.Config{BatchSize: 2, MaxDelay: 50 * time.Millisecond})
+	p := newPlane(t, db, maint.Config{BatchSize: 2})
 
-	// A single request carrying BatchSize ops flushes on size.
 	if _, err := p.Apply(context.Background(), []wire.UpdateOp{
 		{Kind: wire.OpInsert, Rel: "product", Tuple: value.Tuple{value.Int(1000), value.Int(1), value.Str("a")}},
 		{Kind: wire.OpInsert, Rel: "product", Tuple: value.Tuple{value.Int(1001), value.Int(1), value.Str("b")}},
 	}, false); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.SizeFlushes == 0 {
-		t.Fatalf("no size flush recorded: %+v", st)
+	if st := p.Stats(); st.Batches != 1 || st.MaxBatchOps != 2 || st.SizeFlushes != 0 {
+		t.Fatalf("full request: %+v, want one 2-op batch and no size flush", st)
 	}
-	// A lone small request flushes on age.
 	if _, err := p.Apply(context.Background(), []wire.UpdateOp{
 		{Kind: wire.OpInsert, Rel: "product", Tuple: value.Tuple{value.Int(1002), value.Int(1), value.Str("c")}},
 	}, false); err != nil {
 		t.Fatal(err)
 	}
-	if st := p.Stats(); st.AgeFlushes == 0 {
-		t.Fatalf("no age flush recorded: %+v", st)
+	if st := p.Stats(); st.Batches != 2 || st.OpsApplied != 3 || st.GroupSyncs != 2 {
+		t.Fatalf("lone request: %+v, want 2 batches, 3 ops, 2 syncs", st)
 	}
-	if st := p.Stats(); st.OpsApplied != 3 {
-		t.Fatalf("ops applied = %d, want 3", st.OpsApplied)
+}
+
+// TestSequentialAppliesDoNotWait pins that a lone writer's request
+// flushes as soon as the worker takes it. Fifty sequential one-op
+// requests without a WAL cost well under a millisecond each; a batcher
+// that lingers 2 ms for company before each flush spends 100 ms.
+func TestSequentialAppliesDoNotWait(t *testing.T) {
+	db := openDB(t)
+	tpl := storefront(t, db)
+	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{MaxEntries: 50, TuplesPerBCP: 3}); err != nil {
+		t.Fatal(err)
+	}
+	p := newPlane(t, db, maint.Config{})
+	const n = 50
+	start := time.Now()
+	for i := int64(0); i < n; i++ {
+		if _, err := p.Apply(context.Background(), []wire.UpdateOp{
+			{Kind: wire.OpUpdate, Rel: "sale", Col: "pid", Val: value.Int(i), SetCol: "discount", SetVal: value.Int(i)},
+		}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d >= 100*time.Millisecond {
+		t.Fatalf("%d sequential applies took %v, want under 100ms", n, d)
+	}
+	if st := p.Stats(); st.Batches != n || st.OpsApplied != n {
+		t.Fatalf("%+v, want %d one-op batches", st, n)
 	}
 }
 
@@ -180,7 +206,7 @@ func TestUpdatesSkippedParity(t *testing.T) {
 	runQuery(t, view, tpl)
 
 	// Batched path.
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	p := newPlane(t, db, maint.Config{})
 	if _, err := p.Apply(context.Background(), []wire.UpdateOp{
 		{Kind: wire.OpUpdate, Rel: "product", Col: "pid", Val: value.Int(25), SetCol: "name", SetVal: value.Str("renamed")},
 	}, true); err != nil {
@@ -207,7 +233,7 @@ func TestUpdatesSkippedParity(t *testing.T) {
 	}
 
 	// A relevant update (discount is in Ls′) purges on both paths.
-	p = newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	p = newPlane(t, db, maint.Config{})
 	if _, err := p.Apply(context.Background(), []wire.UpdateOp{
 		{Kind: wire.OpUpdate, Rel: "sale", Col: "pid", Val: value.Int(25), SetCol: "discount", SetVal: value.Int(49)},
 	}, true); err != nil {
@@ -236,7 +262,7 @@ func TestOutOfBandWritesDegradeWide(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runQuery(t, view, tpl)
-	newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	newPlane(t, db, maint.Config{})
 
 	if _, err := db.Delete("sale", func(tu pmv.Tuple) bool { return tu[0] == pmv.Int(25) }); err != nil {
 		t.Fatal(err)
@@ -263,7 +289,7 @@ func TestCloseReattachesPerStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	runQuery(t, view, tpl)
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	p := newPlane(t, db, maint.Config{})
 	p.Close()
 	if _, err := p.Apply(context.Background(), nil, false); err == nil {
 		t.Fatal("Apply after Close succeeded")
@@ -298,7 +324,7 @@ func TestCoalescedRunEquivalence(t *testing.T) {
 	}
 	before := runQuery(t, view, tpl)
 
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	p := newPlane(t, db, maint.Config{})
 	// One request, one batch: an update run of 3 (pid 25 twice — the
 	// later op must win) and a delete run of 2. pids 25/26/65/66 all
 	// fall inside the warmed (category ∈ {1,2}, store 3) window.
@@ -397,7 +423,7 @@ func TestSelfMatchUpdateNotCoalesced(t *testing.T) {
 	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{MaxEntries: 50, TuplesPerBCP: 3}); err != nil {
 		t.Fatal(err)
 	}
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	p := newPlane(t, db, maint.Config{})
 	res, err := p.Apply(context.Background(), []wire.UpdateOp{
 		{Kind: wire.OpUpdate, Rel: "sale", Col: "pid", Val: value.Int(105), SetCol: "pid", SetVal: value.Int(2105)},
 		{Kind: wire.OpUpdate, Rel: "sale", Col: "pid", Val: value.Int(2105), SetCol: "discount", SetVal: value.Int(21)},
@@ -423,7 +449,7 @@ func TestPendingGate(t *testing.T) {
 	if _, err := db.CreatePartialView(tpl, pmv.ViewOptions{MaxEntries: 50, TuplesPerBCP: 3}); err != nil {
 		t.Fatal(err)
 	}
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond})
+	p := newPlane(t, db, maint.Config{})
 	if p.Pending() {
 		t.Fatal("idle plane reports pending work")
 	}
@@ -456,7 +482,7 @@ func TestApplyPurgesBeforeAck(t *testing.T) {
 	for pid := int64(0); pid < 200; pid++ {
 		ops = append(ops, wire.UpdateOp{Kind: wire.OpDelete, Rel: "sale", Col: "pid", Val: value.Int(pid)})
 	}
-	p := newPlane(t, db, maint.Config{MaxDelay: time.Millisecond, BatchSize: len(ops)})
+	p := newPlane(t, db, maint.Config{BatchSize: len(ops)})
 	if _, err := p.Apply(context.Background(), ops, false); err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"pmv/client"
 	"pmv/internal/maint"
@@ -32,7 +31,7 @@ func queryPids(t *testing.T, c *client.Client, cat, store int64) map[int64]bool 
 // post-update query correctness.
 func TestUpdateOverWire(t *testing.T) {
 	s, db, _ := testServer(t, Config{})
-	p, err := maint.New(maint.Config{Source: db, MaxDelay: time.Millisecond})
+	p, err := maint.New(maint.Config{Source: db})
 	if err != nil {
 		t.Fatal(err)
 	}

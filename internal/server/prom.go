@@ -69,8 +69,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		p.Counter("pmvd_maint_ops_applied_total", "Ops applied to base relations.", float64(ms.OpsApplied))
 		p.Counter("pmvd_maint_op_errors_total", "Ops that failed to apply.", float64(ms.OpErrors))
 		p.Counter("pmvd_maint_batches_total", "Batches flushed.", float64(ms.Batches))
-		p.Counter("pmvd_maint_size_flushes_total", "Batches flushed on size.", float64(ms.SizeFlushes))
-		p.Counter("pmvd_maint_age_flushes_total", "Batches flushed on age.", float64(ms.AgeFlushes))
+		p.Counter("pmvd_maint_size_flushes_total", "Batches cut at the batch size while requests were still queued.", float64(ms.SizeFlushes))
 		p.Gauge("pmvd_maint_max_batch_ops", "Largest batch applied so far.", float64(ms.MaxBatchOps))
 		p.Counter("pmvd_maint_lock_wait_seconds_total", "Time batches waited for view X locks.", float64(ms.LockWaitNs)/1e9)
 		p.Counter("pmvd_maint_apply_seconds_total", "Time spent applying base-relation ops.", float64(ms.ApplyNs)/1e9)

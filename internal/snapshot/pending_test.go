@@ -3,10 +3,10 @@ package snapshot_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"pmv"
 	"pmv/internal/maint"
@@ -57,7 +57,7 @@ func TestSnapshotNeverWarmBootsAcrossPendingBatch(t *testing.T) {
 	db, _ := buildDB(t, dbDir, pmv.ViewOptions{})
 	fillCache(t, db, 2)
 
-	p, err := maint.New(maint.Config{Source: db, MaxDelay: 50 * time.Millisecond})
+	p, err := maint.New(maint.Config{Source: db})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,20 +72,32 @@ func TestSnapshotNeverWarmBootsAcrossPendingBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A batch lands in base data (ack) while its view maintenance is
-	// still queued; the background writer ticking in this window must
-	// skip, not snapshot the un-maintained cache.
-	if _, err := p.Apply(context.Background(), []wire.UpdateOp{
-		{Kind: wire.OpDelete, Rel: "sale", Col: "pid", Val: pmv.Int(9)},
-	}, false); err != nil {
+	// A batch is queued but not yet maintained: holding the view's X
+	// lock keeps the plane's worker from starting it. The background
+	// writer ticking in this window must skip, not snapshot the cache
+	// beside base data the batch is about to change.
+	release, err := db.Views()[0].LockForMaintenance()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Pending() {
-		if err := m.WriteNow(); !errors.Is(err, snapshot.ErrPending) {
-			t.Fatalf("write during pending batch: got %v, want ErrPending", err)
-		}
+	applied := make(chan error, 1)
+	go func() {
+		_, err := p.Apply(context.Background(), []wire.UpdateOp{
+			{Kind: wire.OpDelete, Rel: "sale", Col: "pid", Val: pmv.Int(9)},
+		}, false)
+		applied <- err
+	}()
+	for !p.Pending() {
+		runtime.Gosched()
 	}
-	p.Close() // drain maintenance
+	if err := m.WriteNow(); !errors.Is(err, snapshot.ErrPending) {
+		t.Fatalf("write during pending batch: got %v, want ErrPending", err)
+	}
+	release()
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
 	db.Close()
 
 	// Crash here: disk holds the PRE-batch snapshot but the post-batch

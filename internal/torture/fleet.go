@@ -129,7 +129,7 @@ func (f *fleet) boot(s *shard, db *pmv.DB) (res snapshot.LoadResult, err error) 
 		db.EnableFreq(pmv.FreqConfig{Window: 300 * time.Millisecond})
 	}
 	if f.sc.plane {
-		if s.plane, err = maint.New(maint.Config{Source: db, MaxDelay: time.Millisecond}); err != nil {
+		if s.plane, err = maint.New(maint.Config{Source: db}); err != nil {
 			return res, err
 		}
 	}

@@ -182,10 +182,10 @@ type MaintStats struct {
 	OpsApplied  int64 `json:"ops_applied"`
 	OpErrors    int64 `json:"op_errors"`
 
-	// Batching.
+	// Batching. SizeFlushes counts batches cut at BatchSize while
+	// requests were still queued: the one sign that the cap binds.
 	Batches     int64 `json:"batches"`
 	SizeFlushes int64 `json:"size_flushes"`
-	AgeFlushes  int64 `json:"age_flushes"`
 	MaxBatchOps int64 `json:"max_batch_ops"`
 	LockWaitNs  int64 `json:"lock_wait_ns"`
 	ApplyNs     int64 `json:"apply_ns"`
