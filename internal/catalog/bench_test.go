@@ -16,7 +16,7 @@ import (
 // with LoadTPCR's seven single-column indexes; composites adds the two
 // CreatePartialView derives for T1, for nine indexes and 121,500
 // entries in all.
-func benchEngine(b *testing.B, composites bool) *engine.Engine {
+func benchEngine(b testing.TB, composites bool) *engine.Engine {
 	b.Helper()
 	eng, err := engine.Open(b.TempDir(), engine.Options{BufferPoolPages: 2048})
 	if err != nil {

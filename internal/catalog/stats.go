@@ -1,6 +1,8 @@
 package catalog
 
 import (
+	"strings"
+
 	"pmv/internal/keycodec"
 	"pmv/internal/storage"
 	"pmv/internal/value"
@@ -35,6 +37,9 @@ type RelationStats struct {
 const distinctCap = 1 << 16
 
 // CollectStats scans the relation once and computes fresh statistics.
+// It allocates per distinct value, not per value: each value's key is
+// encoded into one reused buffer, and the distinct set copies it only
+// when the lookup misses.
 func CollectStats(r *Relation) (*RelationStats, error) {
 	n := r.Schema.Arity()
 	st := &RelationStats{Cols: make([]ColumnStats, n)}
@@ -42,6 +47,7 @@ func CollectStats(r *Relation) (*RelationStats, error) {
 	for i := range sets {
 		sets[i] = make(map[string]struct{})
 	}
+	var key []byte
 	err := r.Heap.Scan(func(_ storage.RID, t value.Tuple) error {
 		st.RowCount++
 		for i := 0; i < n; i++ {
@@ -58,7 +64,10 @@ func CollectStats(r *Relation) (*RelationStats, error) {
 				cs.Max = v
 			}
 			if !cs.Estimated {
-				sets[i][string(keycodec.AppendValue(nil, v))] = struct{}{}
+				key = keycodec.AppendValue(key[:0], v)
+				if _, ok := sets[i][string(key)]; !ok {
+					sets[i][string(key)] = struct{}{}
+				}
 				if len(sets[i]) >= distinctCap {
 					cs.Estimated = true
 				}
@@ -70,11 +79,24 @@ func CollectStats(r *Relation) (*RelationStats, error) {
 		return nil, err
 	}
 	for i := range st.Cols {
+		cs := &st.Cols[i]
 		// When the cap was hit, NDistinct is a lower bound — which only
 		// makes the planner's selectivity estimates conservative.
-		st.Cols[i].NDistinct = int64(len(sets[i]))
+		cs.NDistinct = int64(len(sets[i]))
+		// A scanned string shares its page's copy; the catalog keeps
+		// its bounds for good, so they get their own bytes.
+		cs.Min, cs.Max = ownString(cs.Min), ownString(cs.Max)
 	}
 	return st, nil
+}
+
+// ownString returns v with a string payload copied out of whatever
+// larger string it shares.
+func ownString(v value.Value) value.Value {
+	if v.Type() != value.TypeString {
+		return v
+	}
+	return value.Str(strings.Clone(v.Str()))
 }
 
 // Analyze recomputes and stores the relation's statistics, persisting

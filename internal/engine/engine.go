@@ -439,7 +439,9 @@ func (e *Engine) InsertBulk(rel string, tuples []value.Tuple, notify bool) error
 }
 
 // DeleteWhere removes every tuple of rel satisfying pred, returning the
-// deleted tuples. Observers are notified per tuple after removal.
+// deleted tuples. Observers are notified per tuple after removal. pred
+// runs inside a heap scan that reuses one row, so the tuple it sees is
+// valid only during the call; the returned tuples are the caller's.
 func (e *Engine) DeleteWhere(rel string, pred func(value.Tuple) bool) ([]value.Tuple, error) {
 	return e.DeleteWhereCtx(context.Background(), rel, pred)
 }
@@ -459,7 +461,8 @@ func (e *Engine) DeleteEqCtx(ctx context.Context, rel, col string, vals *EqSet) 
 }
 
 // UpdateWhere replaces tuples satisfying pred with apply(t), returning
-// the number updated.
+// the number updated. pred sees a tuple valid only during the call (see
+// DeleteWhere); apply gets a copy it may change and return.
 func (e *Engine) UpdateWhere(rel string, pred func(value.Tuple) bool, apply func(value.Tuple) value.Tuple) (int, error) {
 	return e.UpdateWhereCtx(context.Background(), rel, pred, apply)
 }

@@ -23,12 +23,15 @@ type row struct {
 type rowFinder func(r *catalog.Relation) ([]row, error)
 
 // scanRows locates by heap scan: every tuple is decoded and asked.
+// The scan reuses one row, so match sees it only during the call and
+// each match is cloned: the rows feed apply, the observers' pre-images
+// and DeleteWhere's result.
 func (e *Engine) scanRows(r *catalog.Relation, match func(value.Tuple) bool) ([]row, error) {
 	e.dmlScanned.Add(1)
 	var rows []row
 	err := r.Heap.Scan(func(rid storage.RID, t value.Tuple) error {
 		if match(t) {
-			rows = append(rows, row{rid, t})
+			rows = append(rows, row{rid, t.Clone()})
 		}
 		return nil
 	})

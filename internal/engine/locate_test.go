@@ -289,3 +289,65 @@ func TestEqStatementErrors(t *testing.T) {
 		t.Error("update matching a missing column accepted")
 	}
 }
+
+// keepingObserver keeps the tuples it is handed, not copies, so a
+// pre-image that aliased the heap scan's reused row would read as the
+// last row the scan decoded.
+type keepingObserver struct{ olds, deleted []value.Tuple }
+
+func (o *keepingObserver) OnInsert(string, value.Tuple) error { return nil }
+func (o *keepingObserver) OnDelete(_ string, t value.Tuple) error {
+	o.deleted = append(o.deleted, t)
+	return nil
+}
+func (o *keepingObserver) OnUpdate(_ string, old, _ value.Tuple) error {
+	o.olds = append(o.olds, old)
+	return nil
+}
+
+// TestScannedRowsOutliveTheScan runs closure statements whose several
+// matches share one heap page: every pre-image the observers keep, and
+// every row DeleteWhere returns, must be its own row.
+func TestScannedRowsOutliveTheScan(t *testing.T) {
+	e := newEngine(t)
+	simpleRel(t, e)
+	obs := &keepingObserver{}
+	e.RegisterObserver(obs)
+	val := func(k int64) string { return fmt.Sprintf("row-%02d", k) }
+	for k := int64(0); k < 40; k++ {
+		if err := e.Insert("kv", value.Tuple{value.Int(k), value.Str(val(k))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, _ := e.Catalog().GetRelation("kv")
+	if r.Heap.NumPages() != 1 {
+		t.Fatalf("kv spans %d pages; the test wants its matches on one", r.Heap.NumPages())
+	}
+	check := func(what string, got []value.Tuple, keys []int64) {
+		t.Helper()
+		if len(got) != len(keys) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(keys))
+		}
+		for i, k := range keys {
+			if got[i][0].Int64() != k || got[i][1].Str() != val(k) {
+				t.Errorf("%s %d = %v, want (%d, %s)", what, i, got[i], k, val(k))
+			}
+		}
+	}
+	even := func(tu value.Tuple) bool { return tu[0].Int64()%2 == 0 && tu[0].Int64() < 10 }
+	n, err := e.UpdateWhere("kv", even, func(tu value.Tuple) value.Tuple {
+		tu[1] = value.Str("updated")
+		return tu
+	})
+	if err != nil || n != 5 {
+		t.Fatalf("update: %d rows, %v", n, err)
+	}
+	check("update pre-image", obs.olds, []int64{0, 2, 4, 6, 8})
+	odd := func(tu value.Tuple) bool { return tu[0].Int64()%2 == 1 && tu[0].Int64() < 10 }
+	deleted, err := e.DeleteWhere("kv", odd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("delete pre-image", obs.deleted, []int64{1, 3, 5, 7, 9})
+	check("DeleteWhere row", deleted, []int64{1, 3, 5, 7, 9})
+}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -263,6 +264,43 @@ func testCatalogPool(t *testing.T) (*catalog.Catalog, *buffer.Pool) {
 		t.Fatal(err)
 	}
 	return c, pool
+}
+
+// TestSeqScanRowsAreItsOwn holds SeqScan to the heap scan's contract:
+// the scan reuses one row, so every row SeqScan keeps is a clone. All
+// of them share one page here and must still read as inserted.
+func TestSeqScanRowsAreItsOwn(t *testing.T) {
+	c := testCatalog(t)
+	r, _ := c.CreateRelation("s", catalog.NewSchema(catalog.Col("k", value.TypeInt), catalog.Col("v", value.TypeString)))
+	for i := 0; i < 20; i++ {
+		r.Heap.Insert(value.Tuple{value.Int(int64(i)), value.Str(fmt.Sprint("v", i))})
+	}
+	if r.Heap.NumPages() != 1 {
+		t.Fatalf("s spans %d pages, want 1", r.Heap.NumPages())
+	}
+	ss := &SeqScan{Rel: r}
+	if err := ss.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var rows []value.Tuple
+	for {
+		tu, ok, err := ss.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		rows = append(rows, tu)
+	}
+	if len(rows) != 20 {
+		t.Fatalf("seq scan: %d rows, want 20", len(rows))
+	}
+	for i, tu := range rows {
+		if tu[0].Int64() != int64(i) || tu[1].Str() != fmt.Sprint("v", i) {
+			t.Errorf("row %d = %v", i, tu)
+		}
+	}
 }
 
 func TestSeqScanAndIndexScan(t *testing.T) {

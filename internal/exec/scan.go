@@ -19,8 +19,9 @@ func qualify(rel *catalog.Relation, as string) RowSchema {
 }
 
 // SeqScan reads every live tuple of a relation. It materializes the
-// RID list up front so concurrent inserts during the scan do not
-// produce torn iteration state.
+// rows up front, each cloned from the heap scan's reused row, so
+// concurrent inserts during the scan do not produce torn iteration
+// state.
 type SeqScan struct {
 	Rel  *catalog.Relation
 	rows []value.Tuple
@@ -32,7 +33,7 @@ func (s *SeqScan) Open() error {
 	s.rows = s.rows[:0]
 	s.pos = 0
 	return s.Rel.Heap.Scan(func(_ storage.RID, t value.Tuple) error {
-		s.rows = append(s.rows, t)
+		s.rows = append(s.rows, t.Clone())
 		return nil
 	})
 }

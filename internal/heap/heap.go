@@ -154,39 +154,47 @@ func (h *Heap) Update(rid storage.RID, t value.Tuple) (storage.RID, error) {
 
 // Scan calls fn for every live tuple in RID order. fn returning
 // ErrStopScan ends the scan without error.
-func (h *Heap) Scan(fn func(storage.RID, value.Tuple) error) error {
+//
+// Each page is pinned only long enough to copy it (storage.PageCopy);
+// its records are then decoded from the copy into one row reused for
+// the whole scan, so a scan allocates per page, not per row, and holds
+// no pin while fn runs: fn may read other pages, this heap included.
+// t belongs to fn only until fn returns; a caller that keeps the row
+// clones it (value.Tuple.Clone). Its strings are substrings of the
+// immutable page copy, so a kept value or clone stays intact after
+// the page changes (and keeps the copy alive).
+func (h *Heap) Scan(fn func(rid storage.RID, t value.Tuple) error) error {
 	h.mu.Lock()
 	last := h.lastPage
 	h.mu.Unlock()
 	if last == storage.InvalidPageID {
 		return nil
 	}
+	var row value.Tuple
 	for pid := storage.PageID(0); pid <= last; pid++ {
 		fr, err := h.pool.Fetch(h.file, pid)
 		if err != nil {
 			return err
 		}
-		sp := storage.NewSlottedPage(fr.Buf)
-		n := sp.NumSlots()
+		page := storage.PageCopy(fr.Buf)
+		h.pool.Unpin(fr, false)
+		n := page.NumSlots()
 		for slot := uint16(0); slot < n; slot++ {
-			rec := sp.Read(slot)
-			if rec == nil {
+			rec, ok := page.Read(slot)
+			if !ok {
 				continue
 			}
-			t, _, err := value.DecodeTuple(rec)
+			row, _, err = value.AppendDecodedString(row[:0], rec, nil)
 			if err != nil {
-				h.pool.Unpin(fr, false)
 				return err
 			}
-			if err := fn(storage.RID{Page: pid, Slot: slot}, t); err != nil {
-				h.pool.Unpin(fr, false)
+			if err := fn(storage.RID{Page: pid, Slot: slot}, row); err != nil {
 				if errors.Is(err, ErrStopScan) {
 					return nil
 				}
 				return err
 			}
 		}
-		h.pool.Unpin(fr, false)
 	}
 	return nil
 }

@@ -126,9 +126,7 @@ func (p *SlottedPage) SetNextPage(id PageID) {
 }
 
 // NumSlots returns the slot-array length, including dead slots.
-func (p *SlottedPage) NumSlots() uint16 {
-	return binary.BigEndian.Uint16(p.buf[4:])
-}
+func (p *SlottedPage) NumSlots() uint16 { return numSlots(p.buf) }
 
 func (p *SlottedPage) freeStart() uint16 { return binary.BigEndian.Uint16(p.buf[6:]) }
 func (p *SlottedPage) freeEnd() uint16   { return binary.BigEndian.Uint16(p.buf[8:]) }
@@ -163,16 +161,44 @@ func (p *SlottedPage) Insert(rec []byte) (uint16, error) {
 // Read returns the record at slot, or nil if the slot is dead or out of
 // range. The returned slice aliases the page buffer.
 func (p *SlottedPage) Read(slot uint16) []byte {
-	if slot >= p.NumSlots() {
-		return nil
+	rec, _ := readSlot(p.buf, slot)
+	return rec
+}
+
+// PageCopy is an immutable copy of a slotted page's bytes, made by
+// converting the page buffer (PageCopy(buf)). Nothing writes it, so it
+// needs no pin, and the records read from it are substrings that stay
+// valid for as long as anything holds them.
+type PageCopy string
+
+// NumSlots is SlottedPage.NumSlots of the copy.
+func (p PageCopy) NumSlots() uint16 { return numSlots(string(p)) }
+
+// Read is SlottedPage.Read of the copy: the record at slot as a
+// substring of p, and false if the slot is dead or out of range.
+func (p PageCopy) Read(slot uint16) (string, bool) { return readSlot(string(p), slot) }
+
+// numSlots and readSlot are the slot directory's read side, one body
+// for a live page buffer and for a PageCopy.
+func numSlots[B []byte | string](b B) uint16 { return be16(b, 4) }
+
+func readSlot[B []byte | string](b B, slot uint16) (B, bool) {
+	var none B
+	if slot >= numSlots(b) {
+		return none, false
 	}
 	slotOff := pageHdrSize + int(slot)*slotEntrySiz
-	off := binary.BigEndian.Uint16(p.buf[slotOff:])
+	off := be16(b, slotOff)
 	if off == slotDead {
-		return nil
+		return none, false
 	}
-	length := binary.BigEndian.Uint16(p.buf[slotOff+2:])
-	return p.buf[off : off+length]
+	length := be16(b, slotOff+2)
+	return b[off : off+length], true
+}
+
+func be16[B []byte | string](b B, off int) uint16 {
+	_ = b[off+1]
+	return uint16(b[off])<<8 | uint16(b[off+1])
 }
 
 // Delete marks the slot dead. Space is not compacted; heap files are

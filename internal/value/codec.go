@@ -53,7 +53,8 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 // AppendDecoded parses one tuple from the front of b and appends its
 // columns to dst, returning the extended row and the number of bytes
 // consumed. It allocates only when dst lacks room for the columns, so a
-// caller that sizes dst for several records decodes them into one row.
+// caller that sizes dst for several records decodes them into one row;
+// each decoded string is a copy, so the row outlives b.
 //
 // A non-nil mask names the columns the caller reads: column i is
 // decoded when i < len(mask) && mask[i], and appended as NULL
@@ -62,10 +63,22 @@ func DecodeTuple(b []byte) (Tuple, int, error) {
 // bounds-checked, so the byte count and the errors do not depend on the
 // mask. On error it returns a nil row.
 func AppendDecoded(dst Tuple, b []byte, mask []bool) (Tuple, int, error) {
+	return appendDecoded(dst, b, mask)
+}
+
+// AppendDecodedString is AppendDecoded over an immutable string: each
+// decoded string is a substring of b, so a row whose columns all fit in
+// dst costs no allocation, and the row keeps b alive.
+func AppendDecodedString(dst Tuple, b string, mask []bool) (Tuple, int, error) {
+	return appendDecoded(dst, b, mask)
+}
+
+// appendDecoded is the one decoder body behind both input forms.
+func appendDecoded[B []byte | string](dst Tuple, b B, mask []bool) (Tuple, int, error) {
 	if len(b) < 2 {
 		return nil, 0, fmt.Errorf("value: short tuple header")
 	}
-	n := int(binary.BigEndian.Uint16(b))
+	n := int(be16(b, 0))
 	off := 2
 	t := dst
 	if t == nil || cap(t)-len(t) < n {
@@ -86,7 +99,7 @@ func AppendDecoded(dst Tuple, b []byte, mask []bool) (Tuple, int, error) {
 			if off+8 > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated int at column %d", i)
 			}
-			v = Value{typ: typ, i: int64(binary.BigEndian.Uint64(b[off:]))}
+			v = Value{typ: typ, i: int64(be64(b, off))}
 			off += 8
 		case TypeBool:
 			if off+1 > len(b) {
@@ -103,13 +116,13 @@ func AppendDecoded(dst Tuple, b []byte, mask []bool) (Tuple, int, error) {
 			if off+8 > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated float at column %d", i)
 			}
-			v = Float(math.Float64frombits(binary.BigEndian.Uint64(b[off:])))
+			v = Float(math.Float64frombits(be64(b, off)))
 			off += 8
 		case TypeString:
 			if off+4 > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated string length at column %d", i)
 			}
-			l := int(binary.BigEndian.Uint32(b[off:]))
+			l := int(be32(b, off))
 			off += 4
 			if off+l > len(b) {
 				return nil, 0, fmt.Errorf("value: truncated string at column %d", i)
@@ -127,6 +140,24 @@ func AppendDecoded(dst Tuple, b []byte, mask []bool) (Tuple, int, error) {
 		t = append(t, v)
 	}
 	return t, off, nil
+}
+
+// be16, be32 and be64 read big-endian integers at b[off:] for either
+// input form (encoding/binary takes only []byte).
+func be16[B []byte | string](b B, off int) uint16 {
+	_ = b[off+1]
+	return uint16(b[off])<<8 | uint16(b[off+1])
+}
+
+func be32[B []byte | string](b B, off int) uint32 {
+	_ = b[off+3]
+	return uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])
+}
+
+func be64[B []byte | string](b B, off int) uint64 {
+	_ = b[off+7]
+	return uint64(b[off])<<56 | uint64(b[off+1])<<48 | uint64(b[off+2])<<40 | uint64(b[off+3])<<32 |
+		uint64(b[off+4])<<24 | uint64(b[off+5])<<16 | uint64(b[off+6])<<8 | uint64(b[off+7])
 }
 
 // EncodedSize returns the wire size of t without encoding it.

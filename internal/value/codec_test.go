@@ -129,17 +129,16 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// same reports whether a and b are the identical value, NaN payloads
-// included.
-func same(a, b Value) bool {
-	return a.typ == b.typ && a.i == b.i && a.s == b.s && math.Float64bits(a.f) == math.Float64bits(b.f)
-}
-
 // FuzzAppendDecoded holds the masked decode to the full one: on a random
 // tuple's encoding, cut short, with a bit flipped or with bytes after
 // it, AppendDecoded under a random mask must fail exactly when the full
 // decode fails, consume the same bytes, keep dst's columns, and yield
 // the full decode's value on every marked column and NULL elsewhere.
+// It holds the two input forms to each other the same way:
+// AppendDecodedString of the same bytes, under the same mask and dst,
+// must fail exactly when AppendDecoded fails and otherwise consume the
+// same bytes and yield identical values (NULL, ±0, NaN payloads,
+// strings with 0x00 all included).
 func FuzzAppendDecoded(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint64(0b101101), uint8(6), uint16(0), uint16(0), uint8(0))
 	f.Add(int64(2), uint8(9), uint64(0), uint8(0), uint16(0), uint16(0), uint8(0))
@@ -151,9 +150,16 @@ func FuzzAppendDecoded(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		tup := make(Tuple, int(cols)%24)
 		for i := range tup {
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				tup[i] = Null()
+			case 6:
+				// -0 and a NaN with a random payload: Identical tells
+				// them from +0 and from another NaN.
+				tup[i] = Float(math.Copysign(0, -1))
+				if rng.Intn(2) == 0 {
+					tup[i] = Float(math.Float64frombits(0x7ff8_0000_0000_0001 | rng.Uint64()&0x0007_ffff_ffff_ffff))
+				}
 			case 1:
 				tup[i] = Int(rng.Int63() - rng.Int63())
 			case 2:
@@ -186,6 +192,19 @@ func FuzzAppendDecoded(f *testing.F) {
 		full, nf, ferr := AppendDecoded(nil, b, nil)
 		dst := Tuple{Str("kept")}
 		got, nm, merr := AppendDecoded(dst, b, mask)
+		for _, m := range [][]bool{nil, mask} {
+			want, nw, werr := AppendDecoded(Tuple{Str("kept")}, b, m)
+			fromStr, ns, serr := AppendDecodedString(Tuple{Str("kept")}, string(b), m)
+			if (werr == nil) != (serr == nil) || ns != nw || len(fromStr) != len(want) {
+				t.Fatalf("string decode: %d columns, %d bytes, err %v; []byte decode: %d columns, %d bytes, err %v",
+					len(fromStr), ns, serr, len(want), nw, werr)
+			}
+			for i := range want {
+				if !Identical(fromStr[i], want[i]) {
+					t.Fatalf("column %d: string decode %v, []byte decode %v", i, fromStr[i], want[i])
+				}
+			}
+		}
 		if (ferr == nil) != (merr == nil) {
 			t.Fatalf("full decode err %v, masked decode err %v", ferr, merr)
 		}
@@ -198,7 +217,7 @@ func FuzzAppendDecoded(f *testing.F) {
 		if nm != nf {
 			t.Fatalf("masked decode consumed %d bytes, full %d", nm, nf)
 		}
-		if len(got) != len(dst)+len(full) || !same(got[0], dst[0]) {
+		if len(got) != len(dst)+len(full) || !Identical(got[0], dst[0]) {
 			t.Fatalf("masked decode returned %v for dst %v and %d columns", got, dst, len(full))
 		}
 		for i, v := range full {
@@ -206,7 +225,7 @@ func FuzzAppendDecoded(f *testing.F) {
 			if i < len(mask) && mask[i] {
 				want = v
 			}
-			if !same(got[len(dst)+i], want) {
+			if !Identical(got[len(dst)+i], want) {
 				t.Fatalf("column %d: masked decode %v, want %v (full %v)", i, got[len(dst)+i], want, v)
 			}
 		}

@@ -271,25 +271,32 @@ func (db *DB) Insert(rel string, vals ...Value) error {
 	return db.eng.Insert(rel, Tuple(vals))
 }
 
-// Delete removes tuples satisfying pred, returning how many.
+// Delete removes tuples satisfying pred, returning how many. pred is
+// asked of every tuple by a heap scan that reuses one row: the tuple it
+// sees is valid only during the call, so a pred that keeps it (or a
+// slice of it) clones it first.
 func (db *DB) Delete(rel string, pred func(Tuple) bool) (int, error) {
 	deleted, err := db.eng.DeleteWhere(rel, pred)
 	return len(deleted), err
 }
 
 // DeleteCtx is Delete with a context: a trace attached via WithTrace
-// records the view maintenance (purge) work the delete triggers.
+// records the view maintenance (purge) work the delete triggers. pred
+// sees a tuple valid only during the call (see Delete).
 func (db *DB) DeleteCtx(ctx context.Context, rel string, pred func(Tuple) bool) (int, error) {
 	deleted, err := db.eng.DeleteWhereCtx(ctx, rel, pred)
 	return len(deleted), err
 }
 
-// Update rewrites tuples satisfying pred, returning how many.
+// Update rewrites tuples satisfying pred, returning how many. pred sees
+// a tuple valid only during the call (see Delete); apply gets a copy of
+// each matching tuple that it may change and return.
 func (db *DB) Update(rel string, pred func(Tuple) bool, apply func(Tuple) Tuple) (int, error) {
 	return db.eng.UpdateWhere(rel, pred, apply)
 }
 
-// UpdateCtx is Update with a context (see DeleteCtx).
+// UpdateCtx is Update with a context (see DeleteCtx); pred sees a tuple
+// valid only during the call.
 func (db *DB) UpdateCtx(ctx context.Context, rel string, pred func(Tuple) bool, apply func(Tuple) Tuple) (int, error) {
 	return db.eng.UpdateWhereCtx(ctx, rel, pred, apply)
 }
