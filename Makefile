@@ -61,10 +61,11 @@ torture:
 
 # Short coverage-guided fuzz of the wire codecs, the snapshot reader,
 # the B+tree bulk build, the B+tree's in-place Insert/Delete, the
-# key-only join against a nested loop, the masked tuple decoder against
-# the full one and its string input against its []byte input, and the
-# write plane against per-statement maintenance (the seed corpus and any
-# fuzzer-found regressions always run as part of plain `make test`).
+# key-only join against a nested loop, the tuple decoder's two input
+# forms against a reference decoder and the masked decode against the
+# full one, and the write plane against per-statement maintenance (the
+# seed corpus and any fuzzer-found regressions always run as part of
+# plain `make test`).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 	$(GO) test -fuzz=FuzzDecodeQuery -fuzztime=30s ./internal/wire

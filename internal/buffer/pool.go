@@ -31,7 +31,8 @@ type PageTag struct {
 }
 
 // Frame is one resident page. Callers access Buf only while holding a
-// pin, and must declare writes via Unpin(dirty=true).
+// pin, and must declare writes via Unpin(dirty=true): the frame's
+// snapshot (Pool.Snapshot) is retired only by such an Unpin.
 type Frame struct {
 	tag   PageTag
 	Buf   []byte
@@ -39,6 +40,10 @@ type Frame struct {
 	ref   bool
 	dirty bool
 	valid bool
+	// snap is an immutable copy of the page as it stands, "" until
+	// Snapshot makes one. A dirty Unpin and the page's leaving the pool
+	// drop it, so a load from disk and NewPage start without one.
+	snap storage.PageCopy
 }
 
 // Tag returns the identity of the page held by the frame.
@@ -99,10 +104,11 @@ func (p *Pool) Fetch(file string, id storage.PageID) (*Frame, error) {
 		return fr, nil
 	}
 	p.misses.Add(1)
-	fr, err := p.victimLocked()
+	i, err := p.victimLocked()
 	if err != nil {
 		return nil, err
 	}
+	fr := &p.frames[i]
 	f, err := p.mgr.Open(file)
 	if err != nil {
 		return nil, err
@@ -120,7 +126,7 @@ func (p *Pool) Fetch(file string, id storage.PageID) (*Frame, error) {
 	fr.ref = true
 	fr.dirty = false
 	fr.valid = true
-	p.table[tag] = p.indexOf(fr)
+	p.table[tag] = i
 	return fr, nil
 }
 
@@ -137,19 +143,18 @@ func (p *Pool) NewPage(file string) (*Frame, storage.PageID, error) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	fr, err := p.victimLocked()
+	i, err := p.victimLocked()
 	if err != nil {
 		return nil, storage.InvalidPageID, err
 	}
-	for i := range fr.Buf {
-		fr.Buf[i] = 0
-	}
+	fr := &p.frames[i]
+	clear(fr.Buf)
 	fr.tag = PageTag{File: file, Page: id}
 	fr.pins = 1
 	fr.ref = true
 	fr.dirty = true
 	fr.valid = true
-	p.table[fr.tag] = p.indexOf(fr)
+	p.table[fr.tag] = i
 	return fr, id, nil
 }
 
@@ -163,7 +168,30 @@ func (p *Pool) Unpin(fr *Frame, dirty bool) {
 	fr.pins--
 	if dirty {
 		fr.dirty = true
+		fr.snap = ""
 	}
+}
+
+// Snapshot returns an immutable copy of the pinned frame's page. The
+// copy is made once per version of the page and shared by every
+// caller until the page changes (a dirty Unpin) or leaves the pool, so
+// rereading an unchanged page copies and allocates nothing. Strings
+// read from a copy stay valid, and unchanged, after the page changes.
+//
+// The copy is taken under the pool's mutex but without a page latch,
+// as reads of a pinned frame are: a copy made while a writer holds its
+// own pin may predate that write, and the writer's dirty Unpin, which
+// takes the same mutex, retires it, so the next Snapshot copies again.
+func (p *Pool) Snapshot(fr *Frame) storage.PageCopy {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if fr.pins <= 0 {
+		panic(fmt.Sprintf("buffer: snapshot of unpinned page %v", fr.tag))
+	}
+	if fr.snap == "" {
+		fr.snap = storage.PageCopy(fr.Buf)
+	}
+	return fr.snap
 }
 
 // FlushAll writes every dirty page back to disk. Pages stay resident.
@@ -213,8 +241,7 @@ func (p *Pool) FlushFile(file string) error {
 		if err := p.flushLocked(fr); err != nil {
 			return err
 		}
-		delete(p.table, fr.tag)
-		fr.valid = false
+		p.dropLocked(fr)
 	}
 	return nil
 }
@@ -233,11 +260,17 @@ func (p *Pool) DiscardFile(file string) error {
 		if fr.pins > 0 {
 			return fmt.Errorf("buffer: discard of pinned page %v", fr.tag)
 		}
-		delete(p.table, fr.tag)
-		fr.valid = false
+		p.dropLocked(fr)
 		fr.dirty = false
 	}
 	return nil
+}
+
+// dropLocked takes fr's page out of the pool and frees its snapshot.
+func (p *Pool) dropLocked(fr *Frame) {
+	delete(p.table, fr.tag)
+	fr.valid = false
+	fr.snap = ""
 }
 
 func (p *Pool) flushLocked(fr *Frame) error {
@@ -290,27 +323,18 @@ func verifyChecksum(buf []byte, tag PageTag) error {
 	return nil
 }
 
-func (p *Pool) indexOf(fr *Frame) int {
-	// Frames are a contiguous slice; pointer arithmetic via tag lookup
-	// would race, so compute the index directly.
-	for i := range p.frames {
-		if &p.frames[i] == fr {
-			return i
-		}
-	}
-	panic("buffer: frame not in pool")
-}
-
-// victimLocked finds a free or evictable frame using CLOCK.
-func (p *Pool) victimLocked() (*Frame, error) {
+// victimLocked finds a free or evictable frame using CLOCK and returns
+// its index. An evicted page leaves the table and frees its snapshot.
+func (p *Pool) victimLocked() (int, error) {
 	n := len(p.frames)
 	// Two full sweeps: the first clears reference bits, the second must
 	// find an unpinned frame if one exists.
 	for sweep := 0; sweep < 2*n; sweep++ {
-		fr := &p.frames[p.hand]
+		i := p.hand
+		fr := &p.frames[i]
 		p.hand = (p.hand + 1) % n
 		if !fr.valid {
-			return fr, nil
+			return i, nil
 		}
 		if fr.pins > 0 {
 			continue
@@ -320,11 +344,10 @@ func (p *Pool) victimLocked() (*Frame, error) {
 			continue
 		}
 		if err := p.flushLocked(fr); err != nil {
-			return nil, err
+			return 0, err
 		}
-		delete(p.table, fr.tag)
-		fr.valid = false
-		return fr, nil
+		p.dropLocked(fr)
+		return i, nil
 	}
-	return nil, ErrNoFrames
+	return 0, ErrNoFrames
 }

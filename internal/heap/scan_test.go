@@ -1,6 +1,10 @@
 package heap
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,32 +106,212 @@ func TestScanKeptStringsSurviveRewrite(t *testing.T) {
 	}
 }
 
-// TestScanAllocs holds a scan's allocations per page, not per row: a
-// page copy and the reused row, amortized over the page's records.
+// TestScanAllocs holds a scan's allocations per page, not per row.
+// Over a pool smaller than the heap every page is reloaded and copied
+// on each scan: one copy per page and the reused row, amortized over
+// the page's records. Over resident unchanged pages the copies are
+// shared (buffer.Pool.Snapshot): a warm rescan allocates the reused
+// row only, nothing per page.
 func TestScanAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not representative under -race")
 	}
-	h, _, _, _ := newHeap(t)
 	const rows = 2000
-	for i := 0; i < rows; i++ {
-		if _, err := h.Insert(row(i)); err != nil {
+	load := func(t *testing.T, frames int) *Heap {
+		mgr, err := storage.NewManager(t.TempDir())
+		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { mgr.Close() })
+		h, err := Open(buffer.NewPool(mgr, frames), mgr, "heap.t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			if _, err := h.Insert(row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return h
 	}
 	var chars int
 	fn := func(_ storage.RID, tu value.Tuple) error {
 		chars += len(tu[1].Str())
 		return nil
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if err := h.Scan(fn); err != nil {
-			t.Fatal(err)
+	scanAllocs := func(t *testing.T, h *Heap) float64 {
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := h.Scan(fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%.0f allocations per scan of %d rows on %d pages", allocs, rows, h.NumPages())
+		return allocs
+	}
+	t.Run("evicting", func(t *testing.T) {
+		h := load(t, 4)
+		if h.NumPages() <= 4 {
+			t.Fatalf("heap has %d pages; the test needs more than the pool's 4", h.NumPages())
+		}
+		allocs := scanAllocs(t, h)
+		if perRow := allocs / rows; perRow >= 0.05 {
+			t.Errorf("scan allocates %.3f times per row (%.0f per scan of %d rows on %d pages), want < 0.05",
+				perRow, allocs, rows, h.NumPages())
 		}
 	})
-	t.Logf("%.0f allocations per scan of %d rows on %d pages", allocs, rows, h.NumPages())
-	if perRow := allocs / rows; perRow >= 0.05 {
-		t.Errorf("scan allocates %.3f times per row (%.0f per scan of %d rows on %d pages), want < 0.05",
-			perRow, allocs, rows, h.NumPages())
+	t.Run("warm", func(t *testing.T) {
+		h := load(t, 64)
+		if allocs := scanAllocs(t, h); allocs > 1 {
+			t.Errorf("warm rescan allocates %.0f times over %d unchanged pages, want the reused row only (1)",
+				allocs, h.NumPages())
+		}
+	})
+}
+
+// TestScanMatchesGetUnderWrites interleaves every kind of heap write
+// with full scans: insert, in-place and moving update, delete, their
+// LSN-stamping forms, and redo (ApplyInsert, ApplyUpdate, ApplyDelete).
+// After each write the scan must equal a reference read by Get at
+// every live RID. Get reads the frame and the scan the page's
+// snapshot, so a write path that unpins its page clean leaves the scan
+// on a stale copy and fails here. A 3-frame pool adds eviction and
+// reload between writes and scans.
+func TestScanMatchesGetUnderWrites(t *testing.T) {
+	for _, frames := range []int{3, 64} {
+		t.Run(fmt.Sprintf("frames=%d", frames), func(t *testing.T) {
+			mgr, err := storage.NewManager(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { mgr.Close() })
+			h, err := Open(buffer.NewPool(mgr, frames), mgr, "heap.t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(frames)))
+			live := map[storage.RID]bool{}
+			slots := map[storage.PageID]uint16{} // slots allocated per page, dead ones included
+			add := func(rid storage.RID) {
+				live[rid] = true
+				slots[rid.Page] = max(slots[rid.Page], rid.Slot+1)
+			}
+			var lsn uint64
+			tuple := func(n int) value.Tuple {
+				return value.Tuple{value.Int(rng.Int63()), value.Str(strings.Repeat(string(rune('a'+rng.Intn(26))), n))}
+			}
+			sorted := func() []storage.RID {
+				rids := make([]storage.RID, 0, len(live))
+				for rid := range live {
+					rids = append(rids, rid)
+				}
+				slices.SortFunc(rids, storage.RID.Compare)
+				return rids
+			}
+			pick := func() (storage.RID, bool) {
+				rids := sorted()
+				if len(rids) == 0 {
+					return storage.RID{}, false
+				}
+				return rids[rng.Intn(len(rids))], true
+			}
+			write := func(step int) (string, error) {
+				op := rng.Intn(10)
+				rid, ok := pick()
+				if !ok || step < 100 {
+					op = 0
+				}
+				lsn++
+				switch op {
+				case 0:
+					rid, err := h.Insert(tuple(rng.Intn(120)))
+					add(rid)
+					return "insert", err
+				case 1:
+					rid, err := h.InsertLSN(tuple(rng.Intn(120)), lsn)
+					add(rid)
+					return "insert with lsn", err
+				case 2:
+					// A tuple no longer than the shortest stored one fits
+					// in place.
+					_, err := h.Update(rid, tuple(0))
+					return "update in place", err
+				case 3:
+					nrid, err := h.Update(rid, tuple(200))
+					delete(live, rid)
+					add(nrid)
+					return "moving update", err
+				case 4:
+					return "update in place with lsn", h.UpdateInPlaceLSN(rid, tuple(0), lsn)
+				case 5:
+					delete(live, rid)
+					return "delete", h.Delete(rid)
+				case 6:
+					delete(live, rid)
+					return "delete with lsn", h.DeleteLSN(rid, lsn)
+				case 7:
+					// Redo onto the last page's next slot, or onto a new
+					// page when the last one is full.
+					last := storage.PageID(h.NumPages() - 1)
+					nrid := storage.RID{Page: last, Slot: slots[last]}
+					applied, err := h.ApplyInsert(nrid, tuple(rng.Intn(20)), lsn)
+					if errors.Is(err, storage.ErrPageFull) {
+						nrid = storage.RID{Page: last + 1}
+						applied, err = h.ApplyInsert(nrid, tuple(rng.Intn(20)), lsn)
+					}
+					if err == nil && !applied {
+						err = fmt.Errorf("redo insert at %v not applied", nrid)
+					}
+					add(nrid)
+					return "redo insert", err
+				case 8:
+					applied, err := h.ApplyUpdate(rid, tuple(0), lsn)
+					if err == nil && !applied {
+						err = fmt.Errorf("redo update of %v not applied", rid)
+					}
+					return "redo update", err
+				default:
+					applied, err := h.ApplyDelete(rid, lsn)
+					if err == nil && !applied {
+						err = fmt.Errorf("redo delete of %v not applied", rid)
+					}
+					delete(live, rid)
+					return "redo delete", err
+				}
+			}
+			type rec struct {
+				rid storage.RID
+				t   value.Tuple
+			}
+			for step := 0; step < 600; step++ {
+				what, err := write(step)
+				if err != nil {
+					t.Fatalf("step %d, %s: %v", step, what, err)
+				}
+				var want []rec
+				for _, rid := range sorted() {
+					tu, err := h.Get(rid)
+					if err != nil {
+						t.Fatalf("step %d, after %s: get %v: %v", step, what, rid, err)
+					}
+					want = append(want, rec{rid, tu})
+				}
+				var got []rec
+				if err := h.Scan(func(rid storage.RID, tu value.Tuple) error {
+					got = append(got, rec{rid, tu.Clone()})
+					return nil
+				}); err != nil {
+					t.Fatalf("step %d, after %s: scan: %v", step, what, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("step %d, after %s: scan met %d rows, Get reads %d", step, what, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].rid != want[i].rid || value.CompareTuples(got[i].t, want[i].t) != 0 {
+						t.Fatalf("step %d, after %s: scan row %d is %v %v, Get reads %v %v",
+							step, what, i, got[i].rid, got[i].t, want[i].rid, want[i].t)
+					}
+				}
+			}
+		})
 	}
 }

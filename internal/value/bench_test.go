@@ -32,3 +32,24 @@ func BenchmarkCompareTuples(b *testing.B) {
 		CompareTuples(benchTuple, other)
 	}
 }
+
+// ordersRow is shaped like the benchmark's orders tuple: key, customer,
+// date, price, priority and clerk.
+var ordersRow = Tuple{
+	Int(48213), Int(1187), Date(20454), Float(123456.75),
+	Str("3-MEDIUM"), Str("Clerk#000000042"),
+}
+
+// BenchmarkAppendDecodedString decodes one orders-shaped record into a
+// reused row, as a heap scan does: the scan's per-row cost, 0 allocs.
+func BenchmarkAppendDecodedString(b *testing.B) {
+	enc := string(EncodeTuple(nil, ordersRow))
+	row := make(Tuple, 0, len(ordersRow))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if row, _, err = AppendDecodedString(row[:0], enc, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

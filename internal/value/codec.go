@@ -73,91 +73,100 @@ func AppendDecodedString(dst Tuple, b string, mask []bool) (Tuple, int, error) {
 	return appendDecoded(dst, b, mask)
 }
 
-// appendDecoded is the one decoder body behind both input forms.
+// appendDecoded is the one decoder body behind both input forms. It
+// sizes the row once and writes each column in place, reading every
+// fixed-width field from a sub-slice bounded by its length check.
 func appendDecoded[B []byte | string](dst Tuple, b B, mask []bool) (Tuple, int, error) {
 	if len(b) < 2 {
 		return nil, 0, fmt.Errorf("value: short tuple header")
 	}
-	n := int(be16(b, 0))
-	off := 2
+	n := int(be16(b[:2]))
+	base := len(dst)
 	t := dst
-	if t == nil || cap(t)-len(t) < n {
-		t = make(Tuple, len(dst), len(dst)+n)
+	if t == nil || cap(t)-base < n {
+		t = make(Tuple, base, base+n)
 		copy(t, dst)
 	}
-	for i := 0; i < n; i++ {
+	t = t[:base+n]
+	out := t[base:]
+	off := 2
+	for i := range out {
 		if off >= len(b) {
 			return nil, 0, fmt.Errorf("value: truncated tuple at column %d", i)
 		}
 		typ := Type(b[off])
 		off++
-		keep := mask == nil || i < len(mask) && mask[i]
-		var v Value
+		rest := b[off:]
+		v := &out[i]
 		switch typ {
 		case TypeNull:
+			*v = Value{}
 		case TypeInt, TypeDate:
-			if off+8 > len(b) {
+			if len(rest) < 8 {
 				return nil, 0, fmt.Errorf("value: truncated int at column %d", i)
 			}
-			v = Value{typ: typ, i: int64(be64(b, off))}
+			*v = Value{typ: typ, i: int64(be64(rest[:8]))}
 			off += 8
 		case TypeBool:
-			if off+1 > len(b) {
+			if len(rest) < 1 {
 				return nil, 0, fmt.Errorf("value: truncated bool at column %d", i)
 			}
-			if b[off] > 1 {
+			if rest[0] > 1 {
 				// Only 0 and 1 are written; anything else is corruption,
 				// not a sloppy encoder.
-				return nil, 0, fmt.Errorf("value: bad bool byte 0x%02x at column %d", b[off], i)
+				return nil, 0, fmt.Errorf("value: bad bool byte 0x%02x at column %d", rest[0], i)
 			}
-			v = Bool(b[off] != 0)
+			*v = Value{typ: TypeBool, i: int64(rest[0])}
 			off++
 		case TypeFloat:
-			if off+8 > len(b) {
+			if len(rest) < 8 {
 				return nil, 0, fmt.Errorf("value: truncated float at column %d", i)
 			}
-			v = Float(math.Float64frombits(be64(b, off)))
+			*v = Value{typ: TypeFloat, f: math.Float64frombits(be64(rest[:8]))}
 			off += 8
 		case TypeString:
-			if off+4 > len(b) {
+			if len(rest) < 4 {
 				return nil, 0, fmt.Errorf("value: truncated string length at column %d", i)
 			}
-			l := int(be32(b, off))
-			off += 4
-			if off+l > len(b) {
+			l := int(be32(rest[:4]))
+			if l > len(rest)-4 {
 				return nil, 0, fmt.Errorf("value: truncated string at column %d", i)
 			}
-			if keep {
-				v = Str(string(b[off : off+l]))
+			// A []byte input copies the string, so a column the mask
+			// skips is not converted.
+			var s string
+			if mask == nil || i < len(mask) && mask[i] {
+				s = string(rest[4 : 4+l])
 			}
-			off += l
+			*v = Value{typ: TypeString, s: s}
+			off += 4 + l
 		default:
 			return nil, 0, fmt.Errorf("value: unknown type tag %d at column %d", typ, i)
 		}
-		if !keep {
-			v = Value{}
+		if mask != nil && (i >= len(mask) || !mask[i]) {
+			*v = Value{}
 		}
-		t = append(t, v)
 	}
 	return t, off, nil
 }
 
-// be16, be32 and be64 read big-endian integers at b[off:] for either
-// input form (encoding/binary takes only []byte).
-func be16[B []byte | string](b B, off int) uint16 {
-	_ = b[off+1]
-	return uint16(b[off])<<8 | uint16(b[off+1])
+// be16, be32 and be64 read a big-endian integer from a sub-slice of
+// exactly its width, for either input form (encoding/binary takes only
+// []byte).
+func be16[B []byte | string](b B) uint16 {
+	_ = b[1]
+	return uint16(b[0])<<8 | uint16(b[1])
 }
 
-func be32[B []byte | string](b B, off int) uint32 {
-	_ = b[off+3]
-	return uint32(b[off])<<24 | uint32(b[off+1])<<16 | uint32(b[off+2])<<8 | uint32(b[off+3])
+func be32[B []byte | string](b B) uint32 {
+	_ = b[3]
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
 }
 
-func be64[B []byte | string](b B, off int) uint64 {
-	_ = b[off+7]
-	return uint64(b[off])<<56 | uint64(b[off+1])<<48 | uint64(b[off+2])<<40 | uint64(b[off+3])<<32 |
-		uint64(b[off+4])<<24 | uint64(b[off+5])<<16 | uint64(b[off+6])<<8 | uint64(b[off+7])
+func be64[B []byte | string](b B) uint64 {
+	_ = b[7]
+	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
+		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
 }
 
 // EncodedSize returns the wire size of t without encoding it.

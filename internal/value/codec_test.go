@@ -1,6 +1,8 @@
 package value
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -129,24 +131,118 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// FuzzAppendDecoded holds the masked decode to the full one: on a random
-// tuple's encoding, cut short, with a bit flipped or with bytes after
-// it, AppendDecoded under a random mask must fail exactly when the full
-// decode fails, consume the same bytes, keep dst's columns, and yield
-// the full decode's value on every marked column and NULL elsewhere.
-// It holds the two input forms to each other the same way:
-// AppendDecodedString of the same bytes, under the same mask and dst,
-// must fail exactly when AppendDecoded fails and otherwise consume the
-// same bytes and yield identical values (NULL, ±0, NaN payloads,
-// strings with 0x00 all included).
+// refAppendDecoded is the decoder body as it stood before the
+// in-place rewrite: it appends each column and reads fields at offsets
+// into the whole record. FuzzAppendDecoded holds both entry points to
+// it, so it stays here as the reference for values, byte counts and
+// error texts.
+func refAppendDecoded(dst Tuple, b []byte, mask []bool) (Tuple, int, error) {
+	if len(b) < 2 {
+		return nil, 0, fmt.Errorf("value: short tuple header")
+	}
+	n := int(binary.BigEndian.Uint16(b))
+	off := 2
+	t := dst
+	if t == nil || cap(t)-len(t) < n {
+		t = make(Tuple, len(dst), len(dst)+n)
+		copy(t, dst)
+	}
+	for i := 0; i < n; i++ {
+		if off >= len(b) {
+			return nil, 0, fmt.Errorf("value: truncated tuple at column %d", i)
+		}
+		typ := Type(b[off])
+		off++
+		keep := mask == nil || i < len(mask) && mask[i]
+		var v Value
+		switch typ {
+		case TypeNull:
+		case TypeInt, TypeDate:
+			if off+8 > len(b) {
+				return nil, 0, fmt.Errorf("value: truncated int at column %d", i)
+			}
+			v = Value{typ: typ, i: int64(binary.BigEndian.Uint64(b[off:]))}
+			off += 8
+		case TypeBool:
+			if off+1 > len(b) {
+				return nil, 0, fmt.Errorf("value: truncated bool at column %d", i)
+			}
+			if b[off] > 1 {
+				return nil, 0, fmt.Errorf("value: bad bool byte 0x%02x at column %d", b[off], i)
+			}
+			v = Bool(b[off] != 0)
+			off++
+		case TypeFloat:
+			if off+8 > len(b) {
+				return nil, 0, fmt.Errorf("value: truncated float at column %d", i)
+			}
+			v = Float(math.Float64frombits(binary.BigEndian.Uint64(b[off:])))
+			off += 8
+		case TypeString:
+			if off+4 > len(b) {
+				return nil, 0, fmt.Errorf("value: truncated string length at column %d", i)
+			}
+			l := int(binary.BigEndian.Uint32(b[off:]))
+			off += 4
+			if off+l > len(b) {
+				return nil, 0, fmt.Errorf("value: truncated string at column %d", i)
+			}
+			if keep {
+				v = Str(string(b[off : off+l]))
+			}
+			off += l
+		default:
+			return nil, 0, fmt.Errorf("value: unknown type tag %d at column %d", typ, i)
+		}
+		if !keep {
+			v = Value{}
+		}
+		t = append(t, v)
+	}
+	return t, off, nil
+}
+
+// FuzzAppendDecoded holds the decoder to refAppendDecoded and the
+// masked decode to the full one. Its input is a random tuple's
+// encoding, cut short, with a bit flipped or with bytes after it, or
+// raw bytes when raw is not empty (the seeds name a bad bool byte, an
+// unknown tag and truncations of every field).
+//
+// Both entry points, AppendDecoded and AppendDecodedString of the same
+// bytes, with no mask and with a random one, onto a nil dst, a dst
+// without room and a dst with room, must do what the reference does:
+// fail exactly when it fails, with its error text and a nil row, and
+// otherwise consume the same bytes and yield identical values (NULL,
+// ±0, NaN payloads, strings with 0x00 all included).
+//
+// The masked decode must fail exactly when the full decode fails,
+// consume the same bytes, keep dst's columns, and yield the full
+// decode's value on every marked column and NULL elsewhere.
 func FuzzAppendDecoded(f *testing.F) {
-	f.Add(int64(1), uint8(6), uint64(0b101101), uint8(6), uint16(0), uint16(0), uint8(0))
-	f.Add(int64(2), uint8(9), uint64(0), uint8(0), uint16(0), uint16(0), uint8(0))
-	f.Add(int64(3), uint8(12), ^uint64(0), uint8(40), uint16(0), uint16(0), uint8(0))
-	f.Add(int64(4), uint8(8), uint64(0b0110), uint8(4), uint16(17), uint16(0), uint8(0))
-	f.Add(int64(5), uint8(8), uint64(0b1010), uint8(8), uint16(0), uint16(9), uint8(3))
-	f.Add(int64(6), uint8(3), uint64(0b111), uint8(3), uint16(0), uint16(2), uint8(7))
-	f.Fuzz(func(t *testing.T, seed int64, cols uint8, maskBits uint64, maskLen uint8, cut, flipAt uint16, flipBit uint8) {
+	none := []byte(nil)
+	f.Add(int64(1), uint8(6), uint64(0b101101), uint8(6), uint16(0), uint16(0), uint8(0), none)
+	f.Add(int64(2), uint8(9), uint64(0), uint8(0), uint16(0), uint16(0), uint8(0), none)
+	f.Add(int64(3), uint8(12), ^uint64(0), uint8(40), uint16(0), uint16(0), uint8(0), none)
+	f.Add(int64(4), uint8(8), uint64(0b0110), uint8(4), uint16(17), uint16(0), uint8(0), none)
+	f.Add(int64(5), uint8(8), uint64(0b1010), uint8(8), uint16(0), uint16(9), uint8(3), none)
+	f.Add(int64(6), uint8(3), uint64(0b111), uint8(3), uint16(0), uint16(2), uint8(7), none)
+	for _, raw := range [][]byte{
+		{0},                            // short header
+		{0, 2, byte(TypeBool), 1},      // truncated tuple
+		{0, 1, byte(TypeBool), 2},      // bad bool byte
+		{0, 1, byte(TypeBool)},         // truncated bool
+		{0, 1, 0xEE},                   // unknown tag
+		{0, 1, byte(TypeInt), 1, 2, 3}, // truncated int
+		{0, 1, byte(TypeDate), 1, 2, 3, 4, 5, 6, 7},
+		{0, 1, byte(TypeFloat), 0x7f, 0xf8},
+		{0, 1, byte(TypeString), 0, 0},                               // truncated length
+		{0, 1, byte(TypeString), 0, 0, 0, 3, 'a', 'b'},               // truncated string
+		{0, 1, byte(TypeString), 0xff, 0xff, 0xff, 0xff, 'a'},        // length past any input
+		{0, 2, byte(TypeString), 0, 0, 0, 1, 'a', byte(TypeBool), 1}, // whole
+	} {
+		f.Add(int64(0), uint8(0), uint64(0b01), uint8(1), uint16(0), uint16(0), uint8(0), raw)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, cols uint8, maskBits uint64, maskLen uint8, cut, flipAt uint16, flipBit uint8, raw []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		tup := make(Tuple, int(cols)%24)
 		for i := range tup {
@@ -175,6 +271,9 @@ func FuzzAppendDecoded(f *testing.F) {
 			}
 		}
 		b := EncodeTuple(nil, tup)
+		if len(raw) > 0 {
+			b = raw
+		}
 		if flipBit != 0 && len(b) > 0 {
 			b[int(flipAt)%len(b)] ^= 1 << (flipBit % 8)
 		}
@@ -189,29 +288,28 @@ func FuzzAppendDecoded(f *testing.F) {
 			mask[i] = maskBits>>(i%64)&1 == 1
 		}
 
+		dsts := []func() Tuple{
+			func() Tuple { return nil },
+			func() Tuple { return Tuple{Str("kept")} },
+			func() Tuple { return append(make(Tuple, 0, 40), Str("kept")) },
+		}
+		for _, m := range [][]bool{nil, mask} {
+			for _, dst := range dsts {
+				want, nw, werr := refAppendDecoded(dst(), b, m)
+				fromBytes, nb, berr := AppendDecoded(dst(), b, m)
+				fromStr, ns, serr := AppendDecodedString(dst(), string(b), m)
+				sameAsRef(t, "AppendDecoded", want, nw, werr, fromBytes, nb, berr)
+				sameAsRef(t, "AppendDecodedString", want, nw, werr, fromStr, ns, serr)
+			}
+		}
+
 		full, nf, ferr := AppendDecoded(nil, b, nil)
 		dst := Tuple{Str("kept")}
 		got, nm, merr := AppendDecoded(dst, b, mask)
-		for _, m := range [][]bool{nil, mask} {
-			want, nw, werr := AppendDecoded(Tuple{Str("kept")}, b, m)
-			fromStr, ns, serr := AppendDecodedString(Tuple{Str("kept")}, string(b), m)
-			if (werr == nil) != (serr == nil) || ns != nw || len(fromStr) != len(want) {
-				t.Fatalf("string decode: %d columns, %d bytes, err %v; []byte decode: %d columns, %d bytes, err %v",
-					len(fromStr), ns, serr, len(want), nw, werr)
-			}
-			for i := range want {
-				if !Identical(fromStr[i], want[i]) {
-					t.Fatalf("column %d: string decode %v, []byte decode %v", i, fromStr[i], want[i])
-				}
-			}
-		}
 		if (ferr == nil) != (merr == nil) {
 			t.Fatalf("full decode err %v, masked decode err %v", ferr, merr)
 		}
 		if ferr != nil {
-			if got != nil || nm != 0 {
-				t.Fatalf("failed masked decode returned %v, %d bytes", got, nm)
-			}
 			return
 		}
 		if nm != nf {
@@ -230,4 +328,28 @@ func FuzzAppendDecoded(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameAsRef fails t unless one decode's result is the reference's: the
+// same error text, or else the same byte count and identical columns.
+// A failed decode must return a nil row and no bytes.
+func sameAsRef(t *testing.T, name string, want Tuple, nw int, werr error, got Tuple, n int, err error) {
+	t.Helper()
+	if (werr == nil) != (err == nil) || werr != nil && werr.Error() != err.Error() {
+		t.Fatalf("%s: err %v, reference err %v", name, err, werr)
+	}
+	if err != nil {
+		if got != nil || n != 0 {
+			t.Fatalf("%s: failed decode returned %v, %d bytes", name, got, n)
+		}
+		return
+	}
+	if n != nw || len(got) != len(want) {
+		t.Fatalf("%s: %d columns from %d bytes, reference %d columns from %d bytes", name, len(got), n, len(want), nw)
+	}
+	for i := range want {
+		if !Identical(got[i], want[i]) {
+			t.Fatalf("%s: column %d = %v, reference %v", name, i, got[i], want[i])
+		}
+	}
 }
