@@ -95,39 +95,49 @@ func (p *Pool) Size() int { return len(p.frames) }
 func (p *Pool) Fetch(file string, id storage.PageID) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	tag := PageTag{File: file, Page: id}
-	if i, ok := p.table[tag]; ok {
-		fr := &p.frames[i]
-		fr.pins++
-		fr.ref = true
-		p.hits.Add(1)
-		return fr, nil
-	}
-	p.misses.Add(1)
-	i, err := p.victimLocked()
+	i, err := p.residentLocked(PageTag{File: file, Page: id})
 	if err != nil {
 		return nil, err
 	}
 	fr := &p.frames[i]
-	f, err := p.mgr.Open(file)
-	if err != nil {
-		return nil, err
+	fr.pins++
+	return fr, nil
+}
+
+// residentLocked returns the index of the frame holding the page,
+// reading it from disk on a miss, and marks the frame referenced. It
+// pins nothing.
+func (p *Pool) residentLocked(tag PageTag) (int, error) {
+	if i, ok := p.table[tag]; ok {
+		p.frames[i].ref = true
+		p.hits.Add(1)
+		return i, nil
 	}
-	if err := f.ReadPage(id, fr.Buf); err != nil {
+	p.misses.Add(1)
+	i, err := p.victimLocked()
+	if err != nil {
+		return 0, err
+	}
+	fr := &p.frames[i]
+	f, err := p.mgr.Open(tag.File)
+	if err != nil {
+		return 0, err
+	}
+	if err := f.ReadPage(tag.Page, fr.Buf); err != nil {
 		fr.valid = false
-		return nil, err
+		return 0, err
 	}
 	if err := verifyChecksum(fr.Buf, tag); err != nil {
 		fr.valid = false
-		return nil, err
+		return 0, err
 	}
 	fr.tag = tag
-	fr.pins = 1
+	fr.pins = 0
 	fr.ref = true
 	fr.dirty = false
 	fr.valid = true
 	p.table[tag] = i
-	return fr, nil
+	return i, nil
 }
 
 // NewPage allocates a fresh page in file, pins it, and returns the
@@ -172,26 +182,29 @@ func (p *Pool) Unpin(fr *Frame, dirty bool) {
 	}
 }
 
-// Snapshot returns an immutable copy of the pinned frame's page. The
-// copy is made once per version of the page and shared by every
-// caller until the page changes (a dirty Unpin) or leaves the pool, so
-// rereading an unchanged page copies and allocates nothing. Strings
-// read from a copy stay valid, and unchanged, after the page changes.
+// Snapshot returns an immutable copy of the page, reading it from disk
+// on a miss like Fetch, but leaves no pin. The copy is made once per
+// version of the page and shared by every caller until the page
+// changes (a dirty Unpin) or leaves the pool, so rereading an
+// unchanged resident page copies and allocates nothing. Strings read
+// from a copy stay valid, and unchanged, after the page changes.
 //
 // The copy is taken under the pool's mutex but without a page latch,
 // as reads of a pinned frame are: a copy made while a writer holds its
-// own pin may predate that write, and the writer's dirty Unpin, which
+// pin may predate that write, and the writer's dirty Unpin, which
 // takes the same mutex, retires it, so the next Snapshot copies again.
-func (p *Pool) Snapshot(fr *Frame) storage.PageCopy {
+func (p *Pool) Snapshot(file string, id storage.PageID) (storage.PageCopy, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if fr.pins <= 0 {
-		panic(fmt.Sprintf("buffer: snapshot of unpinned page %v", fr.tag))
+	i, err := p.residentLocked(PageTag{File: file, Page: id})
+	if err != nil {
+		return "", err
 	}
+	fr := &p.frames[i]
 	if fr.snap == "" {
 		fr.snap = storage.PageCopy(fr.Buf)
 	}
-	return fr.snap
+	return fr.snap, nil
 }
 
 // FlushAll writes every dirty page back to disk. Pages stay resident.

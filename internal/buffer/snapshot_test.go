@@ -9,10 +9,11 @@ import (
 
 // TestSnapshotSharedUntilWrite pins when Snapshot copies: once per
 // version of a resident page. A rescan of unchanged pages shares the
-// copies and allocates nothing; a dirty Unpin (also one made after the
-// copy was taken under the writer's pin) gives a new copy holding the
-// write while strings kept from the old copy stay as they were; a
-// clean Unpin keeps the copy; eviction and a reload give a fresh one.
+// copies, allocates nothing and leaves no pin; a dirty Unpin (also one
+// made after the copy was taken under the writer's pin) gives a new
+// copy holding the write while strings kept from the old copy stay as
+// they were; a clean Unpin keeps the copy; eviction and a reload give
+// a fresh one.
 func TestSnapshotSharedUntilWrite(t *testing.T) {
 	p, _ := newPool(t, 4)
 	var ids []storage.PageID
@@ -27,12 +28,10 @@ func TestSnapshotSharedUntilWrite(t *testing.T) {
 	}
 	snap := func(id storage.PageID) storage.PageCopy {
 		t.Helper()
-		fr, err := p.Fetch("f", id)
+		s, err := p.Snapshot("f", id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := p.Snapshot(fr)
-		p.Unpin(fr, false)
 		return s
 	}
 	same := func(a, b storage.PageCopy) bool {
@@ -58,6 +57,11 @@ func TestSnapshotSharedUntilWrite(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("rescan of %d unchanged pages allocates %.1f times, want 0", len(ids), allocs)
+	}
+	for i := range p.frames {
+		if n := p.frames[i].pins; n != 0 {
+			t.Errorf("frame %d holds %d pins after snapshots, want 0", i, n)
+		}
 	}
 
 	// A clean Unpin keeps the copy; a dirty one retires it.
@@ -120,21 +124,4 @@ func TestSnapshotSharedUntilWrite(t *testing.T) {
 	if same(reloaded, old2) || !sameContent {
 		t.Errorf("reloaded page: new copy %v, same content %v; want both", !same(reloaded, old2), sameContent)
 	}
-}
-
-// TestSnapshotOfUnpinnedPanics: a snapshot is taken under a pin, like
-// any read of a frame.
-func TestSnapshotOfUnpinnedPanics(t *testing.T) {
-	p, _ := newPool(t, 2)
-	fr, _, err := p.NewPage("f")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Unpin(fr, true)
-	defer func() {
-		if recover() == nil {
-			t.Error("Snapshot of an unpinned frame did not panic")
-		}
-	}()
-	p.Snapshot(fr)
 }

@@ -99,19 +99,11 @@ func (e *Engine) eqRows(col string, vals *EqSet) rowFinder {
 // under several index keys. An EqSet knows them.
 type EqSet struct {
 	vals []value.Value
-	// classes, members and probes are nil when some value has no
-	// eqClass: Which then compares against each value and the statement
-	// scans. members[j] lists the values of class classes[j].
-	classes []eqClass
-	members [][]int
-	byClass map[eqClass]int // class → j; only above smallEqSet classes
-	probes  [][]byte        // encoded key prefixes every equal stored value lies under
+	// byClass and probes are nil when some value has no eqClass: Which
+	// then compares against each value and the statement scans.
+	byClass map[eqClass][]int
+	probes  [][]byte // encoded key prefixes every equal stored value lies under
 }
-
-// smallEqSet is the most classes Which compares one by one; a larger
-// set looks classes up in a map, whose hashing costs more than a few
-// comparisons.
-const smallEqSet = 8
 
 // eqClass keys a value so that, among values that have one, equal keys
 // mean value.Equal and nothing else does.
@@ -148,75 +140,43 @@ func classOf(v value.Value) (c eqClass, ok bool) {
 // NewEqSet builds the set for the given match values. Indices returned
 // by Which refer to this order.
 func NewEqSet(vals ...value.Value) *EqSet {
-	s := &EqSet{
-		vals:    vals,
-		classes: make([]eqClass, 0, len(vals)),
-		probes:  make([][]byte, 0, len(vals)),
-	}
+	s := &EqSet{vals: vals}
+	byClass := make(map[eqClass][]int, len(vals))
+	probes := make([][]byte, 0, len(vals))
 	for i, v := range vals {
 		c, ok := classOf(v)
 		if !ok {
-			return &EqSet{vals: vals}
+			return s
 		}
-		if j := s.classIndex(c); j >= 0 {
-			s.members[j] = append(s.members[j], i)
+		byClass[c] = append(byClass[c], i)
+		if len(byClass[c]) > 1 {
 			continue
 		}
-		s.classes = append(s.classes, c)
-		s.members = append(s.members, []int{i})
-		switch {
-		case s.byClass != nil:
-			s.byClass[c] = len(s.classes) - 1
-		case len(s.classes) > smallEqSet:
-			s.byClass = make(map[eqClass]int, len(vals))
-			for j, c := range s.classes {
-				s.byClass[c] = j
-			}
-		}
 		if c.typ != value.TypeFloat { // not a number: one encoding
-			s.probes = append(s.probes, keycodec.AppendValue(nil, v))
+			probes = append(probes, keycodec.AppendValue(nil, v))
 			continue
 		}
 		f := math.Float64frombits(c.bits)
-		s.probes = append(s.probes,
+		probes = append(probes,
 			keycodec.AppendValue(nil, value.Float(f)),
 			keycodec.AppendValue(nil, value.Int(int64(f))))
 		if f == 0 {
-			s.probes = append(s.probes, keycodec.AppendValue(nil, value.Float(math.Copysign(0, -1))))
+			probes = append(probes, keycodec.AppendValue(nil, value.Float(math.Copysign(0, -1))))
 		}
 	}
+	s.byClass, s.probes = byClass, probes
 	return s
-}
-
-// classIndex returns j with s.classes[j] == c, or -1 if c is not in
-// the set.
-func (s *EqSet) classIndex(c eqClass) int {
-	if s.byClass != nil {
-		if j, ok := s.byClass[c]; ok {
-			return j
-		}
-		return -1
-	}
-	for j := range s.classes {
-		if s.classes[j] == c {
-			return j
-		}
-	}
-	return -1
 }
 
 // Which returns the indices, ascending, of the set's values that equal
 // v. The slice is the set's own: read it, do not keep or change it.
 func (s *EqSet) Which(v value.Value) []int {
-	if s.classes != nil {
+	if s.byClass != nil {
 		c, ok := classOf(v)
 		if !ok {
 			return nil
 		}
-		if j := s.classIndex(c); j >= 0 {
-			return s.members[j]
-		}
-		return nil
+		return s.byClass[c]
 	}
 	var which []int
 	for i, x := range s.vals {

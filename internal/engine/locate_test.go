@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -351,52 +350,4 @@ func TestScannedRowsOutliveTheScan(t *testing.T) {
 	}
 	check("delete pre-image", obs.deleted, []int64{1, 3, 5, 7, 9})
 	check("DeleteWhere row", deleted, []int64{1, 3, 5, 7, 9})
-}
-
-// TestEqSetWhichIsEqual holds Which to value.Equal over sets that
-// compare their classes one by one, sets large enough to look them up
-// in a map, and sets holding a value without a class (NaN, numbers
-// from 2⁵³ up), each asked about every value of the domain.
-func TestEqSetWhichIsEqual(t *testing.T) {
-	var domain []value.Value
-	for i := int64(0); i < 12; i++ {
-		domain = append(domain, value.Int(i), value.Float(float64(i)))
-	}
-	domain = append(domain,
-		value.Float(math.Copysign(0, -1)), value.Float(2.5), value.Null(),
-		value.Str("x"), value.Str(""), value.Str("3"), value.Date(3), value.Bool(true),
-		value.Float(math.NaN()), value.Int(1<<53), value.Int(1<<53+1), value.Float(1<<53), value.Float(math.Inf(1)))
-	rng := rand.New(rand.NewSource(31))
-	small, large := 0, 0
-	for trial := 0; trial < 500; trial++ {
-		withUnclassed := rng.Intn(4) == 0
-		vals := make([]value.Value, 0, 24)
-		for want := 1 + rng.Intn(24); len(vals) < want; {
-			v := domain[rng.Intn(len(domain))]
-			if _, ok := classOf(v); ok || withUnclassed {
-				vals = append(vals, v)
-			}
-		}
-		s := NewEqSet(vals...)
-		switch {
-		case s.byClass != nil:
-			large++
-		case s.classes != nil:
-			small++
-		}
-		for _, v := range domain {
-			var want []int
-			for i, x := range vals {
-				if value.Equal(v, x) {
-					want = append(want, i)
-				}
-			}
-			if got := s.Which(v); !slices.Equal(got, want) {
-				t.Fatalf("set %v: Which(%v) = %v, value.Equal gives %v", vals, v, got, want)
-			}
-		}
-	}
-	if small == 0 || large == 0 {
-		t.Fatalf("%d sets compared classes one by one and %d used the map; the test needs both", small, large)
-	}
 }

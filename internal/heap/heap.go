@@ -155,16 +155,16 @@ func (h *Heap) Update(rid storage.RID, t value.Tuple) (storage.RID, error) {
 // Scan calls fn for every live tuple in RID order. fn returning
 // ErrStopScan ends the scan without error.
 //
-// Each page is pinned only long enough to take its snapshot
-// (buffer.Pool.Snapshot), an immutable copy made once per version of
-// the page, so rescanning unchanged resident pages copies nothing. Its
-// records are decoded from the copy into one row reused for the whole
-// scan, so a scan allocates at most once per changed page, not per
-// row, and holds no pin while fn runs: fn may read other pages, this
-// heap included. t belongs to fn only until fn returns; a caller that
-// keeps the row clones it (value.Tuple.Clone). Its strings are
-// substrings of the immutable copy, so a kept value or clone stays
-// intact after the page changes (and keeps the copy alive).
+// Each page is read through its snapshot (buffer.Pool.Snapshot), an
+// immutable copy made once per version of the page, so rescanning
+// unchanged resident pages copies nothing. Its records are decoded
+// from the copy into one row reused for the whole scan, so a scan
+// allocates at most once per changed page, not per row, and holds no
+// pin: fn may read other pages, this heap included. t belongs to fn
+// only until fn returns; a caller that keeps the row clones it
+// (value.Tuple.Clone). Its strings are substrings of the immutable
+// copy, so a kept value or clone stays intact after the page changes
+// (and keeps the copy alive).
 func (h *Heap) Scan(fn func(rid storage.RID, t value.Tuple) error) error {
 	h.mu.Lock()
 	last := h.lastPage
@@ -174,12 +174,10 @@ func (h *Heap) Scan(fn func(rid storage.RID, t value.Tuple) error) error {
 	}
 	var row value.Tuple
 	for pid := storage.PageID(0); pid <= last; pid++ {
-		fr, err := h.pool.Fetch(h.file, pid)
+		page, err := h.pool.Snapshot(h.file, pid)
 		if err != nil {
 			return err
 		}
-		page := h.pool.Snapshot(fr)
-		h.pool.Unpin(fr, false)
 		n := page.NumSlots()
 		for slot := uint16(0); slot < n; slot++ {
 			rec, ok := page.Read(slot)
