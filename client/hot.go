@@ -6,8 +6,8 @@
 //     appends to a populated entry and drops pushes at or below a
 //     key's invalidation floor — so transport failures reconnect and
 //     retry transparently.
-//   - HotInval is idempotent — floors only rise and generation bumps
-//     compose — so it retries the same way.
+//   - HotInval is idempotent — floors only rise and removing an
+//     entry twice removes it once — so it retries the same way.
 //   - Filter is a pure read.
 package client
 

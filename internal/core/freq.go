@@ -3,15 +3,12 @@
 // admission, and the shard half of hot-entry replication.
 //
 // The filter invariant that makes suppression safe: a key is added to
-// the presence filter exactly when an entry enters v.entries and
-// removed exactly when its entry leaves, so MayContain == false proves
-// no live entry exists and the probe can be skipped without looking.
-// The one wrinkle is whole-view invalidation (BumpAllGen), which kills
-// every entry at once without traversing the map: there the filter is
-// Reset (generation bump), entries stamped with the old filter
-// generation are already absent from the new filter, and the lazy
-// discard path skips their Remove — removing a non-member from a
-// counting bloom would corrupt other keys' counters.
+// the presence filter exactly when an entry enters v.entries
+// (newEntryLocked) and removed exactly when it leaves
+// (removeEntryLocked); resetLocked, which drops every entry at once,
+// resets the filter with them. MayContain == false therefore proves no
+// entry exists and the probe can be skipped without looking.
+// CheckInvariants holds the filter's key count to the entry count.
 package core
 
 import (
@@ -71,24 +68,17 @@ func (v *View) Freq() *freq.ViewFreq {
 	return v.freq
 }
 
-// freqAddLocked records a new live entry in the presence filter,
-// stamping the entry with the filter generation so a later Remove can
-// tell whether the entry is still represented. Caller holds v.mu.
-func (v *View) freqAddLocked(key string, e *entry) {
-	if v.freq == nil {
-		return
+// freqAddLocked records a new entry in the presence filter. Caller
+// holds v.mu.
+func (v *View) freqAddLocked(key string) {
+	if v.freq != nil {
+		v.freq.Filter.Add(key)
 	}
-	v.freq.Filter.Add(key)
-	e.fgen = v.freq.Filter.Gen()
 }
 
-// freqRemoveLocked forgets a dying entry, unless a filter Reset since
-// its Add already dropped it wholesale. Caller holds v.mu.
-func (v *View) freqRemoveLocked(key string, e *entry) {
-	if v.freq == nil || e == nil {
-		return
-	}
-	if e.fgen == v.freq.Filter.Gen() {
+// freqRemoveLocked forgets a removed entry. Caller holds v.mu.
+func (v *View) freqRemoveLocked(key string) {
+	if v.freq != nil {
 		v.freq.Filter.Remove(key)
 	}
 }
@@ -99,7 +89,7 @@ func (v *View) freqRemoveLocked(key string, e *entry) {
 // estimate, whether the probe may proceed (false = provably absent,
 // suppressed), and updates the suppression/false-positive counters —
 // the false-positive check is completed by the caller, which knows
-// whether a live entry actually existed. Caller holds v.mu.
+// whether an entry actually existed. Caller holds v.mu.
 func (v *View) probeFreqLocked(key string) (est uint32, proceed bool) {
 	if v.freq == nil {
 		return 0, true
@@ -147,7 +137,7 @@ func (v *View) FilterSnapshot() (bits []byte, hashes int, gen uint64, keys int, 
 
 // ApplyHotSet caches hot entries pushed by a router (MsgHotSet): each
 // key's tuple set enters the view through the normal entry machinery —
-// policy-tracked, generation-stamped, F-bounded, idempotent at entry
+// policy-tracked, maintenance-indexed, F-bounded, idempotent at entry
 // granularity like FillTuples — so local maintenance invalidates a
 // replica exactly like an owned entry. seq orders pushes against
 // HotInval frames: a push at or below a key's hot floor lost the race
@@ -180,7 +170,7 @@ func (v *View) ApplyHotSet(seq uint64, keys []string, tuples [][]value.Tuple) (r
 			stale++
 			continue // invalidated at or after this push was cut
 		}
-		if e, ok := v.liveEntryLocked(key); ok && len(e.tuples) > 0 {
+		if e, ok := v.entries[key]; ok && len(e.tuples) > 0 {
 			continue // idempotence: never append to a populated entry
 		}
 		if !v.policy.Contains(key) {
@@ -220,9 +210,8 @@ func (v *View) ApplyHotSet(seq uint64, keys []string, tuples [][]value.Tuple) (r
 
 // ApplyHotInval invalidates replicated hot keys (MsgHotInval): raise
 // each key's hot floor to seq — so an in-flight MsgHotSet cut before
-// the invalidation cannot resurrect a stale replica — and bump the
-// keys' invalidation generations so a cached replica dies the normal
-// lazy death. Returns how many keys currently cached an entry.
+// the invalidation cannot resurrect a stale replica — and remove the
+// keys' entries. Returns how many keys had an entry.
 func (v *View) ApplyHotInval(seq uint64, keys []string) int {
 	v.mu.Lock()
 	if v.hotFloor == nil {
@@ -235,5 +224,5 @@ func (v *View) ApplyHotInval(seq uint64, keys []string) int {
 	}
 	v.stats.HotInvalKeys += int64(len(keys))
 	v.mu.Unlock()
-	return v.BumpKeyGens(keys)
+	return v.InvalidateKeys(keys)
 }

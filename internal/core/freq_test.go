@@ -76,7 +76,6 @@ func TestFreqDisabledZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &entry{}
 	if n := testing.AllocsPerRun(100, func() {
 		if _, proceed := v.probeFreqLocked("k"); !proceed {
 			t.Fatal("disabled probeFreqLocked suppressed")
@@ -92,8 +91,8 @@ func TestFreqDisabledZeroAlloc(t *testing.T) {
 		t.Fatalf("admitGateLocked allocates %v per run when disabled", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		v.freqAddLocked("k", e)
-		v.freqRemoveLocked("k", e)
+		v.freqAddLocked("k")
+		v.freqRemoveLocked("k")
 	}); n != 0 {
 		t.Fatalf("filter add/remove allocate %v per run when disabled", n)
 	}

@@ -5,11 +5,13 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"pmv/internal/cache"
 	"pmv/internal/catalog"
 	"pmv/internal/engine"
 	"pmv/internal/expr"
+	"pmv/internal/freq"
 	"pmv/internal/value"
 )
 
@@ -28,7 +30,8 @@ type fuzzWorld struct {
 
 // buildFuzzWorld creates 2 or 3 relations R0 ⋈ R1 (⋈ R2) with integer
 // columns, one selection condition per relation (random form), and a
-// randomly configured view.
+// randomly configured view, with the frequency plane on for even
+// seeds.
 func buildFuzzWorld(t *testing.T, seed int64) *fuzzWorld {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -123,6 +126,11 @@ func buildFuzzWorld(t *testing.T, seed int64) *fuzzWorld {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if seed%2 == 0 {
+		// A window far longer than the test keeps the sketch from
+		// rotating mid-run.
+		view.EnableFreq(freq.Config{Window: time.Hour})
 	}
 	w.view = view
 	return w
@@ -236,10 +244,11 @@ func (w *fuzzWorld) mutate(t *testing.T) bool {
 
 // step runs one random operation beside the queries: DML, a routed
 // refill (FillTuples), a hot-set push (ApplyHotSet), a snapshot reload
-// (SnapshotEntries, removeKeys, WarmAdmit), a generation bump whose
-// entries the next probe discards lazily, or an entry removal. After
-// it the maintenance index must equal a rebuild from the entries, and
-// after DML every cached tuple must be in the full query's answer.
+// (SnapshotEntries, InvalidateKeys, WarmAdmit), or an invalidation of
+// some keys or of the whole view. After it the maintenance index must
+// equal a rebuild from the entries, the view's invariants (the presence
+// filter's balance among them) must hold, and after DML every cached
+// tuple must be in the full query's answer.
 func (w *fuzzWorld) step(t *testing.T) {
 	t.Helper()
 	v := w.view
@@ -294,7 +303,7 @@ func (w *fuzzWorld) step(t *testing.T) {
 		for i, s := range snaps {
 			keys[i] = s.key
 		}
-		removeKeys(v, keys)
+		v.InvalidateKeys(keys)
 		for _, s := range snaps {
 			if _, err := v.WarmAdmit(s.key, s.accesses, s.tuples); err != nil {
 				t.Fatal(err)
@@ -302,27 +311,18 @@ func (w *fuzzWorld) step(t *testing.T) {
 		}
 	case 4:
 		if w.rng.Intn(4) == 0 {
-			v.BumpAllGen()
+			v.InvalidateAll()
 		} else {
-			v.BumpKeyGens(w.someKeys())
+			v.InvalidateKeys(w.someKeys())
 		}
 	case 5:
-		removeKeys(v, w.someKeys())
+		v.InvalidateKeys(w.someKeys())
 	}
 	if err := checkMaintIndex(v); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// removeKeys drops the entries of keys outright.
-func removeKeys(v *View, keys []string) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	for _, k := range keys {
-		if e, ok := v.entries[k]; ok {
-			delete(v.invalGen, k)
-			v.removeEntryLocked(k, e)
-		}
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -357,8 +357,8 @@ func (w *fuzzWorld) lsRows(t *testing.T, q *expr.Query) []value.Tuple {
 	return out
 }
 
-// checkCachedInAnswer requires the view's cached tuples, stale entries
-// included, to be a sub-multiset of the full query's answer.
+// checkCachedInAnswer requires the view's cached tuples to be a
+// sub-multiset of the full query's answer.
 func (w *fuzzWorld) checkCachedInAnswer(t *testing.T) {
 	t.Helper()
 	q := &expr.Query{Template: w.tpl, Conds: make([]expr.CondInstance, len(w.tpl.Conds))}
@@ -425,6 +425,9 @@ func TestFuzzExactlyOnce(t *testing.T) {
 					t.Fatalf("report says %d partials, observed %d", rep.PartialTuples, partials)
 				}
 				if err := checkMaintIndex(w.view); err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+				if err := w.view.CheckInvariants(); err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}
 				if w.rng.Intn(2) == 0 {

@@ -1,17 +1,16 @@
-// inval.go holds the view's invalidation generations and the hooks
+// inval.go holds the view's invalidation entry points and the hooks
 // the write plane (internal/maint) maintains a view through.
 //
 // A base change purges the cached tuples it can have derived through
 // the maintenance index (purgeByIndex, maintain.go), on the
 // per-statement path and in the write plane's batch alike. What is
-// left here is invalidation without a base change in hand: a
-// generation bump (BumpKeyGens/BumpAllGen) advances the view's
-// invalidation sequence and records it as a floor for the named keys
-// or the whole view; an entry stamped below its floor is discarded
-// lazily on its next probe. Bumps take only the view mutex. Their
-// callers are an operator's or a router's MsgInvalidate, the hot
-// plane, and the degradation for a view whose X lock the plane could
-// not take.
+// left here is invalidation without a base change in hand:
+// InvalidateKeys removes the named keys' entries and InvalidateAll
+// every entry, at once and under the view mutex only. Their callers
+// are an operator's or a router's MsgInvalidate, the hot plane, a
+// failed DS audit, and the degradation for a view whose X lock the
+// plane could not take. An invalidated key stays tracked by the
+// replacement policy; its next fill starts a fresh entry.
 //
 // Over-invalidation is always safe: it loses cache, never
 // correctness. Under-delivery (an invalidation that never arrives) is
@@ -25,71 +24,37 @@ import (
 	"pmv/internal/value"
 )
 
-// entryLiveLocked reports whether e survives every generation bump
-// recorded against key. Caller holds v.mu.
-func (v *View) entryLiveLocked(key string, e *entry) bool {
-	return e.gen >= v.invalAll && e.gen >= v.invalGen[key]
-}
-
-// discardStaleLocked drops one invalidated entry. Caller holds v.mu.
-func (v *View) discardStaleLocked(key string, e *entry) {
-	delete(v.invalGen, key)
-	v.stats.EntriesInvalidated++
-	v.stats.TuplesInvalidated += int64(len(e.tuples))
-	v.removeEntryLocked(key, e)
-}
-
-// liveEntryLocked returns the live entry for key, lazily discarding a
-// stale one. Caller holds v.mu.
-func (v *View) liveEntryLocked(key string) (*entry, bool) {
-	e, ok := v.entries[key]
-	if !ok {
-		return nil, false
-	}
-	if !v.entryLiveLocked(key, e) {
-		v.discardStaleLocked(key, e)
-		return nil, false
-	}
-	return e, true
-}
-
-// BumpKeyGens invalidates keys by generation bump — the receiving
-// side of MsgInvalidate. Cheap (view mutex only, no view lock, no
-// entry traversal); stale entries are discarded on their next probe. Returns how many keys
-// currently cache an entry (the useful work; keys without entries need
-// no floor — any future fill is stamped at or above the new sequence).
-func (v *View) BumpKeyGens(keys []string) int {
+// InvalidateKeys removes the entries of keys — the receiving side of
+// MsgInvalidate. It takes only the view mutex, no view lock. Returns
+// how many keys had an entry (the useful work).
+func (v *View) InvalidateKeys(keys []string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.invalSeq++
-	bumped := 0
+	removed := 0
 	for _, k := range keys {
-		if _, ok := v.entries[k]; ok {
-			v.invalGen[k] = v.invalSeq
-			bumped++
+		if e, ok := v.entries[k]; ok {
+			v.stats.EntriesInvalidated++
+			v.stats.TuplesInvalidated += int64(len(e.tuples))
+			v.removeEntryLocked(k, e)
+			removed++
 		}
 	}
 	v.stats.KeyGenBumps += int64(len(keys))
-	return bumped
+	return removed
 }
 
-// BumpAllGen invalidates the whole view: every current entry is stale,
-// discarded lazily. This is the degradation step when key damage could
-// not be bounded (a failed fan-out, a view the write plane could not
-// lock) — correctness by total cache loss.
-func (v *View) BumpAllGen() {
+// InvalidateAll removes every entry. This is the degradation step when
+// key damage could not be bounded (a failed fan-out, a view the write
+// plane could not lock) — correctness by total cache loss.
+func (v *View) InvalidateAll() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.invalSeq++
-	v.invalAll = v.invalSeq
-	v.invalGen = make(map[string]uint64) // superseded by the floor
 	v.stats.ViewGenBumps++
-	if v.freq != nil {
-		// Every entry just died at once; reset the filter (generation
-		// bump) instead of traversing the map. Entries stamped with the
-		// old filter generation skip their Remove on lazy discard.
-		v.freq.Filter.Reset()
+	for _, e := range v.entries {
+		v.stats.EntriesInvalidated++
+		v.stats.TuplesInvalidated += int64(len(e.tuples))
 	}
+	v.resetLocked()
 }
 
 // LockForMaintenance acquires the view's X lock through the engine's

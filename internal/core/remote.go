@@ -257,7 +257,7 @@ func (v *View) FillTuples(tuples []value.Tuple) (int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, key := range order {
-		if e, ok := v.liveEntryLocked(key); ok && len(e.tuples) > 0 {
+		if e, ok := v.entries[key]; ok && len(e.tuples) > 0 {
 			continue // idempotence: never append to a populated entry
 		}
 		if !v.policy.Contains(key) {

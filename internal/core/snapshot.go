@@ -29,9 +29,6 @@ func (v *View) SnapshotEntries(fn func(key string, accesses int64, tuples []valu
 	}
 	rows := make([]row, 0, len(v.entries))
 	for k, e := range v.entries {
-		if !v.entryLiveLocked(k, e) {
-			continue // never snapshot an invalidated entry
-		}
 		rows = append(rows, row{k, e})
 	}
 	sort.Slice(rows, func(i, j int) bool {

@@ -24,12 +24,13 @@ type Stats struct {
 	TuplesCached  int64
 	TuplesEvicted int64
 	TuplesPurged  int64
-	// EntriesInvalidated / TuplesInvalidated count stale entries lazily
-	// discarded after an invalidation-generation bump.
+	// EntriesInvalidated / TuplesInvalidated count the entries and
+	// tuples InvalidateKeys and InvalidateAll removed.
 	EntriesInvalidated int64
 	TuplesInvalidated  int64
-	// KeyGenBumps / ViewGenBumps count invalidation-generation bumps
-	// (per-key and view-wide).
+	// KeyGenBumps counts the keys InvalidateKeys was asked to remove
+	// and ViewGenBumps the InvalidateAll calls (named as the wire and
+	// JSON spell them).
 	KeyGenBumps  int64
 	ViewGenBumps int64
 	// InsertsSeen / DeletesSeen / UpdatesSeen / UpdatesSkipped count

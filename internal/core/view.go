@@ -75,13 +75,6 @@ type entry struct {
 	key      string // the bcp key the entry is stored under
 	tuples   []value.Tuple
 	accesses int64
-	// gen is the view's invalidation sequence at fill time; an entry
-	// whose gen falls below a bumped per-key or view-wide floor is
-	// stale and lazily discarded on its next probe (see inval.go).
-	gen uint64
-	// fgen is the presence-filter generation at Add time (freq.go);
-	// zero and unused when the frequency plane is off.
-	fgen uint64
 	// filler is the txn id of the O3 run that last appended to the
 	// entry (0 for a routed refill or hot-set push) and fillSeq the
 	// view's fill sequence at that append; fill uses them to keep two
@@ -110,13 +103,6 @@ type View struct {
 	fillSeq uint64 // bumped on every append to any entry
 	policy  cache.Policy
 	maint   *maintIndex
-
-	// Invalidation generations (see inval.go): invalSeq stamps new
-	// entries, invalGen/invalAll are per-key and view-wide staleness
-	// floors.
-	invalSeq uint64
-	invalGen map[string]uint64
-	invalAll uint64
 
 	// Frequency plane (freq.go): nil when off. hotFloor orders hot-set
 	// pushes against hot invalidations per replicated key.
@@ -157,7 +143,6 @@ func NewView(eng *engine.Engine, cfg Config) (*View, error) {
 		condPos:    condPos,
 		o3:         eng.Prepare(tpl, selectPlus),
 		entries:    make(map[string]*entry),
-		invalGen:   make(map[string]uint64),
 		policy:     pol,
 		maint:      newMaintIndex(tpl, selectPlus, cfg.TuplesPerBCP),
 	}
@@ -174,6 +159,13 @@ func (v *View) Drop() {
 	v.eng.UnregisterObserver(v)
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.resetLocked()
+}
+
+// resetLocked removes every entry at once: a fresh entry map, a fresh
+// maintenance index and an empty presence filter. The replacement
+// policy keeps tracking the keys. Caller holds v.mu.
+func (v *View) resetLocked() {
 	v.entries = make(map[string]*entry)
 	v.maint = newMaintIndex(v.cfg.Template, v.selectPlus, v.cfg.TuplesPerBCP)
 	if v.freq != nil {
@@ -429,7 +421,7 @@ func (s *localSource) Refill([]string) {
 	s.tr.Event(obs.KindRefill, s.refTuples, s.refEntries, s.refEvicted)
 }
 
-func (s *localSource) Invalidate(keys []string) { s.v.BumpKeyGens(keys) }
+func (s *localSource) Invalidate(keys []string) { s.v.InvalidateKeys(keys) }
 
 // probe is Operation O2's one loop, for local queries and routed probe
 // batches alike: under the caller's S lock, serve the cached tuples of
@@ -455,7 +447,7 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 		before := rep.PartialTuples
 		var hit int64
 		// Frequency plane: every probe trains the sketch; a filter
-		// negative proves no live entry exists, so the lookup (and any
+		// negative proves no entry exists, so the lookup (and any
 		// policy work) is skipped outright.
 		est, proceed := v.probeFreqLocked(cp.BCPKey)
 		if !proceed {
@@ -465,7 +457,7 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 			}
 			continue
 		}
-		e, ok := v.liveEntryLocked(cp.BCPKey)
+		e, ok := v.entries[cp.BCPKey]
 		if v.freq != nil && !ok {
 			v.stats.FilterFalsePositives++
 		}
@@ -584,7 +576,7 @@ func (v *View) fill(t value.Tuple, run *localSource) {
 			return
 		}
 	}
-	e, ok := v.liveEntryLocked(key)
+	e, ok := v.entries[key]
 	if !ok {
 		e = v.newEntryLocked(key)
 		run.refEntries++
@@ -606,14 +598,14 @@ func (v *View) fill(t value.Tuple, run *localSource) {
 	run.refTuples++
 }
 
-// newEntryLocked creates key's entry, which must not exist, stamped
-// with the current invalidation sequence. Caller holds v.mu.
+// newEntryLocked creates key's entry, which must not exist. Caller
+// holds v.mu.
 func (v *View) newEntryLocked(key string) *entry {
-	e := &entry{key: key, gen: v.invalSeq}
+	e := &entry{key: key}
 	v.entries[key] = e
 	v.maint.register(e)
 	v.stats.EntriesCreated++
-	v.freqAddLocked(key, e)
+	v.freqAddLocked(key)
 	return e
 }
 
@@ -629,7 +621,7 @@ func (v *View) cacheTupleLocked(e *entry, t value.Tuple) {
 // Caller holds v.mu.
 func (v *View) removeEntryLocked(key string, e *entry) {
 	delete(v.entries, key)
-	v.freqRemoveLocked(key, e)
+	v.freqRemoveLocked(key)
 	v.maint.release(e)
 }
 
@@ -676,14 +668,19 @@ func (v *View) TupleCount() int {
 // CheckInvariants verifies the view's structural invariants
 // (DESIGN.md Section 4, invariant 3): no more than L entries, no more
 // than F tuples per entry, every cached tuple encodes back to its
-// entry's basic condition part, and every entry is tracked by the
-// replacement policy. The torture harness calls it after recovery and
-// after every workload phase.
+// entry's basic condition part, every entry is tracked by the
+// replacement policy and, with the frequency plane on, every entry is in
+// the presence filter and the filter holds as many keys as the view
+// holds entries. The torture harness calls it after recovery and after
+// every workload phase.
 func (v *View) CheckInvariants() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if len(v.entries) > v.cfg.MaxEntries {
 		return fmt.Errorf("core: %d entries exceed MaxEntries %d", len(v.entries), v.cfg.MaxEntries)
+	}
+	if v.freq != nil && v.freq.Filter.Keys() != len(v.entries) {
+		return fmt.Errorf("core: presence filter holds %d keys, view %d entries", v.freq.Filter.Keys(), len(v.entries))
 	}
 	for key, e := range v.entries {
 		if len(e.tuples) > v.cfg.TuplesPerBCP {
@@ -700,9 +697,8 @@ func (v *View) CheckInvariants() error {
 		if !v.policy.Contains(key) {
 			return fmt.Errorf("core: entry %q not tracked by the replacement policy", key)
 		}
-		if v.freq != nil && v.entryLiveLocked(key, e) && e.fgen == v.freq.Filter.Gen() &&
-			!v.freq.Filter.MayContain(key) {
-			return fmt.Errorf("core: live entry %q absent from the presence filter (false negative)", key)
+		if v.freq != nil && !v.freq.Filter.MayContain(key) {
+			return fmt.Errorf("core: entry %q absent from the presence filter (false negative)", key)
 		}
 	}
 	return nil

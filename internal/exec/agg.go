@@ -170,82 +170,3 @@ type SortKey struct {
 	Col  int
 	Desc bool
 }
-
-// Sort is a blocking in-memory sort (the ORDER BY extension).
-type Sort struct {
-	Child Iterator
-	Keys  []SortKey
-
-	inner *sliceIter
-}
-
-// Open drains and sorts the child.
-func (s *Sort) Open() error {
-	rows, err := Collect(s.Child)
-	if err != nil {
-		return err
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range s.Keys {
-			c := value.Compare(rows[i][k.Col], rows[j][k.Col])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	s.inner = &sliceIter{rows: rows}
-	return s.inner.Open()
-}
-
-// Next emits the next sorted row.
-func (s *Sort) Next() (value.Tuple, bool, error) {
-	if s.inner == nil {
-		return nil, false, ErrNotOpen
-	}
-	return s.inner.Next()
-}
-
-// Close releases the buffer.
-func (s *Sort) Close() error {
-	s.inner = nil
-	return nil
-}
-
-// Distinct suppresses duplicate rows (multiset → set), streaming.
-type Distinct struct {
-	Child Iterator
-	seen  map[string]struct{}
-}
-
-// Open opens the child and resets the seen set.
-func (d *Distinct) Open() error {
-	d.seen = make(map[string]struct{})
-	return d.Child.Open()
-}
-
-// Next returns the next not-yet-seen row.
-func (d *Distinct) Next() (value.Tuple, bool, error) {
-	for {
-		t, ok, err := d.Child.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		k := string(value.EncodeTuple(nil, t))
-		if _, dup := d.seen[k]; dup {
-			continue
-		}
-		d.seen[k] = struct{}{}
-		return t, true, nil
-	}
-}
-
-// Close closes the child and drops the seen set.
-func (d *Distinct) Close() error {
-	d.seen = nil
-	return d.Child.Close()
-}

@@ -21,10 +21,9 @@ var ErrNotOpen = errors.New("exec: iterator not open")
 //
 // A row is the consumer's to read until its next call to Next or Close:
 // an operator may rewrite it then (KeyJoin does). A consumer that keeps
-// rows longer clones them. Collect does, and so everything built on it
-// may keep its rows: NestedLoopJoin's right side, Materialize, Sort.
-// HashJoin clones its build side; a join's current outer row is kept
-// only until it pulls the next one.
+// rows longer clones them. Collect does, and so NestedLoopJoin may keep
+// the right side it collects; a join's current outer row is kept only
+// until it pulls the next one.
 type Iterator interface {
 	Open() error
 	Next() (value.Tuple, bool, error)
@@ -218,65 +217,3 @@ func (p *Project) Next() (value.Tuple, bool, error) {
 
 // Close closes the child.
 func (p *Project) Close() error { return p.Child.Close() }
-
-// Limit passes through at most N rows.
-type Limit struct {
-	Child Iterator
-	N     int
-	seen  int
-}
-
-// Open opens the child and resets the count.
-func (l *Limit) Open() error {
-	l.seen = 0
-	return l.Child.Open()
-}
-
-// Next returns the next row while under the limit.
-func (l *Limit) Next() (value.Tuple, bool, error) {
-	if l.seen >= l.N {
-		return nil, false, nil
-	}
-	t, ok, err := l.Child.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	l.seen++
-	return t, true, nil
-}
-
-// Close closes the child.
-func (l *Limit) Close() error { return l.Child.Close() }
-
-// Materialize is a blocking wrapper: Open drains the child completely
-// before the first Next — modeling the non-pipelined plans for which
-// the paper says traditional execution "cannot provide any result until
-// it almost finishes".
-type Materialize struct {
-	Child Iterator
-	inner *sliceIter
-}
-
-// Open drains the child and buffers every row.
-func (m *Materialize) Open() error {
-	rows, err := Collect(m.Child)
-	if err != nil {
-		return err
-	}
-	m.inner = &sliceIter{rows: rows}
-	return m.inner.Open()
-}
-
-// Next replays the buffered rows.
-func (m *Materialize) Next() (value.Tuple, bool, error) {
-	if m.inner == nil {
-		return nil, false, ErrNotOpen
-	}
-	return m.inner.Next()
-}
-
-// Close releases the buffer.
-func (m *Materialize) Close() error {
-	m.inner = nil
-	return nil
-}

@@ -7,6 +7,7 @@ import (
 
 	"pmv/internal/buffer"
 	"pmv/internal/catalog"
+	"pmv/internal/expr"
 	"pmv/internal/storage"
 	"pmv/internal/value"
 )
@@ -85,76 +86,6 @@ func TestProject(t *testing.T) {
 	}
 }
 
-func TestLimit(t *testing.T) {
-	l := &Limit{Child: NewSliceIter(rows(1, 2, 3, 4)), N: 2}
-	if got := firstCols(drain(t, l)); !eqInts(got, []int64{1, 2}) {
-		t.Errorf("limit: %v", got)
-	}
-	// Zero limit yields nothing.
-	l0 := &Limit{Child: NewSliceIter(rows(1)), N: 0}
-	if got := drain(t, l0); len(got) != 0 {
-		t.Errorf("limit 0: %v", got)
-	}
-}
-
-func TestMaterializeIsBlocking(t *testing.T) {
-	calls := 0
-	counting := &Filter{
-		Child: NewSliceIter(rows(1, 2, 3)),
-		Pred: func(value.Tuple) bool {
-			calls++
-			return true
-		},
-	}
-	m := &Materialize{Child: counting}
-	if err := m.Open(); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Errorf("Open consumed %d of 3 child rows — not blocking", calls)
-	}
-	var got []int64
-	for {
-		tp, ok, err := m.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		got = append(got, tp[0].Int64())
-	}
-	if !eqInts(got, []int64{1, 2, 3}) {
-		t.Errorf("materialize: %v", got)
-	}
-	m.Close()
-}
-
-func TestSort(t *testing.T) {
-	src := []value.Tuple{
-		{value.Int(3), value.Str("c")},
-		{value.Int(1), value.Str("b")},
-		{value.Int(1), value.Str("a")},
-		{value.Int(2), value.Str("d")},
-	}
-	s := &Sort{Child: NewSliceIter(src), Keys: []SortKey{{Col: 0}, {Col: 1, Desc: true}}}
-	got := drain(t, s)
-	want := []string{"1b", "1a", "2d", "3c"}
-	for i, tp := range got {
-		k := tp[0].String() + tp[1].Str()
-		if k != want[i] {
-			t.Errorf("position %d: %s want %s", i, k, want[i])
-		}
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	d := &Distinct{Child: NewSliceIter(rows(1, 2, 1, 3, 2, 1))}
-	if got := firstCols(drain(t, d)); !eqInts(got, []int64{1, 2, 3}) {
-		t.Errorf("distinct: %v", got)
-	}
-}
-
 func TestHashAggregate(t *testing.T) {
 	src := []value.Tuple{
 		{value.Str("a"), value.Int(1)},
@@ -210,33 +141,6 @@ func TestNestedLoopJoin(t *testing.T) {
 	j2 := &NestedLoopJoin{Left: NewSliceIter(left), Right: NewSliceIter(right)}
 	if got := drain(t, j2); len(got) != 4 {
 		t.Errorf("cross join size: %d", len(got))
-	}
-}
-
-func TestHashJoin(t *testing.T) {
-	left := []value.Tuple{{value.Int(1), value.Str("l1")}, {value.Int(2), value.Str("l2")}, {value.Int(2), value.Str("l3")}}
-	right := []value.Tuple{{value.Int(2), value.Str("r1")}, {value.Int(2), value.Str("r2")}, {value.Int(9), value.Str("r9")}}
-	j := &HashJoin{
-		Left: NewSliceIter(left), LeftCol: 0,
-		Right: NewSliceIter(right), RightCol: 0,
-	}
-	got := drain(t, j)
-	if len(got) != 4 { // 2 left matches x 2 right matches
-		t.Fatalf("hash join size: %d", len(got))
-	}
-	for _, tp := range got {
-		if tp[0].Int64() != 2 || tp[2].Int64() != 2 {
-			t.Errorf("bad join row: %v", tp)
-		}
-	}
-	// Residual filters.
-	j2 := &HashJoin{
-		Left: NewSliceIter(left), LeftCol: 0,
-		Right: NewSliceIter(right), RightCol: 0,
-		Residual: func(tp value.Tuple) bool { return tp[3].Str() == "r1" },
-	}
-	if got := drain(t, j2); len(got) != 2 {
-		t.Errorf("residual join size: %d", len(got))
 	}
 }
 
@@ -338,4 +242,53 @@ func TestSeqScanAndIndexScan(t *testing.T) {
 	if vals[0] != 2 || vals[len(vals)-1] != 4 {
 		t.Errorf("range contents: %v", vals)
 	}
+}
+
+func TestUnboundedIntervalRanges(t *testing.T) {
+	// Unbounded interval bounds translate to open key ranges.
+	kr := IntervalKeyRange(expr.Interval{}) // (-inf, +inf)
+	if kr.Lo != nil || kr.Hi != nil {
+		t.Errorf("unbounded interval produced bounds: %v", kr)
+	}
+	lo := IntervalKeyRange(expr.Interval{Lo: value.Int(5), LoIncl: true})
+	if lo.Lo == nil || lo.Hi != nil {
+		t.Errorf("[5,+inf) range wrong: %+v", lo)
+	}
+	// Open lower bound excludes the boundary value.
+	open := IntervalKeyRange(expr.Interval{Lo: value.Int(5), LoIncl: false, Hi: value.Int(9), HiIncl: true})
+	eq5 := EqKeyRange(value.Int(5))
+	if string(open.Lo) == string(eq5.Lo) {
+		t.Error("open bound did not advance past the boundary")
+	}
+}
+
+func TestIndexScanOverDates(t *testing.T) {
+	c := testCatalog(t)
+	r, _ := c.CreateRelation("ev", newDateSchema())
+	for d := int64(0); d < 30; d++ {
+		r.Heap.Insert(value.Tuple{value.Date(20000 + d), value.Int(d)})
+	}
+	ix, err := c.CreateIndex("ev_d", "ev", "day")
+	if err != nil {
+		t.Fatal(err)
+	}
+	iv := expr.Interval{Lo: value.Date(20010), Hi: value.Date(20020), LoIncl: true, HiIncl: false}
+	is := &IndexScan{Rel: r, Index: ix, Ranges: []KeyRange{IntervalKeyRange(iv)}}
+	got := drain(t, is)
+	if len(got) != 10 {
+		t.Fatalf("date range returned %d rows, want 10", len(got))
+	}
+	for _, tp := range got {
+		d := tp[0].Int64()
+		if d < 20010 || d >= 20020 {
+			t.Errorf("date %d outside range", d)
+		}
+	}
+}
+
+func newDateSchema() catalog.Schema {
+	return catalog.NewSchema(
+		catalog.Col("day", value.TypeDate),
+		catalog.Col("n", value.TypeInt),
+	)
 }

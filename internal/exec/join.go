@@ -499,66 +499,6 @@ func (j *KeyJoin) Close() error {
 	return nil
 }
 
-// HashJoin builds the right input into a hash table on its join column
-// and probes it with left rows. Used for delta joins in PMV
-// maintenance, where the delta side is small and has no index.
-type HashJoin struct {
-	Left     Iterator
-	LeftCol  int
-	Right    Iterator
-	RightCol int
-	Residual Pred
-
-	table   map[string][]value.Tuple
-	cur     value.Tuple
-	matches []value.Tuple
-	mpos    int
-}
-
-// Open builds the hash table from the right input.
-func (j *HashJoin) Open() error {
-	j.table = make(map[string][]value.Tuple)
-	j.cur = nil
-	j.matches = nil
-	j.mpos = 0
-	if err := ForEach(j.Right, func(t value.Tuple) error {
-		k := string(keycodec.AppendValue(nil, t[j.RightCol]))
-		j.table[k] = append(j.table[k], t.Clone())
-		return nil
-	}); err != nil {
-		return err
-	}
-	return j.Left.Open()
-}
-
-// Next produces the next (left ++ right) match.
-func (j *HashJoin) Next() (value.Tuple, bool, error) {
-	for {
-		for j.mpos < len(j.matches) {
-			right := j.matches[j.mpos]
-			j.mpos++
-			row := concat(j.cur, right)
-			if j.Residual == nil || j.Residual(row) {
-				return row, true, nil
-			}
-		}
-		left, ok, err := j.Left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.cur = left
-		k := string(keycodec.AppendValue(nil, left[j.LeftCol]))
-		j.matches = j.table[k]
-		j.mpos = 0
-	}
-}
-
-// Close closes the left input and drops the table.
-func (j *HashJoin) Close() error {
-	j.table = nil
-	return j.Left.Close()
-}
-
 // NestedLoopJoin is the fallback join for predicates with no usable
 // index: it re-scans the (materialized) right side per left row.
 type NestedLoopJoin struct {

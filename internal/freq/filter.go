@@ -98,9 +98,9 @@ func (f *Filter) MayContain(key string) bool {
 	return true
 }
 
-// Reset clears the filter and advances its generation (the view calls
-// this on a whole-view generation bump, where every entry died at
-// once and per-key removal would be O(entries) under the view lock).
+// Reset clears the filter and advances its generation. The view calls
+// it when it drops every entry at once (whole-view invalidation, or
+// Drop), in place of one Remove per entry.
 func (f *Filter) Reset() {
 	f.mu.Lock()
 	clear(f.counts)

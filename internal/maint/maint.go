@@ -20,8 +20,8 @@
 // path runs (Section 3.4 with the full version's [25] index). A
 // request completes once its batch is applied, purged and synced; its
 // Result names the bcps whose entries lost tuples. A view whose X lock
-// could not be had, or whose purge failed, is invalidated whole by a
-// generation bump — correctness by cache loss.
+// could not be had, or whose purge failed, is invalidated whole
+// (View.InvalidateAll) — correctness by cache loss.
 //
 // Correctness never depends on the plane alone: a stale entry that
 // slips through (DML that bypassed it) is caught by the DS multiset
@@ -436,7 +436,7 @@ func (p *Plane) applyBatch(batch []*request) {
 
 // report turns a batch's purge record into its damage report, still
 // under the batch's X locks: per view the distinct bcps purged, and a
-// whole-view generation bump for each view left unmaintained.
+// whole-view invalidation for each view left unmaintained.
 func (p *Plane) report(st *batchState, unbarriered []*core.View) (map[string][]string, map[string]bool) {
 	keys := make(map[string][]string, len(st.views))
 	wide := make(map[string]bool)
@@ -452,7 +452,7 @@ func (p *Plane) report(st *batchState, unbarriered []*core.View) (map[string][]s
 		affected += int64(len(d.keys))
 	}
 	for _, v := range unbarriered {
-		v.BumpAllGen()
+		v.InvalidateAll()
 		wide[v.Name()] = true
 	}
 
@@ -663,7 +663,7 @@ func (c *collector) record(rel string, old, new value.Tuple) error {
 	}
 	for _, v := range p.views {
 		if v.InTemplate(rel) {
-			v.BumpAllGen()
+			v.InvalidateAll()
 		}
 	}
 	if p.cfg.Logf != nil {

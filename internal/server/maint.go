@@ -119,10 +119,10 @@ func (s *Server) handleInvalidate(sess *session.Session, payload []byte) error {
 	}
 	s.metrics.Invalidations.Add(1)
 	if req.All {
-		v.BumpAllGen()
+		v.InvalidateAll()
 		return sess.Reply(wire.InvalidateReply{Wide: true})
 	}
-	n := v.BumpKeyGens(req.Keys)
+	n := v.InvalidateKeys(req.Keys)
 	return sess.Reply(wire.InvalidateReply{Keys: n})
 }
 

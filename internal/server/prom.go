@@ -80,7 +80,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 		p.Counter("pmvd_maint_keys_affected_total", "Distinct bcps purged, summed over batches.", float64(ms.KeysAffected))
 		p.Counter("pmvd_maint_entries_purged_total", "View entries that lost tuples to an in-batch purge.", float64(ms.EntriesPurged))
 		p.Counter("pmvd_maint_tuples_purged_total", "Cached tuples removed by in-batch purges.", float64(ms.TuplesPurged))
-		p.Counter("pmvd_maint_wide_gen_bumps_total", "View-wide invalidation-generation bumps.", float64(ms.WideGenBumps))
+		p.Counter("pmvd_maint_wide_gen_bumps_total", "View-wide invalidations (every entry of a view removed).", float64(ms.WideGenBumps))
 	}
 
 	if fs := s.freqStats(); fs != nil {
