@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -109,17 +110,24 @@ func TestHedgeRescuesStuckConnection(t *testing.T) {
 	// Blackhole the next flow through the proxy: the probe's request
 	// vanishes and its session hangs. The hedge must win the race.
 	inj.Add(netfault.Rule{Kind: netfault.FaultBlackhole, Op: netfault.OpRead, AfterOps: 1})
-	sm := r.Metrics().Shards[0]
-	hedgesBefore, winsBefore := sm.HedgesSent.Load(), sm.HedgeWins.Load()
+	m := r.Metrics()
+	sm := m.Shards[0]
+	hedgesBefore, winsBefore, deniedBefore := sm.HedgesSent.Load(), sm.HedgeWins.Load(), m.HedgeDenied.Load()
 	rep := runQuery(t, c, cat, st, want[[2]int64{cat, st}])
+	// A failure says whether the budget refused the hedge or the hedge
+	// went out and lost.
+	hedging := func() string {
+		return fmt.Sprintf("shard 0 hedges sent %+d, won %+d; router hedges denied %+d; report %+v",
+			sm.HedgesSent.Load()-hedgesBefore, sm.HedgeWins.Load()-winsBefore, m.HedgeDenied.Load()-deniedBefore, rep)
+	}
 	if rep.Degraded {
-		t.Fatalf("hedged query degraded: %+v", rep)
+		t.Fatalf("hedged query degraded: %s", hedging())
 	}
 	if sm.HedgesSent.Load() <= hedgesBefore {
-		t.Fatal("no hedge launched against the stuck probe")
+		t.Fatalf("no hedge launched against the stuck probe: %s", hedging())
 	}
 	if sm.HedgeWins.Load() <= winsBefore {
-		t.Fatal("hedge launched but never won the race")
+		t.Fatalf("hedge launched but never won the race: %s", hedging())
 	}
 
 	// Dup oracle: with hedging live, every pair must still deliver the

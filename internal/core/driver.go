@@ -1,8 +1,9 @@
 // driver.go runs the paper's query protocol (Section 3.3) once for
 // every place a view lives: O1 breaks Cselect into condition parts, O2
 // serves the cached tuples and records them in DS, O3 executes the
-// query and consumes DS for every duplicate, and then the view is
-// refilled or, when DS has tokens left, the exactly-once audit fails.
+// query, consumes DS for every duplicate and stages the rest, and then
+// the staged rows are committed to the view or, when DS has tokens
+// left, the exactly-once audit fails and nothing is committed.
 // A local View and a router over shards are two Sources of the same
 // run, so a protocol change is one edit here.
 package core
@@ -37,10 +38,13 @@ type Source interface {
 	// ended with the deadline returns an error matching
 	// context.DeadlineExceeded.
 	Exec(ctx context.Context, i int, dup func(key []byte) bool, emit func(value.Tuple) error) (more bool, err error)
-	// Fill sees every O3 row DS did not suppress, before it is emitted.
+	// Fill stages every O3 row DS did not suppress, before it is
+	// emitted; t is the plan's own row. It writes no entry.
 	Fill(t value.Tuple)
-	// Refill ends an O3 that finished or ran out of time; served holds
-	// the bcp keys that delivered a partial (a key may repeat).
+	// Refill commits what Fill staged. Run calls it only after a passed
+	// audit or an O3 that ran out of time, never after a failed audit;
+	// served holds the bcp keys that delivered a partial (a key may
+	// repeat).
 	Refill(served []string)
 	// Invalidate drops the entries of keys after a failed audit.
 	Invalidate(keys []string)

@@ -4,8 +4,9 @@
 //
 // The filter invariant that makes suppression safe: a key is added to
 // the presence filter exactly when an entry enters v.entries
-// (newEntryLocked) and removed exactly when it leaves
-// (removeEntryLocked); resetLocked, which drops every entry at once,
+// (writeEntryLocked; EnableFreq adds the entries a warm view already
+// holds) and removed exactly when it leaves (removeKeysLocked);
+// resetLocked, which drops every entry at once,
 // resets the filter with them. MayContain == false therefore proves no
 // entry exists and the probe can be skipped without looking.
 // CheckInvariants holds the filter's key count to the entry count.
@@ -19,13 +20,13 @@ import (
 	"pmv/internal/value"
 )
 
-// EnableFreq attaches a frequency plane to the view (call before
-// serving traffic; nil-safe to skip entirely — every touchpoint is a
-// single pointer check when off). The replacement policy is wrapped
-// in a cache.Gated admission filter sharing the same sketch, so every
-// admission path — including ones without an explicit pre-check — is
-// popularity-gated; proven-hot paths (WarmAdmit, ApplyHotSet) bypass
-// via the wrapper's Admit.
+// EnableFreq attaches a frequency plane to the view (nil-safe to skip
+// entirely — every touchpoint is a single pointer check when off). A
+// warm view's entries enter the new presence filter at once. The
+// replacement policy is wrapped in a cache.Gated admission filter
+// sharing the same sketch, so every admission path — including ones
+// without an explicit pre-check — is popularity-gated; proven-hot paths
+// (WarmAdmit, ApplyHotSet) bypass via the wrapper's Admit.
 func (v *View) EnableFreq(cfg freq.Config) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -33,6 +34,9 @@ func (v *View) EnableFreq(cfg freq.Config) {
 		return
 	}
 	v.freq = freq.New(cfg, v.cfg.MaxEntries)
+	for key := range v.entries {
+		v.freq.Filter.Add(key)
+	}
 	// The gate closure runs inside RequestAdmit, which the view only
 	// calls with v.mu held — touching v.stats directly is safe.
 	v.policy = cache.Gate(v.policy, func(key string) bool {
@@ -49,16 +53,6 @@ func (v *View) policyIsTwoQueue() bool {
 	}
 	_, ok := p.(*cache.TwoQueue)
 	return ok
-}
-
-// requestAdmitProvenLocked admits a key whose popularity was proven
-// elsewhere (snapshot rewarm, router top-k push), bypassing the
-// frequency gate but not the policy itself. Caller holds v.mu.
-func (v *View) requestAdmitProvenLocked(key string) (bool, []string) {
-	if g, ok := v.policy.(*cache.Gated); ok {
-		return g.Admit(key)
-	}
-	return v.policy.RequestAdmit(key)
 }
 
 // Freq returns the attached frequency plane (nil = off).
@@ -135,72 +129,35 @@ func (v *View) FilterSnapshot() (bits []byte, hashes int, gen uint64, keys int, 
 	return bits, hashes, gen, keys, true
 }
 
-// ApplyHotSet caches hot entries pushed by a router (MsgHotSet): each
-// key's tuple set enters the view through the normal entry machinery —
-// policy-tracked, maintenance-indexed, F-bounded, idempotent at entry
-// granularity like FillTuples — so local maintenance invalidates a
-// replica exactly like an owned entry. seq orders pushes against
-// HotInval frames: a push at or below a key's hot floor lost the race
-// with an invalidation and is dropped (the stale replica degrades to
-// an owner probe, never a wrong answer). The admission gate does not
-// apply — the router's top-k already proved popularity — but the
-// replacement policy still must accept the key, so replication can
-// never overflow the L bound.
+// ApplyHotSet caches hot entries pushed by a router (MsgHotSet)
+// through putLocked, so a replica is maintained and invalidated exactly
+// like an owned entry. seq orders pushes against HotInval frames: a
+// push at or below a key's hot floor lost the race with an
+// invalidation and is dropped (the stale replica degrades to an owner
+// probe, never a wrong answer). The router's top-k proved popularity,
+// so the admission gate does not apply, but the policy must still
+// accept the key: replication never overflows the L bound.
 func (v *View) ApplyHotSet(seq uint64, keys []string, tuples [][]value.Tuple) (replicated, stale, cached int, err error) {
 	if len(keys) != len(tuples) {
 		return 0, 0, 0, fmt.Errorf("core: hot set has %d keys, %d tuple groups", len(keys), len(tuples))
 	}
 	for i, group := range tuples {
-		for _, t := range group {
-			if len(t) != len(v.selectPlus) {
-				return 0, 0, 0, fmt.Errorf("core: hot set key %d tuple arity %d, want %d", i, len(t), len(v.selectPlus))
-			}
-			if got := v.coder.KeyFromCondValues(v.condValues(t)); got != keys[i] {
-				return 0, 0, 0, fmt.Errorf("core: hot set tuple under key %q encodes to %q", keys[i], got)
-			}
+		if err := v.checkEntry(keys[i], group); err != nil {
+			return 0, 0, 0, fmt.Errorf("core: hot set key %q: %w", keys[i], err)
 		}
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if v.hotFloor == nil {
-		v.hotFloor = make(map[string]uint64)
-	}
 	for i, key := range keys {
 		if key == "" || seq <= v.hotFloor[key] {
 			stale++
 			continue // invalidated at or after this push was cut
 		}
-		if e, ok := v.entries[key]; ok && len(e.tuples) > 0 {
-			continue // idempotence: never append to a populated entry
+		e := v.putLocked(key, tuples[i], true)
+		if e == nil {
+			continue
 		}
-		if !v.policy.Contains(key) {
-			adm, evicted := v.requestAdmitProvenLocked(key)
-			v.dropEntriesLocked(evicted)
-			if !adm {
-				// 2Q's first sighting lands in A1; a hot push has already
-				// proven reuse, so ask again (same as WarmAdmit).
-				if !v.policyIsTwoQueue() {
-					continue
-				}
-				adm, evicted = v.requestAdmitProvenLocked(key)
-				v.dropEntriesLocked(evicted)
-				if !adm {
-					continue
-				}
-			}
-		}
-		e, ok := v.entries[key]
-		if !ok {
-			e = v.newEntryLocked(key)
-		}
-		for _, t := range tuples[i] {
-			if len(e.tuples) >= v.cfg.TuplesPerBCP {
-				break // the F bound
-			}
-			v.cacheTupleLocked(e, t)
-			v.stampFillLocked(e, 0)
-			cached++
-		}
+		cached += len(e.tuples)
 		v.stats.HotSetKeys++
 		replicated++
 	}
@@ -214,9 +171,6 @@ func (v *View) ApplyHotSet(seq uint64, keys []string, tuples [][]value.Tuple) (r
 // keys' entries. Returns how many keys had an entry.
 func (v *View) ApplyHotInval(seq uint64, keys []string) int {
 	v.mu.Lock()
-	if v.hotFloor == nil {
-		v.hotFloor = make(map[string]uint64)
-	}
 	for _, k := range keys {
 		if seq > v.hotFloor[k] {
 			v.hotFloor[k] = seq

@@ -104,3 +104,30 @@ func TestFreqDisabledZeroAlloc(t *testing.T) {
 		t.Fatalf("FilterSnapshot allocates %v per run when disabled", n)
 	}
 }
+
+// TestEnableFreqOnWarmView: a frequency plane attached to a view that
+// already caches entries puts them in its presence filter, so their
+// probes are not suppressed and the view keeps serving their partials.
+func TestEnableFreqOnWarmView(t *testing.T) {
+	eng, tpl := testDB(t)
+	loadFig1(t, eng, 4, 4, 2)
+	v, err := NewView(eng, Config{Template: tpl, MaxEntries: 100, TuplesPerBCP: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := eqQuery(tpl, []int64{1}, []int64{2})
+	want := runFull(t, eng, tpl, q)
+	runPartial(t, v, q)
+
+	v.EnableFreq(freq.Config{Window: time.Hour, AdmitThreshold: 1})
+	got, rep := runPartial(t, v, q)
+	if err := v.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if !equalStrings(got, want) || rep.PartialTuples != len(want) {
+		t.Errorf("after EnableFreq: %d of %d rows served as partials, rows %v, want %v", rep.PartialTuples, len(want), got, want)
+	}
+	if n := v.Stats().ProbesSuppressed; n != 0 {
+		t.Errorf("%d probes of a cached key suppressed", n)
+	}
+}

@@ -30,17 +30,8 @@ import (
 func (v *View) InvalidateKeys(keys []string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	removed := 0
-	for _, k := range keys {
-		if e, ok := v.entries[k]; ok {
-			v.stats.EntriesInvalidated++
-			v.stats.TuplesInvalidated += int64(len(e.tuples))
-			v.removeEntryLocked(k, e)
-			removed++
-		}
-	}
 	v.stats.KeyGenBumps += int64(len(keys))
-	return removed
+	return v.removeKeysLocked(keys, &v.stats.EntriesInvalidated, &v.stats.TuplesInvalidated)
 }
 
 // InvalidateAll removes every entry. This is the degradation step when

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"pmv/internal/expr"
-	"pmv/internal/lock"
 	"pmv/internal/obs"
 	"pmv/internal/value"
 )
@@ -157,21 +156,14 @@ func (v *View) ProbeBCPs(ctx context.Context, parts []RemotePart, emit func(valu
 
 	tr := obs.FromContext(ctx)
 	txn := v.eng.NewTxnID()
-	lockStart := time.Now()
-	lockErr := v.eng.AcquireLock(txn, v.lockRes(), lock.Shared)
-	v.mu.Lock()
-	v.stats.LockWaitTime += time.Since(lockStart)
-	v.mu.Unlock()
-	if lockErr != nil {
+	if err := v.lockShared(tr, txn); err != nil {
 		// No degraded fallback here: a probe is an optimization, and the
 		// router treats any typed failure as "no partials from this
 		// shard" — the O3 shard still delivers complete results.
-		tr.Span(obs.KindLockWait, lockStart, 0, 0, 0)
-		return ProbeReport{}, lockErr
+		return ProbeReport{}, err
 	}
-	tr.Span(obs.KindLockWait, lockStart, 1, 0, 0)
 	defer v.eng.Locks().ReleaseAll(txn)
-	return v.probe(ctx, tr, cps, make(map[string]bool), func(t value.Tuple, _ string) error { return emit(t) })
+	return v.probe(ctx, tr, cps, &fillTable{bcps: make([]stagedBCP, 0, len(cps))}, func(t value.Tuple, _ string) error { return emit(t) })
 }
 
 // remotePart rebuilds the condition part a router rendered as p: a
@@ -215,24 +207,20 @@ func (v *View) ExecutePlainCtx(ctx context.Context, q *expr.Query, emit func(val
 	return time.Since(start), err
 }
 
-// FillTuples is the shard half of a routed refill: cache Ls′ result
-// tuples a router observed during Operation O3, grouped by containing
-// bcp, under the view's S lock with normal policy admission and the F
-// bound. Refills are idempotent at entry granularity — a bcp that
-// already holds tuples is left untouched, so a duplicated delivery
-// (two routers racing, a retried frame) can never double-cache a tuple
-// and poison the DS multiset's exactly-once accounting. Returns how
-// many tuples were cached.
+// FillTuples is the shard half of a routed refill: it caches the Ls′
+// tuples a router saw in Operation O3, grouped by containing bcp, under
+// the view's S lock through putLocked. A bcp that already holds tuples
+// is left alone, so a duplicated delivery (two routers racing, a
+// retried frame) cannot cache a tuple twice. Returns how many tuples
+// were cached.
 func (v *View) FillTuples(tuples []value.Tuple) (int, error) {
+	// Group by containing bcp first so each entry is written once.
+	groups := make(map[string][]value.Tuple)
+	var order []string
 	for i, t := range tuples {
 		if len(t) != len(v.selectPlus) {
 			return 0, fmt.Errorf("core: refill tuple %d arity %d, want %d", i, len(t), len(v.selectPlus))
 		}
-	}
-	// Group by containing bcp first so each entry is written once.
-	groups := make(map[string][]value.Tuple)
-	order := make([]string, 0, len(tuples))
-	for _, t := range tuples {
 		key := v.coder.KeyFromCondValues(v.condValues(t))
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
@@ -241,15 +229,10 @@ func (v *View) FillTuples(tuples []value.Tuple) (int, error) {
 	}
 
 	txn := v.eng.NewTxnID()
-	lockStart := time.Now()
-	lockErr := v.eng.AcquireLock(txn, v.lockRes(), lock.Shared)
-	v.mu.Lock()
-	v.stats.LockWaitTime += time.Since(lockStart)
-	v.mu.Unlock()
-	if lockErr != nil {
+	if err := v.lockShared(nil, txn); err != nil {
 		// Refill is free work; under lock contention it is simply lost,
 		// same as the degraded local path loses its refresh.
-		return 0, lockErr
+		return 0, err
 	}
 	defer v.eng.Locks().ReleaseAll(txn)
 
@@ -257,32 +240,8 @@ func (v *View) FillTuples(tuples []value.Tuple) (int, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for _, key := range order {
-		if e, ok := v.entries[key]; ok && len(e.tuples) > 0 {
-			continue // idempotence: never append to a populated entry
-		}
-		if !v.policy.Contains(key) {
-			// Popularity gate, same as the local fill path: a routed
-			// refill for a key below the threshold is declined.
-			if !v.admitGateLocked(key, 0, false) {
-				continue
-			}
-			adm, evicted := v.policy.RequestAdmit(key)
-			v.dropEntriesLocked(evicted)
-			if !adm {
-				continue
-			}
-		}
-		e, ok := v.entries[key]
-		if !ok {
-			e = v.newEntryLocked(key)
-		}
-		for _, t := range groups[key] {
-			if len(e.tuples) >= v.cfg.TuplesPerBCP {
-				break // the F bound
-			}
-			v.cacheTupleLocked(e, t)
-			v.stampFillLocked(e, 0)
-			cached++
+		if e := v.putLocked(key, groups[key], false); e != nil {
+			cached += len(e.tuples)
 		}
 	}
 	return cached, nil

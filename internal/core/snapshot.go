@@ -23,76 +23,44 @@ import (
 func (v *View) SnapshotEntries(fn func(key string, accesses int64, tuples []value.Tuple) error) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	type row struct {
-		key string
-		e   *entry
+	es := make([]*entry, 0, len(v.entries))
+	for _, e := range v.entries {
+		es = append(es, e)
 	}
-	rows := make([]row, 0, len(v.entries))
-	for k, e := range v.entries {
-		rows = append(rows, row{k, e})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].e.accesses != rows[j].e.accesses {
-			return rows[i].e.accesses > rows[j].e.accesses
+	sort.Slice(es, func(i, j int) bool {
+		if es[i].accesses != es[j].accesses {
+			return es[i].accesses > es[j].accesses
 		}
-		return rows[i].key < rows[j].key
+		return es[i].key < es[j].key
 	})
-	for _, r := range rows {
-		if err := fn(r.key, r.e.accesses, r.e.tuples); err != nil {
+	for _, e := range es {
+		if err := fn(e.key, e.accesses, e.tuples); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// WarmAdmit re-admits one snapshot entry after a restart. Every tuple
-// is revalidated against the view's own coder — arity must match Ls′
-// and the tuple must encode back to key — so a snapshot that passed
-// its section checksums but disagrees with the view definition can
-// never plant a mismatched entry. Admission goes through the
-// replacement policy: for 2Q a fresh key's first RequestAdmit only
-// records it in A1, so a second request promotes it (the entry was
-// hot enough to be snapshotted — it has already proven reuse).
-// Returns the number of tuples cached (0, policy-declined or key
-// already present) or an error describing the validation failure.
+// WarmAdmit re-admits one snapshot entry after a restart through
+// putLocked, as proven hot: it was hot enough to be snapshotted. Every
+// tuple is first checked against the view's own coder (checkEntry), so
+// a snapshot that passed its section checksums but disagrees with the
+// view definition cannot plant a mismatched entry. Returns the number
+// of tuples cached (0: policy-declined, or the key's entry already
+// holds tuples) or the validation failure.
 func (v *View) WarmAdmit(key string, accesses int64, tuples []value.Tuple) (int, error) {
 	if key == "" {
 		return 0, fmt.Errorf("core: warm admit: empty bcp key")
 	}
-	if len(tuples) > v.cfg.TuplesPerBCP {
-		tuples = tuples[:v.cfg.TuplesPerBCP] // the F bound
-	}
-	for _, t := range tuples {
-		if len(t) != len(v.selectPlus) {
-			return 0, fmt.Errorf("core: warm admit %q: tuple arity %d, want %d", key, len(t), len(v.selectPlus))
-		}
-		if got := v.coder.KeyFromCondValues(v.condValues(t)); got != key {
-			return 0, fmt.Errorf("core: warm admit %q: tuple encodes to bcp %q", key, got)
-		}
+	if err := v.checkEntry(key, tuples); err != nil {
+		return 0, fmt.Errorf("core: warm admit %q: %w", key, err)
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if _, dup := v.entries[key]; dup {
+	e := v.putLocked(key, tuples, true)
+	if e == nil {
 		return 0, nil
 	}
-	if !v.policy.Contains(key) {
-		adm, evicted := v.requestAdmitProvenLocked(key)
-		v.dropEntriesLocked(evicted)
-		if !adm {
-			if !v.policyIsTwoQueue() {
-				return 0, nil
-			}
-			adm, evicted = v.requestAdmitProvenLocked(key)
-			v.dropEntriesLocked(evicted)
-			if !adm {
-				return 0, nil
-			}
-		}
-	}
-	e := v.newEntryLocked(key)
 	e.accesses = accesses
-	for _, t := range tuples {
-		v.cacheTupleLocked(e, t)
-	}
 	return len(e.tuples), nil
 }

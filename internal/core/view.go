@@ -72,15 +72,12 @@ func (c *Config) fill() error {
 // result tuples (rows over the expanded select list Ls′) and the
 // popularity counter used by the ranking extension.
 type entry struct {
-	key      string // the bcp key the entry is stored under
+	key string // the bcp key the entry is stored under
+	// tuples is written whole (writeEntryLocked) and never appended to:
+	// readers range over it outside v.mu. Only the purge, under the X
+	// lock, edits it in place.
 	tuples   []value.Tuple
 	accesses int64
-	// filler is the txn id of the O3 run that last appended to the
-	// entry (0 for a routed refill or hot-set push) and fillSeq the
-	// view's fill sequence at that append; fill uses them to keep two
-	// concurrent O3s from caching the same result tuples twice.
-	filler  uint64
-	fillSeq uint64
 	// h is the entry's maintenance-index handle and at its back-pointers:
 	// at[slot·|relations|+r] is the posting of tuple slot under
 	// relation r (maintain.go).
@@ -100,7 +97,6 @@ type View struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	fillSeq uint64 // bumped on every append to any entry
 	policy  cache.Policy
 	maint   *maintIndex
 
@@ -143,6 +139,7 @@ func NewView(eng *engine.Engine, cfg Config) (*View, error) {
 		condPos:    condPos,
 		o3:         eng.Prepare(tpl, selectPlus),
 		entries:    make(map[string]*entry),
+		hotFloor:   make(map[string]uint64),
 		policy:     pol,
 		maint:      newMaintIndex(tpl, selectPlus, cfg.TuplesPerBCP),
 	}
@@ -309,21 +306,12 @@ func (v *View) execute(ctx context.Context, q *expr.Query, partialOnly bool, emi
 	src := localSources.Get().(*localSource)
 	defer src.release()
 	src.v, src.q, src.tr, src.txn, src.user = v, q, obs.FromContext(ctx), v.eng.NewTxnID(), emit
-	lockStart := time.Now()
-	lockErr := v.eng.AcquireLock(src.txn, v.lockRes(), lock.Shared)
-	lockWait := time.Since(lockStart)
-	v.mu.Lock()
-	v.stats.LockWaitTime += lockWait
-	src.fillMark = v.fillSeq
-	v.mu.Unlock()
-	if lockErr != nil {
-		if errors.Is(lockErr, lock.ErrTimeout) {
-			src.tr.Span(obs.KindLockWait, lockStart, 0, 0, 0)
+	if err := v.lockShared(src.tr, src.txn); err != nil {
+		if errors.Is(err, lock.ErrTimeout) {
 			return v.executeDegraded(src.tr, q, emit)
 		}
-		return QueryReport{}, lockErr
+		return QueryReport{}, err
 	}
-	src.tr.Span(obs.KindLockWait, lockStart, 1, 0, 0)
 	defer v.eng.Locks().ReleaseAll(src.txn)
 
 	rep, err := Run(ctx, src, v.nUserCols, partialOnly, src.out, endO2)
@@ -342,6 +330,22 @@ func (v *View) execute(ctx context.Context, q *expr.Query, partialOnly bool, emi
 	return rep, nil
 }
 
+// lockShared takes the view's S lock for txn, adds the wait to
+// LockWaitTime and traces it (1 = acquired, 0 = failed).
+func (v *View) lockShared(tr *obs.Trace, txn uint64) error {
+	start := time.Now()
+	err := v.eng.AcquireLock(txn, v.lockRes(), lock.Shared)
+	v.mu.Lock()
+	v.stats.LockWaitTime += time.Since(start)
+	v.mu.Unlock()
+	acquired := int64(1)
+	if err != nil {
+		acquired = 0
+	}
+	tr.Span(obs.KindLockWait, start, acquired, 0, 0)
+	return err
+}
+
 // checkQuery validates q and that it instantiates the view's template.
 func (v *View) checkQuery(q *expr.Query) error {
 	if err := q.Validate(); err != nil {
@@ -355,41 +359,36 @@ func (v *View) checkQuery(q *expr.Query) error {
 }
 
 // localSource is the view's side of one query (Source): the txn that
-// holds the S lock, the 2Q admission memo, the query's trace (nil when
-// tracing is off), and the refill counters the trace reports. Sources
-// are pooled with their memo, their key scratch and their result
-// callback, so a warm query allocates none of them.
+// holds the S lock, the query's trace (nil when tracing is off) and its
+// fill table. Sources are pooled with their table, their key scratch
+// and their result callback, so a warm query allocates none of them.
 type localSource struct {
-	v     *View
-	q     *expr.Query
-	tr    *obs.Trace
-	txn   uint64
-	admit map[string]bool
+	v   *View
+	q   *expr.Query
+	tr  *obs.Trace
+	txn uint64
 	// user is the caller's emit and out the one Run calls: it hands an
 	// O3 row to user as a copy, since the row is O3's plan's own.
-	user func(Result) error
-	out  func(Result) error
-	// fillMark is the view's fill sequence before O2 looked at any
-	// entry: anything appended later may be unknown to DS.
-	fillMark uint64
-	// Refill deltas accumulated by fill/dropEntriesLocked during O3.
-	refTuples, refEntries, refEvicted int64
-	// fill's scratch: a row's condition values and its bcp key.
+	user  func(Result) error
+	out   func(Result) error
+	fills fillTable
+	// Fill's scratch: a row's condition values and its bcp key.
 	condVals []value.Value
 	key      []byte
 }
 
 var localSources = sync.Pool{New: func() any {
-	s := &localSource{admit: make(map[string]bool)}
+	s := new(localSource)
 	s.out = s.emitUser
 	return s
 }}
 
 // release clears the query out of s and pools it.
 func (s *localSource) release() {
-	clear(s.admit)
+	clear(s.fills.idx)
+	clear(s.fills.bcps)
 	clear(s.condVals)
-	*s = localSource{admit: s.admit, out: s.out, condVals: s.condVals[:0], key: s.key[:0]}
+	*s = localSource{fills: fillTable{idx: s.fills.idx, bcps: s.fills.bcps[:0]}, out: s.out, condVals: s.condVals[:0], key: s.key[:0]}
 	localSources.Put(s)
 }
 
@@ -407,7 +406,7 @@ func (s *localSource) Parts(buf *PartBuf) ([]ConditionPart, error) {
 // Probe serves the view's cached tuples. The local O2 never stops for
 // the context: the hot partials are the point of a deadline.
 func (s *localSource) Probe(_ context.Context, parts []ConditionPart, emit func(value.Tuple, string) error) (ProbeReport, error) {
-	return s.v.probe(context.Background(), s.tr, parts, s.admit, emit)
+	return s.v.probe(context.Background(), s.tr, parts, &s.fills, emit)
 }
 
 // Exec runs the view's prepared O3 with DS's check bound into it.
@@ -415,10 +414,11 @@ func (s *localSource) Exec(ctx context.Context, _ int, dup func([]byte) bool, em
 	return false, s.v.eng.ExecutePreparedCtx(ctx, s.v.o3, s.q, dup, emit)
 }
 
-func (s *localSource) Fill(t value.Tuple) { s.v.fill(t, s) }
-
+// Refill commits the staged rows (commit) and reports the commit in
+// the trace.
 func (s *localSource) Refill([]string) {
-	s.tr.Event(obs.KindRefill, s.refTuples, s.refEntries, s.refEvicted)
+	tuples, entries, evicted := s.v.commit(&s.fills)
+	s.tr.Event(obs.KindRefill, tuples, entries, evicted)
 }
 
 func (s *localSource) Invalidate(keys []string) { s.v.InvalidateKeys(keys) }
@@ -427,10 +427,11 @@ func (s *localSource) Invalidate(keys []string) { s.v.InvalidateKeys(keys) }
 // batches alike: under the caller's S lock, serve the cached tuples of
 // every present bcp by emit (re-checking tuples of non-exact parts), and
 // record popularity and admission the same way for both, so routed and
-// local workloads train the replacement policy identically. admit is
-// the query's 2Q admission memo. ctx is checked between parts. Each part
-// gets its own trace span (index, tuples served, hit/miss).
-func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, admit map[string]bool, emit func(value.Tuple, string) error) (ProbeReport, error) {
+// local workloads train the replacement policy identically. fills gets
+// the entry each part met and O2's 2Q admission decision. ctx is
+// checked between parts. Each part gets its own trace span (index,
+// tuples served, hit/miss).
+func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, fills *fillTable, emit func(value.Tuple, string) error) (ProbeReport, error) {
 	var rep ProbeReport
 	v.mu.Lock()
 	for pi := range parts {
@@ -451,6 +452,7 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 		// policy work) is skipped outright.
 		est, proceed := v.probeFreqLocked(cp.BCPKey)
 		if !proceed {
+			fills.saw(cp, nil)
 			if tr != nil {
 				tr.SpanCost(obs.KindO2Probe, pStart, int64(pi), 0, 0,
 					obs.Cost{Allocs: tr.AllocMark() - pMark})
@@ -461,6 +463,7 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 		if v.freq != nil && !ok {
 			v.stats.FilterFalsePositives++
 		}
+		b := fills.saw(cp, e)
 		switch {
 		case ok:
 			v.policy.Lookup(cp.BCPKey)
@@ -470,15 +473,13 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 			hit = 1 // bcp tracked by policy but currently tupleless
 		default:
 			// Record the reference for admission-filtered policies
-			// (2Q's A1); CLOCK/LRU admit lazily in O3 instead. With the
+			// (2Q's A1); CLOCK/LRU admit at the fill's commit instead. With the
 			// frequency plane on, a key below the popularity threshold
 			// is not even recorded — cold scans leave no footprint.
-			if _, done := admit[cp.BCPKey]; !done && v.admitGateLocked(cp.BCPKey, est, true) {
-				if v.policyIsTwoQueue() {
-					adm, evicted := v.policy.RequestAdmit(cp.BCPKey)
-					v.dropEntriesLocked(evicted)
-					admit[cp.BCPKey] = adm
-				}
+			if !b.declined && v.admitGateLocked(cp.BCPKey, est, true) && v.policyIsTwoQueue() {
+				adm, evicted := v.policy.RequestAdmit(cp.BCPKey)
+				v.removeKeysLocked(evicted, &v.stats.EntriesEvicted, &v.stats.TuplesEvicted)
+				b.declined = !adm
 			}
 		}
 		if hit == 1 {
@@ -541,110 +542,23 @@ func (v *View) executeDegraded(tr *obs.Trace, q *expr.Query, emit func(Result) e
 	return rep, nil
 }
 
-// fill implements Operation O3's view refresh: cache t under its
-// containing bcp, bounded by F per entry, with policy admission.
-// Entries exist only for bcps the policy currently tracks; a bcp
-// admitted earlier in this query but already evicted again (a query
-// with more hot parts than the view has entries) is simply not cached.
-func (v *View) fill(t value.Tuple, run *localSource) {
-	admitDecided := run.admit
-	run.condVals = run.condVals[:0]
-	for _, p := range v.condPos {
-		run.condVals = append(run.condVals, t[p])
-	}
-	run.key = v.coder.AppendKey(run.key[:0], run.condVals)
-	key := string(run.key)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if !v.policy.Contains(key) {
-		if _, decided := admitDecided[key]; decided {
-			// Either the policy declined (2Q first sighting), or the
-			// key was admitted and evicted again within this query.
-			return
-		}
-		// Popularity gate: a fresh key below the sliding threshold is
-		// not cached at all — a cold scan's one-shot keys stop churning
-		// the replacement rings.
-		if !v.admitGateLocked(key, 0, false) {
-			admitDecided[key] = false
-			return
-		}
-		adm, evicted := v.policy.RequestAdmit(key)
-		run.refEvicted += int64(v.dropEntriesLocked(evicted))
-		admitDecided[key] = adm
-		if !adm {
-			return
-		}
-	}
-	e, ok := v.entries[key]
-	if !ok {
-		e = v.newEntryLocked(key)
-		run.refEntries++
-	}
-	if len(e.tuples) >= v.cfg.TuplesPerBCP {
-		return // the F bound (cj ≥ F)
-	}
-	if e.filler != run.txn && e.fillSeq > run.fillMark {
-		// Someone else appended to this entry after our O2 looked at
-		// it — typically a concurrent query that missed the same bcp
-		// and is producing the same result tuples. ds has never seen
-		// its appends, so adding ours beside them would cache a tuple
-		// twice and the next query's O2 would deliver it twice. The
-		// entry is that filler's to complete.
-		return
-	}
-	v.cacheTupleLocked(e, t)
-	v.stampFillLocked(e, run.txn)
-	run.refTuples++
-}
-
-// newEntryLocked creates key's entry, which must not exist. Caller
-// holds v.mu.
-func (v *View) newEntryLocked(key string) *entry {
-	e := &entry{key: key}
-	v.entries[key] = e
-	v.maint.register(e)
-	v.stats.EntriesCreated++
-	v.freqAddLocked(key)
-	return e
-}
-
-// cacheTupleLocked appends a copy of t to e and indexes it. Caller
-// holds v.mu.
-func (v *View) cacheTupleLocked(e *entry, t value.Tuple) {
-	e.tuples = append(e.tuples, t.Clone())
-	v.maint.add(e, len(e.tuples)-1)
-	v.stats.TuplesCached++
-}
-
-// removeEntryLocked deletes key's entry e and unindexes its tuples.
-// Caller holds v.mu.
-func (v *View) removeEntryLocked(key string, e *entry) {
-	delete(v.entries, key)
-	v.freqRemoveLocked(key)
-	v.maint.release(e)
-}
-
-// stampFillLocked records that the run with txn id filler (0 outside
-// O3) just appended to e. Caller holds v.mu.
-func (v *View) stampFillLocked(e *entry, filler uint64) {
-	v.fillSeq++
-	e.filler, e.fillSeq = filler, v.fillSeq
-}
-
-// dropEntriesLocked removes evicted bcps' cached tuples, returning the
-// number of entries actually dropped (for the trace's refill event).
-func (v *View) dropEntriesLocked(keys []string) int {
-	dropped := 0
+// removeKeysLocked removes the entries of keys that have one — from
+// the map, the presence filter and the maintenance index — adding them
+// and their tuples to *entries and *tuples, and returns how many it
+// removed. Caller holds v.mu.
+func (v *View) removeKeysLocked(keys []string, entries, tuples *int64) int {
+	removed := 0
 	for _, k := range keys {
 		if e, ok := v.entries[k]; ok {
-			v.stats.EntriesEvicted++
-			v.stats.TuplesEvicted += int64(len(e.tuples))
-			v.removeEntryLocked(k, e)
-			dropped++
+			*entries++
+			*tuples += int64(len(e.tuples))
+			delete(v.entries, k)
+			v.freqRemoveLocked(k)
+			v.maint.release(e)
+			removed++
 		}
 	}
-	return dropped
+	return removed
 }
 
 // Len returns the number of entries currently holding tuples.

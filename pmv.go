@@ -208,7 +208,8 @@ type DB struct {
 
 // EnableFreq attaches a frequency plane (windowed popularity sketch,
 // presence filter, admission gate) to every view, including ones
-// created later. Call once after Open, before serving traffic.
+// created later. Call once after Open; a view that already caches
+// entries keeps serving them.
 func (db *DB) EnableFreq(cfg FreqConfig) {
 	db.freqCfg = &cfg
 	for _, v := range db.views {
