@@ -610,7 +610,7 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 	start := time.Now()
 	// The flush at the phase boundary puts every partial on the client's
 	// socket before the O3 exec goes out.
-	rep, err := core.Run(ctx, src, meta.nUserCols, shed, func(res core.Result) error {
+	rep, err := core.Run(ctx, src, q, meta.nUserCols, shed, func(res core.Result) error {
 		return sess.WriteRow(res.Tuple, res.Partial)
 	}, sess.Flush)
 	if werr := sess.Err(); werr != nil {
@@ -709,10 +709,12 @@ func (s *routedSource) Probe(ctx context.Context, parts []core.ConditionPart, em
 	return core.ProbeReport{Hit: hit}, s.sess.Err()
 }
 
-// Exec runs O3 on the i-th shard of the round-robin failover order:
-// every shard holds the full base data. The shard does not know DS, so
-// each row it returns is encoded here for dup.
-func (s *routedSource) Exec(ctx context.Context, i int, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
+// Exec runs O3 over q on the i-th shard of the round-robin failover
+// order: every shard holds the full base data. The shard does not know
+// DS, so each row it returns is encoded here for dup. Probe marks no
+// part Whole (a probe reply does not say whether an entry is complete),
+// so q is the whole query.
+func (s *routedSource) Exec(ctx context.Context, i int, q *expr.Query, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
 	r := s.r
 	n := len(r.pools)
 	if i == 0 {
@@ -742,7 +744,7 @@ func (s *routedSource) Exec(ctx context.Context, i int, dup func([]byte) bool, e
 			return fresh(t)
 		}
 	}
-	rep, err := c.ExecPlain(ctx, s.meta.name, s.q.Conds, emit)
+	rep, err := c.ExecPlain(ctx, s.meta.name, q.Conds, emit)
 	r.pools[shard].put(c, err == nil || errors.Is(err, client.ErrRemote))
 	if err == nil || ctx.Err() == nil {
 		// Exec latency is workload-shaped, so only the verdict feeds the

@@ -137,6 +137,8 @@ type condComponent struct {
 	// exact is true when the component equals its containing basic
 	// component (so cached tuples need no re-checking against it).
 	exact bool
+	// at is an equality component's index in its condition's values.
+	at int32
 }
 
 // ConditionPart is one non-overlapping piece of a query's Cselect
@@ -150,6 +152,12 @@ type ConditionPart struct {
 	// component exact), in which case any tuple belonging to the bcp
 	// belongs to the part.
 	Exact bool
+	// Whole is set by Source.Probe when it served the part's whole
+	// answer, from an entry holding its bcp's whole answer; Served
+	// then counts the tuples it emitted for the part. O3 need not run
+	// over a whole part (residual).
+	Whole  bool
+	Served int
 }
 
 // Matches reports whether the values of the condition attributes
@@ -263,8 +271,8 @@ func (bc *bcpCoder) breakInto(b *PartBuf, q *expr.Query, maxParts int) ([]Condit
 	for i := 0; i < m; i++ {
 		start := len(b.sets)
 		if bc.forms[i] == expr.EqualityForm {
-			for _, v := range q.Conds[i].Values {
-				b.sets = append(b.sets, condComponent{val: v, isEquality: true, exact: true})
+			for j, v := range q.Conds[i].Values {
+				b.sets = append(b.sets, condComponent{val: v, isEquality: true, exact: true, at: int32(j)})
 			}
 		} else {
 			disc := bc.discs[i]
@@ -343,4 +351,107 @@ func intervalsEqual(a, b expr.Interval) bool {
 		return value.Equal(x, y) && xi == yi
 	}
 	return boundEq(a.Lo, b.Lo, a.LoIncl, b.LoIncl) && boundEq(a.Hi, b.Hi, a.HiIncl, b.HiIncl)
+}
+
+// residualBuf is the driver's storage for residual queries, reused
+// across the runs of a pooled driver. inside and skipped describe the
+// last residual: the parts it covers, and the tuples served for the
+// parts it leaves out.
+type residualBuf struct {
+	inside, skipped int
+
+	q     expr.Query
+	conds []expr.CondInstance
+	vals  []value.Value
+	keep  []bool
+	offs  []int
+}
+
+// residual narrows q, whose O1 built parts, to what O3 must still run
+// once Probe marked the parts it served whole: each equality-form
+// condition keeps the values some part not served whole carries, and
+// interval-form conditions stay whole. It returns q itself when nothing
+// can be left out, ok false when some equality condition keeps no value
+// (every part was served whole), and otherwise a query in b, valid
+// until b's next use. The tuples served for the parts it leaves out
+// (b.skipped) cannot be repeated by a row of the residual query: a
+// row's equality values decide its bcp, and q's values are distinct.
+func (b *residualBuf) residual(q *expr.Query, parts []ConditionPart) (rq *expr.Query, ok bool) {
+	b.inside, b.skipped = len(parts), 0
+	whole := 0
+	for i := range parts {
+		if parts[i].Whole {
+			whole++
+		}
+	}
+	if whole == 0 {
+		return q, true
+	}
+	n := 0
+	b.offs = b.offs[:0]
+	for i := range q.Conds {
+		b.offs = append(b.offs, n)
+		n += len(q.Conds[i].Values)
+	}
+	b.keep = slices.Grow(b.keep[:0], n)[:n]
+	clear(b.keep)
+	for p := range parts {
+		if parts[p].Whole {
+			continue
+		}
+		for i, c := range parts[p].comps {
+			if c.isEquality {
+				b.keep[b.offs[i]+int(c.at)] = true
+			}
+		}
+	}
+	b.inside = 0
+	for p := range parts {
+		if b.kept(&parts[p]) {
+			b.inside++
+		} else {
+			b.skipped += parts[p].Served
+		}
+	}
+	switch b.inside {
+	case 0:
+		return nil, false
+	case len(parts):
+		return q, true
+	}
+	// vals holds every kept value, so appending never moves the slices
+	// already cut from it.
+	b.vals, b.conds = slices.Grow(b.vals[:0], n), b.conds[:0]
+	for i, ci := range q.Conds {
+		if len(ci.Values) == 0 {
+			b.conds = append(b.conds, ci)
+			continue
+		}
+		start := len(b.vals)
+		for j, v := range ci.Values {
+			if b.keep[b.offs[i]+j] {
+				b.vals = append(b.vals, v)
+			}
+		}
+		b.conds = append(b.conds, expr.CondInstance{Values: b.vals[start:len(b.vals):len(b.vals)]})
+	}
+	b.q = expr.Query{Template: q.Template, Conds: b.conds}
+	return &b.q, true
+}
+
+// kept reports whether every equality component of cp is kept.
+func (b *residualBuf) kept(cp *ConditionPart) bool {
+	for i, c := range cp.comps {
+		if c.isEquality && !b.keep[b.offs[i]+int(c.at)] {
+			return false
+		}
+	}
+	return true
+}
+
+// release drops b's references to the last query's values.
+func (b *residualBuf) release() {
+	clear(b.vals)
+	clear(b.conds)
+	b.q = expr.Query{}
 }

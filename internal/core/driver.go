@@ -1,9 +1,11 @@
 // driver.go runs the paper's query protocol (Section 3.3) once for
 // every place a view lives: O1 breaks Cselect into condition parts, O2
 // serves the cached tuples and records them in DS, O3 executes the
-// query, consumes DS for every duplicate and stages the rest, and then
-// the staged rows are committed to the view or, when DS has tokens
-// left, the exactly-once audit fails and nothing is committed.
+// residual query, which leaves out the parts O2 served whole, consumes
+// DS for every duplicate and stages the rest, and then the staged rows
+// are committed to the view or, when DS has tokens left, the
+// exactly-once audit fails and nothing is committed. With no part
+// served whole the residual query is the query.
 // A local View and a router over shards are two Sources of the same
 // run, so a protocol change is one edit here.
 package core
@@ -16,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"pmv/internal/expr"
 	"pmv/internal/obs"
 	"pmv/internal/value"
 )
@@ -28,16 +31,18 @@ type Source interface {
 	Parts(buf *PartBuf) ([]ConditionPart, error)
 	// Probe runs Operation O2 over parts, calling emit once per cached
 	// Ls′ tuple with the bcp key it is cached under. Calls to emit must
-	// not overlap.
+	// not overlap. It may mark a part Whole (see ConditionPart); a
+	// source that cannot tell leaves every part unmarked.
 	Probe(ctx context.Context, parts []ConditionPart, emit func(t value.Tuple, key string) error) (ProbeReport, error)
-	// Exec makes attempt i of Operation O3, emitting every Ls′ result
-	// row dup does not take, and reports whether an attempt i+1 exists.
+	// Exec makes attempt i of Operation O3 over q, the residual query,
+	// emitting every Ls′ result row dup does not take, and reports
+	// whether an attempt i+1 exists.
 	// dup is DS's check: Exec hands it each row's keycodec encoding in
 	// Ls′ order, once, before emitting the row, and drops the row when
 	// dup reports true. dup is nil when DS is empty. An attempt that
 	// ended with the deadline returns an error matching
 	// context.DeadlineExceeded.
-	Exec(ctx context.Context, i int, dup func(key []byte) bool, emit func(value.Tuple) error) (more bool, err error)
+	Exec(ctx context.Context, i int, q *expr.Query, dup func(key []byte) bool, emit func(value.Tuple) error) (more bool, err error)
 	// Fill stages every O3 row DS did not suppress, before it is
 	// emitted; t is the plan's own row. It writes no entry.
 	Fill(t value.Tuple)
@@ -70,6 +75,7 @@ type driver struct {
 	ds       *dsTable
 	rep      QueryReport
 	parts    PartBuf
+	res      residualBuf
 	// served holds the bcp key of every partial, written once per run
 	// of equal keys.
 	served []string
@@ -89,7 +95,7 @@ var drivers = sync.Pool{New: func() any {
 	return d
 }}
 
-// Run answers one query from src with the PMV protocol. emit receives
+// Run answers q from src with the PMV protocol. emit receives
 // every result exactly once, projected to its first userCols columns
 // (Ls); O2's results come flagged Partial. With partialOnly set only
 // O1 and O2 run. endO2, when non-nil, runs after O2's last partial and
@@ -100,21 +106,22 @@ var drivers = sync.Pool{New: func() any {
 // stops or never starts, and the report comes back with
 // DeadlineExpired set. O3 fails over to the source's next attempt only
 // while none of its rows went out, with DS as O2 left it.
-func Run(ctx context.Context, src Source, userCols int, partialOnly bool, emit func(Result) error, endO2 func() error) (QueryReport, error) {
+func Run(ctx context.Context, src Source, q *expr.Query, userCols int, partialOnly bool, emit func(Result) error, endO2 func() error) (QueryReport, error) {
 	d := drivers.Get().(*driver)
 	d.src, d.emit, d.userCols, d.ds = src, emit, userCols, newDS()
 	defer d.release()
-	return d.run(ctx, partialOnly, endO2)
+	return d.run(ctx, q, partialOnly, endO2)
 }
 
 func (d *driver) release() {
 	d.ds.release()
+	d.res.release()
 	clear(d.served)
-	*d = driver{parts: d.parts, served: d.served[:0], partial: d.partial, row: d.row, dup: d.dup}
+	*d = driver{parts: d.parts, res: d.res, served: d.served[:0], partial: d.partial, row: d.row, dup: d.dup}
 	drivers.Put(d)
 }
 
-func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) (QueryReport, error) {
+func (d *driver) run(ctx context.Context, q *expr.Query, partialOnly bool, endO2 func() error) (QueryReport, error) {
 	tr := obs.FromContext(ctx)
 	rep := &d.rep
 
@@ -149,6 +156,11 @@ func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) 
 	if err != nil {
 		return *rep, err
 	}
+	for i := range parts {
+		if parts[i].Whole {
+			rep.CompleteParts++
+		}
+	}
 	rep.PartialLatency = time.Since(start)
 	if partialOnly {
 		rep.Overhead, rep.TotalTuples, rep.PartialOnly = rep.PartialLatency, rep.PartialTuples, true
@@ -165,19 +177,23 @@ func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) 
 		return d.truncated(err)
 	}
 
-	// --- Operation O3 ---
+	// --- Operation O3, over the residual query ---
 	execStart := time.Now()
 	var execMark int64
 	if tr != nil {
 		execMark = tr.AllocMark()
 	}
+	// The partials of parts the residual query leaves out are delivered
+	// and not audited: no O3 row can take their tokens.
+	rq, run := d.res.residual(q, parts)
+	d.ds.forget(d.res.skipped)
 	dup := d.dup
 	if d.ds.left == 0 {
-		dup = nil // O2 delivered nothing: no O3 row can be a duplicate
+		dup = nil // O2 delivered nothing O3 can repeat
 	}
-	for i := 0; ; i++ {
+	for i := 0; run; i++ {
 		var more bool
-		more, err = d.src.Exec(ctx, i, dup, d.row)
+		more, err = d.src.Exec(ctx, i, rq, dup, d.row)
 		// Fail over only while no O3 row went out: a second attempt could
 		// repeat one, so the query fails typed instead.
 		if err == nil || d.fresh > 0 || !more || isTruncation(ctx, err) {
@@ -192,7 +208,7 @@ func (d *driver) run(ctx context.Context, partialOnly bool, endO2 func() error) 
 	rep.ExecLatency = time.Since(execStart)
 	rep.Overhead = rep.PartialLatency + d.o3Overhead
 	if tr != nil {
-		tr.SpanCost(obs.KindO3, execStart, d.fresh+d.dups, d.fresh, d.dups,
+		tr.SpanCost(obs.KindO3, execStart, int64(d.res.inside), d.fresh, d.dups,
 			obs.Cost{Allocs: tr.AllocMark() - execMark})
 	}
 	if err != nil {

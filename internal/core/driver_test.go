@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pmv/internal/expr"
 	"pmv/internal/keycodec"
 	"pmv/internal/value"
 )
@@ -47,7 +48,7 @@ func (s *fakeSource) Probe(_ context.Context, parts []ConditionPart, emit func(v
 	return rep, nil
 }
 
-func (s *fakeSource) Exec(_ context.Context, i int, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
+func (s *fakeSource) Exec(_ context.Context, i int, _ *expr.Query, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
 	s.execs++
 	for _, t := range s.rows[i] {
 		if dup != nil && dup(keycodec.AppendTuple(nil, t)) {
@@ -80,7 +81,7 @@ func parts(keys ...string) (out []ConditionPart) {
 func runFake(t *testing.T, ctx context.Context, src *fakeSource, partialOnly bool) ([]string, QueryReport, error) {
 	t.Helper()
 	var got []string
-	rep, err := Run(ctx, src, 1, partialOnly, func(r Result) error {
+	rep, err := Run(ctx, src, nil, 1, partialOnly, func(r Result) error {
 		if len(r.Tuple) != 1 {
 			t.Fatalf("result has %d columns, want the 1 user column", len(r.Tuple))
 		}

@@ -128,6 +128,14 @@ func (t *dsTable) takeKey(k []byte) bool {
 	return true
 }
 
+// forget drops n tokens from the count the audit reads: the partials of
+// parts the residual query leaves out, which no O3 row can take. Their
+// entries stay in the table untaken.
+func (t *dsTable) forget(n int) {
+	t.left -= n
+	t.added -= n
+}
+
 // restore gives back every taken token: DS again holds what O2 added.
 func (t *dsTable) restore() {
 	for i := range t.ents {

@@ -4,6 +4,13 @@
 // O3, commits them. Every entry writer goes through admitLocked and
 // writeEntryLocked. An entry's tuple slice is never written into, since
 // readers range over it outside v.mu; only the purge, under X, edits it.
+//
+// An entry is either its bcp's whole answer or F tuples of it. The
+// commit marks the first kind complete when it can prove it: the part
+// was exact and O3 ran over all of it to its end, every fresh row fit
+// under F, the entry O2 met is still the one installed, and no insert
+// reached the view since O2. Writers that do not run O3 (putLocked)
+// never mark.
 package core
 
 import (
@@ -18,22 +25,32 @@ import (
 // the bcp (the policy declined it in O2, or two of the query's parts
 // met different slices, so DS holds tokens of both), and next: seen,
 // then copies of fresh O3 rows, at most F; nil until a row is staged.
+// exact and comps are the probed part's (comps nil for a bcp no part
+// probed); overflow is set when a fresh row did not fit under F.
 type stagedBCP struct {
 	key      string
 	e        *entry
 	seen     []value.Tuple
 	declined bool
+	exact    bool
+	overflow bool
+	comps    []condComponent
 	next     []value.Tuple
 }
 
 // fillTable is one query's fill state by bcp, at most F tuples each.
 // idx maps the keys of bcps[:indexed]; it is built only when a lookup
 // needs it, so a query whose parts are all exact and whose O3 stages
-// nothing hashes no key.
+// nothing hashes no key. seq is the view's insert count as O2 began,
+// ran is set when O3 ran to its end, and stray when O3 staged a row
+// under a bcp no part probed.
 type fillTable struct {
 	idx     map[string]int32
 	indexed int
 	bcps    []stagedBCP
+	seq     uint64
+	ran     bool
+	stray   bool
 }
 
 // saw records that O2 met e (nil: no entry) under cp's bcp and returns
@@ -48,12 +65,17 @@ func (t *fillTable) saw(cp *ConditionPart, e *entry) *stagedBCP {
 		t.index()
 		if i, ok := t.idx[cp.BCPKey]; ok {
 			b := &t.bcps[i]
-			b.declined = b.declined || b.e != e || len(b.seen) != len(seen) || len(seen) > 0 && &b.seen[0] != &seen[0]
+			b.declined = b.declined || b.e != e || !sameTuples(b.seen, seen)
 			return b
 		}
 	}
-	t.bcps = append(t.bcps, stagedBCP{key: cp.BCPKey, e: e, seen: seen})
+	t.bcps = append(t.bcps, stagedBCP{key: cp.BCPKey, e: e, seen: seen, exact: cp.Exact, comps: cp.comps})
 	return &t.bcps[len(t.bcps)-1]
+}
+
+// sameTuples reports whether a and b are one slice.
+func sameTuples(a, b []value.Tuple) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // index adds the records appended since its last call to idx.
@@ -81,9 +103,14 @@ func (s *localSource) Fill(t value.Tuple) {
 	if !ok {
 		i = int32(len(s.fills.bcps))
 		s.fills.bcps = append(s.fills.bcps, stagedBCP{key: string(s.key)})
+		s.fills.stray = true
 	}
 	b := &s.fills.bcps[i]
-	if b.declined || max(len(b.seen), len(b.next)) >= f {
+	if b.declined {
+		return
+	}
+	if max(len(b.seen), len(b.next)) >= f {
+		b.overflow = true
 		return
 	}
 	if b.next == nil {
@@ -97,14 +124,21 @@ func (s *localSource) Fill(t value.Tuple) {
 // needs the X lock, so all that readers commit under one S lock is a
 // sub-multiset of one answer: a second reader's commit replaces the
 // first's and cannot cache a tuple twice. If the entry O2 met has left
-// the view since, seen goes with it. Returns the tuples cached and the
-// entries created and evicted, for the trace's refill event.
+// the view since, seen goes with it. An entry that is now its bcp's
+// whole answer is marked complete (the file comment's rule), also when
+// O3 staged nothing for it. Returns the tuples cached and the entries
+// created and evicted, for the trace's refill event.
 func (v *View) commit(t *fillTable) (tuples, entries, evicted int64) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	mark := t.ran && !t.stray && t.seq == v.insertSeq
 	for i := range t.bcps {
 		b := &t.bcps[i]
+		whole := mark && b.exact && !b.declined && !b.overflow
 		if b.next == nil {
+			if e := b.e; whole && e != nil && v.entries[b.key] == e && sameTuples(e.tuples, b.seen) {
+				v.maint.markComplete(e, b.comps)
+			}
 			continue
 		}
 		adm, dropped := v.admitLocked(b.key, false)
@@ -114,10 +148,14 @@ func (v *View) commit(t *fillTable) (tuples, entries, evicted int64) {
 		}
 		ts := b.next
 		if v.entries[b.key] != b.e {
-			ts = ts[len(b.seen):]
+			ts, whole = ts[len(b.seen):], false
 		}
-		if _, created := v.writeEntryLocked(b.key, ts); created {
+		e, created := v.writeEntryLocked(b.key, ts)
+		if created {
 			entries++
+		}
+		if whole {
+			v.maint.markComplete(e, b.comps)
 		}
 		tuples += int64(len(b.next) - len(b.seen))
 	}
@@ -164,6 +202,7 @@ func (v *View) writeEntryLocked(key string, ts []value.Tuple) (e *entry, created
 		v.stats.EntriesCreated++
 		v.freqAddLocked(key)
 	}
+	v.maint.uncomplete(e)
 	v.maint.unindex(e)
 	e.tuples = ts
 	for slot := range ts {

@@ -26,6 +26,9 @@ type fuzzWorld struct {
 	// per relation: join-key domain
 	joinDomain int64
 	hotSeq     uint64
+	// byBCP is every bcp's answer as sorted tuple strings; nil after a
+	// change of the data.
+	byBCP map[string][]string
 }
 
 // buildFuzzWorld creates 2 or 3 relations R0 ⋈ R1 (⋈ R2) with integer
@@ -138,6 +141,7 @@ func buildFuzzWorld(t *testing.T, seed int64) *fuzzWorld {
 
 func (w *fuzzWorld) insertRow(t *testing.T, ri int) {
 	t.Helper()
+	w.byBCP = nil
 	err := w.eng.Insert(fmt.Sprintf("r%d", ri), value.Tuple{
 		value.Int(w.rng.Int63n(1 << 40)),
 		value.Int(w.rng.Int63n(w.joinDomain)),
@@ -206,6 +210,7 @@ func (w *fuzzWorld) oracle(t *testing.T, q *expr.Query) []string {
 // have purged (a delete or an update).
 func (w *fuzzWorld) mutate(t *testing.T) bool {
 	t.Helper()
+	w.byBCP = nil
 	ri := w.rng.Intn(len(w.tpl.Relations))
 	rel := fmt.Sprintf("r%d", ri)
 	switch w.rng.Intn(4) {
@@ -324,6 +329,7 @@ func (w *fuzzWorld) step(t *testing.T) {
 	if err := v.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	w.checkComplete(t)
 }
 
 // someKeys returns a random half of the view's bcp keys.
@@ -357,10 +363,46 @@ func (w *fuzzWorld) lsRows(t *testing.T, q *expr.Query) []value.Tuple {
 	return out
 }
 
-// checkCachedInAnswer requires the view's cached tuples to be a
-// sub-multiset of the full query's answer.
-func (w *fuzzWorld) checkCachedInAnswer(t *testing.T) {
+// checkComplete requires every complete entry to hold its bcp's whole
+// answer, as a multiset, and the complete index to count them.
+func (w *fuzzWorld) checkComplete(t *testing.T) {
 	t.Helper()
+	v := w.view
+	if w.byBCP == nil {
+		w.byBCP = make(map[string][]string)
+		for _, row := range w.lsRows(t, w.domainQuery()) {
+			k := v.coder.KeyFromCondValues(v.condValues(row))
+			w.byBCP[k] = append(w.byBCP[k], row.String())
+		}
+		for _, rows := range w.byBCP {
+			sort.Strings(rows)
+		}
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	n := 0
+	for key, e := range v.entries {
+		if !e.complete {
+			continue
+		}
+		n++
+		var got []string
+		for _, tu := range e.tuples {
+			got = append(got, tu.String())
+		}
+		want := w.byBCP[key]
+		sort.Strings(got)
+		if !equalStrings(got, want) {
+			t.Fatalf("complete entry %q holds %v, its bcp's answer is %v", key, got, want)
+		}
+	}
+	if n != v.maint.ncomplete {
+		t.Fatalf("%d complete entries, the complete index counts %d", n, v.maint.ncomplete)
+	}
+}
+
+// domainQuery is the query over every condition's whole domain.
+func (w *fuzzWorld) domainQuery() *expr.Query {
 	q := &expr.Query{Template: w.tpl, Conds: make([]expr.CondInstance, len(w.tpl.Conds))}
 	for ci, ct := range w.tpl.Conds {
 		if ct.Form == expr.EqualityForm {
@@ -371,8 +413,15 @@ func (w *fuzzWorld) checkCachedInAnswer(t *testing.T) {
 			q.Conds[ci].Intervals = []expr.Interval{{Lo: value.Int(-1), Hi: value.Int(w.domains[ci] + 1), LoIncl: true}}
 		}
 	}
+	return q
+}
+
+// checkCachedInAnswer requires the view's cached tuples to be a
+// sub-multiset of the full query's answer.
+func (w *fuzzWorld) checkCachedInAnswer(t *testing.T) {
+	t.Helper()
 	answer := make(map[string]int)
-	for _, row := range w.lsRows(t, q) {
+	for _, row := range w.lsRows(t, w.domainQuery()) {
 		answer[row.String()]++
 	}
 	w.view.mu.Lock()
@@ -421,9 +470,10 @@ func TestFuzzExactlyOnce(t *testing.T) {
 					t.Fatalf("query %d (seed %d): view delivered %d rows, oracle %d\nquery: %+v",
 						i, s, len(got), len(want), q.Conds)
 				}
-				if rep.PartialTuples != partials {
-					t.Fatalf("report says %d partials, observed %d", rep.PartialTuples, partials)
+				if rep.PartialTuples != partials || rep.TotalTuples != len(got) {
+					t.Fatalf("report says %d partials of %d, observed %d of %d", rep.PartialTuples, rep.TotalTuples, partials, len(got))
 				}
+				w.checkComplete(t)
 				if err := checkMaintIndex(w.view); err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}

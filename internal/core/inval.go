@@ -30,16 +30,21 @@ import (
 func (v *View) InvalidateKeys(keys []string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.insertSeq++
 	v.stats.KeyGenBumps += int64(len(keys))
 	return v.removeKeysLocked(keys, &v.stats.EntriesInvalidated, &v.stats.TuplesInvalidated)
 }
 
 // InvalidateAll removes every entry. This is the degradation step when
 // key damage could not be bounded (a failed fan-out, a view the write
-// plane could not lock) — correctness by total cache loss.
+// plane could not lock) — correctness by total cache loss. Like
+// InvalidateKeys it bumps the insert count, so a query whose O3 ran
+// before it (beside the write plane's unlocked apply, say) marks
+// nothing complete.
 func (v *View) InvalidateAll() {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.insertSeq++
 	v.stats.ViewGenBumps++
 	for _, e := range v.entries {
 		v.stats.EntriesInvalidated++
@@ -78,7 +83,7 @@ func (v *View) UpdateAffects(rel string, old, new value.Tuple) (bool, error) {
 	}
 	changed := false
 	for _, ci := range v.relevantCols(rel, r) {
-		if !value.Equal(old[ci], new[ci]) {
+		if !value.Identical(old[ci], new[ci]) {
 			changed = true
 			break
 		}

@@ -16,6 +16,11 @@ type Stats struct {
 	PartHits int64
 	// PartialTuples counts tuples served from the view (O2).
 	PartialTuples int64
+	// CompleteParts counts parts O2 served whole, which O3 left out,
+	// and O3Skipped the queries all of whose parts were, so that O3 did
+	// not run.
+	CompleteParts int64
+	O3Skipped     int64
 	// EntriesCreated / EntriesEvicted track entry churn.
 	EntriesCreated int64
 	EntriesEvicted int64
@@ -101,10 +106,16 @@ func (v *View) ResetStats() {
 	v.stats = Stats{}
 }
 
-func (v *View) statsQueryLocked(rep *QueryReport) {
+// statsQueryLocked counts a query that ran O3 to its end when ran is
+// set.
+func (v *View) statsQueryLocked(rep *QueryReport, ran bool) {
 	v.stats.Queries++
 	if rep.Hit {
 		v.stats.QueryHits++
+	}
+	v.stats.CompleteParts += int64(rep.CompleteParts)
+	if rep.CompleteParts > 0 && !ran && !rep.PartialOnly && !rep.DeadlineExpired {
+		v.stats.O3Skipped++
 	}
 	v.stats.O3Time += rep.ExecLatency
 }

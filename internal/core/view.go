@@ -78,6 +78,10 @@ type entry struct {
 	// lock, edits it in place.
 	tuples   []value.Tuple
 	accesses int64
+	// complete is set when tuples is the bcp's whole answer (commit),
+	// and cleared by every change that can break that: a write of the
+	// entry, a purge, an insert the bcp can reach (maintain.go).
+	complete bool
 	// h is the entry's maintenance-index handle and at its back-pointers:
 	// at[slot·|relations|+r] is the posting of tuple slot under
 	// relation r (maintain.go).
@@ -104,6 +108,11 @@ type View struct {
 	// pushes against hot invalidations per replicated key.
 	freq     *freqpkg.ViewFreq
 	hotFloor map[string]uint64
+
+	// insertSeq counts the inserts and the invalidations the view was
+	// told of: a query whose O2 saw an older count marks nothing
+	// complete, since its O3 may have missed what they stand for.
+	insertSeq uint64
 
 	stats Stats
 }
@@ -212,6 +221,9 @@ type QueryReport struct {
 	ConditionParts int
 	// PartHits counts probed parts whose bcp was present.
 	PartHits int
+	// CompleteParts counts the parts O2 served whole, from an entry
+	// holding its bcp's whole answer, which O3 need not cover.
+	CompleteParts int
 	// PartialTuples is the number of tuples served from the PMV.
 	PartialTuples int
 	// TotalTuples is the total result size.
@@ -314,12 +326,12 @@ func (v *View) execute(ctx context.Context, q *expr.Query, partialOnly bool, emi
 	}
 	defer v.eng.Locks().ReleaseAll(src.txn)
 
-	rep, err := Run(ctx, src, v.nUserCols, partialOnly, src.out, endO2)
+	rep, err := Run(ctx, src, q, v.nUserCols, partialOnly, src.out, endO2)
 	if err != nil {
 		return rep, err
 	}
 	v.mu.Lock()
-	v.statsQueryLocked(&rep)
+	v.statsQueryLocked(&rep, src.fills.ran)
 	if rep.DeadlineExpired {
 		v.stats.DeadlineQueries++
 	}
@@ -409,9 +421,12 @@ func (s *localSource) Probe(_ context.Context, parts []ConditionPart, emit func(
 	return s.v.probe(context.Background(), s.tr, parts, &s.fills, emit)
 }
 
-// Exec runs the view's prepared O3 with DS's check bound into it.
-func (s *localSource) Exec(ctx context.Context, _ int, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
-	return false, s.v.eng.ExecutePreparedCtx(ctx, s.v.o3, s.q, dup, emit)
+// Exec runs the view's prepared O3 over q with DS's check bound into
+// it, and records whether it ran to its end.
+func (s *localSource) Exec(ctx context.Context, _ int, q *expr.Query, dup func([]byte) bool, emit func(value.Tuple) error) (bool, error) {
+	err := s.v.eng.ExecutePreparedCtx(ctx, s.v.o3, q, dup, emit)
+	s.fills.ran = err == nil
+	return false, err
 }
 
 // Refill commits the staged rows (commit) and reports the commit in
@@ -427,13 +442,15 @@ func (s *localSource) Invalidate(keys []string) { s.v.InvalidateKeys(keys) }
 // batches alike: under the caller's S lock, serve the cached tuples of
 // every present bcp by emit (re-checking tuples of non-exact parts), and
 // record popularity and admission the same way for both, so routed and
-// local workloads train the replacement policy identically. fills gets
-// the entry each part met and O2's 2Q admission decision. ctx is
+// local workloads train the replacement policy identically. A part
+// served from a complete entry is marked Whole. fills gets the insert
+// count, the entry each part met and O2's 2Q admission decision. ctx is
 // checked between parts. Each part gets its own trace span (index,
 // tuples served, hit/miss).
 func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, fills *fillTable, emit func(value.Tuple, string) error) (ProbeReport, error) {
 	var rep ProbeReport
 	v.mu.Lock()
+	fills.seq = v.insertSeq
 	for pi := range parts {
 		if err := ctx.Err(); err != nil {
 			v.mu.Unlock()
@@ -487,6 +504,7 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 			rep.PartHits++
 		}
 		if hit == 1 && ok {
+			cp.Whole = e.complete
 			for _, t := range e.tuples {
 				// A cached tuple belongs to the bcp; if the part is not
 				// exact it may still fall outside the query — re-check.
@@ -503,8 +521,9 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 				}
 			}
 		}
+		cp.Served = rep.PartialTuples - before
 		if tr != nil {
-			tr.SpanCost(obs.KindO2Probe, pStart, int64(pi), int64(rep.PartialTuples-before), hit,
+			tr.SpanCost(obs.KindO2Probe, pStart, int64(pi), int64(cp.Served), hit,
 				obs.Cost{Allocs: tr.AllocMark() - pMark})
 		}
 	}

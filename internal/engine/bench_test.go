@@ -76,7 +76,7 @@ func pointRel(b *testing.B) *Engine {
 		k := value.Int(int64(i))
 		rows[i] = value.Tuple{k, k, value.Int(1), value.Int(0), value.Str("a comment about as long as an order's")}
 	}
-	if err := e.InsertBulk("o", rows, false); err != nil {
+	if err := e.InsertBulk("o", rows); err != nil {
 		b.Fatal(err)
 	}
 	for _, col := range []string{"k", "one"} {
@@ -147,7 +147,7 @@ func BenchmarkPointDelete(b *testing.B) {
 					b.Fatalf("deleted %d rows: %v", len(victims), err)
 				}
 				b.StopTimer()
-				if err := e.InsertBulk("o", victims, false); err != nil {
+				if err := e.InsertBulk("o", victims); err != nil {
 					b.Fatal(err)
 				}
 				b.StartTimer()

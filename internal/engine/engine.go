@@ -131,7 +131,10 @@ type CtxChangeObserver interface {
 // visible. The engine calls BeforeChange before the first heap
 // modification of a delete/update statement and invokes the returned
 // release after the last notification. (Inserts need no barrier: they
-// cannot invalidate results a reader has already received.)
+// cannot invalidate results a reader has already received. An observer
+// that must know of them hears of each through OnInsert, after the
+// tuple is visible; a PMV clears the completeness it can no longer
+// vouch for there.)
 type ChangeBarrier interface {
 	BeforeChange(rel string) (release func(), err error)
 }
@@ -409,10 +412,11 @@ func (e *Engine) heapInsert(rel string, r *catalog.Relation, t value.Tuple) (sto
 	return r.Heap.Insert(t)
 }
 
-// InsertBulk loads many tuples without per-row observer dispatch
-// overhead (observers are still notified once per tuple, but the
-// relation lookup is amortized). Used by the data generators.
-func (e *Engine) InsertBulk(rel string, tuples []value.Tuple, notify bool) error {
+// InsertBulk is Insert for many tuples of one relation, with the
+// relation looked up once. Every tuple is announced to the observers,
+// as Insert does: a view's complete entries depend on hearing of every
+// insert. Used by the data generators.
+func (e *Engine) InsertBulk(rel string, tuples []value.Tuple) error {
 	e.chkMu.RLock()
 	defer e.chkMu.RUnlock()
 	r, err := e.cat.GetRelation(rel)
@@ -429,10 +433,8 @@ func (e *Engine) InsertBulk(rel string, tuples []value.Tuple, notify bool) error
 				return fmt.Errorf("engine: index %s: %w", ix.Name, err)
 			}
 		}
-		if notify {
-			if err := e.eachObserver(func(o ChangeObserver) error { return o.OnInsert(rel, t) }); err != nil {
-				return err
-			}
+		if err := e.eachObserver(func(o ChangeObserver) error { return o.OnInsert(rel, t) }); err != nil {
+			return err
 		}
 	}
 	return nil

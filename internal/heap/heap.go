@@ -22,6 +22,8 @@ type Heap struct {
 	mgr  *storage.Manager
 	file string
 
+	// mu is held across every page edit (insert, delete, update and
+	// redo), so the heap has one writer at a time.
 	mu       sync.Mutex
 	lastPage storage.PageID // insertion hint; InvalidPageID before first page
 	count    int64          // live tuple count
@@ -98,6 +100,35 @@ func (h *Heap) AppendGet(dst value.Tuple, rid storage.RID, mask []bool) (value.T
 
 // Delete removes the tuple at rid.
 func (h *Heap) Delete(rid storage.RID) error {
+	return h.DeleteLSN(rid, 0)
+}
+
+// Update rewrites the tuple at rid in place if it fits, otherwise
+// deletes it and re-inserts, returning the (possibly new) RID. Both
+// halves of a move run under one hold of h.mu.
+func (h *Heap) Update(rid storage.RID, t value.Tuple) (storage.RID, error) {
+	rec := value.EncodeTuple(nil, t)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	err := h.editLocked(rid, 0, func(sp *storage.SlottedPage) error { return sp.Update(rid.Slot, rec) })
+	if !errors.Is(err, storage.ErrPageFull) {
+		if err != nil {
+			return storage.RID{}, err
+		}
+		return rid, nil
+	}
+	// Does not fit: delete here, insert elsewhere.
+	if err := h.editLocked(rid, 0, func(sp *storage.SlottedPage) error { return sp.Delete(rid.Slot) }); err != nil {
+		return storage.RID{}, err
+	}
+	h.count--
+	return h.insertLocked(rec, 0)
+}
+
+// editLocked applies edit to the page of rid, which must name a live
+// tuple, and stamps the page with lsn (0 = no stamp) when edit
+// succeeds. Caller holds h.mu.
+func (h *Heap) editLocked(rid storage.RID, lsn uint64, edit func(*storage.SlottedPage) error) error {
 	fr, err := h.pool.Fetch(h.file, rid.Page)
 	if err != nil {
 		return err
@@ -107,49 +138,15 @@ func (h *Heap) Delete(rid storage.RID) error {
 		h.pool.Unpin(fr, false)
 		return fmt.Errorf("heap: %v: %w", rid, ErrNotFound)
 	}
-	if err := sp.Delete(rid.Slot); err != nil {
+	if err := edit(sp); err != nil {
 		h.pool.Unpin(fr, false)
 		return err
 	}
+	if lsn > 0 {
+		sp.SetLSN(lsn)
+	}
 	h.pool.Unpin(fr, true)
-	h.mu.Lock()
-	h.count--
-	h.mu.Unlock()
 	return nil
-}
-
-// Update rewrites the tuple at rid in place if it fits, otherwise
-// deletes it and re-inserts, returning the (possibly new) RID.
-func (h *Heap) Update(rid storage.RID, t value.Tuple) (storage.RID, error) {
-	rec := value.EncodeTuple(nil, t)
-	fr, err := h.pool.Fetch(h.file, rid.Page)
-	if err != nil {
-		return storage.RID{}, err
-	}
-	sp := storage.NewSlottedPage(fr.Buf)
-	if sp.Read(rid.Slot) == nil {
-		h.pool.Unpin(fr, false)
-		return storage.RID{}, fmt.Errorf("heap: %v: %w", rid, ErrNotFound)
-	}
-	err = sp.Update(rid.Slot, rec)
-	if err == nil {
-		h.pool.Unpin(fr, true)
-		return rid, nil
-	}
-	if !errors.Is(err, storage.ErrPageFull) {
-		h.pool.Unpin(fr, false)
-		return storage.RID{}, err
-	}
-	// Does not fit: delete here, insert elsewhere.
-	if err := sp.Delete(rid.Slot); err != nil {
-		h.pool.Unpin(fr, false)
-		return storage.RID{}, err
-	}
-	h.pool.Unpin(fr, true)
-	h.mu.Lock()
-	h.count--
-	h.mu.Unlock()
-	return h.Insert(t)
 }
 
 // Scan calls fn for every live tuple in RID order. fn returning

@@ -69,26 +69,12 @@ func (h *Heap) insertLocked(rec []byte, lsn uint64) (storage.RID, error) {
 
 // DeleteLSN removes the tuple at rid, stamping the page.
 func (h *Heap) DeleteLSN(rid storage.RID, lsn uint64) error {
-	fr, err := h.pool.Fetch(h.file, rid.Page)
-	if err != nil {
-		return err
-	}
-	sp := storage.NewSlottedPage(fr.Buf)
-	if sp.Read(rid.Slot) == nil {
-		h.pool.Unpin(fr, false)
-		return fmt.Errorf("heap: %v: %w", rid, ErrNotFound)
-	}
-	if err := sp.Delete(rid.Slot); err != nil {
-		h.pool.Unpin(fr, false)
-		return err
-	}
-	if lsn > 0 {
-		sp.SetLSN(lsn)
-	}
-	h.pool.Unpin(fr, true)
 	h.mu.Lock()
+	defer h.mu.Unlock()
+	if err := h.editLocked(rid, lsn, func(sp *storage.SlottedPage) error { return sp.Delete(rid.Slot) }); err != nil {
+		return err
+	}
 	h.count--
-	h.mu.Unlock()
 	return nil
 }
 
@@ -97,24 +83,9 @@ func (h *Heap) DeleteLSN(rid storage.RID, lsn uint64) error {
 // WAL path then logs a delete + insert pair instead).
 func (h *Heap) UpdateInPlaceLSN(rid storage.RID, t value.Tuple, lsn uint64) error {
 	rec := value.EncodeTuple(nil, t)
-	fr, err := h.pool.Fetch(h.file, rid.Page)
-	if err != nil {
-		return err
-	}
-	sp := storage.NewSlottedPage(fr.Buf)
-	if sp.Read(rid.Slot) == nil {
-		h.pool.Unpin(fr, false)
-		return fmt.Errorf("heap: %v: %w", rid, ErrNotFound)
-	}
-	if err := sp.Update(rid.Slot, rec); err != nil {
-		h.pool.Unpin(fr, false)
-		return err
-	}
-	if lsn > 0 {
-		sp.SetLSN(lsn)
-	}
-	h.pool.Unpin(fr, true)
-	return nil
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.editLocked(rid, lsn, func(sp *storage.SlottedPage) error { return sp.Update(rid.Slot, rec) })
 }
 
 // ensurePage extends the heap file (with initialized pages) so that

@@ -328,6 +328,8 @@ func (s *Server) viewStatsReply() []wire.ViewStatsEntry {
 			PartsProbed:          st.PartsProbed,
 			PartHits:             st.PartHits,
 			PartialTuples:        st.PartialTuples,
+			CompleteParts:        st.CompleteParts,
+			O3Skipped:            st.O3Skipped,
 			EntriesCreated:       st.EntriesCreated,
 			EntriesEvicted:       st.EntriesEvicted,
 			TuplesCached:         st.TuplesCached,

@@ -539,6 +539,8 @@ type ViewStatsEntry struct {
 	PartsProbed        int64   `json:"parts_probed"`
 	PartHits           int64   `json:"part_hits"`
 	PartialTuples      int64   `json:"partial_tuples"`
+	CompleteParts      int64   `json:"complete_parts"`
+	O3Skipped          int64   `json:"o3_skipped"`
 	EntriesCreated     int64   `json:"entries_created"`
 	EntriesEvicted     int64   `json:"entries_evicted"`
 	TuplesCached       int64   `json:"tuples_cached"`

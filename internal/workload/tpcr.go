@@ -171,7 +171,7 @@ func LoadTPCR(eng *engine.Engine, cfg TPCRConfig) (TPCRConfig, error) {
 
 	var batch []value.Tuple
 	flush := func(rel string) error {
-		err := eng.InsertBulk(rel, batch, false)
+		err := eng.InsertBulk(rel, batch)
 		batch = batch[:0]
 		return err
 	}
