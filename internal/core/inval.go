@@ -72,7 +72,9 @@ func (v *View) LockForMaintenance() (release func(), err error) {
 // update of rel from old to new can affect cached results, bumping
 // UpdatesSeen/UpdatesSkipped so batched and per-statement paths
 // account identically. An update that touches no
-// Ls′/Cjoin/fixed column of rel needs no maintenance at all.
+// Ls′/Cjoin/fixed column of rel needs no maintenance at all. Values
+// compare bit for bit, as cached rows and DS keys hold them: a -0 over
+// +0 is a change.
 func (v *View) UpdateAffects(rel string, old, new value.Tuple) (bool, error) {
 	if !v.inTemplate(rel) {
 		return false, nil

@@ -16,9 +16,9 @@ type Stats struct {
 	PartHits int64
 	// PartialTuples counts tuples served from the view (O2).
 	PartialTuples int64
-	// CompleteParts counts parts O2 served whole, which O3 left out,
-	// and O3Skipped the queries all of whose parts were, so that O3 did
-	// not run.
+	// CompleteParts counts parts O2 served whole, which O3 need not
+	// cover, and O3Skipped the queries all of whose parts were, so that
+	// O3 did not run.
 	CompleteParts int64
 	O3Skipped     int64
 	// EntriesCreated / EntriesEvicted track entry churn.

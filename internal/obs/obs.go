@@ -49,10 +49,12 @@ const (
 	// KindExec is the executed plan as the engine saw it.
 	// N1 = rows the plan produced (before DS suppression).
 	KindExec
-	// KindO3 is Operation O3 from the view's side: executing the query,
-	// suppressing already-delivered tuples, refilling the view.
-	// N1 = rows seen from the engine, N2 = rows emitted to the caller,
-	// N3 = duplicates suppressed via the DS multiset.
+	// KindO3 is Operation O3 from the view's side: executing the
+	// residual query, suppressing already-delivered tuples, refilling
+	// the view. N1 = condition parts the residual query covers (0: every
+	// part was served whole and O3 did not run), N2 = rows emitted to
+	// the caller, N3 = duplicates suppressed via the DS multiset; the
+	// engine produced N2+N3 rows.
 	KindO3
 	// KindRefill is Operation O3's free view refresh.
 	// N1 = tuples cached, N2 = entries created, N3 = entries evicted
@@ -160,7 +162,7 @@ func (s Span) detail() string {
 	case KindExec:
 		return fmt.Sprintf("rows=%d", s.N1)
 	case KindO3:
-		return fmt.Sprintf("seen=%d emitted=%d dup_suppressed=%d", s.N1, s.N2, s.N3)
+		return fmt.Sprintf("residual_parts=%d emitted=%d dup_suppressed=%d", s.N1, s.N2, s.N3)
 	case KindRefill:
 		return fmt.Sprintf("cached=%d entries_created=%d evicted=%d", s.N1, s.N2, s.N3)
 	case KindMaint:
