@@ -364,7 +364,7 @@ func (w *fuzzWorld) lsRows(t *testing.T, q *expr.Query) []value.Tuple {
 }
 
 // checkComplete requires every complete entry to hold its bcp's whole
-// answer, as a multiset, and the complete index to count them.
+// answer, as a multiset.
 func (w *fuzzWorld) checkComplete(t *testing.T) {
 	t.Helper()
 	v := w.view
@@ -380,12 +380,10 @@ func (w *fuzzWorld) checkComplete(t *testing.T) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	n := 0
 	for key, e := range v.entries {
 		if !e.complete {
 			continue
 		}
-		n++
 		var got []string
 		for _, tu := range e.tuples {
 			got = append(got, tu.String())
@@ -395,9 +393,6 @@ func (w *fuzzWorld) checkComplete(t *testing.T) {
 		if !equalStrings(got, want) {
 			t.Fatalf("complete entry %q holds %v, its bcp's answer is %v", key, got, want)
 		}
-	}
-	if n != v.maint.ncomplete {
-		t.Fatalf("%d complete entries, the complete index counts %d", n, v.maint.ncomplete)
 	}
 }
 

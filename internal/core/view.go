@@ -602,10 +602,11 @@ func (v *View) TupleCount() int {
 // (DESIGN.md Section 4, invariant 3): no more than L entries, no more
 // than F tuples per entry, every cached tuple encodes back to its
 // entry's basic condition part, every entry is tracked by the
-// replacement policy and, with the frequency plane on, every entry is in
-// the presence filter and the filter holds as many keys as the view
-// holds entries. The torture harness calls it after recovery and after
-// every workload phase.
+// replacement policy, the insert rule's index counts the complete
+// entries and, with the frequency plane on, every entry is in the
+// presence filter and the filter holds as many keys as the view holds
+// entries. The torture harness calls it after recovery and after every
+// workload phase.
 func (v *View) CheckInvariants() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -615,7 +616,11 @@ func (v *View) CheckInvariants() error {
 	if v.freq != nil && v.freq.Filter.Keys() != len(v.entries) {
 		return fmt.Errorf("core: presence filter holds %d keys, view %d entries", v.freq.Filter.Keys(), len(v.entries))
 	}
+	complete := 0
 	for key, e := range v.entries {
+		if e.complete {
+			complete++
+		}
 		if len(e.tuples) > v.cfg.TuplesPerBCP {
 			return fmt.Errorf("core: entry %q holds %d tuples, F=%d", key, len(e.tuples), v.cfg.TuplesPerBCP)
 		}
@@ -633,6 +638,9 @@ func (v *View) CheckInvariants() error {
 		if v.freq != nil && !v.freq.Filter.MayContain(key) {
 			return fmt.Errorf("core: entry %q absent from the presence filter (false negative)", key)
 		}
+	}
+	if complete != v.maint.ncomplete {
+		return fmt.Errorf("core: %d complete entries, the insert rule's index counts %d", complete, v.maint.ncomplete)
 	}
 	return nil
 }
