@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
+	"pmv/internal/catalog"
+	"pmv/internal/engine"
 	"pmv/internal/expr"
 	"pmv/internal/obs"
 	"pmv/internal/value"
@@ -309,4 +312,55 @@ func TestSkippedQueryMarksNothing(t *testing.T) {
 	}
 	v.mu.Unlock()
 	checkAnswer(t, v, mkQuery([]int64{1}, 2, 4))
+}
+
+// TestStrayRowMarksNothing: a row that satisfies a part's equality but
+// keys to another bcp (-0 under a query for +0: value.Equal, yet other
+// bits) keeps the commit from marking the part's entry complete, which
+// would then lack that row.
+func TestStrayRowMarksNothing(t *testing.T) {
+	eng, err := engine.Open(t.TempDir(), engine.Options{BufferPoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { eng.Close() })
+	if _, err := eng.CreateRelation("R", catalog.NewSchema(
+		catalog.Col("a", value.TypeInt), catalog.Col("c", value.TypeInt), catalog.Col("f", value.TypeFloat))); err != nil {
+		t.Fatal(err)
+	}
+	mustCreateRel(t, eng, "S", "d", "e", "g")
+	mustIndex(t, eng, "S", "d")
+	tpl := &expr.Template{
+		Name:      "eqf",
+		Relations: []string{"R", "S"},
+		Select:    []expr.ColumnRef{{Rel: "R", Col: "a"}, {Rel: "S", Col: "e"}},
+		Join: []expr.JoinPred{
+			{Left: expr.ColumnRef{Rel: "R", Col: "c"}, Right: expr.ColumnRef{Rel: "S", Col: "d"}},
+		},
+		Conds: []expr.CondTemplate{
+			{Col: expr.ColumnRef{Rel: "R", Col: "f"}, Form: expr.EqualityForm},
+			{Col: expr.ColumnRef{Rel: "S", Col: "g"}, Form: expr.EqualityForm},
+		},
+	}
+	for i, f := range []float64{0, math.Copysign(0, -1)} {
+		if err := eng.Insert("R", value.Tuple{value.Int(int64(i)), value.Int(1), value.Float(f)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := eng.Insert("S", value.Tuple{value.Int(1), value.Int(7), value.Int(2)}); err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewView(eng, Config{Template: tpl, MaxEntries: 10, TuplesPerBCP: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &expr.Query{Template: tpl, Conds: []expr.CondInstance{
+		{Values: []value.Value{value.Float(0)}}, {Values: ints(2)},
+	}}
+	if n := len(runFull(t, eng, tpl, q)); n != 2 {
+		t.Fatalf("plain execution finds %d rows for f = 0, want both zeros", n)
+	}
+	for i := 0; i < 3; i++ {
+		checkAnswer(t, v, q)
+	}
 }
