@@ -600,7 +600,7 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 		o.degrade("shed: partial-only answer")
 	}
 
-	src := &routedSource{r: r, meta: meta, q: q, sess: sess, o: o, condVals: make([]value.Value, len(meta.condPos))}
+	src := &routedSource{r: r, meta: meta, sess: sess, o: o, condVals: make([]value.Value, len(meta.condPos))}
 	if r.hot != nil {
 		// The capture generation: a write to this view between here and a
 		// capture discards the capture, so in-flight pre-write tuples can
@@ -652,7 +652,6 @@ func (r *Router) handleQuery(sess *session.Session, payload []byte) error {
 type routedSource struct {
 	r      *Router
 	meta   *viewMeta
-	q      *expr.Query
 	sess   *session.Session
 	o      *queryObs
 	hotGen uint64
@@ -676,8 +675,8 @@ type routedSource struct {
 	fresh       []value.Tuple
 }
 
-func (s *routedSource) Parts(buf *core.PartBuf) ([]core.ConditionPart, error) {
-	return s.meta.coder.BreakConditionsInto(buf, s.q)
+func (s *routedSource) Parts(buf *core.PartBuf, q *expr.Query) ([]core.ConditionPart, error) {
+	return s.meta.coder.BreakConditionsInto(buf, q)
 }
 
 // Probe scatters the parts to their owners. Each row's bcp key is

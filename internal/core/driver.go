@@ -26,9 +26,9 @@ import (
 // Source is where one query's PMV lives: a local view under its S
 // lock, or a router's shards. Run calls its methods from one goroutine.
 type Source interface {
-	// Parts runs Operation O1, building the parts in buf.
+	// Parts runs Operation O1 over q, building the parts in buf.
 	// ErrTooManyParts makes the query skip the PMV (O2 gets no parts).
-	Parts(buf *PartBuf) ([]ConditionPart, error)
+	Parts(buf *PartBuf, q *expr.Query) ([]ConditionPart, error)
 	// Probe runs Operation O2 over parts, calling emit once per cached
 	// Ls′ tuple with the bcp key it is cached under. Calls to emit must
 	// not overlap. It may mark a part Whole (see ConditionPart); a
@@ -131,7 +131,7 @@ func (d *driver) run(ctx context.Context, q *expr.Query, partialOnly bool, endO2
 	if tr != nil {
 		o1Start, o1Mark = time.Now(), tr.AllocMark()
 	}
-	parts, err := d.src.Parts(&d.parts)
+	parts, err := d.src.Parts(&d.parts, q)
 	if errors.Is(err, ErrTooManyParts) {
 		rep.Skipped, parts = true, nil
 	} else if err != nil {

@@ -27,7 +27,7 @@ type fakeSource struct {
 	invalidated    []string
 }
 
-func (s *fakeSource) Parts(*PartBuf) ([]ConditionPart, error) { return s.parts, nil }
+func (s *fakeSource) Parts(*PartBuf, *expr.Query) ([]ConditionPart, error) { return s.parts, nil }
 
 func (s *fakeSource) Probe(_ context.Context, parts []ConditionPart, emit func(value.Tuple, string) error) (ProbeReport, error) {
 	var rep ProbeReport

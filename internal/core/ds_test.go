@@ -115,7 +115,7 @@ func TestAuditCountsTokens(t *testing.T) {
 	if _, rep := runPartial(t, v, q); rep.PartialTuples != 2 {
 		t.Fatalf("served %d cached tuples, want the 2 equal ones", rep.PartialTuples)
 	}
-	unmarkG(t, eng, 2)
+	unmark(t, eng)
 	eng.UnregisterObserver(v) // a change the view is not told about
 	if _, err := eng.UpdateWhere("S",
 		func(tu value.Tuple) bool { return tu[0].Int64() == 50 },

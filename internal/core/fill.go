@@ -25,8 +25,8 @@ import (
 // the bcp (the policy declined it in O2, or two of the query's parts
 // met different slices, so DS holds tokens of both), and next: seen,
 // then copies of fresh O3 rows, at most F; nil until a row is staged.
-// exact and comps are the probed part's (comps nil for a bcp no part
-// probed); overflow is set when a fresh row did not fit under F.
+// exact is the probed part's (false for a bcp no part probed);
+// overflow is set when a fresh row did not fit under F.
 type stagedBCP struct {
 	key      string
 	e        *entry
@@ -34,7 +34,6 @@ type stagedBCP struct {
 	declined bool
 	exact    bool
 	overflow bool
-	comps    []condComponent
 	next     []value.Tuple
 }
 
@@ -69,7 +68,7 @@ func (t *fillTable) saw(cp *ConditionPart, e *entry) *stagedBCP {
 			return b
 		}
 	}
-	t.bcps = append(t.bcps, stagedBCP{key: cp.BCPKey, e: e, seen: seen, exact: cp.Exact, comps: cp.comps})
+	t.bcps = append(t.bcps, stagedBCP{key: cp.BCPKey, e: e, seen: seen, exact: cp.Exact})
 	return &t.bcps[len(t.bcps)-1]
 }
 
@@ -137,7 +136,7 @@ func (v *View) commit(t *fillTable) (tuples, entries, evicted int64) {
 		whole := mark && b.exact && !b.declined && !b.overflow
 		if b.next == nil {
 			if e := b.e; whole && e != nil && v.entries[b.key] == e && sameTuples(e.tuples, b.seen) {
-				v.maint.markComplete(e, b.comps)
+				e.completeSeq = v.insertSeq
 			}
 			continue
 		}
@@ -155,7 +154,7 @@ func (v *View) commit(t *fillTable) (tuples, entries, evicted int64) {
 			entries++
 		}
 		if whole {
-			v.maint.markComplete(e, b.comps)
+			e.completeSeq = v.insertSeq
 		}
 		tuples += int64(len(b.next) - len(b.seen))
 	}
@@ -202,7 +201,7 @@ func (v *View) writeEntryLocked(key string, ts []value.Tuple) (e *entry, created
 		v.stats.EntriesCreated++
 		v.freqAddLocked(key)
 	}
-	v.maint.uncomplete(e)
+	e.completeSeq = 0
 	v.maint.unindex(e)
 	e.tuples = ts
 	for slot := range ts {

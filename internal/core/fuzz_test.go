@@ -381,7 +381,7 @@ func (w *fuzzWorld) checkComplete(t *testing.T) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	for key, e := range v.entries {
-		if !e.complete {
+		if !v.completeLocked(e) {
 			continue
 		}
 		var got []string

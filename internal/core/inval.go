@@ -25,8 +25,11 @@ import (
 )
 
 // InvalidateKeys removes the entries of keys — the receiving side of
-// MsgInvalidate. It takes only the view mutex, no view lock. Returns
-// how many keys had an entry (the useful work).
+// MsgInvalidate. It takes only the view mutex, no view lock. It bumps
+// the insert count, since an invalidation stands for a base change the
+// view was not told of: every complete mark ends, and a query whose O3
+// ran before it marks nothing. Returns how many keys had an entry (the
+// useful work).
 func (v *View) InvalidateKeys(keys []string) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()

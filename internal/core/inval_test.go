@@ -40,7 +40,7 @@ func TestInvalidatedEntryIsGone(t *testing.T) {
 			// the next query's DS audit fails and invalidates the parts
 			// it served. A failed audit commits nothing, so the entry
 			// still holds only the two stale tuples it served.
-			unmarkG(t, v.eng, 2)
+			unmark(t, v.eng)
 			v.eng.UnregisterObserver(v)
 			if _, err := v.eng.UpdateWhere("S",
 				func(tu value.Tuple) bool { return tu[0].Int64() == 1002 },

@@ -33,15 +33,6 @@ import (
 // derive identical cached rows, so deleting either purges both. That
 // loses cache, never correctness — which is why the index works for a
 // PMV and not for a full MV.
-//
-// The index also finds the complete entries an insert can reach (the
-// insert rule, OnInsert): per relation, each complete entry is a node
-// chained into a bucket by the hash of its bcp's components on the
-// relation's condition columns. A new tuple of the relation can only
-// add result rows to bcps that agree with its own values there, so it
-// walks one bucket; with no condition column on the relation, every
-// complete entry hashes alike. Entry h's node under relation r is
-// cnodes[h·|rels|+r].
 type maintIndex struct {
 	rels  []relIndex
 	ents  []*entry // by handle; a nil slot is on free
@@ -50,9 +41,6 @@ type maintIndex struct {
 	spare int32 // first free posting, chained through next; -1 if none
 	live  int   // postings in use
 	atCap int   // back-pointers a full entry needs
-
-	cnodes    []cnode
-	ncomplete int // complete entries
 }
 
 // relIndex is one relation's part of the index.
@@ -61,18 +49,6 @@ type relIndex struct {
 	slots []int    // Ls′ positions of the key
 	cols  []string // rel's base column holding each key value
 	heads []int32  // bucket → first posting or -1; a power of two long
-	// conds are the template conditions on rel, condCols their base
-	// columns, and cheads the complete entries' buckets.
-	conds    []int
-	condCols []string
-	cheads   []int32
-}
-
-// cnode is one complete entry under one relation: the hash of its
-// bcp's components there and its bucket chain, linked like a posting.
-type cnode struct {
-	hash       uint64
-	prev, next int32
 }
 
 // posting names one cached tuple: its entry's handle and its slot in
@@ -84,13 +60,7 @@ func newMaintIndex(tpl *expr.Template, selectPlus []expr.ColumnRef, tuplesPerBCP
 	cls := joinClasses(tpl)
 	m := &maintIndex{spare: -1, atCap: len(tpl.Relations) * tuplesPerBCP}
 	for _, rel := range tpl.Relations {
-		ri := relIndex{rel: rel, heads: emptyHeads(16), cheads: emptyHeads(16)}
-		for i, ct := range tpl.Conds {
-			if ct.Col.Rel == rel {
-				ri.conds = append(ri.conds, i)
-				ri.condCols = append(ri.condCols, ct.Col.Col)
-			}
-		}
+		ri := relIndex{rel: rel, heads: emptyHeads(16)}
 		add := func(slot int, col string) {
 			for _, s := range ri.slots {
 				if s == slot {
@@ -230,7 +200,6 @@ func (m *maintIndex) register(e *entry) {
 
 // release unindexes a dying entry and frees its handle.
 func (m *maintIndex) release(e *entry) {
-	m.uncomplete(e)
 	m.unindex(e)
 	m.ents[e.h] = nil
 	m.free = append(m.free, e.h)
@@ -304,132 +273,6 @@ func (m *maintIndex) grow() {
 	}
 }
 
-// markComplete records that e, whose bcp has the components comps, holds
-// its bcp's whole answer.
-func (m *maintIndex) markComplete(e *entry, comps []condComponent) {
-	if e.complete {
-		return
-	}
-	n := len(m.rels)
-	if need := (int(e.h) + 1) * n; len(m.cnodes) < need {
-		m.cnodes = append(m.cnodes, make([]cnode, need-len(m.cnodes))...)
-	}
-	if m.ncomplete >= len(m.rels[0].cheads) {
-		m.growComplete()
-	}
-	e.complete = true
-	m.ncomplete++
-	for r := range m.rels {
-		i := e.h*int32(n) + int32(r)
-		m.cnodes[i].hash = compsHash(m.rels[r].conds, comps)
-		m.clink(&m.rels[r], i)
-	}
-}
-
-// uncomplete clears e's complete bit and unlinks its nodes.
-func (m *maintIndex) uncomplete(e *entry) {
-	if !e.complete {
-		return
-	}
-	e.complete = false
-	m.ncomplete--
-	n := int32(len(m.rels))
-	for r := range m.rels {
-		nd := m.cnodes[e.h*n+int32(r)]
-		if nd.prev >= 0 {
-			m.cnodes[nd.prev].next = nd.next
-		} else {
-			m.rels[r].cheads[-nd.prev-1] = nd.next
-		}
-		if nd.next >= 0 {
-			m.cnodes[nd.next].prev = nd.prev
-		}
-	}
-}
-
-// uncompleteAll clears every complete bit.
-func (m *maintIndex) uncompleteAll() {
-	for _, e := range m.ents {
-		if e != nil {
-			m.uncomplete(e)
-		}
-	}
-}
-
-// reach clears every complete entry whose components on relation r's
-// condition columns hash to hash. A hash collision clears an entry too
-// many, which loses only the skip.
-func (m *maintIndex) reach(r int, hash uint64) {
-	ri := &m.rels[r]
-	n := int32(len(m.rels))
-	for i := ri.cheads[hash&uint64(len(ri.cheads)-1)]; i >= 0; {
-		nd := m.cnodes[i]
-		if nd.hash == hash {
-			m.uncomplete(m.ents[i/n])
-		}
-		i = nd.next
-	}
-}
-
-// clink pushes node i onto its bucket in ri.
-func (m *maintIndex) clink(ri *relIndex, i int32) {
-	nd := &m.cnodes[i]
-	b := int32(nd.hash & uint64(len(ri.cheads)-1))
-	nd.prev, nd.next = -(b + 1), ri.cheads[b]
-	if nd.next >= 0 {
-		m.cnodes[nd.next].prev = i
-	}
-	ri.cheads[b] = i
-}
-
-// growComplete doubles every relation's complete buckets and relinks
-// the complete entries.
-func (m *maintIndex) growComplete() {
-	for r := range m.rels {
-		m.rels[r].cheads = emptyHeads(2 * len(m.rels[r].cheads))
-	}
-	n := int32(len(m.rels))
-	for _, e := range m.ents {
-		if e != nil && e.complete {
-			for r := range m.rels {
-				m.clink(&m.rels[r], e.h*n+int32(r))
-			}
-		}
-	}
-}
-
-// compsHash hashes a bcp's components on conds as hashValue does, so
-// that it equals baseHash of every tuple whose rows fall in the bcp.
-func compsHash(conds []int, comps []condComponent) uint64 {
-	var h uint64
-	for _, i := range conds {
-		if c := &comps[i]; c.isEquality {
-			h = hashValue(h, c.val)
-		} else {
-			h = hashValue(h, value.Int(int64(c.basicID)))
-		}
-	}
-	return h
-}
-
-// baseHash is compsHash for the bcp components a base tuple of ri's
-// relation gives its result rows.
-func (v *View) baseHash(ri *relIndex, sch catalog.Schema, base value.Tuple) (uint64, error) {
-	var h uint64
-	for k, i := range ri.conds {
-		ci := sch.ColIndex(ri.condCols[k])
-		if ci < 0 {
-			return 0, fmt.Errorf("core: relation %s has no column %s", ri.rel, ri.condCols[k])
-		}
-		x := base[ci]
-		if d := v.coder.coder.discs[i]; d != nil {
-			x = value.Int(int64(d.IDOf(x)))
-		}
-		h = hashValue(h, x)
-	}
-	return h, nil
-}
-
 func emptyHeads(n int) []int32 {
 	h := make([]int32, n)
 	for i := range h {
@@ -455,46 +298,16 @@ func (v *View) inTemplate(rel string) bool {
 // ones, so no cached tuple is purged and no X lock is taken. What it
 // can break is completeness: a complete entry whose bcp the new tuple
 // adds a row to is no longer its bcp's whole answer. So OnInsert bumps
-// the view's insert count, which keeps a query whose O3 raced the
-// insert from marking anything complete, and clears the complete bit
-// of every entry the tuple can reach (reachLocked). The engine calls it
-// after the tuple is visible to O3.
-func (v *View) OnInsert(rel string, t value.Tuple) error {
-	if !v.inTemplate(rel) {
-		return nil
-	}
-	r, err := v.eng.Catalog().GetRelation(rel)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.stats.InsertsSeen++
-	if err != nil {
+// the view's insert count, which ends every entry's complete mark at
+// once and keeps a query whose O3 raced the insert from marking
+// anything (see entry.completeSeq). The engine calls it after the
+// tuple is visible to O3.
+func (v *View) OnInsert(rel string, _ value.Tuple) error {
+	if v.inTemplate(rel) {
+		v.mu.Lock()
+		v.stats.InsertsSeen++
 		v.insertSeq++
-		v.maint.uncompleteAll()
-		return err
-	}
-	return v.reachLocked(rel, r.Schema, t)
-}
-
-// reachLocked is the insert rule for base, a new tuple or a new image
-// of rel: it bumps the insert count and clears the complete bit of
-// every entry whose bcp agrees with base on rel's condition columns,
-// at a cost that follows the entries cleared. Caller holds v.mu.
-func (v *View) reachLocked(rel string, sch catalog.Schema, base value.Tuple) error {
-	v.insertSeq++
-	m := v.maint
-	if m.ncomplete == 0 {
-		return nil
-	}
-	for r := range m.rels {
-		if m.rels[r].rel != rel {
-			continue
-		}
-		h, err := v.baseHash(&m.rels[r], sch, base)
-		if err != nil {
-			m.uncompleteAll()
-			return err
-		}
-		m.reach(r, h)
+		v.mu.Unlock()
 	}
 	return nil
 }
@@ -553,9 +366,9 @@ func (v *View) onDelete(ctx context.Context, rel string, t value.Tuple, keys *[]
 // deletion of the old tuple. New result tuples the update creates are
 // picked up by later queries, like inserts, and like an insert, a new
 // image whose condition, join or fixed-predicate columns changed
-// clears the complete entries it can reach (reachLocked). A change of
-// other Ls′ columns needs no more: the purge of the old image already
-// cleared the entry that held its row.
+// bumps the insert count as OnInsert does. A change of other Ls′
+// columns needs no more: the purge of the old image already cleared
+// the mark of the entry that held its row.
 func (v *View) OnUpdate(rel string, old, new value.Tuple) error {
 	return v.OnUpdateCtx(context.Background(), rel, old, new)
 }
@@ -597,8 +410,9 @@ func (v *View) onUpdate(ctx context.Context, rel string, old, new value.Tuple, k
 		return purged, nil
 	}
 	v.mu.Lock()
-	defer v.mu.Unlock()
-	return purged, v.reachLocked(rel, r.Schema, new)
+	v.insertSeq++
+	v.mu.Unlock()
+	return purged, nil
 }
 
 // shapeChanged reports whether an update of rel from old to new changed
@@ -704,7 +518,7 @@ func (v *View) purgeByIndex(rel string, base value.Tuple, keys *[]string) (int, 
 		}
 		// Two base tuples agreeing on the index key purge each other's
 		// rows, so the entry may no longer hold its bcp's whole answer.
-		m.uncomplete(e)
+		e.completeSeq = 0
 		m.unindex(e)
 		kept := e.tuples[:0]
 		for _, t := range e.tuples {

@@ -78,10 +78,12 @@ type entry struct {
 	// lock, edits it in place.
 	tuples   []value.Tuple
 	accesses int64
-	// complete is set when tuples is the bcp's whole answer (commit),
-	// and cleared by every change that can break that: a write of the
-	// entry, a purge, an insert the bcp can reach (maintain.go).
-	complete bool
+	// completeSeq is the view's insert count when the commit found
+	// tuples to be the bcp's whole answer, 0 if it never did. The entry
+	// is complete while that count stands (View.completeLocked): an
+	// insert, or an update that moves rows, bumps it and so ends every
+	// mark at once, and a write of the entry or a purge resets it.
+	completeSeq uint64
 	// h is the entry's maintenance-index handle and at its back-pointers:
 	// at[slot·|relations|+r] is the posting of tuple slot under
 	// relation r (maintain.go).
@@ -109,9 +111,11 @@ type View struct {
 	freq     *freqpkg.ViewFreq
 	hotFloor map[string]uint64
 
-	// insertSeq counts the inserts and the invalidations the view was
-	// told of: a query whose O2 saw an older count marks nothing
-	// complete, since its O3 may have missed what they stand for.
+	// insertSeq counts the inserts, the row-moving updates and the
+	// invalidations the view was told of, from 1: a query whose O2 saw
+	// an older count marks nothing complete, since its O3 may have
+	// missed what they stand for, and an entry marked under an older
+	// count is no longer complete.
 	insertSeq uint64
 
 	stats Stats
@@ -151,6 +155,7 @@ func NewView(eng *engine.Engine, cfg Config) (*View, error) {
 		hotFloor:   make(map[string]uint64),
 		policy:     pol,
 		maint:      newMaintIndex(tpl, selectPlus, cfg.TuplesPerBCP),
+		insertSeq:  1,
 	}
 	eng.RegisterObserver(v)
 	return v, nil
@@ -186,6 +191,11 @@ func (v *View) Config() Config { return v.cfg }
 func (v *View) SelectPlus() []expr.ColumnRef {
 	return append([]expr.ColumnRef(nil), v.selectPlus...)
 }
+
+// completeLocked reports whether e holds its bcp's whole answer: the
+// commit marked it under the insert count that still stands. Caller
+// holds v.mu.
+func (v *View) completeLocked(e *entry) bool { return e.completeSeq == v.insertSeq }
 
 func (v *View) lockRes() string { return "pmv:" + v.cfg.Name }
 
@@ -317,7 +327,7 @@ func (v *View) execute(ctx context.Context, q *expr.Query, partialOnly bool, emi
 	}
 	src := localSources.Get().(*localSource)
 	defer src.release()
-	src.v, src.q, src.tr, src.txn, src.user = v, q, obs.FromContext(ctx), v.eng.NewTxnID(), emit
+	src.v, src.tr, src.txn, src.user = v, obs.FromContext(ctx), v.eng.NewTxnID(), emit
 	if err := v.lockShared(src.tr, src.txn); err != nil {
 		if errors.Is(err, lock.ErrTimeout) {
 			return v.executeDegraded(src.tr, q, emit)
@@ -376,7 +386,6 @@ func (v *View) checkQuery(q *expr.Query) error {
 // and their result callback, so a warm query allocates none of them.
 type localSource struct {
 	v   *View
-	q   *expr.Query
 	tr  *obs.Trace
 	txn uint64
 	// user is the caller's emit and out the one Run calls: it hands an
@@ -411,8 +420,8 @@ func (s *localSource) emitUser(r Result) error {
 	return s.user(r)
 }
 
-func (s *localSource) Parts(buf *PartBuf) ([]ConditionPart, error) {
-	return s.v.coder.BreakConditionsInto(buf, s.q)
+func (s *localSource) Parts(buf *PartBuf, q *expr.Query) ([]ConditionPart, error) {
+	return s.v.coder.BreakConditionsInto(buf, q)
 }
 
 // Probe serves the view's cached tuples. The local O2 never stops for
@@ -504,7 +513,7 @@ func (v *View) probe(ctx context.Context, tr *obs.Trace, parts []ConditionPart, 
 			rep.PartHits++
 		}
 		if hit == 1 && ok {
-			cp.Whole = e.complete
+			cp.Whole = v.completeLocked(e)
 			for _, t := range e.tuples {
 				// A cached tuple belongs to the bcp; if the part is not
 				// exact it may still fall outside the query — re-check.
@@ -602,11 +611,10 @@ func (v *View) TupleCount() int {
 // (DESIGN.md Section 4, invariant 3): no more than L entries, no more
 // than F tuples per entry, every cached tuple encodes back to its
 // entry's basic condition part, every entry is tracked by the
-// replacement policy, the insert rule's index counts the complete
-// entries and, with the frequency plane on, every entry is in the
-// presence filter and the filter holds as many keys as the view holds
-// entries. The torture harness calls it after recovery and after every
-// workload phase.
+// replacement policy and, with the frequency plane on, every entry is in
+// the presence filter and the filter holds as many keys as the view
+// holds entries. The torture harness calls it after recovery and after
+// every workload phase.
 func (v *View) CheckInvariants() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -616,11 +624,7 @@ func (v *View) CheckInvariants() error {
 	if v.freq != nil && v.freq.Filter.Keys() != len(v.entries) {
 		return fmt.Errorf("core: presence filter holds %d keys, view %d entries", v.freq.Filter.Keys(), len(v.entries))
 	}
-	complete := 0
 	for key, e := range v.entries {
-		if e.complete {
-			complete++
-		}
 		if len(e.tuples) > v.cfg.TuplesPerBCP {
 			return fmt.Errorf("core: entry %q holds %d tuples, F=%d", key, len(e.tuples), v.cfg.TuplesPerBCP)
 		}
@@ -638,9 +642,6 @@ func (v *View) CheckInvariants() error {
 		if v.freq != nil && !v.freq.Filter.MayContain(key) {
 			return fmt.Errorf("core: entry %q absent from the presence filter (false negative)", key)
 		}
-	}
-	if complete != v.maint.ncomplete {
-		return fmt.Errorf("core: %d complete entries, the insert rule's index counts %d", complete, v.maint.ncomplete)
 	}
 	return nil
 }

@@ -99,13 +99,13 @@ func loadFig1(t testing.TB, eng *engine.Engine, nf, ng, perPair int) {
 	}
 }
 
-// unmarkG inserts an S row that joins no R row but carries g, so the
-// insert rule clears the complete bit of every entry whose bcp has g
-// and leaves every answer as it was. A part served whole is not
-// audited; tests of the audit use this to keep their parts in O3.
-func unmarkG(t testing.TB, eng *engine.Engine, g int64) {
+// unmark inserts an S row that joins no R row, so the insert ends
+// every complete mark and leaves every answer as it was. A part served
+// whole is not audited; tests of the audit use this to keep their
+// parts in O3.
+func unmark(t testing.TB, eng *engine.Engine) {
 	t.Helper()
-	if err := eng.Insert("S", value.Tuple{value.Int(-1 - g), value.Int(0), value.Int(g)}); err != nil {
+	if err := eng.Insert("S", value.Tuple{value.Int(-1), value.Int(0), value.Int(0)}); err != nil {
 		t.Fatalf("insert S: %v", err)
 	}
 }
@@ -307,7 +307,7 @@ func TestFailedAuditInvalidatesProbedEntries(t *testing.T) {
 	}
 	q := eqQuery(tpl, []int64{1}, []int64{2})
 	runPartial(t, v, q) // warm the cache
-	unmarkG(t, eng, 2)
+	unmark(t, eng)
 	// Change a select-list column behind the view's back: detached, as
 	// the write plane detaches views, it is told nothing.
 	eng.UnregisterObserver(v)

@@ -133,7 +133,7 @@ type CtxChangeObserver interface {
 // release after the last notification. (Inserts need no barrier: they
 // cannot invalidate results a reader has already received. An observer
 // that must know of them hears of each through OnInsert, after the
-// tuple is visible; a PMV clears the completeness it can no longer
+// tuple is visible; a PMV ends the completeness it can no longer
 // vouch for there.)
 type ChangeBarrier interface {
 	BeforeChange(rel string) (release func(), err error)

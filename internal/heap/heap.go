@@ -105,9 +105,13 @@ func (h *Heap) Delete(rid storage.RID) error {
 
 // Update rewrites the tuple at rid in place if it fits, otherwise
 // deletes it and re-inserts, returning the (possibly new) RID. Both
-// halves of a move run under one hold of h.mu.
+// halves of a move run under one hold of h.mu. A tuple no page can
+// hold is rejected before any page changes.
 func (h *Heap) Update(rid storage.RID, t value.Tuple) (storage.RID, error) {
 	rec := value.EncodeTuple(nil, t)
+	if err := fits(rec); err != nil {
+		return storage.RID{}, err
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	err := h.editLocked(rid, 0, func(sp *storage.SlottedPage) error { return sp.Update(rid.Slot, rec) })

@@ -182,6 +182,26 @@ func TestOversizedTupleRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedUpdateRejected: an update to a tuple no page can hold
+// fails before any page changes: the old tuple stays and no page is
+// added.
+func TestOversizedUpdateRejected(t *testing.T) {
+	h, _, _, _ := newHeap(t)
+	rid, err := h.Insert(row(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Update(rid, value.Tuple{value.Str(strings.Repeat("z", storage.PageSize))}); err == nil {
+		t.Fatal("page-sized update accepted")
+	}
+	if got, err := h.Get(rid); err != nil || value.CompareTuples(got, row(7)) != 0 {
+		t.Fatalf("old tuple after a rejected update: %v, %v", got, err)
+	}
+	if h.Count() != 1 || h.NumPages() != 1 {
+		t.Fatalf("rejected update left %d tuples on %d pages, want 1 on 1", h.Count(), h.NumPages())
+	}
+}
+
 func TestReopenRecoversCount(t *testing.T) {
 	dir := t.TempDir()
 	mgr, err := storage.NewManager(dir)

@@ -18,12 +18,20 @@ import (
 // non-WAL path).
 func (h *Heap) InsertLSN(t value.Tuple, lsn uint64) (storage.RID, error) {
 	rec := value.EncodeTuple(nil, t)
-	if len(rec) > storage.PageSize-64 {
-		return storage.RID{}, fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", len(rec))
+	if err := fits(rec); err != nil {
+		return storage.RID{}, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.insertLocked(rec, lsn)
+}
+
+// fits rejects a record larger than an empty page can hold.
+func fits(rec []byte) error {
+	if len(rec) > storage.PageSize-64 {
+		return fmt.Errorf("heap: tuple of %d bytes exceeds page capacity", len(rec))
+	}
+	return nil
 }
 
 func (h *Heap) insertLocked(rec []byte, lsn uint64) (storage.RID, error) {

@@ -621,7 +621,7 @@ func (p *Plane) failRun(run []opRef, err error) (applied, errs int64) {
 // Out-of-band DML (anything mutating the engine while a Plane is
 // attached but outside its flush worker) has no batch to ride: an
 // insert goes to every view's OnInsert, as inside a batch (it purges
-// nothing, and clears the complete entries it can reach), but a
+// nothing, and ends the view's complete marks), but a
 // delete/update wholesale-invalidates every view caching the relation —
 // the safe degradation for writes that bypassed the plane.
 type collector struct {
