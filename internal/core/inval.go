@@ -20,6 +20,7 @@
 package core
 
 import (
+	"pmv/internal/expr"
 	"pmv/internal/lock"
 	"pmv/internal/value"
 )
@@ -70,28 +71,44 @@ func (v *View) LockForMaintenance() (release func(), err error) {
 	return func() { v.eng.Locks().ReleaseAll(txn) }, nil
 }
 
-// UpdateAffects is the relevant-attribute check (the paper's case 3
-// optimization) behind OnUpdateCtx and Purge: it reports whether an
-// update of rel from old to new can affect cached results, bumping
-// UpdatesSeen/UpdatesSkipped so batched and per-statement paths
-// account identically. An update that touches no
-// Ls′/Cjoin/fixed column of rel needs no maintenance at all. Values
-// compare bit for bit, as cached rows and DS keys hold them: a -0 over
-// +0 is a change.
-func (v *View) UpdateAffects(rel string, old, new value.Tuple) (bool, error) {
+// updateAffects is the relevant-attribute check (the paper's case 3
+// optimization) behind OnUpdateCtx and Purge: changed reports whether
+// an update of rel from old to new touched a column of rel in Ls′ or
+// Cjoin (join and fixed predicates), as an update that touches none
+// needs no maintenance at all; moved reports whether it touched a
+// condition, join or fixed-predicate column, which decide the result
+// rows the tuple joins into. It bumps UpdatesSeen/UpdatesSkipped so
+// batched and per-statement paths account identically. Values compare
+// bit for bit, as cached rows and DS keys hold them: a -0 over +0 is a
+// change.
+func (v *View) updateAffects(rel string, old, new value.Tuple) (changed, moved bool, err error) {
 	if !v.inTemplate(rel) {
-		return false, nil
+		return false, false, nil
 	}
 	r, err := v.eng.Catalog().GetRelation(rel)
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
-	changed := false
-	for _, ci := range v.relevantCols(rel, r) {
-		if !value.Identical(old[ci], new[ci]) {
-			changed = true
-			break
+	differs := func(c expr.ColumnRef) bool {
+		if c.Rel != rel {
+			return false
 		}
+		ci := r.Schema.ColIndex(c.Col)
+		return ci >= 0 && !value.Identical(old[ci], new[ci])
+	}
+	tpl := v.cfg.Template
+	for _, c := range tpl.Conds {
+		moved = moved || differs(c.Col)
+	}
+	for _, j := range tpl.Join {
+		moved = moved || differs(j.Left) || differs(j.Right)
+	}
+	for _, f := range tpl.Fixed {
+		moved = moved || differs(f.Col)
+	}
+	changed = moved
+	for _, c := range v.selectPlus {
+		changed = changed || differs(c)
 	}
 	v.mu.Lock()
 	v.stats.UpdatesSeen++
@@ -99,7 +116,7 @@ func (v *View) UpdateAffects(rel string, old, new value.Tuple) (bool, error) {
 		v.stats.UpdatesSkipped++
 	}
 	v.mu.Unlock()
-	return changed, nil
+	return changed, moved, nil
 }
 
 // InTemplate reports whether rel is one of the view's base relations

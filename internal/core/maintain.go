@@ -394,89 +394,17 @@ func (v *View) Purge(rel string, old, new value.Tuple, keys *[]string) (int, err
 
 // onUpdate is OnUpdateCtx reporting what it purged (see onDelete).
 func (v *View) onUpdate(ctx context.Context, rel string, old, new value.Tuple, keys *[]string) (int, error) {
-	changed, err := v.UpdateAffects(rel, old, new)
+	changed, moved, err := v.updateAffects(rel, old, new)
 	if !changed {
 		return 0, err
 	}
 	purged, err := v.onDelete(ctx, rel, old, keys)
-	if err != nil {
-		return purged, err
+	if moved {
+		v.mu.Lock()
+		v.insertSeq++
+		v.mu.Unlock()
 	}
-	r, err := v.eng.Catalog().GetRelation(rel)
-	if err != nil {
-		return purged, err
-	}
-	if !v.shapeChanged(rel, r.Schema, old, new) {
-		return purged, nil
-	}
-	v.mu.Lock()
-	v.insertSeq++
-	v.mu.Unlock()
-	return purged, nil
-}
-
-// shapeChanged reports whether an update of rel from old to new changed
-// a column that decides which result rows the tuple joins into: a
-// condition, join or fixed-predicate column.
-func (v *View) shapeChanged(rel string, sch catalog.Schema, old, new value.Tuple) bool {
-	tpl := v.cfg.Template
-	moved := func(c expr.ColumnRef) bool {
-		if c.Rel != rel {
-			return false
-		}
-		ci := sch.ColIndex(c.Col)
-		return ci < 0 || !value.Identical(old[ci], new[ci])
-	}
-	for _, c := range tpl.Conds {
-		if moved(c.Col) {
-			return true
-		}
-	}
-	for _, j := range tpl.Join {
-		if moved(j.Left) || moved(j.Right) {
-			return true
-		}
-	}
-	for _, f := range tpl.Fixed {
-		if moved(f.Col) {
-			return true
-		}
-	}
-	return false
-}
-
-// relevantCols returns the base-schema positions of rel's columns that
-// appear in Ls′ or in Cjoin (join predicates and fixed predicates).
-func (v *View) relevantCols(rel string, r *catalog.Relation) []int {
-	seen := make(map[int]bool)
-	addName := func(col string) {
-		if ci := r.Schema.ColIndex(col); ci >= 0 {
-			seen[ci] = true
-		}
-	}
-	for _, c := range v.selectPlus {
-		if c.Rel == rel {
-			addName(c.Col)
-		}
-	}
-	for _, j := range v.cfg.Template.Join {
-		if j.Left.Rel == rel {
-			addName(j.Left.Col)
-		}
-		if j.Right.Rel == rel {
-			addName(j.Right.Col)
-		}
-	}
-	for _, f := range v.cfg.Template.Fixed {
-		if f.Col.Rel == rel {
-			addName(f.Col.Col)
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for ci := range seen {
-		out = append(out, ci)
-	}
-	return out
+	return purged, err
 }
 
 // purgeByIndex removes the cached tuples that may derive from base, a
