@@ -126,6 +126,18 @@ func (s *KeySide) covered() bool {
 // Join keys are compared as encoded bytes, so the planner uses it only
 // when both join columns have the same type.
 //
+// The build side is read whole in Open; the probe side streams. Open
+// walks it only up to the first leaf that yields a matched pair and
+// pauses there, and Next resumes the walk once, when those pairs are
+// spent, to read the rest in one go. The first row so costs the build
+// side, one descent and the probe leaves up to the first match, not
+// both sides whole, and the rows come out in the order of one unpaused
+// walk. No tree lock or pin is held between the two walks: a caller
+// that needs one state of the probe side across them (a view's O3,
+// under the view's S lock) holds its own lock; a plain query sees a
+// write between them as it sees one between its build walk, its probe
+// walk or two of its ranges.
+//
 // The row Next returns is the join's own, rewritten by the next call:
 // a consumer that keeps rows clones them (see Iterator).
 type KeyJoin struct {
@@ -158,6 +170,11 @@ type KeyJoin struct {
 	row               value.Tuple
 	key               []byte
 	cuts              [2][]int
+
+	// The paused probe walk (walkProbe) goes on at range rng from the
+	// key resume; an empty resume means no walk is paused.
+	rng    int
+	resume []byte
 }
 
 // keySeg is one projected column of a KeyJoin row: the side it comes
@@ -296,10 +313,12 @@ func entryRID(e []byte) storage.RID {
 	return storage.RID{Page: storage.PageID(binary.BigEndian.Uint32(e[n:])), Slot: binary.BigEndian.Uint16(e[n+4:])}
 }
 
-// Open scans both indexes and intersects them, one leaf's run of
-// entries at a time: the build side's entries go into a keyTable, the
-// probe side's join keys are looked up straight from the index page, in
-// scan order, and a probe entry that matches is copied out once.
+// Open hashes the build side's entries into a keyTable, then walks the
+// probe side only as far as the first leaf whose entries match: its
+// join keys are looked up straight from the index page, in scan order,
+// and a probe entry that matches is copied out once. The walk pauses
+// after that leaf, so Next can return the first row while the rest of
+// the probe side is unread (see walkProbe).
 func (j *KeyJoin) Open() error {
 	if j.t == nil {
 		j.t = keyTables.Get().(*keyTable)
@@ -308,9 +327,9 @@ func (j *KeyJoin) Open() error {
 	t.reset()
 	j.pos, j.dropped, j.checked = 0, 0, false
 	j.leftCov, j.rightCov = j.Left.covered(), j.Right.covered()
-	build, probe := &j.Left, &j.Right
+	build := &j.Left
 	if j.BuildRight {
-		build, probe = probe, build
+		build = &j.Right
 	}
 	for _, r := range build.Ranges {
 		lead := leadLen(r)
@@ -330,9 +349,31 @@ func (j *KeyJoin) Open() error {
 		}
 	}
 	t.link()
-	for _, r := range probe.Ranges {
-		lead := leadLen(r)
-		err := probe.Index.Tree.Walk(r.Lo, r.Hi, func(l btree.Leaf) error {
+	j.rng, j.resume = 0, j.resume[:0]
+	return j.walkProbe(true)
+}
+
+// walkProbe matches the probe side's entries against the table, in
+// scan order, from where the walk stands: range rng, from the key
+// resume when one is held, else from the range's start. With pause set
+// it stops after the first leaf that yields a pair and keeps that
+// leaf's last entry plus a 0x00 byte, the least key after it, as
+// resume. The walk holds no tree lock or pin once it returns, so
+// resuming at a key stays right across a split of the leaf it paused
+// in. Without pause it walks every range left to its end.
+func (j *KeyJoin) walkProbe(pause bool) error {
+	t, probe := j.t, &j.Right
+	if j.BuildRight {
+		probe = &j.Left
+	}
+	for ; j.rng < len(probe.Ranges); j.rng++ {
+		r := probe.Ranges[j.rng]
+		lo := r.Lo
+		if len(j.resume) > 0 {
+			lo = j.resume
+		}
+		lead, paused := leadLen(r), false
+		err := probe.Index.Tree.Walk(lo, r.Hi, func(l btree.Leaf) error {
 			for i := 0; i < l.Len(); i++ {
 				e := l.Entry(i)
 				lo, hi, err := joinKey(e, lead)
@@ -351,11 +392,17 @@ func (j *KeyJoin) Open() error {
 					t.pairs = append(t.pairs, keyPair{build: b - 1, off: off, end: int32(len(t.probe))})
 				}
 			}
-			return nil
+			if !pause || len(t.pairs) == 0 {
+				return nil
+			}
+			paused = true
+			j.resume = append(append(j.resume[:0], l.Entry(l.Len()-1)...), 0)
+			return btree.ErrStopScan
 		})
-		if err != nil {
+		if err != nil || paused {
 			return err
 		}
+		j.resume = j.resume[:0]
 	}
 	return nil
 }
@@ -364,7 +411,9 @@ func (j *KeyJoin) Open() error {
 // into the join's own row: no allocation but one per string a covered
 // side decodes. A side with Cols set yields only the columns they mark.
 // With a dedup check bound, a pair whose projection it takes is skipped
-// before any of it is decoded.
+// before any of it is decoded. When the pairs Open found run out and
+// its walk paused, Next resumes it once and walks the probe side to its
+// end, so rows come out in the order of one unpaused walk.
 func (j *KeyJoin) Next() (value.Tuple, bool, error) {
 	t := j.t
 	if t == nil {
@@ -411,7 +460,13 @@ func (j *KeyJoin) Next() (value.Tuple, bool, error) {
 			return row, true, nil
 		}
 	}
-	return nil, false, nil
+	if len(j.resume) == 0 {
+		return nil, false, nil
+	}
+	if err := j.walkProbe(false); err != nil {
+		return nil, false, err
+	}
+	return j.Next()
 }
 
 // projectKey encodes the projection of the pair (le, re) from the

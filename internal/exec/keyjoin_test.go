@@ -55,7 +55,11 @@ func newKeyJoinSide(t testing.TB, c *catalog.Catalog, name string, kType value.T
 // the entries, else through the bare (c, k) index and the heap.
 func (s keyJoinSide) side(ranges []KeyRange, covered bool) KeySide {
 	if covered {
-		return KeySide{Rel: s.rel, Index: s.cov, Ranges: ranges, Cols: []bool{true, true, true}}
+		cols := make([]bool, len(s.rel.Schema.Columns))
+		for i := range cols {
+			cols[i] = true
+		}
+		return KeySide{Rel: s.rel, Index: s.cov, Ranges: ranges, Cols: cols}
 	}
 	return KeySide{Rel: s.rel, Index: s.ix, Ranges: ranges}
 }
@@ -99,86 +103,265 @@ func randomCond(rng *rand.Rand, form expr.CondForm, dom int) expr.CondInstance {
 	return ci
 }
 
+// keyJoinArgs are FuzzKeyJoin's arguments.
+type keyJoinArgs struct {
+	seed                         int64
+	nl, nr, keys, conds          uint8
+	interval, buildRight, strKey bool
+	cover, ds, pad               uint8
+	pick                         uint16
+}
+
+// keyJoinCase is the join FuzzKeyJoin draws from its arguments, and its
+// rows and conditions.
+type keyJoinCase struct {
+	l, r   keyJoinSide
+	form   expr.CondForm
+	lc, rc expr.CondInstance
+	j      *KeyJoin
+	rng    *rand.Rand
+}
+
+// newKeyJoinCase draws the relations, conditions and join a.seed names.
+// Rows are (id, c, k, pad); pad is a string of up to 2*a.pad bytes, so
+// that wide pads make one condition value's run span several leaves.
+// With a.pick set, the build side's keys are narrowed after the probe
+// side's index is built: each build row takes the join key of the
+// probe entry pick names (pickEntry) or a key no probe row holds.
+func newKeyJoinCase(t *testing.T, a keyJoinArgs) *keyJoinCase {
+	rng := rand.New(rand.NewSource(a.seed))
+	keyDom, condDom := 1+int(a.keys)%120, 1+int(a.conds)%10
+	kType := value.TypeInt
+	joinKey := func() value.Value { return value.Int(int64(rng.Intn(keyDom))) }
+	if a.strKey {
+		kType = value.TypeString
+		joinKey = func() value.Value {
+			k := rng.Intn(keyDom)
+			return value.Str(fmt.Sprintf("%0*d", 1+k%7, k))
+		}
+	}
+	rows := func(n uint8) []value.Tuple {
+		out := make([]value.Tuple, n)
+		for i := range out {
+			pad := ""
+			if a.pad != 0 {
+				pad = strings.Repeat("x", rng.Intn(2*int(a.pad)+1))
+			}
+			out[i] = value.Tuple{value.Int(int64(i)), value.Int(int64(rng.Intn(condDom))), joinKey(), value.Str(pad)}
+		}
+		return out
+	}
+	lRows, rRows := rows(a.nl), rows(a.nr)
+	kc := &keyJoinCase{form: expr.EqualityForm, rng: rng}
+	if a.interval {
+		kc.form = expr.IntervalForm
+	}
+	kc.lc, kc.rc = randomCond(rng, kc.form, condDom), randomCond(rng, kc.form, condDom)
+	c := testCatalog(t)
+	build, probe := &kc.l, &kc.r
+	buildRows, probeRows, probeCond := lRows, rRows, kc.rc
+	bName, pName := "l", "r"
+	if a.buildRight {
+		build, probe = probe, build
+		buildRows, probeRows, probeCond = rRows, lRows, kc.lc
+		bName, pName = pName, bName
+	}
+	*probe = newPaddedSide(t, c, pName, kType, probeRows)
+	if a.pick != 0 {
+		s := probe.side(rangesFor(kc.form, probeCond), a.buildRight && a.cover&1 != 0 || !a.buildRight && a.cover&2 != 0)
+		k, ok := pickEntry(t, &s, a.pick)
+		for i, row := range buildRows {
+			switch {
+			case ok && rng.Intn(2) == 0:
+				row[2] = k
+			case a.strKey:
+				row[2] = value.Str(fmt.Sprintf("miss%d", i))
+			default:
+				row[2] = value.Int(int64(-1 - i))
+			}
+		}
+	}
+	*build = newPaddedSide(t, c, bName, kType, buildRows)
+	kc.j = &KeyJoin{
+		Left:       kc.l.side(rangesFor(kc.form, kc.lc), a.cover&1 != 0),
+		Right:      kc.r.side(rangesFor(kc.form, kc.rc), a.cover&2 != 0),
+		BuildRight: a.buildRight,
+	}
+	return kc
+}
+
+// pickEntry returns the join key of the probe entry pick names among a
+// walk of s's ranges: range pick>>12, leaf (pick>>8)&0xf of its walk
+// (0xf the last), entry pick&0xff of that leaf's run (0xff the last),
+// each capped at the last there is. pick 0xffff, or a walk with no
+// entry, names none.
+func pickEntry(t testing.TB, s *KeySide, pick uint16) (value.Value, bool) {
+	t.Helper()
+	if pick == 0xffff || len(s.Ranges) == 0 {
+		return value.Value{}, false
+	}
+	r := s.Ranges[min(int(pick>>12), len(s.Ranges)-1)]
+	var runs [][][]byte
+	if err := s.Index.Tree.Walk(r.Lo, r.Hi, func(l btree.Leaf) error {
+		run := make([][]byte, l.Len())
+		for i := range run {
+			run[i] = slices.Clone(l.Entry(i))
+		}
+		runs = append(runs, run)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) == 0 {
+		return value.Value{}, false
+	}
+	run := runs[min(int(pick>>8)&0xf, len(runs)-1)]
+	e := run[min(int(pick&0xff), len(run)-1)]
+	lead, err := keycodec.Skip(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, _, err := keycodec.DecodeValue(e[lead:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, true
+}
+
+// keyJoinSeeds are FuzzKeyJoin's seed corpus. The ones with a name
+// place the first match where a paused probe walk has its edge cases;
+// TestKeyJoinSeedsPause checks that each still does.
+var keyJoinSeeds = []struct {
+	name string
+	a    keyJoinArgs
+}{
+	{"", keyJoinArgs{1, 40, 60, 8, 4, false, false, false, 0, 0, 0, 0}},
+	{"", keyJoinArgs{2, 0, 30, 5, 3, true, false, true, 1, 128, 0, 0}},
+	{"", keyJoinArgs{3, 25, 0, 5, 3, false, true, false, 2, 255, 0, 0}},
+	{"", keyJoinArgs{4, 90, 70, 1, 2, true, true, true, 3, 64, 0, 0}},
+	// Many to many: about 240 entries a side over 80 keys, so the build
+	// table's slot chains hold several distinct keys as well as runs of
+	// one key.
+	{"", keyJoinArgs{5, 240, 240, 80, 0, false, false, false, 0, 200, 0, 0}},
+	{"", keyJoinArgs{6, 240, 240, 80, 0, false, true, true, 3, 255, 0, 0}},
+	// Seed 5's draws, which join hundreds of pairs, with covered sides.
+	{"", keyJoinArgs{5, 240, 240, 80, 0, false, true, false, 1, 0, 0, 0}},
+	{"", keyJoinArgs{5, 240, 240, 80, 0, false, false, true, 2, 96, 0, 0}},
+	{"", keyJoinArgs{5, 240, 240, 80, 0, false, true, true, 3, 160, 0, 0}},
+	// Wide pads: each probe range spans several leaves.
+	{"first match a leaf's last entry", keyJoinArgs{1, 120, 240, 119, 0, false, false, false, 0, 0, 150, 0x00ff}},
+	{"match only in a range's last leaf", keyJoinArgs{42, 120, 240, 119, 0, false, true, false, 0, 0, 150, 0x0f00}},
+	{"match only in the second range", keyJoinArgs{5, 120, 240, 119, 3, false, false, true, 0, 0, 150, 0x1000}},
+	{"no match", keyJoinArgs{10, 120, 240, 119, 0, false, false, false, 0, 0, 150, 0xffff}},
+	{"DS takes the paused leaf's pairs", keyJoinArgs{3, 120, 240, 119, 0, false, false, false, 3, 255, 25, 0x0005}},
+}
+
+// TestKeyJoinSeedsPause: each named seed of FuzzKeyJoin still pauses
+// its probe walk where its name says, so that the corpus keeps
+// exercising those edges.
+func TestKeyJoinSeedsPause(t *testing.T) {
+	for _, s := range keyJoinSeeds {
+		if s.name == "" {
+			continue
+		}
+		if got := pauseOf(t, newKeyJoinCase(t, s.a), s.a.ds); got != s.name {
+			t.Errorf("seed %q: %s", s.name, got)
+		}
+	}
+}
+
+// pauseOf opens kc's join and names the edge its probe walk paused at,
+// as keyJoinSeeds names them, or says why it is none; ds is the seed's
+// DS share.
+func pauseOf(t *testing.T, kc *keyJoinCase, ds uint8) string {
+	j := kc.j
+	probe := &j.Right
+	if j.BuildRight {
+		probe = &j.Left
+	}
+	runLeaves := func(i int) int {
+		s := *probe
+		s.Ranges = s.Ranges[i : i+1]
+		return leaves(t, &s)
+	}
+	if err := j.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if len(j.t.pairs) == 0 {
+		if leaves(t, probe) < 2 {
+			return "no pair, but the walk is short"
+		}
+		return "no match"
+	}
+	at, rest := j.rng, 0 // the range the walk paused in, its leaves left
+	if err := probe.Index.Tree.Walk(j.resume, probe.Ranges[at].Hi, func(btree.Leaf) error { rest++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	pr := j.t.pairs[0]
+	first := j.t.probe[pr.off:pr.end]
+	switch {
+	case at == 1 && runLeaves(0) > 0:
+		return "match only in the second range"
+	case at != 0:
+		return fmt.Sprintf("paused in range %d", at)
+	case rest == 0 && runLeaves(0) >= 2:
+		return "match only in a range's last leaf"
+	case rest == 0:
+		return "paused in a one-leaf range"
+	case ds == 255:
+		return "DS takes the paused leaf's pairs"
+	case bytes.Equal(append(slices.Clone(first), 0), j.resume):
+		return "first match a leaf's last entry"
+	}
+	return "paused mid-range"
+}
+
 // FuzzKeyJoin holds KeyJoin to a nested loop over the same rows: two
 // relations of up to 255 rows whose join keys, ints or strings of
-// several lengths, repeat on both sides, equality or interval ranges on
+// several lengths, repeat on both sides, padded to spread one condition
+// value's entries over several leaves, equality or interval ranges on
 // each side's condition column (including ranges no row falls in), and
 // either side as the build side, and either side covered (bit 0 of
 // cover the left, bit 1 the right: its rows decoded from the index
-// entries) or read from the heap. The answer is compared as a multiset
-// of (left id, right id) pairs. With ds set, the join also runs as a
-// prepared plan's root with a DS check: DS holds about ds/256 of the
+// entries, a pad too long to store read from the heap) or read from the
+// heap. With pick set, the build side joins at most one probe key,
+// chosen by where its entry lies in the probe walk, so that the walk
+// pauses at a chosen leaf. The answer is compared as a multiset of
+// (left id, right id) pairs. With ds set, the join also runs as a
+// prepared plan's root with a DS check: DS holds about ds/255 of the
 // answer's rows and a row the answer lacks, and the run must return the
 // answer less exactly DS's rows, each taken once — from the entries'
 // bytes when both sides are covered, from the decoded row otherwise.
 func FuzzKeyJoin(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(60), uint8(8), uint8(4), false, false, false, uint8(0), uint8(0))
-	f.Add(int64(2), uint8(0), uint8(30), uint8(5), uint8(3), true, false, true, uint8(1), uint8(128))
-	f.Add(int64(3), uint8(25), uint8(0), uint8(5), uint8(3), false, true, false, uint8(2), uint8(255))
-	f.Add(int64(4), uint8(90), uint8(70), uint8(1), uint8(2), true, true, true, uint8(3), uint8(64))
-	// Many to many: about 240 entries a side over 80 keys, so the build
-	// table's slot chains hold several distinct keys as well as runs of
-	// one key.
-	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, false, false, uint8(0), uint8(200))
-	f.Add(int64(6), uint8(240), uint8(240), uint8(80), uint8(0), false, true, true, uint8(3), uint8(255))
-	// Seed 5's draws, which join hundreds of pairs, with covered sides.
-	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, true, false, uint8(1), uint8(0))
-	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, false, true, uint8(2), uint8(96))
-	f.Add(int64(5), uint8(240), uint8(240), uint8(80), uint8(0), false, true, true, uint8(3), uint8(160))
-	f.Fuzz(func(t *testing.T, seed int64, nl, nr, keys, conds uint8, interval, buildRight, strKeys bool, cover, ds uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		keyDom, condDom := 1+int(keys)%120, 1+int(conds)%10
-		kType := value.TypeInt
-		joinKey := func() value.Value { return value.Int(int64(rng.Intn(keyDom))) }
-		if strKeys {
-			kType = value.TypeString
-			joinKey = func() value.Value {
-				k := rng.Intn(keyDom)
-				return value.Str(fmt.Sprintf("%0*d", 1+k%7, k))
-			}
-		}
-		rows := func(n uint8) []value.Tuple {
-			out := make([]value.Tuple, n)
-			for i := range out {
-				out[i] = value.Tuple{value.Int(int64(i)), value.Int(int64(rng.Intn(condDom))), joinKey()}
-			}
-			return out
-		}
-		c := testCatalog(t)
-		l := newKeyJoinSide(t, c, "l", kType, rows(nl))
-		r := newKeyJoinSide(t, c, "r", kType, rows(nr))
-		form := expr.EqualityForm
-		if interval {
-			form = expr.IntervalForm
-		}
-		lc, rc := randomCond(rng, form, condDom), randomCond(rng, form, condDom)
-
-		j := &KeyJoin{
-			Left:       l.side(rangesFor(form, lc), cover&1 != 0),
-			Right:      r.side(rangesFor(form, rc), cover&2 != 0),
-			BuildRight: buildRight,
-		}
+	for _, s := range keyJoinSeeds {
+		a := s.a
+		f.Add(a.seed, a.nl, a.nr, a.keys, a.conds, a.interval, a.buildRight, a.strKey, a.cover, a.ds, a.pad, a.pick)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nl, nr, keys, conds uint8, interval, buildRight, strKey bool, cover, ds, pad uint8, pick uint16) {
+		kc := newKeyJoinCase(t, keyJoinArgs{seed, nl, nr, keys, conds, interval, buildRight, strKey, cover, ds, pad, pick})
+		j, form := kc.j, kc.form
 		got := joinedIDs(t, j)
 		var want []string
-		for _, lt := range l.rows {
-			if !lc.Matches(form, lt[1]) {
+		for _, lt := range kc.l.rows {
+			if !kc.lc.Matches(form, lt[1]) {
 				continue
 			}
-			for _, rt := range r.rows {
-				if rc.Matches(form, rt[1]) && value.Equal(lt[2], rt[2]) {
+			for _, rt := range kc.r.rows {
+				if kc.rc.Matches(form, rt[1]) && value.Equal(lt[2], rt[2]) {
 					want = append(want, fmt.Sprintf("%d,%d", lt[0].Int64(), rt[0].Int64()))
 				}
 			}
 		}
 		sort.Strings(want)
 		if !slices.Equal(got, want) {
-			t.Fatalf("KeyJoin returned %d pairs, nested loop %d\nleft %+v\nright %+v", len(got), len(want), lc, rc)
+			t.Fatalf("KeyJoin returned %d pairs, nested loop %d\nleft %+v\nright %+v", len(got), len(want), kc.lc, kc.rc)
 		}
 		// Each joined row is its two source rows, however its sides were
 		// read.
-		lw := len(l.rel.Schema.Columns)
+		lw := len(kc.l.rel.Schema.Columns)
 		err := ForEach(j, func(row value.Tuple) error {
-			src := append(slices.Clone(l.rows[row[0].Int64()]), r.rows[row[lw].Int64()]...)
+			src := append(slices.Clone(kc.l.rows[row[0].Int64()]), kc.r.rows[row[lw].Int64()]...)
 			for i, v := range src {
 				if !value.Identical(row[i], v) {
 					return fmt.Errorf("joined row %v, column %d: want %v", row, i, v)
@@ -190,15 +373,16 @@ func FuzzKeyJoin(f *testing.F) {
 			t.Fatal(err)
 		}
 		if ds != 0 {
-			checkDedup(t, j, rng, ds)
+			checkDedup(t, j, kc.rng, ds)
 		}
 	})
 }
 
 // checkDedup runs j as the root of a plan projecting every column, with
-// a DS check over a random share (share/256) of its answer's rows plus
-// a row it does not return, and requires the answer less exactly those
-// rows, each taken once, and the absent row's token left.
+// a DS check over a random share (share/255, so 255 is every row) of
+// its answer's rows plus a row it does not return, and requires the
+// answer less exactly those rows, each taken once, and the absent row's
+// token left.
 func checkDedup(t *testing.T, j *KeyJoin, rng *rand.Rand, share uint8) {
 	t.Helper()
 	n := len(j.Left.Rel.Schema.Columns) + len(j.Right.Rel.Schema.Columns)
@@ -222,7 +406,7 @@ func checkDedup(t *testing.T, j *KeyJoin, rng *rand.Rand, share uint8) {
 	tokens := map[string]int{}
 	var want []string
 	for _, row := range all {
-		if rng.Intn(256) < int(share) {
+		if rng.Intn(255) < int(share) {
 			tokens[string(keycodec.AppendTuple(nil, row))]++
 		} else {
 			want = append(want, exact(row))
@@ -317,7 +501,8 @@ func TestKeyTableChains(t *testing.T) {
 // scans and rows it joins, whether it reads the heap or decodes covered
 // sides (all ints here) from the entries — Next reuses one row. Widening
 // either side's range 4× over entries that join nothing keeps the
-// answer and must keep the allocation count.
+// answer and must keep the allocation count, with the probe walk paused
+// after its first matching leaf and resumed from a key.
 func TestKeyJoinAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector drops sync.Pool items at random; allocation counts do not repeat")
@@ -356,6 +541,15 @@ func TestKeyJoinAllocs(t *testing.T) {
 		if len(answer) < 20 || !slices.Equal(joinedIDs(t, wide), answer) {
 			t.Fatalf("buildRight=%v covered=%v: fixture broken: narrow %d pairs, wide differs or too few", buildRight, covered, len(answer))
 		}
+		// The probe walk pauses after its first matching leaf (probing
+		// l's wide range, inside it) and resumes from a key for the rest.
+		if err := wide.Open(); err != nil {
+			t.Fatal(err)
+		}
+		if len(wide.resume) == 0 {
+			t.Fatalf("buildRight=%v covered=%v: the wide join's probe walk did not pause", buildRight, covered)
+		}
+		wide.Close()
 		allocs := func(j *KeyJoin) float64 {
 			return testing.AllocsPerRun(50, func() {
 				if err := ForEach(j, func(value.Tuple) error { return nil }); err != nil {

@@ -9,9 +9,10 @@
 // envelope and the trace/slowlog switches (trace.go), and the reply
 // primitives — Reply, WriteErr, WriteFrame, WriteRow (the one place a
 // row frame is encoded and billed) and Flush (the phase boundary). A
-// response reaches the socket once per phase, not once per row: the
-// first partial row at once, the rest of a phase when its handler
-// calls Flush, and everything else when the response ends.
+// response reaches the socket once per phase, not once per row: a
+// query answer's first row at once, whether O2 or O3 made it, the rest
+// of a phase when its handler calls Flush, and everything else when the
+// response ends.
 //
 // Sessions are hardened against a hostile or broken network plane: a
 // connection cap bounds accepted sessions; an idle deadline plus a
@@ -165,13 +166,13 @@ type Session struct {
 
 	// Row-stream state of the request in flight: the reused frame
 	// buffer, the row-frame bytes written so far (Bill's wire-byte
-	// charge), whether the first partial row is past (flushed, or not a
+	// charge), whether the first row is past (flushed, or not a
 	// MsgQuery answer, which flushes none early), and the first write
 	// failure.
-	row          []byte
-	rowBytes     int64
-	firstPartial bool
-	werr         error
+	row      []byte
+	rowBytes int64
+	firstRow bool
+	werr     error
 }
 
 func (sess *Session) touch() { sess.lastActive.Store(time.Now().UnixNano()) }
@@ -272,14 +273,15 @@ func (sess *Session) Pong(payload []byte, epoch uint64) error {
 }
 
 // WriteRow streams one result tuple as a MsgRow frame. A MsgQuery
-// answer's first partial row is flushed at once — the first row is what
-// the partial-first contract makes fast for an end client — and every
+// answer's first row, partial or not, is flushed at once — the first
+// row is what the partial-first contract makes fast for an end client,
+// and a query that misses every part has only O3's to give — and every
 // later row stays in the buffer until the handler's phase-boundary
 // Flush or the end of the response. Every other row stream (a shard's
 // probe or exec reply to a router, which reads it whole) goes out at
-// the end of its response in one write. A failure is also latched for Err, so a handler can tell
-// its own dead connection from a query error after the emit callback's
-// error has passed through the engine.
+// the end of its response in one write. A failure is also latched for
+// Err, so a handler can tell its own dead connection from a query error
+// after the emit callback's error has passed through the engine.
 func (sess *Session) WriteRow(t value.Tuple, partial bool) error {
 	sess.row = wire.EncodeRow(sess.row[:wire.FrameHeaderLen], t, partial)
 	err := wire.SealFrame(sess.row, wire.MsgRow)
@@ -289,8 +291,8 @@ func (sess *Session) WriteRow(t value.Tuple, partial bool) error {
 	}
 	if err == nil {
 		sess.rowBytes += int64(len(sess.row))
-		if partial && !sess.firstPartial {
-			sess.firstPartial = true
+		if !sess.firstRow {
+			sess.firstRow = true
 			return sess.Flush()
 		}
 	}
@@ -504,7 +506,7 @@ func (k *Kernel) handle(sess *Session) {
 			return
 		}
 		sess.busy.Store(true)
-		sess.rowBytes, sess.firstPartial, sess.werr = 0, typ != wire.MsgQuery, nil
+		sess.rowBytes, sess.firstRow, sess.werr = 0, typ != wire.MsgQuery, nil
 		err = k.serve(sess, typ, payload)
 		if err == nil {
 			err = sess.Flush()

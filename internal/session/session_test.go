@@ -5,6 +5,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -522,6 +523,75 @@ func TestWritesPerPhase(t *testing.T) {
 	writes, row := writesPerRequest(t, wire.MsgQuery, o2, o3)
 	if want := []int{row, (o2 - 1) * row, o3*row + wire.FrameHeaderLen}; !slices.Equal(writes, want) {
 		t.Fatalf("writes = %v bytes, want %v (first row, phase boundary, end)", writes, want)
+	}
+	// A query that misses every part: its first O3 row goes alone.
+	writes, row = writesPerRequest(t, wire.MsgQuery, 0, o3)
+	if want := []int{row, (o3-1)*row + wire.FrameHeaderLen}; !slices.Equal(writes, want) {
+		t.Fatalf("miss writes = %v bytes, want %v (first row, end)", writes, want)
+	}
+}
+
+// TestFirstRowReachesClient: a query answer's first row reaches the
+// client while its handler is still running, whether it is a partial
+// (O2) row, a non-partial (O3) row of a query that missed every part,
+// or a partial row of a query wrapped in MsgTraced. The handler writes
+// the row and then waits for the client to say it has read it; a row
+// held back until the response ends would keep the client from reading
+// it, and the handler's wait times out.
+func TestFirstRowReachesClient(t *testing.T) {
+	read := make(chan struct{}, 1)
+	var timedOut atomic.Bool
+	k, _ := startKernel(t, Config{}, func(sess *Session, typ byte, payload []byte) error {
+		if typ != wire.MsgQuery {
+			return ErrUnknownRequest
+		}
+		if err := sess.WriteRow(echoRow, len(payload) > 0 && payload[0] == 1); err != nil {
+			return err
+		}
+		select {
+		case <-read:
+		case <-time.After(2 * time.Second):
+			timedOut.Store(true)
+		}
+		return sess.WriteFrame(wire.MsgDone, wire.EncodeReport(nil, wire.Report{TotalTuples: 1}))
+	})
+	c := rawDial(t, k)
+	for _, tc := range []struct {
+		name    string
+		partial bool
+		traced  bool
+	}{
+		{"partial row", true, false},
+		{"non-partial row", false, false},
+		{"partial row inside MsgTraced", true, true},
+	} {
+		timedOut.Store(false)
+		typ, payload := wire.MsgQuery, []byte{0}
+		if tc.partial {
+			payload[0] = 1
+		}
+		if tc.traced {
+			var err error
+			if payload, err = wire.EncodeTraced(wire.TraceContext{TraceID: 7}, wire.MsgQuery, payload); err != nil {
+				t.Fatal(err)
+			}
+			typ = wire.MsgTraced
+		}
+		if err := wire.WriteFrame(c, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if ft, _, err := wire.ReadFrame(c); err != nil || ft != wire.MsgRow {
+			t.Fatalf("%s: first frame 0x%02x (%v), want a row", tc.name, ft, err)
+		}
+		read <- struct{}{}
+		if ft, _, err := wire.ReadFrame(c); err != nil || ft != wire.MsgDone {
+			t.Fatalf("%s: closing frame 0x%02x (%v), want MsgDone", tc.name, ft, err)
+		}
+		if timedOut.Load() {
+			t.Errorf("%s: the first row reached the client only when the response ended", tc.name)
+			<-read // the signal the timed-out handler did not take
+		}
 	}
 }
 

@@ -35,6 +35,8 @@ func (k *Kernel) handleTraced(sess *Session, payload []byte) error {
 	}
 	sess.traceCtx = &tc
 	defer func() { sess.traceCtx = nil }()
+	// The first-row flush follows the request served, not its envelope.
+	sess.firstRow = inner != wire.MsgQuery
 	return k.dispatch(sess, inner, innerPayload)
 }
 
